@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-all ci reproduce quick-reproduce examples clean
+.PHONY: all build vet test test-short benchmark benchmark-compare bench-all ci reproduce quick-reproduce examples clean
 
 all: build vet test
 
@@ -14,7 +14,12 @@ ci:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./...
+	# -timeout: internal/experiment's golden gate runs every experiment,
+	# which under the race detector nears go test's 10-minute default.
+	$(GO) test -race -timeout 30m ./...
+	# The repository benchmark is its own module, so ./... above skips
+	# its contract, replay and non-perturbation tests.
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run TestJobsDeterminism -count=1 ./cmd/pmsbsim
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
 	# Runtime-introspection smoke: a sharded run with live progress and a
@@ -41,45 +46,31 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Key hot-path benchmarks, recorded as JSON so the perf trajectory is
-# tracked from PR to PR (BENCH_1.json was the first point, BENCH_9.json
-# the current one; benchjson prints the delta against BENCH_BASE but
-# never fails the build — timings on shared machines are a trend line,
-# not a gate). Each benchmark runs BENCHCOUNT times and benchjson keeps
-# the fastest run: min-of-N suppresses one-off scheduler noise, which
-# routinely inflates single runs by 5-15% on shared machines — deltas
-# under ~5% between min-of-3 reports are still noise, not signal.
-# Parallel speedups additionally depend on the machine's core count:
-# numbers recorded on a single-core runner understate every sharded
-# row. BENCHTIME trades precision for wall time — CI uses a short
-# value. Run `make bench-all` for every paper table/figure. The regex
-# is anchored, so the sharded fat-tree and traced benchmarks must be
-# listed on their own — the BenchmarkFatTree alternative does not
-# cover them.
-KEY_BENCHES ?= ^(BenchmarkPacketForwarding|BenchmarkDCTCPFlow|BenchmarkLeafSpineFlows|BenchmarkFatTree|BenchmarkFatTreeSharded|BenchmarkFatTree16Sharded|BenchmarkFatTree32Sharded|BenchmarkFatTreeTraced|BenchmarkFlowSimFatTree|BenchmarkFatTreeBuild|BenchmarkTraceEncodeJSONL|BenchmarkTraceEncodeBinary|BenchmarkEngineChurn|BenchmarkPMSBDecision|BenchmarkMQECNDecision)$$
-BENCHTIME ?= 1s
-BENCHCOUNT ?= 3
-BENCH_OUT ?= BENCH_9.json
-BENCH_BASE ?= BENCH_8.json
+# The repository benchmark (contract: BENCHMARK.json; method and
+# workloads: benchmark/README.md): every workload, plain and traced,
+# with machine provenance, into one report. benchmark-compare measures
+# the working tree the same way and compares it against a report taken
+# earlier (typically on the parent commit); it exits non-zero on a
+# regression beyond a metric's bound and refuses reports from a
+# different machine.
+BENCH_REPORT ?= .bench_build/report.json
 
-bench:
-	$(GO) test -run '^$$' -bench "$(KEY_BENCHES)" -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -baseline $(BENCH_BASE)
-	# Fail-soft: record the sharded fat-tree's runtime self-profile next
-	# to the benchmark numbers, so perf regressions come with the
-	# coordinator's own accounting of where the time went.
-	-$(GO) run ./cmd/pmsbsim -experiment fattree -shards 4 -par channel-steal \
-		-runtimestats BENCH_9.rtstats > /dev/null && \
-		$(GO) run ./cmd/pmsbstat -runtime BENCH_9.rtstats
+benchmark:
+	sh benchmark/run.sh run -out $(BENCH_REPORT) -trace
 
-# Every benchmark (one per paper table/figure plus engine micro-benches).
+benchmark-compare:
+	@test -n "$(BASE)" || { echo "usage: make benchmark-compare BASE=base-report.json"; exit 1; }
+	$(MAKE) benchmark
+	sh benchmark/run.sh compare $(BASE) $(BENCH_REPORT)
+
+# Every go-test benchmark (one per paper table/figure plus per-decision
+# and per-packet micro-benches).
 bench-all:
 	$(GO) test -bench . -benchmem .
 
 # Regenerate every table and figure at full fidelity (~10 minutes).
 reproduce:
-	$(GO) run ./cmd/pmsbsim -all > results_full.txt
-	@echo "results written to results_full.txt"
+	$(GO) run ./cmd/pmsbsim -all
 
 # The same sweep with reduced durations (~1 minute).
 quick-reproduce:

@@ -3,17 +3,13 @@ package pmsb_test
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
 	"pmsb/internal/experiment"
-	"pmsb/internal/flowsim"
 	"pmsb/internal/netsim"
 	"pmsb/internal/obs"
 	"pmsb/internal/pkt"
@@ -22,7 +18,6 @@ import (
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
-	"pmsb/internal/workload"
 )
 
 // benchExperiment runs one registered experiment per iteration in Quick
@@ -126,6 +121,12 @@ func BenchmarkRunManyJobs1(b *testing.B) { benchRunMany(b, 1) }
 func BenchmarkRunManyJobsN(b *testing.B) { benchRunMany(b, 0) } // NumCPU workers
 
 // --- Engine and algorithm micro-benchmarks -------------------------------
+//
+// Fabric-scale runs (fat-trees serial, sharded and traced, the fluid
+// engine at scale, the event queue under load) are timed end to end and
+// layer by layer by the repository benchmark in benchmark/ (`make
+// benchmark`), which owns its workloads; only per-decision and
+// per-packet costs are measured here.
 
 // BenchmarkPMSBDecision measures the raw per-packet cost of Algorithm 1.
 func BenchmarkPMSBDecision(b *testing.B) {
@@ -208,281 +209,6 @@ func BenchmarkDCTCPFlow(b *testing.B) {
 	}
 }
 
-// BenchmarkLeafSpineSecond measures simulating the full 48-host fabric
-// with 100 web-search flows.
-func BenchmarkLeafSpineFlows(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runLeafSpineOnce(b)
-	}
-}
-
-func runLeafSpineOnce(b *testing.B) {
-	b.Helper()
-	eng := sim.NewEngine()
-	ls := topo.NewLeafSpine(eng, topo.LeafSpineConfig{
-		Ports: topo.PortProfile{
-			Weights:     topo.EqualWeights(8),
-			NewSched:    topo.DWRRFactory(eng),
-			NewMarker:   func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
-			BufferBytes: units.Packets(250),
-		},
-	})
-	var fid transport.FlowIDGen
-	completed := 0
-	for i := 0; i < 100; i++ {
-		src, dst := i%48, (i+7)%48
-		f := transport.NewFlow(eng, ls.Host(src), ls.Host(dst), fid.Next(), i%8, 100_000,
-			transport.Config{InitWindow: 16}, func(*transport.Sender) { completed++ })
-		eng.ScheduleAt(time.Duration(i)*50*time.Microsecond, f.Sender.Start)
-	}
-	eng.RunUntil(time.Second)
-	if completed != 100 {
-		b.Fatalf("completed %d/100", completed)
-	}
-}
-
-// BenchmarkFatTree measures the fabric-scale hot path: a k=8 fat-tree
-// (128 hosts, 80 switches, 640 scheduler ports) carrying 2048 concurrent
-// DCTCP flows of 50KB each across random pods. This is the workload the
-// calendar queue exists for — hundreds of thousands of pending events
-// with heavy timer churn.
-func BenchmarkFatTree(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runFatTreeOnce(b)
-	}
-}
-
-func runFatTreeOnce(b *testing.B) {
-	b.Helper()
-	eng := sim.NewEngine()
-	ft := topo.NewFatTree(eng, topo.FatTreeConfig{
-		K: 8,
-		Ports: topo.PortProfile{
-			Weights:     topo.EqualWeights(8),
-			NewSched:    topo.DWRRFactory(eng),
-			NewMarker:   func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
-			BufferBytes: units.Packets(250),
-		},
-	})
-	driveFatTreeFlows(b, ft, nil, nil)
-}
-
-// driveFatTreeFlows launches the shared 2048-flow workload over ft and
-// runs it to completion on coord (or serially on ft.Eng when coord is
-// nil). A non-nil bus traces every transport. One completion closure is
-// shared by every flow and the flows are released afterwards, so
-// repeated runs recycle transport state through the pools instead of
-// re-allocating 2048 senders/receivers per iteration.
-func driveFatTreeFlows(b *testing.B, ft *topo.FatTree, coord *sim.Coordinator, bus *obs.Bus) {
-	b.Helper()
-	const flows = 2048
-	n := ft.NumHosts()
-	var fid transport.FlowIDGen
-	// Completions fire on whichever shard worker owns the sending host,
-	// so the shared counter must be atomic under a coordinator.
-	var completed atomic.Int64
-	onDone := func(*transport.Sender) { completed.Add(1) }
-	launched := make([]*transport.Flow, 0, flows)
-	for i := 0; i < flows; i++ {
-		// Deterministic pseudo-random pairs via the topo hash's mixing
-		// constant; starts stagger over 2ms so all flows overlap.
-		src := (i * 0x9e37) % n
-		dst := (src + 1 + (i*0x79b9)%(n-1)) % n
-		f := transport.NewFlow(ft.Eng, ft.Host(src), ft.Host(dst), fid.Next(), i%8, 50_000,
-			transport.Config{InitWindow: 16, Obs: bus}, onDone)
-		f.Sender.StartAt(time.Duration(i%2048) * time.Microsecond)
-		launched = append(launched, f)
-	}
-	if coord != nil {
-		coord.RunUntil(2 * time.Second)
-	} else {
-		ft.Eng.RunUntil(2 * time.Second)
-	}
-	if completed.Load() != flows {
-		b.Fatalf("completed %d/%d", completed.Load(), flows)
-	}
-	for _, f := range launched {
-		f.Release()
-	}
-}
-
-// BenchmarkFatTreeSharded runs the same k=8 fat-tree workload through
-// the shard coordinator at increasing shard counts and under both
-// windowing protocols (1 shard is the degenerate serial path and
-// measures pure coordinator overhead; the sharded runs split the pods
-// and cores across engines). global vs channel at the same shard count
-// is the A/B for the per-channel-clock protocol — identical payloads,
-// different window widths. Compare against BenchmarkFatTree for the
-// serial baseline.
-func BenchmarkFatTreeSharded(b *testing.B) {
-	for _, v := range []struct {
-		name  string
-		mode  sim.ParMode
-		steal bool
-	}{
-		{"global", sim.ParGlobal, false},
-		{"channel", sim.ParChannel, false},
-		{"channel-steal", sim.ParChannel, true},
-	} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/%d", v.name, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runFatTreeShardedOnce(b, 8, shards, v.mode, v.steal)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFatTree16Sharded scales the fabric to k=16 (1024 hosts, the
-// regime the roadmap's large-topology line targets) at the serial-path
-// and full shard counts. The workload is the same 2048-flow mix, so the
-// row measures fabric overhead growth, not extra traffic.
-func BenchmarkFatTree16Sharded(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("channel/%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runFatTreeShardedOnce(b, 16, shards, sim.ParChannel, false)
-			}
-		})
-	}
-}
-
-// BenchmarkFatTree32Sharded is the memory-lean fabric's headline row:
-// k=32 (8192 hosts, ~49k ports) built arena-backed with slab-carved
-// DWRR and a shared marker, serial path vs 8-way pod-sharded under the
-// batched slab handoff. The workload is the same 2048-flow mix as the
-// k=8/k=16 rows, so the delta across rows is fabric scale, not traffic.
-func BenchmarkFatTree32Sharded(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("channel/%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runFatTree32ShardedOnce(b, shards)
-			}
-		})
-	}
-}
-
-// runFatTree32ShardedOnce builds the k=32 fabric with the memory-lean
-// port profile (the one the fattree32 experiment and the k=32
-// differential gate run) and drives the standard flow mix.
-func runFatTree32ShardedOnce(b *testing.B, shards int) {
-	b.Helper()
-	coord := sim.NewCoordinator()
-	coord.SetMode(sim.ParChannel)
-	ft, _ := topo.NewFatTreeSharded(coord, topo.FatTreeConfig{
-		K: 32,
-		Ports: topo.PortProfile{
-			Weights:       topo.EqualWeights(8),
-			NewSchedBlock: topo.DWRRBlocks(),
-			SharedMarker:  &core.PMSB{PortK: units.Packets(12)},
-			BufferBytes:   units.Packets(250),
-		},
-	}, shards)
-	if n := ft.ArenaOverflow(); n != 0 {
-		b.Fatalf("arena overflowed by %d objects", n)
-	}
-	driveFatTreeFlows(b, ft, coord, nil)
-}
-
-func runFatTreeShardedOnce(b *testing.B, k, shards int, mode sim.ParMode, steal bool) {
-	b.Helper()
-	coord := sim.NewCoordinator()
-	coord.SetMode(mode)
-	coord.SetWorkStealing(steal)
-	ft, _ := topo.NewFatTreeSharded(coord, topo.FatTreeConfig{
-		K: k,
-		Ports: topo.PortProfile{
-			Weights:      topo.EqualWeights(8),
-			NewSchedWith: topo.DWRRSched,
-			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
-			BufferBytes:  units.Packets(250),
-		},
-	}, shards)
-	driveFatTreeFlows(b, ft, coord, nil)
-}
-
-// --- Trace overhead ------------------------------------------------------
-
-// BenchmarkFatTreeTraced is the roadmap's lossless-tracing gate: the
-// same k=8 fat-tree workload as BenchmarkFatTree, untraced vs fully
-// traced (every switch tier and every transport on one bus, the ring
-// spilling to a real file as it fills). Compare the traced rows against
-// untraced for the overhead; the binary target is <15%. Zero ring
-// truncation is asserted, so the spill file is the complete event
-// stream of the run.
-func BenchmarkFatTreeTraced(b *testing.B) {
-	b.Run("untraced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runFatTreeOnce(b)
-		}
-	})
-	for _, format := range []obs.TraceFormat{obs.FormatBinary, obs.FormatJSONL} {
-		b.Run(format.String()+"-spill", func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				events = runFatTreeTracedOnce(b, format)
-			}
-			b.ReportMetric(float64(events), "events/op")
-		})
-	}
-}
-
-// runFatTreeTracedOnce runs the fat-tree workload with full tracing
-// into a spill file and returns the number of events recorded.
-func runFatTreeTracedOnce(b *testing.B, format obs.TraceFormat) uint64 {
-	b.Helper()
-	eng := sim.NewEngine()
-	ft := topo.NewFatTree(eng, topo.FatTreeConfig{
-		K: 8,
-		Ports: topo.PortProfile{
-			Weights:     topo.EqualWeights(8),
-			NewSched:    topo.DWRRFactory(eng),
-			NewMarker:   func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
-			BufferBytes: units.Packets(250),
-		},
-	})
-	f, err := os.Create(filepath.Join(b.TempDir(), "trace."+format.String()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	sw := obs.NewSpillWriter(f, format)
-	// One writer chunk of events (640KB): stays L2-resident between
-	// spill flushes, and each flush hands the codec exactly one full
-	// chunk with no staging copy. Far smaller than the ~1.4M-event
-	// stream, so the spill path is exercised hundreds of times per run.
-	// Trace-only bus, matching `pmsbsim -tracefile` without -metrics.
-	bus := obs.NewTraceBus(8192)
-	bus.Ring().SetSpill(sw)
-	for _, tier := range [][]*netsim.Switch{ft.Edges, ft.Aggs, ft.Cores} {
-		for _, s := range tier {
-			s.Observe(bus)
-		}
-	}
-	driveFatTreeFlows(b, ft, nil, bus)
-	if err := bus.Ring().FlushSpill(); err != nil {
-		b.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if d := bus.Ring().Dropped(); d != 0 {
-		b.Fatalf("ring truncated %d events despite spill", d)
-	}
-	if bus.Ring().Total() == 0 {
-		b.Fatal("traced run recorded nothing")
-	}
-	return bus.Ring().Total()
-}
-
 // benchTraceEvents synthesizes a realistic event mix (the per-packet
 // enqueue/dequeue/mark cycle with occupancy) for the encoder
 // micro-benchmarks.
@@ -539,53 +265,6 @@ func BenchmarkTraceEncodeBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineChurn measures raw scheduler cost under a pending-set
-// of fixed size: per operation, one pop + one fresh schedule at a
-// deterministic pseudo-random offset, with every 7th timer cancelled
-// (cancelled events ride the queue until their time comes, as in the
-// transport's lazy timers). A flat ns/op across 10k -> 1M pending is
-// the calendar queue's O(1) claim; the heap variants show the O(log n)
-// baseline it replaced.
-func BenchmarkEngineChurn(b *testing.B) {
-	for _, kind := range []struct {
-		name string
-		k    sim.QueueKind
-	}{{"calendar", sim.QueueCalendar}, {"heap", sim.QueueHeap}} {
-		for _, pending := range []int{10_000, 100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("%s/%d", kind.name, pending), func(b *testing.B) {
-				benchEngineChurn(b, kind.k, pending)
-			})
-		}
-	}
-}
-
-func benchEngineChurn(b *testing.B, kind sim.QueueKind, pending int) {
-	eng := sim.NewEngineWithQueue(kind)
-	nop := func(any) {}
-	// splitmix-style offsets spread the horizon like real packet events:
-	// dense near now, with a tail of far timers.
-	rnd := uint64(12345)
-	next := func() time.Duration {
-		rnd += 0x9e3779b97f4a7c15
-		x := rnd
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		return time.Duration(x%uint64(10*time.Millisecond)) + time.Nanosecond
-	}
-	for i := 0; i < pending; i++ {
-		eng.ScheduleCall(next(), nop, nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-		t := eng.ScheduleCall(next(), nop, nil)
-		if i%7 == 0 {
-			t.Cancel()
-			eng.ScheduleCall(next(), nop, nil)
-		}
-	}
-}
-
 // nullNode swallows packets (benchmark sink): as the terminal consumer
 // it releases each packet back to the pool.
 type nullNode struct{}
@@ -596,59 +275,6 @@ func (nullNode) Receive(p *pkt.Packet) { pkt.Release(p) }
 func BenchmarkPFC(b *testing.B) { benchExperiment(b, "pfc") }
 
 func BenchmarkAblationMarkPoint(b *testing.B) { benchExperiment(b, "ablation-markpoint") }
-
-// --- Flow-level engine ---------------------------------------------------
-
-// BenchmarkFlowSimFatTree runs the flow-level fluid engine over the
-// exact workload of BenchmarkFatTree (k=8, 2048 x 50KB flows, same
-// src/dst striding and flow-ID order, so every ECMP choice matches).
-// The ns/op ratio against BenchmarkFatTree is the packet-vs-flow
-// speedup BENCH_8.json records.
-func BenchmarkFlowSimFatTree(b *testing.B) {
-	g := topo.FatTreePaths(topo.FatTreeConfig{K: 8})
-	specs := flowSimFatTreeSpecs(g.Hosts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runFlowSimOnce(b, g, specs)
-	}
-}
-
-// flowSimFatTreeSpecs mirrors driveFatTreeFlows' deterministic workload
-// as engine-agnostic specs.
-func flowSimFatTreeSpecs(n int) []workload.FlowSpec {
-	const flows = 2048
-	specs := make([]workload.FlowSpec, 0, flows)
-	for i := 0; i < flows; i++ {
-		src := (i * 0x9e37) % n
-		dst := (src + 1 + (i*0x79b9)%(n-1)) % n
-		specs = append(specs, workload.FlowSpec{
-			Start:   time.Duration(i%2048) * time.Microsecond,
-			Src:     src,
-			Dst:     dst,
-			Size:    50_000,
-			Service: i % 8,
-		})
-	}
-	return specs
-}
-
-func runFlowSimOnce(b *testing.B, g *topo.PathGraph, specs []workload.FlowSpec) {
-	b.Helper()
-	eng := sim.NewEngine()
-	completed := 0
-	fs := flowsim.New(eng, g, flowsim.Config{
-		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(12))},
-		Weights:    []int{1, 1, 1, 1, 1, 1, 1, 1},
-		InitWindow: 16,
-		OnFinish:   func(flowsim.FlowResult) { completed++ },
-	})
-	fs.Start(specs)
-	eng.RunUntil(2 * time.Second)
-	if completed != len(specs) {
-		b.Fatalf("completed %d/%d", completed, len(specs))
-	}
-}
 
 // BenchmarkFatTreeBuild measures topology construction cost and memory
 // footprint at k in {8, 16, 32} for both the packet fabric and the

@@ -74,9 +74,9 @@ func run(args []string, stdout io.Writer) error {
 		format    = fs.String("format", "tsv", "output format: tsv or json")
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		jobs      = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
-		shards    = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value)")
+		shards    = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value; experiments that ran narrower are named on stderr)")
 		par       = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel, channel-steal, or global (all byte-identical; A/B escape hatch)")
-		engine    = fs.String("engine", "packet", "simulation engine for the scenario experiments: packet (ground truth) or flow (fluid fast path); others ignore it")
+		engine    = fs.String("engine", "packet", "simulation engine for the scenario and fct experiments: packet (ground truth) or flow (fluid fast path); experiments without a fluid form run packet and are named on stderr")
 		summary   = fs.Bool("summary", true, "append the run manifest as a trailing '# summary' block (tsv only)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 		memprof   = fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
@@ -241,6 +241,9 @@ func run(args []string, stdout io.Writer) error {
 		// payload is printed.
 		stopSampler()
 	}
+	if runErr == nil {
+		noteUnapplied(os.Stderr, *engine, *shards, manifest)
+	}
 	if tracing && runErr == nil {
 		if err := trace.finish(*metrics); err != nil {
 			return err
@@ -271,6 +274,32 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return runErr
+}
+
+// noteUnapplied says, in one line per option, which experiments did not
+// run the way -engine and -shards asked: the manifest records the
+// engine and shard count each one actually used. Not an error — -all
+// with -shards N is legitimate — but never silent. Experiments that ran
+// no simulation at all (table1) have nothing to apply an option to.
+func noteUnapplied(w io.Writer, engine string, shards int, m *experiment.Manifest) {
+	var offEngine, offShards []string
+	for _, e := range m.Experiments {
+		if e.Engine == "" {
+			continue
+		}
+		if engine == "flow" && !strings.Contains(e.Engine, "flow") {
+			offEngine = append(offEngine, e.ID)
+		}
+		if shards > 1 && e.Shards != shards {
+			offShards = append(offShards, fmt.Sprintf("%s ran %d", e.ID, e.Shards))
+		}
+	}
+	if len(offEngine) > 0 {
+		fmt.Fprintf(w, "pmsbsim: -engine flow not applied, ran the packet engine: %s\n", strings.Join(offEngine, ", "))
+	}
+	if len(offShards) > 0 {
+		fmt.Fprintf(w, "pmsbsim: -shards %d not applied as asked: %s\n", shards, strings.Join(offShards, ", "))
+	}
 }
 
 // progressFlag is the -progress value: an optional-argument boolean

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pmsb/internal/experiment"
 	"pmsb/internal/obs"
 )
 
@@ -175,6 +176,38 @@ func TestRunSummaryBlock(t *testing.T) {
 	}
 	if strings.Contains(out, "# summary:") {
 		t.Fatalf("-summary=false must suppress the manifest:\n%s", out)
+	}
+}
+
+// An option an experiment could not honor is named on stderr, never
+// silently dropped: fig5 has neither a fluid nor a sharded form,
+// fattree-incast shards but has no fluid form, ablation-markpoint's
+// leaf-spine splits in two and its dequeue-marking PMSB has no fluid
+// counterpart, table1 simulates nothing.
+func TestNoteUnapplied(t *testing.T) {
+	var specs []experiment.Spec
+	for _, id := range []string{"fig5", "fattree-incast", "ablation-markpoint", "table1"} {
+		s, err := experiment.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	_, m, err := experiment.RunMany(specs, experiment.Options{Quick: true, Shards: 4, Engine: "flow"}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	noteUnapplied(&buf, "flow", 4, m)
+	want := "pmsbsim: -engine flow not applied, ran the packet engine: fig5, fattree-incast, ablation-markpoint\n" +
+		"pmsbsim: -shards 4 not applied as asked: fig5 ran 1, ablation-markpoint ran 2\n"
+	if buf.String() != want {
+		t.Fatalf("got:\n%swant:\n%s", buf.String(), want)
+	}
+	buf.Reset()
+	noteUnapplied(&buf, "packet", 1, m)
+	if buf.Len() != 0 {
+		t.Fatalf("defaults ask for nothing, yet: %s", buf.String())
 	}
 }
 

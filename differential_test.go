@@ -180,9 +180,27 @@ var parVariants = []parVariant{
 	{"channel-steal", sim.ParChannel, true},
 }
 
+// buildFabric wires a differential workload's topology through the
+// serial entry point on a plain sim.Engine (shards == 0: the reference
+// every sharded run is compared against) or through the sharded entry
+// point on a coordinator running v's protocol (shards >= 1). The
+// returned coordinator is nil for the serial reference; either way the
+// topology's Fabric runs it.
+func buildFabric[T any](shards int, v parVariant, serial func(*sim.Engine) T,
+	sharded func(*sim.Coordinator, int) (T, *topo.Partition)) (T, *sim.Coordinator) {
+	if shards == 0 {
+		return serial(sim.NewEngine()), nil
+	}
+	coord := sim.NewCoordinator()
+	coord.SetMode(v.mode)
+	coord.SetWorkStealing(v.steal)
+	built, _ := sharded(coord, shards)
+	return built, coord
+}
+
 // runShardedDumbbell runs the dumbbell differential workload. shards ==
-// 0 is the serial reference (plain engine, serial builder); shards >= 1
-// builds through the coordinator with the variant's protocol.
+// 0 is the serial reference (plain engine, serial entry point); shards
+// >= 1 builds through the coordinator with the variant's protocol.
 func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 	t.Helper()
 	switchBus := obs.NewBus(1 << 16)
@@ -195,20 +213,11 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
 		},
 	}
-	var (
-		d     *topo.Dumbbell
-		eng   *sim.Engine
-		coord *sim.Coordinator
-	)
-	if shards == 0 {
-		eng = sim.NewEngine()
-		d = topo.NewDumbbell(eng, cfg)
-	} else {
-		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
-		d, _ = topo.NewDumbbellSharded(coord, cfg, shards)
-	}
+	d, _ := buildFabric(shards, v,
+		func(eng *sim.Engine) *topo.Dumbbell { return topo.NewDumbbell(eng, cfg) },
+		func(c *sim.Coordinator, n int) (*topo.Dumbbell, *topo.Partition) {
+			return topo.NewDumbbellSharded(c, cfg, n)
+		})
 	d.Switch.Observe(switchBus)
 
 	var fid transport.FlowIDGen
@@ -219,14 +228,8 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 		f.Sender.StartAt(time.Duration(i) * 20 * time.Microsecond)
 		flows = append(flows, f)
 	}
-	var res workloadResult
-	if coord != nil {
-		coord.RunUntil(100 * time.Millisecond)
-		res.processed = coord.Processed()
-	} else {
-		eng.RunUntil(100 * time.Millisecond)
-		res.processed = eng.Processed()
-	}
+	d.Run(100 * time.Millisecond)
+	res := workloadResult{processed: d.Processed()}
 	for _, f := range flows {
 		if !f.Sender.Finished() {
 			t.Fatalf("dumbbell flow %d did not finish", f.Sender.Flow())
@@ -257,20 +260,11 @@ func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult 
 			BufferBytes:  units.Packets(250),
 		},
 	}
-	var (
-		ls    *topo.LeafSpine
-		eng   *sim.Engine
-		coord *sim.Coordinator
-	)
-	if shards == 0 {
-		eng = sim.NewEngine()
-		ls = topo.NewLeafSpine(eng, cfg)
-	} else {
-		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
-		ls, _ = topo.NewLeafSpineSharded(coord, cfg, shards)
-	}
+	ls, _ := buildFabric(shards, v,
+		func(eng *sim.Engine) *topo.LeafSpine { return topo.NewLeafSpine(eng, cfg) },
+		func(c *sim.Coordinator, n int) (*topo.LeafSpine, *topo.Partition) {
+			return topo.NewLeafSpineSharded(c, cfg, n)
+		})
 	ls.Leaves[0].Observe(switchBus)
 	ls.Spines[0].Observe(switchBus)
 
@@ -286,14 +280,8 @@ func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult 
 		f.Sender.StartAt(time.Duration(i) * 30 * time.Microsecond)
 		flows = append(flows, f)
 	}
-	var res workloadResult
-	if coord != nil {
-		coord.RunUntil(200 * time.Millisecond)
-		res.processed = coord.Processed()
-	} else {
-		eng.RunUntil(200 * time.Millisecond)
-		res.processed = eng.Processed()
-	}
+	ls.Run(200 * time.Millisecond)
+	res := workloadResult{processed: ls.Processed()}
 	for _, f := range flows {
 		if !f.Sender.Finished() {
 			t.Fatalf("leafspine flow %d did not finish", f.Sender.Flow())
@@ -422,20 +410,7 @@ func driveShardedFatTree(t *testing.T, shards int, v parVariant,
 			BufferBytes:  units.Packets(250),
 		},
 	}
-	var (
-		ft    *topo.FatTree
-		eng   *sim.Engine
-		coord *sim.Coordinator
-	)
-	if shards == 0 {
-		eng = sim.NewEngine()
-		ft = topo.NewFatTree(eng, cfg)
-	} else {
-		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
-		ft, _ = topo.NewFatTreeSharded(coord, cfg, shards)
-	}
+	ft, coord := buildFatTree(shards, v, cfg)
 
 	// Fingerprint switch-level order in two pods (first and last): their
 	// edge and agg switches are pod-local on every partition.
@@ -455,16 +430,14 @@ func driveShardedFatTree(t *testing.T, shards int, v parVariant,
 		flows = append(flows, f)
 	}
 	for _, fn := range setup {
-		fn(coord, eng)
+		if coord != nil {
+			fn(coord, nil)
+		} else {
+			fn(nil, ft.Eng)
+		}
 	}
-	var res workloadResult
-	if coord != nil {
-		coord.RunUntil(until)
-		res.processed = coord.Processed()
-	} else {
-		eng.RunUntil(until)
-		res.processed = eng.Processed()
-	}
+	ft.Run(until)
+	res := workloadResult{processed: ft.Processed()}
 	for _, f := range flows {
 		if !f.Sender.Finished() {
 			t.Fatalf("fattree flow %d did not finish", f.Sender.Flow())
@@ -472,6 +445,15 @@ func driveShardedFatTree(t *testing.T, shards int, v parVariant,
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
 	return res
+}
+
+// buildFatTree is buildFabric for the two fat-tree workloads.
+func buildFatTree(shards int, v parVariant, cfg topo.FatTreeConfig) (*topo.FatTree, *sim.Coordinator) {
+	return buildFabric(shards, v,
+		func(eng *sim.Engine) *topo.FatTree { return topo.NewFatTree(eng, cfg) },
+		func(c *sim.Coordinator, n int) (*topo.FatTree, *topo.Partition) {
+			return topo.NewFatTreeSharded(c, cfg, n)
+		})
 }
 
 // fatTreeCrossPodSpecs spreads senders over every pod with cross-pod
@@ -702,20 +684,7 @@ func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
 			BufferBytes:   units.Packets(250),
 		},
 	}
-	var (
-		ft    *topo.FatTree
-		eng   *sim.Engine
-		coord *sim.Coordinator
-	)
-	if shards == 0 {
-		eng = sim.NewEngine()
-		ft = topo.NewFatTree(eng, cfg)
-	} else {
-		coord = sim.NewCoordinator()
-		coord.SetMode(v.mode)
-		coord.SetWorkStealing(v.steal)
-		ft, _ = topo.NewFatTreeSharded(coord, cfg, shards)
-	}
+	ft, _ := buildFatTree(shards, v, cfg)
 	if n := ft.ArenaOverflow(); n != 0 {
 		t.Fatalf("k=32 arena overflowed by %d objects: the spec under-reserves", n)
 	}
@@ -740,14 +709,8 @@ func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
 		f.Sender.StartAt(time.Duration(i) * 2 * time.Microsecond)
 		flows = append(flows, f)
 	}
-	var res workloadResult
-	if coord != nil {
-		coord.RunUntil(2 * time.Millisecond)
-		res.processed = coord.Processed()
-	} else {
-		eng.RunUntil(2 * time.Millisecond)
-		res.processed = eng.Processed()
-	}
+	ft.Run(2 * time.Millisecond)
+	res := workloadResult{processed: ft.Processed()}
 	for _, f := range flows {
 		if !f.Sender.Finished() {
 			t.Fatalf("fattree32 flow %d did not finish inside the horizon", f.Sender.Flow())

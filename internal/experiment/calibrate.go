@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pmsb/internal/flowsim"
-	"pmsb/internal/sim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/units"
@@ -58,11 +57,14 @@ func runCalibrate(opt Options) (*Result, error) {
 	}
 	for _, def := range scenarioDefs() {
 		net := def.build(opt.Quick, opt.seed())
-		pkt, err := net.packet(opt, net)
+		pkt, err := net.run(def.id, "packet", opt)
 		if err != nil {
 			return nil, err
 		}
-		flow := runFlowScenario(net)
+		flow, err := net.run(def.id, "flow", opt)
+		if err != nil {
+			return nil, err
+		}
 		ps := fctSummary(pkt.fcts, flow.fcts)
 		fs := fctSummary(flow.fcts, pkt.fcts)
 		if ps.Count() == 0 || fs.Count() == 0 {
@@ -110,20 +112,13 @@ func runFlowScale(opt Options) (*Result, error) {
 	deadline := specs[len(specs)-1].Start + 500*time.Millisecond
 
 	start := time.Now()
-	eng := sim.NewEngine()
 	completed := 0
 	var fcts stats.Summary
-	fs := flowsim.New(eng, g, flowsim.Config{
-		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
-		Weights:    []int{1, 1, 1, 1},
-		InitWindow: fctInitWindow,
-		OnFinish: func(r flowsim.FlowResult) {
+	events := opt.runFluid(g, flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
+		fattreeServices, specs, deadline, func(r flowsim.FlowResult) {
 			completed++
 			fcts.Add(r.FCT.Seconds())
-		},
-	})
-	fs.Start(specs)
-	eng.RunUntil(deadline)
+		})
 	wall := time.Since(start)
 
 	res := &Result{
@@ -135,7 +130,7 @@ func runFlowScale(opt Options) (*Result, error) {
 	res.AddRow("links", fmt.Sprintf("%d", len(g.Links)))
 	res.AddRow("flows", fmt.Sprintf("%d", len(specs)))
 	res.AddRow("completed", fmt.Sprintf("%d", completed))
-	res.AddRow("events", fmt.Sprintf("%d", eng.Processed()))
+	res.AddRow("events", fmt.Sprintf("%d", events))
 	res.AddRow("sim-horizon-ms", fmt.Sprintf("%.1f", deadline.Seconds()*1e3))
 	if fcts.Count() > 0 {
 		res.AddRow("fct-p50-ms", msec(fcts.Percentile(50)))

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"pmsb/internal/obs"
 	obsrt "pmsb/internal/obs/runtime"
@@ -31,8 +30,9 @@ type Options struct {
 	Repeats int
 	// Shards splits each large-scale simulation across this many shard
 	// engines driven in parallel by a sim.Coordinator (default 1 =
-	// serial; experiments on small topologies ignore it). Results are
-	// deterministic at any fixed shard count. A sharded run occupies
+	// serial). Experiments whose topology does not partition that far
+	// run narrower, and ExperimentReport.Shards says how wide. Results
+	// are deterministic at any fixed shard count. A sharded run occupies
 	// Shards workers, so RunMany charges it that many tokens — jobs x
 	// shards never oversubscribes the machine.
 	Shards int
@@ -47,7 +47,8 @@ type Options struct {
 	// Engine selects the simulation engine for experiments that support
 	// both: "packet" (default, ground truth) or "flow" (the flow-level
 	// fluid fast path in internal/flowsim). Experiments without a
-	// flow-level formulation ignore it.
+	// flow-level formulation run the packet engine, and
+	// ExperimentReport.Engine says so.
 	Engine string
 
 	// Obs, when non-nil, attaches the observability bus to the
@@ -83,9 +84,9 @@ type Options struct {
 	// pool, set by RunMany, lets the repeat loops of randomized sweeps
 	// borrow idle workers for per-seed fan-out (see eachRepeat).
 	pool *workerPool
-	// events, set by RunMany, accumulates processed engine events for
-	// the run manifest.
-	events *atomic.Int64
+	// acct, set by RunMany, is the experiment's manifest row in the
+	// making: events processed, engine and shard count actually used.
+	acct *ledger
 }
 
 // obsFor returns the bus for a shard index: ObsShards[shard] when
@@ -102,49 +103,15 @@ func (o Options) tracing() bool {
 	return o.Obs != nil || len(o.ObsShards) > 0
 }
 
-// observeEngine credits a finished engine's processed-event count to
-// the run manifest and folds its self-profile into the runtime
-// collector when one is attached. A no-op outside RunMany (unless
-// Runtime is set). Safe to call from the fan-out goroutines of
-// eachRepeat.
+// observeEngine accounts for a finished serial packet engine that was
+// wired by hand (the bespoke pfc, pool and single-bottleneck set-ups;
+// fabrics go through runPacket): its events go to the run manifest and
+// its self-profile to the runtime collector when one is attached. Safe
+// to call from the fan-out goroutines of eachRepeat.
 func (o Options) observeEngine(eng *sim.Engine) {
-	if o.events != nil {
-		o.events.Add(int64(eng.Processed()))
-	}
+	o.acct.credit("packet", 1, eng.Processed())
 	if o.Runtime != nil {
 		o.Runtime.ObserveSerial(eng)
-	}
-}
-
-// observeCoordinator is observeEngine's sharded counterpart: it credits
-// every shard engine's events to the manifest and harvests the
-// coordinator's runtime stats into the collector.
-func (o Options) observeCoordinator(coord *sim.Coordinator) {
-	if o.events != nil {
-		o.events.Add(int64(coord.Processed()))
-	}
-	if o.Runtime != nil {
-		o.Runtime.ObserveCoordinator(coord)
-	}
-}
-
-// instrument attaches the monitor and enables runtime stats on a
-// coordinator about to run. Call between configuration and the first
-// RunUntil.
-func (o Options) instrument(coord *sim.Coordinator) {
-	if o.Monitor != nil {
-		coord.SetMonitor(o.Monitor)
-	}
-	if o.Runtime != nil {
-		coord.EnableRuntimeStats()
-	}
-}
-
-// instrumentEngine attaches the monitor to a serial engine about to
-// run.
-func (o Options) instrumentEngine(eng *sim.Engine) {
-	if o.Monitor != nil {
-		eng.SetMonitor(o.Monitor)
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"pmsb/internal/core"
-	"pmsb/internal/obs"
-	"pmsb/internal/pkt"
-	"pmsb/internal/sim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
@@ -100,96 +97,24 @@ func fattreeIncast(k, perPod int) []fattreeFlow {
 // starts the fixed workload, and reports completions and FCT
 // percentiles.
 func runFatTree(id, title string, k int, flows []fattreeFlow, opt Options) (*Result, error) {
-	cfg := fattreeConfig(k)
-	shards := opt.shards()
-	if shards > k {
-		shards = k
-	}
-	var (
-		ft    *topo.FatTree
-		eng   *sim.Engine
-		coord *sim.Coordinator
-		part  *topo.Partition
-	)
-	if shards > 1 {
-		coord = sim.NewCoordinator()
-		coord.SetMode(opt.Par)
-		coord.SetWorkStealing(opt.Steal)
-		ft, part = topo.NewFatTreeSharded(coord, cfg, shards)
-	} else {
-		eng = sim.NewEngine()
-		ft = topo.NewFatTree(eng, cfg)
-	}
-
-	busForNode := func(id pkt.NodeID) *obs.Bus {
-		if part != nil {
-			if s, ok := part.ShardOf(id); ok {
-				return opt.obsFor(s)
-			}
-		}
-		return opt.obsFor(0)
-	}
-	if opt.tracing() {
-		for _, sw := range ft.Edges {
-			sw.Observe(busForNode(sw.NodeID()))
-		}
-		for _, sw := range ft.Aggs {
-			sw.Observe(busForNode(sw.NodeID()))
-		}
-		for _, sw := range ft.Cores {
-			sw.Observe(busForNode(sw.NodeID()))
-		}
-	}
-
+	shards := min(opt.shards(), k)
 	var fcts stats.Summary
 	completed := 0
-	var fid transport.FlowIDGen
-	for i, fl := range flows {
-		cfg := transport.Config{InitWindow: fctInitWindow}
-		if opt.tracing() {
-			cfg.Obs = busForNode(ft.Host(fl.src).NodeID())
+	fab, err := opt.runPacket(fatTreeWiring(fattreeConfig(k)), shards, func(fab *topo.Fabric) time.Duration {
+		var fid transport.FlowIDGen
+		for i, fl := range flows {
+			cfg := transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(fl.src))}
+			f := transport.NewFlow(fab.Eng, fab.Host(fl.src), fab.Host(fl.dst), fid.Next(),
+				i%fattreeServices, fl.size, cfg, func(s *transport.Sender) {
+					fcts.Add(s.FCT().Seconds())
+					completed++
+				})
+			f.Sender.StartAt(time.Duration(i) * 4 * time.Microsecond)
 		}
-		f := transport.NewFlow(ft.Eng, ft.Host(fl.src), ft.Host(fl.dst), fid.Next(),
-			i%fattreeServices, fl.size, cfg, func(s *transport.Sender) {
-				fcts.Add(s.FCT().Seconds())
-				completed++
-			})
-		f.Sender.StartAt(time.Duration(i) * 4 * time.Microsecond)
-	}
-
-	if coord != nil {
-		opt.instrument(coord)
-		coord.RunUntil(fattreeDeadline)
-	} else {
-		opt.instrumentEngine(eng)
-		eng.RunUntil(fattreeDeadline)
-	}
-
-	var routeDrops, unclaimed int64
-	for _, sw := range ft.Edges {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, sw := range ft.Aggs {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, sw := range ft.Cores {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, h := range ft.Hosts {
-		unclaimed += h.UnclaimedPackets()
-	}
-	if routeDrops > 0 || unclaimed > 0 {
-		return nil, fmt.Errorf("%s: fabric sanity violated (routeDrops=%d unclaimed=%d)",
-			id, routeDrops, unclaimed)
-	}
-
-	var events uint64
-	if coord != nil {
-		events = coord.Processed()
-		opt.observeCoordinator(coord)
-	} else {
-		events = eng.Processed()
-		opt.observeEngine(eng)
+		return fattreeDeadline
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
 	}
 
 	res := &Result{
@@ -199,7 +124,7 @@ func runFatTree(id, title string, k int, flows []fattreeFlow, opt Options) (*Res
 	}
 	res.AddRow("flows", fmt.Sprintf("%d", len(flows)))
 	res.AddRow("completed", fmt.Sprintf("%d", completed))
-	res.AddRow("events", fmt.Sprintf("%d", events))
+	res.AddRow("events", fmt.Sprintf("%d", fab.Processed()))
 	res.AddRow("shards", fmt.Sprintf("%d", shards))
 	if fcts.Count() > 0 {
 		res.AddRow("fct-mean-ms", msec(fcts.Mean()))

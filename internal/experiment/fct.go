@@ -8,9 +8,6 @@ import (
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
 	"pmsb/internal/flowsim"
-	"pmsb/internal/obs"
-	"pmsb/internal/pkt"
-	"pmsb/internal/sim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
@@ -75,13 +72,25 @@ func fctSchemes() []fctScheme {
 	}
 }
 
-// fctMetrics holds per-size-class FCT summaries of one run plus the
-// sanity diagnostics every run must satisfy (no routing holes, no
-// misdelivered packets).
+// fctMetrics holds per-size-class FCT summaries of one run.
 type fctMetrics struct {
 	all, small, medium, large stats.Summary
 	completed, total          int
-	routeDrops, unclaimed     int64
+}
+
+// add files one completed flow under its size class.
+func (m *fctMetrics) add(size int64, fct time.Duration) {
+	sec := fct.Seconds()
+	m.all.Add(sec)
+	switch workload.Classify(size) {
+	case workload.Small:
+		m.small.Add(sec)
+	case workload.Large:
+		m.large.Add(sec)
+	default:
+		m.medium.Add(sec)
+	}
+	m.completed++
 }
 
 // fctCache memoizes full sweep results so the twelve per-figure
@@ -101,6 +110,10 @@ type fctCacheEntry struct {
 	once sync.Once
 	res  *Result
 	err  error
+	// acct is the sweep's own account: every caller's manifest row
+	// absorbs it, the computing caller with its events, later ones as
+	// a cache hit.
+	acct ledger
 }
 
 func fctCacheKey(schedName string, opt Options) string {
@@ -117,13 +130,16 @@ func fctCacheKey(schedName string, opt Options) string {
 }
 
 // runFCTOnce simulates one (scheduler, scheme, load) cell and returns
-// the FCT metrics. opt is only consulted for manifest accounting; the
-// cell's randomness comes entirely from seed. With -engine flow the
-// cell runs on the fluid fast path instead of the packet fabric.
-func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed int64, opt Options) *fctMetrics {
-	if opt.engine() == "flow" {
-		return runFCTFlowOnce(sc, load, numFlows, seed, opt)
-	}
+// the FCT metrics; the cell's randomness comes entirely from seed. With
+// -engine flow the cell runs on the fluid fast path: the identical
+// Poisson workload over the same 48-host leaf-spine with the scheme's
+// fluid marking counterpart, in seconds instead of minutes. Schedulers
+// collapse in the fluid model (DWRR and WFQ both converge to weighted
+// max-min shares), so both sweeps produce the same preview; the packet
+// engine remains the ground truth and the calibrate experiment
+// quantifies the gap. A scheme with no fluid counterpart runs the packet
+// engine whatever was asked (the manifest says so).
+func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed int64, opt Options) (*fctMetrics, error) {
 	lsCfg := topo.LeafSpineConfig{
 		Rate: fctRate,
 		Ports: topo.PortProfile{
@@ -132,148 +148,14 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 			BufferBytes: units.Packets(fctBufferPkts),
 		},
 	}
-	// A leaf-spine partitions into at most 2 shards (hosts, fabric), so
-	// higher -shards values clamp here; RunMany may then hold more
-	// tokens than the run uses, which errs on the undersubscribed side.
-	shards := opt.shards()
-	if shards > 2 {
-		shards = 2
+	switch schedName {
+	case "dwrr":
+		lsCfg.Ports.NewSchedWith = topo.DWRRSched
+	case "wfq":
+		lsCfg.Ports.NewSched = topo.WFQFactory()
+	default:
+		panic(fmt.Sprintf("experiment: unknown scheduler %q", schedName))
 	}
-	var (
-		ls    *topo.LeafSpine
-		eng   *sim.Engine
-		coord *sim.Coordinator
-		part  *topo.Partition
-	)
-	if shards > 1 {
-		coord = sim.NewCoordinator()
-		coord.SetMode(opt.Par)
-		coord.SetWorkStealing(opt.Steal)
-		switch schedName {
-		case "dwrr":
-			lsCfg.Ports.NewSchedWith = topo.DWRRSched
-		case "wfq":
-			lsCfg.Ports.NewSched = topo.WFQFactory()
-		default:
-			panic(fmt.Sprintf("experiment: unknown scheduler %q", schedName))
-		}
-		ls, part = topo.NewLeafSpineSharded(coord, lsCfg, shards)
-	} else {
-		eng = sim.NewEngine()
-		switch schedName {
-		case "dwrr":
-			lsCfg.Ports.NewSched = topo.DWRRFactory(eng)
-		case "wfq":
-			lsCfg.Ports.NewSched = topo.WFQFactory()
-		default:
-			panic(fmt.Sprintf("experiment: unknown scheduler %q", schedName))
-		}
-		ls = topo.NewLeafSpine(eng, lsCfg)
-	}
-
-	// Tracing: attach every switch and transport to the bus of the
-	// shard its node lives on (the serial fallback is one bus for
-	// everything). Each bus is then fed by exactly one shard engine, so
-	// per-bus event streams are byte-identical to a serial run with the
-	// same bus split — the property the spill-merge path relies on.
-	busForNode := func(id pkt.NodeID) *obs.Bus {
-		if part != nil {
-			if s, ok := part.ShardOf(id); ok {
-				return opt.obsFor(s)
-			}
-		}
-		return opt.obsFor(0)
-	}
-	if opt.tracing() {
-		for _, sw := range ls.Leaves {
-			sw.Observe(busForNode(sw.NodeID()))
-		}
-		for _, sw := range ls.Spines {
-			sw.Observe(busForNode(sw.NodeID()))
-		}
-	}
-
-	specs := workload.Poisson(workload.PoissonConfig{
-		Load:     load,
-		LinkRate: fctRate,
-		Hosts:    ls.NumHosts(),
-		Dist:     workload.WebSearch(),
-		Services: fctServiceCnt,
-		NumFlows: numFlows,
-		Seed:     seed,
-	})
-
-	m := &fctMetrics{total: len(specs)}
-	var fid transport.FlowIDGen
-	var lastStart time.Duration
-	for _, spec := range specs {
-		spec := spec
-		id := fid.Next()
-		cfg := transport.Config{InitWindow: fctInitWindow}
-		if sc.filter != nil {
-			cfg.Filter = sc.filter()
-		}
-		if opt.tracing() {
-			// A sender emits on its source host's engine; bind it to
-			// that shard's bus.
-			cfg.Obs = busForNode(ls.Host(spec.Src).NodeID())
-		}
-		f := transport.NewFlow(ls.Eng, ls.Host(spec.Src), ls.Host(spec.Dst), id,
-			spec.Service, spec.Size, cfg, func(s *transport.Sender) {
-				fct := s.FCT().Seconds()
-				m.all.Add(fct)
-				switch workload.Classify(s.Size()) {
-				case workload.Small:
-					m.small.Add(fct)
-				case workload.Large:
-					m.large.Add(fct)
-				default:
-					m.medium.Add(fct)
-				}
-				m.completed++
-			})
-		f.Sender.StartAt(spec.Start)
-		lastStart = spec.Start
-	}
-	// Open-loop run: give stragglers a generous tail after the last
-	// arrival, bounded so pathological retransmission loops cannot hang
-	// the experiment.
-	if coord != nil {
-		opt.instrument(coord)
-		coord.RunUntil(lastStart + 2*time.Second)
-	} else {
-		opt.instrumentEngine(eng)
-		eng.RunUntil(lastStart + 2*time.Second)
-	}
-
-	// Sanity diagnostics: a correctly wired fabric routes and delivers
-	// everything it accepts.
-	for _, sw := range ls.Leaves {
-		m.routeDrops += sw.RouteDrops()
-	}
-	for _, sw := range ls.Spines {
-		m.routeDrops += sw.RouteDrops()
-	}
-	for _, h := range ls.Hosts {
-		m.unclaimed += h.UnclaimedPackets()
-	}
-	if coord != nil {
-		opt.observeCoordinator(coord)
-	} else {
-		opt.observeEngine(eng)
-	}
-	return m
-}
-
-// runFCTFlowOnce is the flow-level (fluid) preview of one sweep cell:
-// the identical Poisson workload over the same 48-host leaf-spine, run
-// on flowsim with the scheme's fluid marking counterpart in seconds
-// instead of minutes. Schedulers collapse in the fluid model (DWRR and
-// WFQ both converge to weighted max-min shares), so both sweeps produce
-// the same preview; the packet engine remains the ground truth and the
-// calibrate experiment quantifies the gap.
-func runFCTFlowOnce(sc fctScheme, load float64, numFlows int, seed int64, opt Options) *fctMetrics {
-	lsCfg := topo.LeafSpineConfig{Rate: fctRate}
 	graph := topo.LeafSpinePaths(lsCfg)
 	specs := workload.Poisson(workload.PoissonConfig{
 		Load:     load,
@@ -285,34 +167,33 @@ func runFCTFlowOnce(sc fctScheme, load float64, numFlows int, seed int64, opt Op
 		Seed:     seed,
 	})
 	m := &fctMetrics{total: len(specs)}
-	weights := make([]int, fctServiceCnt)
-	for i := range weights {
-		weights[i] = 1
+	// Open-loop run: give stragglers a generous tail after the last
+	// arrival, bounded so pathological retransmission loops cannot hang
+	// the experiment.
+	deadline := specs[len(specs)-1].Start + 2*time.Second
+	if opt.engine() == "flow" && sc.fluid != nil {
+		opt.runFluid(graph, sc.fluid, fctServiceCnt, specs, deadline, func(r flowsim.FlowResult) {
+			m.add(r.Spec.Size, r.FCT)
+		})
+		return m, nil
 	}
-	eng := sim.NewEngine()
-	fs := flowsim.New(eng, graph, flowsim.Config{
-		Marking:    sc.fluid,
-		Weights:    weights,
-		InitWindow: fctInitWindow,
-		OnFinish: func(r flowsim.FlowResult) {
-			fct := r.FCT.Seconds()
-			m.all.Add(fct)
-			switch workload.Classify(r.Spec.Size) {
-			case workload.Small:
-				m.small.Add(fct)
-			case workload.Large:
-				m.large.Add(fct)
-			default:
-				m.medium.Add(fct)
+	// A leaf-spine partitions into at most 2 shards (hosts, fabric), so
+	// higher -shards values clamp here; RunMany may then hold more
+	// tokens than the run uses, which errs on the undersubscribed side.
+	_, err := opt.runPacket(leafSpineWiring(lsCfg), min(opt.shards(), 2), func(fab *topo.Fabric) time.Duration {
+		var fid transport.FlowIDGen
+		for _, spec := range specs {
+			cfg := transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(spec.Src))}
+			if sc.filter != nil {
+				cfg.Filter = sc.filter()
 			}
-			m.completed++
-		},
+			f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
+				spec.Service, spec.Size, cfg, func(s *transport.Sender) { m.add(s.Size(), s.FCT()) })
+			f.Sender.StartAt(spec.Start)
+		}
+		return deadline
 	})
-	fs.Start(specs)
-	opt.instrumentEngine(eng)
-	eng.RunUntil(specs[len(specs)-1].Start + 2*time.Second)
-	opt.observeEngine(eng)
-	return m
+	return m, err
 }
 
 // mergeFCT pools the per-seed samples into one metrics set (the
@@ -370,9 +251,14 @@ func runFCTSweep(id, title, schedName string, opt Options) (*Result, error) {
 		fctCache[key] = entry
 	}
 	fctCacheMu.Unlock()
+	hit := true
 	entry.once.Do(func() {
-		entry.res, entry.err = computeFCTSweep(schedName, opt)
+		hit = false
+		sweep := opt
+		sweep.acct = &entry.acct
+		entry.res, entry.err = computeFCTSweep(schedName, sweep)
 	})
+	opt.acct.absorb(&entry.acct, hit)
 	if entry.err != nil {
 		return nil, entry.err
 	}
@@ -422,13 +308,13 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 			// in seed order afterwards so failures and results are
 			// identical at any job count.
 			reps := make([]*fctMetrics, opt.repeats())
+			errs := make([]error, len(reps))
 			opt.eachRepeat(len(reps), func(r int) {
-				reps[r] = runFCTOnce(schedName, sc, load, fctFlows(opt), opt.seed()+int64(r), opt)
+				reps[r], errs[r] = runFCTOnce(schedName, sc, load, fctFlows(opt), opt.seed()+int64(r), opt)
 			})
-			for _, m := range reps {
-				if m.routeDrops > 0 || m.unclaimed > 0 {
-					return nil, fmt.Errorf("fct %s/%s@%.1f: fabric sanity violated (routeDrops=%d unclaimed=%d)",
-						schedName, sc.name, load, m.routeDrops, m.unclaimed)
+			for _, err := range errs {
+				if err != nil {
+					return nil, fmt.Errorf("fct %s/%s@%.1f: %w", schedName, sc.name, load, err)
 				}
 			}
 			m := mergeFCT(reps)
@@ -520,7 +406,10 @@ func runAblationMarkPoint(opt Options) (*Result, error) {
 			name:   "pmsb-" + point.String(),
 			marker: func() ecn.Marker { return &core.PMSB{PortK: units.Packets(fctPortK), MarkPoint: point} },
 		}
-		m := runFCTOnce("dwrr", sc, 0.6, numFlows, opt.seed(), opt)
+		m, err := runFCTOnce("dwrr", sc, 0.6, numFlows, opt.seed(), opt)
+		if err != nil {
+			return nil, fmt.Errorf("ablation-markpoint %s: %w", sc.name, err)
+		}
 		res.AddRow(
 			point.String(),
 			msec(m.all.Mean()),

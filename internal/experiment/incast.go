@@ -7,7 +7,6 @@ import (
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
 	"pmsb/internal/pkt"
-	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
@@ -59,8 +58,11 @@ func runIncast(opt Options) (*Result, error) {
 	}
 
 	for _, sc := range schemes {
-		eng := sim.NewEngine()
-		d := topo.NewDumbbell(eng, topo.DumbbellConfig{
+		var done int
+		var worst time.Duration
+		var sum time.Duration
+		var flows []*transport.Flow
+		fab, err := opt.runPacket(dumbbellWiring(topo.DumbbellConfig{
 			Senders:    senders,
 			AccessRate: motiveRate,
 			Delay:      motiveDelay,
@@ -70,27 +72,27 @@ func runIncast(opt Options) (*Result, error) {
 				NewMarker:   sc.marker,
 				BufferBytes: units.Packets(100),
 			},
+		}), 1, func(fab *topo.Fabric) time.Duration {
+			recv := fab.Host(0)
+			for i := 1; i <= senders; i++ {
+				f := transport.NewFlow(fab.Eng, fab.Host(i), recv, pkt.FlowID(i), 0, responseSize,
+					transport.Config{InitWindow: 2, MinRTO: time.Millisecond, Obs: opt.busFor(fab, fab.Host(i))},
+					func(s *transport.Sender) {
+						done++
+						sum += s.FCT()
+						if s.FCT() > worst {
+							worst = s.FCT()
+						}
+					})
+				flows = append(flows, f)
+				f.Sender.Start() // all at t=0: the synchronized burst
+			}
+			return 5 * time.Second
 		})
-		var done int
-		var worst time.Duration
-		var sum time.Duration
-		var retx int64
-		var flows []*transport.Flow
-		for i := 0; i < senders; i++ {
-			f := transport.NewFlow(eng, d.Senders[i], d.Recv, transportFlowID(i), 0,
-				responseSize, transport.Config{InitWindow: 2, MinRTO: time.Millisecond},
-				func(s *transport.Sender) {
-					done++
-					sum += s.FCT()
-					if s.FCT() > worst {
-						worst = s.FCT()
-					}
-				})
-			flows = append(flows, f)
-			f.Sender.Start() // all at t=0: the synchronized burst
+		if err != nil {
+			return nil, fmt.Errorf("incast %s: %w", sc.name, err)
 		}
-		eng.RunUntil(5 * time.Second)
-		opt.observeEngine(eng)
+		var retx int64
 		for _, f := range flows {
 			retx += f.Sender.Retransmits()
 		}
@@ -105,13 +107,10 @@ func runIncast(opt Options) (*Result, error) {
 			sc.name,
 			fmt.Sprintf("%.3f", worst.Seconds()*1e3),
 			fmt.Sprintf("%.3f", meanMS),
-			fmt.Sprintf("%d", d.Bottleneck.DropPackets()),
+			fmt.Sprintf("%d", fab.Switches[0].Port(0).DropPackets()), // the bottleneck
 			fmt.Sprintf("%d", retx),
 		)
 	}
 	res.AddNote("ECN marking absorbs the burst that drop-tail punishes with losses and RTO-inflated completion times")
 	return res, nil
 }
-
-// transportFlowID maps a worker index to a flow ID.
-func transportFlowID(i int) pkt.FlowID { return pkt.FlowID(i + 1) }

@@ -1,0 +1,141 @@
+package experiment
+
+import (
+	"time"
+
+	"pmsb/internal/flowsim"
+	"pmsb/internal/netsim"
+	"pmsb/internal/obs"
+	"pmsb/internal/sim"
+	"pmsb/internal/topo"
+	"pmsb/internal/workload"
+)
+
+// The two run paths every fabric experiment goes through: runPacket for
+// the packet engine (serial or sharded), runFluid for the flow-level
+// engine. An experiment supplies a topology config and a workload; the
+// engine, the coordinator, tracing, progress monitoring, runtime stats,
+// the sanity check and the manifest's accounting are wired here and
+// nowhere else, so no experiment can forget one of them.
+
+// wiring is a topology's pair of entry points bound to one config.
+type wiring struct {
+	serial  func(*sim.Engine) *topo.Fabric
+	sharded func(*sim.Coordinator, int) *topo.Fabric
+}
+
+func dumbbellWiring(cfg topo.DumbbellConfig) wiring {
+	return wiring{
+		serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewDumbbell(eng, cfg).Fabric },
+		sharded: func(c *sim.Coordinator, n int) *topo.Fabric {
+			d, _ := topo.NewDumbbellSharded(c, cfg, n)
+			return &d.Fabric
+		},
+	}
+}
+
+func leafSpineWiring(cfg topo.LeafSpineConfig) wiring {
+	return wiring{
+		serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewLeafSpine(eng, cfg).Fabric },
+		sharded: func(c *sim.Coordinator, n int) *topo.Fabric {
+			ls, _ := topo.NewLeafSpineSharded(c, cfg, n)
+			return &ls.Fabric
+		},
+	}
+}
+
+func fatTreeWiring(cfg topo.FatTreeConfig) wiring {
+	return wiring{
+		serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewFatTree(eng, cfg).Fabric },
+		sharded: func(c *sim.Coordinator, n int) *topo.Fabric {
+			ft, _ := topo.NewFatTreeSharded(c, cfg, n)
+			return &ft.Fabric
+		},
+	}
+}
+
+// busFor returns the bus of the shard a fabric node lives on. Each bus
+// is fed by exactly one shard engine, so per-bus event streams are
+// byte-identical to a serial run with the same bus split — the property
+// the spill-merge path relies on. Transports bind Config.Obs to their
+// source host's bus: a sender emits on its source host's engine.
+func (o Options) busFor(fab *topo.Fabric, n netsim.Node) *obs.Bus {
+	return o.obsFor(fab.ShardOf(n.NodeID()))
+}
+
+// runPacket builds w's fabric on a fresh serial engine (shards <= 1) or
+// across shards of a fresh coordinator (the caller clamps shards to
+// what the topology partitions into) with the monitor and runtime stats
+// attached, observes every switch on its shard's bus, lets start launch
+// the workload and name the deadline, runs, and credits the run to the
+// manifest. The error is the fabric's sanity check.
+func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (deadline time.Duration)) (*topo.Fabric, error) {
+	var (
+		fab   *topo.Fabric
+		coord *sim.Coordinator
+	)
+	if shards > 1 {
+		coord = sim.NewCoordinator()
+		coord.SetMode(o.Par)
+		coord.SetWorkStealing(o.Steal)
+		if o.Monitor != nil {
+			coord.SetMonitor(o.Monitor)
+		}
+		if o.Runtime != nil {
+			coord.EnableRuntimeStats()
+		}
+		fab = w.sharded(coord, shards)
+	} else {
+		shards = 1
+		eng := sim.NewEngine()
+		if o.Monitor != nil {
+			eng.SetMonitor(o.Monitor)
+		}
+		fab = w.serial(eng)
+	}
+	if o.tracing() {
+		for _, sw := range fab.Switches {
+			sw.Observe(o.busFor(fab, sw))
+		}
+	}
+	fab.Run(start(fab))
+
+	o.acct.credit("packet", shards, fab.Processed())
+	if o.Runtime != nil {
+		if coord != nil {
+			o.Runtime.ObserveCoordinator(coord)
+		} else {
+			o.Runtime.ObserveSerial(fab.Eng)
+		}
+	}
+	return fab, fab.Sanity()
+}
+
+// runFluid runs specs over g on the flow-level engine — one service
+// queue of weight 1 per service, the sweeps' initial window — until
+// deadline, with the same monitor hookup and manifest accounting as
+// runPacket, and returns the events processed.
+func (o Options) runFluid(g *topo.PathGraph, marking flowsim.Marking, services int,
+	specs []workload.FlowSpec, deadline time.Duration, onFinish func(flowsim.FlowResult)) uint64 {
+	weights := make([]int, services)
+	for i := range weights {
+		weights[i] = 1
+	}
+	eng := sim.NewEngine()
+	fs := flowsim.New(eng, g, flowsim.Config{
+		Marking:    marking,
+		Weights:    weights,
+		InitWindow: fctInitWindow,
+		OnFinish:   onFinish,
+	})
+	if o.Monitor != nil {
+		eng.SetMonitor(o.Monitor)
+	}
+	fs.Start(specs)
+	eng.RunUntil(deadline)
+	o.acct.credit("flow", 1, eng.Processed())
+	if o.Runtime != nil {
+		o.Runtime.ObserveSerial(eng)
+	}
+	return eng.Processed()
+}

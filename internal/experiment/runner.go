@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -107,10 +106,64 @@ type ExperimentReport struct {
 	// WallMS is the experiment's wall-clock time in milliseconds.
 	WallMS float64 `json:"wall_ms"`
 	// Events counts the simulator events processed by the experiment's
-	// engines. An experiment that hits the shared FCT-sweep cache
-	// reports only its (near-zero) projection cost; the sweep itself is
-	// credited to whichever experiment computed it first.
+	// engines, packet and fluid alike. A result served from the shared
+	// FCT-sweep cache (Cached) reports 0: the sweep's events are
+	// charged once, to the experiment that computed it.
 	Events int64 `json:"events"`
+	// Engine names the engine(s) the experiment's simulations actually
+	// ran on — "packet", "flow", "packet+flow", or "" when it ran none
+	// (table1) — and Shards the widest shard count any of them used
+	// (1 = serial). Options.Engine and Options.Shards are requests;
+	// these say what happened, so an option that did not apply shows.
+	Engine string `json:"engine"`
+	Shards int    `json:"shards"`
+	// Cached marks a result projected from a sweep an earlier
+	// experiment of this process already simulated; Engine and Shards
+	// then describe that sweep.
+	Cached bool `json:"cached,omitempty"`
+}
+
+// ledger is an ExperimentReport in the making: observeEngine and the
+// two run helpers credit each finished simulation to it. Safe for the
+// fan-out goroutines of eachRepeat; a nil ledger (a Spec.Run outside
+// RunMany) discards everything.
+type ledger struct {
+	mu  sync.Mutex
+	row ExperimentReport
+}
+
+// credit records one finished simulation.
+func (l *ledger) credit(engine string, shards int, events uint64) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.row.Events += int64(events)
+	l.row.Shards = max(l.row.Shards, shards)
+	switch {
+	case l.row.Engine == "" || engine == "":
+		l.row.Engine += engine
+	case l.row.Engine != engine:
+		l.row.Engine = "packet+flow"
+	}
+}
+
+// absorb folds the account of a shared computation into l. hit says
+// the computation ran for an earlier caller: l then records what it
+// ran on but is not charged its events again.
+func (l *ledger) absorb(from *ledger, hit bool) {
+	if l == nil {
+		return
+	}
+	events := uint64(from.row.Events)
+	if hit {
+		events = 0
+	}
+	l.credit(from.row.Engine, from.row.Shards, events)
+	l.mu.Lock()
+	l.row.Cached = l.row.Cached || hit
+	l.mu.Unlock()
 }
 
 // Manifest summarizes one RunMany invocation: the worker count, total
@@ -132,9 +185,16 @@ func (m *Manifest) Summary() string {
 		len(m.Experiments), m.Jobs,
 		(time.Duration(m.WallMS * float64(time.Millisecond))).Round(time.Millisecond),
 		m.TotalEvents)
-	b.WriteString("# experiment\twall_ms\tevents\n")
+	b.WriteString("# experiment\twall_ms\tevents\tengine\tshards\n")
 	for _, e := range m.Experiments {
-		fmt.Fprintf(&b, "# %s\t%.1f\t%d\n", e.ID, e.WallMS, e.Events)
+		engine, cached := e.Engine, ""
+		if engine == "" {
+			engine = "-"
+		}
+		if e.Cached {
+			cached = "\tcached"
+		}
+		fmt.Fprintf(&b, "# %s\t%.1f\t%d\t%s\t%d%s\n", e.ID, e.WallMS, e.Events, engine, e.Shards, cached)
 	}
 	return b.String()
 }
@@ -155,10 +215,10 @@ func RunMany(specs []Spec, opt Options, jobs int) ([]*Result, *Manifest, error) 
 		jobs = runtime.NumCPU()
 	}
 	type outcome struct {
-		res    *Result
-		err    error
-		wall   time.Duration
-		events int64
+		res  *Result
+		err  error
+		wall time.Duration
+		acct ledger
 	}
 	pool := newWorkerPool(jobs)
 	outcomes := make([]outcome, len(specs))
@@ -177,28 +237,27 @@ func RunMany(specs []Spec, opt Options, jobs int) ([]*Result, *Manifest, error) 
 			cost := o.tokenCost()
 			pool.acquireN(cost)
 			defer pool.releaseN(cost)
-			var events atomic.Int64
-			o.events = &events
+			oc := &outcomes[i]
+			o.acct = &oc.acct
 			t0 := time.Now()
-			res, err := specs[i].Run(o)
-			outcomes[i] = outcome{res, err, time.Since(t0), events.Load()}
+			oc.res, oc.err = specs[i].Run(o)
+			oc.wall = time.Since(t0)
 		}()
 	}
 	wg.Wait()
 
 	results := make([]*Result, 0, len(specs))
 	m := &Manifest{Jobs: jobs, WallMS: float64(time.Since(start)) / float64(time.Millisecond)}
-	for i, oc := range outcomes {
+	for i := range outcomes {
+		oc := &outcomes[i]
 		if oc.err != nil {
 			return results, nil, fmt.Errorf("%s: %w", specs[i].ID, oc.err)
 		}
 		results = append(results, oc.res)
-		m.Experiments = append(m.Experiments, ExperimentReport{
-			ID:     specs[i].ID,
-			WallMS: float64(oc.wall) / float64(time.Millisecond),
-			Events: oc.events,
-		})
-		m.TotalEvents += oc.events
+		row := oc.acct.row
+		row.ID, row.WallMS = specs[i].ID, float64(oc.wall)/float64(time.Millisecond)
+		m.Experiments = append(m.Experiments, row)
+		m.TotalEvents += row.Events
 	}
 	return results, m, nil
 }

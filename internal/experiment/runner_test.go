@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pmsb/internal/obs"
 	"pmsb/internal/sim"
 )
 
@@ -65,22 +66,60 @@ func TestRunManyPreservesOrder(t *testing.T) {
 
 func TestRunManyManifestCountsEvents(t *testing.T) {
 	specs := []Spec{syntheticSpec("a", 100), syntheticSpec("b", 40)}
-	_, m, err := RunMany(specs, Options{}, 2)
+	// Real experiments for the rows that used to lie: a fluid run, and
+	// three experiments sharing one FCT sweep. The seed is this test's
+	// own so no other test has put the sweep in the cache first.
+	for _, id := range []string{"flow-scale", "fct-dwrr", "fig19", "fig20"} {
+		spec, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	_, m, err := RunMany(specs, Options{Quick: true, Seed: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Jobs != 2 {
 		t.Fatalf("manifest jobs = %d, want 2", m.Jobs)
 	}
-	if m.Experiments[0].Events != 100 || m.Experiments[1].Events != 40 {
-		t.Fatalf("per-experiment events = %d, %d; want 100, 40",
-			m.Experiments[0].Events, m.Experiments[1].Events)
+	a, b, fluid, sweep := m.Experiments[0], m.Experiments[1], m.Experiments[2], m.Experiments[3:]
+	if a.Events != 100 || b.Events != 40 {
+		t.Fatalf("per-experiment events = %d, %d; want 100, 40", a.Events, b.Events)
 	}
-	if m.TotalEvents != 140 {
-		t.Fatalf("total events = %d, want 140", m.TotalEvents)
+	if a.Engine != "packet" || a.Shards != 1 || a.Cached {
+		t.Fatalf("hand-wired serial run reported as %+v", a)
+	}
+	if fluid.Events == 0 || fluid.Engine != "flow" || fluid.Shards != 1 {
+		t.Fatalf("fluid run not credited: %+v", fluid)
+	}
+	// Whichever of the three gets the worker token first simulates the
+	// sweep and is charged for it; the other two are cache hits.
+	var computed int
+	total := a.Events + b.Events + fluid.Events
+	for _, e := range sweep {
+		total += e.Events
+		if e.Engine != "packet" || e.Shards != 1 {
+			t.Fatalf("%s: engine %q shards %d, want the sweep's packet/1", e.ID, e.Engine, e.Shards)
+		}
+		switch {
+		case !e.Cached && e.Events > 0:
+			computed++
+		case !e.Cached || e.Events != 0:
+			t.Fatalf("%s: cached=%v with %d events", e.ID, e.Cached, e.Events)
+		}
+	}
+	if computed != 1 {
+		t.Fatalf("%d of fct-dwrr/fig19/fig20 computed the sweep, want 1", computed)
+	}
+	if m.TotalEvents != total {
+		t.Fatalf("total events = %d, want the rows' sum %d", m.TotalEvents, total)
 	}
 	sum := m.Summary()
-	for _, want := range []string{"# summary: 2 experiments, jobs=2", "# a\t", "# b\t", "140 events"} {
+	for _, want := range []string{
+		"# summary: 6 experiments, jobs=2", "# a\t", "# b\t", fmt.Sprintf("%d events", total),
+		"\tflow\t1\n", "\tpacket\t1\tcached\n",
+	} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)
 		}
@@ -229,5 +268,40 @@ func TestEachRepeatDeterministicSlots(t *testing.T) {
 		if serial[r] != pooled[r] {
 			t.Fatalf("slot %d: serial %d != pooled %d", r, serial[r], pooled[r])
 		}
+	}
+}
+
+// Every fabric experiment must honor the observability and progress
+// options, not only the ones whose author remembered the hookup: with a
+// bus and a monitor attached, the bus hears the switches and the
+// monitor sees the run. (Tables with neither attached are pinned by the
+// golden gate.)
+func TestFabricExperimentsHonorObsAndMonitor(t *testing.T) {
+	for _, id := range []string{
+		"incast", "fct-weighted", "scenario-incast", "scenario-permutation", "scenario-fattree",
+	} {
+		t.Run(id, func(t *testing.T) {
+			spec, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bus := obs.NewTraceBus(1 << 14)
+			mon := sim.NewMonitor()
+			if _, err := spec.Run(Options{Quick: true, Seed: 1, Obs: bus, Monitor: mon}); err != nil {
+				t.Fatal(err)
+			}
+			dequeues := 0
+			bus.Ring().Do(func(ev *obs.Event) {
+				if ev.Kind == obs.KindDequeue {
+					dequeues++
+				}
+			})
+			if dequeues == 0 {
+				t.Error("the bus saw no dequeue: switches were not observed")
+			}
+			if mon.Snapshot().Events == 0 {
+				t.Error("the monitor published no progress")
+			}
+		})
 	}
 }

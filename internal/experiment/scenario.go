@@ -7,8 +7,6 @@ import (
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
 	"pmsb/internal/flowsim"
-	"pmsb/internal/netsim"
-	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
@@ -39,13 +37,13 @@ type scenarioDef struct {
 }
 
 // scenarioNet is a built scenario: the workload, the flow-level graph,
-// and a packet-engine runner over the equivalent packet topology.
+// and the equivalent packet topology.
 type scenarioNet struct {
 	specs    []workload.FlowSpec
 	services int
 	deadline time.Duration
 	graph    *topo.PathGraph
-	packet   func(opt Options, net *scenarioNet) (*engineRun, error)
+	fabric   wiring
 }
 
 // engineRun is one engine's view of a scenario run.
@@ -61,56 +59,51 @@ type engineRun struct {
 // over equal-weight service queues, PMSB per-port marking at the
 // paper's K=12 packets, 250-packet buffers — the same constants the fct
 // sweeps use, and the ones the flow engine's fluid thresholds mirror.
-func scenarioProfile(eng *sim.Engine, services int) topo.PortProfile {
+func scenarioProfile(services int) topo.PortProfile {
 	return topo.PortProfile{
-		Weights:     topo.EqualWeights(services),
-		NewSched:    topo.DWRRFactory(eng),
-		NewMarker:   func() ecn.Marker { return &core.PMSB{PortK: units.Packets(fctPortK)} },
-		BufferBytes: units.Packets(fctBufferPkts),
+		Weights:      topo.EqualWeights(services),
+		NewSchedWith: topo.DWRRSched,
+		NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(fctPortK)} },
+		BufferBytes:  units.Packets(fctBufferPkts),
 	}
 }
 
-// startPacketFlows launches every spec on the packet engine, recording
-// per-spec FCTs in run.fcts.
-func startPacketFlows(eng *sim.Engine, host func(int) *netsim.Host,
-	specs []workload.FlowSpec, services int, run *engineRun) {
-	var fid transport.FlowIDGen
-	for i, spec := range specs {
-		i := i
-		cfg := transport.Config{InitWindow: fctInitWindow}
-		f := transport.NewFlow(eng, host(spec.Src), host(spec.Dst), fid.Next(),
-			spec.Service%services, spec.Size, cfg, func(s *transport.Sender) {
-				run.fcts[i] = s.FCT()
-				run.completed++
-			})
-		f.Sender.StartAt(spec.Start)
-	}
-}
-
-// runFlowScenario runs the scenario on the flow-level engine with the
-// fluid PMSB marking mirroring the packet profile.
-func runFlowScenario(net *scenarioNet) *engineRun {
+// run executes the scenario on one engine: "packet" drives the packet
+// topology serially, "flow" the path graph with the fluid PMSB marking
+// mirroring the packet profile. Flow IDs follow spec order either way.
+func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) {
 	start := time.Now()
 	run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
-	weights := make([]int, net.services)
-	for i := range weights {
-		weights[i] = 1
+	finish := func(i int, fct time.Duration) {
+		run.fcts[i] = fct
+		run.completed++
 	}
-	eng := sim.NewEngine()
-	fs := flowsim.New(eng, net.graph, flowsim.Config{
-		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
-		Weights:    weights,
-		InitWindow: fctInitWindow,
-		OnFinish: func(r flowsim.FlowResult) {
-			run.fcts[r.Index] = r.FCT
-			run.completed++
-		},
-	})
-	fs.Start(net.specs)
-	eng.RunUntil(net.deadline)
-	run.events = eng.Processed()
+	switch engine {
+	case "packet":
+		fab, err := opt.runPacket(net.fabric, 1, func(fab *topo.Fabric) time.Duration {
+			var fid transport.FlowIDGen
+			for i, spec := range net.specs {
+				cfg := transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(spec.Src))}
+				f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
+					spec.Service%net.services, spec.Size, cfg,
+					func(s *transport.Sender) { finish(i, s.FCT()) })
+				f.Sender.StartAt(spec.Start)
+			}
+			return net.deadline
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		run.events = fab.Processed()
+	case "flow":
+		run.events = opt.runFluid(net.graph, flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
+			net.services, net.specs, net.deadline,
+			func(r flowsim.FlowResult) { finish(r.Index, r.FCT) })
+	default:
+		return nil, fmt.Errorf("%s: unknown engine %q (packet|flow)", id, engine)
+	}
 	run.wall = time.Since(start)
-	return run
+	return run, nil
 }
 
 // scenarioDefs enumerates the shared scenarios (the three the
@@ -140,7 +133,8 @@ func buildIncastScenario(quick bool, seed int64) *scenarioNet {
 	if quick {
 		senders = 8
 	}
-	cfg := topo.DumbbellConfig{Senders: senders, AccessRate: fctRate}
+	cfg := topo.DumbbellConfig{Senders: senders, AccessRate: fctRate,
+		Bottleneck: scenarioProfile(fattreeServices)}
 	srcs := make([]int, senders)
 	for i := range srcs {
 		srcs[i] = i + 1
@@ -157,40 +151,13 @@ func buildIncastScenario(quick bool, seed int64) *scenarioNet {
 		services: fattreeServices,
 		deadline: 50 * time.Millisecond,
 		graph:    topo.DumbbellPaths(cfg),
-		packet: func(opt Options, net *scenarioNet) (*engineRun, error) {
-			start := time.Now()
-			run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
-			eng := sim.NewEngine()
-			cfg := cfg
-			cfg.Bottleneck = scenarioProfile(eng, net.services)
-			d := topo.NewDumbbell(eng, cfg)
-			host := func(i int) *netsim.Host {
-				if i == 0 {
-					return d.Recv
-				}
-				return d.Senders[i-1]
-			}
-			startPacketFlows(eng, host, net.specs, net.services, run)
-			opt.instrumentEngine(eng)
-			eng.RunUntil(net.deadline)
-			var unclaimed int64
-			unclaimed += d.Recv.UnclaimedPackets()
-			for _, h := range d.Senders {
-				unclaimed += h.UnclaimedPackets()
-			}
-			if rd := d.Switch.RouteDrops(); rd > 0 || unclaimed > 0 {
-				return nil, fmt.Errorf("scenario-incast: fabric sanity violated (routeDrops=%d unclaimed=%d)", rd, unclaimed)
-			}
-			run.events = eng.Processed()
-			opt.observeEngine(eng)
-			run.wall = time.Since(start)
-			return run, nil
-		},
+		fabric:   dumbbellWiring(cfg),
 	}
 }
 
 func buildPermutationScenario(quick bool, seed int64) *scenarioNet {
-	cfg := topo.LeafSpineConfig{Leaves: 4, Spines: 4, HostsPerLeaf: 12, Rate: fctRate}
+	cfg := topo.LeafSpineConfig{Leaves: 4, Spines: 4, HostsPerLeaf: 12, Rate: fctRate,
+		Ports: scenarioProfile(fattreeServices)}
 	if quick {
 		cfg.HostsPerLeaf = 4
 	}
@@ -207,24 +174,7 @@ func buildPermutationScenario(quick bool, seed int64) *scenarioNet {
 		services: fattreeServices,
 		deadline: 100 * time.Millisecond,
 		graph:    topo.LeafSpinePaths(cfg),
-		packet: func(opt Options, net *scenarioNet) (*engineRun, error) {
-			start := time.Now()
-			run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
-			eng := sim.NewEngine()
-			cfg := cfg
-			cfg.Ports = scenarioProfile(eng, net.services)
-			ls := topo.NewLeafSpine(eng, cfg)
-			startPacketFlows(eng, ls.Host, net.specs, net.services, run)
-			opt.instrumentEngine(eng)
-			eng.RunUntil(net.deadline)
-			if err := leafSpineSanity("scenario-permutation", ls); err != nil {
-				return nil, err
-			}
-			run.events = eng.Processed()
-			opt.observeEngine(eng)
-			run.wall = time.Since(start)
-			return run, nil
-		},
+		fabric:   leafSpineWiring(cfg),
 	}
 }
 
@@ -233,6 +183,7 @@ func buildFatTreeScenario(quick bool, seed int64) *scenarioNet {
 		K:               fattreeK,
 		Rate:            fctRate,
 		FabricDelaySkew: time.Nanosecond,
+		Ports:           scenarioProfile(fattreeServices),
 	}
 	hosts := fattreeK * fattreeK * fattreeK / 4
 	numFlows := 300
@@ -248,68 +199,13 @@ func buildFatTreeScenario(quick bool, seed int64) *scenarioNet {
 		NumFlows: numFlows,
 		Seed:     seed,
 	})
-	deadline := specs[len(specs)-1].Start + 2*time.Second
 	return &scenarioNet{
 		specs:    specs,
 		services: fattreeServices,
-		deadline: deadline,
+		deadline: specs[len(specs)-1].Start + 2*time.Second,
 		graph:    topo.FatTreePaths(cfg),
-		packet: func(opt Options, net *scenarioNet) (*engineRun, error) {
-			start := time.Now()
-			run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
-			eng := sim.NewEngine()
-			cfg := cfg
-			cfg.Ports = scenarioProfile(eng, net.services)
-			ft := topo.NewFatTree(eng, cfg)
-			startPacketFlows(eng, ft.Host, net.specs, net.services, run)
-			opt.instrumentEngine(eng)
-			eng.RunUntil(net.deadline)
-			if err := fatTreeSanity("scenario-fattree", ft); err != nil {
-				return nil, err
-			}
-			run.events = eng.Processed()
-			opt.observeEngine(eng)
-			run.wall = time.Since(start)
-			return run, nil
-		},
+		fabric:   fatTreeWiring(cfg),
 	}
-}
-
-func leafSpineSanity(id string, ls *topo.LeafSpine) error {
-	var routeDrops, unclaimed int64
-	for _, sw := range ls.Leaves {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, sw := range ls.Spines {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, h := range ls.Hosts {
-		unclaimed += h.UnclaimedPackets()
-	}
-	if routeDrops > 0 || unclaimed > 0 {
-		return fmt.Errorf("%s: fabric sanity violated (routeDrops=%d unclaimed=%d)", id, routeDrops, unclaimed)
-	}
-	return nil
-}
-
-func fatTreeSanity(id string, ft *topo.FatTree) error {
-	var routeDrops, unclaimed int64
-	for _, sw := range ft.Edges {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, sw := range ft.Aggs {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, sw := range ft.Cores {
-		routeDrops += sw.RouteDrops()
-	}
-	for _, h := range ft.Hosts {
-		unclaimed += h.UnclaimedPackets()
-	}
-	if routeDrops > 0 || unclaimed > 0 {
-		return fmt.Errorf("%s: fabric sanity violated (routeDrops=%d unclaimed=%d)", id, routeDrops, unclaimed)
-	}
-	return nil
 }
 
 // runScenario executes one scenario on the engine Options.Engine
@@ -317,18 +213,7 @@ func fatTreeSanity(id string, ft *topo.FatTree) error {
 func runScenario(def scenarioDef, opt Options) (*Result, error) {
 	net := def.build(opt.Quick, opt.seed())
 	engine := opt.engine()
-	var (
-		run *engineRun
-		err error
-	)
-	switch engine {
-	case "packet":
-		run, err = net.packet(opt, net)
-	case "flow":
-		run = runFlowScenario(net)
-	default:
-		return nil, fmt.Errorf("%s: unknown engine %q (packet|flow)", def.id, engine)
-	}
+	run, err := net.run(def.id, engine, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
-	"pmsb/internal/sim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
@@ -135,8 +134,7 @@ func runFCTWeighted(opt Options) (*Result, error) {
 	summaries := make(map[key]*stats.Summary)
 	counts := make(map[key]int)
 	for _, sc := range schemes {
-		eng := sim.NewEngine()
-		ls := topo.NewLeafSpine(eng, topo.LeafSpineConfig{
+		lsCfg := topo.LeafSpineConfig{
 			Rate: fctRate,
 			Ports: topo.PortProfile{
 				Weights:     weights,
@@ -144,39 +142,40 @@ func runFCTWeighted(opt Options) (*Result, error) {
 				NewMarker:   sc.marker,
 				BufferBytes: units.Packets(fctBufferPkts),
 			},
-		})
-		specs := workload.Poisson(workload.PoissonConfig{
-			Load:     load,
-			LinkRate: fctRate,
-			Hosts:    ls.NumHosts(),
-			Dist:     workload.WebSearch(),
-			Services: len(weights),
-			NumFlows: numFlows,
-			Seed:     opt.seed(),
-		})
-		var fid transport.FlowIDGen
-		var lastStart time.Duration
-		for _, spec := range specs {
-			spec := spec
-			scName := sc.name
-			f := transport.NewFlow(eng, ls.Host(spec.Src), ls.Host(spec.Dst), fid.Next(),
-				spec.Service, spec.Size, transport.Config{InitWindow: fctInitWindow},
-				func(s *transport.Sender) {
-					if workload.Classify(s.Size()) != workload.Small {
-						return
-					}
-					k := key{scName, classOf(s.Service())}
-					if summaries[k] == nil {
-						summaries[k] = &stats.Summary{}
-					}
-					summaries[k].Add(s.FCT().Seconds())
-					counts[k]++
-				})
-			eng.ScheduleAt(spec.Start, f.Sender.Start)
-			lastStart = spec.Start
 		}
-		eng.RunUntil(lastStart + 2*time.Second)
-		opt.observeEngine(eng)
+		_, err := opt.runPacket(leafSpineWiring(lsCfg), 1, func(fab *topo.Fabric) time.Duration {
+			specs := workload.Poisson(workload.PoissonConfig{
+				Load:     load,
+				LinkRate: fctRate,
+				Hosts:    fab.NumHosts(),
+				Dist:     workload.WebSearch(),
+				Services: len(weights),
+				NumFlows: numFlows,
+				Seed:     opt.seed(),
+			})
+			var fid transport.FlowIDGen
+			for _, spec := range specs {
+				f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
+					spec.Service, spec.Size,
+					transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(spec.Src))},
+					func(s *transport.Sender) {
+						if workload.Classify(s.Size()) != workload.Small {
+							return
+						}
+						k := key{sc.name, classOf(s.Service())}
+						if summaries[k] == nil {
+							summaries[k] = &stats.Summary{}
+						}
+						summaries[k].Add(s.FCT().Seconds())
+						counts[k]++
+					})
+				f.Sender.StartAt(spec.Start)
+			}
+			return specs[len(specs)-1].Start + 2*time.Second
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fct-weighted %s: %w", sc.name, err)
+		}
 	}
 
 	for _, sc := range schemes {

@@ -27,10 +27,10 @@ type DumbbellConfig struct {
 	Bottleneck PortProfile
 }
 
-// Dumbbell is the instantiated topology.
+// Dumbbell is the instantiated topology. Its Fabric lists the receiver
+// first (Hosts[0]) and then the senders, the PathGraph's host order.
 type Dumbbell struct {
-	// Eng is the driving engine.
-	Eng *sim.Engine
+	Fabric
 	// Senders are the sender hosts (IDs 2..Senders+1).
 	Senders []*netsim.Host
 	// Recv is the receiver host (ID 1).
@@ -43,8 +43,25 @@ type Dumbbell struct {
 	cfg DumbbellConfig
 }
 
-// NewDumbbell wires the topology.
+// NewDumbbell wires the topology on one engine.
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
+	return wireDumbbell(serialBuilder(eng), cfg)
+}
+
+// NewDumbbellSharded wires the same dumbbell across a coordinator's
+// shards: all hosts on shard 0 and the switch on shard 1, so the only
+// cross-shard links are the host<->switch cables (delay = cfg.Delay =
+// the lookahead). Dumbbell.Eng is shard 0's engine (the hosts' clock);
+// drive the simulation with Run.
+func NewDumbbellSharded(coord *sim.Coordinator, cfg DumbbellConfig, shards int) (*Dumbbell, *Partition) {
+	if shards > 2 {
+		panic("topo: a dumbbell partitions into at most 2 shards (hosts, switch)")
+	}
+	sb := newShardBuilder(coord, shards)
+	return wireDumbbell(sb, cfg), sb.part
+}
+
+func wireDumbbell(sb *shardBuilder, cfg DumbbellConfig) *Dumbbell {
 	if cfg.AccessRate == 0 {
 		cfg.AccessRate = 10 * units.Gbps
 	}
@@ -54,28 +71,39 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	if cfg.Delay == 0 {
 		cfg.Delay = 5 * time.Microsecond
 	}
+	const swID = 1000
+	swShard := len(sb.engs) - 1
+	sb.assign(swID, swShard)
+	sb.assign(1, 0)
+	for i := 0; i < cfg.Senders; i++ {
+		sb.assign(pkt.NodeID(2+i), 0)
+	}
 
-	d := &Dumbbell{Eng: eng, cfg: cfg}
-	d.Switch = netsim.NewSwitch(eng, 1000)
-	d.Recv = netsim.NewHost(eng, 1)
-	d.Recv.AttachNIC(netsim.NewLink(eng, cfg.AccessRate, cfg.Delay, d.Switch))
+	d := &Dumbbell{Fabric: sb.fabric(), cfg: cfg}
+	d.Switch = netsim.NewSwitch(sb.engine(swShard), swID)
+	d.Recv = netsim.NewHost(sb.engine(0), 1)
+	d.Recv.AttachNIC(sb.link(1, swID, cfg.AccessRate, cfg.Delay, d.Switch))
 
 	// Port 0: bottleneck toward the receiver.
-	d.Bottleneck = cfg.Bottleneck.newPort(eng,
-		netsim.NewLink(eng, cfg.BottleneckRate, cfg.Delay, d.Recv))
+	d.Bottleneck = cfg.Bottleneck.newPort(sb.engine(swShard),
+		sb.link(swID, 1, cfg.BottleneckRate, cfg.Delay, d.Recv))
 	d.Switch.AddPort(d.Bottleneck)
 
 	// Ports 1..N: FIFO reverse ports toward each sender.
-	d.Senders = make([]*netsim.Host, cfg.Senders)
-	for i := 0; i < cfg.Senders; i++ {
-		h := netsim.NewHost(eng, pkt.NodeID(2+i))
-		h.AttachNIC(netsim.NewLink(eng, cfg.AccessRate, cfg.Delay, d.Switch))
-		port := netsim.NewPort(eng,
-			netsim.NewLink(eng, cfg.AccessRate, cfg.Delay, h),
+	d.Hosts = make([]*netsim.Host, 1+cfg.Senders)
+	d.Hosts[0] = d.Recv
+	d.Senders = d.Hosts[1:]
+	for i := range d.Senders {
+		id := pkt.NodeID(2 + i)
+		h := netsim.NewHost(sb.engine(0), id)
+		h.AttachNIC(sb.link(id, swID, cfg.AccessRate, cfg.Delay, d.Switch))
+		port := netsim.NewPort(sb.engine(swShard),
+			sb.link(swID, id, cfg.AccessRate, cfg.Delay, h),
 			netsim.PortConfig{Sched: sched.NewFIFO()})
 		d.Switch.AddPort(port)
 		d.Senders[i] = h
 	}
+	d.Switches = []*netsim.Switch{d.Switch}
 
 	d.Switch.SetRoute(func(p *pkt.Packet) int {
 		if p.Dst == 1 {
@@ -88,72 +116,6 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 		return -1
 	})
 	return d
-}
-
-// NewDumbbellSharded wires the same dumbbell across a coordinator's
-// shards: all hosts on shard 0 and the switch on shard 1, so the only
-// cross-shard links are the host<->switch cables (delay = cfg.Delay =
-// the lookahead). shards == 1 degenerates to the serial wiring on a
-// single shard engine. Dumbbell.Eng is shard 0's engine (the hosts'
-// clock); drive the simulation with coord.RunUntil, not Eng.RunUntil.
-func NewDumbbellSharded(coord *sim.Coordinator, cfg DumbbellConfig, shards int) (*Dumbbell, *Partition) {
-	if cfg.AccessRate == 0 {
-		cfg.AccessRate = 10 * units.Gbps
-	}
-	if cfg.BottleneckRate == 0 {
-		cfg.BottleneckRate = cfg.AccessRate
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 5 * time.Microsecond
-	}
-	if shards > 2 {
-		panic("topo: a dumbbell partitions into at most 2 shards (hosts, switch)")
-	}
-	sb := newShardBuilder(coord, shards)
-	swShard := 0
-	if shards == 2 {
-		swShard = 1
-	}
-	sb.assign(1000, swShard)
-	sb.assign(1, 0)
-	for i := 0; i < cfg.Senders; i++ {
-		sb.assign(pkt.NodeID(2+i), 0)
-	}
-
-	d := &Dumbbell{Eng: sb.engine(0), cfg: cfg}
-	d.Switch = netsim.NewSwitch(sb.engine(swShard), 1000)
-	d.Recv = netsim.NewHost(sb.engine(0), 1)
-	d.Recv.AttachNIC(sb.link(1, 1000, cfg.AccessRate, cfg.Delay, d.Switch))
-
-	// Port 0: bottleneck toward the receiver.
-	d.Bottleneck = cfg.Bottleneck.newPort(sb.engine(swShard),
-		sb.link(1000, 1, cfg.BottleneckRate, cfg.Delay, d.Recv))
-	d.Switch.AddPort(d.Bottleneck)
-
-	// Ports 1..N: FIFO reverse ports toward each sender.
-	d.Senders = make([]*netsim.Host, cfg.Senders)
-	for i := 0; i < cfg.Senders; i++ {
-		id := pkt.NodeID(2 + i)
-		h := netsim.NewHost(sb.engine(0), id)
-		h.AttachNIC(sb.link(id, 1000, cfg.AccessRate, cfg.Delay, d.Switch))
-		port := netsim.NewPort(sb.engine(swShard),
-			sb.link(1000, id, cfg.AccessRate, cfg.Delay, h),
-			netsim.PortConfig{Sched: sched.NewFIFO()})
-		d.Switch.AddPort(port)
-		d.Senders[i] = h
-	}
-
-	d.Switch.SetRoute(func(p *pkt.Packet) int {
-		if p.Dst == 1 {
-			return 0
-		}
-		i := int(p.Dst) - 2
-		if i >= 0 && i < cfg.Senders {
-			return 1 + i
-		}
-		return -1
-	})
-	return d, sb.part
 }
 
 // BaseRTT returns the unloaded sender->receiver->sender RTT estimate.

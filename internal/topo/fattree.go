@@ -41,12 +41,10 @@ type FatTreeConfig struct {
 
 // FatTree is the instantiated fabric.
 type FatTree struct {
-	// Eng is the driving engine.
-	Eng *sim.Engine
-	// Hosts are all hosts; Hosts[i] has NodeID i+1.
-	Hosts []*netsim.Host
-	// Edges, Aggs and Cores are the three switch tiers. Edges and Aggs
-	// are pod-major: pod p owns indices [p*k/2, (p+1)*k/2).
+	Fabric
+	// Edges, Aggs and Cores are the three tiers of Fabric.Switches.
+	// Edges and Aggs are pod-major: pod p owns indices
+	// [p*k/2, (p+1)*k/2).
 	Edges, Aggs, Cores []*netsim.Switch
 
 	cfg    FatTreeConfig
@@ -160,10 +158,10 @@ func (fa *ftAlloc) newSwitch(s int, id pkt.NodeID, portCap int) *netsim.Switch {
 	return fa.arenas[s].NewSwitch(fa.engs[s], id, portCap)
 }
 
-// NewFatTree wires the fabric. Every switch port gets the configured
-// scheduler/marker profile; host NICs are plain FIFOs. All node and
-// queue state is carved from one arena (see netsim.Arena), so building
-// even a k=32 fabric costs a handful of slab allocations.
+// NewFatTree wires the fabric on one engine. Every switch port gets the
+// configured scheduler/marker profile; host NICs are plain FIFOs. All
+// node and queue state is carved from one arena (see netsim.Arena), so
+// building even a k=32 fabric costs a handful of slab allocations.
 //
 // Port layout (half = k/2):
 //   - edge: ports 0..half-1 down to hosts, half..k-1 up to the pod's
@@ -172,73 +170,116 @@ func (fa *ftAlloc) newSwitch(s int, id pkt.NodeID, portCap int) *netsim.Switch {
 //     edge switches, half..k-1 up to cores j*half..j*half+half-1.
 //   - core: port p down to pod p (via the one agg it attaches to).
 func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
+	return wireFatTree(serialBuilder(eng), cfg)
+}
+
+// NewFatTreeSharded wires the same fat-tree across a coordinator's
+// shards. Pods are block-partitioned — pod p (its hosts, edge and
+// aggregation switches) lands on shard p*shards/k — and the cores are
+// block-distributed the same way, so the only cross-shard links are
+// agg<->core cables between different blocks (every one with delay
+// cfg.Delay = the lookahead). shards must not exceed the pod count.
+// FatTree.Eng is shard 0's engine; drive with Run. Each shard's node
+// state comes from its own arena, so shard-hot state never false-shares
+// a cache line with a neighbour's.
+func NewFatTreeSharded(coord *sim.Coordinator, cfg FatTreeConfig, shards int) (*FatTree, *Partition) {
+	sb := newShardBuilder(coord, shards)
+	return wireFatTree(sb, cfg), sb.part
+}
+
+func wireFatTree(sb *shardBuilder, cfg FatTreeConfig) *FatTree {
 	sh := cfg.shape()
 	k, half, pods := sh.k, sh.half, sh.pods
 	hostsPerPod, nHosts, nCores := sh.hostsPerPod, sh.nHosts, sh.nCores
+	shards := len(sb.engs)
+	if shards > pods {
+		panic("topo: fat-tree shard count must not exceed the pod count")
+	}
+	podShard := func(p int) int { return blockOf(p, pods, shards) }
+	coreShard := func(c int) int { return blockOf(c, nCores, shards) }
+	fa := newFTAlloc(&cfg.Ports, sb.engs, sh, podShard, coreShard)
 
-	zero := func(int) int { return 0 }
-	fa := newFTAlloc(&cfg.Ports, []*sim.Engine{eng}, sh, zero, zero)
-
-	ft := &FatTree{Eng: eng, cfg: cfg, arenas: fa.arenas}
+	ft := &FatTree{Fabric: sb.fabric(), cfg: cfg, arenas: fa.arenas}
 	ft.Hosts = make([]*netsim.Host, 0, nHosts)
-	ft.Edges = make([]*netsim.Switch, 0, pods*half)
-	ft.Aggs = make([]*netsim.Switch, 0, pods*half)
-	ft.Cores = make([]*netsim.Switch, 0, nCores)
+	ft.Switches = make([]*netsim.Switch, 2*pods*half+nCores)
+	ft.Edges = ft.Switches[: pods*half : pods*half]
+	ft.Aggs = ft.Switches[pods*half : 2*pods*half : 2*pods*half]
+	ft.Cores = ft.Switches[2*pods*half:]
 	base := switchIDBase(nHosts)
-	for i := 0; i < pods*half; i++ {
-		ft.Edges = append(ft.Edges, fa.newSwitch(0, pkt.NodeID(base+1+i), k))
-		ft.Aggs = append(ft.Aggs, fa.newSwitch(0, pkt.NodeID(2*base+1+i), k))
+	for i := range ft.Edges {
+		s := podShard(i / half)
+		eid, aid := pkt.NodeID(base+1+i), pkt.NodeID(2*base+1+i)
+		sb.assign(eid, s)
+		sb.assign(aid, s)
+		ft.Edges[i] = fa.newSwitch(s, eid, k)
+		ft.Aggs[i] = fa.newSwitch(s, aid, k)
 	}
-	for i := 0; i < half*half; i++ {
-		ft.Cores = append(ft.Cores, fa.newSwitch(0, pkt.NodeID(3*base+1+i), pods))
+	for i := range ft.Cores {
+		id := pkt.NodeID(3*base + 1 + i)
+		sb.assign(id, coreShard(i))
+		ft.Cores[i] = fa.newSwitch(coreShard(i), id, pods)
 	}
 
-	link := func(to netsim.Node) netsim.Link {
-		return netsim.LocalLink(eng, cfg.Rate, cfg.Delay, to)
+	link := func(from, to netsim.Node) netsim.Link {
+		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, cfg.Delay, to)
 	}
-	fabricLink := func(p, c int, to netsim.Node) netsim.Link {
+	// One cable-length formula per (pod, core) pair, both directions;
+	// these are the cut links of a sharded build, so a skew here also
+	// diversifies the coordinator's per-channel delays.
+	fabricLink := func(p, c int, from, to netsim.Node) netsim.Link {
 		d := cfg.Delay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
-		return netsim.LocalLink(eng, cfg.Rate, d, to)
+		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, d, to)
 	}
 
-	// Hosts and host<->edge links. Host i lives in pod i/hostsPerPod on
-	// edge (i%hostsPerPod)/half at down-port i%half.
+	// Hosts and host<->edge links (pod-local, never cut). Host i lives
+	// in pod i/hostsPerPod on edge (i%hostsPerPod)/half at down-port
+	// i%half.
 	for i := 0; i < nHosts; i++ {
-		edge := ft.Edges[i/hostsPerPod*half+(i%hostsPerPod)/half]
-		h := fa.newHost(0, pkt.NodeID(i+1), link(edge))
-		edge.AddPort(fa.newPort(0, link(h)))
+		p := i / hostsPerPod
+		s := podShard(p)
+		edge := ft.Edges[p*half+(i%hostsPerPod)/half]
+		id := pkt.NodeID(i + 1)
+		sb.assign(id, s)
+		// The host does not exist yet, so its NIC link is wired by ID.
+		h := fa.newHost(s, id, sb.linkVal(id, edge.NodeID(), cfg.Rate, cfg.Delay, edge))
+		edge.AddPort(fa.newPort(s, link(edge, h)))
 		ft.Hosts = append(ft.Hosts, h)
 	}
 
-	// Edge<->agg links, pod by pod, interleaved so each switch's ports
-	// appear in index order (edge down-ports were added above).
+	// Edge<->agg links, pod by pod (pod-local, never cut), interleaved
+	// so each switch's ports appear in index order (edge down-ports
+	// were added above).
 	for p := 0; p < pods; p++ {
+		s := podShard(p)
 		for e := 0; e < half; e++ {
 			edge := ft.Edges[p*half+e]
 			for j := 0; j < half; j++ {
-				edge.AddPort(fa.newPort(0, link(ft.Aggs[p*half+j])))
+				edge.AddPort(fa.newPort(s, link(edge, ft.Aggs[p*half+j])))
 			}
 		}
 		for j := 0; j < half; j++ {
 			agg := ft.Aggs[p*half+j]
 			for e := 0; e < half; e++ {
-				agg.AddPort(fa.newPort(0, link(ft.Edges[p*half+e])))
+				agg.AddPort(fa.newPort(s, link(agg, ft.Edges[p*half+e])))
 			}
 		}
 	}
-	// Agg<->core links: agg j (in every pod) owns cores j*half..j*half+half-1.
+	// Agg<->core links, the partition's only cut edges: agg j (in every
+	// pod) owns cores j*half..j*half+half-1.
 	for p := 0; p < pods; p++ {
 		for j := 0; j < half; j++ {
 			agg := ft.Aggs[p*half+j]
 			for i := 0; i < half; i++ {
-				agg.AddPort(fa.newPort(0, fabricLink(p, j*half+i, ft.Cores[j*half+i])))
+				agg.AddPort(fa.newPort(podShard(p),
+					fabricLink(p, j*half+i, agg, ft.Cores[j*half+i])))
 			}
 		}
 	}
 	// Core down-ports in pod order, so port p reaches pod p.
 	for c, core := range ft.Cores {
 		for p := 0; p < pods; p++ {
-			core.AddPort(fa.newPort(0, fabricLink(p, c, ft.Aggs[p*half+c/half])))
+			core.AddPort(fa.newPort(coreShard(c),
+				fabricLink(p, c, core, ft.Aggs[p*half+c/half])))
 		}
 	}
 
@@ -246,8 +287,8 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 	return ft
 }
 
-// installRoutes wires the three tiers' routing functions — identical
-// for the serial and sharded builders. Up-paths use flow-level ECMP;
+// installRoutes wires the three tiers' routing functions. Up-paths use
+// flow-level ECMP;
 // the agg tier salts the hash so the core choice decorrelates from the
 // edge tier's agg choice (same hash mod the same divisor at both tiers
 // would polarize).
@@ -305,127 +346,6 @@ func switchIDBase(nHosts int) int {
 
 // blockOf maps item i of n onto one of shards contiguous blocks.
 func blockOf(i, n, shards int) int { return i * shards / n }
-
-// NewFatTreeSharded wires the same fat-tree across a coordinator's
-// shards. Pods are block-partitioned — pod p (its hosts, edge and
-// aggregation switches) lands on shard p*shards/k — and the cores are
-// block-distributed the same way, so the only cross-shard links are
-// agg<->core cables between different blocks (every one with delay
-// cfg.Delay = the lookahead). shards == 1 degenerates to the serial
-// wiring on one shard engine; shards must not exceed the pod count.
-// FatTree.Eng is shard 0's engine; drive with coord.RunUntil. Each
-// shard's node state comes from its own arena, so shard-hot state
-// never false-shares a cache line with a neighbour's.
-func NewFatTreeSharded(coord *sim.Coordinator, cfg FatTreeConfig, shards int) (*FatTree, *Partition) {
-	sh := cfg.shape()
-	k, half, pods := sh.k, sh.half, sh.pods
-	hostsPerPod, nHosts, nCores := sh.hostsPerPod, sh.nHosts, sh.nCores
-	if shards > pods {
-		panic("topo: fat-tree shard count must not exceed the pod count")
-	}
-	sb := newShardBuilder(coord, shards)
-	podShard := func(p int) int { return blockOf(p, pods, shards) }
-	coreShard := func(c int) int { return blockOf(c, nCores, shards) }
-
-	engs := make([]*sim.Engine, shards)
-	for s := 0; s < shards; s++ {
-		engs[s] = sb.engine(s)
-	}
-	fa := newFTAlloc(&cfg.Ports, engs, sh, podShard, coreShard)
-
-	ft := &FatTree{Eng: sb.engine(0), cfg: cfg, arenas: fa.arenas}
-	ft.Hosts = make([]*netsim.Host, 0, nHosts)
-	ft.Edges = make([]*netsim.Switch, 0, pods*half)
-	ft.Aggs = make([]*netsim.Switch, 0, pods*half)
-	ft.Cores = make([]*netsim.Switch, 0, nCores)
-	base := switchIDBase(nHosts)
-	for i := 0; i < pods*half; i++ {
-		s := podShard(i / half)
-		eid, aid := pkt.NodeID(base+1+i), pkt.NodeID(2*base+1+i)
-		sb.assign(eid, s)
-		sb.assign(aid, s)
-		ft.Edges = append(ft.Edges, fa.newSwitch(s, eid, k))
-		ft.Aggs = append(ft.Aggs, fa.newSwitch(s, aid, k))
-	}
-	for i := 0; i < nCores; i++ {
-		id := pkt.NodeID(3*base + 1 + i)
-		sb.assign(id, coreShard(i))
-		ft.Cores = append(ft.Cores, fa.newSwitch(coreShard(i), id, pods))
-	}
-
-	link := func(from netsim.Node, to netsim.Node) netsim.Link {
-		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, cfg.Delay, to)
-	}
-	// Same per-(pod, core) cable-length formula as the serial builder;
-	// these are the cut links, so a skew here also diversifies the
-	// coordinator's per-channel delays.
-	fabricLink := func(p, c int, from, to netsim.Node) netsim.Link {
-		d := cfg.Delay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
-		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, d, to)
-	}
-
-	// Hosts and host<->edge links (pod-local, never cut).
-	for i := 0; i < nHosts; i++ {
-		p := i / hostsPerPod
-		s := podShard(p)
-		edge := ft.Edges[p*half+(i%hostsPerPod)/half]
-		id := pkt.NodeID(i + 1)
-		sb.assign(id, s)
-		h := fa.newHost(s, id, link2(sb, id, edge, cfg.Rate, cfg.Delay))
-		edge.AddPort(fa.newPort(s, link(edge, h)))
-		ft.Hosts = append(ft.Hosts, h)
-	}
-
-	// Edge<->agg links, pod by pod (pod-local, never cut).
-	for p := 0; p < pods; p++ {
-		s := podShard(p)
-		for e := 0; e < half; e++ {
-			edge := ft.Edges[p*half+e]
-			for j := 0; j < half; j++ {
-				edge.AddPort(fa.newPort(s, link(edge, ft.Aggs[p*half+j])))
-			}
-		}
-		for j := 0; j < half; j++ {
-			agg := ft.Aggs[p*half+j]
-			for e := 0; e < half; e++ {
-				agg.AddPort(fa.newPort(s, link(agg, ft.Edges[p*half+e])))
-			}
-		}
-	}
-	// Agg<->core links: the partition's only cut edges.
-	for p := 0; p < pods; p++ {
-		for j := 0; j < half; j++ {
-			agg := ft.Aggs[p*half+j]
-			for i := 0; i < half; i++ {
-				agg.AddPort(fa.newPort(podShard(p),
-					fabricLink(p, j*half+i, agg, ft.Cores[j*half+i])))
-			}
-		}
-	}
-	for c, core := range ft.Cores {
-		for p := 0; p < pods; p++ {
-			core.AddPort(fa.newPort(coreShard(c),
-				fabricLink(p, c, core, ft.Aggs[p*half+c/half])))
-		}
-	}
-
-	ft.installRoutes(sh)
-	return ft, sb.part
-}
-
-// link2 wires the host->edge link (host IDs are assigned immediately
-// before their NIC is attached, so the generic from-node helper cannot
-// be closed over the host pointer yet).
-func link2(sb *shardBuilder, from pkt.NodeID, to netsim.Node,
-	rate units.Rate, delay time.Duration) netsim.Link {
-	return sb.linkVal(from, to.NodeID(), rate, delay, to)
-}
-
-// NumHosts returns the host count (k^3/4).
-func (ft *FatTree) NumHosts() int { return len(ft.Hosts) }
-
-// Host returns host by index (0-based).
-func (ft *FatTree) Host(i int) *netsim.Host { return ft.Hosts[i] }
 
 // ArenaOverflow reports how many node objects missed the builders'
 // arena reservations (0 for a correctly sized build — asserted by the

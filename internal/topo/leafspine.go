@@ -41,20 +41,35 @@ type LeafSpineConfig struct {
 
 // LeafSpine is the instantiated fabric.
 type LeafSpine struct {
-	// Eng is the driving engine.
-	Eng *sim.Engine
-	// Hosts are all hosts; Hosts[i] has NodeID i+1.
-	Hosts []*netsim.Host
-	// Leaves and Spines are the switches.
+	Fabric
+	// Leaves and Spines are the two tiers of Fabric.Switches.
 	Leaves, Spines []*netsim.Switch
 
 	cfg LeafSpineConfig
 }
 
-// NewLeafSpine wires the fabric. Every switch port (host-facing and
-// fabric-facing) gets the configured scheduler/marker profile; host NICs
-// are plain FIFOs.
+// NewLeafSpine wires the fabric on one engine. Every switch port
+// (host-facing and fabric-facing) gets the configured scheduler/marker
+// profile; host NICs are plain FIFOs.
 func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
+	return wireLeafSpine(serialBuilder(eng), cfg)
+}
+
+// NewLeafSpineSharded wires the same fabric across a coordinator's
+// shards: all hosts on shard 0, all switches (leaves and spines) on
+// shard 1. The only cross-shard links are the host<->leaf cables, so
+// the lookahead is cfg.Delay regardless of FabricDelay. LeafSpine.Eng
+// is shard 0's engine (the hosts' clock); drive the simulation with
+// Run.
+func NewLeafSpineSharded(coord *sim.Coordinator, cfg LeafSpineConfig, shards int) (*LeafSpine, *Partition) {
+	if shards > 2 {
+		panic("topo: a leaf-spine partitions into at most 2 shards (hosts, fabric)")
+	}
+	sb := newShardBuilder(coord, shards)
+	return wireLeafSpine(sb, cfg), sb.part
+}
+
+func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
 	if cfg.Leaves == 0 {
 		cfg.Leaves = 4
 	}
@@ -73,37 +88,50 @@ func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
 	if cfg.FabricDelay == 0 {
 		cfg.FabricDelay = cfg.Delay
 	}
+	fabShard := len(sb.engs) - 1
+	fabEng := sb.engine(fabShard)
 
-	ls := &LeafSpine{Eng: eng, cfg: cfg}
+	ls := &LeafSpine{Fabric: sb.fabric(), cfg: cfg}
 	nHosts := cfg.Leaves * cfg.HostsPerLeaf
 
 	for l := 0; l < cfg.Leaves; l++ {
-		ls.Leaves = append(ls.Leaves, netsim.NewSwitch(eng, pkt.NodeID(1001+l)))
+		id := pkt.NodeID(1001 + l)
+		sb.assign(id, fabShard)
+		ls.Switches = append(ls.Switches, netsim.NewSwitch(fabEng, id))
 	}
 	for s := 0; s < cfg.Spines; s++ {
-		ls.Spines = append(ls.Spines, netsim.NewSwitch(eng, pkt.NodeID(2001+s)))
+		id := pkt.NodeID(2001 + s)
+		sb.assign(id, fabShard)
+		ls.Switches = append(ls.Switches, netsim.NewSwitch(fabEng, id))
 	}
+	ls.Leaves, ls.Spines = ls.Switches[:cfg.Leaves:cfg.Leaves], ls.Switches[cfg.Leaves:]
 
-	// Hosts and host<->leaf links.
+	// Hosts and host<->leaf links (the cut edges of a 2-shard build).
 	for i := 0; i < nHosts; i++ {
 		leaf := ls.Leaves[i/cfg.HostsPerLeaf]
-		h := netsim.NewHost(eng, pkt.NodeID(i+1))
-		h.AttachNIC(netsim.NewLink(eng, cfg.Rate, cfg.Delay, leaf))
+		id := pkt.NodeID(i + 1)
+		sb.assign(id, 0)
+		h := netsim.NewHost(sb.engine(0), id)
+		h.AttachNIC(sb.link(id, leaf.NodeID(), cfg.Rate, cfg.Delay, leaf))
 		// Leaf down-port to this host: port index i % HostsPerLeaf.
-		leaf.AddPort(cfg.Ports.newPort(eng, netsim.NewLink(eng, cfg.Rate, cfg.Delay, h)))
+		leaf.AddPort(cfg.Ports.newPort(fabEng,
+			sb.link(leaf.NodeID(), id, cfg.Rate, cfg.Delay, h)))
 		ls.Hosts = append(ls.Hosts, h)
 	}
 
 	// Leaf up-ports (indices HostsPerLeaf..HostsPerLeaf+Spines-1) and
-	// spine down-ports (index = leaf number).
+	// spine down-ports (index = leaf number); always local to the
+	// fabric shard.
 	for _, leaf := range ls.Leaves {
 		for _, spine := range ls.Spines {
-			leaf.AddPort(cfg.Ports.newPort(eng, netsim.NewLink(eng, cfg.Rate, cfg.FabricDelay, spine)))
+			leaf.AddPort(cfg.Ports.newPort(fabEng,
+				sb.link(leaf.NodeID(), spine.NodeID(), cfg.Rate, cfg.FabricDelay, spine)))
 		}
 	}
 	for _, spine := range ls.Spines {
 		for _, leaf := range ls.Leaves {
-			spine.AddPort(cfg.Ports.newPort(eng, netsim.NewLink(eng, cfg.Rate, cfg.FabricDelay, leaf)))
+			spine.AddPort(cfg.Ports.newPort(fabEng,
+				sb.link(spine.NodeID(), leaf.NodeID(), cfg.Rate, cfg.FabricDelay, leaf)))
 		}
 	}
 
@@ -140,118 +168,6 @@ func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
 	}
 	return ls
 }
-
-// NewLeafSpineSharded wires the same fabric across a coordinator's
-// shards: all hosts on shard 0, all switches (leaves and spines) on
-// shard 1. The only cross-shard links are the host<->leaf cables, so
-// the lookahead is cfg.Delay regardless of FabricDelay. shards == 1
-// degenerates to the serial wiring on a single shard engine.
-// LeafSpine.Eng is shard 0's engine (the hosts' clock); drive the
-// simulation with coord.RunUntil.
-func NewLeafSpineSharded(coord *sim.Coordinator, cfg LeafSpineConfig, shards int) (*LeafSpine, *Partition) {
-	if cfg.Leaves == 0 {
-		cfg.Leaves = 4
-	}
-	if cfg.Spines == 0 {
-		cfg.Spines = 4
-	}
-	if cfg.HostsPerLeaf == 0 {
-		cfg.HostsPerLeaf = 12
-	}
-	if cfg.Rate == 0 {
-		cfg.Rate = 10 * units.Gbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 5 * time.Microsecond
-	}
-	if cfg.FabricDelay == 0 {
-		cfg.FabricDelay = cfg.Delay
-	}
-	if shards > 2 {
-		panic("topo: a leaf-spine partitions into at most 2 shards (hosts, fabric)")
-	}
-	sb := newShardBuilder(coord, shards)
-	fabShard := 0
-	if shards == 2 {
-		fabShard = 1
-	}
-
-	ls := &LeafSpine{Eng: sb.engine(0), cfg: cfg}
-	nHosts := cfg.Leaves * cfg.HostsPerLeaf
-
-	for l := 0; l < cfg.Leaves; l++ {
-		id := pkt.NodeID(1001 + l)
-		sb.assign(id, fabShard)
-		ls.Leaves = append(ls.Leaves, netsim.NewSwitch(sb.engine(fabShard), id))
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		id := pkt.NodeID(2001 + s)
-		sb.assign(id, fabShard)
-		ls.Spines = append(ls.Spines, netsim.NewSwitch(sb.engine(fabShard), id))
-	}
-
-	// Hosts and host<->leaf links (the cut edges when shards == 2).
-	for i := 0; i < nHosts; i++ {
-		leaf := ls.Leaves[i/cfg.HostsPerLeaf]
-		id := pkt.NodeID(i + 1)
-		sb.assign(id, 0)
-		h := netsim.NewHost(sb.engine(0), id)
-		h.AttachNIC(sb.link(id, leaf.NodeID(), cfg.Rate, cfg.Delay, leaf))
-		leaf.AddPort(cfg.Ports.newPort(sb.engine(fabShard),
-			sb.link(leaf.NodeID(), id, cfg.Rate, cfg.Delay, h)))
-		ls.Hosts = append(ls.Hosts, h)
-	}
-
-	// Fabric-internal links, always local to the fabric shard.
-	for _, leaf := range ls.Leaves {
-		for _, spine := range ls.Spines {
-			leaf.AddPort(cfg.Ports.newPort(sb.engine(fabShard),
-				sb.link(leaf.NodeID(), spine.NodeID(), cfg.Rate, cfg.FabricDelay, spine)))
-		}
-	}
-	for _, spine := range ls.Spines {
-		for _, leaf := range ls.Leaves {
-			spine.AddPort(cfg.Ports.newPort(sb.engine(fabShard),
-				sb.link(spine.NodeID(), leaf.NodeID(), cfg.Rate, cfg.FabricDelay, leaf)))
-		}
-	}
-
-	// Routing, identical to the serial builder.
-	hostLeaf := func(dst pkt.NodeID) int { return (int(dst) - 1) / cfg.HostsPerLeaf }
-	hostDown := func(dst pkt.NodeID) int { return (int(dst) - 1) % cfg.HostsPerLeaf }
-	for l, leaf := range ls.Leaves {
-		l := l
-		var sprayNext int
-		leaf.SetRoute(func(p *pkt.Packet) int {
-			if int(p.Dst) < 1 || int(p.Dst) > nHosts {
-				return -1
-			}
-			if hostLeaf(p.Dst) == l {
-				return hostDown(p.Dst)
-			}
-			if cfg.PerPacketECMP {
-				sprayNext = (sprayNext + 1) % cfg.Spines
-				return cfg.HostsPerLeaf + sprayNext
-			}
-			return cfg.HostsPerLeaf + int(ecmpHash(uint64(p.Flow))%uint64(cfg.Spines))
-		})
-	}
-	for _, spine := range ls.Spines {
-		spine.SetRoute(func(p *pkt.Packet) int {
-			if int(p.Dst) < 1 || int(p.Dst) > nHosts {
-				return -1
-			}
-			return hostLeaf(p.Dst)
-		})
-	}
-	return ls, sb.part
-}
-
-// NumHosts returns the host count.
-func (ls *LeafSpine) NumHosts() int { return len(ls.Hosts) }
-
-// Host returns host by index (0-based).
-func (ls *LeafSpine) Host(i int) *netsim.Host { return ls.Hosts[i] }
 
 // BaseRTT returns the unloaded inter-rack RTT estimate (host -> leaf ->
 // spine -> leaf -> host and back): the value used for ECN threshold

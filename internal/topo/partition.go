@@ -90,16 +90,23 @@ func (p *Partition) mustShardOf(id pkt.NodeID) int {
 	return s
 }
 
-// shardBuilder is the shared plumbing of the sharded topology
-// constructors: it creates the coordinator's shards, tracks node
-// assignments, and wires each link as local (same shard: scheduled
-// directly on the shard engine) or boundary (different shards: routed
-// through the coordinator's deterministic merge and recorded as a cut
-// edge).
+// shardBuilder is what each topology's one wiring routine is
+// parameterised by: the engines nodes live on, the node->shard
+// assignment, and how a link between two nodes is made — local when
+// their shards match (scheduled directly on the shard engine), boundary
+// otherwise (routed through the coordinator's deterministic merge and
+// recorded as a cut edge). A serial build is the one-shard case on the
+// caller's engine: no coordinator, no partition to record, every link
+// local.
 type shardBuilder struct {
-	coord  *sim.Coordinator
-	shards []*sim.Shard
-	part   *Partition
+	engs   []*sim.Engine
+	coord  *sim.Coordinator // nil for a serial build
+	shards []*sim.Shard     // nil for a serial build
+	part   *Partition       // nil for a serial build
+}
+
+func serialBuilder(eng *sim.Engine) *shardBuilder {
+	return &shardBuilder{engs: []*sim.Engine{eng}}
 }
 
 func newShardBuilder(coord *sim.Coordinator, shards int) *shardBuilder {
@@ -114,26 +121,36 @@ func newShardBuilder(coord *sim.Coordinator, shards int) *shardBuilder {
 		},
 	}
 	for i := 0; i < shards; i++ {
-		sb.shards = append(sb.shards, coord.NewShard())
+		sh := coord.NewShard()
+		sb.shards = append(sb.shards, sh)
+		sb.engs = append(sb.engs, sh.Engine())
 	}
 	return sb
 }
 
-// engine returns the shard's engine (entities on that shard must
-// schedule exclusively against it).
-func (sb *shardBuilder) engine(shard int) *sim.Engine {
-	return sb.shards[shard].Engine()
+// fabric returns the Fabric header of the topology being wired; the
+// routine fills in Hosts and Switches.
+func (sb *shardBuilder) fabric() Fabric {
+	return Fabric{Eng: sb.engs[0], coord: sb.coord, part: sb.part}
 }
 
-// engineOf returns the engine of the shard a node was assigned to.
-func (sb *shardBuilder) engineOf(id pkt.NodeID) *sim.Engine {
-	return sb.engine(sb.part.mustShardOf(id))
-}
+// engine returns the shard's engine (entities on that shard must
+// schedule exclusively against it).
+func (sb *shardBuilder) engine(shard int) *sim.Engine { return sb.engs[shard] }
 
 // assign places a node on a shard; every node must be assigned exactly
 // once, before any link touching it is wired.
 func (sb *shardBuilder) assign(id pkt.NodeID, shard int) {
-	sb.part.assign(id, shard)
+	if sb.part != nil {
+		sb.part.assign(id, shard)
+	}
+}
+
+func (sb *shardBuilder) shardOf(id pkt.NodeID) int {
+	if sb.part == nil {
+		return 0
+	}
+	return sb.part.mustShardOf(id)
 }
 
 // link wires the directed link from -> to, delivering to dst. Both
@@ -149,10 +166,9 @@ func (sb *shardBuilder) link(from, to pkt.NodeID, rate units.Rate,
 // links in arena port slots instead of heap-allocating each one.
 func (sb *shardBuilder) linkVal(from, to pkt.NodeID, rate units.Rate,
 	delay time.Duration, dst netsim.Node) netsim.Link {
-	sf := sb.part.mustShardOf(from)
-	st := sb.part.mustShardOf(to)
+	sf, st := sb.shardOf(from), sb.shardOf(to)
 	if sf == st {
-		return netsim.LocalLink(sb.engine(sf), rate, delay, dst)
+		return netsim.LocalLink(sb.engs[sf], rate, delay, dst)
 	}
 	b := sb.coord.Boundary(sb.shards[sf], sb.shards[st], delay)
 	sb.part.Cuts = append(sb.part.Cuts, CutEdge{

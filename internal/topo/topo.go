@@ -8,17 +8,92 @@
 // Every switch port is built from the same scheduler and marker
 // factories so an experiment configures one marking scheme fabric-wide,
 // as the paper's NS-3 scripts do.
+//
+// Each topology is wired by one routine, parameterised only by the
+// node->shard assignment (shardBuilder): NewX(eng, cfg) is the one-shard
+// case on the caller's engine, NewXSharded(coord, cfg, n) spreads the
+// same wiring over a coordinator's shards. Whatever it was built on,
+// every topology embeds a Fabric — hosts, switches and how to run them.
 package topo
 
 import (
+	"fmt"
 	"time"
 
 	"pmsb/internal/ecn"
 	"pmsb/internal/netsim"
+	"pmsb/internal/pkt"
 	"pmsb/internal/sched"
 	"pmsb/internal/sim"
 	"pmsb/internal/units"
 )
+
+// Fabric is what every built topology has in common: its hosts, its
+// switches, and the engine or coordinator that drives them. Code that
+// runs a fabric — observe the switches, start flows, run, check —
+// works on this value and never needs to know the topology's tiers or
+// whether the build was sharded.
+type Fabric struct {
+	// Eng is the driving engine: the caller's engine for a serial
+	// build, shard 0's for a sharded one (where it is only a fallback
+	// clock — every node schedules on its own shard's engine).
+	Eng *sim.Engine
+	// Hosts are all hosts; Hosts[i] has NodeID i+1.
+	Hosts []*netsim.Host
+	// Switches are all switches, every tier in one slice.
+	Switches []*netsim.Switch
+
+	coord *sim.Coordinator // nil for a serial build
+	part  *Partition       // nil for a serial build
+}
+
+// Run advances the simulation to deadline, on the coordinator when the
+// fabric is sharded and on the plain engine otherwise.
+func (f *Fabric) Run(deadline time.Duration) {
+	if f.coord != nil {
+		f.coord.RunUntil(deadline)
+		return
+	}
+	f.Eng.RunUntil(deadline)
+}
+
+// Processed returns the events executed so far, summed over shards.
+func (f *Fabric) Processed() uint64 {
+	if f.coord != nil {
+		return f.coord.Processed()
+	}
+	return f.Eng.Processed()
+}
+
+// ShardOf returns the shard a node lives on (0 for a serial build).
+func (f *Fabric) ShardOf(id pkt.NodeID) int {
+	if f.part == nil {
+		return 0
+	}
+	return f.part.mustShardOf(id)
+}
+
+// Sanity reports what a correctly wired fabric never does: drop a
+// packet for lack of a route, or deliver one to a host no flow claims.
+func (f *Fabric) Sanity() error {
+	var routeDrops, unclaimed int64
+	for _, sw := range f.Switches {
+		routeDrops += sw.RouteDrops()
+	}
+	for _, h := range f.Hosts {
+		unclaimed += h.UnclaimedPackets()
+	}
+	if routeDrops > 0 || unclaimed > 0 {
+		return fmt.Errorf("fabric sanity violated (routeDrops=%d unclaimed=%d)", routeDrops, unclaimed)
+	}
+	return nil
+}
+
+// NumHosts returns the host count.
+func (f *Fabric) NumHosts() int { return len(f.Hosts) }
+
+// Host returns host by index (0-based).
+func (f *Fabric) Host(i int) *netsim.Host { return f.Hosts[i] }
 
 // SchedFactory builds a fresh scheduler for one port given the queue
 // weights (schedulers are stateful and cannot be shared across ports).
