@@ -11,6 +11,10 @@ all: build vet test
 # decoding catches framing bugs early, but a fuzz-capable toolchain is
 # not required to pass CI.
 ci:
+	# First, and in seconds: benchmark/ is its own module compiled against
+	# internal/*, so a deletion that breaks its compile surface fails here
+	# rather than after the race legs.
+	cd benchmark && $(GO) build -o /dev/null ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -24,7 +28,7 @@ ci:
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
 	# Runtime-introspection smoke: a sharded run with live progress and a
 	# self-profile dump, rendered back through pmsbstat -runtime.
-	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 -par channel-steal \
+	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 -par channel \
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats

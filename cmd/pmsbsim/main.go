@@ -9,7 +9,7 @@
 //	pmsbsim -experiment fct-dwrr -quick -seed 7
 //	pmsbsim -experiment fig11 -series  # include plot-ready time series
 //	pmsbsim -experiment fig9 -format json -out fig9.json
-//	pmsbsim -experiment fig8 -tracefile fig8.jsonl -metrics fig8.metrics
+//	pmsbsim -experiment fig8 -tracefile fig8.bin -metrics fig8.metrics
 //
 // TSV output carries '#'-prefixed notes with the paper-shape
 // observations and ends with a '# summary' manifest block (per-
@@ -24,11 +24,11 @@
 // order. Only the wall times in the summary block vary.
 //
 // -tracefile and -metrics enable the observability layer: the run's
-// event trace is exported as JSONL or the compact binary format
-// (-traceformat, defaulting by file extension; both analyzable with
-// pmsbstat) and the metrics registry as a name<TAB>value dump. The
-// trace ring spills into the file as it fills, so the export is the
-// complete event stream at any -tracebuf. A bus is unsynchronized, so
+// event trace is written in the compact binary format (pmsbstat
+// analyzes it; pmsbstat -export turns it into JSONL for grep/jq) and
+// the metrics registry as a name<TAB>value dump. The trace ring spills
+// into the file as it fills, so the file is the complete event stream
+// at any -tracebuf. A bus is unsynchronized, so
 // tracing requires a single experiment with -repeats 1; sharded runs
 // are supported by giving every shard its own bus and spill file
 // (trace.shard0.bin, trace.shard1.bin, ...) that pmsbstat merges
@@ -75,13 +75,12 @@ func run(args []string, stdout io.Writer) error {
 		out       = fs.String("out", "", "write output to this file instead of stdout")
 		jobs      = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
 		shards    = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value; experiments that ran narrower are named on stderr)")
-		par       = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel, channel-steal, or global (all byte-identical; A/B escape hatch)")
+		par       = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel or global (byte-identical results; which one is faster depends on fabric size and shard count, DESIGN.md section 8)")
 		engine    = fs.String("engine", "packet", "simulation engine for the scenario and fct experiments: packet (ground truth) or flow (fluid fast path); experiments without a fluid form run packet and are named on stderr")
 		summary   = fs.Bool("summary", true, "append the run manifest as a trailing '# summary' block (tsv only)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 		memprof   = fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
-		tracefile = fs.String("tracefile", "", "export the observability event trace to this file (single experiment only; forces -jobs 1; with -shards N, per-shard spill files name.shardI.ext)")
-		traceform = fs.String("traceformat", "", "trace encoding: jsonl or bin (default: bin when -tracefile ends in .bin, else jsonl)")
+		tracefile = fs.String("tracefile", "", "write the observability event trace to this file in the binary trace format (single experiment only; forces -jobs 1; with -shards N, per-shard spill files name.shardI.ext)")
 		tracebuf  = fs.Int("tracebuf", 1<<20, "trace ring capacity in events; full rings spill to -tracefile, so the trace is lossless at any value")
 		metrics   = fs.String("metrics", "", "write the metrics registry dump to this file (single experiment only; forces -jobs 1 and -shards 1)")
 		rtstats   = fs.String("runtimestats", "", "write the simulator's runtime self-profile (coordinator/scheduler/pool counters, name<TAB>value dump; read with pmsbstat -runtime) to this file (single experiment only)")
@@ -164,7 +163,7 @@ func run(args []string, stdout io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
 	}
-	parMode, steal, err := sim.ParseParMode(*par)
+	parMode, err := sim.ParseParMode(*par)
 	if err != nil {
 		return err
 	}
@@ -173,7 +172,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	opt := experiment.Options{
 		Quick: *quick, Seed: *seed, Repeats: *repeats,
-		Shards: *shards, Par: parMode, Steal: steal,
+		Shards: *shards, Par: parMode,
 		Engine: *engine,
 	}
 	// Runtime introspection (-progress, -runtimestats) observes a single
@@ -225,7 +224,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		*jobs = *shards // exactly the workers the one sharded run needs
 		var err error
-		trace, err = openTraceSession(*tracefile, *traceform, *tracebuf, *shards, *metrics != "")
+		trace, err = openTraceSession(*tracefile, *tracebuf, *shards, *metrics != "")
 		if err != nil {
 			return err
 		}
@@ -376,18 +375,11 @@ type traceSession struct {
 // ringless bus. When no metrics dump was requested the buses are
 // trace-only (obs.NewTraceBus): nothing will read the per-port
 // counters, so packet events skip them.
-func openTraceSession(tracefile, formatFlag string, tracebuf, shards int, wantMetrics bool) (*traceSession, error) {
+func openTraceSession(tracefile string, tracebuf, shards int, wantMetrics bool) (*traceSession, error) {
 	s := &traceSession{}
 	if tracefile == "" {
 		s.buses = []*obs.Bus{obs.NewBus(0)} // metrics only: no event ring
 		return s, nil
-	}
-	format := obs.FormatForPath(tracefile)
-	if formatFlag != "" {
-		var err error
-		if format, err = obs.ParseTraceFormat(formatFlag); err != nil {
-			return nil, err
-		}
 	}
 	ringCap := tracebuf
 	if ringCap < 1 {
@@ -406,7 +398,7 @@ func openTraceSession(tracefile, formatFlag string, tracebuf, shards int, wantMe
 			s.cleanup()
 			return nil, fmt.Errorf("create trace file: %w", err)
 		}
-		sw := obs.NewSpillWriter(f, format)
+		sw := obs.NewSpillWriter(f, obs.FormatBinary)
 		bus := obs.NewTraceBus(ringCap)
 		if wantMetrics {
 			bus = obs.NewBus(ringCap)

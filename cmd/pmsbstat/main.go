@@ -7,26 +7,27 @@
 //   - the mark-rate timeline (marks and dequeues per time bin),
 //   - the top flows by bytes with their congestion telemetry.
 //
-// The trace format (JSONL or binary) is auto-detected per file from
-// its leading bytes, so no flag is needed when switching formats.
+// Traces are in the binary trace format, the only one pmsbsim writes.
 // Several files — e.g. the per-shard spill files of a sharded traced
 // run — are merged into one deterministic timeline by (time, argument
-// order, sequence number) before analysis.
+// order, sequence number) before analysis. -export prints that
+// timeline as JSONL (one object per event, kinds by name) on stdout
+// instead of a report, for grep and jq; JSONL is an output only.
 //
-// When the per-flow table is disabled (-top 0) and every input is
-// binary, the reduction — counts, depths and the mark-rate timeline —
-// streams column-by-column over the trace chunks without materializing
-// events (obs.StreamStats): memory stays proportional to the topology
-// plus the timeline's bins, not the trace, so full-run spill traces of
-// any size analyze in one pass. The output is identical to the
-// materializing path.
+// When the per-flow table is disabled (-top 0) the reduction — counts,
+// depths and the mark-rate timeline — streams column-by-column over
+// the trace chunks without materializing events (obs.StreamStats):
+// memory stays proportional to the topology plus the timeline's bins,
+// not the trace, so full-run spill traces of any size analyze in one
+// pass. The output is identical to the materializing path.
 //
 // Examples:
 //
-//	pmsbsim -experiment fig8 -quick -tracefile fig8.jsonl
-//	pmsbstat fig8.jsonl                    # full report
-//	pmsbstat -bin 500us fig8.jsonl         # finer mark-rate bins
-//	pmsbstat -top 3 -depth=false fig8.jsonl
+//	pmsbsim -experiment fig8 -quick -tracefile fig8.bin
+//	pmsbstat fig8.bin                      # full report
+//	pmsbstat -bin 500us fig8.bin           # finer mark-rate bins
+//	pmsbstat -top 3 -depth=false fig8.bin
+//	pmsbstat -export fig8.bin | grep '"kind":"mark"' | head
 //	pmsbsim -experiment fct-dwrr -quick -shards 2 -tracefile fct.bin
 //	pmsbstat fct.shard0.bin fct.shard1.bin # merged sharded trace
 //
@@ -36,7 +37,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -64,12 +64,13 @@ func run(args []string, stdout io.Writer) error {
 		depth   = fs.Bool("depth", true, "print per-queue occupancy percentiles")
 		marks   = fs.Bool("marks", true, "print the mark-rate timeline")
 		counts  = fs.Bool("counts", true, "print event counts by kind")
-		since   = fs.Duration("since", 0, "analyze only events at or after this virtual time (binary traces skip whole chunks before decoding)")
+		since   = fs.Duration("since", 0, "analyze only events at or after this virtual time (whole chunks before it are skipped without decoding)")
 		until   = fs.Duration("until", 0, "analyze only events at or before this virtual time (0 = end of trace)")
-		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, steal efficacy, null-advance overhead, queue churn)")
+		export  = fs.Bool("export", false, "print the (merged, -since/-until filtered) events as JSONL on stdout instead of a report")
+		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, null-advance overhead, queue churn)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: pmsbstat [flags] trace[.jsonl|.bin] [more traces...]")
+		fmt.Fprintln(fs.Output(), "usage: pmsbstat [flags] trace.bin [more traces...]")
 		fmt.Fprintln(fs.Output(), "       pmsbstat -runtime run.rtstats")
 		fs.PrintDefaults()
 	}
@@ -98,11 +99,11 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-until %v precedes -since %v", *until, *since)
 	}
 
-	// Reports without the per-flow table stream the reductions over
-	// binary traces instead of materializing events (counts, depths and
-	// the mark-rate timeline all fold order-insensitively; only the flow
-	// table needs the full merged event stream).
-	if *top == 0 && allBinary(fs.Args()) {
+	// Reports without the per-flow table stream the reductions instead
+	// of materializing events (counts, depths and the mark-rate timeline
+	// all fold order-insensitively; only the flow table and the export
+	// need the full merged event stream).
+	if *top == 0 && !*export {
 		markBin := time.Duration(0)
 		if *marks {
 			markBin = *bin
@@ -110,8 +111,8 @@ func run(args []string, stdout io.Writer) error {
 		return streamReport(stdout, fs.Args(), lo, hi, *counts, *depth, markBin)
 	}
 
-	// Each file's format is auto-detected; several files (per-shard
-	// spill traces) merge into one deterministic timeline.
+	// Several files (per-shard spill traces) merge into one
+	// deterministic timeline.
 	streams := make([][]obs.Event, 0, fs.NArg())
 	total := 0
 	for _, path := range fs.Args() {
@@ -133,30 +134,19 @@ func run(args []string, stdout io.Writer) error {
 		events = obs.MergeEvents(streams...)
 	}
 
+	if *export {
+		sw := obs.NewSpillWriter(stdout, obs.FormatJSONL)
+		if err := sw.Spill(events); err != nil {
+			return err
+		}
+		return sw.Close()
+	}
 	report(stdout, events, *bin, *top, *depth, *marks, *counts)
 	return nil
 }
 
-// allBinary reports whether every path begins with the binary trace
-// magic. Unreadable files return false so the materializing path can
-// surface its usual error.
-func allBinary(paths []string) bool {
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return false
-		}
-		ok := obs.LooksBinary(bufio.NewReader(f))
-		f.Close()
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // streamReport runs the count/depth/mark-rate reductions column-wise
-// over binary traces without materializing events, printing the same
+// over the traces without materializing events, printing the same
 // sections the materializing report would. markBin 0 omits the
 // mark-rate section.
 func streamReport(w io.Writer, paths []string, since, until time.Duration, counts, depth bool, markBin time.Duration) error {
@@ -247,9 +237,9 @@ func reduceTrace(st *obs.StreamStats, path string) error {
 	return nil
 }
 
-// readTrace loads one trace file in either format, keeping only events
-// inside [since, until]. Binary traces skip whole out-of-range chunks
-// using the per-chunk time deltas before materializing any events.
+// readTrace loads one trace file, keeping only events inside
+// [since, until]. Whole out-of-range chunks are skipped using the
+// per-chunk time deltas before materializing any events.
 func readTrace(path string, since, until time.Duration) ([]obs.Event, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"pmsb/internal/experiment"
 	"pmsb/internal/obs"
 	"pmsb/internal/pkt"
 )
@@ -30,13 +33,13 @@ func writeTrace(t *testing.T) string {
 	probe.Mark(5*time.Millisecond, 0, p, 4500, 3000)
 	fp.Finish(9*time.Millisecond, 9*time.Millisecond, 9000)
 
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	path := filepath.Join(t.TempDir(), "trace.bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := bus.Ring().WriteJSONL(f); err != nil {
+	if err := bus.Ring().WriteBinary(f); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -96,128 +99,186 @@ func TestBadInput(t *testing.T) {
 	if _, err := capture(t); err == nil {
 		t.Error("no args must fail")
 	}
-	if _, err := capture(t, filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
+	if _, err := capture(t, filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Error("missing file must fail")
 	}
-	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	empty := filepath.Join(t.TempDir(), "empty.bin")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := capture(t, empty); err == nil {
 		t.Error("empty trace must fail")
 	}
-	garbage := filepath.Join(t.TempDir(), "garbage.bin")
-	if err := os.WriteFile(garbage, []byte{0x00, 0x01, 0x02, 0x03}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := capture(t, garbage)
-	if err == nil {
-		t.Error("unrecognized format must fail")
-	} else if !strings.Contains(err.Error(), "unrecognized trace format") {
-		t.Errorf("garbage input error should name the format problem, got: %v\n%s", err, out)
-	}
-}
-
-// TestBinaryReport: the same report from a binary trace, format
-// auto-detected with no flag.
-func TestBinaryReport(t *testing.T) {
-	jsonlPath := writeTrace(t)
-	f, err := os.Open(jsonlPath)
+	// Anything that is not a binary trace — garbage, or a JSONL export
+	// fed back in — fails on both report paths with the one error that
+	// names the format problem.
+	exported, err := capture(t, "-export", writeTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := obs.ReadTrace(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	binPath := filepath.Join(t.TempDir(), "trace.bin")
-	bf, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteBinary(bf, events); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
-
-	jout, err := capture(t, jsonlPath)
-	if err != nil {
-		t.Fatalf("pmsbstat jsonl: %v", err)
-	}
-	bout, err := capture(t, binPath)
-	if err != nil {
-		t.Fatalf("pmsbstat bin: %v", err)
-	}
-	if jout != bout {
-		t.Errorf("report differs between formats:\njsonl:\n%s\nbin:\n%s", jout, bout)
-	}
-}
-
-// TestStreamedReport: a count/depth-only report over a binary trace
-// takes the streaming column-wise path; its output must be
-// byte-identical to the materializing path over the same events (here:
-// the JSONL encoding of the same trace, which cannot stream).
-func TestStreamedReport(t *testing.T) {
-	jsonlPath := writeTrace(t)
-	f, err := os.Open(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadTrace(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	binPath := filepath.Join(t.TempDir(), "trace.bin")
-	bf, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteBinary(bf, events); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
-
-	// Both flag shapes take the streaming path on the binary input: with
-	// and without the mark-rate timeline (the timeline folds
-	// order-insensitively, so it streams too).
-	flags := []string{"-top", "0"}
-	for _, fl := range [][]string{
-		{"-marks=false", "-top", "0"},
-		{"-top", "0"},
-		{"-bin", "500us", "-top", "0"},
+	for name, raw := range map[string][]byte{
+		"garbage.bin":  {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08},
+		"export.jsonl": []byte(exported),
 	} {
-		jout, err := capture(t, append(append([]string{}, fl...), jsonlPath)...)
-		if err != nil {
-			t.Fatalf("materializing report %v: %v", fl, err)
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		bout, err := capture(t, append(append([]string{}, fl...), binPath)...)
+		for _, args := range [][]string{{path}, {"-top", "0", path}, {"-export", path}} {
+			out, err := capture(t, args...)
+			if err == nil {
+				t.Errorf("%v must fail", args)
+			} else if !strings.Contains(err.Error(), "not a binary trace") || !strings.Contains(err.Error(), "PMSBTRC1") {
+				t.Errorf("%v: error should name the format problem and the magic, got: %v\n%s", args, err, out)
+			}
+		}
+	}
+}
+
+// TestBinaryReport: the report and the export are two views of the
+// same decoded events — the export holds exactly as many lines as the
+// report's header counts, with and without a time window.
+func TestBinaryReport(t *testing.T) {
+	trace := writeTrace(t)
+	for _, window := range [][]string{nil, {"-since", "2ms", "-until", "7ms"}} {
+		rep, err := capture(t, append(window, trace)...)
+		if err != nil {
+			t.Fatalf("report %v: %v", window, err)
+		}
+		exp, err := capture(t, append(append([]string{"-export"}, window...), trace)...)
+		if err != nil {
+			t.Fatalf("export %v: %v", window, err)
+		}
+		lines := strings.Count(exp, "\n")
+		if want := fmt.Sprintf("# trace: %d events,", lines); !strings.HasPrefix(rep, want) {
+			t.Errorf("%v: export has %d lines but the report starts %q", window, lines, strings.SplitN(rep, "\n", 2)[0])
+		}
+	}
+}
+
+// TestStreamedReport: a report without the per-flow table takes the
+// streaming column-wise path; its output must be byte-identical to the
+// materializing path's over the same trace (the -top 1 report minus its
+// flow section).
+func TestStreamedReport(t *testing.T) {
+	trace := writeTrace(t)
+	materialized := func(args ...string) string {
+		t.Helper()
+		out, err := capture(t, append(append([]string{"-top", "1"}, args...), trace)...)
+		if err != nil {
+			t.Fatalf("materializing report %v: %v", args, err)
+		}
+		head, _, ok := strings.Cut(out, "\n## top 1 flows")
+		if !ok {
+			t.Fatalf("materializing report %v has no flow section:\n%s", args, out)
+		}
+		return head
+	}
+	// Every flag shape streams: with and without the mark-rate timeline
+	// (it folds order-insensitively, so it streams too), and with the
+	// range flags applied.
+	for _, fl := range [][]string{
+		{"-marks=false"},
+		{},
+		{"-bin", "500us"},
+		{"-since", "2ms", "-until", "7ms"},
+	} {
+		streamed, err := capture(t, append(append([]string{"-top", "0"}, fl...), trace)...)
 		if err != nil {
 			t.Fatalf("streaming report %v: %v", fl, err)
 		}
-		if jout != bout {
-			t.Errorf("streamed report %v differs from materialized:\nmaterialized:\n%s\nstreamed:\n%s", fl, jout, bout)
+		if want := materialized(fl...); streamed != want {
+			t.Errorf("streamed report %v differs from materialized:\nmaterialized:\n%s\nstreamed:\n%s", fl, want, streamed)
 		}
 	}
 
-	// The range flags apply on the streaming path too.
-	ranged := append([]string{"-since", "2ms", "-until", "7ms"}, flags...)
-	jout, err := capture(t, append(ranged, jsonlPath)...)
-	if err != nil {
-		t.Fatalf("materializing ranged report: %v", err)
-	}
-	bout, err := capture(t, append(ranged, binPath)...)
-	if err != nil {
-		t.Fatalf("streaming ranged report: %v", err)
-	}
-	if jout != bout {
-		t.Errorf("ranged streamed report differs:\nmaterialized:\n%s\nstreamed:\n%s", jout, bout)
-	}
-
 	// An out-of-range window errors like the materializing path.
-	if _, err := capture(t, append([]string{"-since", "1h"}, append(flags, binPath)...)...); err == nil {
+	if _, err := capture(t, "-since", "1h", "-top", "0", trace); err == nil {
 		t.Error("empty streamed window did not error")
+	}
+}
+
+// TestExport: the per-shard spill files of a sharded fat-tree run
+// export as one JSON object per event, in the merged (time, file,
+// sequence) order the report analyzes, with kinds spelled by name.
+func TestExport(t *testing.T) {
+	spec, err := experiment.Lookup("fattree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "ft.bin")
+	var (
+		paths   []string
+		buses   []*obs.Bus
+		streams [][]obs.Event
+	)
+	for shard := 0; shard < 2; shard++ {
+		paths = append(paths, obs.ShardTracePath(base, shard))
+		buses = append(buses, obs.NewTraceBus(1<<16))
+	}
+	opt := experiment.Options{Quick: true, Seed: 1, Shards: 2, Obs: buses[0], ObsShards: buses}
+	if _, _, err := experiment.RunMany([]experiment.Spec{spec}, opt, 2); err != nil {
+		t.Fatal(err)
+	}
+	for i, bus := range buses {
+		if bus.Ring().Dropped() != 0 {
+			t.Fatalf("shard %d ring wrapped; grow it", i)
+		}
+		f, err := os.Create(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.Ring().WriteBinary(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		streams = append(streams, bus.Ring().Events())
+	}
+	want := obs.MergeEvents(streams...)
+
+	cases := []struct {
+		name string
+		args []string
+		keep func(obs.Event) bool
+	}{
+		{"merged", nil, func(obs.Event) bool { return true }},
+		{"window", []string{"-since", "50us", "-until", "100us"}, func(ev obs.Event) bool {
+			return ev.T >= 50*time.Microsecond && ev.T <= 100*time.Microsecond
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := capture(t, append(append([]string{"-export"}, c.args...), paths...)...)
+			if err != nil {
+				t.Fatalf("pmsbstat -export: %v", err)
+			}
+			lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+			n := 0
+			for _, ev := range want {
+				if !c.keep(ev) {
+					continue
+				}
+				if n >= len(lines) {
+					t.Fatalf("export ends after %d lines, more events expected", len(lines))
+				}
+				var got struct {
+					Seq  uint64 `json:"seq"`
+					T    int64  `json:"t"`
+					Kind string `json:"kind"`
+					Node int64  `json:"node"`
+				}
+				if err := json.Unmarshal([]byte(lines[n]), &got); err != nil {
+					t.Fatalf("line %d is not one JSON object: %v\n%s", n+1, err, lines[n])
+				}
+				if got.Seq != ev.Seq || got.T != int64(ev.T) || got.Kind != ev.Kind.String() || got.Node != int64(ev.Node) {
+					t.Fatalf("line %d = %s, want event %+v (kind %q)", n+1, lines[n], ev, ev.Kind)
+				}
+				n++
+			}
+			if n == 0 || n != len(lines) {
+				t.Fatalf("export has %d lines, want %d (one per event)", len(lines), n)
+			}
+		})
 	}
 }
 

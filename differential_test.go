@@ -18,15 +18,16 @@ import (
 
 // These tests are the scheduler acceptance gate: two real netsim
 // workloads, each run once under the calendar queue and once under the
-// reference heap, must produce byte-identical observability traces
-// (every enqueue, dequeue, mark, and flow event, in sequence), identical
+// reference heap, must produce identical observability traces (every
+// enqueue, dequeue, mark, and flow event, field for field, in sequence
+// — hence byte-identical trace files: the codec is canonical), identical
 // FCTs, and identical processed-event counts. Any divergence in event
 // execution order — however slight — shows up here, because the trace
 // records the order side effects actually happened in.
 
 // workloadResult captures everything a workload run exposes.
 type workloadResult struct {
-	trace     []byte
+	trace     []obs.Event
 	fcts      []time.Duration
 	processed uint64
 }
@@ -65,11 +66,7 @@ func runDumbbellWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
-	var buf bytes.Buffer
-	if err := bus.Ring().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	res.trace = buf.Bytes()
+	res.trace = bus.Ring().Events()
 	return res
 }
 
@@ -113,11 +110,7 @@ func runLeafSpineWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
-	var buf bytes.Buffer
-	if err := bus.Ring().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	res.trace = buf.Bytes()
+	res.trace = bus.Ring().Events()
 	return res
 }
 
@@ -136,22 +129,15 @@ func assertIdenticalRuns(t *testing.T, name string, heap, cal workloadResult) {
 				name, i, heap.fcts[i], cal.fcts[i])
 		}
 	}
-	if !bytes.Equal(heap.trace, cal.trace) {
-		// Locate the first diverging line for a useful failure message.
-		hl := bytes.Split(heap.trace, []byte("\n"))
-		cl := bytes.Split(cal.trace, []byte("\n"))
-		n := len(hl)
-		if len(cl) < n {
-			n = len(cl)
+	for i := 0; i < len(heap.trace) && i < len(cal.trace); i++ {
+		if heap.trace[i] != cal.trace[i] {
+			t.Fatalf("%s: traces diverge at event %d:\n  heap:     %+v\n  calendar: %+v",
+				name, i, heap.trace[i], cal.trace[i])
 		}
-		for i := 0; i < n; i++ {
-			if !bytes.Equal(hl[i], cl[i]) {
-				t.Fatalf("%s: traces diverge at line %d:\n  heap:     %s\n  calendar: %s",
-					name, i, hl[i], cl[i])
-			}
-		}
-		t.Fatalf("%s: trace lengths differ: heap %d lines, calendar %d lines",
-			name, len(hl), len(cl))
+	}
+	if len(heap.trace) != len(cal.trace) {
+		t.Fatalf("%s: trace lengths differ: heap %d events, calendar %d events",
+			name, len(heap.trace), len(cal.trace))
 	}
 }
 
@@ -163,21 +149,19 @@ func assertIdenticalRuns(t *testing.T, name string, heap, cal workloadResult) {
 // be fed from one shard. The switch bus hears the observed switches
 // (fabric shard) and the host bus hears every transport endpoint (host
 // shard); the serial baseline uses the same two-bus split so the traces
-// are comparable line by line.
+// are comparable event by event.
 
 // parVariant names one coordinator protocol configuration. Every
 // variant must produce byte-identical results; the sweep below is the
 // proof.
 type parVariant struct {
-	name  string
-	mode  sim.ParMode
-	steal bool
+	name string
+	mode sim.ParMode
 }
 
 var parVariants = []parVariant{
-	{"global", sim.ParGlobal, false},
-	{"channel", sim.ParChannel, false},
-	{"channel-steal", sim.ParChannel, true},
+	{"global", sim.ParGlobal},
+	{"channel", sim.ParChannel},
 }
 
 // buildFabric wires a differential workload's topology through the
@@ -193,7 +177,6 @@ func buildFabric[T any](shards int, v parVariant, serial func(*sim.Engine) T,
 	}
 	coord := sim.NewCoordinator()
 	coord.SetMode(v.mode)
-	coord.SetWorkStealing(v.steal)
 	built, _ := sharded(coord, shards)
 	return built, coord
 }
@@ -236,7 +219,7 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
-	res.trace = twoBusTrace(t, switchBus, hostBus)
+	res.trace = busTrace(switchBus, hostBus)
 	return res
 }
 
@@ -288,38 +271,18 @@ func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult 
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
-	res.trace = twoBusTrace(t, switchBus, hostBus)
+	res.trace = busTrace(switchBus, hostBus)
 	return res
 }
 
-// twoBusTrace serializes both buses into one labeled byte stream so the
-// existing line-level divergence reporting covers them.
-func twoBusTrace(t *testing.T, switchBus, hostBus *obs.Bus) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("# switch bus\n")
-	if err := switchBus.Ring().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+// busTrace concatenates the buses' retained events, bus after bus, so
+// the event-level divergence reporting covers all of them.
+func busTrace(buses ...*obs.Bus) []obs.Event {
+	var out []obs.Event
+	for _, b := range buses {
+		out = append(out, b.Ring().Events()...)
 	}
-	buf.WriteString("# host bus\n")
-	if err := hostBus.Ring().WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// multiBusTrace serializes a slice of buses (one per pod) into one
-// labeled byte stream, same convention as twoBusTrace.
-func multiBusTrace(t *testing.T, buses []*obs.Bus) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for i, b := range buses {
-		fmt.Fprintf(&buf, "# bus %d\n", i)
-		if err := b.Ring().WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
+	return out
 }
 
 // A dumbbell split hosts-vs-switch must be byte-identical to the serial
@@ -358,7 +321,7 @@ func TestDifferentialShardedLeafSpine(t *testing.T) {
 // Sharded runs must also be self-deterministic: two identical 2-shard
 // runs may not diverge no matter how goroutines are scheduled.
 func TestDifferentialShardedDeterminism(t *testing.T) {
-	v := parVariants[2] // channel-steal: the most schedule-sensitive path
+	v := parVariants[1] // channel: no barrier, so the schedule-sensitive path
 	a := runShardedLeafSpine(t, 2, v)
 	b := runShardedLeafSpine(t, 2, v)
 	assertIdenticalRuns(t, "leafspine 2shard-vs-2shard", a, b)
@@ -380,7 +343,7 @@ func runShardedFatTree(t *testing.T, shards int, v parVariant,
 		podBus[p] = obs.NewBus(1 << 14)
 	}
 	res := driveShardedFatTree(t, shards, v, specs, until, podBus)
-	res.trace = multiBusTrace(t, podBus)
+	res.trace = busTrace(podBus...)
 	return res
 }
 
@@ -495,8 +458,9 @@ func TestDifferentialShardedFatTree(t *testing.T) {
 }
 
 // Skewed-load gate: an incast concentrated in pod 0 leaves seven of
-// eight shards idle most of the time — exactly the shape work-stealing
-// is for. Stolen windows must still produce byte-identical results.
+// eight shards idle most of the time, so nearly every grant rides on
+// null advances through idle shards. Results must still be
+// byte-identical to serial.
 func TestDifferentialShardedFatTreeIncast(t *testing.T) {
 	const hostsPerPod = 16
 	var specs [][3]int
@@ -510,10 +474,10 @@ func TestDifferentialShardedFatTreeIncast(t *testing.T) {
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "incast serial-vs-steal@8", serial,
-		runShardedFatTree(t, 8, parVariants[2], specs, until))
 	assertIdenticalRuns(t, "incast serial-vs-channel@8", serial,
 		runShardedFatTree(t, 8, parVariants[1], specs, until))
+	assertIdenticalRuns(t, "incast serial-vs-global@8", serial,
+		runShardedFatTree(t, 8, parVariants[0], specs, until))
 }
 
 // Spill-merge gate: a sharded fat-tree run whose per-pod buses spill
@@ -551,7 +515,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 		v      parVariant
 	}{
 		{"channel@4", 4, parVariants[1]},
-		{"channel-steal@8", 8, parVariants[2]},
+		{"channel@8", 8, parVariants[1]},
 	} {
 		// Spill-backed buses: 256-event rings force hundreds of flushes
 		// per pod, so chunk framing is exercised across many batch
@@ -594,16 +558,12 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	}
 }
 
-// Format gate: a real workload's JSONL trace survives the round trip
-// through the binary codec with every field intact, and re-encoding
-// the decoded events reproduces the original bytes exactly — in both
-// directions.
+// Format gate: a real workload's trace survives the round trip through
+// the binary codec with every field intact and byte-stable, and the
+// JSONL export of the stored trace (what pmsbstat -export prints) is
+// one line per event, identical to exporting the live events.
 func TestDifferentialTraceFormats(t *testing.T) {
-	res := runDumbbellWorkload(t, sim.QueueCalendar)
-	events, err := obs.ReadJSONL(bytes.NewReader(res.trace))
-	if err != nil {
-		t.Fatalf("parse workload JSONL trace: %v", err)
-	}
+	events := runDumbbellWorkload(t, sim.QueueCalendar).trace
 	if len(events) == 0 {
 		t.Fatal("empty workload trace")
 	}
@@ -619,26 +579,38 @@ func TestDifferentialTraceFormats(t *testing.T) {
 	if !reflect.DeepEqual(decoded, events) {
 		t.Fatalf("binary round trip changed the events (%d vs %d)", len(decoded), len(events))
 	}
-
-	// Decoded events, re-encoded as JSONL through a ring, must equal
-	// the original byte stream; re-encoding the binary must too.
-	ring := obs.NewRing(len(decoded))
-	for _, ev := range decoded {
-		ring.Append(ev)
-	}
-	var jsonl bytes.Buffer
-	if err := ring.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jsonl.Bytes(), res.trace) {
-		t.Error("JSONL re-encode of binary-decoded events differs from the original trace")
-	}
 	var bin2 bytes.Buffer
 	if err := obs.WriteBinary(&bin2, decoded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bin2.Bytes(), bin.Bytes()) {
 		t.Error("binary re-encode is not byte-stable")
+	}
+
+	export := func(evs []obs.Event) []byte {
+		var buf bytes.Buffer
+		sw := obs.NewSpillWriter(&buf, obs.FormatJSONL)
+		if err := sw.Spill(evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	jsonl := export(decoded)
+	if !bytes.Equal(jsonl, export(events)) {
+		t.Error("JSONL export of binary-decoded events differs from exporting the live events")
+	}
+	lines := bytes.Split(bytes.TrimSuffix(jsonl, []byte("\n")), []byte("\n"))
+	if len(lines) != len(events) {
+		t.Fatalf("export has %d lines for %d events", len(lines), len(events))
+	}
+	for _, i := range []int{0, len(events) - 1} {
+		want := fmt.Sprintf(`{"seq":%d,"t":%d,"kind":%q,`, events[i].Seq, int64(events[i].T), events[i].Kind)
+		if !bytes.HasPrefix(lines[i], []byte(want)) {
+			t.Errorf("export line %d = %s, want prefix %s", i+1, lines[i], want)
+		}
 	}
 }
 
@@ -717,14 +689,13 @@ func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
-	res.trace = twoBusTrace(t, busA, busB)
+	res.trace = busTrace(busA, busB)
 	return res
 }
 
 // The k=32 short-horizon gate: the arena-built fabric must be
 // byte-identical serial vs 8-way pod-sharded (the batched slab handoff
-// path), and self-deterministic across two identical work-stealing
-// runs.
+// path), and self-deterministic across two identical sharded runs.
 func TestDifferentialFatTree32ShortHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("k=32 fabric build is too heavy for -short")
@@ -735,7 +706,7 @@ func TestDifferentialFatTree32ShortHorizon(t *testing.T) {
 	}
 	assertIdenticalRuns(t, "fattree32 serial-vs-channel@8", serial,
 		runFatTree32(t, 8, parVariants[1]))
-	a := runFatTree32(t, 8, parVariants[2])
-	assertIdenticalRuns(t, "fattree32 steal-vs-steal@8", a,
-		runFatTree32(t, 8, parVariants[2]))
+	a := runFatTree32(t, 8, parVariants[1])
+	assertIdenticalRuns(t, "fattree32 channel-vs-channel@8", a,
+		runFatTree32(t, 8, parVariants[1]))
 }

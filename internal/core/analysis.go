@@ -46,12 +46,6 @@ func (a *Analysis) QueueLength(i int, n int, window float64) float64 {
 	return float64(n)*window - a.weightShare(i)*a.bdp()
 }
 
-// CriticalWindow returns W* = (gamma_i C RTT + k_i) / n_i, the per-flow
-// window at which queue i's length reaches the marking threshold k_i.
-func (a *Analysis) CriticalWindow(i int, n int, ki float64) float64 {
-	return (a.weightShare(i)*a.bdp() + ki) / float64(n)
-}
-
 // QueueMax evaluates Eq. 8: the maximum backlog of queue i is
 // Q_i^max = k_i + n_i (in packets; here n_i packets = n_i x MTU bytes),
 // reached one RTT after the threshold crossing when every flow has grown

@@ -19,11 +19,11 @@ import (
 //   - "fattree": cross-pod permutation traffic — every pod sends and
 //     receives, so the pod-sharded partition is roughly balanced.
 //   - "fattree-incast": pods 1..7 all send into pod 0 — the skewed
-//     load where one shard's windows dominate and work-stealing (and
-//     the shard-imbalance report) earn their keep. EXPERIMENTS.md
-//     walks through diagnosing this one.
+//     load where one shard's windows dominate and the
+//     shard-imbalance report earns its keep. EXPERIMENTS.md walks
+//     through diagnosing this one.
 //
-// Both honor Shards/Par/Steal (pods block-partition onto up to 8
+// Both honor Shards/Par (pods block-partition onto up to 8
 // shards) and the tracing/monitor/runtime options, with fixed start
 // times and deadlines so results are deterministic and byte-identical
 // across shard counts (the same workload shape differential_test.go

@@ -125,8 +125,8 @@ func fctCacheKey(schedName string, opt Options) string {
 	// one process really re-simulates instead of hitting the cache. The
 	// engine is keyed because the fluid preview and the packet ground
 	// truth are different simulations entirely.
-	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d/shards=%d/par=%v/steal=%v",
-		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats(), opt.shards(), opt.Par, opt.Steal)
+	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d/shards=%d/par=%v",
+		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats(), opt.shards(), opt.Par)
 }
 
 // runFCTOnce simulates one (scheduler, scheme, load) cell and returns

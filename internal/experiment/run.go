@@ -77,7 +77,6 @@ func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (d
 	if shards > 1 {
 		coord = sim.NewCoordinator()
 		coord.SetMode(o.Par)
-		coord.SetWorkStealing(o.Steal)
 		if o.Monitor != nil {
 			coord.SetMonitor(o.Monitor)
 		}

@@ -244,9 +244,6 @@ func (s *Sim) Quantum() time.Duration { return s.quantum }
 // Completed returns the number of finished flows.
 func (s *Sim) Completed() int { return s.completed }
 
-// ActiveFlows returns the number of currently active flows.
-func (s *Sim) ActiveFlows() int { return len(s.active) }
-
 // FlowRate returns flow i's current rate in bytes/sec (0 once done).
 func (s *Sim) FlowRate(i int) float64 {
 	f := &s.flows[i]

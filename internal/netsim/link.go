@@ -57,13 +57,6 @@ func NewLink(eng *sim.Engine, rate units.Rate, delay time.Duration, to Node) *Li
 	return &l
 }
 
-// NewBoundaryLink returns a heap-allocated cross-shard link (see
-// BoundaryLink).
-func NewBoundaryLink(b *sim.Boundary, rate units.Rate, to Node) *Link {
-	l := BoundaryLink(b, rate, to)
-	return &l
-}
-
 // Rate returns the link capacity.
 func (l *Link) Rate() units.Rate { return l.rate }
 

@@ -12,9 +12,11 @@ import (
 )
 
 // This file is the binary trace codec: a compact, chunked, columnar
-// encoding of Event streams. JSONL (ring.go) spends ~200 bytes and one
+// encoding of Event streams, and the only format traces are stored in
+// or read back from. A JSONL line spends ~200 bytes and one
 // encoding/json walk per record; at fabric scale that walk IS the
-// tracing overhead. The binary format spends a handful of bytes per
+// tracing overhead, which is why JSONL survives only as the pmsbstat
+// -export conversion. The binary format spends a handful of bytes per
 // record and encodes column-by-column (struct-of-arrays passes over the
 // chunk), so the hot encode loop touches one field of many events
 // instead of many fields of one event — the same cache-layout argument
@@ -49,8 +51,9 @@ import (
 // event lands well under 20 bytes, against ~200 for its JSONL line.
 //
 // The codec is lossless: WriteBinary then ReadBinary reproduces the
-// exact Event values, so converting a trace JSONL->binary->JSONL is
-// byte-identical (the differential tests prove it on real workloads).
+// exact Event values, so a JSONL export of a stored trace is
+// byte-identical to encoding the live events directly (the differential
+// tests prove it on real workloads).
 
 // binaryMagic identifies a binary trace stream. The trailing digit
 // versions the format.

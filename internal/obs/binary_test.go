@@ -57,54 +57,25 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryTraceJSONLDifferential is the codec-level differential:
-// the same events through both codecs decode identically, and
-// converting binary->JSONL->binary is byte-identical.
+// TestBinaryTraceJSONLDifferential is the codec-level differential
+// behind pmsbstat -export: events stored in the binary format and read
+// back export to exactly the JSONL the live events would have.
 func TestBinaryTraceJSONLDifferential(t *testing.T) {
 	events := traceFixture()
-	r := NewRing(len(events))
-	for _, ev := range events {
-		r.Append(ev)
-	}
-
-	var jsonl, bin bytes.Buffer
-	if err := r.WriteJSONL(&jsonl); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	if err := r.WriteBinary(&bin); err != nil {
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, events); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
 	}
-	fromJSONL, err := ReadJSONL(bytes.NewReader(jsonl.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
-	}
-	fromBin, err := ReadBinary(bytes.NewReader(bin.Bytes()))
+	fromBin, err := ReadBinary(&bin)
 	if err != nil {
 		t.Fatalf("ReadBinary: %v", err)
 	}
-	if !reflect.DeepEqual(fromJSONL, fromBin) {
-		t.Fatalf("codec differential mismatch:\n jsonl %+v\n   bin %+v", fromJSONL, fromBin)
+	direct, exported := encodeJSONL(t, events), encodeJSONL(t, fromBin)
+	if !bytes.Equal(direct, exported) {
+		t.Errorf("binary->jsonl export not byte-identical to direct JSONL encoding:\n%s\nvs\n%s", exported, direct)
 	}
-
-	// Convert both ways; re-encoding the decoded events must be
-	// byte-identical in each format (the codecs are canonical).
-	var bin2 bytes.Buffer
-	if err := WriteBinary(&bin2, fromJSONL); err != nil {
-		t.Fatalf("WriteBinary(decoded JSONL): %v", err)
-	}
-	if !bytes.Equal(bin.Bytes(), bin2.Bytes()) {
-		t.Error("jsonl->binary conversion not byte-identical to direct binary encoding")
-	}
-	r2 := NewRing(len(fromBin))
-	for _, ev := range fromBin {
-		r2.Append(ev)
-	}
-	var jsonl2 bytes.Buffer
-	if err := r2.WriteJSONL(&jsonl2); err != nil {
-		t.Fatalf("WriteJSONL(decoded binary): %v", err)
-	}
-	if !bytes.Equal(jsonl.Bytes(), jsonl2.Bytes()) {
-		t.Error("binary->jsonl conversion not byte-identical to direct JSONL encoding")
+	if got := decodeJSONL(t, exported); !reflect.DeepEqual(got, events) {
+		t.Fatalf("exported lines decode to different events:\n got %+v\nwant %+v", got, events)
 	}
 }
 
@@ -258,47 +229,29 @@ func TestBinaryTraceTruncated(t *testing.T) {
 	}
 }
 
-// TestBinaryTraceAutoDetect: ReadJSONL and ReadTrace both accept either
-// format, and ReadTrace rejects unrecognized input with a format error.
+// TestBinaryTraceAutoDetect: binary is the only input format, so the
+// readers must detect anything else — a JSONL export, an empty file,
+// garbage — at the header and refuse it with one error naming the magic
+// rather than a decode error from somewhere inside a chunk.
 func TestBinaryTraceAutoDetect(t *testing.T) {
-	events := traceFixture()
-	r := NewRing(len(events))
-	for _, ev := range events {
-		r.Append(ev)
+	inputs := map[string][]byte{
+		"jsonl":   encodeJSONL(t, traceFixture()),
+		"empty":   nil,
+		"garbage": []byte("\x00\x01\x02 garbage"),
 	}
-	var jsonl, bin bytes.Buffer
-	if err := r.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	for name, raw := range map[string][]byte{"jsonl": jsonl.Bytes(), "bin": bin.Bytes()} {
-		for fn, read := range map[string]func(io.Reader) ([]Event, error){
-			"ReadJSONL": ReadJSONL, "ReadTrace": ReadTrace,
-		} {
-			got, err := read(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("%s(%s): %v", fn, name, err)
+	for name, raw := range inputs {
+		_, err := ReadBinary(bytes.NewReader(raw))
+		_, rerr := ReadTraceRange(bytes.NewReader(raw), 0, time.Second)
+		st := NewStreamStats(StreamOptions{Counts: true})
+		serr := st.Reduce(bytes.NewReader(raw))
+		for fn, err := range map[string]error{"ReadBinary": err, "ReadTraceRange": rerr, "Reduce": serr} {
+			if err == nil || !strings.Contains(err.Error(), "not a binary trace") {
+				t.Errorf("%s(%s): err = %v, want a not-a-binary-trace error", fn, name, err)
 			}
-			if !reflect.DeepEqual(got, events) {
-				t.Fatalf("%s(%s): decoded events differ", fn, name)
+			if name != "empty" && (err == nil || !strings.Contains(err.Error(), binaryMagic)) {
+				t.Errorf("%s(%s): err = %v does not name the magic", fn, name, err)
 			}
 		}
-	}
-	// Empty input: zero events, no error, in both entry points.
-	for fn, read := range map[string]func(io.Reader) ([]Event, error){
-		"ReadJSONL": ReadJSONL, "ReadTrace": ReadTrace,
-	} {
-		got, err := read(strings.NewReader(""))
-		if err != nil || len(got) != 0 {
-			t.Fatalf("%s(empty) = %d events, %v", fn, len(got), err)
-		}
-	}
-	// Unrecognized input names both formats in the error.
-	_, err := ReadTrace(strings.NewReader("\x00\x01\x02 garbage"))
-	if err == nil || !strings.Contains(err.Error(), "unrecognized trace format") {
-		t.Fatalf("ReadTrace(garbage): err = %v", err)
 	}
 }
 
@@ -329,9 +282,14 @@ func TestBinaryTraceSpillLossless(t *testing.T) {
 			if sw.Spilled() != n {
 				t.Fatalf("Spilled() = %d, want %d", sw.Spilled(), n)
 			}
-			got, err := ReadTrace(&file)
-			if err != nil {
-				t.Fatalf("ReadTrace: %v", err)
+			var got []Event
+			if format == FormatBinary {
+				var err error
+				if got, err = ReadBinary(&file); err != nil {
+					t.Fatalf("ReadBinary: %v", err)
+				}
+			} else {
+				got = decodeJSONL(t, file.Bytes())
 			}
 			if len(got) != n {
 				t.Fatalf("spill file holds %d events, want %d", len(got), n)
@@ -398,26 +356,14 @@ func TestBinaryTraceMerge(t *testing.T) {
 }
 
 func TestBinaryTraceFormatHelpers(t *testing.T) {
-	if f := FormatForPath("trace.bin"); f != FormatBinary {
-		t.Errorf("FormatForPath(.bin) = %v", f)
-	}
-	if f := FormatForPath("trace.jsonl"); f != FormatJSONL {
-		t.Errorf("FormatForPath(.jsonl) = %v", f)
-	}
 	if got := ShardTracePath("runs/trace.bin", 3); got != "runs/trace.shard3.bin" {
 		t.Errorf("ShardTracePath = %q", got)
 	}
 	if got := ShardTracePath("trace", 0); got != "trace.shard0" {
 		t.Errorf("ShardTracePath(no ext) = %q", got)
 	}
-	if _, err := ParseTraceFormat("xml"); err == nil {
-		t.Error("ParseTraceFormat(xml): no error")
-	}
-	for _, s := range []string{"jsonl", "bin"} {
-		f, err := ParseTraceFormat(s)
-		if err != nil || f.String() != s {
-			t.Errorf("ParseTraceFormat(%q) = %v, %v", s, f, err)
-		}
+	if FormatBinary.String() != "bin" || FormatJSONL.String() != "jsonl" {
+		t.Errorf("TraceFormat names = %v, %v", FormatBinary, FormatJSONL)
 	}
 }
 

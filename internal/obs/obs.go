@@ -12,9 +12,10 @@
 // and effectively zero time. When enabled, emitting is still
 // allocation-free at steady state: events are fixed-size value records
 // appended to a preallocated ring buffer (no interface boxing of ints),
-// counters are direct pointer increments, and serialization (JSONL)
-// happens only at export time. internal/netsim/alloc_test.go proves
-// both properties with AllocsPerRun guards.
+// counters are direct pointer increments, and serialization happens
+// only when the ring spills or is exported.
+// internal/netsim/alloc_test.go proves both properties with
+// AllocsPerRun guards.
 //
 // Probes bind an emitter to its identity once, off the hot path: a
 // switch port holds a *PortProbe (its PortID plus pre-registered
@@ -70,7 +71,7 @@ const (
 	// KindAlpha: a congestion estimator refreshed alpha. V carries the
 	// new alpha.
 	KindAlpha
-	// KindRate: a rate-based transport (TIMELY, DCQCN) changed its rate.
+	// KindRate: a rate-based transport (DCQCN) changed its rate.
 	// V carries the new rate in bits/sec.
 	KindRate
 
@@ -112,25 +113,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// MarshalJSON renders the kind as its name, keeping JSONL traces
+// MarshalJSON renders the kind as its name, keeping JSONL exports
 // readable and stable across reorderings of the enum.
 func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
-}
-
-// UnmarshalJSON parses a kind name (the inverse of MarshalJSON).
-func (k *Kind) UnmarshalJSON(b []byte) error {
-	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
-		return fmt.Errorf("obs: malformed kind %s", b)
-	}
-	name := string(b[1 : len(b)-1])
-	for i, n := range kindNames {
-		if n == name {
-			*k = Kind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown kind %q", name)
 }
 
 // DropReason says which admission gate refused a dropped packet.
@@ -174,7 +160,7 @@ type PortID struct {
 // collector nothing to scan.
 //
 // Field use is kind-specific (see the Kind constants); unused fields
-// are zero and omitted from JSONL.
+// are zero and omitted from the JSONL export.
 type Event struct {
 	// Seq is the bus-assigned sequence number: a strict total order over
 	// every event the bus recorded, stable across runs of the same

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -69,10 +70,52 @@ func TestRingMinimumCapacity(t *testing.T) {
 	}
 }
 
-// TestJSONLRoundTrip: every field written must survive the
-// encode/decode cycle, including the string-form kinds and reasons.
+// encodeJSONL runs events through the JSONL encoder (the one pmsbstat
+// -export uses).
+func encodeJSONL(t *testing.T, events []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := NewSpillWriter(&buf, FormatJSONL)
+	if err := sw.Spill(events); err != nil {
+		t.Fatalf("Spill: %v", err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// decodeJSONL parses exported lines back into events so tests can
+// compare them. The package itself never reads JSONL; kinds arrive by
+// name and are mapped back through Kinds().
+func decodeJSONL(t *testing.T, raw []byte) []Event {
+	t.Helper()
+	byName := make(map[string]Kind)
+	for _, k := range Kinds() {
+		byName[k.String()] = k
+	}
+	var out []Event
+	for i, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
+		var rec struct {
+			Event
+			Kind string `json:"kind"` // shadows Event.Kind, which has no decoder
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("line %d: %v", i+1, err)
+		}
+		k, ok := byName[rec.Kind]
+		if !ok {
+			t.Fatalf("line %d: kind %q is not a kind name", i+1, rec.Kind)
+		}
+		rec.Event.Kind = k
+		out = append(out, rec.Event)
+	}
+	return out
+}
+
+// TestJSONLRoundTrip: one line per event, and every field written must
+// survive a decode of the export, including the string-form kinds.
 func TestJSONLRoundTrip(t *testing.T) {
-	r := NewRing(16)
 	in := []Event{
 		{Seq: 0, T: time.Millisecond, Kind: KindEnqueue, Node: 1000, Port: 0,
 			Queue: 1, Flow: 7, Pkt: 42, Size: 1500, PortBytes: 4500, QueueBytes: 3000},
@@ -83,20 +126,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Seq: 3, T: 4 * time.Millisecond, Kind: KindFlowFinish, Node: pkt.NoNode,
 			Port: -1, Queue: -1, Flow: 7, Size: 9000, V: 4e6},
 	}
-	for _, ev := range in {
-		r.Append(ev)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != len(in) {
+	raw := encodeJSONL(t, in)
+	if got := bytes.Count(raw, []byte("\n")); got != len(in) {
 		t.Fatalf("wrote %d lines, want %d", got, len(in))
 	}
-	out, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	if !bytes.Contains(raw, []byte(`"kind":"blind"`)) {
+		t.Fatalf("kinds not exported by name:\n%s", raw)
 	}
+	out := decodeJSONL(t, raw)
 	if len(out) != len(in) {
 		t.Fatalf("read %d events, want %d", len(out), len(in))
 	}
@@ -104,19 +141,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if out[i] != in[i] {
 			t.Fatalf("event %d round-trip mismatch:\n in: %+v\nout: %+v", i, in[i], out[i])
 		}
-	}
-}
-
-func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{bad json\n")); err == nil {
-		t.Fatal("malformed line must error")
-	}
-	if _, err := ReadJSONL(strings.NewReader(`{"kind":"no-such-kind"}` + "\n")); err == nil {
-		t.Fatal("unknown kind must error")
-	}
-	evs, err := ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || len(evs) != 0 {
-		t.Fatalf("blank lines must be skipped: %v %v", evs, err)
 	}
 }
 

@@ -124,8 +124,9 @@ func TestReadBinaryRangeMixedKinds(t *testing.T) {
 	}
 }
 
-// ReadTraceRange applies the same [since, until] semantics to both
-// formats, auto-detected like ReadTrace.
+// ReadTraceRange applies ReadBinaryRange's [since, until] semantics to
+// a binary trace and refuses the other format: JSONL is an export, not
+// an input.
 func TestReadTraceRangeBothFormats(t *testing.T) {
 	all := traceFixture()
 	since, until := 1500*time.Nanosecond, 3*time.Millisecond
@@ -134,28 +135,19 @@ func TestReadTraceRangeBothFormats(t *testing.T) {
 	if err := WriteBinary(&bin, all); err != nil {
 		t.Fatalf("WriteBinary: %v", err)
 	}
-	var jsonl bytes.Buffer
-	sw := NewSpillWriter(&jsonl, FormatJSONL)
-	if err := sw.Spill(all); err != nil {
-		t.Fatalf("Spill: %v", err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	want := filterEvents(all, since, until)
-	for name, raw := range map[string][]byte{"binary": bin.Bytes(), "jsonl": jsonl.Bytes()} {
-		t.Run(name, func(t *testing.T) {
-			got, err := ReadTraceRange(bytes.NewReader(raw), since, until)
-			if err != nil {
-				t.Fatalf("ReadTraceRange: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s range read mismatch:\n got %+v\nwant %+v", name, got, want)
-			}
-		})
-	}
-
-	if _, err := ReadTraceRange(strings.NewReader("not a trace"), 0, time.Second); err == nil {
-		t.Fatal("garbage input did not error")
-	}
+	t.Run("binary", func(t *testing.T) {
+		got, err := ReadTraceRange(&bin, since, until)
+		if err != nil {
+			t.Fatalf("ReadTraceRange: %v", err)
+		}
+		if want := filterEvents(all, since, until); !reflect.DeepEqual(got, want) {
+			t.Fatalf("range read mismatch:\n got %+v\nwant %+v", got, want)
+		}
+	})
+	t.Run("jsonl", func(t *testing.T) {
+		_, err := ReadTraceRange(bytes.NewReader(encodeJSONL(t, all)), since, until)
+		if err == nil || !strings.Contains(err.Error(), binaryMagic) {
+			t.Fatalf("JSONL input: err = %v, want an error naming the magic %q", err, binaryMagic)
+		}
+	})
 }

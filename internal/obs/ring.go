@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -167,68 +164,8 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// WriteJSONL writes the retained events to w, one JSON object per line,
-// oldest first, through a buffered writer flushed before return. The
-// inverse is ReadJSONL.
-func (r *Ring) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, traceBufSize)
-	enc := json.NewEncoder(bw) // Encode appends '\n' after each value
-	var err error
-	r.Do(func(ev *Event) {
-		if err == nil {
-			err = enc.Encode(ev)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("obs: write trace: %w", err)
-	}
-	return bw.Flush()
-}
-
 // WriteBinary writes the retained events to w in the binary trace
-// format. The inverse is ReadBinary (or ReadJSONL, which auto-detects).
+// format. The inverse is ReadBinary.
 func (r *Ring) WriteBinary(w io.Writer) error {
 	return WriteBinary(w, r.Events())
-}
-
-// ReadJSONL parses a trace back into events. Despite the name it
-// auto-detects the format from the leading bytes, so it accepts both
-// JSONL traces (as written by WriteJSONL) and binary traces — existing
-// callers keep working when a trace file switches format. Blank lines
-// are skipped in JSONL; a malformed line fails with its line number.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	br := bufio.NewReaderSize(r, traceBufSize)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	if bytes.Equal(head, []byte(binaryMagic)) {
-		return ReadBinary(br)
-	}
-	return readJSONLFrom(br)
-}
-
-// readJSONLFrom is the JSONL scanner core shared by ReadJSONL and
-// ReadTrace, after format detection has already consumed nothing.
-func readJSONLFrom(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	return out, nil
 }

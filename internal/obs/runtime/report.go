@@ -9,20 +9,16 @@ import (
 )
 
 // Report renders a human explanation of a runtime dump: the per-shard
-// table, then the derived diagnoses — shard imbalance, steal efficacy,
-// null-advance overhead, worker utilization, queue churn, pool
-// pressure. vals is a ParseDump result (from a -runtimestats file).
+// table, then the derived diagnoses — shard imbalance, null-advance
+// overhead, worker utilization, queue churn, pool pressure. vals is a
+// ParseDump result (from a -runtimestats file).
 func Report(w io.Writer, vals map[string]int64) error {
 	bw := &strings.Builder{}
 
 	mode := indicator(vals, "runtime.coord.mode.")
 	shards := int(vals["runtime.coord.shards"])
 	if mode != "" {
-		steal := "off"
-		if vals["runtime.coord.stealing"] != 0 {
-			steal = "on"
-		}
-		fmt.Fprintf(bw, "# coordinator: mode %s, %d shards, stealing %s\n", mode, shards, steal)
+		fmt.Fprintf(bw, "# coordinator: mode %s, %d shards\n", mode, shards)
 		wall := dur(vals["runtime.coord.wall_ns"])
 		blocked := dur(vals["runtime.coord.blocked_ns"])
 		fmt.Fprintf(bw, "wall %v", wall.Round(time.Microsecond))
@@ -33,7 +29,6 @@ func Report(w io.Writer, vals map[string]int64) error {
 		fmt.Fprintln(bw)
 		shardTable(bw, vals, shards)
 		imbalance(bw, vals, shards)
-		stealEfficacy(bw, vals, shards)
 		nullOverhead(bw, vals, shards)
 		workerUtilization(bw, vals, shards)
 	} else {
@@ -66,17 +61,16 @@ func workerKey(vals map[string]int64, i int, field string) int64 {
 
 func shardTable(w io.Writer, vals map[string]int64, shards int) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "shard\tgrants\tsteals\tnull-adv\toutbox\tparked\tevents\tbusy\tbusy-share")
+	fmt.Fprintln(tw, "shard\tgrants\tnull-adv\toutbox\tparked\tevents\tbusy\tbusy-share")
 	var totalBusy int64
 	for i := 0; i < shards; i++ {
 		totalBusy += shardKey(vals, i, "busy_ns")
 	}
 	for i := 0; i < shards; i++ {
 		busy := shardKey(vals, i, "busy_ns")
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%v\t%.0f%%\n",
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%v\t%.0f%%\n",
 			i,
 			shardKey(vals, i, "grants"),
-			shardKey(vals, i, "steals"),
 			shardKey(vals, i, "null_advances"),
 			shardKey(vals, i, "outbox_sent"),
 			shardKey(vals, i, "parked"),
@@ -115,21 +109,6 @@ func maxOverMean(vals map[string]int64, shards int, field string) (float64, int)
 	}
 	mean := float64(sum) / float64(shards)
 	return float64(max) / mean, maxAt
-}
-
-// stealEfficacy reports how much of the window execution the shared
-// grant queue actually moved off dedicated shards.
-func stealEfficacy(w io.Writer, vals map[string]int64, shards int) {
-	var grants, steals int64
-	for i := 0; i < shards; i++ {
-		grants += shardKey(vals, i, "grants")
-		steals += shardKey(vals, i, "steals")
-	}
-	if vals["runtime.coord.stealing"] == 0 {
-		return
-	}
-	fmt.Fprintf(w, "steal efficacy: %d of %d windows (%.0f%%) ran on a foreign worker\n",
-		steals, grants, pct(steals, grants))
 }
 
 // nullOverhead reports the null-advance bookkeeping the protocol paid

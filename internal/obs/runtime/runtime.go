@@ -2,7 +2,7 @@
 // coordinator/engine/pool counters collected by internal/sim and
 // internal/pkt, assembled into a dump in the obs.Registry text format
 // ("name\tvalue", sorted) and into a human report explaining a run —
-// shard imbalance, steal efficacy, null-advance overhead, queue churn.
+// shard imbalance, null-advance overhead, queue churn.
 //
 // It is deliberately separate from the packet-level trace bus
 // (internal/obs): the bus records what the *simulated network* did,
@@ -25,7 +25,7 @@ import (
 )
 
 // Collector accumulates runtime observations across runs. The
-// experiment layer calls ObserveCoordinator / ObserveEngine at the end
+// experiment layer calls ObserveCoordinator / ObserveSerial at the end
 // of each run it executes; observations of the same shape merge
 // (counters sum, high-water marks max), so a sweep of many runs keeps
 // the collector bounded. Collectors are goroutine-safe: parallel
@@ -41,15 +41,6 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{engines: make(map[int]sim.EngineStats)}
-}
-
-// ObserveEngine folds one engine's self-profile into the collector
-// under the given shard index.
-func (c *Collector) ObserveEngine(shard int, eng *sim.Engine) {
-	st := eng.Stats()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mergeEngine(shard, st)
 }
 
 func (c *Collector) mergeEngine(shard int, st sim.EngineStats) {
@@ -104,7 +95,7 @@ func (c *Collector) ObserveCoordinator(coord *sim.Coordinator) {
 	// Same shape: counters and durations sum (RuntimeStats itself
 	// accumulates across RunUntil calls on one coordinator, so summing
 	// across *distinct* coordinators extends the same semantics).
-	c.coord.Mode, c.coord.Stealing = st.Mode, st.Stealing
+	c.coord.Mode = st.Mode
 	c.coord.RelaxRounds += st.RelaxRounds
 	c.coord.GrantCalls += st.GrantCalls
 	c.coord.Wall += st.Wall
@@ -114,7 +105,6 @@ func (c *Collector) ObserveCoordinator(coord *sim.Coordinator) {
 		a.Grants += b.Grants
 		a.GrantWidth += b.GrantWidth
 		a.NullAdvances += b.NullAdvances
-		a.Steals += b.Steals
 		a.OutboxSent += b.OutboxSent
 		a.Parked += b.Parked
 		a.Events += b.Events
@@ -176,7 +166,6 @@ func (s Snapshot) Values() map[string]int64 {
 	}
 	if c := s.Coord; c != nil {
 		v["runtime.coord.mode."+c.Mode] = 1
-		v["runtime.coord.stealing"] = b2i(c.Stealing)
 		v["runtime.coord.shards"] = int64(len(c.PerShard))
 		v["runtime.coord.relax_rounds"] = int64(c.RelaxRounds)
 		v["runtime.coord.grant_calls"] = int64(c.GrantCalls)
@@ -187,7 +176,6 @@ func (s Snapshot) Values() map[string]int64 {
 			v[p+"grants"] = int64(sh.Grants)
 			v[p+"grant_width_ns"] = int64(sh.GrantWidth)
 			v[p+"null_advances"] = int64(sh.NullAdvances)
-			v[p+"steals"] = int64(sh.Steals)
 			v[p+"outbox_sent"] = int64(sh.OutboxSent)
 			v[p+"parked"] = int64(sh.Parked)
 			v[p+"events"] = int64(sh.Events)
@@ -221,13 +209,6 @@ func (s Snapshot) Values() map[string]int64 {
 	v["runtime.pool.inuse"] = s.Pool.InUse
 	v["runtime.pool.inuse_hiwater"] = s.Pool.HiWater
 	return v
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // WriteTo dumps the snapshot as sorted "name\tvalue" lines — the

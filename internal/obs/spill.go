@@ -2,12 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 )
@@ -25,19 +23,21 @@ import (
 // events issues a handful of write syscalls, not hundreds.
 const traceBufSize = 256 * 1024
 
-// TraceFormat selects the on-disk encoding of an event trace.
+// TraceFormat selects the encoding a SpillWriter emits.
 type TraceFormat uint8
 
 const (
-	// FormatJSONL: one JSON object per line (ring.go). Self-describing
-	// and greppable; ~200 bytes/event.
+	// FormatJSONL: one JSON object per line. Self-describing and
+	// greppable but ~200 bytes/event, and write-only: nothing reads it
+	// back. It exists for pmsbstat -export.
 	FormatJSONL TraceFormat = iota
-	// FormatBinary: the chunked columnar codec (binary.go). Opaque but
-	// ~10-20 bytes/event and an order of magnitude cheaper to encode.
+	// FormatBinary: the chunked columnar codec (binary.go), the format
+	// trace files are stored in. Opaque but ~10-20 bytes/event and an
+	// order of magnitude cheaper to encode.
 	FormatBinary
 )
 
-// String implements fmt.Stringer with the -traceformat flag spelling.
+// String implements fmt.Stringer.
 func (f TraceFormat) String() string {
 	if f == FormatBinary {
 		return "bin"
@@ -45,32 +45,9 @@ func (f TraceFormat) String() string {
 	return "jsonl"
 }
 
-// ParseTraceFormat parses a -traceformat flag value.
-func ParseTraceFormat(s string) (TraceFormat, error) {
-	switch s {
-	case "jsonl":
-		return FormatJSONL, nil
-	case "bin":
-		return FormatBinary, nil
-	default:
-		return 0, fmt.Errorf("obs: unknown trace format %q (want jsonl or bin)", s)
-	}
-}
-
-// FormatForPath picks the default trace format for an output path:
-// binary for ".bin", JSONL for everything else (including the
-// historical ".jsonl").
-func FormatForPath(path string) TraceFormat {
-	if strings.EqualFold(filepath.Ext(path), ".bin") {
-		return FormatBinary
-	}
-	return FormatJSONL
-}
-
 // ShardTracePath derives the per-shard spill file name for a requested
 // trace path: "trace.bin" -> "trace.shard3.bin". The shard index is
-// embedded before the extension so the format-by-extension default
-// still applies to the derived names.
+// embedded before the extension so the derived names keep it.
 func ShardTracePath(path string, shard int) string {
 	ext := filepath.Ext(path)
 	return fmt.Sprintf("%s.shard%d%s", strings.TrimSuffix(path, ext), shard, ext)
@@ -86,14 +63,13 @@ type SpillWriter struct {
 	bw      *bufio.Writer
 	enc     *json.Encoder // JSONL mode
 	bin     *BinaryWriter // binary mode
-	format  TraceFormat
 	spilled uint64
 }
 
 // NewSpillWriter returns a spill sink encoding events to w in the given
 // format.
 func NewSpillWriter(w io.Writer, format TraceFormat) *SpillWriter {
-	s := &SpillWriter{bw: bufio.NewWriterSize(w, traceBufSize), format: format}
+	s := &SpillWriter{bw: bufio.NewWriterSize(w, traceBufSize)}
 	if format == FormatBinary {
 		s.bin = NewBinaryWriter(s.bw)
 	} else {
@@ -101,9 +77,6 @@ func NewSpillWriter(w io.Writer, format TraceFormat) *SpillWriter {
 	}
 	return s
 }
-
-// Format returns the sink's encoding.
-func (s *SpillWriter) Format() TraceFormat { return s.format }
 
 // Spilled returns the number of events written so far.
 func (s *SpillWriter) Spilled() uint64 { return s.spilled }
@@ -183,89 +156,10 @@ func MergeEvents(streams ...[]Event) []Event {
 	return out
 }
 
-// SortEvents orders events by (T, Seq) in place — the canonical order
-// for a merged single-stream view when stream identity is not
-// meaningful (e.g. pmsbstat over several independent files).
-func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].T != events[j].T {
-			return events[i].T < events[j].T
-		}
-		return events[i].Seq < events[j].Seq
-	})
-}
-
-// ReadTrace parses a complete event trace from r, auto-detecting the
-// format from the leading bytes: the binary magic selects the binary
-// codec, anything else falls through to the JSONL parser (whose own
-// validation reports unrecognized input with a line number). An empty
-// stream is an empty trace in either format.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	br := bufio.NewReaderSize(r, traceBufSize)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	if bytes.Equal(head, []byte(binaryMagic)) {
-		return ReadBinary(br)
-	}
-	if len(head) == 0 {
-		return nil, nil
-	}
-	if !jsonlPlausible(head) {
-		return nil, fmt.Errorf("obs: unrecognized trace format (leading bytes %q: neither binary magic %q nor JSONL)",
-			head, binaryMagic)
-	}
-	return readJSONLFrom(br)
-}
-
-// ReadTraceRange parses a trace keeping only events with
-// since <= T <= until. Binary traces use the chunk-skimming range
-// reader (ReadBinaryRange), so out-of-range chunks never materialize;
-// JSONL traces have no skippable structure and are filtered line by
-// line.
+// ReadTraceRange parses a binary trace keeping only events with
+// since <= T <= until; it is ReadBinaryRange under the name pmsbstat
+// and benchmark/ call. Input in any other format (a JSONL export, an
+// empty file) fails with NewBinaryReader's error naming the magic.
 func ReadTraceRange(r io.Reader, since, until time.Duration) ([]Event, error) {
-	br := bufio.NewReaderSize(r, traceBufSize)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("obs: read trace: %w", err)
-	}
-	if bytes.Equal(head, []byte(binaryMagic)) {
-		return ReadBinaryRange(br, since, until)
-	}
-	if len(head) == 0 {
-		return nil, nil
-	}
-	if !jsonlPlausible(head) {
-		return nil, fmt.Errorf("obs: unrecognized trace format (leading bytes %q: neither binary magic %q nor JSONL)",
-			head, binaryMagic)
-	}
-	events, err := readJSONLFrom(br)
-	if err != nil {
-		return nil, err
-	}
-	kept := events[:0]
-	for i := range events {
-		if events[i].T >= since && events[i].T <= until {
-			kept = append(kept, events[i])
-		}
-	}
-	return kept, nil
-}
-
-// jsonlPlausible reports whether a trace head could open a JSONL
-// stream: optional blank lines, then '{'. Used only to turn garbage
-// input into a one-line format error instead of a confusing JSON parse
-// error on binary-looking bytes.
-func jsonlPlausible(head []byte) bool {
-	for _, c := range head {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return true // all whitespace: let the scanner decide
+	return ReadBinaryRange(r, since, until)
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -326,12 +324,4 @@ func (st *StreamStats) skipVarints(d *BinaryReader, count int, bit uint16) error
 // queue), matching DepthSummaries' deterministic iteration order.
 func (st *StreamStats) DepthKeys() []QueueKey {
 	return sortedQueueKeys(st.Depths)
-}
-
-// LooksBinary reports whether the stream at br's current position
-// carries a binary trace, by peeking at the magic header without
-// consuming it.
-func LooksBinary(br *bufio.Reader) bool {
-	head, err := br.Peek(len(binaryMagic))
-	return err == nil && bytes.Equal(head, []byte(binaryMagic))
 }

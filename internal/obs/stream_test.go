@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"math/rand"
 	"reflect"
@@ -11,10 +10,6 @@ import (
 	"pmsb/internal/pkt"
 	"pmsb/internal/stats"
 )
-
-func newTestBufReader(raw []byte) *bufio.Reader {
-	return bufio.NewReader(bytes.NewReader(raw))
-}
 
 // streamFixture synthesizes a deterministic pseudo-random trace wide
 // enough to exercise every column (all kinds, all optional fields,
@@ -234,20 +229,5 @@ func TestStreamReduceTruncated(t *testing.T) {
 	}
 	if err := st.Reduce(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("garbage stream did not error")
-	}
-}
-
-// LooksBinary recognizes the magic without consuming it.
-func TestLooksBinary(t *testing.T) {
-	raw, _ := streamFixture(t, 10)
-	br := newTestBufReader(raw)
-	if !LooksBinary(br) {
-		t.Error("binary trace not recognized")
-	}
-	if _, err := ReadBinary(br); err != nil {
-		t.Errorf("peek consumed bytes: %v", err)
-	}
-	if LooksBinary(newTestBufReader([]byte(`{"t":1}`))) {
-		t.Error("JSONL mistaken for binary")
 	}
 }

@@ -44,9 +44,6 @@ var debugPoison atomic.Bool
 // the (synchronized) pool.
 func SetPoolDebug(on bool) { debugPoison.Store(on) }
 
-// PoolDebug reports whether debug mode is on.
-func PoolDebug() bool { return debugPoison.Load() }
-
 // poisoned is the debug-mode sentinel state. Every numeric field is
 // negative or nonsensical so downstream arithmetic (serialization
 // times, buffer accounting, sequence matching) fails fast and visibly.

@@ -31,9 +31,12 @@ import (
 // ParGlobal is the original bounded-lag reference: lookahead L = the
 // minimum delay over every cut link, one global window [T, T+L) with
 // T the earliest pending event across all shards, and a full barrier
-// draining every outbox before the next window. It is kept as the A/B
-// escape hatch (-par=global) and as the simplest statement of the
-// safety argument both protocols share.
+// draining every outbox before the next window. It is also the
+// simplest statement of the safety argument both protocols share.
+// Neither protocol dominates: measured on two cores, the barrier wins
+// on the k=8 fat-tree and the channel clocks win at k=32 with 4 or
+// more shards (DESIGN.md section 8 has the table), so -par stays a
+// choice.
 //
 // Safety invariant (both modes). A shard executing events strictly
 // before its window end W must already hold every cross-shard arrival
@@ -63,11 +66,10 @@ import (
 // execution passes its key. Window bounds only partition that fixed
 // per-shard sequence, so the executed sequence — and every trace, FCT
 // and processed-event count derived from it — is invariant across
-// goroutine schedules, across work-stealing, and across ParGlobal vs
-// ParChannel at the same shard count. The serial-equivalence argument
-// for the key itself is unchanged from the barrier protocol: the serial
-// engine orders same-time events by seq, which is assigned in
-// scheduling order; because the clock never runs backwards, that is
+// goroutine schedules and across ParGlobal vs ParChannel at the same
+// shard count. The serial-equivalence argument for the key itself is
+// unchanged from the barrier protocol: the serial engine orders
+// same-time events by seq, which is assigned in scheduling order; because the clock never runs backwards, that is
 // equivalent to ordering by (schedAt, seq). A cross-shard injection
 // carries its true schedAt (the sending engine's clock at send time)
 // and the sender's monotone cross-send seq, so it sorts against the
@@ -80,15 +82,11 @@ import (
 // differential_test.go proves byte-identity on the dumbbell, leaf-spine
 // and fat-tree workloads, for both modes. See DESIGN.md section 8.
 //
-// Threading. A window is executed by exactly one worker goroutine;
-// engines are only ever touched by that worker (inside the window) or
-// by the coordinator (between the shard's windows), with channel sends
-// establishing the happens-before edges between the two. By default
-// each shard owns a dedicated worker; with work-stealing enabled
-// (SetWorkStealing) grants go to a shared queue and any idle worker
-// runs them, so a skewed load (one hot shard, many idle ones) never
-// strands runnable windows behind a busy goroutine. Nothing in the
-// engine grows locks.
+// Threading. Each shard owns one dedicated worker goroutine that
+// executes all of its windows; engines are only ever touched by that
+// worker (inside a window) or by the coordinator (between the shard's
+// windows), with channel sends establishing the happens-before edges
+// between the two. Nothing in the engine grows locks.
 
 // ParMode selects the coordinator's window protocol.
 type ParMode int
@@ -100,7 +98,7 @@ const (
 	// ParGlobal is the single-lookahead bounded-lag reference protocol:
 	// one global window gated by the minimum cut delay, with a full
 	// barrier every window. Byte-identical results to ParChannel at the
-	// same shard count; kept as the A/B escape hatch.
+	// same shard count.
 	ParGlobal
 )
 
@@ -115,19 +113,16 @@ func (m ParMode) String() string {
 	return fmt.Sprintf("ParMode(%d)", int(m))
 }
 
-// ParseParMode maps a -par flag value onto a protocol selection.
-// Accepted: "channel" (per-channel clocks), "channel-steal" (the same
-// plus work-stealing workers), "global" (barrier reference).
-func ParseParMode(s string) (mode ParMode, workStealing bool, err error) {
+// ParseParMode maps a -par flag value onto a protocol: "channel"
+// (per-channel clocks) or "global" (single-lookahead barrier).
+func ParseParMode(s string) (ParMode, error) {
 	switch s {
 	case "channel":
-		return ParChannel, false, nil
-	case "channel-steal":
-		return ParChannel, true, nil
+		return ParChannel, nil
 	case "global":
-		return ParGlobal, false, nil
+		return ParGlobal, nil
 	}
-	return 0, false, fmt.Errorf("sim: unknown parallel mode %q (want channel, channel-steal or global)", s)
+	return 0, fmt.Errorf("sim: unknown parallel mode %q (want channel or global)", s)
 }
 
 // timeInf is the channel clocks' "no bound" sentinel. Saturating
@@ -144,16 +139,14 @@ func satAdd(a, b time.Duration) time.Duration {
 // Coordinator synchronizes a set of shard engines. Create one with
 // NewCoordinator, add shards with NewShard, declare every cross-shard
 // link with Boundary, then drive the whole simulation with RunUntil.
-// The configuration — shards, boundaries, mode, work-stealing — is
-// frozen by the first RunUntil call; registering a boundary (or
-// switching modes) afterwards panics, because a late registration
-// would silently invalidate the channel clocks and lookahead already
-// used to admit executed windows.
+// The configuration — shards, boundaries, mode — is frozen by the first
+// RunUntil call; registering a boundary (or switching modes) afterwards
+// panics, because a late registration would silently invalidate the
+// channel clocks and lookahead already used to admit executed windows.
 type Coordinator struct {
 	shards    []*Shard
 	lookahead time.Duration // min registered boundary delay; 0 = none yet
 	mode      ParMode
-	stealing  bool
 	started   bool
 
 	// chanDelay folds every registered boundary into the per-(src,dst)
@@ -164,14 +157,12 @@ type Coordinator struct {
 	in [][]inChan
 
 	// doneCh receives window completions (unbuffered: the handoff is
-	// the happens-before edge back to the coordinator). stealCh is the
-	// shared grant queue when work-stealing is on. Both are created
+	// the happens-before edge back to the coordinator). It is created
 	// fresh per RunUntil and handed to workers by value, never read
-	// back through these fields from a worker: a worker left over from
+	// back through this field from a worker: a worker left over from
 	// a previous run (still parked on its closed grant channel) must
-	// not race with the next run re-making them.
-	doneCh  chan *Shard
-	stealCh chan *Shard
+	// not race with the next run re-making it.
+	doneCh chan *Shard
 
 	// rt collects runtime self-observation when EnableRuntimeStats was
 	// called; mon is the live progress surface when SetMonitor was.
@@ -336,21 +327,6 @@ func (c *Coordinator) SetMode(m ParMode) {
 		panic("sim: SetMode after RunUntil — the window protocol is frozen once the first window has run")
 	}
 	c.mode = m
-}
-
-// SetWorkStealing enables (or disables) work-stealing window execution
-// under ParChannel: granted windows go to a shared queue and any idle
-// worker runs them, instead of each shard owning a dedicated worker.
-// Results are byte-identical either way (a window is still executed by
-// exactly one goroutine, with the same bounds); stealing only changes
-// which goroutine that is, which matters when load is skewed across
-// shards. Ignored by ParGlobal. Must be called before the first
-// RunUntil.
-func (c *Coordinator) SetWorkStealing(on bool) {
-	if c.started {
-		panic("sim: SetWorkStealing after RunUntil — the worker discipline is frozen once the first window has run")
-	}
-	c.stealing = on
 }
 
 // Engine returns the shard's engine. Entities placed on this shard must
@@ -530,20 +506,8 @@ func (c *Coordinator) runDegenerate(shards []*Shard, deadline time.Duration) {
 // runGlobal is the bounded-lag reference protocol: one global window
 // per round, full barrier, outbox drain.
 func (c *Coordinator) runGlobal(deadline time.Duration) {
-	// Workers live for the duration of this call: window grants and
-	// completion acks ride unbuffered channels whose send/receive pairs
-	// are the happens-before edges that hand each engine between its
-	// worker and the coordinator.
-	c.doneCh = make(chan *Shard)
-	for i, s := range c.shards {
-		s.grantCh = make(chan struct{})
-		go c.work(i, s, s.grantCh, c.doneCh)
-	}
-	defer func() {
-		for _, s := range c.shards {
-			close(s.grantCh)
-		}
-	}()
+	stop := c.startWorkers()
+	defer stop()
 
 	rt := c.rt
 	for {
@@ -598,29 +562,8 @@ func (c *Coordinator) runGlobal(deadline time.Duration) {
 // barrier, completions absorbed one at a time.
 func (c *Coordinator) runChannel(deadline time.Duration) {
 	c.buildChannels()
-	c.doneCh = make(chan *Shard)
-	if c.stealing {
-		// Work-stealing: grants ride one shared queue; any idle worker
-		// executes them. len(shards) workers means a grant can never
-		// wait behind busy goroutines: when a grant is issued its shard
-		// is not running, so at most len(shards)-1 windows are in
-		// flight and at least one worker is parked on stealCh.
-		c.stealCh = make(chan *Shard)
-		for i := range c.shards {
-			go c.stealWork(i, c.stealCh, c.doneCh)
-		}
-		defer close(c.stealCh)
-	} else {
-		for i, s := range c.shards {
-			s.grantCh = make(chan struct{})
-			go c.work(i, s, s.grantCh, c.doneCh)
-		}
-		defer func() {
-			for _, s := range c.shards {
-				close(s.grantCh)
-			}
-		}()
-	}
+	stop := c.startWorkers()
+	defer stop()
 
 	// limit is the exclusive execution bound: one nanosecond past the
 	// deadline, so events exactly at the deadline still run.
@@ -700,11 +643,7 @@ func (c *Coordinator) grantWindows(limit, deadline time.Duration) int {
 			sc.grants++
 			sc.grantWidth += g - s.nextAt
 		}
-		if c.stealing {
-			c.stealCh <- s
-		} else {
-			s.grantCh <- struct{}{}
-		}
+		s.grantCh <- struct{}{}
 	}
 	return granted
 }
@@ -822,33 +761,37 @@ func (c *Coordinator) completeWindow(s *Shard) {
 	s.pendingSlabs = s.pendingSlabs[:0]
 }
 
-// work is a dedicated worker: it runs its own shard's granted windows.
-// The channels arrive as parameters so the loop never reads coordinator
-// fields the next RunUntil will re-make; w is the worker's index for
-// wall-time attribution (equal to the shard's id for dedicated
-// workers). The blocked charge after the done handoff runs after the
-// coordinator may already have moved on — which is why worker-side
-// counters are atomics.
-func (c *Coordinator) work(w int, s *Shard, grants <-chan struct{}, done chan<- *Shard) {
-	mark := time.Now()
-	for range grants {
-		c.runGrant(w, s, &mark)
-		done <- s
-		if c.rt != nil {
-			c.rt.workerBlocked(w, &mark)
+// startWorkers makes this run's completion channel and starts one
+// dedicated worker per shard; the returned func closes the grant
+// channels, which is what stops the workers. Workers live for the
+// duration of one RunUntil: window grants and completion acks ride
+// unbuffered channels whose send/receive pairs are the happens-before
+// edges that hand each engine between its worker and the coordinator.
+func (c *Coordinator) startWorkers() (stop func()) {
+	c.doneCh = make(chan *Shard)
+	for _, s := range c.shards {
+		s.grantCh = make(chan struct{})
+		go c.work(s, s.grantCh, c.doneCh)
+	}
+	return func() {
+		for _, s := range c.shards {
+			close(s.grantCh)
 		}
 	}
 }
 
-// stealWork runs whichever shard's window the grant queue hands worker
-// w.
-func (c *Coordinator) stealWork(w int, grants <-chan *Shard, done chan<- *Shard) {
+// work is shard s's dedicated worker: it runs the shard's granted
+// windows. The channels arrive as parameters so the loop never reads
+// coordinator fields the next RunUntil will re-make. The blocked charge
+// after the done handoff runs after the coordinator may already have
+// moved on — which is why worker-side counters are atomics.
+func (c *Coordinator) work(s *Shard, grants <-chan struct{}, done chan<- *Shard) {
 	mark := time.Now()
-	for s := range grants {
-		c.runGrant(w, s, &mark)
+	for range grants {
+		c.runGrant(s, &mark)
 		done <- s
 		if c.rt != nil {
-			c.rt.workerBlocked(w, &mark)
+			c.rt.workerBlocked(s.id, &mark)
 		}
 	}
 }

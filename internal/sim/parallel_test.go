@@ -10,13 +10,11 @@ import (
 // parConfigs enumerates the coordinator configurations every
 // serial-equivalence test must hold under.
 var parConfigs = []struct {
-	name  string
-	mode  ParMode
-	steal bool
+	name string
+	mode ParMode
 }{
-	{"global", ParGlobal, false},
-	{"channel", ParChannel, false},
-	{"channel-steal", ParChannel, true},
+	{"global", ParGlobal},
+	{"channel", ParChannel},
 }
 
 // relayRec is one observed delivery at a node: when it ran and which
@@ -60,10 +58,9 @@ func runSerialRing(n, tokens, hops int, linkDelay, localStep time.Duration, dead
 
 // runShardedRing is the same workload with one shard per node and every
 // ring link a boundary, under the given protocol configuration.
-func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, deadline time.Duration, mode ParMode, steal bool) ([][]relayRec, *Coordinator) {
+func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, deadline time.Duration, mode ParMode) ([][]relayRec, *Coordinator) {
 	coord := NewCoordinator()
 	coord.SetMode(mode)
-	coord.SetWorkStealing(steal)
 	shards := make([]*Shard, n)
 	for i := range shards {
 		shards[i] = coord.NewShard()
@@ -112,7 +109,7 @@ func TestCoordinatorRingMatchesSerial(t *testing.T) {
 	serial := runSerialRing(n, tokens, hops, linkDelay, localStep, deadline)
 	for _, cfg := range parConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			sharded, coord := runShardedRing(n, tokens, hops, linkDelay, localStep, deadline, cfg.mode, cfg.steal)
+			sharded, coord := runShardedRing(n, tokens, hops, linkDelay, localStep, deadline, cfg.mode)
 			for i := range serial {
 				if !reflect.DeepEqual(serial[i], sharded[i]) {
 					t.Fatalf("node %d: sharded log diverges from serial\nserial:  %v\nsharded: %v",
@@ -140,8 +137,8 @@ func TestCoordinatorDeterministic(t *testing.T) {
 	const deadline = 5 * time.Millisecond
 	for _, cfg := range parConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			a, ca := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode, cfg.steal)
-			b, cb := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode, cfg.steal)
+			a, ca := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode)
+			b, cb := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatal("two identical sharded runs diverged")
 			}
@@ -152,23 +149,17 @@ func TestCoordinatorDeterministic(t *testing.T) {
 	}
 }
 
-// The two protocols (and the stealing worker discipline) must agree
-// with each other, not just each with serial: -par is a pure A/B
-// switch at any fixed shard count.
+// The two protocols must agree with each other, not just each with
+// serial: -par changes wall time only, at any fixed shard count.
 func TestCoordinatorModesAgree(t *testing.T) {
 	const deadline = 5 * time.Millisecond
-	global, cg := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParGlobal, false)
-	channel, cc := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParChannel, false)
-	steal, cs := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParChannel, true)
+	global, cg := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParGlobal)
+	channel, cc := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParChannel)
 	if !reflect.DeepEqual(global, channel) {
 		t.Fatal("global and channel protocols diverged")
 	}
-	if !reflect.DeepEqual(channel, steal) {
-		t.Fatal("dedicated and stealing workers diverged")
-	}
-	if cg.Processed() != cc.Processed() || cc.Processed() != cs.Processed() {
-		t.Fatalf("processed counts diverged: global %d, channel %d, steal %d",
-			cg.Processed(), cc.Processed(), cs.Processed())
+	if cg.Processed() != cc.Processed() {
+		t.Fatalf("processed counts diverged: global %d, channel %d", cg.Processed(), cc.Processed())
 	}
 }
 
@@ -178,7 +169,7 @@ func TestCoordinatorPingPongMatchesSerial(t *testing.T) {
 	serial := runSerialRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond)
 	for _, cfg := range parConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			sharded, _ := runShardedRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond, cfg.mode, cfg.steal)
+			sharded, _ := runShardedRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond, cfg.mode)
 			if !reflect.DeepEqual(serial, sharded) {
 				t.Fatal("ping-pong sharded log diverges from serial")
 			}
@@ -192,10 +183,10 @@ func TestCoordinatorPingPongMatchesSerial(t *testing.T) {
 }
 
 // A skewed ring — all tokens start on one node, and only that node does
-// local busywork — concentrates nearly all events on one shard. The
-// stealing discipline must still match serial exactly (this is the
-// load shape work-stealing exists for).
-func TestCoordinatorSkewedLoadStealing(t *testing.T) {
+// local busywork — concentrates nearly all events on one shard, so five
+// of six workers sit idle while null advances carry the clocks past
+// them. The channel protocol must still match serial exactly.
+func TestCoordinatorSkewedLoad(t *testing.T) {
 	const (
 		n         = 6
 		hops      = 150
@@ -204,10 +195,9 @@ func TestCoordinatorSkewedLoadStealing(t *testing.T) {
 		deadline  = 10 * time.Millisecond
 	)
 	// One token on a six-shard ring: at any instant exactly one shard
-	// has work, the other five idle — the maximal skew, every window a
-	// steal.
+	// has work, the other five idle — the maximal skew.
 	serial := runSerialRing(n, 1, hops, linkDelay, localStep, deadline)
-	sharded, coord := runShardedRing(n, 1, hops, linkDelay, localStep, deadline, ParChannel, true)
+	sharded, coord := runShardedRing(n, 1, hops, linkDelay, localStep, deadline, ParChannel)
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Fatal("skewed sharded log diverges from serial")
 	}
@@ -301,10 +291,9 @@ func TestConfigFrozenAfterRun(t *testing.T) {
 	coord.RunUntil(time.Millisecond)
 
 	for name, fn := range map[string]func(){
-		"Boundary":        func() { coord.Boundary(b, a, 5*time.Microsecond) },
-		"NewShard":        func() { coord.NewShard() },
-		"SetMode":         func() { coord.SetMode(ParGlobal) },
-		"SetWorkStealing": func() { coord.SetWorkStealing(true) },
+		"Boundary": func() { coord.Boundary(b, a, 5*time.Microsecond) },
+		"NewShard": func() { coord.NewShard() },
+		"SetMode":  func() { coord.SetMode(ParGlobal) },
 	} {
 		func() {
 			defer func() {
@@ -387,25 +376,23 @@ func TestChannelClockFrozenWhileRunning(t *testing.T) {
 
 func TestParseParMode(t *testing.T) {
 	cases := []struct {
-		in    string
-		mode  ParMode
-		steal bool
-		err   bool
+		in   string
+		mode ParMode
+		err  bool
 	}{
-		{"channel", ParChannel, false, false},
-		{"channel-steal", ParChannel, true, false},
-		{"global", ParGlobal, false, false},
-		{"", 0, false, true},
-		{"speculative", 0, false, true},
+		{"channel", ParChannel, false},
+		{"global", ParGlobal, false},
+		{"", 0, true},
+		{"speculative", 0, true},
 	}
 	for _, c := range cases {
-		mode, steal, err := ParseParMode(c.in)
+		mode, err := ParseParMode(c.in)
 		if (err != nil) != c.err {
 			t.Errorf("ParseParMode(%q) err = %v, want err=%v", c.in, err, c.err)
 			continue
 		}
-		if err == nil && (mode != c.mode || steal != c.steal) {
-			t.Errorf("ParseParMode(%q) = (%v, %v), want (%v, %v)", c.in, mode, steal, c.mode, c.steal)
+		if err == nil && mode != c.mode {
+			t.Errorf("ParseParMode(%q) = %v, want %v", c.in, mode, c.mode)
 		}
 	}
 	if ParChannel.String() != "channel" || ParGlobal.String() != "global" {

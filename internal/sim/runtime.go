@@ -12,8 +12,8 @@ import (
 //   - Run-end snapshots (EnableRuntimeStats / RuntimeStats,
 //     Engine.Stats): counters and wall-time accounting answering "what
 //     did the parallel protocol actually do" — window grants,
-//     null-advance relaxations, steals, per-worker busy/blocked/idle
-//     time, calendar-queue churn.
+//     null-advance relaxations, per-worker busy/blocked/idle time,
+//     calendar-queue churn.
 //   - A live progress surface (Monitor): per-shard event counts and
 //     clocks published through atomics, so a sampler goroutine can
 //     stream progress without ever touching an engine.
@@ -39,8 +39,7 @@ type ShardStats struct {
 	// through an incoming channel — the centralized form of CMB null
 	// messages it received.
 	NullAdvances uint64 `json:"nullAdvances"`
-	// Steals counts windows of this shard executed by a foreign worker
-	// (work-stealing only).
+	// Steals is always zero; the field stays because benchmark/ reads it.
 	Steals uint64 `json:"steals"`
 	// OutboxSent counts cross-shard deliveries drained from this
 	// shard's outbox slabs.
@@ -68,9 +67,8 @@ type WorkerStats struct {
 
 // CoordinatorStats is the run-end runtime snapshot of a sharded run.
 type CoordinatorStats struct {
-	// Mode and Stealing echo the protocol configuration.
-	Mode     string `json:"mode"`
-	Stealing bool   `json:"stealing"`
+	// Mode echoes the protocol configuration.
+	Mode string `json:"mode"`
 	// RelaxRounds counts Bellman-Ford sweeps over the channel graph;
 	// GrantCalls counts grant-dispatch passes. Their ratio is the
 	// null-advance overhead of the protocol.
@@ -97,7 +95,6 @@ type shardCounters struct {
 	parked       uint64
 
 	events atomic.Uint64
-	steals atomic.Uint64
 	busy   atomic.Int64 // ns
 }
 
@@ -154,7 +151,6 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 	}
 	st := CoordinatorStats{
 		Mode:         c.mode.String(),
-		Stealing:     c.stealing,
 		RelaxRounds:  rt.relaxRounds,
 		GrantCalls:   rt.grantCalls,
 		Wall:         rt.wall,
@@ -169,7 +165,6 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 			OutboxSent:   sc.outboxSent,
 			Parked:       sc.parked,
 			Events:       sc.events.Load(),
-			Steals:       sc.steals.Load(),
 			Busy:         time.Duration(sc.busy.Load()),
 		})
 	}
@@ -185,17 +180,16 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 	return st, true
 }
 
-// runGrant executes one granted window on worker w, attributing wall
-// time, events and steals when instrumentation is enabled and
-// publishing the shard's progress when a monitor is attached. It is the
-// shared body of the dedicated and stealing worker loops.
-func (c *Coordinator) runGrant(w int, s *Shard, mark *time.Time) {
+// runGrant executes one granted window of shard s on its worker,
+// attributing wall time and events when instrumentation is enabled and
+// publishing the shard's progress when a monitor is attached.
+func (c *Coordinator) runGrant(s *Shard, mark *time.Time) {
 	rt := c.rt
 	if rt == nil {
 		s.nextAt, s.hasNext = s.eng.runBefore(s.grantEnd)
 	} else {
 		start := time.Now()
-		wc := &rt.workers[w]
+		wc := &rt.workers[s.id]
 		wc.idle.Add(int64(start.Sub(*mark)))
 		e0 := s.eng.processed
 		s.nextAt, s.hasNext = s.eng.runBefore(s.grantEnd)
@@ -206,9 +200,6 @@ func (c *Coordinator) runGrant(w int, s *Shard, mark *time.Time) {
 		sc := &rt.shards[s.id]
 		sc.events.Add(s.eng.processed - e0)
 		sc.busy.Add(d)
-		if w != s.id {
-			sc.steals.Add(1)
-		}
 		*mark = end
 	}
 	if s.mon != nil {

@@ -10,10 +10,9 @@ import (
 // deadline split into two RunUntil calls so accumulation across calls
 // is exercised.
 func runInstrumentedRing(n, tokens, hops int, linkDelay, localStep time.Duration,
-	mid, deadline time.Duration, mode ParMode, steal bool) ([][]relayRec, *Coordinator, *Monitor) {
+	mid, deadline time.Duration, mode ParMode) ([][]relayRec, *Coordinator, *Monitor) {
 	coord := NewCoordinator()
 	coord.SetMode(mode)
-	coord.SetWorkStealing(steal)
 	coord.EnableRuntimeStats()
 	mon := NewMonitor()
 	coord.SetMonitor(mon)
@@ -77,7 +76,7 @@ func TestRuntimeStatsConsistent(t *testing.T) {
 	for _, cfg := range parConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			logs, coord, mon := runInstrumentedRing(n, tokens, hops, linkDelay, localStep,
-				mid, deadline, cfg.mode, cfg.steal)
+				mid, deadline, cfg.mode)
 			for i := range serial {
 				if len(serial[i]) != len(logs[i]) {
 					t.Fatalf("node %d: instrumented run diverged (serial %d deliveries, got %d)",
@@ -89,9 +88,8 @@ func TestRuntimeStatsConsistent(t *testing.T) {
 			if !ok {
 				t.Fatal("RuntimeStats not available after EnableRuntimeStats")
 			}
-			if st.Mode != cfg.mode.String() || st.Stealing != cfg.steal {
-				t.Fatalf("stats identify run as mode=%s steal=%v, want %s/%v",
-					st.Mode, st.Stealing, cfg.mode, cfg.steal)
+			if st.Mode != cfg.mode.String() {
+				t.Fatalf("stats identify run as mode=%s, want %s", st.Mode, cfg.mode)
 			}
 			if len(st.PerShard) != n || len(st.PerWorker) != n {
 				t.Fatalf("got %d shard / %d worker stats, want %d/%d",
@@ -110,21 +108,13 @@ func TestRuntimeStatsConsistent(t *testing.T) {
 			if st.CoordBlocked < 0 || st.CoordBlocked > st.Wall {
 				t.Fatalf("coordinator blocked %v outside [0, wall=%v]", st.CoordBlocked, st.Wall)
 			}
-			var windows uint64
 			for i, w := range st.PerWorker {
 				if w.Busy < 0 || w.Blocked < 0 || w.Idle < 0 {
 					t.Fatalf("worker %d has negative time component: %+v", i, w)
 				}
-				windows += w.Windows
-			}
-			if windows != grants {
-				t.Fatalf("worker windows sum to %d, shard grants to %d", windows, grants)
-			}
-			if cfg.mode == ParChannel && !cfg.steal {
-				for i, s := range st.PerShard {
-					if s.Steals != 0 {
-						t.Fatalf("shard %d records %d steals without work-stealing", i, s.Steals)
-					}
+				// Every shard's windows run on its own dedicated worker.
+				if w.Windows != st.PerShard[i].Grants {
+					t.Fatalf("worker %d ran %d windows, its shard was granted %d", i, w.Windows, st.PerShard[i].Grants)
 				}
 			}
 
@@ -149,7 +139,6 @@ func TestRuntimeStatsMonotonic(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			coord := NewCoordinator()
 			coord.SetMode(cfg.mode)
-			coord.SetWorkStealing(cfg.steal)
 			coord.EnableRuntimeStats()
 			a := coord.NewShard()
 			b := coord.NewShard()

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // D2TCP support (Vamanan et al., SIGCOMM 2012 — the paper's reference
 // [16]). D2TCP is DCTCP with deadline-aware gamma correction: instead of
@@ -81,12 +78,3 @@ func (s *Sender) DeadlineMet() bool {
 // Urgency exposes the current D2TCP exponent (1 for plain DCTCP),
 // mostly for tests and tracing.
 func (s *Sender) Urgency() float64 { return s.urgency() }
-
-// DeadlineRemaining returns the time left before the deadline (zero
-// when no deadline is configured).
-func (s *Sender) DeadlineRemaining() time.Duration {
-	if s.cfg.Deadline <= 0 {
-		return 0
-	}
-	return s.cfg.Deadline - (s.eng.Now() - s.startedAt)
-}

@@ -64,11 +64,6 @@ func WithDelayedAcks(m int) ReceiverOption {
 	}
 }
 
-// WithAckDelay overrides the delayed-ACK flush timer.
-func WithAckDelay(d time.Duration) ReceiverOption {
-	return func(r *Receiver) { r.ackDelay = d }
-}
-
 // receiverPool recycles Receiver records across flows; see senderPool
 // for the reuse-safety argument.
 var receiverPool = sync.Pool{New: func() any { return new(Receiver) }}

@@ -175,9 +175,6 @@ func (s *Sender) Alpha() float64 { return s.alpha }
 // Cwnd returns the congestion window in segments.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
-// LastRTT returns the most recent RTT sample.
-func (s *Sender) LastRTT() time.Duration { return s.lastRTT }
-
 // MinRTT returns the smallest RTT sample seen.
 func (s *Sender) MinRTT() time.Duration { return s.minRTT }
 
