@@ -9,7 +9,8 @@ all: build vet test
 # Everything .github/workflows/ci.yml runs, in the same order. The
 # trace-codec fuzz pass is fail-soft: ten seconds of coverage-guided
 # decoding catches framing bugs early, but a fuzz-capable toolchain is
-# not required to pass CI.
+# not required to pass CI; the two text grammars users hand the CLI (the
+# replay trace CSV, flow's -groups list) get the same treatment.
 ci:
 	# First, and in seconds: benchmark/ is its own module compiled against
 	# internal/*, so a deletion that breaks its compile surface fails here
@@ -26,12 +27,19 @@ ci:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run TestJobsDeterminism -count=1 ./cmd/pmsbsim
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
+	-$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/workload/
+	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbsim/
 	# Runtime-introspection smoke: a sharded run with live progress and a
 	# self-profile dump, rendered back through pmsbstat -runtime.
 	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 -par channel \
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats
+	# Ad-hoc smoke: generate a trace, replay it traced, read the trace.
+	$(GO) run ./cmd/pmsbsim replay -gen 50 > ci_replay.csv
+	$(GO) run ./cmd/pmsbsim replay -trace ci_replay.csv -marker pmsb -tracefile ci_replay.trace.bin > /dev/null
+	$(GO) run ./cmd/pmsbstat ci_replay.trace.bin > /dev/null
+	@rm -f ci_replay.csv ci_replay.trace.bin
 	# k=32 smoke: the arena-backed 49k-port fabric builds with zero slab
 	# overflow, wires correctly, and a short sharded horizon stays
 	# byte-identical to the serial run.

@@ -11,6 +11,16 @@
 //	pmsbsim -experiment fig9 -format json -out fig9.json
 //	pmsbsim -experiment fig8 -tracefile fig8.bin -metrics fig8.metrics
 //
+// Two subcommands describe the run by flags of their own (-h lists
+// them) and share the output and observer flags above: flow runs flow
+// groups into one dumbbell bottleneck (per-queue throughput against the
+// weighted fair share, Jain index, marking, RTT), replay runs a CSV flow
+// trace on the 48-host leaf-spine (FCT statistics, per flow with -flows).
+//
+//	pmsbsim flow -groups 1x0,8x1 -sched wfq -marker pmsb -portk 16
+//	pmsbsim replay -gen 500 > trace.csv       # write a sample trace
+//	pmsbsim replay -trace trace.csv -marker tcn -flows flows.csv
+//
 // TSV output carries '#'-prefixed notes with the paper-shape
 // observations and ends with a '# summary' manifest block (per-
 // experiment wall time and event counts; suppress with -summary=false).
@@ -61,28 +71,37 @@ func main() {
 	}
 }
 
+// plan is what a mode asks run to simulate. No specs: writing to w was
+// all there was to do (-list, replay -gen).
+type plan struct {
+	specs []experiment.Spec
+	opt   experiment.Options
+	jobs  int
+}
+
+// A mode registers its own flags on fs and returns the function run
+// calls once they are parsed; w is where the tables go.
+type mode func(fs *flag.FlagSet) func(w io.Writer) (plan, error)
+
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("pmsbsim", flag.ContinueOnError)
+	name, mode := "pmsbsim", experimentMode
+	if len(args) > 0 && args[0] == "flow" {
+		name, mode, args = "pmsbsim flow", flowMode, args[1:]
+	} else if len(args) > 0 && args[0] == "replay" {
+		name, mode, args = "pmsbsim replay", replayMode, args[1:]
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	planFor := mode(fs)
 	var (
-		id        = fs.String("experiment", "", "experiment ID (or comma-separated IDs) to run (see -list)")
-		list      = fs.Bool("list", false, "list all experiments")
-		all       = fs.Bool("all", false, "run every experiment")
-		quick     = fs.Bool("quick", false, "shorter runs (reduced durations and flow counts)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		repeats   = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples")
 		series    = fs.Bool("series", false, "include plot-ready time series in the output")
 		format    = fs.String("format", "tsv", "output format: tsv or json")
 		out       = fs.String("out", "", "write output to this file instead of stdout")
-		jobs      = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
-		shards    = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value; experiments that ran narrower are named on stderr)")
-		par       = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel or global (byte-identical results; which one is faster depends on fabric size and shard count, DESIGN.md section 8)")
-		engine    = fs.String("engine", "packet", "simulation engine for the scenario and fct experiments: packet (ground truth) or flow (fluid fast path); experiments without a fluid form run packet and are named on stderr")
 		summary   = fs.Bool("summary", true, "append the run manifest as a trailing '# summary' block (tsv only)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
 		memprof   = fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
-		tracefile = fs.String("tracefile", "", "write the observability event trace to this file in the binary trace format (single experiment only; forces -jobs 1; with -shards N, per-shard spill files name.shardI.ext)")
+		tracefile = fs.String("tracefile", "", "write the observability event trace to this file in the binary trace format (single experiment only, one worker per shard; a sharded run writes per-shard spill files name.shardI.ext)")
 		tracebuf  = fs.Int("tracebuf", 1<<20, "trace ring capacity in events; full rings spill to -tracefile, so the trace is lossless at any value")
-		metrics   = fs.String("metrics", "", "write the metrics registry dump to this file (single experiment only; forces -jobs 1 and -shards 1)")
+		metrics   = fs.String("metrics", "", "write the metrics registry dump to this file (single experiment only, unsharded)")
 		rtstats   = fs.String("runtimestats", "", "write the simulator's runtime self-profile (coordinator/scheduler/pool counters, name<TAB>value dump; read with pmsbstat -runtime) to this file (single experiment only)")
 	)
 	var progress progressFlag
@@ -94,6 +113,9 @@ func run(args []string, stdout io.Writer) error {
 			return nil
 		}
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	if *format != "tsv" && *format != "json" {
 		return fmt.Errorf("unknown format %q (want tsv or json)", *format)
@@ -138,43 +160,11 @@ func run(args []string, stdout io.Writer) error {
 		w = f
 	}
 
-	var specs []experiment.Spec
-	switch {
-	case *list:
-		for _, s := range experiment.List() {
-			fmt.Fprintf(w, "%-16s %s\n", s.ID, s.Title)
-		}
-		return nil
-	case *all:
-		specs = experiment.List()
-	case *id != "":
-		for _, one := range strings.Split(*id, ",") {
-			s, err := experiment.Lookup(strings.TrimSpace(one))
-			if err != nil {
-				return err
-			}
-			specs = append(specs, s)
-		}
-	default:
-		fs.Usage()
-		return fmt.Errorf("one of -list, -all or -experiment is required")
-	}
-
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
-	}
-	parMode, err := sim.ParseParMode(*par)
-	if err != nil {
+	p, err := planFor(w)
+	if err != nil || len(p.specs) == 0 {
 		return err
 	}
-	if *engine != "packet" && *engine != "flow" {
-		return fmt.Errorf("unknown engine %q (want packet or flow)", *engine)
-	}
-	opt := experiment.Options{
-		Quick: *quick, Seed: *seed, Repeats: *repeats,
-		Shards: *shards, Par: parMode,
-		Engine: *engine,
-	}
+	specs, opt, jobs, shards := p.specs, p.opt, p.jobs, max(p.opt.Shards, 1)
 	// Runtime introspection (-progress, -runtimestats) observes a single
 	// simulation, so it carries the same one-experiment restriction as
 	// tracing. Neither changes a single simulated byte: the monitor is
@@ -185,10 +175,10 @@ func run(args []string, stdout io.Writer) error {
 		if len(specs) != 1 {
 			return fmt.Errorf("-progress/-runtimestats require exactly one experiment (got %d)", len(specs))
 		}
-		if *repeats > 1 {
-			return fmt.Errorf("-progress/-runtimestats require -repeats 1 (got %d)", *repeats)
+		if opt.Repeats > 1 {
+			return fmt.Errorf("-progress/-runtimestats require -repeats 1 (got %d)", opt.Repeats)
 		}
-		*jobs = *shards
+		jobs = shards
 		if progress.set {
 			mon := sim.NewMonitor()
 			opt.Monitor = mon
@@ -214,17 +204,16 @@ func run(args []string, stdout io.Writer) error {
 		if len(specs) != 1 {
 			return fmt.Errorf("-tracefile/-metrics require exactly one experiment (got %d)", len(specs))
 		}
-		if *repeats > 1 {
-			return fmt.Errorf("-tracefile/-metrics require -repeats 1 (got %d)", *repeats)
+		if opt.Repeats > 1 {
+			return fmt.Errorf("-tracefile/-metrics require -repeats 1 (got %d)", opt.Repeats)
 		}
-		if *metrics != "" && *shards > 1 {
+		if *metrics != "" && shards > 1 {
 			// Each shard bus has its own registry; a merged dump is not
 			// defined yet.
-			return fmt.Errorf("-metrics requires -shards 1 (got %d)", *shards)
+			return fmt.Errorf("-metrics requires -shards 1 (got %d)", shards)
 		}
-		*jobs = *shards // exactly the workers the one sharded run needs
-		var err error
-		trace, err = openTraceSession(*tracefile, *tracebuf, *shards, *metrics != "")
+		jobs = shards // exactly the workers the one sharded run needs
+		trace, err = openTraceSession(*tracefile, *tracebuf, shards, *metrics != "")
 		if err != nil {
 			return err
 		}
@@ -234,14 +223,14 @@ func run(args []string, stdout io.Writer) error {
 	// On failure results hold the completed prefix (everything before
 	// the earliest failing experiment), which is still printed — the
 	// same partial output a serial run would have produced.
-	results, manifest, runErr := experiment.RunMany(specs, opt, *jobs)
+	results, manifest, runErr := experiment.RunMany(specs, opt, jobs)
 	if stopSampler != nil {
 		// Emit the final progress line at completion, before the result
 		// payload is printed.
 		stopSampler()
 	}
 	if runErr == nil {
-		noteUnapplied(os.Stderr, *engine, *shards, manifest)
+		noteUnapplied(os.Stderr, opt.Engine, shards, manifest)
 	}
 	if tracing && runErr == nil {
 		if err := trace.finish(*metrics); err != nil {
@@ -273,6 +262,61 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return runErr
+}
+
+// experimentMode is the default mode: registered experiments by ID.
+func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
+	var (
+		id      = fs.String("experiment", "", "experiment ID (or comma-separated IDs) to run (see -list)")
+		list    = fs.Bool("list", false, "list all experiments")
+		all     = fs.Bool("all", false, "run every experiment")
+		quick   = fs.Bool("quick", false, "shorter runs (reduced durations and flow counts)")
+		seed    = fs.Int64("seed", 1, "random seed")
+		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples")
+		jobs    = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
+		shards  = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value; experiments that ran narrower are named on stderr)")
+		par     = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel or global (byte-identical results; which one is faster depends on fabric size and shard count, DESIGN.md section 8)")
+		engine  = fs.String("engine", "packet", "simulation engine for the scenario and fct experiments: packet (ground truth) or flow (fluid fast path); experiments without a fluid form run packet and are named on stderr")
+	)
+	return func(w io.Writer) (plan, error) {
+		var specs []experiment.Spec
+		switch {
+		case *list:
+			for _, s := range experiment.List() {
+				fmt.Fprintf(w, "%-16s %s\n", s.ID, s.Title)
+			}
+			return plan{}, nil
+		case *all:
+			specs = experiment.List()
+		case *id != "":
+			for _, one := range strings.Split(*id, ",") {
+				s, err := experiment.Lookup(strings.TrimSpace(one))
+				if err != nil {
+					return plan{}, err
+				}
+				specs = append(specs, s)
+			}
+		default:
+			fs.Usage()
+			return plan{}, fmt.Errorf("one of -list, -all or -experiment is required (or a subcommand: flow, replay)")
+		}
+
+		if *shards < 1 {
+			return plan{}, fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
+		}
+		parMode, err := sim.ParseParMode(*par)
+		if err != nil {
+			return plan{}, err
+		}
+		if *engine != "packet" && *engine != "flow" {
+			return plan{}, fmt.Errorf("unknown engine %q (want packet or flow)", *engine)
+		}
+		return plan{specs, experiment.Options{
+			Quick: *quick, Seed: *seed, Repeats: *repeats,
+			Shards: *shards, Par: parMode,
+			Engine: *engine,
+		}, *jobs}, nil
+	}
 }
 
 // noteUnapplied says, in one line per option, which experiments did not

@@ -41,7 +41,7 @@ func runAnalysisValidation(opt Options) (*Result, error) {
 	}
 	an := &core.Analysis{C: motiveRate, RTT: 42500 * time.Nanosecond, Weights: []float64{1}}
 	for _, n := range []int{2, 4, 8} {
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(1),
@@ -52,6 +52,9 @@ func runAnalysisValidation(opt Options) (*Result, error) {
 			groups: []flowGroup{{service: 0, count: n}},
 			dur:    dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		simMax := r.trace.MaxAfter(warmup)
 		simMin := r.trace.MinAfter(warmup)
 		simAmp := (simMax - simMin) / 2
@@ -83,7 +86,7 @@ func runAblationAverage(opt Options) (*Result, error) {
 	}
 	for _, w := range []float64{1.0, 0.25, 0.0625} {
 		w := w
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:  topo.EqualWeights(1),
@@ -97,11 +100,14 @@ func runAblationAverage(opt Options) (*Result, error) {
 			dur:    dur, warmup: warmup,
 			initWindow: 16,
 		})
+		if err != nil {
+			return nil, err
+		}
 		res.AddRow(
 			fmt.Sprintf("%.4g", w),
 			ftoa(r.trace.Max()),
 			ftoa(r.trace.MeanAfter(warmup)),
-			fmt.Sprintf("%.3f", markFraction(r.d.Bottleneck)),
+			fmt.Sprintf("%.3f", markFraction(r.bottleneck)),
 		)
 	}
 	res.AddNote("weight 1.0 is instantaneous marking; heavier averaging delays the congestion signal and inflates the burst peak — why datacenter ECN marks on instantaneous occupancy")

@@ -48,10 +48,10 @@ type Options struct {
 	// ExperimentReport.Engine says so.
 	Engine string
 
-	// Obs, when non-nil, attaches the observability bus to the
-	// experiment's bottleneck port, markers and transports. The bus is
-	// not synchronized: use it only with serial runs (RunMany jobs=1,
-	// Repeats=1).
+	// Obs, when non-nil, attaches the observability bus to every switch
+	// port of the experiment's fabric, its markers and its transports.
+	// The bus is not synchronized: use it only with serial runs (RunMany
+	// jobs=1, Repeats=1).
 	Obs *obs.Bus
 	// ObsShards, when non-nil, traces a sharded run: entry i is the bus
 	// for shard i, and experiments that honor Shards attach each
@@ -98,18 +98,6 @@ func (o Options) obsFor(shard int) *obs.Bus {
 // tracing reports whether any observability bus is attached.
 func (o Options) tracing() bool {
 	return o.Obs != nil || len(o.ObsShards) > 0
-}
-
-// observeEngine accounts for a finished serial packet engine that was
-// wired by hand (the bespoke pfc, pool and single-bottleneck set-ups;
-// fabrics go through runPacket): its events go to the run manifest and
-// its self-profile to the runtime collector when one is attached. Safe
-// to call from the fan-out goroutines of eachRepeat.
-func (o Options) observeEngine(eng *sim.Engine) {
-	o.acct.credit("packet", 1, eng.Processed())
-	if o.Runtime != nil {
-		o.Runtime.ObserveSerial(eng)
-	}
 }
 
 func (o Options) seed() int64 {

@@ -32,29 +32,13 @@ func extensionSpecs() []Spec {
 	return append(specs, pfcSpec())
 }
 
-// runPool validates the paper's prose claim: "We believe per service
-// pool will also violate weighted fair sharing, because queues belonging
-// to different ports may interfere with each other."
-//
-// Topology: one switch, two independent 10G output ports sharing one
-// buffer pool with a single pool threshold. Port A carries 1 flow (never
-// congested on its own), port B carries 8 flows. Under per-pool marking
-// the port-A flow gets marked because port B filled the pool; under
-// per-port marking it does not.
-func runPool(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
-	res := &Result{
-		ID:      "pool",
-		Title:   "Cross-port interference under shared-pool marking",
-		Headers: []string{"scheme", "portA_gbps", "portB_gbps", "portA_marks"},
-	}
-
-	type outcome struct {
-		a, b  float64
-		marks int64
-	}
-	run := func(perPool bool) outcome {
-		eng := sim.NewEngine()
+// poolWiring is the pool experiment's switch: two independent 10G
+// output ports A and B drawing on one shared buffer pool, marked per
+// pool or per port at 16 packets, plus nine sender hosts. The Fabric
+// lists Hosts as receiver A, receiver B, senders; the switch's ports 0
+// and 1 are A and B. Serial only.
+func poolWiring(perPool bool) wiring {
+	return wiring{serial: func(eng *sim.Engine) *topo.Fabric {
 		sw := netsim.NewSwitch(eng, 1000)
 		pool := &ecn.Pool{}
 		k := units.Packets(16)
@@ -70,24 +54,18 @@ func runPool(opt Options) (*Result, error) {
 			h.AttachNIC(netsim.NewLink(eng, motiveRate, motiveDelay, sw))
 			return h
 		}
-		recvA, recvB := mkHost(1), mkHost(2)
-		portA := netsim.NewPort(eng, netsim.NewLink(eng, motiveRate, motiveDelay, recvA),
-			netsim.PortConfig{Sched: sched.NewFIFO(), Marker: mkMarker(), Pool: pool})
-		portB := netsim.NewPort(eng, netsim.NewLink(eng, motiveRate, motiveDelay, recvB),
-			netsim.PortConfig{Sched: sched.NewFIFO(), Marker: mkMarker(), Pool: pool})
-		sw.AddPort(portA)
-		sw.AddPort(portB)
-
-		senders := make([]*netsim.Host, 0, 9)
-		ports := make(map[pkt.NodeID]int, 11)
-		ports[1], ports[2] = 0, 1
+		hosts := []*netsim.Host{mkHost(1), mkHost(2)}
+		for _, recv := range hosts {
+			sw.AddPort(netsim.NewPort(eng, netsim.NewLink(eng, motiveRate, motiveDelay, recv),
+				netsim.PortConfig{Sched: sched.NewFIFO(), Marker: mkMarker(), Pool: pool}))
+		}
+		ports := map[pkt.NodeID]int{1: 0, 2: 1}
 		for i := 0; i < 9; i++ {
 			h := mkHost(pkt.NodeID(10 + i))
-			idx := sw.AddPort(netsim.NewPort(eng,
+			ports[h.NodeID()] = sw.AddPort(netsim.NewPort(eng,
 				netsim.NewLink(eng, motiveRate, motiveDelay, h),
 				netsim.PortConfig{Sched: sched.NewFIFO()}))
-			ports[h.NodeID()] = idx
-			senders = append(senders, h)
+			hosts = append(hosts, h)
 		}
 		sw.SetRoute(func(p *pkt.Packet) int {
 			if idx, ok := ports[p.Dst]; ok {
@@ -95,38 +73,60 @@ func runPool(opt Options) (*Result, error) {
 			}
 			return -1
 		})
+		return &topo.Fabric{Eng: eng, Hosts: hosts, Switches: []*netsim.Switch{sw}}
+	}}
+}
 
-		seriesA := stats.NewTimeSeries(time.Millisecond)
-		seriesB := stats.NewTimeSeries(time.Millisecond)
-		portA.OnDequeue(func(p *pkt.Packet, _ int) { seriesA.Add(eng.Now(), float64(p.Size)) })
-		portB.OnDequeue(func(p *pkt.Packet, _ int) { seriesB.Add(eng.Now(), float64(p.Size)) })
-
-		var fid transport.FlowIDGen
-		// 1 flow to receiver A, 8 flows to receiver B.
-		fa := transport.NewFlow(eng, senders[0], recvA, fid.Next(), 0, 0, transport.Config{}, nil)
-		fa.Sender.Start()
-		for i := 1; i < 9; i++ {
-			f := transport.NewFlow(eng, senders[i], recvB, fid.Next(), 0, 0, transport.Config{}, nil)
-			f.Sender.Start()
-		}
-		eng.RunUntil(dur)
-		opt.observeEngine(eng)
-
-		from, to := int(warmup/time.Millisecond), int(dur/time.Millisecond)
-		return outcome{
-			a:     float64(seriesA.MeanRate(from, to)) / float64(units.Gbps),
-			b:     float64(seriesB.MeanRate(from, to)) / float64(units.Gbps),
-			marks: portA.MarkedPackets(),
-		}
+// runPool validates the paper's prose claim: "We believe per service
+// pool will also violate weighted fair sharing, because queues belonging
+// to different ports may interfere with each other."
+//
+// Port A carries 1 flow (never congested on its own), port B carries 8
+// flows. Under per-pool marking the port-A flow gets marked because
+// port B filled the pool; under per-port marking it does not.
+func runPool(opt Options) (*Result, error) {
+	dur, warmup := staticDur(opt)
+	res := &Result{
+		ID:      "pool",
+		Title:   "Cross-port interference under shared-pool marking",
+		Headers: []string{"scheme", "portA_gbps", "portB_gbps", "portA_marks"},
 	}
 
-	perPort := run(false)
-	perPool := run(true)
-	res.AddRow("per-port", fmt.Sprintf("%.2f", perPort.a), fmt.Sprintf("%.2f", perPort.b), fmt.Sprintf("%d", perPort.marks))
-	res.AddRow("per-pool", fmt.Sprintf("%.2f", perPool.a), fmt.Sprintf("%.2f", perPool.b), fmt.Sprintf("%d", perPool.marks))
+	var portA [2]float64 // port A throughput, Gbps
+	var marks [2]int64   // port A marked packets
+	for i, scheme := range []string{"per-port", "per-pool"} {
+		seriesA := stats.NewTimeSeries(time.Millisecond)
+		seriesB := stats.NewTimeSeries(time.Millisecond)
+		fab, err := opt.runPacket(poolWiring(i == 1), 1, func(fab *topo.Fabric) time.Duration {
+			eng, sw := fab.Eng, fab.Switches[0]
+			sw.Port(0).OnDequeue(func(p *pkt.Packet, _ int) { seriesA.Add(eng.Now(), float64(p.Size)) })
+			sw.Port(1).OnDequeue(func(p *pkt.Packet, _ int) { seriesB.Add(eng.Now(), float64(p.Size)) })
+
+			var fid transport.FlowIDGen
+			// 1 flow to receiver A, 8 flows to receiver B.
+			for j, src := range fab.Hosts[2:] {
+				recv := fab.Host(1)
+				if j == 0 {
+					recv = fab.Host(0)
+				}
+				f := transport.NewFlow(eng, src, recv, fid.Next(), 0, 0,
+					transport.Config{Obs: opt.busFor(fab, src)}, nil)
+				f.Sender.Start()
+			}
+			return dur
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", scheme, err)
+		}
+		from, to := int(warmup/time.Millisecond), int(dur/time.Millisecond)
+		portA[i] = float64(seriesA.MeanRate(from, to)) / float64(units.Gbps)
+		marks[i] = fab.Switches[0].Port(0).MarkedPackets()
+		res.AddRow(scheme, fmt.Sprintf("%.2f", portA[i]),
+			fmt.Sprintf("%.2f", float64(seriesB.MeanRate(from, to))/float64(units.Gbps)), fmt.Sprintf("%d", marks[i]))
+	}
 	res.AddNote("per-pool marks %d packets on the un-congested port A (per-port: %d): cross-port interference",
-		perPool.marks, perPort.marks)
-	res.AddNote("port A throughput %.2f -> %.2f Gbps when pool marking is enabled", perPort.a, perPool.a)
+		marks[1], marks[0])
+	res.AddNote("port A throughput %.2f -> %.2f Gbps when pool marking is enabled", portA[0], portA[1])
 	return res, nil
 }
 
@@ -141,8 +141,9 @@ func runAblationPortK(opt Options) (*Result, error) {
 		Title:   "Per-port marking: threshold vs fairness vs latency (1:8 flows)",
 		Headers: []string{"portK_pkts", "q1_share", "avg_rtt_us", "mark_fraction"},
 	}
-	import1 := func(k int) (share, rtt, markFrac float64) {
-		r := runStatic(staticConfig{
+	var firstShare, lastShare float64
+	for i, k := range []int{8, 16, 32, 65, 128} {
+		r, err := runStatic(staticConfig{
 			opt:        opt,
 			profile:    defaultTwoQueueProfile(func() ecn.Marker { return &ecn.PerPort{K: units.Packets(k)} }),
 			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
@@ -152,18 +153,16 @@ func runAblationPortK(opt Options) (*Result, error) {
 			},
 			dur: dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		q1, q2 := r.queueRate(0), r.queueRate(1)
-		return float64(q1) / float64(q1+q2), r.allRTT().Mean(), markFraction(r.d.Bottleneck)
-	}
-	var firstShare, lastShare float64
-	ks := []int{8, 16, 32, 65, 128}
-	for i, k := range ks {
-		share, rtt, mf := import1(k)
+		share := float64(q1) / float64(q1+q2)
 		if i == 0 {
 			firstShare = share
 		}
 		lastShare = share
-		res.AddRow(itoa(k), fmt.Sprintf("%.3f", share), usec(rtt), fmt.Sprintf("%.3f", mf))
+		res.AddRow(itoa(k), fmt.Sprintf("%.3f", share), usec(r.allRTT().Mean()), fmt.Sprintf("%.3f", markFraction(r.bottleneck)))
 	}
 	res.AddNote("queue-1 share improves from %.2f (K=8) to %.2f (K=128) while RTT grows: the paper's Figure 6/7 trade-off", firstShare, lastShare)
 	return res, nil
@@ -182,7 +181,7 @@ func runAblationFilter(opt Options) (*Result, error) {
 	}
 	for _, scale := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
 		scale := scale
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: defaultTwoQueueProfile(func() ecn.Marker {
 				return &core.PMSB{PortK: units.Packets(16), ThresholdScale: scale}
@@ -194,13 +193,16 @@ func runAblationFilter(opt Options) (*Result, error) {
 			},
 			dur: dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		q1, q2 := r.queueRate(0), r.queueRate(1)
 		share := float64(q1) / float64(q1+q2)
 		res.AddRow(
 			fmt.Sprintf("%.2f", scale),
 			fmt.Sprintf("%.3f", share),
 			usec(r.groupRTT(1).Percentile(99)),
-			fmt.Sprintf("%.3f", markFraction(r.d.Bottleneck)),
+			fmt.Sprintf("%.3f", markFraction(r.bottleneck)),
 		)
 	}
 	res.AddNote("the paper's observation: an aggressive filter (small scale) trades a small false-positive probability for eliminating false negatives")

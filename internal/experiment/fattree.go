@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"pmsb/internal/core"
-	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
+	"pmsb/internal/workload"
 )
 
 // Fat-tree experiments: the k=8 (128-host) fabric the sharded
@@ -56,38 +56,39 @@ func fattreeConfig(k int) topo.FatTreeConfig {
 	}
 }
 
-// fattreeFlow is one flow of the fixed workload.
-type fattreeFlow struct {
-	src, dst int
-	size     int64
+// fattreeSpec is flow i of a fixed fat-tree workload: services round
+// robin, starts 4us apart.
+func fattreeSpec(i, src, dst int, size int64) workload.FlowSpec {
+	return workload.FlowSpec{Start: time.Duration(i) * 4 * time.Microsecond,
+		Src: src, Dst: dst, Size: size, Service: i % fattreeServices}
 }
 
 // fattreeCrossPod is the permutation-ish cross-pod workload (the
 // differential tests' shape): deterministic src/dst striding that
 // touches every pod. n flows over the k-ary tree's k^3/4 hosts.
-func fattreeCrossPod(k, n int) []fattreeFlow {
+func fattreeCrossPod(k, n int) []workload.FlowSpec {
 	hostsPP := (k / 2) * (k / 2)
 	nHosts := k * k * k / 4
-	flows := make([]fattreeFlow, 0, n)
+	flows := make([]workload.FlowSpec, 0, n)
 	for i := 0; i < n; i++ {
 		src := (i * 7) % nHosts
 		dst := (src + hostsPP + i*11) % nHosts
 		if dst/hostsPP == src/hostsPP {
 			dst = (dst + hostsPP) % nHosts
 		}
-		flows = append(flows, fattreeFlow{src: src, dst: dst, size: 50_000})
+		flows = append(flows, fattreeSpec(i, src, dst, 50_000))
 	}
 	return flows
 }
 
 // fattreeIncast is the skewed workload: perPod senders in each of pods
 // 1..k-1 converge on host 0 in pod 0.
-func fattreeIncast(k, perPod int) []fattreeFlow {
+func fattreeIncast(k, perPod int) []workload.FlowSpec {
 	hostsPP := (k / 2) * (k / 2)
-	var flows []fattreeFlow
+	var flows []workload.FlowSpec
 	for p := 1; p < k; p++ {
 		for j := 0; j < perPod; j++ {
-			flows = append(flows, fattreeFlow{src: p*hostsPP + j*3, dst: 0, size: 30_000})
+			flows = append(flows, fattreeSpec(len(flows), p*hostsPP+j*3, 0, 30_000))
 		}
 	}
 	return flows
@@ -96,27 +97,22 @@ func fattreeIncast(k, perPod int) []fattreeFlow {
 // runFatTree builds the k-ary fabric (serial or pod-sharded per opt),
 // starts the fixed workload, and reports completions and FCT
 // percentiles.
-func runFatTree(id, title string, k int, flows []fattreeFlow, opt Options) (*Result, error) {
+func runFatTree(id, title string, k int, flows []workload.FlowSpec, opt Options) (*Result, error) {
 	shards := min(opt.shards(), k)
-	var fcts stats.Summary
-	completed := 0
+	// One slot per flow: sharded, completions run on every pod's worker
+	// at once, so they share nothing; the summary is built in flow order
+	// once the run is over. Zero means unfinished at the deadline.
+	done := make([]time.Duration, len(flows))
 	fab, err := opt.runPacket(fatTreeWiring(fattreeConfig(k)), shards, func(fab *topo.Fabric) time.Duration {
-		var fid transport.FlowIDGen
-		for i, fl := range flows {
-			cfg := transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(fl.src))}
-			f := transport.NewFlow(fab.Eng, fab.Host(fl.src), fab.Host(fl.dst), fid.Next(),
-				i%fattreeServices, fl.size, cfg, func(s *transport.Sender) {
-					fcts.Add(s.FCT().Seconds())
-					completed++
-				})
-			f.Sender.StartAt(time.Duration(i) * 4 * time.Microsecond)
-		}
+		opt.startFlows(fab, flows, fattreeServices, nil, func(i int, s *transport.Sender) { done[i] = s.FCT() })
 		return fattreeDeadline
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
 
+	fcts := fctSummary(done, nil)
+	completed := fcts.Count()
 	res := &Result{
 		ID:      id,
 		Title:   title,

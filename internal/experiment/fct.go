@@ -181,16 +181,7 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 	// higher -shards values clamp here; RunMany may then hold more
 	// tokens than the run uses, which errs on the undersubscribed side.
 	_, err := opt.runPacket(leafSpineWiring(lsCfg), min(opt.shards(), 2), func(fab *topo.Fabric) time.Duration {
-		var fid transport.FlowIDGen
-		for _, spec := range specs {
-			cfg := transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(spec.Src))}
-			if sc.filter != nil {
-				cfg.Filter = sc.filter()
-			}
-			f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
-				spec.Service, spec.Size, cfg, func(s *transport.Sender) { m.add(s.Size(), s.FCT()) })
-			f.Sender.StartAt(spec.Start)
-		}
+		opt.startFlows(fab, specs, fctServiceCnt, sc.filter, func(_ int, s *transport.Sender) { m.add(s.Size(), s.FCT()) })
 		return deadline
 	})
 	return m, err

@@ -8,7 +8,6 @@ import (
 	"pmsb/internal/ecn"
 	"pmsb/internal/netsim"
 	"pmsb/internal/pkt"
-	"pmsb/internal/sim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
@@ -43,114 +42,90 @@ type staticConfig struct {
 	groups []flowGroup
 	// dur is the simulated duration; warmup is excluded from averages.
 	dur, warmup time.Duration
-	// binWidth for per-queue throughput series (default 1ms).
-	binWidth time.Duration
 	// initWindow overrides the DCTCP initial window (0 = default).
 	initWindow int
-	// schedWith/markerWith, when set, build the bottleneck scheduler
-	// and marker factories from the engine (needed by DWRR's clock and
-	// any time-aware marker); they override profile.NewSched/NewMarker.
-	schedWith  func(eng *sim.Engine) topo.SchedFactory
-	markerWith func(eng *sim.Engine) topo.MarkerFactory
-	// opt carries the experiment options so the run is accounted in
-	// the RunMany manifest; the zero value disables accounting.
+	// opt carries the experiment options to runPacket.
 	opt Options
 }
 
-// staticRun is the instantiated experiment with its measurements.
+// staticBin is the bin width of the per-queue throughput series.
+const staticBin = time.Millisecond
+
+// staticRun is the finished experiment with its measurements.
 type staticRun struct {
-	d       *topo.Dumbbell
-	cfg     staticConfig
-	series  []*stats.TimeSeries // per-queue dequeued wire bytes
-	trace   stats.Trace         // port occupancy in packets over time
-	groups  [][]*transport.Flow // flows per group
-	nQueues int
+	bottleneck *netsim.Port // the switch->receiver port under test
+	cfg        staticConfig
+	series     []*stats.TimeSeries // per-queue dequeued wire bytes
+	trace      stats.Trace         // port occupancy in packets over time
+	groups     [][]*transport.Flow // flows per group
 }
 
-// runStatic builds the dumbbell, launches the flow groups, runs the
-// clock to cfg.dur and returns the measurements.
-func runStatic(cfg staticConfig) *staticRun {
-	if cfg.binWidth == 0 {
-		cfg.binWidth = time.Millisecond
-	}
-	eng := sim.NewEngine()
-	if cfg.schedWith != nil {
-		cfg.profile.NewSched = cfg.schedWith(eng)
-	}
-	if cfg.markerWith != nil {
-		cfg.profile.NewMarker = cfg.markerWith(eng)
-	}
+// runStatic runs the flow groups over a dumbbell through runPacket — one
+// sender host per flow, taps on the bottleneck port — to cfg.dur and
+// returns the measurements.
+func runStatic(cfg staticConfig) (*staticRun, error) {
 	senders := 0
 	for _, g := range cfg.groups {
 		senders += g.count
 	}
-	d := topo.NewDumbbell(eng, topo.DumbbellConfig{
+	r := &staticRun{cfg: cfg, series: make([]*stats.TimeSeries, len(cfg.profile.Weights))}
+	for q := range r.series {
+		r.series[q] = stats.NewTimeSeries(staticBin)
+	}
+	_, err := cfg.opt.runPacket(dumbbellWiring(topo.DumbbellConfig{
 		Senders:        senders,
 		AccessRate:     cfg.accessRate,
 		BottleneckRate: cfg.bottleneckRate,
 		Delay:          cfg.delay,
 		Bottleneck:     cfg.profile,
-	})
-	// Attach the bottleneck port (index 0 of the switch) to the
-	// observability bus; the access and return ports stay unobserved so
-	// traces capture exactly the contended queue the figures plot.
-	d.Bottleneck.Observe(cfg.opt.Obs, d.Switch.NodeID(), 0)
+	}), 1, func(fab *topo.Fabric) time.Duration {
+		eng, port := fab.Eng, fab.Switches[0].Port(0)
+		r.bottleneck = port
+		port.OnDequeue(func(p *pkt.Packet, q int) {
+			r.series[q].Add(eng.Now(), float64(p.Size))
+			r.trace.Record(eng.Now(), float64(port.PortPackets()))
+		})
+		port.OnEnqueue(func(p *pkt.Packet, q int) {
+			r.trace.Record(eng.Now(), float64(port.PortPackets()))
+		})
 
-	r := &staticRun{d: d, cfg: cfg, nQueues: len(cfg.profile.Weights)}
-	r.series = make([]*stats.TimeSeries, r.nQueues)
-	for q := range r.series {
-		r.series[q] = stats.NewTimeSeries(cfg.binWidth)
-	}
-	d.Bottleneck.OnDequeue(func(p *pkt.Packet, q int) {
-		r.series[q].Add(eng.Now(), float64(p.Size))
-		r.trace.Record(eng.Now(), float64(d.Bottleneck.PortPackets()))
-	})
-	d.Bottleneck.OnEnqueue(func(p *pkt.Packet, q int) {
-		r.trace.Record(eng.Now(), float64(d.Bottleneck.PortPackets()))
-	})
-
-	var fid transport.FlowIDGen
-	host := 0
-	for _, g := range cfg.groups {
-		g := g
-		flows := make([]*transport.Flow, 0, g.count)
-		for i := 0; i < g.count; i++ {
-			tc := transport.Config{RateLimit: g.rateLimit, InitWindow: cfg.initWindow,
-				Obs: cfg.opt.Obs}
-			if g.filter != nil {
-				tc.Filter = g.filter()
+		var fid transport.FlowIDGen
+		host := 1 // fab.Host(0) is the receiver
+		for _, g := range cfg.groups {
+			flows := make([]*transport.Flow, 0, g.count)
+			for i := 0; i < g.count; i++ {
+				src := fab.Host(host)
+				tc := transport.Config{RateLimit: g.rateLimit, InitWindow: cfg.initWindow,
+					Obs: cfg.opt.busFor(fab, src)}
+				if g.filter != nil {
+					tc.Filter = g.filter()
+				}
+				f := transport.NewFlow(eng, src, fab.Host(0), fid.Next(), g.service, 0, tc, nil)
+				if g.recordRTT {
+					f.Sender.RecordRTT()
+				}
+				eng.ScheduleAt(g.start, f.Sender.Start)
+				flows = append(flows, f)
+				host++
 			}
-			f := transport.NewFlow(eng, d.Senders[host], d.Recv, fid.Next(), g.service, 0, tc, nil)
-			if g.recordRTT {
-				f.Sender.RecordRTT()
-			}
-			eng.ScheduleAt(g.start, f.Sender.Start)
-			flows = append(flows, f)
-			host++
+			r.groups = append(r.groups, flows)
 		}
-		r.groups = append(r.groups, flows)
-	}
-	eng.RunUntil(cfg.dur)
-	cfg.opt.observeEngine(eng)
-	return r
+		return cfg.dur
+	})
+	return r, err
 }
 
 // queueRate returns queue q's mean dequeue rate between warmup and dur.
 func (r *staticRun) queueRate(q int) units.Rate {
-	from := int(r.cfg.warmup / r.cfg.binWidth)
-	to := int(r.cfg.dur / r.cfg.binWidth)
+	from := int(r.cfg.warmup / staticBin)
+	to := int(r.cfg.dur / staticBin)
 	return r.series[q].MeanRate(from, to)
-}
-
-// queueRateAt returns queue q's rate in the bin containing t.
-func (r *staticRun) queueRateAt(q int, t time.Duration) units.Rate {
-	return r.series[q].Rate(int(t / r.cfg.binWidth))
 }
 
 // totalRate returns the aggregate bottleneck rate after warmup.
 func (r *staticRun) totalRate() units.Rate {
 	var sum units.Rate
-	for q := 0; q < r.nQueues; q++ {
+	for q := range r.series {
 		sum += r.queueRate(q)
 	}
 	return sum

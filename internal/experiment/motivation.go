@@ -56,7 +56,7 @@ func runFig1(opt Options) (*Result, error) {
 		for i := 0; i < 8%nq; i++ {
 			groups[i].count++
 		}
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(nq),
@@ -67,6 +67,9 @@ func runFig1(opt Options) (*Result, error) {
 			groups: groups,
 			dur:    dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		s := r.allRTT()
 		res.AddRow(itoa(nq), usec(s.Mean()), usec(s.Percentile(99)))
 		if nq == 1 {
@@ -103,7 +106,7 @@ func runFig2(opt Options) (*Result, error) {
 	rates := make(map[int]units.Rate)
 	for _, k := range []int{2, 16} {
 		k := k
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(8),
@@ -114,6 +117,9 @@ func runFig2(opt Options) (*Result, error) {
 			groups: []flowGroup{{service: 0, count: 2}},
 			dur:    dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		rates[k] = r.totalRate()
 		res.AddRow(itoa(k), gbps(rates[k]))
 	}
@@ -126,7 +132,7 @@ func runFig2(opt Options) (*Result, error) {
 // given port threshold and flow split, reporting per-queue throughput.
 func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result, error) {
 	dur, warmup := staticDur(opt)
-	r := runStatic(staticConfig{
+	r, err := runStatic(staticConfig{
 		opt: opt,
 		profile: topo.PortProfile{
 			Weights:   topo.EqualWeights(2),
@@ -140,6 +146,9 @@ func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result
 		},
 		dur: dur, warmup: warmup,
 	})
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:      id,
 		Title:   title,
@@ -150,7 +159,7 @@ func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result
 	res.AddRow("2", itoa(q2Flows), gbps(q2))
 	share := float64(q1) / float64(q1+q2)
 	res.AddNote("queue 1 share = %.2f (weighted fair sharing wants 0.50)", share)
-	res.AddNote("port mark fraction = %.3f", markFraction(r.d.Bottleneck))
+	res.AddNote("port mark fraction = %.3f", markFraction(r.bottleneck))
 	return res, nil
 }
 
@@ -180,7 +189,7 @@ func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn
 	peaks := make(map[string]float64)
 	for _, name := range order {
 		mk := markers[name]
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(1),
@@ -192,6 +201,9 @@ func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn
 			dur:    dur, warmup: warmup,
 			initWindow: 16,
 		})
+		if err != nil {
+			return nil, err
+		}
 		peak := r.trace.Max()
 		peaks[name] = peak
 		res.AddRow(name, ftoa(peak), ftoa(r.trace.MeanAfter(warmup)))

@@ -9,6 +9,7 @@ import (
 	"pmsb/internal/pkt"
 	"pmsb/internal/sched"
 	"pmsb/internal/sim"
+	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
 )
@@ -28,6 +29,66 @@ func pfcSpec() Spec {
 	}
 }
 
+// pfcWiring is the two-switch fabric of the pfc experiment: five sender
+// hosts on s1, a shared 10G trunk s1->s2, and two sinks on s2 — hot
+// behind a 1G egress (marking at 12 packets when ecnMarking is set) and fast
+// behind a 10G one. The Fabric lists Hosts as hot sink, fast sink,
+// senders; Switches as s1 (port 0 = trunk), s2 (port 0 = slow egress,
+// port 1 = fast egress). Serial only.
+func pfcWiring(ecnMarking bool) wiring {
+	return wiring{serial: func(eng *sim.Engine) *topo.Fabric {
+		hotSink := netsim.NewHost(eng, 8)
+		fastSink := netsim.NewHost(eng, 9)
+
+		s2 := netsim.NewSwitch(eng, 2)
+		var marker ecn.Marker
+		if ecnMarking {
+			marker = &ecn.PerPort{K: units.Packets(12)}
+		}
+		fifo := func(rate units.Rate, to netsim.Node, cfg netsim.PortConfig) *netsim.Port {
+			cfg.Sched = sched.NewFIFO()
+			return netsim.NewPort(eng, netsim.NewLink(eng, rate, motiveDelay, to), cfg)
+		}
+		s2.AddPort(fifo(1*units.Gbps, hotSink, netsim.PortConfig{BufferBytes: units.Packets(100), Marker: marker}))
+		s2.AddPort(fifo(10*units.Gbps, fastSink, netsim.PortConfig{}))
+
+		s1 := netsim.NewSwitch(eng, 1)
+		s1.AddPort(fifo(10*units.Gbps, s2, netsim.PortConfig{}))
+
+		// Reverse paths for CNPs: each sender host hangs off s1.
+		hosts := []*netsim.Host{hotSink, fastSink}
+		s1Ports := map[pkt.NodeID]int{}
+		for i := 0; i < 5; i++ {
+			h := netsim.NewHost(eng, pkt.NodeID(10+i))
+			h.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, motiveDelay, s1))
+			s1Ports[h.NodeID()] = s1.AddPort(fifo(10*units.Gbps, h, netsim.PortConfig{}))
+			hosts = append(hosts, h)
+		}
+		s1.SetRoute(func(p *pkt.Packet) int {
+			if idx, ok := s1Ports[p.Dst]; ok {
+				return idx
+			}
+			return 0 // trunk toward s2
+		})
+		// The sinks' NICs point back at s2 so their CNPs return to the
+		// senders through the reverse trunk.
+		hotSink.AttachNIC(netsim.NewLink(eng, 1*units.Gbps, motiveDelay, s2))
+		fastSink.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, motiveDelay, s2))
+		backIdx := s2.AddPort(fifo(10*units.Gbps, s1, netsim.PortConfig{}))
+		s2.SetRoute(func(p *pkt.Packet) int {
+			switch p.Dst {
+			case 8:
+				return 0
+			case 9:
+				return 1
+			default:
+				return backIdx
+			}
+		})
+		return &topo.Fabric{Eng: eng, Hosts: hosts, Switches: []*netsim.Switch{s1, s2}}
+	}}
+}
+
 func runPFC(opt Options) (*Result, error) {
 	// DCQCN needs a few milliseconds to converge out of its alpha=1
 	// initialization; the run is cheap, so Quick keeps the full
@@ -41,112 +102,45 @@ func runPFC(opt Options) (*Result, error) {
 		},
 	}
 
-	type outcome struct {
-		pauses int64
-		victim float64
-		hot    float64
-		drops  int64
-	}
-	run := func(withDCQCN bool) outcome {
-		eng := sim.NewEngine()
-		hotSink := netsim.NewHost(eng, 8)
-		fastSink := netsim.NewHost(eng, 9)
+	var victims [2]float64
+	for i, scheme := range []string{"pfc-only", "pfc+dcqcn(ecn)"} {
+		withDCQCN := i == 1
+		var (
+			fc       *netsim.PFC
+			victimRx *transport.DCQCNReceiver
+		)
+		fab, err := opt.runPacket(pfcWiring(withDCQCN), 1, func(fab *topo.Fabric) time.Duration {
+			eng, hotSink, fastSink, senders := fab.Eng, fab.Host(0), fab.Host(1), fab.Hosts[2:]
+			fc = netsim.NewPFC(eng, units.Packets(40), units.Packets(20))
+			fc.Guard(fab.Switches[1])
+			fc.Upstream(fab.Switches[0].Port(0))
 
-		s2 := netsim.NewSwitch(eng, 2)
-		var marker ecn.Marker
-		if withDCQCN {
-			marker = &ecn.PerPort{K: units.Packets(12)}
-		}
-		slowEgress := netsim.NewPort(eng, netsim.NewLink(eng, 1*units.Gbps, motiveDelay, hotSink),
-			netsim.PortConfig{Sched: sched.NewFIFO(), BufferBytes: units.Packets(100), Marker: marker})
-		fastEgress := netsim.NewPort(eng, netsim.NewLink(eng, 10*units.Gbps, motiveDelay, fastSink),
-			netsim.PortConfig{Sched: sched.NewFIFO()})
-		s2.AddPort(slowEgress)
-		s2.AddPort(fastEgress)
-
-		s1 := netsim.NewSwitch(eng, 1)
-		trunk := netsim.NewPort(eng, netsim.NewLink(eng, 10*units.Gbps, motiveDelay, s2),
-			netsim.PortConfig{Sched: sched.NewFIFO()})
-		s1.AddPort(trunk)
-
-		// Reverse paths for CNPs: each sender host hangs off s1.
-		senders := make([]*netsim.Host, 5)
-		s1Ports := map[pkt.NodeID]int{}
-		for i := range senders {
-			h := netsim.NewHost(eng, pkt.NodeID(10+i))
-			h.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, motiveDelay, s1))
-			idx := s1.AddPort(netsim.NewPort(eng,
-				netsim.NewLink(eng, 10*units.Gbps, motiveDelay, h),
-				netsim.PortConfig{Sched: sched.NewFIFO()}))
-			s1Ports[h.NodeID()] = idx
-			senders[i] = h
-		}
-		s1.SetRoute(func(p *pkt.Packet) int {
-			if idx, ok := s1Ports[p.Dst]; ok {
-				return idx
+			cfg := transport.DCQCNConfig{StartRate: 10 * units.Gbps}
+			if !withDCQCN {
+				// Rate control disabled: the floor equals the start rate, so
+				// CNP cuts have no effect (and no marking happens anyway).
+				cfg.MinRate = 10 * units.Gbps
 			}
-			return 0 // trunk toward s2
-		})
-		// The sinks' NICs point back at s2 so their CNPs return to the
-		// senders through the reverse trunk.
-		hotSink.AttachNIC(netsim.NewLink(eng, 1*units.Gbps, motiveDelay, s2))
-		fastSink.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, motiveDelay, s2))
-		backToS1 := netsim.NewPort(eng, netsim.NewLink(eng, 10*units.Gbps, motiveDelay, s1),
-			netsim.PortConfig{Sched: sched.NewFIFO()})
-		backIdx := s2.AddPort(backToS1)
-		s2.SetRoute(func(p *pkt.Packet) int {
-			switch p.Dst {
-			case 8:
-				return 0
-			case 9:
-				return 1
-			default:
-				return backIdx
+			for j := 0; j < 4; j++ {
+				s := transport.NewDCQCNSender(eng, senders[j], pkt.FlowID(j+1), hotSink.NodeID(), 0, cfg)
+				transport.NewDCQCNReceiver(eng, hotSink, pkt.FlowID(j+1), senders[j].NodeID(), 0, 0)
+				s.Start()
 			}
+			victim := transport.NewDCQCNSender(eng, senders[4], 100, fastSink.NodeID(), 0, cfg)
+			victimRx = transport.NewDCQCNReceiver(eng, fastSink, 100, senders[4].NodeID(), 0, 0)
+			victim.Start()
+			return dur
 		})
-
-		fc := netsim.NewPFC(eng, units.Packets(40), units.Packets(20))
-		fc.Guard(s2)
-		fc.Upstream(trunk)
-
-		cfg := transport.DCQCNConfig{StartRate: 10 * units.Gbps}
-		if !withDCQCN {
-			// Rate control disabled: the floor equals the start rate, so
-			// CNP cuts have no effect (and no marking happens anyway).
-			cfg.MinRate = 10 * units.Gbps
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", scheme, err)
 		}
-		var ds []*transport.DCQCNSender
-		var victimRx *transport.DCQCNReceiver
-		for i := 0; i < 4; i++ {
-			s := transport.NewDCQCNSender(eng, senders[i], pkt.FlowID(i+1), 8, 0, cfg)
-			transport.NewDCQCNReceiver(eng, hotSink, pkt.FlowID(i+1), senders[i].NodeID(), 0, 0)
-			s.Start()
-			ds = append(ds, s)
-		}
-		victim := transport.NewDCQCNSender(eng, senders[4], 100, 9, 0, cfg)
-		victimRx = transport.NewDCQCNReceiver(eng, fastSink, 100, senders[4].NodeID(), 0, 0)
-		victim.Start()
-		ds = append(ds, victim)
-
-		eng.RunUntil(dur)
-		opt.observeEngine(eng)
-		for _, s := range ds {
-			s.Stop()
-		}
-		return outcome{
-			pauses: fc.Pauses(),
-			victim: float64(units.RateOf(victimRx.RxBytes(), dur)) / float64(units.Gbps),
-			hot:    float64(units.RateOf(hotSink.RxBytes(), dur)) / float64(units.Gbps),
-			drops:  slowEgress.DropPackets() + fastEgress.DropPackets() + trunk.DropPackets(),
-		}
+		s1, s2 := fab.Switches[0], fab.Switches[1]
+		victims[i] = float64(units.RateOf(victimRx.RxBytes(), dur)) / float64(units.Gbps)
+		res.AddRow(scheme, fmt.Sprintf("%d", fc.Pauses()),
+			fmt.Sprintf("%.2f", victims[i]),
+			fmt.Sprintf("%.2f", float64(units.RateOf(fab.Host(0).RxBytes(), dur))/float64(units.Gbps)),
+			fmt.Sprintf("%d", s2.Port(0).DropPackets()+s2.Port(1).DropPackets()+s1.Port(0).DropPackets()))
 	}
-
-	raw := run(false)
-	dcqcn := run(true)
-	res.AddRow("pfc-only", fmt.Sprintf("%d", raw.pauses),
-		fmt.Sprintf("%.2f", raw.victim), fmt.Sprintf("%.2f", raw.hot), fmt.Sprintf("%d", raw.drops))
-	res.AddRow("pfc+dcqcn(ecn)", fmt.Sprintf("%d", dcqcn.pauses),
-		fmt.Sprintf("%.2f", dcqcn.victim), fmt.Sprintf("%.2f", dcqcn.hot), fmt.Sprintf("%d", dcqcn.drops))
-	res.AddNote("PFC keeps both fabrics lossless; without end-to-end ECN control the victim flow to the idle sink collapses to %.2f Gbps behind pause storms, with DCQCN it recovers to %.2f Gbps", raw.victim, dcqcn.victim)
+	res.AddNote("PFC keeps both fabrics lossless; without end-to-end ECN control the victim flow to the idle sink collapses to %.2f Gbps behind pause storms, with DCQCN it recovers to %.2f Gbps", victims[0], victims[1])
 	return res, nil
 }

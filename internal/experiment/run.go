@@ -8,17 +8,20 @@ import (
 	"pmsb/internal/obs"
 	"pmsb/internal/sim"
 	"pmsb/internal/topo"
+	"pmsb/internal/transport"
 	"pmsb/internal/workload"
 )
 
-// The two run paths every fabric experiment goes through: runPacket for
-// the packet engine (serial or sharded), runFluid for the flow-level
-// engine. An experiment supplies a topology config and a workload; the
+// The two run paths every simulation goes through: runPacket for the
+// packet engine (serial or sharded), runFluid for the flow-level
+// engine. An experiment supplies a wiring and a workload; the
 // engine, the coordinator, tracing, progress monitoring, runtime stats,
 // the sanity check and the manifest's accounting are wired here and
 // nowhere else, so no experiment can forget one of them.
 
-// wiring is a topology's pair of entry points bound to one config.
+// wiring is a topology's pair of entry points bound to one config. A
+// bespoke fabric that only runs serially (pfc, pool) leaves sharded nil
+// and asks runPacket for one shard.
 type wiring struct {
 	serial  func(*sim.Engine) *topo.Fabric
 	sharded func(*sim.Coordinator, int) *topo.Fabric
@@ -77,9 +80,7 @@ func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (d
 	if shards > 1 {
 		coord = sim.NewCoordinator()
 		coord.SetMode(o.Par)
-		if o.Monitor != nil {
-			coord.SetMonitor(o.Monitor)
-		}
+		coord.SetMonitor(o.Monitor)
 		if o.Runtime != nil {
 			coord.EnableRuntimeStats()
 		}
@@ -87,9 +88,7 @@ func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (d
 	} else {
 		shards = 1
 		eng := sim.NewEngine()
-		if o.Monitor != nil {
-			eng.SetMonitor(o.Monitor)
-		}
+		eng.SetMonitor(o.Monitor)
 		fab = w.serial(eng)
 	}
 	if o.tracing() {
@@ -110,6 +109,26 @@ func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (d
 	return fab, fab.Sanity()
 }
 
+// startFlows launches a workload on fab the way every open-loop
+// experiment does: one DCTCP flow per spec with the sweeps' initial
+// window, flow IDs in spec order (what ECMP hashes), its service taken
+// modulo the ports' queue count, traced on its source host's bus,
+// started at spec.Start. filter, when non-nil, builds each flow's ECN
+// filter; done is told when flow i completes.
+func (o Options) startFlows(fab *topo.Fabric, specs []workload.FlowSpec, queues int, filter func() transport.Filter,
+	done func(i int, s *transport.Sender)) {
+	var fid transport.FlowIDGen
+	for i, spec := range specs {
+		cfg := transport.Config{InitWindow: fctInitWindow, Obs: o.busFor(fab, fab.Host(spec.Src))}
+		if filter != nil {
+			cfg.Filter = filter()
+		}
+		f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
+			spec.Service%queues, spec.Size, cfg, func(s *transport.Sender) { done(i, s) })
+		f.Sender.StartAt(spec.Start)
+	}
+}
+
 // runFluid runs specs over g on the flow-level engine — one service
 // queue of weight 1 per service, the sweeps' initial window — until
 // deadline, with the same monitor hookup and manifest accounting as
@@ -127,9 +146,7 @@ func (o Options) runFluid(g *topo.PathGraph, marking flowsim.Marking, services i
 		InitWindow: fctInitWindow,
 		OnFinish:   onFinish,
 	})
-	if o.Monitor != nil {
-		eng.SetMonitor(o.Monitor)
-	}
+	eng.SetMonitor(o.Monitor)
 	fs.Start(specs)
 	eng.RunUntil(deadline)
 	o.acct.credit("flow", 1, eng.Processed())

@@ -123,8 +123,8 @@ type ExperimentReport struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// ledger is an ExperimentReport in the making: observeEngine and the
-// two run helpers credit each finished simulation to it. Safe for the
+// ledger is an ExperimentReport in the making: the two run helpers
+// credit each finished simulation to it. Safe for the
 // fan-out goroutines of eachRepeat; a nil ledger (a Spec.Run outside
 // RunMany) discards everything.
 type ledger struct {

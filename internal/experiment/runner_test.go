@@ -27,7 +27,7 @@ func syntheticSpec(id string, events int) Spec {
 				eng.Schedule(time.Duration(i)*time.Microsecond, func() {})
 			}
 			eng.Run()
-			opt.observeEngine(eng)
+			opt.acct.credit("packet", 1, eng.Processed())
 			r := &Result{ID: id, Title: "synthetic " + id, Headers: []string{"seed"}}
 			r.AddRow(fmt.Sprintf("%d", opt.seed()))
 			return r, nil
@@ -303,5 +303,27 @@ func TestFabricExperimentsHonorObsAndMonitor(t *testing.T) {
 				t.Error("the monitor published no progress")
 			}
 		})
+	}
+}
+
+// Sharded, a fat-tree's completions run on every pod's worker at once;
+// what they record must not depend on how the workers interleave. Run
+// under -race this also gates that they share nothing.
+func TestFatTreeShardedCompletionsDeterministic(t *testing.T) {
+	spec, err := Lookup("fattree-incast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		res, err := spec.Run(Options{Quick: true, Seed: 1, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.TSV(); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, got, first)
+		}
 	}
 }

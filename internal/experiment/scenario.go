@@ -81,14 +81,7 @@ func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) 
 	switch engine {
 	case "packet":
 		fab, err := opt.runPacket(net.fabric, 1, func(fab *topo.Fabric) time.Duration {
-			var fid transport.FlowIDGen
-			for i, spec := range net.specs {
-				cfg := transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(spec.Src))}
-				f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
-					spec.Service%net.services, spec.Size, cfg,
-					func(s *transport.Sender) { finish(i, s.FCT()) })
-				f.Sender.StartAt(spec.Start)
-			}
+			opt.startFlows(fab, net.specs, net.services, nil, func(i int, s *transport.Sender) { finish(i, s.FCT()) })
 			return net.deadline
 		})
 		if err != nil {

@@ -42,7 +42,7 @@ func runStaged(opt Options, sc stagedConfig) (*Result, error) {
 		phases = []time.Duration{0, 40 * time.Millisecond, 80 * time.Millisecond}
 		dur = 120 * time.Millisecond
 	}
-	r := runStatic(staticConfig{
+	r, err := runStatic(staticConfig{
 		opt: opt,
 		profile: topo.PortProfile{
 			Weights:   topo.EqualWeights(sc.queues),
@@ -53,6 +53,9 @@ func runStaged(opt Options, sc stagedConfig) (*Result, error) {
 		groups: sc.groups(phases),
 		dur:    dur,
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{
 		ID:      sc.id,

@@ -5,7 +5,6 @@ import (
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
-	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
@@ -29,7 +28,7 @@ func pmsbFairness(id, title string, opt Options, q2Flows int) (*Result, error) {
 	if opt.Quick && q2Flows > 30 {
 		q2Flows = 30 // preserve the heavy-traffic character, cut runtime
 	}
-	r := runStatic(staticConfig{
+	r, err := runStatic(staticConfig{
 		opt: opt,
 		profile: topo.PortProfile{
 			Weights:   topo.EqualWeights(2),
@@ -43,6 +42,9 @@ func pmsbFairness(id, title string, opt Options, q2Flows int) (*Result, error) {
 		},
 		dur: dur, warmup: warmup,
 	})
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:      id,
 		Title:   title,
@@ -77,57 +79,30 @@ func runFig9(opt Options) (*Result, error) {
 
 	type scheme struct {
 		name   string
-		marker func(eng *sim.Engine) topo.MarkerFactory
-		sched  func(eng *sim.Engine) topo.SchedFactory
+		marker topo.MarkerFactory
 		filter func() transport.Filter
 	}
-	dwrr := func(eng *sim.Engine) topo.SchedFactory { return topo.DWRRFactory(eng) }
 	schemes := []scheme{
+		{name: "pmsb", marker: func() ecn.Marker { return &core.PMSB{PortK: portK, Obs: opt.Obs} }},
 		{
-			name: "pmsb",
-			marker: func(*sim.Engine) topo.MarkerFactory {
-				return func() ecn.Marker { return &core.PMSB{PortK: portK, Obs: opt.Obs} }
-			},
-			sched: dwrr,
-		},
-		{
-			name: "pmsb(e)",
-			marker: func(*sim.Engine) topo.MarkerFactory {
-				return func() ecn.Marker { return &ecn.PerPort{K: portK} }
-			},
-			sched:  dwrr,
+			name:   "pmsb(e)",
+			marker: func() ecn.Marker { return &ecn.PerPort{K: portK} },
 			filter: func() transport.Filter { return &core.PMSBe{RTTThreshold: 40 * time.Microsecond} },
 		},
-		{
-			name: "mq-ecn",
-			marker: func(*sim.Engine) topo.MarkerFactory {
-				return func() ecn.Marker { return mqecnFor(units.Packets(16), motiveRate, ecn.AtEnqueue) }
-			},
-			sched: dwrr,
-		},
-		{
-			name: "tcn",
-			marker: func(*sim.Engine) topo.MarkerFactory {
-				return func() ecn.Marker { return &ecn.TCN{Threshold: 39 * time.Microsecond} }
-			},
-			sched: dwrr,
-		},
-		{
-			name: "per-queue-std",
-			marker: func(*sim.Engine) topo.MarkerFactory {
-				return func() ecn.Marker { return &ecn.PerQueueStandard{K: units.Packets(16)} }
-			},
-			sched: dwrr,
-		},
+		{name: "mq-ecn", marker: func() ecn.Marker { return mqecnFor(units.Packets(16), motiveRate, ecn.AtEnqueue) }},
+		{name: "tcn", marker: func() ecn.Marker { return &ecn.TCN{Threshold: 39 * time.Microsecond} }},
+		{name: "per-queue-std", marker: func() ecn.Marker { return &ecn.PerQueueStandard{K: units.Packets(16)} }},
 	}
 
 	results := make(map[string][2]float64)
 	for _, sc := range schemes {
-		r := runStatic(staticConfig{
-			opt:        opt,
-			profile:    topo.PortProfile{Weights: topo.EqualWeights(2)},
-			schedWith:  sc.sched,
-			markerWith: sc.marker,
+		r, err := runStatic(staticConfig{
+			opt: opt,
+			profile: topo.PortProfile{
+				Weights:      topo.EqualWeights(2),
+				NewSchedWith: topo.DWRRSched,
+				NewMarker:    sc.marker,
+			},
 			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 			groups: []flowGroup{
 				{service: 0, count: 1},
@@ -135,6 +110,9 @@ func runFig9(opt Options) (*Result, error) {
 			},
 			dur: dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		s := r.groupRTT(1)
 		results[sc.name] = [2]float64{s.Mean(), s.Percentile(99)}
 		res.AddRow(sc.name, usec(s.Mean()), usec(s.Percentile(99)))
@@ -162,7 +140,7 @@ func pmsbPeaks(id, title string, opt Options, mk func(point ecn.Point) ecn.Marke
 	peaks := make(map[string]float64)
 	for _, point := range []ecn.Point{ecn.AtEnqueue, ecn.AtDequeue} {
 		point := point
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(1),
@@ -174,6 +152,9 @@ func pmsbPeaks(id, title string, opt Options, mk func(point ecn.Point) ecn.Marke
 			dur:    dur, warmup: warmup,
 			initWindow: 16,
 		})
+		if err != nil {
+			return nil, err
+		}
 		peaks[point.String()] = r.trace.Max()
 		res.AddRow(point.String(), ftoa(r.trace.Max()), ftoa(r.trace.MeanAfter(warmup)))
 		res.AddSeries(traceSeries(&r.trace, "occupancy-"+point.String(), 400))

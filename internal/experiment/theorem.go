@@ -7,7 +7,6 @@ import (
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
-	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/units"
 )
@@ -33,13 +32,9 @@ func runTheorem41(opt Options) (*Result, error) {
 	// count of Eq. 11 exceeds one (a lone flow cannot congest an
 	// equal-rate bottleneck in a NIC-smoothed packet model).
 	const theoremDelay = 10 * time.Microsecond
-	probe := topo.NewDumbbell(sim.NewEngine(), topo.DumbbellConfig{
-		Senders:    1,
-		AccessRate: motiveRate,
-		Delay:      theoremDelay,
-		Bottleneck: topo.PortProfile{Weights: topo.EqualWeights(1), NewSched: topo.FIFOFactory()},
-	})
-	rtt := probe.BaseRTT()
+	rtt := topo.DumbbellPaths(topo.DumbbellConfig{
+		Senders: 1, AccessRate: motiveRate, Delay: theoremDelay,
+	}).BaseRTT
 	an := &core.Analysis{C: motiveRate, RTT: rtt, Weights: []float64{1}}
 	bound := an.MinThreshold(0)
 
@@ -61,7 +56,7 @@ func runTheorem41(opt Options) (*Result, error) {
 		if n < 1 {
 			n = 1
 		}
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(1),
@@ -72,6 +67,9 @@ func runTheorem41(opt Options) (*Result, error) {
 			groups: []flowGroup{{service: 0, count: n}},
 			dur:    dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		rate := r.totalRate()
 		util := float64(rate) / float64(motiveRate)
 		utils[f] = util

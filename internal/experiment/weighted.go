@@ -47,7 +47,7 @@ func runAblationRTTThresh(opt Options) (*Result, error) {
 		160 * time.Microsecond,
 	} {
 		thresh := thresh
-		r := runStatic(staticConfig{
+		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: defaultTwoQueueProfile(func() ecn.Marker {
 				return &ecn.PerPort{K: units.Packets(16)}
@@ -59,6 +59,9 @@ func runAblationRTTThresh(opt Options) (*Result, error) {
 			},
 			dur: dur, warmup: warmup,
 		})
+		if err != nil {
+			return nil, err
+		}
 		q1, q2 := r.queueRate(0), r.queueRate(1)
 		var seen, accepted int64
 		for _, g := range r.groups {
@@ -153,24 +156,17 @@ func runFCTWeighted(opt Options) (*Result, error) {
 				NumFlows: numFlows,
 				Seed:     opt.seed(),
 			})
-			var fid transport.FlowIDGen
-			for _, spec := range specs {
-				f := transport.NewFlow(fab.Eng, fab.Host(spec.Src), fab.Host(spec.Dst), fid.Next(),
-					spec.Service, spec.Size,
-					transport.Config{InitWindow: fctInitWindow, Obs: opt.busFor(fab, fab.Host(spec.Src))},
-					func(s *transport.Sender) {
-						if workload.Classify(s.Size()) != workload.Small {
-							return
-						}
-						k := key{sc.name, classOf(s.Service())}
-						if summaries[k] == nil {
-							summaries[k] = &stats.Summary{}
-						}
-						summaries[k].Add(s.FCT().Seconds())
-						counts[k]++
-					})
-				f.Sender.StartAt(spec.Start)
-			}
+			opt.startFlows(fab, specs, len(weights), nil, func(_ int, s *transport.Sender) {
+				if workload.Classify(s.Size()) != workload.Small {
+					return
+				}
+				k := key{sc.name, classOf(s.Service())}
+				if summaries[k] == nil {
+					summaries[k] = &stats.Summary{}
+				}
+				summaries[k].Add(s.FCT().Seconds())
+				counts[k]++
+			})
 			return specs[len(specs)-1].Start + 2*time.Second
 		})
 		if err != nil {

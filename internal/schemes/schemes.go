@@ -1,6 +1,7 @@
 // Package schemes maps user-facing names ("pmsb", "tcn", "dwrr", ...)
-// to the library's schedulers, markers and transport filters. The CLIs
-// (cmd/pmsbflow, cmd/pmsbtrace) share it so flags behave identically.
+// to the library's schedulers, markers and transport filters, and says
+// which pairs go together. pmsbsim's flow and replay subcommands share
+// it so their flags behave identically.
 package schemes
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
+	"pmsb/internal/sched"
 	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
@@ -26,25 +28,36 @@ func MarkerNames() []string {
 	return []string{"none", "perqueue", "fractional", "perport", "mqecn", "tcn", "red", "pmsb", "pmsbe"}
 }
 
-// Scheduler returns the factory for the named discipline. Round-based
-// schedulers are wired to the engine clock so MQ-ECN works on them.
-func Scheduler(name string, eng *sim.Engine) (topo.SchedFactory, error) {
+// Scheduler returns the constructor for the named discipline in the
+// form of topo.PortProfile.NewSchedWith: it is handed the engine that
+// drives the port, so the round-based disciplines read that engine's
+// clock and nothing is bound before the fabric exists. marker is the
+// scheme the scheduler will serve; a scheme that reads round times
+// (RoundBased) over a scheduler that keeps none is refused here, before
+// anything is built.
+func Scheduler(name, marker string) (func(*sim.Engine, []float64) sched.Scheduler, error) {
+	var build func(*sim.Engine, []float64) sched.Scheduler
+	rounds := false
 	switch strings.ToLower(name) {
 	case "fifo":
-		return topo.FIFOFactory(), nil
+		build = func(*sim.Engine, []float64) sched.Scheduler { return sched.NewFIFO() }
 	case "wrr":
-		return topo.WRRFactory(eng), nil
+		build, rounds = topo.WRRSched, true
 	case "dwrr":
-		return topo.DWRRFactory(eng), nil
+		build, rounds = topo.DWRRSched, true
 	case "wfq":
-		return topo.WFQFactory(), nil
+		build = func(_ *sim.Engine, w []float64) sched.Scheduler { return sched.NewWFQ(w) }
 	case "sp":
-		return topo.SPFactory(), nil
+		build = func(_ *sim.Engine, w []float64) sched.Scheduler { return sched.NewSP(len(w)) }
 	case "spwfq":
-		return topo.SPWFQFactory(1), nil
+		build = func(_ *sim.Engine, w []float64) sched.Scheduler { return sched.NewSPWFQ(1, w) }
 	default:
 		return nil, fmt.Errorf("unknown scheduler %q (want one of %v)", name, SchedulerNames())
 	}
+	if RoundBased(marker) && !rounds {
+		return nil, fmt.Errorf("marker %q needs a round-based scheduler (dwrr or wrr), not %q", marker, name)
+	}
+	return build, nil
 }
 
 // MarkerConfig parametrizes the marker families.

@@ -11,21 +11,35 @@ import (
 func TestSchedulerNames(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, name := range SchedulerNames() {
-		f, err := Scheduler(name, eng)
+		f, err := Scheduler(name, "pmsb")
 		if err != nil || f == nil {
 			t.Fatalf("Scheduler(%q): %v", name, err)
 		}
-		s := f([]float64{1, 1})
+		s := f(eng, []float64{1, 1})
 		if s == nil || s.NumQueues() != 2 && name != "fifo" {
-			t.Fatalf("factory %q built a bad scheduler", name)
+			t.Fatalf("constructor %q built a bad scheduler", name)
 		}
 	}
-	if _, err := Scheduler("bogus", eng); err == nil {
+	if _, err := Scheduler("bogus", "pmsb"); err == nil {
 		t.Fatal("unknown scheduler must error")
 	}
 	// Case-insensitive.
-	if _, err := Scheduler("DWRR", eng); err != nil {
+	if _, err := Scheduler("DWRR", "pmsb"); err != nil {
 		t.Fatal("scheduler names must be case-insensitive")
+	}
+}
+
+// MQ-ECN reads round times: every scheduler without rounds refuses it,
+// every other pair is accepted.
+func TestSchedulerMarkerApplicability(t *testing.T) {
+	for _, schedName := range SchedulerNames() {
+		for _, marker := range MarkerNames() {
+			_, err := Scheduler(schedName, marker)
+			wantErr := marker == "mqecn" && schedName != "dwrr" && schedName != "wrr"
+			if (err != nil) != wantErr {
+				t.Errorf("Scheduler(%q, %q): err = %v, want error %v", schedName, marker, err, wantErr)
+			}
+		}
 	}
 }
 

@@ -38,7 +38,8 @@ type Fabric struct {
 	// build, shard 0's for a sharded one (where it is only a fallback
 	// clock — every node schedules on its own shard's engine).
 	Eng *sim.Engine
-	// Hosts are all hosts; Hosts[i] has NodeID i+1.
+	// Hosts are all hosts; in the built topologies Hosts[i] has NodeID
+	// i+1.
 	Hosts []*netsim.Host
 	// Switches are all switches, every tier in one slice.
 	Switches []*netsim.Switch
@@ -198,18 +199,11 @@ func DWRRSched(eng *sim.Engine, weights []float64) sched.Scheduler {
 	return sched.NewDWRR(weights, units.MTU, sched.WithClock(eng.Now))
 }
 
-// WRRSched builds one WRR scheduler on the given engine's clock; the
-// per-shard counterpart of WRRFactory.
+// WRRSched builds one WRR scheduler on the given engine's clock
+// (round-based, so MQ-ECN works on it too); use it as
+// PortProfile.NewSchedWith.
 func WRRSched(eng *sim.Engine, weights []float64) sched.Scheduler {
 	return sched.NewWRR(weights, sched.WithWRRClock(eng.Now))
-}
-
-// WRRFactory returns a SchedFactory building WRR schedulers wired to
-// the engine clock (round-based, so MQ-ECN works on them too).
-func WRRFactory(eng *sim.Engine) SchedFactory {
-	return func(weights []float64) sched.Scheduler {
-		return sched.NewWRR(weights, sched.WithWRRClock(eng.Now))
-	}
 }
 
 // WFQFactory returns a SchedFactory building WFQ schedulers.

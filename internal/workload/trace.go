@@ -20,8 +20,9 @@ import (
 // must have exactly five, and a malformed data value is always an
 // error, never silently skipped (a first row like "12x3,..." begins
 // numerically, so it is a bad data row, not a header). Lines must
-// satisfy src != dst and size >= 1; non-decreasing start times are NOT
-// required (the trace is returned as given; schedule it with
+// satisfy 0 <= start_us <= maxStartUS, src and dst >= 0 and distinct
+// (the fabric a trace is replayed on bounds them from above), size >= 1
+// and service >= 0; non-decreasing start times are NOT required (the trace is returned as given; schedule it with
 // sim.ScheduleAt which tolerates any order). Errors reference physical
 // line numbers of the input, so blank lines and the header do not
 // shift them.
@@ -55,7 +56,9 @@ func ReadTrace(r io.Reader) ([]FlowSpec, error) {
 			return nil, fmt.Errorf("trace line %d: want 5 columns, got %d", line, len(rec))
 		}
 		startUS, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
+		// The comparison also refuses NaN; the bound keeps the
+		// conversion to a Duration and any deadline past it exact.
+		if err != nil || !(startUS >= 0 && startUS <= maxStartUS) {
 			return nil, fmt.Errorf("trace line %d: bad start %q", line, rec[0])
 		}
 		src, err1 := strconv.Atoi(rec[1])
@@ -64,6 +67,9 @@ func ReadTrace(r io.Reader) ([]FlowSpec, error) {
 		service, err4 := strconv.Atoi(rec[4])
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return nil, fmt.Errorf("trace line %d: malformed fields", line)
+		}
+		if src < 0 || dst < 0 {
+			return nil, fmt.Errorf("trace line %d: negative host index", line)
 		}
 		if src == dst {
 			return nil, fmt.Errorf("trace line %d: src == dst", line)
@@ -84,6 +90,11 @@ func ReadTrace(r io.Reader) ([]FlowSpec, error) {
 	}
 	return out, nil
 }
+
+// maxStartUS is the latest start time a trace may name, in
+// microseconds: 2^52, about 142 years — exact as a float64 and, in
+// nanoseconds, half of what a time.Duration holds.
+const maxStartUS = 1 << 52
 
 // isHeaderField reports whether a first-row, first-column cell names a
 // column ("start_us") rather than starting a data row: it fails float

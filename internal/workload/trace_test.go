@@ -42,6 +42,11 @@ func TestReadTraceErrors(t *testing.T) {
 		"1.0,2,2,100,0\n",            // src == dst
 		"1.0,1,2,0,0\n",              // zero size
 		"1.0,1,2,100,-1\n",           // negative service
+		"1.0,-1,2,100,0\n",           // negative src
+		"1.0,1,-2,100,0\n",           // negative dst
+		"-1.0,1,2,100,0\n",           // negative start
+		"NaN,1,2,100,0\n",            // start is not a number
+		"1e300,1,2,100,0\n",          // start past any Duration
 		"1.0,a,2,100,0\n",            // bad src
 		"x,1,2,100,0\nx,1,2,100,0\n", // bad start beyond header
 	}
@@ -154,4 +159,32 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Fatalf("flow %d start drift %v", i, diff)
 		}
 	}
+}
+
+// FuzzReadTrace: any input yields an error or flows a replay can
+// schedule as they are — never a panic, never an out-of-range field.
+func FuzzReadTrace(f *testing.F) {
+	for _, seed := range []string{
+		"start_us,src,dst,size_bytes,service\n0.000,0,1,1000,0\n12.500,3,7,250000,5\n",
+		"5.0,1,2,100,0\n",
+		"1.0,1,2,100\n", "1.0,2,2,100,0\n", "1.0,1,2,0,0\n", "1.0,1,2,100,-1\n", "1.0,a,2,100,0\n",
+		"x,1,2,100,0\nx,1,2,100,0\n",
+		"start_us,src\n1.0,1,2,100,0\n", "t\n1.0,1,2,100,0\n",
+		"12x3,1,2,100,0\n2.0,1,2,100,0\n", "-x,1,2,100,0\n", ",1,2,100,0\n",
+		"1.0,-1,2,100,0\n", "NaN,1,2,100,0\n", "1e300,1,2,100,0\n", "+Inf,1,2,100,0\n",
+		"1.0,1,2,100,0\n\n\"unterminated,1\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		flows, err := ReadTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, fl := range flows {
+			if fl.Start < 0 || fl.Src < 0 || fl.Dst < 0 || fl.Src == fl.Dst || fl.Size < 1 || fl.Service < 0 {
+				t.Fatalf("ReadTrace(%q): flow %d = %+v", in, i, fl)
+			}
+		}
+	})
 }
