@@ -7,8 +7,9 @@ GO ?= go
 all: build vet test
 
 # Everything .github/workflows/ci.yml runs, in the same order. The
-# trace-codec fuzz pass is fail-soft: ten seconds of coverage-guided
-# decoding catches framing bugs early, but a fuzz-capable toolchain is
+# trace-codec fuzz passes are fail-soft: ten seconds of coverage-guided
+# decoding catches framing bugs early (and holds pmsbstat's streamed
+# decoder to ReadBinary's decisions), but a fuzz-capable toolchain is
 # not required to pass CI; the two text grammars users hand the CLI (the
 # replay trace CSV, flow's -groups list) get the same treatment.
 ci:
@@ -27,6 +28,7 @@ ci:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run TestJobsDeterminism -count=1 ./cmd/pmsbsim
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
+	-$(GO) test -run '^$$' -fuzz FuzzStreamReduce -fuzztime 10s ./internal/obs/
 	-$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/workload/
 	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbsim/
 	# Runtime-introspection smoke: a sharded run with live progress and a
@@ -40,6 +42,14 @@ ci:
 	$(GO) run ./cmd/pmsbsim replay -trace ci_replay.csv -marker pmsb -tracefile ci_replay.trace.bin > /dev/null
 	$(GO) run ./cmd/pmsbstat ci_replay.trace.bin > /dev/null
 	@rm -f ci_replay.csv ci_replay.trace.bin
+	# Multi-file smoke: a two-shard trace reads back as one trace, and the
+	# merged export prints exactly as many events as the report counts.
+	$(GO) run ./cmd/pmsbsim -experiment fattree -quick -shards 2 -tracefile ci_ft.bin > /dev/null
+	@head=$$($(GO) run ./cmd/pmsbstat ci_ft.shard0.bin ci_ft.shard1.bin | sed -n 1p); \
+	n=$$($(GO) run ./cmd/pmsbstat -export ci_ft.shard0.bin ci_ft.shard1.bin | wc -l | tr -d ' '); \
+	echo "$$head; export: $$n lines"; \
+	case "$$head" in "# trace: $$n events,"*) ;; *) echo "pmsbstat: export and report disagree"; exit 1;; esac
+	@rm -f ci_ft.shard0.bin ci_ft.shard1.bin
 	# k=32 smoke: the arena-backed 49k-port fabric builds with zero slab
 	# overflow, wires correctly, and a short sharded horizon stays
 	# byte-identical to the serial run.

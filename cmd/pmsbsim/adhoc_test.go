@@ -308,16 +308,7 @@ func TestFlowTraceExport(t *testing.T) {
 	if _, err := capture(t, "flow", "-groups", "1x0,4x1", "-dur", "10ms", "-tracefile", trace); err != nil {
 		t.Fatalf("traced flow run: %v", err)
 	}
-	f, err := os.Open(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadBinary(f)
-	if err != nil {
-		t.Fatalf("parse trace: %v", err)
-	}
-	kinds := obs.CountKinds(events)
+	kinds := traceKinds(t, trace)
 	for _, k := range []obs.Kind{obs.KindEnqueue, obs.KindDequeue, obs.KindMark, obs.KindFlowStart} {
 		if kinds[k] == 0 {
 			t.Errorf("trace has no %v events", k)

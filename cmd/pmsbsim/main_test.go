@@ -283,19 +283,7 @@ func TestTraceExport(t *testing.T) {
 		t.Fatalf("traced run: %v", err)
 	}
 
-	f, err := os.Open(trace)
-	if err != nil {
-		t.Fatalf("open trace: %v", err)
-	}
-	defer f.Close()
-	events, err := obs.ReadBinary(f)
-	if err != nil {
-		t.Fatalf("parse trace: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("trace is empty")
-	}
-	kinds := obs.CountKinds(events)
+	kinds := traceKinds(t, trace)
 	for _, k := range []obs.Kind{obs.KindEnqueue, obs.KindDequeue, obs.KindMark, obs.KindFlowStart} {
 		if kinds[k] == 0 {
 			t.Errorf("trace has no %v events", k)
@@ -316,6 +304,29 @@ func TestTraceExport(t *testing.T) {
 			t.Errorf("metrics dump missing %q:\n%s", want, m)
 		}
 	}
+}
+
+// traceKinds tallies the events of the trace files by kind, requiring
+// every file to parse and hold events.
+func traceKinds(t *testing.T, paths ...string) map[obs.Kind]int {
+	t.Helper()
+	st := obs.NewStreamStats(obs.StreamOptions{Counts: true})
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatalf("open trace: %v", err)
+		}
+		before := st.Events
+		err = st.Reduce(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("parse trace %s: %v", path, err)
+		}
+		if st.Events == before {
+			t.Fatalf("trace %s is empty", path)
+		}
+	}
+	return st.Kinds
 }
 
 // TestTraceRestrictions: tracing an unsynchronized bus must refuse
@@ -402,28 +413,10 @@ func TestTraceShardedExport(t *testing.T) {
 		"-shards", "2", "-tracefile", trace); err != nil {
 		t.Fatalf("sharded traced run: %v", err)
 	}
-	var streams [][]obs.Event
-	for i := 0; i < 2; i++ {
-		path := obs.ShardTracePath(trace, i)
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("shard %d trace missing: %v", i, err)
-		}
-		events, err := obs.ReadBinary(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("parse shard %d trace: %v", i, err)
-		}
-		if len(events) == 0 {
-			t.Fatalf("shard %d trace is empty", i)
-		}
-		streams = append(streams, events)
-	}
-	merged := obs.MergeEvents(streams...)
-	kinds := obs.CountKinds(merged)
+	kinds := traceKinds(t, obs.ShardTracePath(trace, 0), obs.ShardTracePath(trace, 1))
 	for _, k := range []obs.Kind{obs.KindEnqueue, obs.KindDequeue, obs.KindFlowStart, obs.KindFlowFinish} {
 		if kinds[k] == 0 {
-			t.Errorf("merged sharded trace has no %v events", k)
+			t.Errorf("sharded trace has no %v events", k)
 		}
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -156,27 +159,23 @@ func TestBinaryReport(t *testing.T) {
 	}
 }
 
-// TestStreamedReport: a report without the per-flow table takes the
-// streaming column-wise path; its output must be byte-identical to the
-// materializing path's over the same trace (the -top 1 report minus its
-// flow section).
+// TestStreamedReport: the flow table is one more reduction of the same
+// streamed pass — turning it on (it decodes extra columns) leaves every
+// other section byte-identical to the -top 0 report.
 func TestStreamedReport(t *testing.T) {
 	trace := writeTrace(t)
-	materialized := func(args ...string) string {
+	withFlows := func(args ...string) string {
 		t.Helper()
 		out, err := capture(t, append(append([]string{"-top", "1"}, args...), trace)...)
 		if err != nil {
-			t.Fatalf("materializing report %v: %v", args, err)
+			t.Fatalf("report %v: %v", args, err)
 		}
 		head, _, ok := strings.Cut(out, "\n## top 1 flows")
 		if !ok {
-			t.Fatalf("materializing report %v has no flow section:\n%s", args, out)
+			t.Fatalf("report %v has no flow section:\n%s", args, out)
 		}
 		return head
 	}
-	// Every flag shape streams: with and without the mark-rate timeline
-	// (it folds order-insensitively, so it streams too), and with the
-	// range flags applied.
 	for _, fl := range [][]string{
 		{"-marks=false"},
 		{},
@@ -187,14 +186,115 @@ func TestStreamedReport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("streaming report %v: %v", fl, err)
 		}
-		if want := materialized(fl...); streamed != want {
-			t.Errorf("streamed report %v differs from materialized:\nmaterialized:\n%s\nstreamed:\n%s", fl, want, streamed)
+		if want := withFlows(fl...); streamed != want {
+			t.Errorf("report %v changes with the flow table on:\nwith:\n%s\nwithout:\n%s", fl, want, streamed)
 		}
 	}
 
-	// An out-of-range window errors like the materializing path.
-	if _, err := capture(t, "-since", "1h", "-top", "0", trace); err == nil {
-		t.Error("empty streamed window did not error")
+	// An out-of-range window errors, with and without the flow table.
+	for _, top := range []string{"0", "10"} {
+		if _, err := capture(t, "-since", "1h", "-top", top, trace); err == nil {
+			t.Errorf("-top %s: empty window did not error", top)
+		}
+	}
+}
+
+// TestBinWidth: a bin width <= 0 is a usage error, refused before any
+// file is read (the trace named here does not exist).
+func TestBinWidth(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	for _, args := range [][]string{{"-bin", "0"}, {"-bin", "-1ms"}, {"-top", "0", "-bin", "0"}} {
+		_, err := capture(t, append(args, missing)...)
+		if err == nil || !strings.Contains(err.Error(), "-bin") {
+			t.Errorf("%v: err = %v, want a -bin usage error", args, err)
+		}
+	}
+}
+
+// TestEmptyWindowNamesEveryFile: when no event of several traces falls
+// in the window, the error names all of them.
+func TestEmptyWindowNamesEveryFile(t *testing.T) {
+	a, b := writeTrace(t), writeTrace(t)
+	for _, extra := range [][]string{nil, {"-export"}, {"-top", "0"}} {
+		args := append(append(extra, "-since", "1h"), a, b)
+		_, err := capture(t, args...)
+		if err == nil || !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) {
+			t.Errorf("%v: err = %v, want both trace names", extra, err)
+		}
+	}
+}
+
+// writeSyntheticTrace writes a trace of rounds x 64 events over the
+// same 16 flows, 4 queues and 1 ms of virtual time whatever rounds is:
+// flow starts, then repeated enqueue/dequeue/mark/alpha rounds, then
+// finishes.
+func writeSyntheticTrace(t *testing.T, path string, rounds int) {
+	t.Helper()
+	const flows = 16
+	var events []obs.Event
+	add := func(ev obs.Event) {
+		ev.Seq = uint64(len(events))
+		events = append(events, ev)
+	}
+	for f := 1; f <= flows; f++ {
+		add(obs.Event{Kind: obs.KindFlowStart, Node: pkt.NoNode, Port: -1, Queue: int32(f % 4),
+			Flow: pkt.FlowID(f), Size: 1 << 20})
+	}
+	step := time.Millisecond / time.Duration(rounds)
+	for r := 0; r < rounds; r++ {
+		at := time.Duration(r) * step
+		for f := 1; f <= flows; f++ {
+			q := int32(f % 4)
+			for _, k := range []obs.Kind{obs.KindEnqueue, obs.KindDequeue, obs.KindMark} {
+				add(obs.Event{T: at, Kind: k, Node: 1000, Port: 0, Queue: q,
+					Flow: pkt.FlowID(f), Size: 1500, PortBytes: 9000, QueueBytes: 3000})
+			}
+			add(obs.Event{T: at, Kind: obs.KindAlpha, Node: pkt.NoNode, Port: -1, Queue: -1,
+				Flow: pkt.FlowID(f), Size: int64(r * 1500), V: 0.5})
+		}
+	}
+	for f := 1; f <= flows; f++ {
+		add(obs.Event{T: time.Millisecond, Kind: obs.KindFlowFinish, Node: pkt.NoNode, Port: -1,
+			Queue: -1, Flow: pkt.FlowID(f), Size: 1 << 20, V: float64(time.Millisecond)})
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := obs.WriteBinary(f, events); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReportMemoryBounded: the report's memory follows the topology and
+// the flow count, not the trace length. Two traces with the same flows,
+// queues and span, one 16x longer, must cost the default report (with
+// the flow table) less than twice the allocation — a materializing
+// reader would grow ~16x at 80 bytes per event. Depth percentiles are
+// exempt (-depth=false): stats.Summary keeps every sample on purpose,
+// for exact percentiles.
+func TestReportMemoryBounded(t *testing.T) {
+	dir := t.TempDir()
+	small, large := filepath.Join(dir, "small.bin"), filepath.Join(dir, "large.bin")
+	const rounds = 1 << 10
+	writeSyntheticTrace(t, small, rounds)
+	writeSyntheticTrace(t, large, 16*rounds)
+	alloc := func(path string) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := run([]string{"-top", "10", "-depth=false", path}, io.Discard); err != nil {
+			t.Fatalf("report %s: %v", path, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	a, b := alloc(small), alloc(large)
+	t.Logf("TotalAlloc: %d B for %d events, %d B for %d events", a, 64*rounds, b, 64*16*rounds)
+	if b >= 2*a {
+		t.Errorf("a 16x longer trace allocates %d B against %d B (>= 2x): the report grows with the trace", b, a)
 	}
 }
 
@@ -208,9 +308,9 @@ func TestExport(t *testing.T) {
 	}
 	base := filepath.Join(t.TempDir(), "ft.bin")
 	var (
-		paths   []string
-		buses   []*obs.Bus
-		streams [][]obs.Event
+		paths []string
+		buses []*obs.Bus
+		want  []obs.Event
 	)
 	for shard := 0; shard < 2; shard++ {
 		paths = append(paths, obs.ShardTracePath(base, shard))
@@ -232,9 +332,12 @@ func TestExport(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		streams = append(streams, bus.Ring().Events())
+		want = append(want, bus.Ring().Events()...)
 	}
-	want := obs.MergeEvents(streams...)
+	// The expected order, built independently of the merge: each bus's
+	// stream is time-ordered, so a stable sort of the concatenation by
+	// time is the (time, file, sequence) interleaving.
+	sort.SliceStable(want, func(i, j int) bool { return want[i].T < want[j].T })
 
 	cases := []struct {
 		name string

@@ -3,6 +3,7 @@ package pmsb_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -498,13 +499,19 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	}
 	driveShardedFatTree(t, 0, parVariant{}, specs, until, ref)
 	refStreams := make([][]obs.Event, pods)
+	refRaws := make([][]byte, pods)
 	for p, bus := range ref {
 		if d := bus.Ring().Dropped(); d != 0 {
 			t.Fatalf("serial reference pod %d overflowed its ring (%d dropped); grow the reference ring", p, d)
 		}
 		refStreams[p] = bus.Ring().Events()
+		var buf bytes.Buffer
+		if err := obs.WriteBinary(&buf, refStreams[p]); err != nil {
+			t.Fatalf("encode reference pod %d: %v", p, err)
+		}
+		refRaws[p] = buf.Bytes()
 	}
-	refMerged := obs.MergeEvents(refStreams...)
+	refMerged := mergeTraces(t, refRaws...)
 	if len(refMerged) == 0 {
 		t.Fatal("empty reference trace: the workload recorded nothing")
 	}
@@ -530,7 +537,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 			buses[p].Ring().SetSpill(spills[p])
 		}
 		driveShardedFatTree(t, run.shards, run.v, specs, until, buses)
-		streams := make([][]obs.Event, pods)
+		raws := make([][]byte, pods)
 		for p := range buses {
 			if err := buses[p].Ring().FlushSpill(); err != nil {
 				t.Fatalf("%s pod %d: flush spill: %v", run.name, p, err)
@@ -549,13 +556,31 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 				t.Errorf("%s pod %d: spilled stream diverges from serial reference (%d vs %d events)",
 					run.name, p, len(got), len(refStreams[p]))
 			}
-			streams[p] = got
+			raws[p] = sinks[p].Bytes()
 		}
-		if merged := obs.MergeEvents(streams...); !reflect.DeepEqual(merged, refMerged) {
+		if merged := mergeTraces(t, raws...); !reflect.DeepEqual(merged, refMerged) {
 			t.Errorf("%s: merged spill trace diverges from merged serial trace (%d vs %d events)",
 				run.name, len(merged), len(refMerged))
 		}
 	}
+}
+
+// mergeTraces runs obs.MergeTraces over encoded streams and collects
+// the merged timeline.
+func mergeTraces(t *testing.T, raws ...[]byte) []obs.Event {
+	t.Helper()
+	rs := make([]io.Reader, len(raws))
+	for i, raw := range raws {
+		rs[i] = bytes.NewReader(raw)
+	}
+	var out []obs.Event
+	if err := obs.MergeTraces(rs, 0, 1<<63-1, func(ev *obs.Event) error {
+		out = append(out, *ev)
+		return nil
+	}); err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	return out
 }
 
 // Format gate: a real workload's trace survives the round trip through

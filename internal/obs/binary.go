@@ -284,6 +284,10 @@ type BinaryReader struct {
 	// range read — but a skipped chunk materializes nothing else.
 	seqBuf []uint64
 	tBuf   []int64
+	// cols holds the chunk's remaining columns (readCols); f8 stages
+	// one V value.
+	cols chunkCols
+	f8   [8]byte
 }
 
 // NewBinaryReader wraps r and validates the magic header. A reader on a
@@ -321,9 +325,9 @@ func (d *BinaryReader) Next() ([]Event, error) {
 // NextRange decodes the next chunk, keeping only events with
 // since <= T <= until. A chunk that falls entirely outside the range is
 // skimmed: its Seq and T columns are still decoded (their delta chains
-// carry state into the next chunk) but the remaining columns are parsed
-// without materializing an event slice, so scanning a narrow window of
-// a large trace skips most of the decode cost. A skipped or
+// carry state into the next chunk) and the remaining columns parsed and
+// validated, but no event slice is materialized, so scanning a narrow
+// window of a large trace skips most of the decode cost. A skipped or
 // filtered-empty chunk returns (nil, nil); io.EOF ends the stream.
 func (d *BinaryReader) NextRange(since, until time.Duration) ([]Event, error) {
 	count, err := d.chunkCount()
@@ -338,21 +342,16 @@ func (d *BinaryReader) NextRange(since, until time.Duration) ([]Event, error) {
 	// column we already decoded rather than trusting its endpoints.
 	minT, maxT := d.tBuf[0], d.tBuf[0]
 	for _, t := range d.tBuf[1:count] {
-		if t < minT {
-			minT = t
-		}
-		if t > maxT {
-			maxT = t
-		}
+		minT, maxT = min(minT, t), max(maxT, t)
 	}
 	if time.Duration(maxT) < since || time.Duration(minT) > until {
-		if err := d.skipBody(count); err != nil {
+		if err := d.readCols(count, 0); err != nil {
 			return nil, d.truncated(count, err)
 		}
 		return nil, nil
 	}
-	events := d.materialize(count)
-	if err := d.readBody(events); err != nil {
+	events, err := d.readBody(count)
+	if err != nil {
 		return nil, d.truncated(count, err)
 	}
 	kept := events[:0]
@@ -398,21 +397,13 @@ func (d *BinaryReader) decodeChunk(count int) ([]Event, error) {
 	if err := d.readSeqT(count); err != nil {
 		return nil, err
 	}
-	events := d.materialize(count)
-	if err := d.readBody(events); err != nil {
-		return nil, err
-	}
-	return events, nil
+	return d.readBody(count)
 }
 
 // readSeqT decodes the chunk's Seq and T delta columns into the scratch
 // buffers, advancing the cross-chunk delta state.
 func (d *BinaryReader) readSeqT(count int) error {
-	if cap(d.seqBuf) < count {
-		d.seqBuf = make([]uint64, count)
-		d.tBuf = make([]int64, count)
-	}
-	d.seqBuf, d.tBuf = d.seqBuf[:count], d.tBuf[:count]
+	d.seqBuf, d.tBuf = resize(d.seqBuf, count), resize(d.tBuf, count)
 	for i := range d.seqBuf {
 		delta, err := binary.ReadVarint(d.br)
 		if err != nil {
@@ -432,23 +423,52 @@ func (d *BinaryReader) readSeqT(count int) error {
 	return nil
 }
 
-// materialize allocates the chunk's event slice with the already-decoded
-// Seq and T columns filled in.
-func (d *BinaryReader) materialize(count int) []Event {
+// readBody decodes the chunk columns after Seq and T (already in the
+// scratch buffers) and materializes the chunk's events.
+func (d *BinaryReader) readBody(count int) ([]Event, error) {
+	if err := d.readCols(count, bitsAll); err != nil {
+		return nil, err
+	}
+	c := &d.cols
 	events := make([]Event, count)
 	for i := range events {
-		events[i].Seq = d.seqBuf[i]
-		events[i].T = time.Duration(d.tBuf[i])
+		events[i] = Event{Seq: d.seqBuf[i], T: time.Duration(d.tBuf[i]), Kind: c.kinds[i],
+			Node: pkt.NodeID(c.node[i]), Port: c.port[i], Queue: c.queue[i],
+			Flow: pkt.FlowID(c.flow[i]), Pkt: c.pkt[i], Size: c.size[i], Reason: c.reason[i],
+			PortBytes: c.pb[i], QueueBytes: c.qb[i], V: c.v[i]}
 	}
-	return events
+	return events, nil
 }
 
-// skipBody parses a chunk's remaining columns without storing them. The
-// varint columns are not self-delimiting, so every value is still
-// decoded byte-by-byte; what a skim saves is the event-slice allocation
-// and field scatter — the bulk of a chunk's decode footprint.
-func (d *BinaryReader) skipBody(count int) error {
-	for i := 0; i < count; i++ {
+// chunkCols is one chunk's body decoded column by column: reader-owned
+// scratch, reused across chunks, that every decode path — ReadBinary's
+// events, the range skim, the streamed reductions — fills through
+// readCols and reads from.
+type chunkCols struct {
+	kinds  []Kind
+	bits   []uint16
+	node   []int32
+	port   []int32
+	queue  []int32
+	flow   []uint64
+	pkt    []uint64
+	size   []int64
+	reason []DropReason
+	pb     []int64
+	qb     []int64
+	v      []float64
+}
+
+// readCols decodes the body of a chunk of count events — every column
+// after Seq and T — into d.cols: Kind and the field bitmap always, and
+// each field column whose bit is in keep; the other field columns are
+// parsed without being stored. Stored or not, every value is validated
+// the same way (known kinds, bitmaps within the field set, 32-bit ids in
+// range), so every reader of the format rejects exactly the same input.
+func (d *BinaryReader) readCols(count int, keep uint16) error {
+	c := &d.cols
+	c.kinds, c.bits = resize(c.kinds, count), resize(c.bits, count)
+	for i := range c.kinds {
 		k, err := d.br.ReadByte()
 		if err != nil {
 			return err
@@ -456,9 +476,9 @@ func (d *BinaryReader) skipBody(count int) error {
 		if k == 0 || Kind(k) >= numKinds {
 			return fmt.Errorf("obs: corrupt trace chunk (unknown kind %d)", k)
 		}
+		c.kinds[i] = Kind(k)
 	}
-	var present [10]int
-	for i := 0; i < count; i++ {
+	for i := range c.bits {
 		b, err := binary.ReadUvarint(d.br)
 		if err != nil {
 			return err
@@ -466,152 +486,168 @@ func (d *BinaryReader) skipBody(count int) error {
 		if b > bitsAll {
 			return fmt.Errorf("obs: corrupt trace chunk (field bitmap %#x)", b)
 		}
-		for j := range present {
-			if b&(1<<j) != 0 {
-				present[j]++
-			}
-		}
+		c.bits[i] = uint16(b)
 	}
-	// Field columns in layout order. Signed and unsigned varints share
-	// the same wire shape, so one skip loop serves node..size and pb/qb;
-	// reason and v are fixed-width and discard in one step.
-	for _, idx := range [...]int{0, 1, 2, 3, 4, 5} {
-		for j := 0; j < present[idx]; j++ {
-			if _, err := binary.ReadUvarint(d.br); err != nil {
-				return err
-			}
-		}
-	}
-	if _, err := d.br.Discard(present[6]); err != nil {
+	// Field columns in layout order.
+	if err := d.readCol32(&c.node, bitNode, keep); err != nil {
 		return err
 	}
-	for _, idx := range [...]int{7, 8} {
-		for j := 0; j < present[idx]; j++ {
-			if _, err := binary.ReadUvarint(d.br); err != nil {
-				return err
+	if err := d.readCol32(&c.port, bitPort, keep); err != nil {
+		return err
+	}
+	if err := d.readCol32(&c.queue, bitQueue, keep); err != nil {
+		return err
+	}
+	if err := d.readColU64(&c.flow, bitFlow, keep); err != nil {
+		return err
+	}
+	if err := d.readColU64(&c.pkt, bitPkt, keep); err != nil {
+		return err
+	}
+	if err := d.readCol64(&c.size, bitSize, keep); err != nil {
+		return err
+	}
+	if keep&bitReason == 0 {
+		if _, err := d.br.Discard(c.present(bitReason)); err != nil {
+			return err
+		}
+	} else {
+		c.reason = resize(c.reason, count)
+		for i, b := range c.bits {
+			c.reason[i] = 0
+			if b&bitReason != 0 {
+				r, err := d.br.ReadByte()
+				if err != nil {
+					return err
+				}
+				c.reason[i] = DropReason(r)
 			}
 		}
 	}
-	if _, err := d.br.Discard(8 * present[9]); err != nil {
+	if err := d.readCol64(&c.pb, bitPortBytes, keep); err != nil {
 		return err
+	}
+	if err := d.readCol64(&c.qb, bitQueueBytes, keep); err != nil {
+		return err
+	}
+	if keep&bitV == 0 {
+		_, err := d.br.Discard(8 * c.present(bitV))
+		return err
+	}
+	c.v = resize(c.v, count)
+	for i, b := range c.bits {
+		c.v[i] = 0
+		if b&bitV != 0 {
+			if _, err := io.ReadFull(d.br, d.f8[:]); err != nil {
+				return err
+			}
+			c.v[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.f8[:]))
+		}
 	}
 	return nil
 }
 
-// readBody decodes the chunk columns after Seq and T into events.
-func (d *BinaryReader) readBody(events []Event) error {
-	for i := range events {
-		k, err := d.br.ReadByte()
-		if err != nil {
-			return err
+// present counts the chunk's events with bit set in their bitmap.
+func (c *chunkCols) present(bit uint16) int {
+	n := 0
+	for _, b := range c.bits {
+		if b&bit != 0 {
+			n++
 		}
-		if k == 0 || Kind(k) >= numKinds {
-			return fmt.Errorf("obs: corrupt trace chunk (unknown kind %d)", k)
-		}
-		events[i].Kind = Kind(k)
 	}
-	bits := make([]uint16, len(events))
-	for i := range events {
-		b, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return err
+	return n
+}
+
+// readCol32 decodes one range-checked 32-bit varint column into *dst (a
+// clear bit stores zero) when bit is in keep, and only parses and
+// range-checks it otherwise.
+func (d *BinaryReader) readCol32(dst *[]int32, bit, keep uint16) error {
+	bits := d.cols.bits
+	if keep&bit == 0 {
+		for _, b := range bits {
+			if b&bit != 0 {
+				if _, err := d.readInt32(); err != nil {
+					return err
+				}
+			}
 		}
-		if b > bitsAll {
-			return fmt.Errorf("obs: corrupt trace chunk (field bitmap %#x)", b)
-		}
-		bits[i] = uint16(b)
+		return nil
 	}
-	for i := range events {
-		if bits[i]&bitNode != 0 {
+	col := resize(*dst, len(bits))
+	*dst = col
+	for i, b := range bits {
+		col[i] = 0
+		if b&bit != 0 {
 			v, err := d.readInt32()
 			if err != nil {
 				return err
 			}
-			events[i].Node = pkt.NodeID(v)
-		}
-	}
-	for i := range events {
-		if bits[i]&bitPort != 0 {
-			v, err := d.readInt32()
-			if err != nil {
-				return err
-			}
-			events[i].Port = v
-		}
-	}
-	for i := range events {
-		if bits[i]&bitQueue != 0 {
-			v, err := d.readInt32()
-			if err != nil {
-				return err
-			}
-			events[i].Queue = v
-		}
-	}
-	for i := range events {
-		if bits[i]&bitFlow != 0 {
-			v, err := binary.ReadUvarint(d.br)
-			if err != nil {
-				return err
-			}
-			events[i].Flow = pkt.FlowID(v)
-		}
-	}
-	for i := range events {
-		if bits[i]&bitPkt != 0 {
-			v, err := binary.ReadUvarint(d.br)
-			if err != nil {
-				return err
-			}
-			events[i].Pkt = v
-		}
-	}
-	for i := range events {
-		if bits[i]&bitSize != 0 {
-			v, err := binary.ReadVarint(d.br)
-			if err != nil {
-				return err
-			}
-			events[i].Size = v
-		}
-	}
-	for i := range events {
-		if bits[i]&bitReason != 0 {
-			b, err := d.br.ReadByte()
-			if err != nil {
-				return err
-			}
-			events[i].Reason = DropReason(b)
-		}
-	}
-	for i := range events {
-		if bits[i]&bitPortBytes != 0 {
-			v, err := binary.ReadVarint(d.br)
-			if err != nil {
-				return err
-			}
-			events[i].PortBytes = v
-		}
-	}
-	for i := range events {
-		if bits[i]&bitQueueBytes != 0 {
-			v, err := binary.ReadVarint(d.br)
-			if err != nil {
-				return err
-			}
-			events[i].QueueBytes = v
-		}
-	}
-	var f8 [8]byte
-	for i := range events {
-		if bits[i]&bitV != 0 {
-			if _, err := io.ReadFull(d.br, f8[:]); err != nil {
-				return err
-			}
-			events[i].V = math.Float64frombits(binary.LittleEndian.Uint64(f8[:]))
+			col[i] = v
 		}
 	}
 	return nil
+}
+
+// readCol64 is readCol32 for a signed 64-bit varint column.
+func (d *BinaryReader) readCol64(dst *[]int64, bit, keep uint16) error {
+	if keep&bit == 0 {
+		return d.skipVarints(bit)
+	}
+	bits := d.cols.bits
+	col := resize(*dst, len(bits))
+	*dst = col
+	for i, b := range bits {
+		col[i] = 0
+		if b&bit != 0 {
+			v, err := binary.ReadVarint(d.br)
+			if err != nil {
+				return err
+			}
+			col[i] = v
+		}
+	}
+	return nil
+}
+
+// readColU64 is readCol32 for an unsigned 64-bit varint column.
+func (d *BinaryReader) readColU64(dst *[]uint64, bit, keep uint16) error {
+	if keep&bit == 0 {
+		return d.skipVarints(bit)
+	}
+	bits := d.cols.bits
+	col := resize(*dst, len(bits))
+	*dst = col
+	for i, b := range bits {
+		col[i] = 0
+		if b&bit != 0 {
+			v, err := binary.ReadUvarint(d.br)
+			if err != nil {
+				return err
+			}
+			col[i] = v
+		}
+	}
+	return nil
+}
+
+// skipVarints parses one varint column without storing it (signed and
+// unsigned varints share the wire shape).
+func (d *BinaryReader) skipVarints(bit uint16) error {
+	for n := d.cols.present(bit); n > 0; n-- {
+		if _, err := binary.ReadUvarint(d.br); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // readInt32 reads a zigzag varint and range-checks it into 32 bits.

@@ -333,14 +333,15 @@ func TestBinaryTraceSpillOverwriteUnchanged(t *testing.T) {
 	r.SetSpill(NewSpillWriter(io.Discard, FormatBinary))
 }
 
-// TestBinaryTraceMerge: MergeEvents interleaves per-bus streams by
-// (T, stream, Seq) and is deterministic.
+// TestBinaryTraceMerge: MergeTraces interleaves per-bus streams by
+// (T, stream, Seq), is deterministic, honours the window, and refuses a
+// stream that is not a trace.
 func TestBinaryTraceMerge(t *testing.T) {
 	a := []Event{{Seq: 0, T: 1, Kind: KindEnqueue, Node: 1},
 		{Seq: 1, T: 5, Kind: KindDequeue, Node: 1}}
 	b := []Event{{Seq: 0, T: 1, Kind: KindEnqueue, Node: 2},
 		{Seq: 1, T: 3, Kind: KindDequeue, Node: 2}}
-	got := MergeEvents(a, b)
+	got := mergeTraces(t, 0, 1<<63-1, encode(t, a), encode(t, b))
 	wantNodes := []pkt.NodeID{1, 2, 2, 1}
 	if len(got) != 4 {
 		t.Fatalf("merged %d events, want 4", len(got))
@@ -350,8 +351,49 @@ func TestBinaryTraceMerge(t *testing.T) {
 			t.Fatalf("merge order: got node %d at %d, want %d", ev.Node, i, wantNodes[i])
 		}
 	}
-	if len(MergeEvents()) != 0 || len(MergeEvents(nil, nil)) != 0 {
+	if got := mergeTraces(t, 2, 4, encode(t, a), encode(t, b)); len(got) != 1 || got[0].Node != 2 || got[0].T != 3 {
+		t.Fatalf("windowed merge = %+v, want the one event at T=3", got)
+	}
+	if len(mergeTraces(t, 0, 1<<63-1)) != 0 || len(mergeTraces(t, 0, 1<<63-1, encode(t, nil), encode(t, nil))) != 0 {
 		t.Fatal("merging no/empty streams should yield no events")
+	}
+	err := MergeTraces([]io.Reader{bytes.NewReader(encode(t, a)), strings.NewReader("garbage!")}, 0, 1<<63-1,
+		func(*Event) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "not a binary trace") {
+		t.Errorf("merge with a non-trace stream: err = %v", err)
+	}
+}
+
+// TestBinaryTraceMergeChunked: a merge across many chunks per stream
+// equals the in-memory interleaving of the decoded streams.
+func TestBinaryTraceMergeChunked(t *testing.T) {
+	var streams [][]Event
+	var raws [][]byte
+	for s := 0; s < 3; s++ {
+		evs := make([]Event, writerChunkEvents*2+s*101)
+		for i := range evs {
+			evs[i] = Event{Seq: uint64(i), T: time.Duration(i*(s+2)) / 3, Kind: KindEnqueue, Node: pkt.NodeID(s)}
+		}
+		streams = append(streams, evs)
+		raws = append(raws, encode(t, evs))
+	}
+	var want []Event
+	idx := make([]int, len(streams))
+	for {
+		best := -1
+		for i, s := range streams {
+			if idx[i] < len(s) && (best < 0 || s[idx[i]].T < streams[best][idx[best]].T) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		want = append(want, streams[best][idx[best]])
+		idx[best]++
+	}
+	if got := mergeTraces(t, 0, 1<<63-1, raws...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunked merge diverges from the in-memory interleaving (%d vs %d events)", len(got), len(want))
 	}
 }
 
@@ -368,24 +410,12 @@ func TestBinaryTraceFormatHelpers(t *testing.T) {
 }
 
 // FuzzReadBinary: the decoder must never panic or over-allocate on
-// arbitrary input — errors only.
+// arbitrary input — errors only. The seed corpus (traceSeeds) is shared
+// with FuzzStreamReduce.
 func FuzzReadBinary(f *testing.F) {
-	// Seed corpus: valid traces of increasing complexity plus targeted
-	// corruptions, so the fuzzer starts at the format's interesting
-	// surfaces rather than rediscovering the magic.
-	var empty bytes.Buffer
-	_ = WriteBinary(&empty, nil)
-	f.Add(empty.Bytes())
-	var one bytes.Buffer
-	_ = WriteBinary(&one, []Event{{Seq: 0, T: 1, Kind: KindEnqueue, Node: 1, Size: 1500}})
-	f.Add(one.Bytes())
-	var full bytes.Buffer
-	_ = WriteBinary(&full, traceFixture())
-	f.Add(full.Bytes())
-	f.Add(full.Bytes()[:len(full.Bytes())-3])
-	f.Add([]byte("PMSBTRC0"))
-	f.Add(append([]byte(binaryMagic), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF))
-	f.Add(append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0xEE))
+	for _, seed := range traceSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := ReadBinary(bytes.NewReader(data))

@@ -7,9 +7,9 @@ import (
 	"pmsb/internal/pkt"
 )
 
-// FlowRecord is the per-flow telemetry assembled automatically from
+// FlowRecord is the per-flow summary a trace reduction rebuilds from
 // transport events: lifecycle, progress, congestion signals and loss
-// recovery. Experiments read these instead of polling senders.
+// recovery (StreamOptions.Flows).
 type FlowRecord struct {
 	// Flow is the transport flow ID.
 	Flow pkt.FlowID `json:"flow"`
@@ -24,14 +24,13 @@ type FlowRecord struct {
 	FCT time.Duration `json:"fct,omitempty"`
 	// Finished reports whether the last byte was acked.
 	Finished bool `json:"finished"`
-	// Bytes is the acknowledged (or delivered) byte count, updated as
-	// the flow progresses and finalized at finish.
+	// Bytes is the acknowledged (or delivered) byte count: the largest
+	// progress an alpha refresh reported, finalized at finish.
 	Bytes int64 `json:"bytes"`
-	// MarksSeen counts congestion signals that arrived at the sender;
-	// MarksAccepted counts the ones its filter honoured (PMSB(e) may
-	// veto signals — "selective blindness at the end host").
-	MarksSeen     int64 `json:"marksSeen"`
-	MarksAccepted int64 `json:"marksAccepted"`
+	// MarksSeen counts the switch-side CE marks of the flow's packets.
+	// (Whether the sender honoured them is its own counter,
+	// transport.Sender.MarksAccepted; signals are not traced per ACK.)
+	MarksSeen int64 `json:"marksSeen"`
 	// CwndCuts counts multiplicative window reductions; Retransmits and
 	// RTOs count loss-recovery actions.
 	CwndCuts    int64 `json:"cwndCuts"`
@@ -41,44 +40,65 @@ type FlowRecord struct {
 	LastAlpha float64 `json:"lastAlpha"`
 }
 
-// FlowTable collects FlowRecords in flow-start order.
-type FlowTable struct {
-	recs  map[pkt.FlowID]*FlowRecord
-	order []*FlowRecord
-}
+// FlowTable holds one FlowRecord per flow ID. A restarted flow ID (a
+// later run in a multi-run trace) reuses its record.
+type FlowTable map[pkt.FlowID]*FlowRecord
 
-// NewFlowTable returns an empty table.
-func NewFlowTable() *FlowTable {
-	return &FlowTable{recs: make(map[pkt.FlowID]*FlowRecord)}
-}
-
-// open returns the record for f, creating it on first start. Restarted
-// flow IDs reuse their record.
-func (t *FlowTable) open(f pkt.FlowID) *FlowRecord {
-	if rec, ok := t.recs[f]; ok {
-		return rec
+// open returns the record for f, creating it on first sight — a flow
+// whose start fell outside the trace window still gets one, with a zero
+// Start.
+func (t FlowTable) open(f pkt.FlowID) *FlowRecord {
+	rec := t[f]
+	if rec == nil {
+		rec = &FlowRecord{Flow: f}
+		t[f] = rec
 	}
-	rec := &FlowRecord{Flow: f}
-	t.recs[f] = rec
-	t.order = append(t.order, rec)
 	return rec
 }
 
-// Get returns the record for f (nil when the flow never started).
-func (t *FlowTable) Get(f pkt.FlowID) *FlowRecord { return t.recs[f] }
+// add folds one flow-attributed event into the table. Events of other
+// kinds, and events without a flow, are ignored.
+func (t FlowTable) add(ev *Event) {
+	if ev.Flow == 0 {
+		return
+	}
+	switch ev.Kind {
+	case KindFlowStart:
+		rec := t.open(ev.Flow)
+		rec.Start = ev.T
+		rec.Size = ev.Size
+		rec.Service = int(ev.Queue)
+	case KindFlowFinish:
+		rec := t.open(ev.Flow)
+		rec.Finished = true
+		rec.Finish = ev.T
+		rec.FCT = time.Duration(ev.V)
+		rec.Bytes = ev.Size
+	case KindMark:
+		t.open(ev.Flow).MarksSeen++
+	case KindCwndCut:
+		t.open(ev.Flow).CwndCuts++
+	case KindRetransmit:
+		t.open(ev.Flow).Retransmits++
+	case KindRTO:
+		t.open(ev.Flow).RTOs++
+	case KindAlpha:
+		rec := t.open(ev.Flow)
+		rec.LastAlpha = ev.V
+		if ev.Size > rec.Bytes {
+			rec.Bytes = ev.Size
+		}
+	}
+}
 
-// Len returns the number of tracked flows.
-func (t *FlowTable) Len() int { return len(t.order) }
-
-// Records returns every record in flow-start order. The slice is shared
-// with the table; treat it as read-only.
-func (t *FlowTable) Records() []*FlowRecord { return t.order }
-
-// TopBytes returns up to k records sorted by descending byte count
-// (ties broken by flow ID for determinism).
-func (t *FlowTable) TopBytes(k int) []*FlowRecord {
-	out := make([]*FlowRecord, len(t.order))
-	copy(out, t.order)
+// TopBytes returns up to k records (all of them when k < 0) sorted by
+// descending byte count, ties broken by flow ID — a total order, so
+// the result does not depend on map iteration.
+func (t FlowTable) TopBytes(k int) []*FlowRecord {
+	out := make([]*FlowRecord, 0, len(t))
+	for _, rec := range t {
+		out = append(out, rec)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bytes != out[j].Bytes {
 			return out[i].Bytes > out[j].Bytes
@@ -91,12 +111,12 @@ func (t *FlowTable) TopBytes(k int) []*FlowRecord {
 	return out
 }
 
-// FlowProbe binds a transport sender to its live FlowRecord and the
-// bus. A nil probe (observability disabled) makes every method a nil
-// check — senders hold one pointer and emit unconditionally.
+// FlowProbe binds a transport sender to its flow ID and the bus. A nil
+// probe (observability disabled) makes every method a nil check —
+// senders hold one pointer and emit unconditionally.
 type FlowProbe struct {
-	bus *Bus
-	rec *FlowRecord
+	bus  *Bus
+	flow pkt.FlowID
 }
 
 // OpenFlow starts (or restarts) per-flow telemetry, emitting a
@@ -106,28 +126,10 @@ func (b *Bus) OpenFlow(t time.Duration, f pkt.FlowID, service int, size int64) *
 	if b == nil {
 		return nil
 	}
-	rec := b.flows.open(f)
-	rec.Service = service
-	rec.Size = size
-	rec.Start = t
 	b.reg.flowsStarted.Inc()
 	b.record(&Event{T: t, Kind: KindFlowStart, Node: pkt.NoNode, Port: -1,
 		Queue: int32(service), Flow: f, Size: size})
-	return &FlowProbe{bus: b, rec: rec}
-}
-
-// Signal counts a congestion signal arriving at the sender and whether
-// its filter honoured it. Counter-only (no ring event): the switch-side
-// KindMark event already traces each mark's origin, and signals arrive
-// per-ACK — far too hot for one record each.
-func (p *FlowProbe) Signal(marked, accepted bool) {
-	if p == nil || !marked {
-		return
-	}
-	p.rec.MarksSeen++
-	if accepted {
-		p.rec.MarksAccepted++
-	}
+	return &FlowProbe{bus: b, flow: f}
 }
 
 // CwndCut records a multiplicative window reduction to cwnd segments.
@@ -135,24 +137,19 @@ func (p *FlowProbe) CwndCut(t time.Duration, cwnd float64) {
 	if p == nil {
 		return
 	}
-	p.rec.CwndCuts++
 	p.bus.record(&Event{T: t, Kind: KindCwndCut, Node: pkt.NoNode, Port: -1,
-		Queue: -1, Flow: p.rec.Flow, V: cwnd})
+		Queue: -1, Flow: p.flow, V: cwnd})
 }
 
 // Alpha records a congestion-estimate refresh; bytes is the flow's
-// cumulative acknowledged progress, kept on the record so unfinished
-// flows still report throughput.
+// cumulative acknowledged progress, carried so unfinished flows still
+// report throughput.
 func (p *FlowProbe) Alpha(t time.Duration, alpha float64, bytes int64) {
 	if p == nil {
 		return
 	}
-	p.rec.LastAlpha = alpha
-	if bytes > p.rec.Bytes {
-		p.rec.Bytes = bytes
-	}
 	p.bus.record(&Event{T: t, Kind: KindAlpha, Node: pkt.NoNode, Port: -1,
-		Queue: -1, Flow: p.rec.Flow, Size: bytes, V: alpha})
+		Queue: -1, Flow: p.flow, Size: bytes, V: alpha})
 }
 
 // Retransmit records a retransmission of the segment at seq.
@@ -160,9 +157,8 @@ func (p *FlowProbe) Retransmit(t time.Duration, seq int64) {
 	if p == nil {
 		return
 	}
-	p.rec.Retransmits++
 	p.bus.record(&Event{T: t, Kind: KindRetransmit, Node: pkt.NoNode, Port: -1,
-		Queue: -1, Flow: p.rec.Flow, Pkt: uint64(seq)})
+		Queue: -1, Flow: p.flow, Pkt: uint64(seq)})
 }
 
 // RTO records a retransmission timeout firing.
@@ -170,9 +166,8 @@ func (p *FlowProbe) RTO(t time.Duration) {
 	if p == nil {
 		return
 	}
-	p.rec.RTOs++
 	p.bus.record(&Event{T: t, Kind: KindRTO, Node: pkt.NoNode, Port: -1,
-		Queue: -1, Flow: p.rec.Flow})
+		Queue: -1, Flow: p.flow})
 }
 
 // Rate records a rate-based transport's new sending rate in bits/sec.
@@ -181,21 +176,17 @@ func (p *FlowProbe) Rate(t time.Duration, rate float64) {
 		return
 	}
 	p.bus.record(&Event{T: t, Kind: KindRate, Node: pkt.NoNode, Port: -1,
-		Queue: -1, Flow: p.rec.Flow, V: rate})
+		Queue: -1, Flow: p.flow, V: rate})
 }
 
-// Finish finalizes the record: the flow completed at t with the given
-// FCT and total acknowledged bytes.
+// Finish records the flow's completion at t with the given FCT and
+// total acknowledged bytes.
 func (p *FlowProbe) Finish(t time.Duration, fct time.Duration, bytes int64) {
 	if p == nil {
 		return
 	}
-	p.rec.Finished = true
-	p.rec.Finish = t
-	p.rec.FCT = fct
-	p.rec.Bytes = bytes
 	p.bus.reg.flowsFinished.Inc()
 	p.bus.reg.fct.ObserveDuration(fct)
 	p.bus.record(&Event{T: t, Kind: KindFlowFinish, Node: pkt.NoNode, Port: -1,
-		Queue: -1, Flow: p.rec.Flow, Size: bytes, V: float64(fct)})
+		Queue: -1, Flow: p.flow, Size: bytes, V: float64(fct)})
 }

@@ -1,6 +1,6 @@
 // Package obs is the simulator-wide observability layer: a typed trace
-// bus of compact event records, a registry of named metrics, and
-// per-flow telemetry assembled from transport events. Every layer of
+// bus of compact event records, a registry of named metrics, and the
+// streamed reductions that read a stored trace back. Every layer of
 // the simulator — switch ports, PFC controllers, ECN markers, transport
 // senders — emits into one Bus, and experiments, CLIs (`pmsbsim
 // -tracefile`, `cmd/pmsbstat`) and tests read the collected state back
@@ -19,8 +19,8 @@
 //
 // Probes bind an emitter to its identity once, off the hot path: a
 // switch port holds a *PortProbe (its PortID plus pre-registered
-// counters), a transport sender holds a *FlowProbe (its live
-// *FlowRecord). Emit calls then carry only per-event state.
+// counters), a transport sender holds a *FlowProbe (its flow ID). Emit
+// calls then carry only per-event state.
 package obs
 
 import (
@@ -199,25 +199,24 @@ type Event struct {
 
 // Bus is the simulator-wide observability hub: it assigns event
 // sequence numbers, appends records to the optional ring buffer, and
-// keeps the metrics registry and the per-flow table up to date. A nil
-// *Bus is the disabled layer: every method on a nil receiver returns
-// immediately, so emit points pay only a pointer test.
+// keeps the metrics registry up to date. A nil *Bus is the disabled
+// layer: every method on a nil receiver returns immediately, so emit
+// points pay only a pointer test.
 //
 // A Bus (like the engines that feed it) is not safe for concurrent use:
 // attach one bus to one simulation.
 type Bus struct {
-	ring  *Ring
-	reg   *Registry
-	flows *FlowTable
-	seq   uint64
-	lean  bool
+	ring *Ring
+	reg  *Registry
+	seq  uint64
+	lean bool
 }
 
-// NewBus returns a bus with a metrics registry, a flow table and — when
-// ringCap > 0 — an event ring of that capacity. ringCap == 0 disables
-// event recording but keeps metrics and flow records live.
+// NewBus returns a bus with a metrics registry and — when ringCap > 0 —
+// an event ring of that capacity. ringCap == 0 disables event recording
+// but keeps the metrics live.
 func NewBus(ringCap int) *Bus {
-	b := &Bus{reg: NewRegistry(), flows: NewFlowTable()}
+	b := &Bus{reg: NewRegistry()}
 	if ringCap > 0 {
 		b.ring = NewRing(ringCap)
 	}
@@ -225,7 +224,7 @@ func NewBus(ringCap int) *Bus {
 }
 
 // NewTraceBus returns a bus tuned for full-run event capture: the ring
-// and flow table are live, but ObservePort skips the per-port counter
+// is live, but ObservePort skips the per-port counter
 // blocks, so packet events pay only the ring append. Use it when the
 // trace file is the product and nothing will read Metrics() — the
 // registry stays present (bus-level counters like PFC pauses still
@@ -250,14 +249,6 @@ func (b *Bus) Metrics() *Registry {
 		return nil
 	}
 	return b.reg
-}
-
-// Flows returns the bus's flow table (nil on a nil bus).
-func (b *Bus) Flows() *FlowTable {
-	if b == nil {
-		return nil
-	}
-	return b.flows
 }
 
 // record stamps the next sequence number and appends to the ring, when

@@ -148,7 +148,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 // and every emit method tolerates a nil receiver — the disabled layer.
 func TestNilBusIsInert(t *testing.T) {
 	var b *Bus
-	if b.Ring() != nil || b.Metrics() != nil || b.Flows() != nil {
+	if b.Ring() != nil || b.Metrics() != nil {
 		t.Fatal("nil bus accessors must answer nil")
 	}
 	pp := b.ObservePort(PortID{Node: 1, Port: 0}, 2)
@@ -164,7 +164,6 @@ func TestNilBusIsInert(t *testing.T) {
 	if fp != nil {
 		t.Fatal("OpenFlow on nil bus must be nil")
 	}
-	fp.Signal(true, true)
 	fp.CwndCut(0, 1)
 	fp.Alpha(0, 0.5, 100)
 	fp.Retransmit(0, 0)
@@ -194,7 +193,6 @@ func TestBusEmitZeroAlloc(t *testing.T) {
 	// Flow-probe congestion events ride the same ring.
 	fp := bus.OpenFlow(0, 7, 0, 0)
 	allocs = testing.AllocsPerRun(1000, func() {
-		fp.Signal(true, true)
 		fp.CwndCut(time.Millisecond, 10)
 		fp.Alpha(time.Millisecond, 0.5, 1000)
 	})
@@ -257,33 +255,50 @@ func TestRegistryMetrics(t *testing.T) {
 	r.Gauge("test.counter")
 }
 
+// reduceRing encodes a bus's recorded events and reduces them with
+// every reduction on.
+func reduceRing(t *testing.T, bus *Bus) *StreamStats {
+	t.Helper()
+	st := NewStreamStats(StreamOptions{Counts: true, Depths: true, MarkBin: time.Millisecond, Flows: true})
+	if err := st.Reduce(bytes.NewReader(encode(t, bus.Ring().Events()))); err != nil {
+		t.Fatalf("Reduce: %v", err)
+	}
+	return st
+}
+
+// TestFlowTableTopBytes: flow probes' events rebuild per-flow records
+// from the trace, ranked by bytes with a flow-ID tiebreak.
 func TestFlowTableTopBytes(t *testing.T) {
-	bus := NewBus(0) // metrics+flows only, no ring
-	if bus.Ring() != nil {
+	if NewBus(0).Ring() != nil {
 		t.Fatal("ringCap 0 must disable the ring")
 	}
+	bus := NewBus(64)
 	a := bus.OpenFlow(0, 1, 0, 0)
 	b := bus.OpenFlow(0, 2, 1, 0)
 	c := bus.OpenFlow(0, 3, 1, 0)
 	a.Alpha(0, 0.1, 500)
 	b.Alpha(0, 0.1, 900)
 	c.Alpha(0, 0.1, 900)
-	top := bus.Flows().TopBytes(2)
+	flows := reduceRing(t, bus).Flows
+	top := flows.TopBytes(2)
 	if len(top) != 2 || top[0].Flow != 2 || top[1].Flow != 3 {
 		t.Fatalf("TopBytes order wrong: %+v", top)
 	}
-	if bus.Flows().Len() != 3 || bus.Flows().Get(1).Bytes != 500 {
+	if len(flows) != 3 || flows[1].Bytes != 500 || flows[3].Service != 1 {
 		t.Fatal("flow table state wrong")
 	}
+	if all := flows.TopBytes(-1); len(all) != 3 || all[2].Flow != 1 {
+		t.Fatalf("TopBytes(-1) = %+v, want all three flows", all)
+	}
 	b.Finish(time.Millisecond, time.Millisecond, 1200)
-	rec := bus.Flows().Get(2)
+	rec := reduceRing(t, bus).Flows[2]
 	if !rec.Finished || rec.FCT != time.Millisecond || rec.Bytes != 1200 {
 		t.Fatalf("finish not recorded: %+v", rec)
 	}
 }
 
-// TestAnalysis drives the trace-analysis helpers over a synthetic
-// two-queue trace with a known shape.
+// TestAnalysis drives the trace reductions over a synthetic two-queue
+// trace with a known shape.
 func TestAnalysis(t *testing.T) {
 	bus := NewBus(1 << 10)
 	probe := bus.ObservePort(PortID{Node: 1000, Port: 0}, 2)
@@ -298,60 +313,56 @@ func TestAnalysis(t *testing.T) {
 	}
 	probe.Mark(4*time.Millisecond, 0, p0, 3000, 2000)
 	fp.Finish(5*time.Millisecond, 5*time.Millisecond, 3000)
-	events := bus.Ring().Events()
+	st := reduceRing(t, bus)
 
-	sums, keys := DepthSummaries(events)
-	if len(keys) != 2 {
+	if keys := st.DepthKeys(); len(keys) != 2 {
 		t.Fatalf("keys = %v", keys)
 	}
-	q0 := sums[QueueKey{Node: 1000, Port: 0, Queue: 0}]
-	if q0.Max() != 2000 || q0.Min() != 500 {
-		t.Fatalf("q0 depth max=%v min=%v", q0.Max(), q0.Min())
+	q0 := st.Depths[QueueKey{Node: 1000, Port: 0, Queue: 0}]
+	if q0.Count() != 8 || q0.Max() != 2000 || q0.Min() != 500 {
+		t.Fatalf("q0 depth count=%d max=%v min=%v", q0.Count(), q0.Max(), q0.Min())
 	}
-
-	tr := DepthTrace(events, 1000, 0, 0)
-	if len(tr.Points()) != 8 || tr.Max() != 2000 {
-		t.Fatalf("q0 trace: %d points max %v", len(tr.Points()), tr.Max())
+	if st.Marks.Value(4) != 1 || st.Dequeues.Value(0) != 1 {
+		t.Fatalf("mark series: marks(4)=%v deqs(0)=%v", st.Marks.Value(4), st.Dequeues.Value(0))
 	}
-	port := DepthTrace(events, 1000, 0, -1)
-	if port.Max() != 3000 {
-		t.Fatalf("port trace max = %v", port.Max())
-	}
-
-	marks, deqs := MarkSeries(events, time.Millisecond)
-	if marks.Value(4) != 1 || deqs.Value(0) != 1 {
-		t.Fatalf("mark series: marks(4)=%v deqs(0)=%v", marks.Value(4), deqs.Value(0))
-	}
-
-	if got := CountKinds(events)[KindEnqueue]; got != 8 {
+	if got := st.Kinds[KindEnqueue]; got != 8 {
 		t.Fatalf("enqueue count = %d", got)
 	}
-	if got := Segments(events); got != 1 {
-		t.Fatalf("segments = %d", got)
+	if st.Segments != 1 || st.MinT != 0 || st.MaxT != 5*time.Millisecond {
+		t.Fatalf("segments = %d, span [%v, %v]", st.Segments, st.MinT, st.MaxT)
 	}
 
-	// Only flow 1 has lifecycle/congestion events; flow 2 appears solely
-	// in enqueue records, which don't open flow records offline.
-	flows := FlowsFromEvents(events)
-	if len(flows) != 1 {
-		t.Fatalf("flows = %d", len(flows))
+	// Flow 1 has lifecycle events; flow 2 appears solely in enqueue
+	// records, which don't open flow records. The switch-side mark of
+	// flow 1's packet counts as a mark it saw.
+	if len(st.Flows) != 1 {
+		t.Fatalf("flows = %d", len(st.Flows))
 	}
-	f1 := flows[0]
-	if f1.Flow != 1 || !f1.Finished || f1.FCT != 5*time.Millisecond || f1.MarksSeen != 1 {
+	f1 := st.Flows[1]
+	if f1 == nil || !f1.Finished || f1.FCT != 5*time.Millisecond || f1.MarksSeen != 1 || f1.Size != 3000 {
 		t.Fatalf("reconstructed flow 1: %+v", f1)
 	}
 }
 
+// TestSegmentsDetectsRestart: every time virtual time goes backwards a
+// new run (segment) begins.
 func TestSegmentsDetectsRestart(t *testing.T) {
 	events := []Event{
-		{T: time.Millisecond}, {T: 2 * time.Millisecond},
-		{T: time.Microsecond}, // engine restart
-		{T: 5 * time.Millisecond},
+		{T: time.Millisecond, Kind: KindRTO}, {T: 2 * time.Millisecond, Kind: KindRTO},
+		{T: time.Microsecond, Kind: KindRTO}, // engine restart
+		{T: 5 * time.Millisecond, Kind: KindRTO},
 	}
-	if got := Segments(events); got != 2 {
-		t.Fatalf("Segments = %d, want 2", got)
+	st := NewStreamStats(StreamOptions{})
+	if err := st.Reduce(bytes.NewReader(encode(t, events))); err != nil {
+		t.Fatal(err)
 	}
-	if Segments(nil) != 0 {
+	if st.Segments != 2 {
+		t.Fatalf("Segments = %d, want 2", st.Segments)
+	}
+	if err := st.Reduce(bytes.NewReader(encode(t, nil))); err != nil || st.Segments != 2 {
+		t.Fatalf("an empty trace adds no segment: %d, %v", st.Segments, err)
+	}
+	if NewStreamStats(StreamOptions{}).Segments != 0 {
 		t.Fatal("empty trace has 0 segments")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // ring becomes a bounded *buffer* in front of an unbounded stream, and
 // a full-length run is traced losslessly. Spill files are per-ring;
 // under sharded execution each shard's bus spills to its own file and
-// MergeEvents reassembles the deterministic interleaving at read time.
+// MergeTraces reassembles the deterministic interleaving at read time.
 
 // traceBufSize is the bufio buffer for trace file I/O (both spill
 // writers and readers). Big enough that a spill flush of a few thousand
@@ -114,52 +114,11 @@ func (s *SpillWriter) Close() error {
 	return nil
 }
 
-// MergeEvents interleaves per-shard (per-bus) event streams into one
-// deterministic total order: by time, then by stream index, then by the
-// per-bus sequence number. Each input stream must itself be
-// time-ordered (a single bus's trace always is — Seq order is emission
-// order and virtual time never goes backwards within one engine).
-//
-// The PDES determinism contract (DESIGN.md section 8) makes each shard's
-// per-bus stream byte-identical to the same bus's stream in a serial
-// run, so merging the spill files of an N-shard run with MergeEvents
-// equals merging the N buses of a serial run: the sharded trace is the
-// serial trace.
-func MergeEvents(streams ...[]Event) []Event {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]Event, 0, total)
-	// idx tracks the merge frontier of each stream.
-	idx := make([]int, len(streams))
-	for len(out) < total {
-		best := -1
-		for i, s := range streams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			// Strict < keeps the lowest stream index on a time tie
-			// (streams are scanned in index order), and within one
-			// stream Seq order is preserved by the frontier walk.
-			if streams[i][idx[i]].T < streams[best][idx[best]].T {
-				best = i
-			}
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
 // ReadTraceRange parses a binary trace keeping only events with
-// since <= T <= until; it is ReadBinaryRange under the name pmsbstat
-// and benchmark/ call. Input in any other format (a JSONL export, an
-// empty file) fails with NewBinaryReader's error naming the magic.
+// since <= T <= until; it is ReadBinaryRange under the name the
+// repository benchmark calls (pmsbstat streams instead: StreamStats,
+// MergeTraces). Input in any other format (a JSONL export, an empty
+// file) fails with NewBinaryReader's error naming the magic.
 func ReadTraceRange(r io.Reader, since, until time.Duration) ([]Event, error) {
 	return ReadBinaryRange(r, since, until)
 }

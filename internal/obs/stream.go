@@ -1,60 +1,80 @@
 package obs
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"pmsb/internal/pkt"
 	"pmsb/internal/stats"
 )
 
-// This file is the streaming counterpart of analysis.go for binary
-// traces: the event-count, depth-summary and mark-rate reductions
+// This file is how a stored trace is read back for analysis: the
+// reductions that rebuild the figures the paper plots — event counts,
+// queue-depth percentiles, mark-rate timelines, per-flow summaries —
 // computed column by column from the chunk encoding, without ever
-// materializing an []Event. The materializing path costs 80 bytes per event before the
-// first statistic is touched; at fabric scale a full-run trace is
-// gigabytes of events, so the reduction — not the decode — must be the
-// resident state. A StreamStats holds only the aggregates (one Summary
-// per observed queue, one counter per kind) plus per-chunk scratch
-// columns, so analyzing a trace of any length runs in memory
-// proportional to the topology, not the run.
+// materializing an []Event, and the time-ordered merge of several
+// files that pmsbstat -export prints. A materialized event costs 80
+// bytes before the first statistic is touched; at fabric scale a
+// full-run trace is gigabytes of events, so the reduction — not the
+// decode — must be the resident state. A StreamStats holds only the
+// aggregates (one Summary per observed queue, one counter per kind, one
+// record per flow) plus per-chunk scratch columns, so analyzing a trace
+// of any length runs in memory proportional to the topology and the
+// flow count, not the run.
 //
-// Per chunk, the reducer decodes exactly the columns its reductions
+// Per chunk, the reducer stores exactly the columns its reductions
 // read: Seq and T always (their delta chains run across chunks), Kind
 // (classifies every event), the field bitmap (locates the value
-// columns), and — only when depth summaries are requested — Node,
-// Port, Queue and QueueBytes. Every other column is parsed at wire
-// level and dropped, exactly like BinaryReader.skipBody. The fold over
-// the decoded columns reproduces CountKinds, DepthSummaries and
-// MarkSeries sample for sample; stream_test.go holds the differential
-// proof.
+// columns), Node, Port, Queue and QueueBytes when depth summaries are
+// requested, and Flow, Size, Queue and V when the flow table is. Every
+// other column is parsed, validated and dropped by the one column
+// decoder every reader shares (BinaryReader.readCols). stream_test.go
+// folds the decoded events of the same traces independently and holds
+// the differential proof.
+//
+// Because port events carry absolute occupancy (PortBytes/QueueBytes),
+// every reconstruction survives ring wraparound: losing the oldest
+// events narrows the window, it never skews the values.
+
+// QueueKey identifies one queue of one port in a trace.
+type QueueKey struct {
+	Node  pkt.NodeID
+	Port  int32
+	Queue int32
+}
 
 // StreamOptions selects the reductions of a streaming pass.
 type StreamOptions struct {
-	// Counts tallies events by kind (the CountKinds reduction).
+	// Counts tallies events by kind.
 	Counts bool
 	// Depths summarizes QueueBytes per queue over enqueue/dequeue
-	// events (the DepthSummaries reduction). Enabling it decodes the
-	// Node, Port, Queue and QueueBytes columns; disabled, they are
-	// skipped at wire level.
+	// events. Enabling it decodes the Node, Port, Queue and QueueBytes
+	// columns; disabled, they are skipped at wire level.
 	Depths bool
 	// MarkBin, when non-zero, bins CE marks and dequeues into
-	// MarkBin-wide counts (the MarkSeries reduction). It reads only the
-	// Kind and T columns, which every pass decodes anyway, so enabling
-	// it costs no extra wire work. Binning by absolute time makes the
-	// fold order-insensitive like the other reductions.
+	// MarkBin-wide counts. It reads only the Kind and T columns, which
+	// every pass decodes anyway, so enabling it costs no extra wire work.
+	// Binning by absolute time makes the fold order-insensitive like the
+	// other reductions.
 	MarkBin time.Duration
+	// Flows rebuilds one FlowRecord per flow from the flow-start,
+	// flow-finish, alpha, cwnd-cut, retransmit, RTO and mark events.
+	// Enabling it decodes the Flow, Size, Queue and V columns.
+	//
+	// No merge is needed across the files of a sharded run: a flow's
+	// transport events all sit on its source host's bus, so they arrive
+	// in one file and in order, and marks only add to a count.
+	Flows bool
 	// Since/Until keep only events with Since <= T <= Until.
 	// Until 0 means no upper bound.
 	Since, Until time.Duration
 }
 
-// StreamStats accumulates the order-insensitive reductions of one or
-// more binary trace streams. Create with NewStreamStats, feed each file
-// through Reduce, then read the exported aggregates. The zero value is
-// not ready to use.
+// StreamStats accumulates the reductions of one or more binary trace
+// streams. Create with NewStreamStats, feed each file through Reduce,
+// then read the exported aggregates. The zero value is not ready to
+// use.
 type StreamStats struct {
 	// Events counts the in-range events reduced across all streams.
 	Events int
@@ -65,27 +85,24 @@ type StreamStats struct {
 	Depths map[QueueKey]*stats.Summary
 	// Marks and Dequeues are the mark-rate timeline's two series (nil
 	// unless MarkBin was set); their per-bin quotient is the mark
-	// fraction, exactly as MarkSeries produces it.
+	// fraction.
 	Marks, Dequeues *stats.TimeSeries
+	// Flows is the per-flow table (nil unless Flows was requested).
+	Flows FlowTable
 	// MinT and MaxT bound the in-range events' virtual time (both zero
 	// while Events is 0).
 	MinT, MaxT time.Duration
-	// Segments is the virtual-time segment count over the concatenation
-	// of the reduced streams, with Segments()'s semantics: a new segment
-	// wherever time goes backwards. Reports over several merged files
-	// should use 1 instead — a time-sorted merge never restarts.
+	// Segments counts the independent simulation runs over the
+	// concatenation of the reduced streams: an experiment that runs
+	// several configurations back to back emits them into one bus, and
+	// each new engine restarts virtual time at zero, so a new segment
+	// begins wherever time goes backwards. Reports over several files
+	// should use 1 instead — their time-sorted merge never restarts.
 	Segments int
 
 	opt   StreamOptions
+	keep  uint16 // the field columns the reductions read
 	lastT time.Duration
-
-	// Per-chunk scratch columns, reused across chunks and streams.
-	kinds []Kind
-	bits  []uint16
-	node  []int32
-	port  []int32
-	queue []int32
-	qb    []int64
 }
 
 // NewStreamStats returns an empty accumulator for the given reductions.
@@ -99,18 +116,23 @@ func NewStreamStats(opt StreamOptions) *StreamStats {
 	}
 	if opt.Depths {
 		st.Depths = make(map[QueueKey]*stats.Summary)
+		st.keep |= bitNode | bitPort | bitQueue | bitQueueBytes
 	}
 	if opt.MarkBin > 0 {
 		st.Marks = stats.NewTimeSeries(opt.MarkBin)
 		st.Dequeues = stats.NewTimeSeries(opt.MarkBin)
 	}
+	if opt.Flows {
+		st.Flows = make(FlowTable)
+		st.keep |= bitQueue | bitFlow | bitSize | bitV
+	}
 	return st
 }
 
 // Reduce folds one binary trace stream into the accumulator. Several
-// calls accumulate (e.g. the per-shard spill files of one run); the
-// reductions are order-insensitive, so the result matches running the
-// materializing analysis over the merged timeline.
+// calls accumulate (e.g. the per-shard spill files of one run); every
+// reduction but Segments is independent of the order the files are
+// fed in.
 func (st *StreamStats) Reduce(r io.Reader) error {
 	d, err := NewBinaryReader(r)
 	if err != nil {
@@ -127,82 +149,19 @@ func (st *StreamStats) Reduce(r io.Reader) error {
 		if err := d.readSeqT(count); err != nil {
 			return d.truncated(count, err)
 		}
-		if err := st.reduceChunk(d, count); err != nil {
+		if err := d.readCols(count, st.keep); err != nil {
 			return d.truncated(count, err)
 		}
+		st.fold(d)
 	}
 }
 
-// reduceChunk decodes one chunk body column-wise into the scratch
-// buffers and folds it into the aggregates. d's tBuf already holds the
-// chunk's decoded T column.
-func (st *StreamStats) reduceChunk(d *BinaryReader, count int) error {
-	st.grow(count)
-	for i := 0; i < count; i++ {
-		k, err := d.br.ReadByte()
-		if err != nil {
-			return err
-		}
-		if k == 0 || Kind(k) >= numKinds {
-			return fmt.Errorf("obs: corrupt trace chunk (unknown kind %d)", k)
-		}
-		st.kinds[i] = Kind(k)
-	}
-	for i := 0; i < count; i++ {
-		b, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return err
-		}
-		if b > bitsAll {
-			return fmt.Errorf("obs: corrupt trace chunk (field bitmap %#x)", b)
-		}
-		st.bits[i] = uint16(b)
-	}
-	// Field columns in layout order: decode the ones the reductions
-	// read, parse-and-drop the rest (signed and unsigned varints share
-	// the wire shape; reason and v are fixed-width and discard in one
-	// step, as in skipBody).
-	if st.opt.Depths {
-		if err := st.readCol32(d, count, bitNode, st.node); err != nil {
-			return err
-		}
-		if err := st.readCol32(d, count, bitPort, st.port); err != nil {
-			return err
-		}
-		if err := st.readCol32(d, count, bitQueue, st.queue); err != nil {
-			return err
-		}
-	} else {
-		for _, bit := range [...]uint16{bitNode, bitPort, bitQueue} {
-			if err := st.skipVarints(d, count, bit); err != nil {
-				return err
-			}
-		}
-	}
-	for _, bit := range [...]uint16{bitFlow, bitPkt, bitSize} {
-		if err := st.skipVarints(d, count, bit); err != nil {
-			return err
-		}
-	}
-	if _, err := d.br.Discard(st.present(count, bitReason)); err != nil {
-		return err
-	}
-	if err := st.skipVarints(d, count, bitPortBytes); err != nil {
-		return err
-	}
-	if st.opt.Depths {
-		if err := st.readCol64(d, count, bitQueueBytes, st.qb); err != nil {
-			return err
-		}
-	} else if err := st.skipVarints(d, count, bitQueueBytes); err != nil {
-		return err
-	}
-	if _, err := d.br.Discard(8 * st.present(count, bitV)); err != nil {
-		return err
-	}
-
-	for i := 0; i < count; i++ {
-		t := time.Duration(d.tBuf[i])
+// fold folds the chunk d just decoded (its T column and the columns
+// in st.keep) into the aggregates.
+func (st *StreamStats) fold(d *BinaryReader) {
+	c := &d.cols
+	for i, t := range d.tBuf {
+		t := time.Duration(t)
 		if t < st.opt.Since || t > st.opt.Until {
 			continue
 		}
@@ -221,7 +180,7 @@ func (st *StreamStats) reduceChunk(d *BinaryReader, count int) error {
 		}
 		st.lastT = t
 		st.Events++
-		k := st.kinds[i]
+		k := c.kinds[i]
 		if st.Kinds != nil {
 			st.Kinds[k]++
 		}
@@ -234,94 +193,116 @@ func (st *StreamStats) reduceChunk(d *BinaryReader, count int) error {
 			}
 		}
 		if st.Depths != nil && (k == KindEnqueue || k == KindDequeue) {
-			key := QueueKey{Node: pkt.NodeID(st.node[i]), Port: st.port[i], Queue: st.queue[i]}
+			key := QueueKey{Node: pkt.NodeID(c.node[i]), Port: c.port[i], Queue: c.queue[i]}
 			s := st.Depths[key]
 			if s == nil {
 				s = &stats.Summary{}
 				st.Depths[key] = s
 			}
-			s.Add(float64(st.qb[i]))
+			s.Add(float64(c.qb[i]))
+		}
+		if st.Flows != nil {
+			st.Flows.add(&Event{T: t, Kind: k, Queue: c.queue[i],
+				Flow: pkt.FlowID(c.flow[i]), Size: c.size[i], V: c.v[i]})
 		}
 	}
-	return nil
-}
-
-// grow sizes the scratch columns for a chunk of count events.
-func (st *StreamStats) grow(count int) {
-	if cap(st.kinds) < count {
-		st.kinds = make([]Kind, count)
-		st.bits = make([]uint16, count)
-		st.node = make([]int32, count)
-		st.port = make([]int32, count)
-		st.queue = make([]int32, count)
-		st.qb = make([]int64, count)
-	}
-	st.kinds = st.kinds[:count]
-	st.bits = st.bits[:count]
-	st.node = st.node[:count]
-	st.port = st.port[:count]
-	st.queue = st.queue[:count]
-	st.qb = st.qb[:count]
-}
-
-// present counts the chunk's events with bit set in their field bitmap.
-func (st *StreamStats) present(count int, bit uint16) int {
-	n := 0
-	for i := 0; i < count; i++ {
-		if st.bits[i]&bit != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// readCol32 decodes one 32-bit varint column into dst; a clear bit is a
-// zero value.
-func (st *StreamStats) readCol32(d *BinaryReader, count int, bit uint16, dst []int32) error {
-	for i := 0; i < count; i++ {
-		if st.bits[i]&bit == 0 {
-			dst[i] = 0
-			continue
-		}
-		v, err := d.readInt32()
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// readCol64 decodes one 64-bit varint column into dst; a clear bit is a
-// zero value.
-func (st *StreamStats) readCol64(d *BinaryReader, count int, bit uint16, dst []int64) error {
-	for i := 0; i < count; i++ {
-		if st.bits[i]&bit == 0 {
-			dst[i] = 0
-			continue
-		}
-		v, err := binary.ReadVarint(d.br)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// skipVarints parses one varint column without storing it.
-func (st *StreamStats) skipVarints(d *BinaryReader, count int, bit uint16) error {
-	n := st.present(count, bit)
-	for j := 0; j < n; j++ {
-		if _, err := binary.ReadUvarint(d.br); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DepthKeys returns the depth-summary keys sorted by (node, port,
-// queue), matching DepthSummaries' deterministic iteration order.
+// queue), for deterministic iteration.
 func (st *StreamStats) DepthKeys() []QueueKey {
-	return sortedQueueKeys(st.Depths)
+	keys := make([]QueueKey, 0, len(st.Depths))
+	for k := range st.Depths {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Node != keys[j].Node {
+			return keys[i].Node < keys[j].Node
+		}
+		if keys[i].Port != keys[j].Port {
+			return keys[i].Port < keys[j].Port
+		}
+		return keys[i].Queue < keys[j].Queue
+	})
+	return keys
+}
+
+// MergeTraces interleaves binary trace streams (e.g. the per-shard
+// spill files of one run) into one deterministic timeline and calls fn
+// on each event with since <= T <= until, in merged order: by time,
+// then by stream index on a tie, and each stream in its own order. A
+// single bus's trace is time-ordered, so within one stream that is Seq
+// order.
+//
+// The PDES determinism contract (DESIGN.md section 8) makes each
+// shard's per-bus stream byte-identical to the same bus's stream in a
+// serial run, so merging the spill files of an N-shard run equals
+// merging the N buses of a serial run: the sharded trace is the serial
+// trace.
+//
+// Each stream is decoded one chunk at a time (BinaryReader.NextRange),
+// so memory is bounded by the stream count times one chunk, whatever
+// the trace length. fn's *Event is valid only during the call.
+func MergeTraces(rs []io.Reader, since, until time.Duration, fn func(*Event) error) error {
+	type head struct {
+		d     *BinaryReader
+		chunk []Event
+		pos   int
+	}
+	heads := make([]*head, 0, len(rs))
+	for _, r := range rs {
+		d, err := NewBinaryReader(r)
+		if err != nil {
+			return err
+		}
+		heads = append(heads, &head{d: d})
+	}
+	// fill advances h to its next in-range event; false once the stream
+	// is exhausted.
+	fill := func(h *head) (bool, error) {
+		for h.pos == len(h.chunk) {
+			chunk, err := h.d.NextRange(since, until)
+			if err == io.EOF {
+				return false, nil
+			}
+			if err != nil {
+				return false, err
+			}
+			h.chunk, h.pos = chunk, 0
+		}
+		return true, nil
+	}
+	live := heads[:0]
+	for _, h := range heads {
+		ok, err := fill(h)
+		if err != nil {
+			return err
+		}
+		if ok {
+			live = append(live, h)
+		}
+	}
+	for len(live) > 0 {
+		// Strict < keeps the lowest stream index on a time tie (live
+		// stays in stream order as exhausted heads drop out).
+		best := 0
+		for i := 1; i < len(live); i++ {
+			if live[i].chunk[live[i].pos].T < live[best].chunk[live[best].pos].T {
+				best = i
+			}
+		}
+		h := live[best]
+		if err := fn(&h.chunk[h.pos]); err != nil {
+			return err
+		}
+		h.pos++
+		ok, err := fill(h)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			live = append(live[:best], live[best+1:]...)
+		}
+	}
+	return nil
 }

@@ -2,14 +2,135 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"pmsb/internal/pkt"
 	"pmsb/internal/stats"
 )
+
+// The oracle: the reductions StreamStats computes, written as plain
+// folds over decoded events. The package reads traces only through the
+// streamed pass; these exist so the tests can check it against an
+// independent implementation.
+
+func countKinds(events []Event) map[Kind]int {
+	out := make(map[Kind]int)
+	for i := range events {
+		out[events[i].Kind]++
+	}
+	return out
+}
+
+func depthSummaries(events []Event) map[QueueKey]*stats.Summary {
+	out := make(map[QueueKey]*stats.Summary)
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind != KindEnqueue && ev.Kind != KindDequeue {
+			continue
+		}
+		k := QueueKey{Node: ev.Node, Port: ev.Port, Queue: ev.Queue}
+		if out[k] == nil {
+			out[k] = &stats.Summary{}
+		}
+		out[k].Add(float64(ev.QueueBytes))
+	}
+	return out
+}
+
+func markSeries(events []Event, bin time.Duration) (marks, dequeues *stats.TimeSeries) {
+	marks, dequeues = stats.NewTimeSeries(bin), stats.NewTimeSeries(bin)
+	for i := range events {
+		switch events[i].Kind {
+		case KindMark:
+			marks.Add(events[i].T, 1)
+		case KindDequeue:
+			dequeues.Add(events[i].T, 1)
+		}
+	}
+	return marks, dequeues
+}
+
+func segments(events []Event) int {
+	if len(events) == 0 {
+		return 0
+	}
+	segs := 1
+	for i := 1; i < len(events); i++ {
+		if events[i].T < events[i-1].T {
+			segs++
+		}
+	}
+	return segs
+}
+
+func flowsFromEvents(events []Event) FlowTable {
+	t := make(FlowTable)
+	rec := func(f pkt.FlowID) *FlowRecord {
+		if t[f] == nil {
+			t[f] = &FlowRecord{Flow: f}
+		}
+		return t[f]
+	}
+	for _, ev := range events {
+		if ev.Flow == 0 {
+			continue
+		}
+		switch ev.Kind {
+		case KindFlowStart:
+			r := rec(ev.Flow)
+			r.Start, r.Size, r.Service = ev.T, ev.Size, int(ev.Queue)
+		case KindFlowFinish:
+			r := rec(ev.Flow)
+			r.Finished, r.Finish, r.FCT, r.Bytes = true, ev.T, time.Duration(ev.V), ev.Size
+		case KindMark:
+			rec(ev.Flow).MarksSeen++
+		case KindCwndCut:
+			rec(ev.Flow).CwndCuts++
+		case KindRetransmit:
+			rec(ev.Flow).Retransmits++
+		case KindRTO:
+			rec(ev.Flow).RTOs++
+		case KindAlpha:
+			r := rec(ev.Flow)
+			r.LastAlpha = ev.V
+			r.Bytes = max(r.Bytes, ev.Size)
+		}
+	}
+	return t
+}
+
+// mergeTraces collects MergeTraces' output over encoded streams.
+func mergeTraces(t *testing.T, since, until time.Duration, raws ...[]byte) []Event {
+	t.Helper()
+	rs := make([]io.Reader, len(raws))
+	for i, raw := range raws {
+		rs[i] = bytes.NewReader(raw)
+	}
+	var out []Event
+	if err := MergeTraces(rs, since, until, func(ev *Event) error {
+		out = append(out, *ev)
+		return nil
+	}); err != nil {
+		t.Fatalf("MergeTraces: %v", err)
+	}
+	return out
+}
+
+// encode writes events in the binary trace format.
+func encode(t testing.TB, events []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, events); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
+	}
+	return buf.Bytes()
+}
 
 // streamFixture synthesizes a deterministic pseudo-random trace wide
 // enough to exercise every column (all kinds, all optional fields,
@@ -52,55 +173,74 @@ func streamFixture(t *testing.T, n int) ([]byte, []Event) {
 		}
 		events[i] = ev
 	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, events); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	return buf.Bytes(), events
+	return encode(t, events), events
 }
 
-// assertStreamMatches checks a StreamStats against the materializing
-// reductions over the same (already range-filtered) events.
+// assertStreamMatches checks a StreamStats against the oracle over the
+// same (already range-filtered) events. Every reduction st was built
+// with is compared.
 func assertStreamMatches(t *testing.T, st *StreamStats, events []Event) {
 	t.Helper()
 	if st.Events != len(events) {
-		t.Fatalf("streamed %d events, materialized %d", st.Events, len(events))
+		t.Fatalf("streamed %d events, oracle %d", st.Events, len(events))
 	}
-	if want := CountKinds(events); !reflect.DeepEqual(st.Kinds, want) {
-		t.Errorf("kind counts differ:\n streamed %v\n want     %v", st.Kinds, want)
+	if st.Kinds != nil && !reflect.DeepEqual(st.Kinds, countKinds(events)) {
+		t.Errorf("kind counts differ:\n streamed %v\n want     %v", st.Kinds, countKinds(events))
 	}
-	sums, keys := DepthSummaries(events)
-	gotKeys := st.DepthKeys()
-	if !reflect.DeepEqual(gotKeys, keys) {
-		t.Fatalf("depth key sets differ:\n streamed %v\n want     %v", gotKeys, keys)
-	}
-	for _, k := range keys {
-		got, want := st.Depths[k].Samples(), sums[k].Samples()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("queue %v depth samples differ:\n streamed %v\n want     %v", k, got, want)
+	if st.Depths != nil {
+		sums := depthSummaries(events)
+		keys := make([]QueueKey, 0, len(sums))
+		for k := range sums {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			a, b := keys[i], keys[j]
+			return a.Node < b.Node || a.Node == b.Node && (a.Port < b.Port || a.Port == b.Port && a.Queue < b.Queue)
+		})
+		if got := st.DepthKeys(); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("depth key sets differ:\n streamed %v\n want     %v", got, keys)
+		}
+		for _, k := range keys {
+			if got, want := st.Depths[k].Samples(), sums[k].Samples(); !reflect.DeepEqual(got, want) {
+				t.Errorf("queue %v depth samples differ:\n streamed %v\n want     %v", k, got, want)
+			}
 		}
 	}
 	if st.Marks != nil {
-		ms, dq := MarkSeries(events, st.Marks.BinWidth())
+		ms, dq := markSeries(events, st.Marks.BinWidth())
 		assertSeriesEqual(t, "marks", st.Marks, ms)
 		assertSeriesEqual(t, "dequeues", st.Dequeues, dq)
+	}
+	if st.Flows != nil {
+		assertFlowsEqual(t, st.Flows, flowsFromEvents(events))
 	}
 	if len(events) > 0 {
 		minT, maxT := events[0].T, events[0].T
 		for _, ev := range events {
-			if ev.T < minT {
-				minT = ev.T
-			}
-			if ev.T > maxT {
-				maxT = ev.T
-			}
+			minT, maxT = min(minT, ev.T), max(maxT, ev.T)
 		}
 		if st.MinT != minT || st.MaxT != maxT {
 			t.Errorf("time bounds [%v, %v], want [%v, %v]", st.MinT, st.MaxT, minT, maxT)
 		}
 	}
-	if want := Segments(events); st.Segments != want {
+	if want := segments(events); st.Segments != want {
 		t.Errorf("segments = %d, want %d", st.Segments, want)
+	}
+}
+
+// assertFlowsEqual compares two flow tables record by record. Records
+// compare in their printed form so a NaN alpha (possible in arbitrary
+// input) equals itself.
+func assertFlowsEqual(t *testing.T, got, want FlowTable) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("flow table holds %d flows, want %d", len(got), len(want))
+	}
+	for f, w := range want {
+		g := got[f]
+		if g == nil || fmt.Sprintf("%+v", *g) != fmt.Sprintf("%+v", *w) {
+			t.Errorf("flow %d:\n streamed %+v\n want     %+v", f, g, w)
+		}
 	}
 }
 
@@ -118,12 +258,14 @@ func assertSeriesEqual(t *testing.T, name string, got, want *stats.TimeSeries) {
 	}
 }
 
-// The streaming reduction must reproduce CountKinds, DepthSummaries and
-// MarkSeries sample for sample on a multi-chunk trace covering every
-// column.
+// allReductions enables every reduction StreamStats offers.
+var allReductions = StreamOptions{Counts: true, Depths: true, MarkBin: 100 * time.Microsecond, Flows: true}
+
+// The streaming reduction must reproduce the oracle sample for sample on
+// a multi-chunk trace covering every column.
 func TestStreamReduceDifferential(t *testing.T) {
 	raw, events := streamFixture(t, 3*writerChunkEvents/2)
-	st := NewStreamStats(StreamOptions{Counts: true, Depths: true, MarkBin: 100 * time.Microsecond})
+	st := NewStreamStats(allReductions)
 	if err := st.Reduce(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
@@ -131,9 +273,9 @@ func TestStreamReduceDifferential(t *testing.T) {
 }
 
 // Range cuts must match read-then-filter, including cuts landing
-// mid-chunk and cuts selecting nothing.
+// mid-chunk, cuts skipping whole chunks, and cuts selecting nothing.
 func TestStreamReduceRange(t *testing.T) {
-	raw, events := streamFixture(t, 2000)
+	raw, events := streamFixture(t, 3*writerChunkEvents)
 	last := events[len(events)-1].T
 	cuts := []struct {
 		name         string
@@ -147,10 +289,9 @@ func TestStreamReduceRange(t *testing.T) {
 	}
 	for _, cut := range cuts {
 		t.Run(cut.name, func(t *testing.T) {
-			st := NewStreamStats(StreamOptions{
-				Counts: true, Depths: true, MarkBin: 50 * time.Microsecond,
-				Since: cut.since, Until: cut.until,
-			})
+			opt := allReductions
+			opt.MarkBin, opt.Since, opt.Until = 50*time.Microsecond, cut.since, cut.until
+			st := NewStreamStats(opt)
 			if err := st.Reduce(bytes.NewReader(raw)); err != nil {
 				t.Fatalf("Reduce: %v", err)
 			}
@@ -171,53 +312,39 @@ func TestStreamReduceMultiFile(t *testing.T) {
 			t.Fatalf("Reduce: %v", err)
 		}
 	}
-	all := append(append([]Event(nil), ev1...), ev2...)
-	if st.Events != len(all) {
-		t.Fatalf("streamed %d events, want %d", st.Events, len(all))
-	}
-	if want := CountKinds(all); !reflect.DeepEqual(st.Kinds, want) {
-		t.Errorf("kind counts differ: %v want %v", st.Kinds, want)
-	}
 	// The second stream restarts virtual time, so concatenation
 	// semantics see one extra segment.
-	if want := Segments(all); st.Segments != want {
-		t.Errorf("segments = %d, want %d", st.Segments, want)
-	}
+	assertStreamMatches(t, st, append(append([]Event(nil), ev1...), ev2...))
 	// Depth summaries are order-insensitive: per-queue sample multisets
 	// match the merged timeline's even though the fold order differs.
-	sums, keys := DepthSummaries(MergeEvents(ev1, ev2))
-	if got := st.DepthKeys(); !reflect.DeepEqual(got, keys) {
-		t.Fatalf("depth key sets differ: %v want %v", got, keys)
+	sums := depthSummaries(mergeTraces(t, 0, 1<<63-1, raw1, raw2))
+	if len(st.Depths) != len(sums) {
+		t.Fatalf("depth key sets differ: %d vs %d queues", len(st.Depths), len(sums))
 	}
-	for _, k := range keys {
-		if st.Depths[k].Count() != sums[k].Count() ||
-			st.Depths[k].Mean() != sums[k].Mean() ||
-			st.Depths[k].Percentile(99) != sums[k].Percentile(99) {
+	for k, want := range sums {
+		got := st.Depths[k]
+		if got == nil || got.Count() != want.Count() || got.Mean() != want.Mean() ||
+			got.Percentile(99) != want.Percentile(99) {
 			t.Errorf("queue %v summary differs from merged-timeline reduction", k)
 		}
 	}
 }
 
-// Disabled reductions leave their maps nil and skip their columns; the
-// enabled one is unaffected.
+// Disabled reductions leave their aggregates nil and skip their
+// columns; the enabled one is unaffected.
 func TestStreamReduceCountsOnly(t *testing.T) {
 	raw, events := streamFixture(t, 500)
 	st := NewStreamStats(StreamOptions{Counts: true})
 	if err := st.Reduce(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	if st.Depths != nil {
-		t.Error("Depths map allocated without the reduction enabled")
+	if st.Depths != nil || st.Flows != nil {
+		t.Error("Depths or Flows allocated without the reduction enabled")
 	}
 	if st.Marks != nil || st.Dequeues != nil {
 		t.Error("mark series allocated without MarkBin set")
 	}
-	if want := CountKinds(events); !reflect.DeepEqual(st.Kinds, want) {
-		t.Errorf("kind counts differ: %v want %v", st.Kinds, want)
-	}
-	if st.Events != len(events) {
-		t.Errorf("streamed %d events, want %d", st.Events, len(events))
-	}
+	assertStreamMatches(t, st, events)
 }
 
 // A truncated chunk must error, not silently under-count.
@@ -230,4 +357,51 @@ func TestStreamReduceTruncated(t *testing.T) {
 	if err := st.Reduce(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("garbage stream did not error")
 	}
+}
+
+// traceSeeds is the shared seed corpus of the decoder fuzzers: valid
+// traces of increasing complexity plus targeted corruptions, so the
+// fuzzer starts at the format's interesting surfaces rather than
+// rediscovering the magic.
+func traceSeeds() [][]byte {
+	var empty, one, full bytes.Buffer
+	_ = WriteBinary(&empty, nil)
+	_ = WriteBinary(&one, []Event{{Seq: 0, T: 1, Kind: KindEnqueue, Node: 1, Size: 1500}})
+	_ = WriteBinary(&full, traceFixture())
+	return [][]byte{
+		empty.Bytes(),
+		one.Bytes(),
+		full.Bytes(),
+		full.Bytes()[:full.Len()-3],
+		[]byte("PMSBTRC0"),
+		append([]byte(binaryMagic), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
+		append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0xEE),
+	}
+}
+
+// FuzzStreamReduce: the streamed pass is the only report decoder, so it
+// must agree with the full decoder on arbitrary input — with every
+// reduction on, Reduce fails exactly when ReadBinary fails, and when
+// both succeed its aggregates equal the oracle's over the decoded
+// events. The window starts at 0 and ends at 2^40 ns, as pmsbstat's
+// default window starts at 0, and keeps the mark timeline's bin count
+// bounded on hostile timestamps.
+func FuzzStreamReduce(f *testing.F) {
+	for _, seed := range traceSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadBinary(bytes.NewReader(data))
+		opt := allReductions
+		opt.MarkBin, opt.Until = 1<<24, 1<<40
+		st := NewStreamStats(opt)
+		serr := st.Reduce(bytes.NewReader(data))
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("ReadBinary err = %v, Reduce err = %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		assertStreamMatches(t, st, filterEvents(events, opt.Since, opt.Until))
+	})
 }

@@ -201,7 +201,6 @@ func (s *DCQCNSender) handleCNP(p *pkt.Packet) {
 		s.rc = min
 	}
 	s.steps = 0
-	s.probe.Signal(true, true)
 	s.probe.Rate(s.eng.Now(), s.rc)
 }
 

@@ -356,7 +356,6 @@ func (s *Sender) handleAck(p *pkt.Packet) {
 	if accepted {
 		s.marksAccepted++
 	}
-	s.probe.Signal(marked, accepted)
 
 	switch {
 	case p.AckNo > s.sndUna:
