@@ -75,7 +75,6 @@ func TestRunScenarios(t *testing.T) {
 		{"-groups", "2x0", "-sched", "fifo", "-marker", "perqueue", "-dur", "20ms"},
 		{"-groups", "1x0,1x1", "-sched", "sp", "-marker", "fractional", "-dur", "20ms"},
 		{"-groups", "1x0,1x1,1x2", "-sched", "spwfq", "-marker", "pmsbe", "-dur", "20ms"},
-		{"-groups", "2x0", "-marker", "red", "-dur", "20ms"},
 		{"-groups", "2x0", "-marker", "none", "-buffer", "50", "-dur", "20ms"},
 		{"-groups", "2x0", "-marker", "pmsb", "-dequeue", "-dur", "20ms"},
 	} {
@@ -104,6 +103,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		if _, err := capture(t, append([]string{"flow"}, args...)...); err == nil {
 			t.Fatalf("flow %v should fail", args)
 		}
+	}
+	// RED was retired: its name is refused, and the error lists the
+	// schemes that remain.
+	if _, err := capture(t, "flow", "-marker", "red"); err == nil || !strings.Contains(err.Error(), "pmsbe") {
+		t.Fatalf("flow -marker red: err = %v, want an unknown-marker error listing the remaining names", err)
 	}
 }
 

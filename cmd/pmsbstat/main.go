@@ -137,9 +137,7 @@ func report(w io.Writer, paths []string, opt obs.StreamOptions, top int) (int, e
 	}
 
 	fmt.Fprintf(w, "# trace: %d events, %s span", st.Events, st.MaxT-st.MinT)
-	// Segments counts time restarts over the files' concatenation, which
-	// is a run count only for a single file.
-	if segs := st.Segments; len(paths) == 1 && segs > 1 {
+	if segs := st.Segments; segs > 1 {
 		fmt.Fprintf(w, ", %d segments (virtual time restarts; multi-run trace)", segs)
 	}
 	fmt.Fprintln(w)

@@ -425,4 +425,43 @@ func TestMergedShardReport(t *testing.T) {
 			t.Errorf("merged depth table missing node row %q:\n%s", node, out)
 		}
 	}
+	if strings.Contains(out, "segments") {
+		t.Errorf("single-run shard files reported as a multi-run trace:\n%s", out)
+	}
+}
+
+// The shard files of a multi-run experiment (fct-dwrr -shards 2) each
+// hold every run; the report over both counts the runs as one file does.
+func TestMultiRunShardReport(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for shard := 0; shard < 2; shard++ {
+		bus := obs.NewBus(64)
+		probe := bus.ObservePort(obs.PortID{Node: pkt.NodeID(1000 + shard), Port: 0}, 1)
+		p := &pkt.Packet{Flow: 1, ID: 1, Size: 1500}
+		for run := 0; run < 3; run++ {
+			for i := 0; i < 4; i++ { // each run restarts virtual time
+				probe.Enqueue(time.Duration(i)*time.Millisecond, 0, p, 1500, 1500)
+			}
+		}
+		path := obs.ShardTracePath(filepath.Join(dir, "t.bin"), shard)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WriteBinary(f, bus.Ring().Events()); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		paths = append(paths, path)
+	}
+	for _, files := range [][]string{paths[:1], paths} {
+		out, err := capture(t, files...)
+		if err != nil {
+			t.Fatalf("pmsbstat %v: %v", files, err)
+		}
+		if head := strings.SplitN(out, "\n", 2)[0]; !strings.Contains(head, ", 3 segments") {
+			t.Errorf("pmsbstat %v header %q: want 3 segments", files, head)
+		}
+	}
 }

@@ -256,7 +256,6 @@ func TestMarkerIdentities(t *testing.T) {
 		{None{}, "None", AtEnqueue},
 		{&MQECN{RTT: time.Microsecond, Lambda: 1, MarkPoint: AtDequeue}, "MQ-ECN", AtDequeue},
 		{&TCN{Threshold: time.Microsecond}, "TCN", AtDequeue},
-		{&RED{MinK: 1, MaxK: 2, MaxP: 1, MarkPoint: AtDequeue}, "RED", AtDequeue},
 		{NewAveraged(&PerPort{K: 1}, 0.5), "PerPort+avg", AtEnqueue},
 	}
 	for _, tt := range markers {
@@ -270,7 +269,7 @@ func TestMarkerIdentities(t *testing.T) {
 	// Default (zero MarkPoint) resolves to enqueue for configurable
 	// markers.
 	for _, m := range []Marker{
-		&PerQueueFractional{PortK: 1}, &PerPool{K: 1}, &MQECN{RTT: 1, Lambda: 1}, &RED{MaxK: 1},
+		&PerQueueFractional{PortK: 1}, &PerPool{K: 1}, &MQECN{RTT: 1, Lambda: 1},
 	} {
 		if m.Point() != AtEnqueue {
 			t.Errorf("%s default point = %v, want enqueue", m.Name(), m.Point())

@@ -60,7 +60,7 @@ func TestRegistryComplete(t *testing.T) {
 		"analysis-validation", "ablation-average", "pfc",
 		"ablation-markpoint", "fattree", "fattree-incast", "fattree32",
 		"scenario-incast", "scenario-permutation", "scenario-fattree",
-		"calibrate", "flow-scale",
+		"calibrate", "flow-scale", "fig8-wrr",
 	}
 	for i := 1; i <= 27; i++ {
 		want = append(want, "fig"+itoa(i))
@@ -186,6 +186,16 @@ func TestFig8PMSBPreservesFairness(t *testing.T) {
 	}
 	if q1+q2 < 9 {
 		t.Fatalf("PMSB should keep the link nearly full, got %.2f Gbps", q1+q2)
+	}
+}
+
+// On WRR too, PMSB holds queue 1's fair share against four queue-2 flows.
+func TestFig8WRRPMSBPreservesFairness(t *testing.T) {
+	res := mustRun(t, "fig8-wrr")
+	q1 := atof(cell(t, res, func(r []string) bool { return r[0] == "1" }, "throughput_gbps"))
+	q2 := atof(cell(t, res, func(r []string) bool { return r[0] == "2" }, "throughput_gbps"))
+	if share := q1 / (q1 + q2); share < 0.42 || share > 0.58 {
+		t.Fatalf("PMSB on WRR should hold the 0.5 fair share, got %.3f", share)
 	}
 }
 

@@ -282,6 +282,7 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 	flowPreview := opt.engine() == "flow"
 	if flowPreview {
 		res.AddNote("flow-engine preview: fluid max-min shares with %s fluid marking; packet engine remains the ground truth (see calibrate)", schedName)
+		res.AddNote("fluid pmsb equals per-port marking: the weight-proportional depth split keeps every service above its blindness threshold once the port overshoots K")
 	}
 	for _, sc := range schemes {
 		if sc.roundOnly && schedName != "dwrr" {

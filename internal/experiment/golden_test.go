@@ -64,6 +64,7 @@ var goldenSerial = map[string]string{
 	"fig6":                 "4d501e2aaebd3c0bfc043ee9",
 	"fig7":                 "a5788f7d784735c57baddac2",
 	"fig8":                 "bedbb5867f9b0f41729bd326",
+	"fig8-wrr":             "8e0b573e15a6b978aeb49928",
 	"fig9":                 "bd960d30320e09f9cef133a3",
 	"flow-scale":           "6e082f0e57bfab8e5002e5ad",
 	"incast":               "f19ee1a314eeb5958ba8259e",
@@ -81,6 +82,16 @@ var goldenShards2 = map[string]string{
 	"fattree":        "e8d104297341ca441420a1ca",
 	"fattree-incast": "3d6dd3667593564a9a9a7643",
 	"fct-dwrr":       "c979ec6e4028bc26def2bdd0",
+}
+
+// goldenFlow pins the experiments with a fluid formulation on the
+// flow engine, the only pinned runs of internal/flowsim's markings.
+var goldenFlow = map[string]string{
+	"fct-dwrr":             "8d86714e289b32bec0285478",
+	"fct-wfq":              "ffa3fabb7d5ef26da4df7e82",
+	"scenario-fattree":     "caa6ef84066849ea593636c7",
+	"scenario-incast":      "1f931afd61868e9680e08643",
+	"scenario-permutation": "279c9208f50834ffd4a54b83",
 }
 
 func checkGolden(t *testing.T, name string, golden map[string]string, specs []Spec, opt Options) {
@@ -111,13 +122,28 @@ func TestGoldenTablesSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fct-dwrr sweep sharded")
 	}
-	var specs []Spec
-	for _, id := range []string{"fct-dwrr", "fattree", "fattree-incast"} {
+	checkGolden(t, "goldenShards2", goldenShards2, lookupAll(t, "fct-dwrr", "fattree", "fattree-incast"),
+		Options{Quick: true, Seed: 1, Shards: 2})
+}
+
+func TestGoldenTablesFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the fluid sweeps")
+	}
+	checkGolden(t, "goldenFlow", goldenFlow,
+		lookupAll(t, "fct-dwrr", "fct-wfq", "scenario-fattree", "scenario-incast", "scenario-permutation"),
+		Options{Quick: true, Seed: 1, Engine: "flow"})
+}
+
+func lookupAll(t *testing.T, ids ...string) []Spec {
+	t.Helper()
+	specs := make([]Spec, len(ids))
+	for i, id := range ids {
 		spec, err := Lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, spec)
+		specs[i] = spec
 	}
-	checkGolden(t, "goldenShards2", goldenShards2, specs, Options{Quick: true, Seed: 1, Shards: 2})
+	return specs
 }

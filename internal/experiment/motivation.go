@@ -82,8 +82,8 @@ func runFig1(opt Options) (*Result, error) {
 }
 
 // runFig2: a single active queue, per-queue threshold 2 vs 16 packets.
-// The fractional threshold (2 pkts, i.e. 16 split over 8 queues) makes
-// the queue underflow and loses throughput.
+// The fractional threshold (Eq. 2: 2 pkts, i.e. 16 split over 8 queues)
+// makes the queue underflow and loses throughput.
 //
 // Substitution note: the paper starts one flow. In a packet-level model
 // with per-host NICs at the same rate as the bottleneck, a lone flow's
@@ -104,14 +104,22 @@ func runFig2(opt Options) (*Result, error) {
 	// 16-packet one — the regime Figure 2 demonstrates.
 	const fig2Delay = 10 * time.Microsecond
 	rates := make(map[int]units.Rate)
-	for _, k := range []int{2, 16} {
-		k := k
+	for _, row := range []struct {
+		k      int
+		marker topo.MarkerFactory
+	}{
+		// Eq. 2's fractional threshold: the standard 16 packets split
+		// over 8 equal-weight queues is 2 packets per queue.
+		{2, func() ecn.Marker { return &ecn.PerQueueFractional{PortK: units.Packets(16)} }},
+		{16, func() ecn.Marker { return &ecn.PerQueueStandard{K: units.Packets(16)} }},
+	} {
+		k := row.k
 		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
 				Weights:   topo.EqualWeights(8),
 				NewSched:  topo.WFQFactory(),
-				NewMarker: func() ecn.Marker { return &ecn.PerQueueStandard{K: units.Packets(k)} },
+				NewMarker: row.marker,
 			},
 			accessRate: motiveRate, bottleneckRate: motiveRate, delay: fig2Delay,
 			groups: []flowGroup{{service: 0, count: 2}},

@@ -5,6 +5,8 @@ import (
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
+	"pmsb/internal/sched"
+	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
 	"pmsb/internal/units"
@@ -13,6 +15,7 @@ import (
 func staticSpecs() []Spec {
 	return []Spec{
 		{ID: "fig8", Title: "PMSB weighted fair sharing, DWRR, 12 pkts, flows 1:4", Run: runFig8},
+		{ID: "fig8-wrr", Title: "PMSB weighted fair sharing, fig8's setup on WRR", Run: runFig8WRR},
 		{ID: "fig9", Title: "RTT distribution: PMSB vs PMSB(e) vs MQ-ECN vs TCN vs per-queue standard", Run: runFig9},
 		{ID: "fig10", Title: "PMSB weighted fair sharing under heavy traffic, flows 1:100", Run: runFig10},
 		{ID: "fig11", Title: "PMSB buffer peak: enqueue vs dequeue marking", Run: runFig11},
@@ -21,9 +24,10 @@ func staticSpecs() []Spec {
 }
 
 // pmsbFairness runs the paper's Section VI-A.1 weighted-fair-sharing
-// experiment: DWRR with two equal queues, PMSB with a 12-packet port
+// experiment: two equal queues drained by WFQ (or by newSched, as
+// PortProfile.NewSchedWith, when non-nil), PMSB with a 12-packet port
 // threshold, 1 flow in queue 1 vs q2Flows in queue 2.
-func pmsbFairness(id, title string, opt Options, q2Flows int) (*Result, error) {
+func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim.Engine, []float64) sched.Scheduler) (*Result, error) {
 	dur, warmup := staticDur(opt)
 	if opt.Quick && q2Flows > 30 {
 		q2Flows = 30 // preserve the heavy-traffic character, cut runtime
@@ -31,9 +35,10 @@ func pmsbFairness(id, title string, opt Options, q2Flows int) (*Result, error) {
 	r, err := runStatic(staticConfig{
 		opt: opt,
 		profile: topo.PortProfile{
-			Weights:   topo.EqualWeights(2),
-			NewSched:  topo.WFQFactory(),
-			NewMarker: func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.Obs} },
+			Weights:      topo.EqualWeights(2),
+			NewSched:     topo.WFQFactory(),
+			NewSchedWith: newSched,
+			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.Obs} },
 		},
 		accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 		groups: []flowGroup{
@@ -59,11 +64,18 @@ func pmsbFairness(id, title string, opt Options, q2Flows int) (*Result, error) {
 }
 
 func runFig8(opt Options) (*Result, error) {
-	return pmsbFairness("fig8", "PMSB fair sharing: DWRR, port K=12 pkts, flows 1:4", opt, 4)
+	return pmsbFairness("fig8", "PMSB fair sharing: DWRR, port K=12 pkts, flows 1:4", opt, 4, nil)
+}
+
+// runFig8WRR runs fig8 on WRR, which DESIGN.md section 1 lists among
+// the schedulers the paper evaluates PMSB on: port-level marking must
+// hold the fair share whatever discipline drains the queues.
+func runFig8WRR(opt Options) (*Result, error) {
+	return pmsbFairness("fig8-wrr", "PMSB fair sharing: WRR, port K=12 pkts, flows 1:4", opt, 4, topo.WRRSched)
 }
 
 func runFig10(opt Options) (*Result, error) {
-	return pmsbFairness("fig10", "PMSB fair sharing under heavy traffic: flows 1:100", opt, 100)
+	return pmsbFairness("fig10", "PMSB fair sharing under heavy traffic: flows 1:100", opt, 100, nil)
 }
 
 // fig9 parameters (paper Section VI-A.1): port threshold 12 packets,

@@ -20,12 +20,12 @@
 //   - Fluid queues: each saturated link carries a fluid standing queue
 //     relaxing toward the marking scheme's threshold target (the
 //     DCTCP sawtooth mean), and draining at line rate when arrivals
-//     fall below capacity. Marking schemes — PMSB with selective
-//     blindness, MQ-ECN, per-queue static, TCN — are threshold
-//     functions on this depth (marking.go). Depth feeds back into flow
-//     rates twice: queue delay inflates the effective RTT that paces
-//     the slow-start ramp, and overshoot past the threshold throttles
-//     non-blind services by the DCTCP alpha cut.
+//     fall below capacity. Marking schemes — PMSB, per-port, MQ-ECN —
+//     are threshold targets for this depth (marking.go). Depth feeds
+//     back into flow rates twice: queue delay inflates the effective
+//     RTT that paces the slow-start ramp, and overshoot past the
+//     threshold throttles every service crossing the link by the DCTCP
+//     alpha cut.
 //   - FCT accounting: a flow's completion time is its rate-integral
 //     transmission time plus the delivery tail (per-hop propagation,
 //     store-and-forward serialization, fluid queue delay) and the ACK
@@ -141,7 +141,6 @@ type linkState struct {
 	stamp  uint32
 	csrPos int32
 	busyW  int32
-	busyQ  int32
 }
 
 // Sim is a flow-level simulation bound to an engine.
@@ -479,7 +478,6 @@ func (s *Sim) advanceFluid(now time.Duration) {
 		l.arr = 0
 		l.nFlows = 0
 		l.busyW = 0
-		l.busyQ = 0
 		base := int(li) * s.nsvc
 		for sv := 0; sv < s.nsvc; sv++ {
 			s.svcCnt[base+sv] = 0
@@ -521,11 +519,10 @@ func (s *Sim) buildIndex(now time.Duration) {
 		base := int(li) * s.nsvc
 		for sv := 0; sv < s.nsvc; sv++ {
 			if s.svcCnt[base+sv] > 0 {
-				l.busyQ++
 				l.busyW += int32(s.weight(sv))
 			}
 		}
-		l.target = s.cfg.Marking.PortTarget(int(l.busyW), int(l.busyQ), units.Rate(l.cap*8))
+		l.target = s.cfg.Marking.PortTarget()
 		l.qdelay = l.q / l.cap
 		l.rem = l.cap
 		l.nUn = l.nFlows
@@ -556,7 +553,7 @@ func (s *Sim) buildIndex(now time.Duration) {
 // prepareRamp computes each active flow's effective RTT (base plus the
 // fluid queue delays on its path), its slow-start ramp cap, and the
 // marking throttle: links whose fluid depth overshot the threshold cut
-// non-blind services by the DCTCP alpha rule — the depth-to-rate
+// the flows crossing them by the DCTCP alpha rule — the depth-to-rate
 // feedback loop. Flows are then sorted by cap for the water-filling.
 func (s *Sim) prepareRamp(now time.Duration) {
 	if cap(s.rampOrd) < len(s.active) {
@@ -573,16 +570,12 @@ func (s *Sim) prepareRamp(now time.Duration) {
 		}
 		rtt := s.baseRTT
 		throttle := 1.0
-		w := s.weight(f.spec.Service)
 		for _, li := range f.path[:f.plen] {
 			l := &s.links[li]
 			rtt += l.qdelay
 			if l.alpha > 0 && l.target > 0 && l.q > l.target {
-				qs := l.q * float64(w) / float64(l.busyW)
-				if !s.cfg.Marking.Blind(qs, l.q, w, int(l.busyW)) {
-					if t := 1 - l.alpha/2; t < throttle {
-						throttle = t
-					}
+				if t := 1 - l.alpha/2; t < throttle {
+					throttle = t
 				}
 			}
 		}

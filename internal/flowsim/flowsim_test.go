@@ -154,9 +154,6 @@ func TestFluidSteadyState(t *testing.T) {
 		{"pmsb", flowsim.PMSB{KBytes: 18000}, 18000, 9000},
 		{"per-port", flowsim.PerPort{KBytes: 18000}, 18000, 9000},
 		{"mq-ecn", flowsim.MQECN{KBytes: 97500}, 97500, 48750},
-		// The paper's problem case: static per-queue thresholds stack
-		// one K per busy service.
-		{"per-queue-static", flowsim.PerQueueStatic{KBytes: 18000}, 36000, 18000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

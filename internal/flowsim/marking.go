@@ -1,66 +1,34 @@
 package flowsim
 
-import (
-	"time"
-
-	"pmsb/internal/units"
-)
-
-// Marking maps an ECN marking scheme onto the fluid model as a
-// threshold function on fluid queue depth. Two quantities fully
-// describe a scheme here:
-//
-//   - PortTarget: the standing queue (bytes) the DCTCP sawtooth pins a
-//     saturated port at. Per-port schemes (PMSB, plain per-port) hold
-//     it at the port threshold K regardless of how many queues are
-//     busy; per-queue static marking stacks one threshold per busy
-//     queue (the paper's Figure 2 buildup); MQ-ECN's per-queue dynamic
-//     thresholds aggregate back to its standard threshold; TCN's
-//     sojourn target tau translates to tau*C bytes.
-//   - Blind: PMSB's selective blindness — whether a service's fluid
-//     queue share is below its filter threshold, exempting it from the
-//     marking throttle (the mechanism that protects sparse services
-//     from backing off on congestion they did not cause).
+// Marking maps an ECN marking scheme onto the fluid model as the
+// standing queue (bytes) the DCTCP sawtooth pins a saturated port at.
+// Per-port schemes (PMSB, plain per-port) hold it at the port threshold
+// K regardless of how many queues are busy; MQ-ECN's per-queue dynamic
+// thresholds aggregate back to its standard threshold.
 //
 // The fluid per-service depth split is weight-proportional (round-based
 // schedulers drain queues by weight, so standing occupancy settles the
-// same way): service s holds q * w_s / W_busy of the port depth q.
+// same way): service s holds q * w_s / W_busy of the port depth q. With
+// that split, PMSB's selective-blindness filter (q_s < K * w_s / W_busy)
+// is exactly q < K, so it never exempts a service of a link whose depth
+// overshot K: in this model PMSB equals plain per-port marking.
 type Marking interface {
-	// Name identifies the scheme ("pmsb", "mq-ecn", ...).
-	Name() string
 	// PortTarget returns the standing fluid queue (bytes) at a
-	// saturated link: busyWeight is the weight sum of busy services,
-	// busyQueues their count, cap the link capacity.
-	PortTarget(busyWeight, busyQueues int, cap units.Rate) float64
-	// Blind reports whether service weight w's fluid share qs of port
-	// depth q is exempt from the marking throttle.
-	Blind(qs, q float64, w, busyWeight int) bool
+	// saturated link.
+	PortTarget() float64
 }
 
-// PMSB is per-port marking with selective blindness: the port threshold
-// caps the standing queue, and services whose fluid share sits below
-// their weight-proportional filter threshold are blind to marks.
+// PMSB is per-port marking with selective blindness; in the fluid
+// model it reduces to per-port marking at its port threshold (see
+// Marking).
 type PMSB struct {
 	// KBytes is the port threshold in bytes.
 	KBytes float64
 }
 
-// Name implements Marking.
-func (PMSB) Name() string { return "pmsb" }
-
 // PortTarget implements Marking: the port threshold, independent of the
 // busy-queue count.
-func (m PMSB) PortTarget(_, _ int, _ units.Rate) float64 { return m.KBytes }
-
-// Blind implements Marking: service s is blind while its fluid share is
-// under the filter threshold w/W * K — the selective-blindness filter
-// evaluated on fluid depth.
-func (m PMSB) Blind(qs, _ float64, w, busyWeight int) bool {
-	if busyWeight <= 0 {
-		return false
-	}
-	return qs < m.KBytes*float64(w)/float64(busyWeight)
-}
+func (m PMSB) PortTarget() float64 { return m.KBytes }
 
 // PerPort is plain per-port marking (PMSB without the blindness
 // filter): every busy service reacts to port-level congestion.
@@ -69,14 +37,8 @@ type PerPort struct {
 	KBytes float64
 }
 
-// Name implements Marking.
-func (PerPort) Name() string { return "per-port" }
-
 // PortTarget implements Marking.
-func (m PerPort) PortTarget(_, _ int, _ units.Rate) float64 { return m.KBytes }
-
-// Blind implements Marking: never.
-func (PerPort) Blind(_, _ float64, _, _ int) bool { return false }
+func (m PerPort) PortTarget() float64 { return m.KBytes }
 
 // MQECN models MQ-ECN: per-queue dynamic thresholds that aggregate to
 // the standard threshold, so the port-level standing queue is K
@@ -87,50 +49,5 @@ type MQECN struct {
 	KBytes float64
 }
 
-// Name implements Marking.
-func (MQECN) Name() string { return "mq-ecn" }
-
 // PortTarget implements Marking.
-func (m MQECN) PortTarget(_, _ int, _ units.Rate) float64 { return m.KBytes }
-
-// Blind implements Marking: never.
-func (MQECN) Blind(_, _ float64, _, _ int) bool { return false }
-
-// PerQueueStatic is the paper's problem case: each busy queue holds its
-// own static threshold of standing queue, so port occupancy grows
-// linearly with the number of busy services.
-type PerQueueStatic struct {
-	// KBytes is the per-queue threshold in bytes.
-	KBytes float64
-}
-
-// Name implements Marking.
-func (PerQueueStatic) Name() string { return "per-queue" }
-
-// PortTarget implements Marking: one threshold per busy queue.
-func (m PerQueueStatic) PortTarget(_, busyQueues int, _ units.Rate) float64 {
-	if busyQueues < 1 {
-		busyQueues = 1
-	}
-	return m.KBytes * float64(busyQueues)
-}
-
-// Blind implements Marking: never.
-func (PerQueueStatic) Blind(_, _ float64, _, _ int) bool { return false }
-
-// TCN marks on sojourn time: the standing queue target is tau * C.
-type TCN struct {
-	// Threshold is the sojourn-time threshold tau.
-	Threshold time.Duration
-}
-
-// Name implements Marking.
-func (TCN) Name() string { return "tcn" }
-
-// PortTarget implements Marking: tau * C in bytes.
-func (m TCN) PortTarget(_, _ int, cap units.Rate) float64 {
-	return m.Threshold.Seconds() * float64(cap) / 8
-}
-
-// Blind implements Marking: never.
-func (TCN) Blind(_, _ float64, _, _ int) bool { return false }
+func (m MQECN) PortTarget() float64 { return m.KBytes }

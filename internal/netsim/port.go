@@ -45,23 +45,18 @@ type PortConfig struct {
 	// tests (random loss, targeted loss) and is applied before buffer
 	// admission.
 	DropFn func(p *pkt.Packet) bool
-	// Shared, when non-nil, applies Dynamic Threshold admission from a
-	// switch-wide buffer pool in addition to (or instead of)
-	// BufferBytes.
-	Shared *SharedBuffer
 }
 
 // portExt holds the rarely-used port features — custom classifiers,
-// failure injection, shared-buffer admission, service pools, taps and
-// the observability probe. Most ports in a large fabric use none of
-// them, so they live behind one lazily-allocated pointer instead of
-// widening every port: at fat-tree k=32 scale (~49k ports) the
+// failure injection, service pools, taps and the observability probe.
+// Most ports in a large fabric use none of them, so they live behind
+// one lazily-allocated pointer instead of widening every port: at
+// fat-tree k=32 scale (~49k ports) the
 // difference is several megabytes of always-resident state.
 type portExt struct {
 	classify func(p *pkt.Packet) int
 	pool     *ecn.Pool
 	dropFn   func(p *pkt.Packet) bool
-	shared   *SharedBuffer
 	probe    *obs.PortProbe
 	taps     [numTapKinds][]Tap
 }
@@ -124,12 +119,11 @@ func (p *Port) init(link Link, cfg PortConfig) {
 	p.marker = cfg.Marker
 	p.bufferBytes = int32(cfg.BufferBytes)
 	p.nq = uint16(cfg.Sched.NumQueues())
-	if cfg.Classify != nil || cfg.Pool != nil || cfg.DropFn != nil || cfg.Shared != nil {
+	if cfg.Classify != nil || cfg.Pool != nil || cfg.DropFn != nil {
 		p.ext = &portExt{
 			classify: cfg.Classify,
 			pool:     cfg.Pool,
 			dropFn:   cfg.DropFn,
-			shared:   cfg.Shared,
 		}
 	}
 }
@@ -171,10 +165,6 @@ func (p *Port) Send(packet *pkt.Packet) {
 		p.drop(packet, q, obs.DropPortBuffer)
 		return
 	}
-	if e != nil && e.shared != nil && !e.shared.Admit(s.TotalBytes(), packet.Size) {
-		p.drop(packet, q, obs.DropSharedBuffer)
-		return
-	}
 	if s.TotalPackets() == 0 {
 		if io, ok := s.(idleObserver); ok {
 			io.ObserveIdle(p.out.eng.Now())
@@ -207,8 +197,8 @@ func (p *Port) Send(packet *pkt.Packet) {
 // drop refuses an arriving packet: count it, let the drop taps (and the
 // obs layer) observe it, then release it back to the packet pool — a
 // refused packet has no further consumer. Every admission path (failure
-// injection, per-port buffer, shared-buffer DT) funnels through here so
-// the accounting and the pool release can never diverge.
+// injection, per-port buffer) funnels through here so the accounting
+// and the pool release can never diverge.
 func (p *Port) drop(packet *pkt.Packet, q int, reason obs.DropReason) {
 	p.dropPackets++
 	p.dropBytes += uint32(packet.Size)
@@ -241,13 +231,8 @@ func (p *Port) kick() {
 		return
 	}
 	e := p.ext
-	if e != nil {
-		if e.pool != nil {
-			e.pool.Add(-packet.Size)
-		}
-		if e.shared != nil {
-			e.shared.Release(packet.Size)
-		}
+	if e != nil && e.pool != nil {
+		e.pool.Add(-packet.Size)
 	}
 	// Dequeue-point marking observes the occupancy without the departing
 	// packet (it has already left the queue).

@@ -27,7 +27,7 @@ func traceFixture() []Event {
 		{Seq: 3, T: 2 * time.Microsecond, Kind: KindBlind, Node: pkt.NoNode, Port: -1,
 			Queue: 5, PortBytes: 90000, QueueBytes: 200, V: 512.5},
 		{Seq: 4, T: 2 * time.Microsecond, Kind: KindDrop, Node: 9, Port: 0,
-			Queue: 3, Pkt: 43, Size: 9000, Reason: DropSharedBuffer},
+			Queue: 3, Pkt: 43, Size: 9000, Reason: DropPortBuffer},
 		{Seq: 5, T: 3 * time.Millisecond, Kind: KindPFCPause, Node: 4, Port: -1,
 			Queue: -1, PortBytes: 65536},
 		{Seq: 6, T: 3*time.Millisecond + 1, Kind: KindCwndCut, Node: pkt.NoNode,

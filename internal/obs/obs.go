@@ -60,7 +60,7 @@ const (
 	// KindFlowFinish: the last byte was acked. V carries the FCT in
 	// nanoseconds.
 	KindFlowFinish
-	// KindCwndCut: a DCTCP/D2TCP sender cut its window. V carries the
+	// KindCwndCut: a DCTCP sender cut its window. V carries the
 	// new cwnd in segments.
 	KindCwndCut
 	// KindRetransmit: a segment was retransmitted. Pkt carries the
@@ -127,9 +127,6 @@ const (
 	DropInjected DropReason = iota + 1
 	// DropPortBuffer: the per-port buffer capacity was exceeded.
 	DropPortBuffer
-	// DropSharedBuffer: the switch-wide Dynamic Threshold pool refused
-	// admission.
-	DropSharedBuffer
 )
 
 // String implements fmt.Stringer.
@@ -139,8 +136,6 @@ func (r DropReason) String() string {
 		return "injected"
 	case DropPortBuffer:
 		return "port-buffer"
-	case DropSharedBuffer:
-		return "shared-buffer"
 	default:
 		return fmt.Sprintf("reason(%d)", uint8(r))
 	}

@@ -120,7 +120,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Seq: 0, T: time.Millisecond, Kind: KindEnqueue, Node: 1000, Port: 0,
 			Queue: 1, Flow: 7, Pkt: 42, Size: 1500, PortBytes: 4500, QueueBytes: 3000},
 		{Seq: 1, T: 2 * time.Millisecond, Kind: KindDrop, Node: 1000, Port: 0,
-			Queue: 0, Flow: 8, Pkt: 43, Size: 1500, Reason: DropSharedBuffer},
+			Queue: 0, Flow: 8, Pkt: 43, Size: 1500, Reason: DropPortBuffer},
 		{Seq: 2, T: 3 * time.Millisecond, Kind: KindBlind, Node: pkt.NoNode, Port: -1,
 			Queue: 1, PortBytes: 20000, QueueBytes: 100, V: 9000},
 		{Seq: 3, T: 4 * time.Millisecond, Kind: KindFlowFinish, Node: pkt.NoNode,
@@ -367,6 +367,25 @@ func TestSegmentsDetectsRestart(t *testing.T) {
 	}
 }
 
+// TestSegmentsCountedPerStream: the per-shard files of one multi-run
+// experiment each hold every run, so their report counts the runs once,
+// not once per file plus one per file boundary.
+func TestSegmentsCountedPerStream(t *testing.T) {
+	twoRuns := []Event{
+		{T: time.Millisecond, Kind: KindRTO}, {T: 2 * time.Millisecond, Kind: KindRTO},
+		{T: time.Microsecond, Kind: KindRTO},
+	}
+	st := NewStreamStats(StreamOptions{})
+	for shard := 0; shard < 2; shard++ {
+		if err := st.Reduce(bytes.NewReader(encode(t, twoRuns))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Segments != 2 {
+		t.Fatalf("Segments = %d over two two-run shard files, want 2", st.Segments)
+	}
+}
+
 func TestKindStringAndKinds(t *testing.T) {
 	ks := Kinds()
 	if len(ks) != int(numKinds)-1 {
@@ -386,7 +405,7 @@ func TestKindStringAndKinds(t *testing.T) {
 	if Kind(200).String() != "kind(200)" {
 		t.Fatal("unknown kind must render numerically")
 	}
-	if DropSharedBuffer.String() == "" || DropReason(99).String() == "" {
+	if DropPortBuffer.String() == "" || DropReason(99).String() == "" {
 		t.Fatal("drop reasons must always render")
 	}
 }

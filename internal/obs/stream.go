@@ -92,17 +92,19 @@ type StreamStats struct {
 	// MinT and MaxT bound the in-range events' virtual time (both zero
 	// while Events is 0).
 	MinT, MaxT time.Duration
-	// Segments counts the independent simulation runs over the
-	// concatenation of the reduced streams: an experiment that runs
-	// several configurations back to back emits them into one bus, and
-	// each new engine restarts virtual time at zero, so a new segment
-	// begins wherever time goes backwards. Reports over several files
-	// should use 1 instead — their time-sorted merge never restarts.
+	// Segments counts the independent simulation runs: an experiment
+	// that runs several configurations back to back emits them into one
+	// bus, and each new engine restarts virtual time at zero, so a new
+	// segment begins wherever time goes backwards within one stream.
+	// Runs are counted per Reduce call and the largest count is kept,
+	// because each per-shard file of a multi-run experiment holds every
+	// run.
 	Segments int
 
-	opt   StreamOptions
-	keep  uint16 // the field columns the reductions read
-	lastT time.Duration
+	opt      StreamOptions
+	keep     uint16 // the field columns the reductions read
+	lastT    time.Duration
+	fileSegs int // segments of the stream being reduced
 }
 
 // NewStreamStats returns an empty accumulator for the given reductions.
@@ -131,13 +133,13 @@ func NewStreamStats(opt StreamOptions) *StreamStats {
 
 // Reduce folds one binary trace stream into the accumulator. Several
 // calls accumulate (e.g. the per-shard spill files of one run); every
-// reduction but Segments is independent of the order the files are
-// fed in.
+// reduction is independent of the order the files are fed in.
 func (st *StreamStats) Reduce(r io.Reader) error {
 	d, err := NewBinaryReader(r)
 	if err != nil {
 		return err
 	}
+	st.fileSegs = 0
 	for {
 		count, err := d.chunkCount()
 		if err == io.EOF {
@@ -166,17 +168,13 @@ func (st *StreamStats) fold(d *BinaryReader) {
 			continue
 		}
 		if st.Events == 0 {
-			st.MinT, st.MaxT, st.Segments = t, t, 1
+			st.MinT, st.MaxT = t, t
 		} else {
-			if t < st.MinT {
-				st.MinT = t
-			}
-			if t > st.MaxT {
-				st.MaxT = t
-			}
-			if t < st.lastT {
-				st.Segments++
-			}
+			st.MinT, st.MaxT = min(st.MinT, t), max(st.MaxT, t)
+		}
+		if st.fileSegs == 0 || t < st.lastT {
+			st.fileSegs++
+			st.Segments = max(st.Segments, st.fileSegs)
 		}
 		st.lastT = t
 		st.Events++

@@ -25,7 +25,7 @@ func SchedulerNames() []string {
 
 // MarkerNames lists the accepted marking-scheme names.
 func MarkerNames() []string {
-	return []string{"none", "perqueue", "fractional", "perport", "mqecn", "tcn", "red", "pmsb", "pmsbe"}
+	return []string{"none", "perqueue", "fractional", "perport", "mqecn", "tcn", "pmsb", "pmsbe"}
 }
 
 // Scheduler returns the constructor for the named discipline in the
@@ -96,8 +96,6 @@ func Marker(name string, cfg MarkerConfig) (topo.MarkerFactory, func() transport
 		}, nil, nil
 	case "tcn":
 		return func() ecn.Marker { return &ecn.TCN{Threshold: units.Serialization(k, cfg.Rate)} }, nil, nil
-	case "red":
-		return func() ecn.Marker { return &ecn.RED{MinK: k / 2, MaxK: k, MaxP: 1, MarkPoint: point} }, nil, nil
 	case "pmsb":
 		return func() ecn.Marker { return &core.PMSB{PortK: k, MarkPoint: point} }, nil, nil
 	case "pmsbe":

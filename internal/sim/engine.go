@@ -134,24 +134,12 @@ func (t *Timer) Active() bool {
 // When returns the virtual time the timer is scheduled to fire and
 // whether the handle still refers to a pending event. It distinguishes
 // a real time-0 schedule (0, true) from a fired, cancelled, or recycled
-// handle (0, false) — the ambiguity At cannot resolve.
+// handle (0, false).
 func (t *Timer) When() (time.Duration, bool) {
 	if !t.Active() {
 		return 0, false
 	}
 	return t.ev.at, true
-}
-
-// At returns the virtual time the timer is scheduled to fire (0 once
-// the event record was recycled).
-//
-// Deprecated: a 0 return is ambiguous — it may be a genuine time-0
-// schedule or a recycled handle. Use When, which reports liveness.
-func (t *Timer) At() time.Duration {
-	if !t.live() {
-		return 0
-	}
-	return t.ev.at
 }
 
 // Schedule runs fn after delay. A negative delay is treated as zero

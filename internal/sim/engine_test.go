@@ -358,7 +358,7 @@ func TestTimerHandleInertAfterRecycle(t *testing.T) {
 	fired := false
 	t2 := e.Schedule(time.Millisecond, func() { fired = true })
 	// Operating on the stale handle must not disturb the new event.
-	if t1.Active() || t1.Cancel() || t1.At() != 0 {
+	if _, pending := t1.When(); t1.Active() || t1.Cancel() || pending {
 		t.Fatal("stale handle must be inert")
 	}
 	e.Run()

@@ -71,9 +71,6 @@ func TestScheduleCallTimerCancel(t *testing.T) {
 	if at, ok := timer.When(); !ok || at != time.Second {
 		t.Fatalf("When() = %v, %v, want 1s, true", at, ok)
 	}
-	if timer.At() != time.Second { // deprecated accessor still works
-		t.Fatalf("At() = %v, want 1s", timer.At())
-	}
 	if !timer.Cancel() {
 		t.Fatal("Cancel should report true")
 	}
@@ -86,7 +83,7 @@ func TestScheduleCallTimerCancel(t *testing.T) {
 // The zero Timer (held by value before any ScheduleCall) must be inert.
 func TestZeroTimerInert(t *testing.T) {
 	var timer Timer
-	if timer.Active() || timer.Cancel() || timer.At() != 0 {
+	if timer.Active() || timer.Cancel() {
 		t.Fatal("zero Timer must be inert")
 	}
 	if _, ok := timer.When(); ok {

@@ -28,7 +28,7 @@ func NewFlow(eng *sim.Engine, src, dst *netsim.Host, f pkt.FlowID, service int,
 	size int64, cfg Config, onComplete func(*Sender)) *Flow {
 	fl := flowPool.Get().(*Flow)
 	fl.Sender = NewSender(eng, src, f, dst.NodeID(), service, size, cfg, onComplete)
-	fl.Receiver = NewReceiver(eng, dst, f, src.NodeID(), service)
+	fl.Receiver = NewReceiver(dst, f, src.NodeID(), service)
 	return fl
 }
 

@@ -6,19 +6,13 @@ import (
 
 	"pmsb/internal/netsim"
 	"pmsb/internal/pkt"
-	"pmsb/internal/sim"
 	"pmsb/internal/units"
 )
 
-// Receiver is the DCTCP receiver endpoint. By default it acknowledges
-// every data packet with a cumulative ACK that echoes the packet's CE
-// codepoint in ECE (per-packet accurate echo). With delayed ACKs
-// enabled it instead runs the DCTCP paper's two-state ECE echo machine:
-// ACKs coalesce up to AckEvery packets while the CE state is stable,
-// and a state *change* forces an immediate ACK so the echoed marking
-// fraction stays exact.
+// Receiver is the DCTCP receiver endpoint. It acknowledges every data
+// packet with a cumulative ACK that echoes the packet's CE codepoint in
+// ECE (per-packet accurate echo).
 type Receiver struct {
-	eng     *sim.Engine
 	host    *netsim.Host
 	flow    pkt.FlowID
 	src     pkt.NodeID
@@ -35,33 +29,7 @@ type Receiver struct {
 	rxPackets int64
 	ceCount   int64
 
-	// Delayed-ACK state (DCTCP paper Section 3.2).
-	ackEvery int           // coalesce factor m (<=1: per-packet ACKs)
-	ackDelay time.Duration // flush timer for a held ACK (default 500us)
-	ceState  bool          // CE value of the run being coalesced
-	pending  int           // data packets since the last ACK
-	lastEcho time.Duration
-	flushT   sim.Timer
-	// flushAt is when the currently held ACK must escape. The timer is
-	// lazy: an ACK that empties the hold leaves the armed event in
-	// place (its handler no-ops on pending == 0 or re-arms for a later
-	// hold), so coalescing never cancels or reschedules events.
-	flushAt time.Duration
-
 	nextPktID uint64
-}
-
-// ReceiverOption customizes a Receiver.
-type ReceiverOption func(*Receiver)
-
-// WithDelayedAcks turns on DCTCP's delayed-ACK echo state machine,
-// acknowledging every m-th packet while the CE state is stable. A held
-// ACK is flushed after 500us so a flow's tail is never stranded.
-func WithDelayedAcks(m int) ReceiverOption {
-	return func(r *Receiver) {
-		r.ackEvery = m
-		r.ackDelay = 500 * time.Microsecond
-	}
 }
 
 // receiverPool recycles Receiver records across flows; see senderPool
@@ -69,26 +37,17 @@ func WithDelayedAcks(m int) ReceiverOption {
 var receiverPool = sync.Pool{New: func() any { return new(Receiver) }}
 
 // NewReceiver creates a receiver for flow f at host dst, acknowledging
-// back to src. service classifies the reverse (ACK) path. Like the
-// sender, the receiver binds to dst's own engine (== eng in
-// single-engine topologies, the host's shard engine in sharded ones).
-func NewReceiver(eng *sim.Engine, dst *netsim.Host, f pkt.FlowID, src pkt.NodeID,
-	service int, opts ...ReceiverOption) *Receiver {
-	if he := dst.Engine(); he != nil {
-		eng = he
-	}
+// back to src. service classifies the reverse (ACK) path. The receiver
+// keeps no timers: it acts only when dst delivers its flow's data.
+func NewReceiver(dst *netsim.Host, f pkt.FlowID, src pkt.NodeID, service int) *Receiver {
 	r := receiverPool.Get().(*Receiver)
 	ooo := r.ooo[:0]
 	*r = Receiver{
-		eng:     eng,
 		host:    dst,
 		flow:    f,
 		src:     src,
 		service: service,
 		ooo:     ooo,
-	}
-	for _, opt := range opts {
-		opt(r)
 	}
 	dst.Attach(f, r)
 	return r
@@ -98,10 +57,9 @@ func NewReceiver(eng *sim.Engine, dst *netsim.Host, f pkt.FlowID, src pkt.NodeID
 // data packets directly, with no adapter closure.
 func (r *Receiver) Handle(p *pkt.Packet) { r.handleData(p) }
 
-// release detaches the receiver, disarms its flush timer and returns
-// the record to the pool. See Flow.Release.
+// release detaches the receiver and returns the record to the pool.
+// See Flow.Release.
 func (r *Receiver) release() {
-	r.flushT.Cancel()
 	r.host.Detach(r.flow)
 	receiverPool.Put(r)
 }
@@ -132,8 +90,6 @@ func (r *Receiver) handleData(p *pkt.Packet) {
 	}
 
 	payload := int64(p.Payload)
-	inOrder := p.Seq == r.rcvNxt
-	prevRcvNxt := r.rcvNxt
 	switch {
 	case p.Seq == r.rcvNxt:
 		r.rcvNxt += payload
@@ -144,65 +100,9 @@ func (r *Receiver) handleData(p *pkt.Packet) {
 	default:
 		// Duplicate of already-delivered data; ACK restates rcvNxt.
 	}
-
-	if r.ackEvery <= 1 || !inOrder {
-		// Per-packet echo; out-of-order or duplicate data always
-		// triggers an immediate (dup) ACK so fast retransmit works.
-		r.sendAck(r.rcvNxt, p.CE, p.SentAt)
-		r.resetPending()
-		r.ceState = p.CE
-		return
-	}
-
-	// DCTCP delayed-ACK echo machine: a CE-state change flushes an ACK
-	// covering exactly the *previous* run (up to its boundary), keeping
-	// the echoed marking fraction byte-accurate; otherwise coalesce m
-	// packets.
-	if r.pending > 0 && p.CE != r.ceState {
-		r.sendAck(prevRcvNxt, r.ceState, r.lastEcho)
-		r.resetPending()
-	}
-	r.ceState = p.CE
-	r.lastEcho = p.SentAt
-	r.pending++
-	if r.pending == 1 {
-		r.flushAt = r.eng.Now() + r.ackDelay
-	}
-	if r.pending >= r.ackEvery {
-		r.sendAck(r.rcvNxt, r.ceState, r.lastEcho)
-		r.resetPending()
-		return
-	}
-	// Make sure a flush event is armed so a held ACK (e.g. a flow's
-	// final odd segment) escapes without waiting for the sender's RTO.
-	// A leftover event from an earlier hold fires first and re-arms for
-	// the remainder.
-	if !r.flushT.Active() {
-		r.flushT = r.eng.ScheduleCall(r.ackDelay, receiverFlush, r)
-	}
-}
-
-// receiverFlush is the delayed-ACK flush trampoline (the receiver rides
-// in the event arg so arming the timer never allocates). The timer is
-// lazy: a fire with nothing held dies quietly, a fire before the
-// current hold's deadline re-arms for the remainder.
-func receiverFlush(arg any) {
-	r := arg.(*Receiver)
-	if r.pending == 0 {
-		return
-	}
-	if now := r.eng.Now(); now < r.flushAt {
-		r.flushT = r.eng.ScheduleCall(r.flushAt-now, receiverFlush, r)
-		return
-	}
-	r.sendAck(r.rcvNxt, r.ceState, r.lastEcho)
-	r.pending = 0
-}
-
-// resetPending clears the coalescing state. Any armed flush event is
-// left to fire and find nothing held.
-func (r *Receiver) resetPending() {
-	r.pending = 0
+	// Out-of-order or duplicate data gets its (dup) ACK at once like
+	// any other packet, so fast retransmit works.
+	r.sendAck(r.rcvNxt, p.CE, p.SentAt)
 }
 
 // oooSeg is one buffered out-of-order segment: payload bytes

@@ -6,7 +6,6 @@ import (
 
 	"pmsb/internal/netsim"
 	"pmsb/internal/pkt"
-	"pmsb/internal/sched"
 	"pmsb/internal/sim"
 	"pmsb/internal/units"
 )
@@ -27,7 +26,7 @@ func newRxHarness(t *testing.T) *rxHarness {
 	// Capture outgoing ACKs by attaching the NIC to a recording node.
 	rec := &ackRecorder{h: h}
 	dst.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, 0, rec))
-	h.r = NewReceiver(eng, dst, 1, 9, 0)
+	h.r = NewReceiver(dst, 1, 9, 0)
 	return h
 }
 
@@ -49,8 +48,7 @@ func (h *rxHarness) deliver(seq int64, payload int, ce bool) {
 		ECT:     true,
 		SentAt:  h.eng.Now(),
 	})
-	// Drain the immediate ACK transmission but not future timers (the
-	// delayed-ACK flush is triggered explicitly by tests).
+	// Drain the immediate ACK transmission but not future timers.
 	h.eng.RunUntil(h.eng.Now() + time.Microsecond)
 }
 
@@ -154,129 +152,10 @@ func TestReceiverIgnoresAcks(t *testing.T) {
 func TestReceiverClose(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := netsim.NewHost(eng, 2)
-	r := NewReceiver(eng, dst, 7, 9, 0)
+	r := NewReceiver(dst, 7, 9, 0)
 	r.Close()
 	dst.Receive(&pkt.Packet{Flow: 7, Payload: 10})
 	if dst.UnclaimedPackets() != 1 {
 		t.Fatal("Close must detach the flow handler")
-	}
-}
-
-// delayed-ACK harness.
-func newDelayedRxHarness(t *testing.T, m int) *rxHarness {
-	t.Helper()
-	eng := sim.NewEngine()
-	dst := netsim.NewHost(eng, 2)
-	h := &rxHarness{eng: eng}
-	rec := &ackRecorder{h: h}
-	dst.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, 0, rec))
-	h.r = NewReceiver(eng, dst, 1, 9, 0, WithDelayedAcks(m))
-	return h
-}
-
-func TestDelayedAckCoalesces(t *testing.T) {
-	h := newDelayedRxHarness(t, 2)
-	h.deliver(0, 1000, false)
-	if len(h.acks) != 0 {
-		t.Fatal("first packet of a pair must be held")
-	}
-	h.deliver(1000, 1000, false)
-	if len(h.acks) != 1 {
-		t.Fatalf("acks = %d, want 1 after two packets", len(h.acks))
-	}
-	if got := h.lastAck(t).AckNo; got != 2000 {
-		t.Fatalf("coalesced AckNo = %d, want 2000", got)
-	}
-}
-
-func TestDelayedAckCEStateChangeFlushes(t *testing.T) {
-	h := newDelayedRxHarness(t, 4)
-	h.deliver(0, 1000, false) // held (run of CE=false)
-	h.deliver(1000, 1000, true)
-	// The CE transition must flush an immediate ACK describing the
-	// previous (unmarked) run, so the sender's alpha stays accurate.
-	if len(h.acks) != 1 {
-		t.Fatalf("acks = %d, want 1 on CE transition", len(h.acks))
-	}
-	if h.lastAck(t).ECE {
-		t.Fatal("flushed ACK must describe the unmarked run")
-	}
-	if h.lastAck(t).AckNo != 1000 {
-		t.Fatalf("flushed AckNo = %d, want 1000", h.lastAck(t).AckNo)
-	}
-	// The marked run continues; after 4 marked packets an ACK with ECE.
-	h.deliver(2000, 1000, true)
-	h.deliver(3000, 1000, true)
-	h.deliver(4000, 1000, true)
-	if len(h.acks) != 2 {
-		t.Fatalf("acks = %d, want 2", len(h.acks))
-	}
-	if !h.lastAck(t).ECE {
-		t.Fatal("run ACK must carry ECE for the marked run")
-	}
-}
-
-func TestDelayedAckOOOStillImmediate(t *testing.T) {
-	h := newDelayedRxHarness(t, 4)
-	h.deliver(2000, 1000, false) // out of order: immediate dup ACK
-	if len(h.acks) != 1 || h.lastAck(t).AckNo != 0 {
-		t.Fatal("out-of-order data must produce an immediate dup ACK")
-	}
-}
-
-func TestDelayedAckEndToEnd(t *testing.T) {
-	// A full flow with delayed ACKs must still complete with exact
-	// goodput and roughly half the ACK traffic.
-	eng := sim.NewEngine()
-	a := netsim.NewHost(eng, 1)
-	b := netsim.NewHost(eng, 2)
-	sw := netsim.NewSwitch(eng, 100)
-	a.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, time.Microsecond, sw))
-	b.AttachNIC(netsim.NewLink(eng, 10*units.Gbps, time.Microsecond, sw))
-	toA := netsim.NewPort(eng, netsim.NewLink(eng, 10*units.Gbps, time.Microsecond, a),
-		netsim.PortConfig{Sched: sched.NewFIFO()})
-	toB := netsim.NewPort(eng, netsim.NewLink(eng, 10*units.Gbps, time.Microsecond, b),
-		netsim.PortConfig{Sched: sched.NewFIFO()})
-	sw.AddPort(toA)
-	sw.AddPort(toB)
-	sw.SetRoute(func(p *pkt.Packet) int {
-		switch p.Dst {
-		case 1:
-			return 0
-		case 2:
-			return 1
-		default:
-			return -1
-		}
-	})
-	done := false
-	snd := NewSender(eng, a, 1, 2, 0, 300_000, Config{MinRTO: 5 * time.Millisecond},
-		func(*Sender) { done = true })
-	rcv := NewReceiver(eng, b, 1, 1, 0, WithDelayedAcks(2))
-	snd.Start()
-	eng.RunUntil(time.Second)
-	if !done {
-		t.Fatal("delayed-ACK flow did not complete")
-	}
-	if rcv.Goodput() != 300_000 {
-		t.Fatalf("goodput = %d", rcv.Goodput())
-	}
-}
-
-func TestDelayedAckFlushTimer(t *testing.T) {
-	h := newDelayedRxHarness(t, 2)
-	h.deliver(0, 1000, false) // held
-	if len(h.acks) != 0 {
-		t.Fatal("ack should be held")
-	}
-	// The 500us flush timer releases it without more data.
-	h.eng.RunUntil(h.eng.Now() + time.Millisecond)
-	if len(h.acks) != 1 || h.lastAck(t).AckNo != 1000 {
-		t.Fatalf("flush timer did not release the held ACK: %d acks", len(h.acks))
-	}
-	// No duplicate flush afterwards.
-	h.eng.RunUntil(h.eng.Now() + 2*time.Millisecond)
-	if len(h.acks) != 1 {
-		t.Fatal("spurious extra flush")
 	}
 }

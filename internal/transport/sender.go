@@ -407,14 +407,9 @@ func (s *Sender) onNewAck(ackNo int64, accepted bool) {
 		s.cwnd = float64(s.cfg.MaxWindow)
 	}
 
-	// DCTCP cut: at most once per window of data. With a deadline the
-	// cut uses D2TCP's gamma correction alpha^d (d2tcp.go).
+	// DCTCP cut: at most once per window of data.
 	if accepted && s.sndUna > s.cutSeq {
-		gamma := s.alpha
-		if s.cfg.Deadline > 0 {
-			gamma = d2tcpGamma(s.alpha, s.urgency())
-		}
-		s.cwnd = s.cwnd * (1 - gamma/2)
+		s.cwnd = s.cwnd * (1 - s.alpha/2)
 		if s.cwnd < 1 {
 			s.cwnd = 1
 		}

@@ -52,10 +52,6 @@ type Config struct {
 	DisableECN bool
 	// Filter is the ECN-accept hook (nil accepts all marks).
 	Filter Filter
-	// Deadline, when positive, turns the sender into D2TCP: the window
-	// cut becomes alpha^d/2 with urgency d = Tc/D (see d2tcp.go). The
-	// deadline is relative to Start.
-	Deadline time.Duration
 	// Obs, when non-nil, is the observability bus the sender reports
 	// flow lifecycle, congestion and loss-recovery events to.
 	Obs *obs.Bus

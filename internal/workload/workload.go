@@ -93,15 +93,6 @@ func WebSearch() *Empirical {
 	})
 }
 
-// DataMining returns the VL2 data-mining workload: even heavier-tailed
-// than web-search (half the flows are a single packet).
-func DataMining() *Empirical {
-	return newEmpirical("datamining", []cdfPoint{
-		{1, 0}, {1, 0.5}, {2, 0.6}, {3, 0.7}, {7, 0.8},
-		{267, 0.9}, {2107, 0.95}, {66667, 0.99}, {666667, 1},
-	})
-}
-
 // Fixed returns a degenerate distribution (every flow the same size),
 // useful for controlled tests.
 func Fixed(bytes int64) SizeDist { return fixedDist(bytes) }
@@ -111,81 +102,6 @@ type fixedDist int64
 func (f fixedDist) Name() string            { return "fixed" }
 func (f fixedDist) Sample(*rand.Rand) int64 { return int64(f) }
 func (f fixedDist) Mean() float64           { return float64(f) }
-
-// Pareto returns a bounded Pareto distribution with shape alpha and
-// scale minBytes (heavy upper tail, the textbook model for flow sizes).
-// Samples are capped at 1GB to keep simulations finite.
-func Pareto(alpha float64, minBytes int64) SizeDist {
-	if alpha <= 0 {
-		alpha = 1.2
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	return paretoDist{alpha: alpha, min: minBytes}
-}
-
-type paretoDist struct {
-	alpha float64
-	min   int64
-}
-
-const paretoCap = int64(1_000_000_000)
-
-func (p paretoDist) Name() string { return "pareto" }
-
-func (p paretoDist) Sample(r *rand.Rand) int64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	v := int64(float64(p.min) * math.Pow(u, -1/p.alpha))
-	if v > paretoCap {
-		return paretoCap
-	}
-	if v < p.min {
-		return p.min
-	}
-	return v
-}
-
-// Mean returns the analytic mean for alpha > 1 (ignoring the cap,
-// which matters only in the extreme tail); for alpha <= 1 the mean of
-// an unbounded Pareto diverges, so the cap's bound is reported.
-func (p paretoDist) Mean() float64 {
-	if p.alpha > 1 {
-		return p.alpha / (p.alpha - 1) * float64(p.min)
-	}
-	return float64(paretoCap)
-}
-
-// Uniform returns a distribution uniform over [min, max] bytes —
-// useful for controlled experiments without a heavy tail.
-func Uniform(min, max int64) SizeDist {
-	if max < min {
-		min, max = max, min
-	}
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	return uniformDist{min: min, max: max}
-}
-
-type uniformDist struct{ min, max int64 }
-
-func (u uniformDist) Name() string { return "uniform" }
-
-func (u uniformDist) Sample(r *rand.Rand) int64 {
-	if u.max == u.min {
-		return u.min
-	}
-	return u.min + r.Int63n(u.max-u.min+1)
-}
-
-func (u uniformDist) Mean() float64 { return float64(u.min+u.max) / 2 }
 
 // SizeClass buckets flows the way the paper reports FCT.
 type SizeClass int

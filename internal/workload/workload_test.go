@@ -48,25 +48,6 @@ func TestWebSearchShape(t *testing.T) {
 	}
 }
 
-func TestDataMiningHeavyTail(t *testing.T) {
-	d := DataMining()
-	r := rand.New(rand.NewSource(2))
-	onePkt := 0
-	n := 100_000
-	for i := 0; i < n; i++ {
-		if d.Sample(r) <= int64(units.MSS) {
-			onePkt++
-		}
-	}
-	frac := float64(onePkt) / float64(n)
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("single-packet fraction = %.3f, want ~0.5", frac)
-	}
-	if d.Mean() <= WebSearch().Mean() {
-		t.Fatal("data-mining mean should exceed web-search mean (heavier tail)")
-	}
-}
-
 func TestFixed(t *testing.T) {
 	d := Fixed(1234)
 	r := rand.New(rand.NewSource(1))
@@ -194,64 +175,5 @@ func TestPropertyEmpiricalSupport(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUniform(t *testing.T) {
-	d := Uniform(1000, 2000)
-	if d.Name() != "uniform" || d.Mean() != 1500 {
-		t.Fatalf("uniform meta wrong: %s %v", d.Name(), d.Mean())
-	}
-	r := rand.New(rand.NewSource(3))
-	var sum float64
-	n := 50_000
-	for i := 0; i < n; i++ {
-		s := d.Sample(r)
-		if s < 1000 || s > 2000 {
-			t.Fatalf("sample %d out of range", s)
-		}
-		sum += float64(s)
-	}
-	if mean := sum / float64(n); mean < 1450 || mean > 1550 {
-		t.Fatalf("empirical mean %v, want ~1500", mean)
-	}
-	// Swapped and degenerate bounds are tolerated.
-	if Uniform(2000, 1000).Mean() != 1500 {
-		t.Fatal("swapped bounds")
-	}
-	if got := Uniform(5, 5).Sample(r); got != 5 {
-		t.Fatalf("degenerate uniform = %d", got)
-	}
-	if got := Uniform(-10, 0).Sample(r); got < 1 {
-		t.Fatalf("negative bounds must clamp to 1, got %d", got)
-	}
-}
-
-func TestPareto(t *testing.T) {
-	d := Pareto(2, 10_000)
-	if d.Name() != "pareto" {
-		t.Fatal("name")
-	}
-	// alpha=2, min=10KB: mean = 20KB.
-	if d.Mean() != 20_000 {
-		t.Fatalf("mean = %v", d.Mean())
-	}
-	r := rand.New(rand.NewSource(11))
-	var sum float64
-	n := 200_000
-	for i := 0; i < n; i++ {
-		s := d.Sample(r)
-		if s < 10_000 {
-			t.Fatalf("sample %d below scale", s)
-		}
-		sum += float64(s)
-	}
-	mean := sum / float64(n)
-	if mean < 18_000 || mean > 22_000 {
-		t.Fatalf("empirical mean %v, want ~20000", mean)
-	}
-	// Degenerate parameters are tolerated.
-	if Pareto(-1, 0).Sample(r) < 1 {
-		t.Fatal("degenerate pareto must sample >= 1")
 	}
 }
