@@ -38,7 +38,7 @@ ci:
 	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbsim/
 	# Runtime-introspection smoke: a sharded run with live progress and a
 	# self-profile dump, rendered back through pmsbstat -runtime.
-	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 -par channel \
+	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 \
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats
@@ -60,6 +60,9 @@ ci:
 	# byte-identical to the serial run.
 	$(GO) test -race -count=1 -run 'TestFatTree32' ./internal/topo/
 	$(GO) test -race -count=1 -run TestDifferentialFatTree32ShortHorizon .
+	# Coordinator on seeded random shard graphs (2-8 shards, random cut
+	# edges and local work) must match the serial engine, race-checked.
+	$(GO) test -race -count=1 -run TestCoordinatorRandomPartitionsMatchSerial ./internal/sim/
 
 build:
 	$(GO) build ./...

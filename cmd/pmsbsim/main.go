@@ -275,7 +275,6 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples")
 		jobs    = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
 		shards  = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value; experiments that ran narrower are named on stderr)")
-		par     = fs.String("par", "channel", "parallel windowing protocol for sharded runs: channel or global (byte-identical results; which one is faster depends on fabric size and shard count, DESIGN.md section 8)")
 		engine  = fs.String("engine", "packet", "simulation engine for the scenario and fct experiments: packet (ground truth) or flow (fluid fast path); experiments without a fluid form run packet and are named on stderr")
 	)
 	return func(w io.Writer) (plan, error) {
@@ -304,17 +303,12 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		if *shards < 1 {
 			return plan{}, fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
 		}
-		parMode, err := sim.ParseParMode(*par)
-		if err != nil {
-			return plan{}, err
-		}
 		if *engine != "packet" && *engine != "flow" {
 			return plan{}, fmt.Errorf("unknown engine %q (want packet or flow)", *engine)
 		}
 		return plan{specs, experiment.Options{
 			Quick: *quick, Seed: *seed, Repeats: *repeats,
-			Shards: *shards, Par: parMode,
-			Engine: *engine,
+			Shards: *shards, Engine: *engine,
 		}, *jobs}, nil
 	}
 }

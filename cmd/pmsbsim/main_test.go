@@ -239,34 +239,14 @@ func TestJobsDeterminism(t *testing.T) {
 	}
 }
 
-// The -par protocols change wall time, never results: both must print
-// byte-identical output at the same shard count.
-func TestParModesDeterminism(t *testing.T) {
-	args := []string{
-		"-experiment", "fct-dwrr",
-		"-quick", "-summary=false", "-shards", "2",
-	}
-	outputs := make(map[string]string, 2)
-	for _, par := range []string{"channel", "global"} {
-		out, err := capture(t, append(args, "-par", par)...)
-		if err != nil {
-			t.Fatalf("-par %s: %v", par, err)
-		}
-		outputs[par] = out
-	}
-	if outputs["channel"] != outputs["global"] {
-		t.Fatalf("-par channel output differs from -par global:\n--- channel ---\n%s\n--- global ---\n%s",
-			outputs["channel"], outputs["global"])
-	}
-}
-
-// An unknown -par value is refused by name; that includes the retired
-// work-sharing variant, which no measurement defended.
+// The coordinator has one window protocol, so -par is not a flag:
+// every spelling of it, the retired protocol names included, is a
+// usage error.
 func TestParBadValue(t *testing.T) {
-	for _, par := range []string{"frobnicate", "channel-steal"} {
-		_, err := capture(t, "-experiment", "fct-dwrr", "-quick", "-par", par)
-		if err == nil || !strings.Contains(err.Error(), par) {
-			t.Fatalf("-par %s: err = %v", par, err)
+	for _, par := range []string{"channel", "global", "channel-steal"} {
+		_, err := capture(t, "-experiment", "fattree", "-quick", "-shards", "2", "-par", par)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -par") {
+			t.Fatalf("-par %s: err = %v, want a usage error", par, err)
 		}
 	}
 }

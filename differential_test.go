@@ -152,40 +152,25 @@ func assertIdenticalRuns(t *testing.T, name string, heap, cal workloadResult) {
 // shard); the serial baseline uses the same two-bus split so the traces
 // are comparable event by event.
 
-// parVariant names one coordinator protocol configuration. Every
-// variant must produce byte-identical results; the sweep below is the
-// proof.
-type parVariant struct {
-	name string
-	mode sim.ParMode
-}
-
-var parVariants = []parVariant{
-	{"global", sim.ParGlobal},
-	{"channel", sim.ParChannel},
-}
-
 // buildFabric wires a differential workload's topology through the
 // serial entry point on a plain sim.Engine (shards == 0: the reference
 // every sharded run is compared against) or through the sharded entry
-// point on a coordinator running v's protocol (shards >= 1). The
-// returned coordinator is nil for the serial reference; either way the
+// point on a coordinator (shards >= 1). The returned coordinator is nil for the serial reference; either way the
 // topology's Fabric runs it.
-func buildFabric[T any](shards int, v parVariant, serial func(*sim.Engine) T,
+func buildFabric[T any](shards int, serial func(*sim.Engine) T,
 	sharded func(*sim.Coordinator, int) (T, *topo.Partition)) (T, *sim.Coordinator) {
 	if shards == 0 {
 		return serial(sim.NewEngine()), nil
 	}
 	coord := sim.NewCoordinator()
-	coord.SetMode(v.mode)
 	built, _ := sharded(coord, shards)
 	return built, coord
 }
 
 // runShardedDumbbell runs the dumbbell differential workload. shards ==
 // 0 is the serial reference (plain engine, serial entry point); shards
-// >= 1 builds through the coordinator with the variant's protocol.
-func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
+// >= 1 builds through the coordinator.
+func runShardedDumbbell(t *testing.T, shards int) workloadResult {
 	t.Helper()
 	switchBus := obs.NewBus(1 << 16)
 	hostBus := obs.NewBus(1 << 16)
@@ -197,7 +182,7 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
 		},
 	}
-	d, _ := buildFabric(shards, v,
+	d, _ := buildFabric(shards,
 		func(eng *sim.Engine) *topo.Dumbbell { return topo.NewDumbbell(eng, cfg) },
 		func(c *sim.Coordinator, n int) (*topo.Dumbbell, *topo.Partition) {
 			return topo.NewDumbbellSharded(c, cfg, n)
@@ -226,7 +211,7 @@ func runShardedDumbbell(t *testing.T, shards int, v parVariant) workloadResult {
 
 // runShardedLeafSpine runs the leaf-spine differential workload (same
 // convention: shards == 0 is the serial reference).
-func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult {
+func runShardedLeafSpine(t *testing.T, shards int) workloadResult {
 	t.Helper()
 	switchBus := obs.NewBus(1 << 16)
 	hostBus := obs.NewBus(1 << 16)
@@ -244,7 +229,7 @@ func runShardedLeafSpine(t *testing.T, shards int, v parVariant) workloadResult 
 			BufferBytes:  units.Packets(250),
 		},
 	}
-	ls, _ := buildFabric(shards, v,
+	ls, _ := buildFabric(shards,
 		func(eng *sim.Engine) *topo.LeafSpine { return topo.NewLeafSpine(eng, cfg) },
 		func(c *sim.Coordinator, n int) (*topo.LeafSpine, *topo.Partition) {
 			return topo.NewLeafSpineSharded(c, cfg, n)
@@ -287,44 +272,39 @@ func busTrace(buses ...*obs.Bus) []obs.Event {
 }
 
 // A dumbbell split hosts-vs-switch must be byte-identical to the serial
-// run under every windowing protocol: same switch trace, same transport
+// run: same switch trace, same transport
 // trace, same FCTs, same total event count. The 1-shard build is the
 // degenerate check that the sharded wiring itself changes nothing.
 func TestDifferentialShardedDumbbell(t *testing.T) {
-	serial := runShardedDumbbell(t, 0, parVariant{})
+	serial := runShardedDumbbell(t, 0)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
 	assertIdenticalRuns(t, "dumbbell serial-vs-1shard", serial,
-		runShardedDumbbell(t, 1, parVariants[0]))
-	for _, v := range parVariants {
-		assertIdenticalRuns(t, "dumbbell serial-vs-2shard/"+v.name, serial,
-			runShardedDumbbell(t, 2, v))
-	}
+		runShardedDumbbell(t, 1))
+	assertIdenticalRuns(t, "dumbbell serial-vs-2shard", serial,
+		runShardedDumbbell(t, 2))
 }
 
 // Same gate for the leaf-spine fabric split hosts-vs-fabric. Run under
 // -race in CI, this doubles as the shard coordinator's race check on a
 // real workload.
 func TestDifferentialShardedLeafSpine(t *testing.T) {
-	serial := runShardedLeafSpine(t, 0, parVariant{})
+	serial := runShardedLeafSpine(t, 0)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
 	assertIdenticalRuns(t, "leafspine serial-vs-1shard", serial,
-		runShardedLeafSpine(t, 1, parVariants[0]))
-	for _, v := range parVariants {
-		assertIdenticalRuns(t, "leafspine serial-vs-2shard/"+v.name, serial,
-			runShardedLeafSpine(t, 2, v))
-	}
+		runShardedLeafSpine(t, 1))
+	assertIdenticalRuns(t, "leafspine serial-vs-2shard", serial,
+		runShardedLeafSpine(t, 2))
 }
 
 // Sharded runs must also be self-deterministic: two identical 2-shard
 // runs may not diverge no matter how goroutines are scheduled.
 func TestDifferentialShardedDeterminism(t *testing.T) {
-	v := parVariants[1] // channel: no barrier, so the schedule-sensitive path
-	a := runShardedLeafSpine(t, 2, v)
-	b := runShardedLeafSpine(t, 2, v)
+	a := runShardedLeafSpine(t, 2)
+	b := runShardedLeafSpine(t, 2)
 	assertIdenticalRuns(t, "leafspine 2shard-vs-2shard", a, b)
 }
 
@@ -336,14 +316,14 @@ func TestDifferentialShardedDeterminism(t *testing.T) {
 // count. Core switches are not observed — their shard assignment moves
 // with the shard count. flows returns the flow set so workloads can
 // vary; each spec is (src host, dst host, size).
-func runShardedFatTree(t *testing.T, shards int, v parVariant,
+func runShardedFatTree(t *testing.T, shards int,
 	specs [][3]int, until time.Duration) workloadResult {
 	t.Helper()
 	podBus := make([]*obs.Bus, 8)
 	for p := range podBus {
 		podBus[p] = obs.NewBus(1 << 14)
 	}
-	res := driveShardedFatTree(t, shards, v, specs, until, podBus)
+	res := driveShardedFatTree(t, shards, specs, until, podBus)
 	res.trace = busTrace(podBus...)
 	return res
 }
@@ -354,7 +334,7 @@ func runShardedFatTree(t *testing.T, shards int, v parVariant,
 // Optional setup hooks run after construction, before RunUntil — the
 // runtime-introspection differential uses them to attach monitors and
 // enable stats (exactly one of coord/eng is non-nil).
-func driveShardedFatTree(t *testing.T, shards int, v parVariant,
+func driveShardedFatTree(t *testing.T, shards int,
 	specs [][3]int, until time.Duration, podBus []*obs.Bus,
 	setup ...func(coord *sim.Coordinator, eng *sim.Engine)) workloadResult {
 	t.Helper()
@@ -374,7 +354,7 @@ func driveShardedFatTree(t *testing.T, shards int, v parVariant,
 			BufferBytes:  units.Packets(250),
 		},
 	}
-	ft, coord := buildFatTree(shards, v, cfg)
+	ft, coord := buildFatTree(shards, cfg)
 
 	// Fingerprint switch-level order in two pods (first and last): their
 	// edge and agg switches are pod-local on every partition.
@@ -412,8 +392,8 @@ func driveShardedFatTree(t *testing.T, shards int, v parVariant,
 }
 
 // buildFatTree is buildFabric for the two fat-tree workloads.
-func buildFatTree(shards int, v parVariant, cfg topo.FatTreeConfig) (*topo.FatTree, *sim.Coordinator) {
-	return buildFabric(shards, v,
+func buildFatTree(shards int, cfg topo.FatTreeConfig) (*topo.FatTree, *sim.Coordinator) {
+	return buildFabric(shards,
 		func(eng *sim.Engine) *topo.FatTree { return topo.NewFatTree(eng, cfg) },
 		func(c *sim.Coordinator, n int) (*topo.FatTree, *topo.Partition) {
 			return topo.NewFatTreeSharded(c, cfg, n)
@@ -437,25 +417,22 @@ func fatTreeCrossPodSpecs() [][3]int {
 	return specs
 }
 
-// The k=8 fat-tree differential gate: serial vs the per-channel-clock
-// coordinator at 4 and 8 shards, and vs the global-window reference, on
-// cross-pod traffic. This is the topology where channel clocks actually
-// diverge from the global protocol (distinct shard pairs, multi-hop
-// shard graph), so byte-identity here is the tentpole's correctness
-// proof.
+// The k=8 fat-tree differential gate: serial vs the coordinator at 4
+// and 8 shards on cross-pod traffic. This is the topology where the
+// per-channel clocks grant each shard its own window (distinct shard
+// pairs, multi-hop shard graph), so byte-identity here is the
+// coordinator's correctness proof on a real fabric.
 func TestDifferentialShardedFatTree(t *testing.T) {
 	specs := fatTreeCrossPodSpecs()
 	const until = 50 * time.Millisecond
-	serial := runShardedFatTree(t, 0, parVariant{}, specs, until)
+	serial := runShardedFatTree(t, 0, specs, until)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "fattree serial-vs-global@4", serial,
-		runShardedFatTree(t, 4, parVariants[0], specs, until))
 	assertIdenticalRuns(t, "fattree serial-vs-channel@4", serial,
-		runShardedFatTree(t, 4, parVariants[1], specs, until))
+		runShardedFatTree(t, 4, specs, until))
 	assertIdenticalRuns(t, "fattree serial-vs-channel@8", serial,
-		runShardedFatTree(t, 8, parVariants[1], specs, until))
+		runShardedFatTree(t, 8, specs, until))
 }
 
 // Skewed-load gate: an incast concentrated in pod 0 leaves seven of
@@ -471,14 +448,12 @@ func TestDifferentialShardedFatTreeIncast(t *testing.T) {
 		}
 	}
 	const until = 50 * time.Millisecond
-	serial := runShardedFatTree(t, 0, parVariant{}, specs, until)
+	serial := runShardedFatTree(t, 0, specs, until)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
 	assertIdenticalRuns(t, "incast serial-vs-channel@8", serial,
-		runShardedFatTree(t, 8, parVariants[1], specs, until))
-	assertIdenticalRuns(t, "incast serial-vs-global@8", serial,
-		runShardedFatTree(t, 8, parVariants[0], specs, until))
+		runShardedFatTree(t, 8, specs, until))
 }
 
 // Spill-merge gate: a sharded fat-tree run whose per-pod buses spill
@@ -497,7 +472,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	for p := range ref {
 		ref[p] = obs.NewBus(1 << 18)
 	}
-	driveShardedFatTree(t, 0, parVariant{}, specs, until, ref)
+	driveShardedFatTree(t, 0, specs, until, ref)
 	refStreams := make([][]obs.Event, pods)
 	refRaws := make([][]byte, pods)
 	for p, bus := range ref {
@@ -519,10 +494,9 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	for _, run := range []struct {
 		name   string
 		shards int
-		v      parVariant
 	}{
-		{"channel@4", 4, parVariants[1]},
-		{"channel@8", 8, parVariants[1]},
+		{"channel@4", 4},
+		{"channel@8", 8},
 	} {
 		// Spill-backed buses: 256-event rings force hundreds of flushes
 		// per pod, so chunk framing is exercised across many batch
@@ -536,7 +510,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 			buses[p] = obs.NewTraceBus(256)
 			buses[p].Ring().SetSpill(spills[p])
 		}
-		driveShardedFatTree(t, run.shards, run.v, specs, until, buses)
+		driveShardedFatTree(t, run.shards, specs, until, buses)
 		raws := make([][]byte, pods)
 		for p := range buses {
 			if err := buses[p].Ring().FlushSpill(); err != nil {
@@ -666,7 +640,7 @@ func TestDifferentialLeafSpineWorkload(t *testing.T) {
 // build dominates and a short horizon already fingerprints the event
 // order across serial and sharded runs (observability: edge+agg of the
 // first and last pod, both pod-local on every partition).
-func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
+func runFatTree32(t *testing.T, shards int) workloadResult {
 	t.Helper()
 	const k, pods = 32, 32
 	hostsPerPod := (k / 2) * (k / 2) // 256
@@ -681,7 +655,7 @@ func runFatTree32(t *testing.T, shards int, v parVariant) workloadResult {
 			BufferBytes:   units.Packets(250),
 		},
 	}
-	ft, _ := buildFatTree(shards, v, cfg)
+	ft, _ := buildFatTree(shards, cfg)
 	if n := ft.ArenaOverflow(); n != 0 {
 		t.Fatalf("k=32 arena overflowed by %d objects: the spec under-reserves", n)
 	}
@@ -725,13 +699,13 @@ func TestDifferentialFatTree32ShortHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("k=32 fabric build is too heavy for -short")
 	}
-	serial := runFatTree32(t, 0, parVariant{})
+	serial := runFatTree32(t, 0)
 	if len(serial.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
 	assertIdenticalRuns(t, "fattree32 serial-vs-channel@8", serial,
-		runFatTree32(t, 8, parVariants[1]))
-	a := runFatTree32(t, 8, parVariants[1])
+		runFatTree32(t, 8))
+	a := runFatTree32(t, 8)
 	assertIdenticalRuns(t, "fattree32 channel-vs-channel@8", a,
-		runFatTree32(t, 8, parVariants[1]))
+		runFatTree32(t, 8))
 }

@@ -36,11 +36,6 @@ type Options struct {
 	// Shards workers, so RunMany charges it that many tokens — jobs x
 	// shards never oversubscribes the machine.
 	Shards int
-	// Par picks the parallel windowing protocol for sharded runs:
-	// sim.ParChannel (the default) or sim.ParGlobal. Both produce
-	// byte-identical results and each is the faster one on some fabric
-	// and shard count (DESIGN.md section 8). Ignored when Shards <= 1.
-	Par sim.ParMode
 	// Engine selects the simulation engine for experiments that support
 	// both: "packet" (default, ground truth) or "flow" (the flow-level
 	// fluid fast path in internal/flowsim). Experiments without a

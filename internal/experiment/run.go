@@ -79,7 +79,6 @@ func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (d
 	)
 	if shards > 1 {
 		coord = sim.NewCoordinator()
-		coord.SetMode(o.Par)
 		coord.SetMonitor(o.Monitor)
 		if o.Runtime != nil {
 			coord.EnableRuntimeStats()

@@ -46,7 +46,8 @@ func LocalLink(eng *sim.Engine, rate units.Rate, delay time.Duration, to Node) L
 // BoundaryLink returns a cross-shard link value: deliveries execute on
 // the boundary's destination shard, one boundary delay after the send.
 // The propagation delay is the boundary's (they are registered together
-// so the coordinator's lookahead bound covers this link).
+// so the coordinator's channel clock for the shard pair covers this
+// link).
 func BoundaryLink(b *sim.Boundary, rate units.Rate, to Node) Link {
 	return Link{eng: b.SourceEngine(), boundary: b, rate: rate, delay: b.Delay(), to: to}
 }

@@ -49,10 +49,9 @@ const (
 // Engine is a single-threaded discrete-event scheduler. The zero value
 // is not usable; construct with NewEngine.
 type Engine struct {
-	now     time.Duration
-	q       eventQueue
-	seq     uint64
-	stopped bool
+	now time.Duration
+	q   eventQueue
+	seq uint64
 	// processed counts executed events, useful for progress reporting
 	// and benchmarks.
 	processed uint64
@@ -223,8 +222,8 @@ func (e *Engine) push(ev *event) {
 // sending shard, and that shard's monotone cross-send sequence number.
 // The local seq counter is not consumed, so injections leave the order
 // of local events untouched. Only the shard coordinator may call this,
-// and only at a window barrier (between runBefore windows), so the
-// engine is never executing concurrently.
+// and only between the shard's runBefore windows, so the engine is
+// never executing concurrently.
 func (e *Engine) injectRemote(at, schedAt time.Duration, lane uint32, seq uint64,
 	fn func(any), arg any) {
 	if at < e.now {
@@ -294,34 +293,26 @@ func (e *Engine) Step() bool {
 	}
 }
 
-// Run executes events until none remain or Stop is called.
+// Run executes events until none remain.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
-// RunUntil executes events with timestamps <= deadline (or until Stop).
-// On return the clock is at deadline whenever the run was not stopped —
-// even when the event queue drained before reaching it — so a caller
-// that measures "rate over the run" always divides by the full window.
-// When Stop ends the run early, the clock stays at the stopping event's
-// time: the deadline was never reached and pretending otherwise would
-// stretch every rate and age computed afterwards.
+// RunUntil executes events with timestamps <= deadline. On return the
+// clock is at deadline — even when the event queue drained before
+// reaching it — so a caller that measures "rate over the run" always
+// divides by the full window.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	e.stopped = false
 	if e.monOwner != nil {
 		e.monOwner.deadline.Store(int64(deadline))
 	}
-	for !e.stopped {
+	for {
 		ev := e.peek()
 		if ev == nil || ev.at > deadline {
 			break
 		}
 		e.Step()
-	}
-	if e.stopped {
-		return
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -335,8 +326,8 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 // the clock at the last executed event. It returns the time of the
 // earliest remaining event, with ok=false when the queue drained. The
 // shard coordinator uses the exclusive bound to run one conservative
-// window [T, T+lookahead): events exactly at the window end belong to
-// the next window, after the barrier has injected any cross-shard
+// window [T, grant): events exactly at the window end belong to the
+// next window, after the coordinator has injected any cross-shard
 // arrivals that could tie with them.
 func (e *Engine) runBefore(limit time.Duration) (next time.Duration, ok bool) {
 	for {
@@ -358,12 +349,6 @@ func (e *Engine) advanceTo(t time.Duration) {
 		e.now = t
 	}
 }
-
-// Stop makes Run/RunUntil return after the current event completes.
-// Unfired events stay queued and the clock stays at the stopping
-// event's time, so a later Run/RunUntil resumes exactly where the
-// simulation left off.
-func (e *Engine) Stop() { e.stopped = true }
 
 // peek returns the earliest live event, lazily reaping cancelled ones.
 func (e *Engine) peek() *event {

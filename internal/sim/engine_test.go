@@ -134,59 +134,6 @@ func TestRunUntilDrainAdvancesToDeadline(t *testing.T) {
 	}
 }
 
-// Stop during RunUntil keeps the clock at the stopping event's time —
-// the deadline was never reached — and leaves the remaining events
-// queued so a later run resumes from that point.
-func TestRunUntilStopKeepsClock(t *testing.T) {
-	e := NewEngine()
-	var fired []time.Duration
-	for i := 1; i <= 5; i++ {
-		at := time.Duration(i) * time.Millisecond
-		e.Schedule(at, func() {
-			fired = append(fired, at)
-			if at == 3*time.Millisecond {
-				e.Stop()
-			}
-		})
-	}
-	e.RunUntil(time.Second)
-	if e.Now() != 3*time.Millisecond {
-		t.Fatalf("Now() after Stop = %v, want 3ms", e.Now())
-	}
-	if len(fired) != 3 {
-		t.Fatalf("fired %d events before Stop, want 3", len(fired))
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending() = %d, want 2", e.Pending())
-	}
-
-	// Resume: the stopped run left the queue intact.
-	e.RunUntil(time.Second)
-	if len(fired) != 5 || e.Now() != time.Second {
-		t.Fatalf("resume fired %d events, Now() = %v; want 5 events at 1s", len(fired), e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 5 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
-	}
-}
-
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(time.Second, func() {

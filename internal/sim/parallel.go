@@ -11,9 +11,7 @@ import (
 // (one per topology shard) run concurrently inside conservative
 // windows and exchange boundary events between windows.
 //
-// Two protocols implement the windowing (ParMode):
-//
-// ParChannel (default) keeps one clock per directed shard pair — the
+// The coordinator keeps one clock per directed shard pair — the
 // CMB/null-message discipline, computed centrally. Every registered
 // boundary folds into a channel src->dst whose delay is the minimum
 // over that pair's cut links. Each shard publishes a lower bound lb on
@@ -26,61 +24,52 @@ import (
 // a quiet region of the fabric never gates a busy one, and distant
 // shards never wait on the topology's tightest link. There is no full
 // barrier: the coordinator grants each shard as soon as its own
-// channels allow and collects completions one at a time.
+// channels allow and collects completions one at a time. The classical
+// bounded-lag protocol — one global window [T, T+L) with L the minimum
+// cut delay and a barrier after every window — is the special case in
+// which every channel carries the same delay L (DESIGN.md section 8).
 //
-// ParGlobal is the original bounded-lag reference: lookahead L = the
-// minimum delay over every cut link, one global window [T, T+L) with
-// T the earliest pending event across all shards, and a full barrier
-// draining every outbox before the next window. It is also the
-// simplest statement of the safety argument both protocols share.
-// Neither protocol dominates: measured on two cores, the barrier wins
-// on the k=8 fat-tree and the channel clocks win at k=32 with 4 or
-// more shards (DESIGN.md section 8 has the table), so -par stays a
-// choice.
-//
-// Safety invariant (both modes). A shard executing events strictly
-// before its window end W must already hold every cross-shard arrival
-// with timestamp < W. In ParGlobal that is the classical lookahead
-// argument: a send by an event at u >= T arrives at u+delay >= T+L = W.
-// In ParChannel: a send from shard j is performed by an event j
+// Safety invariant. A shard executing events strictly before its
+// window end W must already hold every cross-shard arrival with
+// timestamp < W. A send from shard j is performed by an event j
 // executes, and j never executes anything before its published lb(j) —
 // frozen at its window start while a window is in flight, relaxed
 // through the channel graph while idle — so the arrival lands at
 // >= lb(j)+delay(j->dst) >= grant(dst) = W. Arrivals produced *during*
 // a destination's own window are parked (pendingSlabs) and injected
 // when that window completes; they are all at or beyond the
-// destination's grant, hence beyond everything that window executed. Windows are
-// half-open so an arrival exactly at a window end is injected before
-// the events it could tie with are run.
+// destination's grant, hence beyond everything that window executed.
+// Windows are half-open so an arrival exactly at a window end is
+// injected before the events it could tie with are run.
 //
 // Deadlock freedom. Delays are strictly positive, so the shard owning
 // the globally earliest pending event m always receives a grant
 // > m (every incoming channel contributes >= m + delay > m): some
 // shard is always dispatchable while work remains.
 //
-// Determinism and serial equivalence. Under ParChannel the window
-// bounds themselves depend on completion order (the coordinator grants
-// as completions arrive), but the *result* does not: an engine executes
-// its queue in the strict total key order (at, schedAt, lane, seq), and
-// the safety invariant guarantees every injection is queued before
-// execution passes its key. Window bounds only partition that fixed
-// per-shard sequence, so the executed sequence — and every trace, FCT
-// and processed-event count derived from it — is invariant across
-// goroutine schedules and across ParGlobal vs ParChannel at the same
-// shard count. The serial-equivalence argument for the key itself is
-// unchanged from the barrier protocol: the serial engine orders
-// same-time events by seq, which is assigned in scheduling order; because the clock never runs backwards, that is
-// equivalent to ordering by (schedAt, seq). A cross-shard injection
-// carries its true schedAt (the sending engine's clock at send time)
-// and the sender's monotone cross-send seq, so it sorts against the
-// destination's local events exactly where the serial engine would have
-// placed it — except when a local and a remote event (or two remote
-// events from different shards) carry the *same* (at, schedAt): two
-// causally independent schedules at the same instant whose serial order
-// depended on global seq interleaving no shard can reconstruct. The key
-// then falls back to lane order (locals first, then by sending shard).
-// differential_test.go proves byte-identity on the dumbbell, leaf-spine
-// and fat-tree workloads, for both modes. See DESIGN.md section 8.
+// Determinism and serial equivalence. The window bounds themselves
+// depend on completion order (the coordinator grants as completions
+// arrive), but the *result* does not: an engine executes its queue in
+// the strict total key order (at, schedAt, lane, seq), and the safety
+// invariant guarantees every injection is queued before execution
+// passes its key. Window bounds only partition that fixed per-shard
+// sequence, so the executed sequence — and every trace, FCT and
+// processed-event count derived from it — is invariant across
+// goroutine schedules at the same shard count. The serial engine
+// orders same-time events by seq, which is assigned in scheduling
+// order; because the clock never runs backwards, that is equivalent to
+// ordering by (schedAt, seq). A cross-shard injection carries its true
+// schedAt (the sending engine's clock at send time) and the sender's
+// monotone cross-send seq, so it sorts against the destination's local
+// events exactly where the serial engine would have placed it — except
+// when a local and a remote event (or two remote events from different
+// shards) carry the *same* (at, schedAt): two causally independent
+// schedules at the same instant whose serial order depended on global
+// seq interleaving no shard can reconstruct. The key then falls back
+// to lane order (locals first, then by sending shard).
+// differential_test.go proves byte-identity on the dumbbell,
+// leaf-spine and fat-tree workloads, and parallel_test.go on random
+// shard graphs. See DESIGN.md section 8.
 //
 // Threading. Each shard owns one dedicated worker goroutine that
 // executes all of its windows; engines are only ever touched by that
@@ -88,42 +77,12 @@ import (
 // windows), with channel sends establishing the happens-before edges
 // between the two. Nothing in the engine grows locks.
 
-// ParMode selects the coordinator's window protocol.
+// ParMode names a coordinator window protocol. ParChannel is the only
+// one; the type survives for callers that still select it explicitly.
 type ParMode int
 
-const (
-	// ParChannel is the default: per-channel clocks with null advances
-	// and no full barrier (see the package comment above).
-	ParChannel ParMode = iota
-	// ParGlobal is the single-lookahead bounded-lag reference protocol:
-	// one global window gated by the minimum cut delay, with a full
-	// barrier every window. Byte-identical results to ParChannel at the
-	// same shard count.
-	ParGlobal
-)
-
-// String names the mode the way the -par CLI flag spells it.
-func (m ParMode) String() string {
-	switch m {
-	case ParChannel:
-		return "channel"
-	case ParGlobal:
-		return "global"
-	}
-	return fmt.Sprintf("ParMode(%d)", int(m))
-}
-
-// ParseParMode maps a -par flag value onto a protocol: "channel"
-// (per-channel clocks) or "global" (single-lookahead barrier).
-func ParseParMode(s string) (ParMode, error) {
-	switch s {
-	case "channel":
-		return ParChannel, nil
-	case "global":
-		return ParGlobal, nil
-	}
-	return 0, fmt.Errorf("sim: unknown parallel mode %q (want channel or global)", s)
-}
+// ParChannel is the per-channel-clock protocol described above.
+const ParChannel ParMode = 0
 
 // timeInf is the channel clocks' "no bound" sentinel. Saturating
 // arithmetic (satAdd) keeps delay sums from wrapping past it.
@@ -139,21 +98,19 @@ func satAdd(a, b time.Duration) time.Duration {
 // Coordinator synchronizes a set of shard engines. Create one with
 // NewCoordinator, add shards with NewShard, declare every cross-shard
 // link with Boundary, then drive the whole simulation with RunUntil.
-// The configuration — shards, boundaries, mode — is frozen by the first
-// RunUntil call; registering a boundary (or switching modes) afterwards
-// panics, because a late registration would silently invalidate the
-// channel clocks and lookahead already used to admit executed windows.
+// The configuration — shards and boundaries — is frozen by the first
+// RunUntil call; registering a boundary afterwards panics, because a
+// late registration would silently invalidate the channel clocks
+// already used to admit executed windows.
 type Coordinator struct {
-	shards    []*Shard
-	lookahead time.Duration // min registered boundary delay; 0 = none yet
-	mode      ParMode
-	started   bool
+	shards  []*Shard
+	started bool
 
 	// chanDelay folds every registered boundary into the per-(src,dst)
 	// minimum delay: the channel graph the per-channel clocks run on.
 	chanDelay map[[2]int]time.Duration
 	// in is the flattened channel graph, per destination shard, built
-	// once at the first channel-mode RunUntil.
+	// once at the first windowed RunUntil.
 	in [][]inChan
 
 	// doneCh receives window completions (unbuffered: the handoff is
@@ -292,8 +249,7 @@ func injectSlab(d *Shard, sl *eventSlab) {
 	}
 }
 
-// NewCoordinator returns an empty coordinator running the default
-// per-channel-clock protocol.
+// NewCoordinator returns an empty coordinator.
 func NewCoordinator() *Coordinator {
 	return &Coordinator{chanDelay: make(map[[2]int]time.Duration)}
 }
@@ -311,22 +267,13 @@ func (c *Coordinator) NewShard() *Shard {
 // Shards returns the shards in creation order.
 func (c *Coordinator) Shards() []*Shard { return c.shards }
 
-// Lookahead returns the global conservative window width — the minimum
-// delay among registered boundaries (0 before any registration). It is
-// the window ParGlobal runs; ParChannel grants per-shard windows that
-// are never narrower.
-func (c *Coordinator) Lookahead() time.Duration { return c.lookahead }
-
-// Mode returns the coordinator's window protocol.
-func (c *Coordinator) Mode() ParMode { return c.mode }
-
-// SetMode selects the window protocol. Must be called before the first
-// RunUntil; the protocol is frozen once windows have run.
+// SetMode accepts ParChannel, the only protocol, and panics on any
+// other value. It is kept for the repository benchmark, which selects
+// the protocol explicitly.
 func (c *Coordinator) SetMode(m ParMode) {
-	if c.started {
-		panic("sim: SetMode after RunUntil — the window protocol is frozen once the first window has run")
+	if m != ParChannel {
+		panic(fmt.Sprintf("sim: unknown window protocol %d (ParChannel is the only one)", int(m)))
 	}
-	c.mode = m
 }
 
 // Engine returns the shard's engine. Entities placed on this shard must
@@ -338,14 +285,14 @@ func (s *Shard) ID() int { return s.id }
 
 // Boundary declares a directed cross-shard link with the given
 // propagation delay and returns the handle its sender uses to deliver
-// across the cut. The delay lower-bounds the coordinator's lookahead
-// and the src->dst channel clock, so it must be positive: a zero-delay
-// cut would make the conservative window empty.
+// across the cut. The delay lower-bounds the src->dst channel clock, so
+// it must be positive: a zero-delay cut would make the conservative
+// window empty.
 //
 // Every boundary must be registered before the first RunUntil;
 // registering one afterwards panics. Admitting a late boundary would
 // be a silent correctness hazard: windows already executed were
-// admitted against channel clocks (and a lookahead) that did not
+// admitted against channel clocks that did not
 // account for the new link, so a delivery crossing it could land
 // inside a window that already ran.
 func (c *Coordinator) Boundary(from, to *Shard, delay time.Duration) *Boundary {
@@ -360,9 +307,6 @@ func (c *Coordinator) Boundary(from, to *Shard, delay time.Duration) *Boundary {
 	}
 	if delay <= 0 {
 		panic(fmt.Sprintf("sim: boundary delay must be positive, got %v", delay))
-	}
-	if c.lookahead == 0 || delay < c.lookahead {
-		c.lookahead = delay
 	}
 	key := [2]int{from.id, to.id}
 	if d, ok := c.chanDelay[key]; !ok || delay < d {
@@ -420,11 +364,9 @@ func (b *Boundary) Send(fn func(any), arg any) {
 }
 
 // RunUntil executes events with timestamps <= deadline on every shard,
-// advancing them in conservative windows under the configured ParMode.
-// On return every shard's clock is at the deadline (matching
-// Engine.RunUntil's advance-on-drain contract). Engine.Stop is not
-// supported under a coordinator; a single-shard coordinator degenerates
-// to the serial RunUntil. The first call freezes the coordinator's
+// advancing them in conservative windows. On return every shard's clock
+// is at the deadline (matching Engine.RunUntil). A single-shard
+// coordinator degenerates to the serial RunUntil. The first call freezes the coordinator's
 // configuration (see Boundary).
 func (c *Coordinator) RunUntil(deadline time.Duration) {
 	c.started = true
@@ -446,7 +388,7 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 	case len(c.shards) == 1:
 		c.runDegenerate(c.shards[:1], deadline)
 		return
-	case c.lookahead <= 0:
+	case len(c.chanDelay) == 0:
 		// No boundaries: the shards are fully independent simulations.
 		c.runDegenerate(c.shards, deadline)
 		return
@@ -459,11 +401,7 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 			s.nextAt = ev.at
 		}
 	}
-	if c.mode == ParGlobal {
-		c.runGlobal(deadline)
-	} else {
-		c.runChannel(deadline)
-	}
+	c.runChannel(deadline)
 	for _, s := range c.shards {
 		s.eng.advanceTo(deadline)
 		if s.mon != nil {
@@ -500,61 +438,6 @@ func (c *Coordinator) runDegenerate(shards []*Shard, deadline time.Duration) {
 			s.eng.mon = nil
 			s.mon.publish(s.eng.processed, s.eng.now)
 		}
-	}
-}
-
-// runGlobal is the bounded-lag reference protocol: one global window
-// per round, full barrier, outbox drain.
-func (c *Coordinator) runGlobal(deadline time.Duration) {
-	stop := c.startWorkers()
-	defer stop()
-
-	rt := c.rt
-	for {
-		t, ok := c.minNext()
-		if !ok || t > deadline {
-			return
-		}
-		// Half-open window [t, w); the final window stretches one
-		// nanosecond past the deadline so events exactly at it still run.
-		w := t + c.lookahead
-		if w > deadline {
-			w = deadline + 1
-		}
-		// Dispatch only to shards with work inside the window — an idle
-		// shard's cached nextAt stays valid, and skipping it skips two
-		// goroutine wakeups. Dispatch precedes any wait so active shards
-		// run concurrently. Only the count of grants is needed to run
-		// the barrier: each completion is acknowledged on the shared
-		// doneCh regardless of which shard finished first.
-		active := 0
-		if rt != nil {
-			rt.grantCalls++
-		}
-		for _, s := range c.shards {
-			if s.hasNext && s.nextAt < w {
-				s.grantEnd = w
-				if rt != nil {
-					sc := &rt.shards[s.id]
-					sc.grants++
-					sc.grantWidth += w - s.nextAt
-				}
-				s.grantCh <- struct{}{}
-				active++
-			}
-		}
-		if rt != nil {
-			t0 := time.Now()
-			for i := 0; i < active; i++ {
-				<-c.doneCh
-			}
-			rt.coordBlocked += time.Since(t0)
-		} else {
-			for i := 0; i < active; i++ {
-				<-c.doneCh
-			}
-		}
-		c.drainOutboxes()
 	}
 }
 
@@ -793,40 +676,6 @@ func (c *Coordinator) work(s *Shard, grants <-chan struct{}, done chan<- *Shard)
 		if c.rt != nil {
 			c.rt.workerBlocked(s.id, &mark)
 		}
-	}
-}
-
-// minNext returns the earliest pending event time across shards.
-func (c *Coordinator) minNext() (time.Duration, bool) {
-	var min time.Duration
-	ok := false
-	for _, s := range c.shards {
-		if s.hasNext && (!ok || s.nextAt < min) {
-			min = s.nextAt
-			ok = true
-		}
-	}
-	return min, ok
-}
-
-// drainOutboxes injects every parked cross-shard slab into its
-// destination engine (ParGlobal's barrier drain; every shard is parked
-// at the barrier, so nothing is ever mid-window here). Injection order
-// is irrelevant to the result (the queue orders purely by key) but
-// slabs are drained in (source shard, first-send) order anyway so the
-// engine's internal layout is reproducible too.
-func (c *Coordinator) drainOutboxes() {
-	for _, s := range c.shards {
-		for _, dst := range s.outDst {
-			sl := s.outboxTo[dst]
-			s.outboxTo[dst] = nil
-			if c.rt != nil {
-				c.rt.shards[s.id].outboxSent += uint64(len(sl.ev))
-			}
-			injectSlab(c.shards[dst], sl)
-			s.putSlab(sl)
-		}
-		s.outDst = s.outDst[:0]
 	}
 }
 

@@ -2,20 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// parConfigs enumerates the coordinator configurations every
-// serial-equivalence test must hold under.
-var parConfigs = []struct {
-	name string
-	mode ParMode
-}{
-	{"global", ParGlobal},
-	{"channel", ParChannel},
-}
+// protocol names the coordinator's window protocol as
+// CoordinatorStats.Mode reports it. The serial-equivalence and
+// runtime-stats tests run their checks in a subtest of that name.
+const protocol = "channel"
 
 // relayRec is one observed delivery at a node: when it ran and which
 // hop count it carried.
@@ -57,10 +53,9 @@ func runSerialRing(n, tokens, hops int, linkDelay, localStep time.Duration, dead
 }
 
 // runShardedRing is the same workload with one shard per node and every
-// ring link a boundary, under the given protocol configuration.
-func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, deadline time.Duration, mode ParMode) ([][]relayRec, *Coordinator) {
+// ring link a boundary.
+func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, deadline time.Duration) ([][]relayRec, *Coordinator) {
 	coord := NewCoordinator()
-	coord.SetMode(mode)
 	shards := make([]*Shard, n)
 	for i := range shards {
 		shards[i] = coord.NewShard()
@@ -95,8 +90,7 @@ func runShardedRing(n, tokens, hops int, linkDelay, localStep time.Duration, dea
 
 // A multi-token relay ring must produce byte-identical per-node
 // delivery logs whether it runs on one engine or on one shard per node,
-// under every protocol configuration, and the total event count must be
-// conserved.
+// and the total event count must be conserved.
 func TestCoordinatorRingMatchesSerial(t *testing.T) {
 	const (
 		n         = 4
@@ -107,20 +101,18 @@ func TestCoordinatorRingMatchesSerial(t *testing.T) {
 		deadline  = 10 * time.Millisecond
 	)
 	serial := runSerialRing(n, tokens, hops, linkDelay, localStep, deadline)
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			sharded, coord := runShardedRing(n, tokens, hops, linkDelay, localStep, deadline, cfg.mode)
-			for i := range serial {
-				if !reflect.DeepEqual(serial[i], sharded[i]) {
-					t.Fatalf("node %d: sharded log diverges from serial\nserial:  %v\nsharded: %v",
-						i, trunc(serial[i]), trunc(sharded[i]))
-				}
+	t.Run(protocol, func(t *testing.T) {
+		sharded, coord := runShardedRing(n, tokens, hops, linkDelay, localStep, deadline)
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], sharded[i]) {
+				t.Fatalf("node %d: sharded log diverges from serial\nserial:  %v\nsharded: %v",
+					i, trunc(serial[i]), trunc(sharded[i]))
 			}
-			if coord.Processed() == 0 {
-				t.Fatal("sharded run processed no events")
-			}
-		})
-	}
+		}
+		if coord.Processed() == 0 {
+			t.Fatal("sharded run processed no events")
+		}
+	})
 }
 
 func trunc(r []relayRec) []relayRec {
@@ -131,55 +123,36 @@ func trunc(r []relayRec) []relayRec {
 }
 
 // Two identical sharded runs must be identical to each other
-// (goroutine scheduling must not leak into results), under every
-// protocol configuration.
+// (goroutine scheduling must not leak into results).
 func TestCoordinatorDeterministic(t *testing.T) {
 	const deadline = 5 * time.Millisecond
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			a, ca := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode)
-			b, cb := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline, cfg.mode)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatal("two identical sharded runs diverged")
-			}
-			if ca.Processed() != cb.Processed() {
-				t.Fatalf("processed counts diverged: %d vs %d", ca.Processed(), cb.Processed())
-			}
-		})
-	}
-}
-
-// The two protocols must agree with each other, not just each with
-// serial: -par changes wall time only, at any fixed shard count.
-func TestCoordinatorModesAgree(t *testing.T) {
-	const deadline = 5 * time.Millisecond
-	global, cg := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParGlobal)
-	channel, cc := runShardedRing(5, 5, 150, 9*time.Microsecond, 2*time.Microsecond, deadline, ParChannel)
-	if !reflect.DeepEqual(global, channel) {
-		t.Fatal("global and channel protocols diverged")
-	}
-	if cg.Processed() != cc.Processed() {
-		t.Fatalf("processed counts diverged: global %d, channel %d", cg.Processed(), cc.Processed())
-	}
+	t.Run(protocol, func(t *testing.T) {
+		a, ca := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline)
+		b, cb := runShardedRing(5, 5, 120, 11*time.Microsecond, 2*time.Microsecond, deadline)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatal("two identical sharded runs diverged")
+		}
+		if ca.Processed() != cb.Processed() {
+			t.Fatalf("processed counts diverged: %d vs %d", ca.Processed(), cb.Processed())
+		}
+	})
 }
 
 // A ping-pong between two shards exercises the minimal grant cycle:
 // exactly one shard active per window.
 func TestCoordinatorPingPongMatchesSerial(t *testing.T) {
 	serial := runSerialRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond)
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			sharded, _ := runShardedRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond, cfg.mode)
-			if !reflect.DeepEqual(serial, sharded) {
-				t.Fatal("ping-pong sharded log diverges from serial")
-			}
-			// The token must actually have bounced to the end.
-			last := sharded[0][len(sharded[0])-1]
-			if last.Hop < 498 {
-				t.Fatalf("token stalled at hop %d", last.Hop)
-			}
-		})
-	}
+	t.Run(protocol, func(t *testing.T) {
+		sharded, _ := runShardedRing(2, 1, 500, 5*time.Microsecond, time.Microsecond, 20*time.Millisecond)
+		if !reflect.DeepEqual(serial, sharded) {
+			t.Fatal("ping-pong sharded log diverges from serial")
+		}
+		// The token must actually have bounced to the end.
+		last := sharded[0][len(sharded[0])-1]
+		if last.Hop < 498 {
+			t.Fatalf("token stalled at hop %d", last.Hop)
+		}
+	})
 }
 
 // A skewed ring — all tokens start on one node, and only that node does
@@ -197,13 +170,179 @@ func TestCoordinatorSkewedLoad(t *testing.T) {
 	// One token on a six-shard ring: at any instant exactly one shard
 	// has work, the other five idle — the maximal skew.
 	serial := runSerialRing(n, 1, hops, linkDelay, localStep, deadline)
-	sharded, coord := runShardedRing(n, 1, hops, linkDelay, localStep, deadline, ParChannel)
+	sharded, coord := runShardedRing(n, 1, hops, linkDelay, localStep, deadline)
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Fatal("skewed sharded log diverges from serial")
 	}
 	if coord.Processed() == 0 {
 		t.Fatal("sharded run processed no events")
 	}
+}
+
+// randomGraph is one seeded shard graph for the randomized coordinator
+// test: shards nodes, one per shard, directed cut edges, and a local
+// work step per node. Every delay is distinct from every other — cut
+// delays and local steps alike — which is the tie-free case of the
+// serial-equivalence argument: no two channels into a shard share a
+// delay, and no local step equals a cut delay.
+type randomGraph struct {
+	shards int
+	edges  []randomEdge
+	out    [][]int // out[s] indexes edges leaving shard s
+	step   []time.Duration
+	chain  []int // local steps a delivery runs before forwarding, per shard
+	starts []int // shard each token starts on
+}
+
+type randomEdge struct {
+	from, to int
+	delay    time.Duration
+}
+
+// newRandomGraph draws 2–8 shards joined by a random directed cycle (so
+// every token always has somewhere to go) plus random extra cut edges,
+// some of them parallel to an existing pair.
+func newRandomGraph(rng *rand.Rand) randomGraph {
+	g := randomGraph{shards: 2 + rng.Intn(7)}
+	used := make(map[time.Duration]bool)
+	distinct := func() time.Duration {
+		for {
+			d := 500*time.Nanosecond + time.Duration(rng.Int63n(int64(20*time.Microsecond)))
+			if !used[d] {
+				used[d] = true
+				return d
+			}
+		}
+	}
+	g.out = make([][]int, g.shards)
+	addEdge := func(from, to int) {
+		g.out[from] = append(g.out[from], len(g.edges))
+		g.edges = append(g.edges, randomEdge{from, to, distinct()})
+	}
+	perm := rng.Perm(g.shards)
+	for i, s := range perm {
+		addEdge(s, perm[(i+1)%g.shards])
+	}
+	for extra := rng.Intn(2 * g.shards); extra > 0; extra-- {
+		from, to := rng.Intn(g.shards), rng.Intn(g.shards-1)
+		if to >= from {
+			to++
+		}
+		addEdge(from, to)
+	}
+	for s := 0; s < g.shards; s++ {
+		g.step = append(g.step, distinct())
+		g.chain = append(g.chain, 1+rng.Intn(4))
+	}
+	for tok := 1 + rng.Intn(2*g.shards); tok > 0; tok-- {
+		g.starts = append(g.starts, rng.Intn(g.shards))
+	}
+	return g
+}
+
+// tokenRec is one delivery observed at a node.
+type tokenRec struct {
+	At         time.Duration
+	Token, Hop int
+}
+
+// run simulates the graph's token workload: a delivery at node s logs
+// itself, runs chain[s] local steps of step[s] each, then forwards the
+// token along one of s's out-edges, picked by token and hop. With a
+// coordinator every node is a shard and every edge a boundary; without
+// one, the whole graph runs on a single engine with edges as plain
+// delayed schedules. Returns the per-node logs and the event count.
+func (g randomGraph) run(sharded bool, deadline time.Duration) ([][]tokenRec, uint64) {
+	engs := make([]*Engine, g.shards)
+	send := make([]func(fn func(any)), len(g.edges))
+	var coord *Coordinator
+	if sharded {
+		coord = NewCoordinator()
+		shards := make([]*Shard, g.shards)
+		for i := range shards {
+			shards[i] = coord.NewShard()
+			engs[i] = shards[i].Engine()
+		}
+		for i, e := range g.edges {
+			b := coord.Boundary(shards[e.from], shards[e.to], e.delay)
+			send[i] = func(fn func(any)) { b.Send(fn, nil) }
+		}
+	} else {
+		eng := NewEngine()
+		for i := range engs {
+			engs[i] = eng
+		}
+		for i, e := range g.edges {
+			delay := e.delay
+			send[i] = func(fn func(any)) { eng.ScheduleCall(delay, fn, nil) }
+		}
+	}
+	logs := make([][]tokenRec, g.shards)
+	var deliver func(node, token, hop int)
+	deliver = func(node, token, hop int) {
+		eng := engs[node]
+		logs[node] = append(logs[node], tokenRec{At: eng.Now(), Token: token, Hop: hop})
+		out := g.out[node]
+		edge := out[(token*31+hop*17)%len(out)]
+		var work func(left int)
+		work = func(left int) {
+			if left == 0 {
+				to := g.edges[edge].to
+				send[edge](func(any) { deliver(to, token, hop+1) })
+				return
+			}
+			eng.Schedule(g.step[node], func() { work(left - 1) })
+		}
+		work(g.chain[node])
+	}
+	for tok, s := range g.starts {
+		engs[s].ScheduleAt(0, func() { deliver(s, tok, 0) })
+	}
+	if coord != nil {
+		coord.RunUntil(deadline)
+		return logs, coord.Processed()
+	}
+	engs[0].RunUntil(deadline)
+	return logs, engs[0].Processed()
+}
+
+// Randomized partitions: on seeded random shard graphs — 2–8 shards,
+// random directed cut edges with positive delays, random local work
+// chains — the coordinated per-node logs and event count must equal
+// the serial run's. The ring tests fix one cycle; these graphs vary
+// fan-in, fan-out, parallel cut links, channel delays and per-shard
+// load, all within the tie-free case the key is exact for.
+func TestCoordinatorRandomPartitionsMatchSerial(t *testing.T) {
+	const (
+		graphs   = 60
+		deadline = 2 * time.Millisecond
+	)
+	for seed := int64(1); seed <= graphs; seed++ {
+		g := newRandomGraph(rand.New(rand.NewSource(seed)))
+		serial, serialEvents := g.run(false, deadline)
+		sharded, shardedEvents := g.run(true, deadline)
+		deliveries := 0
+		for node := range serial {
+			deliveries += len(serial[node])
+			if !reflect.DeepEqual(serial[node], sharded[node]) {
+				t.Fatalf("seed %d (%d shards, %d edges): node %d log diverges from serial\nserial:  %v\nsharded: %v",
+					seed, g.shards, len(g.edges), node, truncTok(serial[node]), truncTok(sharded[node]))
+			}
+		}
+		if deliveries <= len(g.starts) {
+			t.Fatalf("seed %d: %d deliveries for %d tokens — no token was forwarded", seed, deliveries, len(g.starts))
+		}
+		if serialEvents != shardedEvents {
+			t.Fatalf("seed %d: processed %d events sharded, %d serial", seed, shardedEvents, serialEvents)
+		}
+	}
+}
+
+func truncTok(r []tokenRec) []tokenRec {
+	if len(r) > 8 {
+		return r[:8]
+	}
+	return r
 }
 
 // A coordinator with one shard must behave exactly like that shard's
@@ -269,18 +408,53 @@ func TestBoundaryValidation(t *testing.T) {
 	if coord.Boundary(a, b, 3*time.Microsecond).Delay() != 3*time.Microsecond {
 		t.Fatal("boundary delay mangled")
 	}
-	if coord.Lookahead() != 3*time.Microsecond {
-		t.Fatalf("lookahead = %v, want 3us", coord.Lookahead())
+}
+
+// Boundaries fold into one channel per directed shard pair carrying the
+// pair's minimum delay: several cut links on one pair keep the fastest,
+// the reverse direction is independent, and only pairs with a link get
+// a channel.
+func TestBoundaryFoldsChannelDelays(t *testing.T) {
+	coord := NewCoordinator()
+	a, b, c := coord.NewShard(), coord.NewShard(), coord.NewShard()
+	coord.Boundary(a, b, 5*time.Microsecond)
+	coord.Boundary(a, b, 2*time.Microsecond)
+	coord.Boundary(a, b, 3*time.Microsecond)
+	coord.Boundary(b, a, 9*time.Microsecond)
+	coord.Boundary(b, c, 4*time.Microsecond)
+	want := map[[2]int]time.Duration{
+		{0, 1}: 2 * time.Microsecond, // min of 5, 2 and 3us
+		{1, 0}: 9 * time.Microsecond,
+		{1, 2}: 4 * time.Microsecond,
 	}
-	coord.Boundary(b, a, 2*time.Microsecond)
-	if coord.Lookahead() != 2*time.Microsecond {
-		t.Fatalf("lookahead must fold to the minimum delay, got %v", coord.Lookahead())
+	if !reflect.DeepEqual(coord.chanDelay, want) {
+		t.Fatalf("channel delays %v, want %v", coord.chanDelay, want)
+	}
+	coord.buildChannels()
+	wantIn := [][]inChan{
+		{{src: 1, delay: 9 * time.Microsecond}},
+		{{src: 0, delay: 2 * time.Microsecond}},
+		{{src: 1, delay: 4 * time.Microsecond}},
+	}
+	if !reflect.DeepEqual(coord.in, wantIn) {
+		t.Fatalf("incoming channels %v, want %v", coord.in, wantIn)
 	}
 }
 
+// SetMode accepts the one protocol and refuses anything else.
+func TestSetModeOnlyChannel(t *testing.T) {
+	coord := NewCoordinator()
+	coord.SetMode(ParChannel)
+	defer func() {
+		if recover() == nil {
+			t.Error("SetMode(1): expected panic")
+		}
+	}()
+	coord.SetMode(1)
+}
+
 // The coordinator's configuration freezes at the first RunUntil:
-// registering a boundary (or a shard, or flipping the protocol)
-// afterwards must panic instead of silently invalidating the channel
+// registering a boundary (or a shard) afterwards must panic instead of silently invalidating the channel
 // clocks already used to admit executed windows — even between runs.
 func TestConfigFrozenAfterRun(t *testing.T) {
 	coord := NewCoordinator()
@@ -293,7 +467,6 @@ func TestConfigFrozenAfterRun(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Boundary": func() { coord.Boundary(b, a, 5*time.Microsecond) },
 		"NewShard": func() { coord.NewShard() },
-		"SetMode":  func() { coord.SetMode(ParGlobal) },
 	} {
 		func() {
 			defer func() {
@@ -346,9 +519,6 @@ func TestChannelClockRelaxation(t *testing.T) {
 	if g := coord.grantFor(a); g != 72*time.Microsecond {
 		t.Errorf("grant(A) = %v, want 72us — 14x the global lookahead window", g)
 	}
-	if coord.Lookahead() != 5*time.Microsecond {
-		t.Errorf("global lookahead = %v, want 5us", coord.Lookahead())
-	}
 }
 
 // A frozen (running) shard must contribute its window start, not a
@@ -371,32 +541,6 @@ func TestChannelClockFrozenWhileRunning(t *testing.T) {
 	}
 	if g := coord.grantFor(b); g != 25*time.Microsecond {
 		t.Errorf("grant(B) = %v, want 25us", g)
-	}
-}
-
-func TestParseParMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		mode ParMode
-		err  bool
-	}{
-		{"channel", ParChannel, false},
-		{"global", ParGlobal, false},
-		{"", 0, true},
-		{"speculative", 0, true},
-	}
-	for _, c := range cases {
-		mode, err := ParseParMode(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("ParseParMode(%q) err = %v, want err=%v", c.in, err, c.err)
-			continue
-		}
-		if err == nil && mode != c.mode {
-			t.Errorf("ParseParMode(%q) = %v, want %v", c.in, mode, c.mode)
-		}
-	}
-	if ParChannel.String() != "channel" || ParGlobal.String() != "global" {
-		t.Error("ParMode.String does not round-trip the flag spelling")
 	}
 }
 

@@ -67,7 +67,7 @@ type WorkerStats struct {
 
 // CoordinatorStats is the run-end runtime snapshot of a sharded run.
 type CoordinatorStats struct {
-	// Mode echoes the protocol configuration.
+	// Mode names the window protocol: always "channel", the only one.
 	Mode string `json:"mode"`
 	// RelaxRounds counts Bellman-Ford sweeps over the channel graph;
 	// GrantCalls counts grant-dispatch passes. Their ratio is the
@@ -150,7 +150,7 @@ func (c *Coordinator) RuntimeStats() (CoordinatorStats, bool) {
 		return CoordinatorStats{}, false
 	}
 	st := CoordinatorStats{
-		Mode:         c.mode.String(),
+		Mode:         "channel",
 		RelaxRounds:  rt.relaxRounds,
 		GrantCalls:   rt.grantCalls,
 		Wall:         rt.wall,

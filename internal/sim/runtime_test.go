@@ -10,9 +10,8 @@ import (
 // deadline split into two RunUntil calls so accumulation across calls
 // is exercised.
 func runInstrumentedRing(n, tokens, hops int, linkDelay, localStep time.Duration,
-	mid, deadline time.Duration, mode ParMode) ([][]relayRec, *Coordinator, *Monitor) {
+	mid, deadline time.Duration) ([][]relayRec, *Coordinator, *Monitor) {
 	coord := NewCoordinator()
-	coord.SetMode(mode)
 	coord.EnableRuntimeStats()
 	mon := NewMonitor()
 	coord.SetMonitor(mon)
@@ -60,8 +59,7 @@ func shardTotals(st CoordinatorStats) (events, grants uint64) {
 
 // Runtime stats must (a) not perturb results — the instrumented sharded
 // ring still matches the uninstrumented serial run — and (b) report
-// internally consistent, monotonically accumulated counters under every
-// protocol configuration.
+// internally consistent, monotonically accumulated counters.
 func TestRuntimeStatsConsistent(t *testing.T) {
 	const (
 		n         = 4
@@ -73,120 +71,115 @@ func TestRuntimeStatsConsistent(t *testing.T) {
 		deadline  = 8 * time.Millisecond
 	)
 	serial := runSerialRing(n, tokens, hops, linkDelay, localStep, deadline)
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			logs, coord, mon := runInstrumentedRing(n, tokens, hops, linkDelay, localStep,
-				mid, deadline, cfg.mode)
-			for i := range serial {
-				if len(serial[i]) != len(logs[i]) {
-					t.Fatalf("node %d: instrumented run diverged (serial %d deliveries, got %d)",
-						i, len(serial[i]), len(logs[i]))
-				}
+	t.Run(protocol, func(t *testing.T) {
+		logs, coord, mon := runInstrumentedRing(n, tokens, hops, linkDelay, localStep,
+			mid, deadline)
+		for i := range serial {
+			if len(serial[i]) != len(logs[i]) {
+				t.Fatalf("node %d: instrumented run diverged (serial %d deliveries, got %d)",
+					i, len(serial[i]), len(logs[i]))
 			}
+		}
 
-			st, ok := coord.RuntimeStats()
-			if !ok {
-				t.Fatal("RuntimeStats not available after EnableRuntimeStats")
+		st, ok := coord.RuntimeStats()
+		if !ok {
+			t.Fatal("RuntimeStats not available after EnableRuntimeStats")
+		}
+		if st.Mode != protocol {
+			t.Fatalf("stats identify run as mode=%s, want %s", st.Mode, protocol)
+		}
+		if len(st.PerShard) != n || len(st.PerWorker) != n {
+			t.Fatalf("got %d shard / %d worker stats, want %d/%d",
+				len(st.PerShard), len(st.PerWorker), n, n)
+		}
+		events, grants := shardTotals(st)
+		if events != coord.Processed() {
+			t.Fatalf("per-shard events sum to %d, coordinator processed %d", events, coord.Processed())
+		}
+		if grants == 0 || st.GrantCalls == 0 {
+			t.Fatalf("no windows recorded (grants=%d grantCalls=%d)", grants, st.GrantCalls)
+		}
+		if st.Wall <= 0 {
+			t.Fatalf("wall time not recorded: %v", st.Wall)
+		}
+		if st.CoordBlocked < 0 || st.CoordBlocked > st.Wall {
+			t.Fatalf("coordinator blocked %v outside [0, wall=%v]", st.CoordBlocked, st.Wall)
+		}
+		for i, w := range st.PerWorker {
+			if w.Busy < 0 || w.Blocked < 0 || w.Idle < 0 {
+				t.Fatalf("worker %d has negative time component: %+v", i, w)
 			}
-			if st.Mode != cfg.mode.String() {
-				t.Fatalf("stats identify run as mode=%s, want %s", st.Mode, cfg.mode)
+			// Every shard's windows run on its own dedicated worker.
+			if w.Windows != st.PerShard[i].Grants {
+				t.Fatalf("worker %d ran %d windows, its shard was granted %d", i, w.Windows, st.PerShard[i].Grants)
 			}
-			if len(st.PerShard) != n || len(st.PerWorker) != n {
-				t.Fatalf("got %d shard / %d worker stats, want %d/%d",
-					len(st.PerShard), len(st.PerWorker), n, n)
-			}
-			events, grants := shardTotals(st)
-			if events != coord.Processed() {
-				t.Fatalf("per-shard events sum to %d, coordinator processed %d", events, coord.Processed())
-			}
-			if grants == 0 || st.GrantCalls == 0 {
-				t.Fatalf("no windows recorded (grants=%d grantCalls=%d)", grants, st.GrantCalls)
-			}
-			if st.Wall <= 0 {
-				t.Fatalf("wall time not recorded: %v", st.Wall)
-			}
-			if st.CoordBlocked < 0 || st.CoordBlocked > st.Wall {
-				t.Fatalf("coordinator blocked %v outside [0, wall=%v]", st.CoordBlocked, st.Wall)
-			}
-			for i, w := range st.PerWorker {
-				if w.Busy < 0 || w.Blocked < 0 || w.Idle < 0 {
-					t.Fatalf("worker %d has negative time component: %+v", i, w)
-				}
-				// Every shard's windows run on its own dedicated worker.
-				if w.Windows != st.PerShard[i].Grants {
-					t.Fatalf("worker %d ran %d windows, its shard was granted %d", i, w.Windows, st.PerShard[i].Grants)
-				}
-			}
+		}
 
-			p := mon.Snapshot()
-			if p.Events != coord.Processed() {
-				t.Fatalf("monitor published %d events, coordinator processed %d", p.Events, coord.Processed())
-			}
-			if p.Frontier != deadline || p.Lag != 0 {
-				t.Fatalf("monitor frontier=%v lag=%v at run end, want %v/0", p.Frontier, p.Lag, deadline)
-			}
-			if p.Deadline != deadline {
-				t.Fatalf("monitor deadline %v, want %v", p.Deadline, deadline)
-			}
-		})
-	}
+		p := mon.Snapshot()
+		if p.Events != coord.Processed() {
+			t.Fatalf("monitor published %d events, coordinator processed %d", p.Events, coord.Processed())
+		}
+		if p.Frontier != deadline || p.Lag != 0 {
+			t.Fatalf("monitor frontier=%v lag=%v at run end, want %v/0", p.Frontier, p.Lag, deadline)
+		}
+		if p.Deadline != deadline {
+			t.Fatalf("monitor deadline %v, want %v", p.Deadline, deadline)
+		}
+	})
 }
 
 // Successive RunUntil calls accumulate: no counter or duration may
 // decrease between snapshots.
 func TestRuntimeStatsMonotonic(t *testing.T) {
-	for _, cfg := range parConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			coord := NewCoordinator()
-			coord.SetMode(cfg.mode)
-			coord.EnableRuntimeStats()
-			a := coord.NewShard()
-			b := coord.NewShard()
-			bounds := [2]*Boundary{
-				coord.Boundary(a, b, 5*time.Microsecond),
-				coord.Boundary(b, a, 5*time.Microsecond),
+	t.Run(protocol, func(t *testing.T) {
+		coord := NewCoordinator()
+		coord.EnableRuntimeStats()
+		a := coord.NewShard()
+		b := coord.NewShard()
+		bounds := [2]*Boundary{
+			coord.Boundary(a, b, 5*time.Microsecond),
+			coord.Boundary(b, a, 5*time.Microsecond),
+		}
+		shards := [2]*Shard{a, b}
+		var bounce func(node, hop int)
+		bounce = func(node, hop int) {
+			if hop >= 400 {
+				return
 			}
-			shards := [2]*Shard{a, b}
-			var bounce func(node, hop int)
-			bounce = func(node, hop int) {
-				if hop >= 400 {
-					return
-				}
-				shards[node].Engine().Schedule(time.Microsecond, func() {
-					bounds[node].Send(func(any) { bounce(1-node, hop+1) }, nil)
-				})
-			}
-			a.Engine().ScheduleAt(0, func() { bounce(0, 0) })
+			shards[node].Engine().Schedule(time.Microsecond, func() {
+				bounds[node].Send(func(any) { bounce(1-node, hop+1) }, nil)
+			})
+		}
+		a.Engine().ScheduleAt(0, func() { bounce(0, 0) })
 
-			var prev CoordinatorStats
-			for i, deadline := range []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond} {
-				coord.RunUntil(deadline)
-				st, ok := coord.RuntimeStats()
-				if !ok {
-					t.Fatal("RuntimeStats not available")
-				}
-				if i > 0 {
-					if st.Wall < prev.Wall || st.RelaxRounds < prev.RelaxRounds || st.GrantCalls < prev.GrantCalls {
-						t.Fatalf("coordinator counters regressed: %+v -> %+v", prev, st)
-					}
-					for j := range st.PerShard {
-						p, c := prev.PerShard[j], st.PerShard[j]
-						if c.Events < p.Events || c.Grants < p.Grants || c.Busy < p.Busy ||
-							c.NullAdvances < p.NullAdvances || c.OutboxSent < p.OutboxSent {
-							t.Fatalf("shard %d counters regressed: %+v -> %+v", j, p, c)
-						}
-					}
-					for j := range st.PerWorker {
-						p, c := prev.PerWorker[j], st.PerWorker[j]
-						if c.Windows < p.Windows || c.Busy < p.Busy || c.Blocked < p.Blocked || c.Idle < p.Idle {
-							t.Fatalf("worker %d time accounting regressed: %+v -> %+v", j, p, c)
-						}
-					}
-				}
-				prev = st
+		var prev CoordinatorStats
+		for i, deadline := range []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 6 * time.Millisecond} {
+			coord.RunUntil(deadline)
+			st, ok := coord.RuntimeStats()
+			if !ok {
+				t.Fatal("RuntimeStats not available")
 			}
-		})
-	}
+			if i > 0 {
+				if st.Wall < prev.Wall || st.RelaxRounds < prev.RelaxRounds || st.GrantCalls < prev.GrantCalls {
+					t.Fatalf("coordinator counters regressed: %+v -> %+v", prev, st)
+				}
+				for j := range st.PerShard {
+					p, c := prev.PerShard[j], st.PerShard[j]
+					if c.Events < p.Events || c.Grants < p.Grants || c.Busy < p.Busy ||
+						c.NullAdvances < p.NullAdvances || c.OutboxSent < p.OutboxSent {
+						t.Fatalf("shard %d counters regressed: %+v -> %+v", j, p, c)
+					}
+				}
+				for j := range st.PerWorker {
+					p, c := prev.PerWorker[j], st.PerWorker[j]
+					if c.Windows < p.Windows || c.Busy < p.Busy || c.Blocked < p.Blocked || c.Idle < p.Idle {
+						t.Fatalf("worker %d time accounting regressed: %+v -> %+v", j, p, c)
+					}
+				}
+			}
+			prev = st
+		}
+	})
 }
 
 // Without EnableRuntimeStats the coordinator reports no stats, and a

@@ -11,10 +11,10 @@ import (
 )
 
 // Partition records how a sharded builder split a topology: which shard
-// every node landed on (in wiring order) and every directed link that
-// crosses the cut. The minimum cut delay is the coordinator's lookahead
+// every node landed on and every directed link that crosses the cut.
+// Each cut link's delay bounds the coordinator's clock on its shard pair
 // and therefore the parallel engine's window width — a partition is only
-// worth running if it is comfortably positive.
+// worth running if those delays are comfortably positive.
 type Partition struct {
 	// Shards is the shard count the topology was built for.
 	Shards int
@@ -22,7 +22,6 @@ type Partition struct {
 	Cuts []CutEdge
 
 	shardOf map[pkt.NodeID]int
-	order   []pkt.NodeID
 }
 
 // CutEdge is one directed link crossing the partition.
@@ -31,7 +30,8 @@ type CutEdge struct {
 	From, To pkt.NodeID
 	// SrcShard and DstShard are the shards those endpoints live on.
 	SrcShard, DstShard int
-	// Delay is the link's propagation delay (bounds the lookahead).
+	// Delay is the link's propagation delay (bounds the pair's channel
+	// clock).
 	Delay time.Duration
 }
 
@@ -39,36 +39,6 @@ type CutEdge struct {
 func (p *Partition) ShardOf(id pkt.NodeID) (int, bool) {
 	s, ok := p.shardOf[id]
 	return s, ok
-}
-
-// Nodes returns every assigned node ID in wiring order.
-func (p *Partition) Nodes() []pkt.NodeID { return p.order }
-
-// MinCutDelay returns the smallest delay over all cut edges (0 if the
-// partition has no cuts, i.e. a single shard).
-func (p *Partition) MinCutDelay() time.Duration {
-	var min time.Duration
-	for i, c := range p.Cuts {
-		if i == 0 || c.Delay < min {
-			min = c.Delay
-		}
-	}
-	return min
-}
-
-// PairDelays returns the minimum cut delay per directed shard pair
-// {src, dst}. This is the per-channel lookahead the channel-clock
-// coordinator runs on: a pair connected only by slow links is not
-// throttled to the partition-wide MinCutDelay.
-func (p *Partition) PairDelays() map[[2]int]time.Duration {
-	out := make(map[[2]int]time.Duration)
-	for _, c := range p.Cuts {
-		key := [2]int{c.SrcShard, c.DstShard}
-		if d, ok := out[key]; !ok || c.Delay < d {
-			out[key] = c.Delay
-		}
-	}
-	return out
 }
 
 func (p *Partition) assign(id pkt.NodeID, shard int) {
@@ -79,7 +49,6 @@ func (p *Partition) assign(id pkt.NodeID, shard int) {
 		panic(fmt.Sprintf("topo: node %d assigned to shard %d of %d", id, shard, p.Shards))
 	}
 	p.shardOf[id] = shard
-	p.order = append(p.order, id)
 }
 
 func (p *Partition) mustShardOf(id pkt.NodeID) int {

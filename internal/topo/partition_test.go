@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"pmsb/internal/pkt"
 	"pmsb/internal/sim"
 )
 
@@ -103,25 +102,16 @@ func TestPartitionInvariants(t *testing.T) {
 			if len(coord.Shards()) != tc.shards {
 				t.Fatalf("coordinator has %d shards, want %d", len(coord.Shards()), tc.shards)
 			}
-			// Exactly-once assignment: Nodes() has no duplicates (assign
-			// panics on re-assignment, so a duplicate here means the
-			// order/shardOf bookkeeping diverged) and covers everything.
-			seen := make(map[pkt.NodeID]bool, len(p.Nodes()))
-			for _, id := range p.Nodes() {
-				if seen[id] {
-					t.Fatalf("node %d listed twice", id)
-				}
-				seen[id] = true
-				sh, ok := p.ShardOf(id)
-				if !ok {
-					t.Fatalf("node %d in order but not in shard map", id)
-				}
+			// Coverage: every node is assigned (assign panics on a
+			// re-assignment, so the map holds each exactly once) to a
+			// shard in range.
+			for id, sh := range p.shardOf {
 				if sh < 0 || sh >= tc.shards {
 					t.Fatalf("node %d on shard %d of %d", id, sh, tc.shards)
 				}
 			}
-			if len(p.Nodes()) != tc.wantNodes {
-				t.Fatalf("assigned %d nodes, want %d", len(p.Nodes()), tc.wantNodes)
+			if len(p.shardOf) != tc.wantNodes {
+				t.Fatalf("assigned %d nodes, want %d", len(p.shardOf), tc.wantNodes)
 			}
 
 			if len(p.Cuts) != tc.wantCuts {
@@ -140,66 +130,7 @@ func TestPartitionInvariants(t *testing.T) {
 					t.Fatalf("cut %d->%d shard mismatch", cut.From, cut.To)
 				}
 			}
-			if tc.shards > 1 {
-				if p.MinCutDelay() <= 0 {
-					t.Fatalf("MinCutDelay = %v, want > 0", p.MinCutDelay())
-				}
-				if got := coord.Lookahead(); got != p.MinCutDelay() {
-					t.Fatalf("coordinator lookahead %v != MinCutDelay %v", got, p.MinCutDelay())
-				}
-			} else {
-				if p.MinCutDelay() != 0 {
-					t.Fatalf("single shard has MinCutDelay %v, want 0", p.MinCutDelay())
-				}
-			}
 		})
-	}
-}
-
-// PairDelays must fold multiple cut edges per shard pair to the pair's
-// minimum, keep directions independent, and cover exactly the pairs
-// that have cuts.
-func TestPartitionPairDelays(t *testing.T) {
-	p := &Partition{Shards: 3, Cuts: []CutEdge{
-		{From: 1, To: 2, SrcShard: 0, DstShard: 1, Delay: 5 * time.Microsecond},
-		{From: 3, To: 4, SrcShard: 0, DstShard: 1, Delay: 2 * time.Microsecond},
-		{From: 2, To: 1, SrcShard: 1, DstShard: 0, Delay: 9 * time.Microsecond},
-		{From: 5, To: 6, SrcShard: 1, DstShard: 2, Delay: 4 * time.Microsecond},
-	}}
-	got := p.PairDelays()
-	want := map[[2]int]time.Duration{
-		{0, 1}: 2 * time.Microsecond, // min of 5us and 2us
-		{1, 0}: 9 * time.Microsecond, // reverse direction is independent
-		{1, 2}: 4 * time.Microsecond,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("PairDelays has %d pairs, want %d: %v", len(got), len(want), got)
-	}
-	for k, d := range want {
-		if got[k] != d {
-			t.Fatalf("PairDelays[%v] = %v, want %v", k, got[k], d)
-		}
-	}
-
-	// On a real sharded build, every pair delay must be >= the global
-	// minimum, and the minimum over pairs must equal MinCutDelay.
-	coord := sim.NewCoordinator()
-	_, part := NewFatTreeSharded(coord, FatTreeConfig{K: 4, Ports: fifoProfile()}, 4)
-	pd := part.PairDelays()
-	if len(pd) == 0 {
-		t.Fatal("fat-tree/4 has no pair delays")
-	}
-	min := time.Duration(0)
-	for _, d := range pd {
-		if d < part.MinCutDelay() {
-			t.Fatalf("pair delay %v below MinCutDelay %v", d, part.MinCutDelay())
-		}
-		if min == 0 || d < min {
-			min = d
-		}
-	}
-	if min != part.MinCutDelay() {
-		t.Fatalf("min over pairs %v != MinCutDelay %v", min, part.MinCutDelay())
 	}
 }
 
@@ -254,12 +185,14 @@ func TestLeafSpineFabricDelay(t *testing.T) {
 		Ports:       fifoProfile(),
 		FabricDelay: 7 * time.Microsecond,
 	}, 2)
-	// The cut is host<->leaf only, so lookahead must stay the host-link
+	// The cut is host<->leaf only, so every cut link keeps the host-link
 	// delay (5us), untouched by the larger fabric delay.
-	if got := coord.Lookahead(); got != 5*time.Microsecond {
-		t.Fatalf("lookahead %v, want 5us (host-link delay)", got)
+	if len(part.Cuts) == 0 {
+		t.Fatal("2-shard leaf-spine has no cut links")
 	}
-	if part.MinCutDelay() != 5*time.Microsecond {
-		t.Fatalf("MinCutDelay %v, want 5us", part.MinCutDelay())
+	for _, cut := range part.Cuts {
+		if cut.Delay != 5*time.Microsecond {
+			t.Fatalf("cut %d->%d delay %v, want 5us (host-link delay)", cut.From, cut.To, cut.Delay)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 func TestDifferentialRuntimeIntrospection(t *testing.T) {
 	specs := fatTreeCrossPodSpecs()
 	const until = 50 * time.Millisecond
-	baseline := runShardedFatTree(t, 0, parVariant{}, specs, until)
+	baseline := runShardedFatTree(t, 0, specs, until)
 	if len(baseline.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
@@ -32,7 +32,7 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 
 	// instrumented runs runShardedFatTree's workload with the full
 	// introspection surface attached and returns the harvested stats.
-	instrumented := func(shards int, v parVariant) (workloadResult, obsrt.Snapshot) {
+	instrumented := func(shards int) (workloadResult, obsrt.Snapshot) {
 		podBus := make([]*obs.Bus, 8)
 		for p := range podBus {
 			podBus[p] = obs.NewBus(1 << 14)
@@ -45,7 +45,7 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 		coll := obsrt.NewCollector()
 		var gotCoord *sim.Coordinator
 		var gotEng *sim.Engine
-		res := driveShardedFatTree(t, shards, v, specs, until, podBus,
+		res := driveShardedFatTree(t, shards, specs, until, podBus,
 			func(coord *sim.Coordinator, eng *sim.Engine) {
 				gotCoord, gotEng = coord, eng
 				if coord != nil {
@@ -68,13 +68,12 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 	for _, run := range []struct {
 		name   string
 		shards int
-		v      parVariant
 	}{
-		{"serial", 0, parVariant{}},
-		{"channel@4", 4, parVariants[1]},
-		{"channel@8", 8, parVariants[1]},
+		{"serial", 0},
+		{"channel@4", 4},
+		{"channel@8", 8},
 	} {
-		res, snap := instrumented(run.shards, run.v)
+		res, snap := instrumented(run.shards)
 		assertIdenticalRuns(t, "introspected-"+run.name, baseline, res)
 		if run.shards == 0 {
 			if snap.Engines[0].Processed != baseline.processed {
@@ -122,7 +121,7 @@ func TestDifferentialRuntimeSelfDeterminism(t *testing.T) {
 		mon := sim.NewMonitor()
 		sampler := obsrt.StartSampler(io.Discard, mon, 200*time.Microsecond)
 		defer sampler.Stop()
-		res := driveShardedFatTree(t, 8, parVariants[1], specs, until, podBus,
+		res := driveShardedFatTree(t, 8, specs, until, podBus,
 			func(coord *sim.Coordinator, eng *sim.Engine) {
 				coord.SetMonitor(mon)
 				coord.EnableRuntimeStats()
