@@ -42,6 +42,15 @@ ci:
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats
+	# Queue selection: fig8's dumbbell stays on the calendar queue, the
+	# k=8 fat-tree's packet cluster hands off to the heap.
+	$(GO) run ./cmd/pmsbsim -experiment fig8 -quick -runtimestats ci_fig8.rtstats > /dev/null
+	$(GO) run ./cmd/pmsbsim -experiment fattree -quick -runtimestats ci_ft.rtstats > /dev/null
+	@grep -q 'queue\.kind\.calendar' ci_fig8.rtstats && ! grep -q 'queue\.kind\.heap' ci_fig8.rtstats \
+		|| { echo "fig8 left the calendar queue:"; grep 'queue\.kind' ci_fig8.rtstats; exit 1; }
+	@grep -q 'queue\.kind\.heap' ci_ft.rtstats && ! grep -q 'queue\.kind\.calendar' ci_ft.rtstats \
+		|| { echo "fattree did not hand off to the heap:"; grep 'queue\.kind' ci_ft.rtstats; exit 1; }
+	@rm -f ci_fig8.rtstats ci_ft.rtstats
 	# Ad-hoc smoke: generate a trace, replay it traced, read the trace.
 	$(GO) run ./cmd/pmsbsim replay -gen 50 > ci_replay.csv
 	$(GO) run ./cmd/pmsbsim replay -trace ci_replay.csv -marker pmsb -tracefile ci_replay.trace.bin > /dev/null

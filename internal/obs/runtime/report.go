@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -10,7 +11,7 @@ import (
 
 // Report renders a human explanation of a runtime dump: the per-shard
 // table, then the derived diagnoses — shard imbalance, null-advance
-// overhead, worker utilization, queue churn, pool pressure. vals is a
+// overhead, worker utilization, queue selection, pool pressure. vals is a
 // ParseDump result (from a -runtimestats file).
 func Report(w io.Writer, vals map[string]int64) error {
 	bw := &strings.Builder{}
@@ -34,7 +35,7 @@ func Report(w io.Writer, vals map[string]int64) error {
 	} else {
 		fmt.Fprintf(bw, "# serial run (no coordinator stats)\n")
 	}
-	queueChurn(bw, vals)
+	queueSelection(bw, vals)
 	poolPressure(bw, vals)
 
 	_, err := io.WriteString(w, bw.String())
@@ -144,29 +145,40 @@ func workerUtilization(w io.Writer, vals map[string]int64, shards int) {
 		pct(busy, total), pct(blocked, total), pct(idle, total), shards)
 }
 
-// queueChurn aggregates the calendar-queue resize and overflow
-// migration counters across engines, normalized per 1k events.
-func queueChurn(w io.Writer, vals map[string]int64) {
-	var grows, shrinks, migr, events int64
-	seen := false
+// queueSelection counts, per engine, the runs that ended on each event
+// queue, and reports the calendar's overflow migrations across engines,
+// normalized per 1k events.
+func queueSelection(w io.Writer, vals map[string]int64) {
+	kinds := map[int][]string{}
+	var migr, events int64
 	for n, v := range vals {
+		var eng int
+		var kind string
 		switch {
-		case strings.HasSuffix(n, ".queue.grows"):
-			grows += v
-			seen = true
-		case strings.HasSuffix(n, ".queue.shrinks"):
-			shrinks += v
 		case strings.HasSuffix(n, ".queue.migrations"):
 			migr += v
 		case strings.HasSuffix(n, ".processed") && strings.HasPrefix(n, "runtime.engine."):
 			events += v
+		default:
+			if k, err := fmt.Sscanf(n, "runtime.engine.%d.queue.kind.%s", &eng, &kind); k == 2 && err == nil {
+				kinds[eng] = append(kinds[eng], fmt.Sprintf("%s %d", kind, v))
+			}
 		}
 	}
-	if !seen {
+	if len(kinds) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "queue churn: %d grows, %d shrinks, %.2f overflow migrations/1k events\n",
-		grows, shrinks, 1000*ratio(migr, events))
+	engs := make([]int, 0, len(kinds))
+	for i := range kinds {
+		engs = append(engs, i)
+	}
+	sort.Ints(engs)
+	fmt.Fprint(w, "queue (runs ended on):")
+	for _, i := range engs {
+		sort.Strings(kinds[i])
+		fmt.Fprintf(w, " engine %d %s;", i, strings.Join(kinds[i], ", "))
+	}
+	fmt.Fprintf(w, " %.2f overflow migrations/1k events\n", 1000*ratio(migr, events))
 }
 
 func poolPressure(w io.Writer, vals map[string]int64) {

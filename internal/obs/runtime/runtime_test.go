@@ -141,7 +141,7 @@ func TestReportSections(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"coordinator", "imbalance", "null-advance", "workers", "queue churn",
+		"coordinator", "imbalance", "null-advance", "workers", "queue (runs ended on)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q section:\n%s", want, out)
@@ -159,6 +159,37 @@ func TestReportSections(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "serial run") {
 		t.Fatalf("serial report missing fallback header:\n%s", buf.String())
+	}
+}
+
+// The queue line counts the runs each engine ended on per queue: a
+// sparse serial run stays on the calendar, one that crowds a calendar
+// slice ends on the heap.
+func TestReportQueueSelection(t *testing.T) {
+	coll := NewCollector()
+	sparse := sim.NewEngine()
+	for i := 0; i < 10; i++ {
+		sparse.Schedule(time.Duration(i)*time.Microsecond, func() {})
+	}
+	sparse.Run()
+	coll.ObserveSerial(sparse)
+	crowded := sim.NewEngine()
+	for i := 0; i < 500; i++ {
+		crowded.Schedule(time.Duration(i*7919%1000), func() {})
+	}
+	crowded.Run()
+	coll.ObserveSerial(crowded)
+
+	vals := coll.Snapshot().Values()
+	if vals["runtime.engine.0.queue.kind.calendar"] != 1 || vals["runtime.engine.0.queue.kind.heap"] != 1 {
+		t.Fatalf("queue kind rows: %v", vals)
+	}
+	var buf bytes.Buffer
+	if err := Report(&buf, vals); err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if want := "queue (runs ended on): engine 0 calendar 1, heap 1;"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("report missing %q:\n%s", want, buf.String())
 	}
 }
 

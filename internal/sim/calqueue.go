@@ -2,55 +2,41 @@ package sim
 
 import "time"
 
-// calQueue is a lazy calendar queue: the engine's default scheduler.
+// calQueue is a lazy calendar queue with a fixed geometry: the engine's
+// default scheduler. The window spans calBuckets slices of calWidth
+// each, starting at the bucket being drained. Insert hashes the event's
+// time to its bucket and chains it into a (at, seq)-sorted intrusive
+// list — O(1) for the common time-ordered arrival (tail append),
+// O(chain) otherwise. Pop drains the current bucket, then advances
+// slice by slice, lazily migrating due events in from the overflow
+// tier: a 4-ary heap (heapQueue) holding everything beyond the window —
+// RTOs, tickers, flow arrivals scheduled at setup.
 //
-// Near-future events live in an array of buckets, each covering one
-// `width`-wide slice of virtual time; the active window spans
-// len(buckets) consecutive slices starting at the bucket currently
-// being drained. Insert hashes the event's time to its bucket and chains
-// it into a (at, seq)-sorted intrusive list — O(1) for the common
-// time-ordered arrival (tail append), O(chain) otherwise, with resizing
-// keeping chains short. Pop drains the current bucket, then advances
-// slice by slice; each advance slides the window forward one slice and
-// lazily migrates due events in from the overflow tier.
+// Handoff: the fixed slices suit a sparse near future, but a fabric's
+// dense packet cluster crowds one slice and turns every insert into a
+// chain walk. When an insert walks more than calWalkLimit links, the
+// calendar moves every bucket event into its overflow heap and points
+// the engine's queue slot at that heap for the rest of the run. The
+// handoff is one-way and depends only on queue content (determinism).
 //
-// Far-future events — RTOs, tickers, anything scheduled beyond the
-// window — go to an overflow 4-ary heap (heapQueue) and pay one
-// O(log n) push+pop when they migrate in, typically long after the
-// timers they model were cancelled. This keeps the window dense, so the
-// amortized per-event cost of the bucket tier stays O(1) no matter how
-// many far timers are pending.
-//
-// Determinism: pop returns the exact (at, seq) minimum, byte-identical
-// to heapQueue's order. The argument (see DESIGN.md §6): buckets
-// partition time into slices scanned in increasing order, each chain is
-// kept sorted by (at, seq) on insert, and the overflow tier only holds
-// events at or beyond the window end — strictly later than anything the
-// scan can return. TestDifferentialQueues and the netsim workload
-// differential in differential_test.go verify this against heapQueue.
+// Pop returns the exact (at, schedAt, lane, seq) minimum, byte-identical
+// to heapQueue's order, before and after a handoff: slices are scanned
+// in increasing order, each chain is kept sorted, and the overflow tier
+// only holds events at or beyond the window end (DESIGN.md §6).
+// TestDifferentialQueues and the netsim workload differentials in
+// differential_test.go verify this against heapQueue.
 type calQueue struct {
-	buckets []calBucket // power-of-two length
-	// width is the time slice per bucket: always 1<<shift nanoseconds,
-	// so the at->bucket hash is a shift instead of a 64-bit division
-	// (the division showed up at ~15% of the forwarding hot path).
-	width time.Duration
-	shift uint
-	count int // events resident in buckets (overflow excluded)
+	buckets [calBuckets]calBucket
+	count   int // events resident in buckets (overflow excluded)
 
 	cur       int           // bucket currently being drained
-	bucketTop time.Duration // end of cur's time slice (multiple of width)
+	bucketTop time.Duration // end of cur's time slice (multiple of calWidth)
 	winEnd    time.Duration // end of the active window; events >= winEnd overflow
-	lastAt    time.Duration // time of the last popped event (monotone)
 
 	overflow heapQueue
-	scratch  []*event // rebuild workspace, reused across resizes
+	serve    *eventQueue // the engine's queue slot; handoff points it at overflow
 
-	// Churn counters for Engine.Stats, maintained unconditionally: they
-	// live on the rebuild and overflow-migration paths, which amortize
-	// against many pops, never on the per-pop fast path.
-	grows      uint64
-	shrinks    uint64
-	migrations uint64
+	migrations uint64 // overflow events pulled into buckets (off the per-pop path)
 }
 
 // calBucket chains events whose time hashes to this slice, sorted
@@ -61,75 +47,73 @@ type calBucket struct {
 }
 
 const (
-	// calMinBuckets bounds shrinking so small simulations don't thrash
-	// resize; 64 near-empty buckets cost one pointer check each to skip.
-	calMinBuckets = 64
-	// calInitShift is the slice width exponent before the first resize
-	// computes a data-driven one: 2^10 ns ~= 1us (packet-level workloads
-	// cluster around microsecond-scale serialization deltas).
-	calInitShift = 10
+	// calBuckets is the window length in slices; an empty bucket costs
+	// one pointer check to skip.
+	calBuckets = 64
+	// calShift is the slice width exponent: 2^10 ns ~= 1us, the scale of
+	// packet serialization deltas. A power of two keeps the at->bucket
+	// hash a shift instead of a 64-bit division (the division showed up
+	// at ~15% of the forwarding hot path).
+	calShift = 10
+	calWidth = time.Duration(1) << calShift
+	// calWalkLimit is the longest sorted-chain walk an insert may take
+	// before the calendar hands off to its heap. Chosen by a sweep over
+	// 16, 32 and 64 (DESIGN.md §6).
+	calWalkLimit = 32
 )
 
-func newCalQueue() *calQueue {
-	c := &calQueue{
-		buckets: make([]calBucket, calMinBuckets),
-		shift:   calInitShift,
-		width:   1 << calInitShift,
-	}
+// newCalQueue returns an empty calendar serving from *serve, which it
+// rewrites on handoff.
+func newCalQueue(serve *eventQueue) *calQueue {
+	c := &calQueue{serve: serve}
 	c.anchor(0)
+	*serve = c
 	return c
 }
 
 func (c *calQueue) len() int { return c.count + c.overflow.len() }
 
-// span is the width of the active window.
-func (c *calQueue) span() time.Duration {
-	return c.width * time.Duration(len(c.buckets))
-}
-
 // anchor positions the window so the slice containing time at is the
 // current bucket. Callers must migrate (or reinsert) afterwards if
 // overflow events may now fall inside the window.
 func (c *calQueue) anchor(at time.Duration) {
-	d := at >> c.shift
-	c.cur = int(uint64(d) & uint64(len(c.buckets)-1))
-	c.bucketTop = (d + 1) << c.shift
-	c.winEnd = c.bucketTop + c.width*time.Duration(len(c.buckets)-1)
+	d := at >> calShift
+	c.cur = int(uint64(d) & (calBuckets - 1))
+	c.bucketTop = (d + 1) << calShift
+	c.winEnd = c.bucketTop + calWidth*(calBuckets-1)
 }
 
-// push inserts ev, routing far-future events to the overflow tier. The
-// grow trigger counts both tiers: the window must widen with the total
-// pending population, or a long-horizon workload would pool in the
-// overflow heap and pay its O(log n) on every event.
+// push inserts ev, routing far-future events to the overflow tier, and
+// hands off to the heap when the insert found its slice crowded.
 func (c *calQueue) push(ev *event) {
 	if ev.at >= c.winEnd {
 		c.overflow.push(ev)
-	} else {
-		if ev.at < c.bucketTop-c.width {
-			// The event lands in a slice behind the scan cursor. Serial
-			// scheduling can't do this (insert clamps to the clock, which
-			// never trails the slice under scan), but a cross-shard
-			// injection can: the window may have anchored ahead — to the
-			// overflow minimum after a transient drain, or across an empty
-			// gap — while the shard's clock, which lower-bounds injected
-			// arrival times, lags behind it. Rewind the window so the scan
-			// revisits the event's slice. Events left in the de-windowed
-			// top slices alias harmlessly: pop and peek admit a bucket's
-			// head only when its time falls inside the slice under scan, so
-			// they simply wait until the window advances back over them.
-			c.anchor(ev.at)
-		}
-		c.insertBucket(ev)
-		c.count++
+		return
 	}
-	if c.count+c.overflow.len() > 2*len(c.buckets) {
-		c.rebuild(2 * len(c.buckets))
+	if ev.at < c.bucketTop-calWidth {
+		// The event lands in a slice behind the scan cursor. Serial
+		// scheduling can't do this (insert clamps to the clock, which
+		// never trails the slice under scan), but a cross-shard
+		// injection can: the window may have anchored ahead — to the
+		// overflow minimum after a transient drain, or across an empty
+		// gap — while the shard's clock, which lower-bounds injected
+		// arrival times, lags behind it. Rewind the window so the scan
+		// revisits the event's slice. Events left in the de-windowed
+		// top slices alias harmlessly: pop and peek admit a bucket's
+		// head only when its time falls inside the slice under scan, so
+		// they simply wait until the window advances back over them.
+		c.anchor(ev.at)
+	}
+	c.count++
+	if c.insertBucket(ev) {
+		c.handoff()
 	}
 }
 
-// insertBucket chains ev into its slice's sorted list.
-func (c *calQueue) insertBucket(ev *event) {
-	b := &c.buckets[int(uint64(ev.at>>c.shift)&uint64(len(c.buckets)-1))]
+// insertBucket chains ev into its slice's sorted list. It reports
+// whether the insert walked more than calWalkLimit links.
+func (c *calQueue) insertBucket(ev *event) (crowded bool) {
+	b := &c.buckets[uint64(ev.at>>calShift)&(calBuckets-1)]
 	switch {
 	case b.tail == nil:
 		ev.next = nil
@@ -144,13 +128,32 @@ func (c *calQueue) insertBucket(ev *event) {
 		ev.next = b.head
 		b.head = ev
 	default:
-		p := b.head
+		p, walked := b.head, 0
 		for !eventLess(ev, p.next) {
 			p = p.next
+			walked++
 		}
 		ev.next = p.next
 		p.next = ev
+		return walked > calWalkLimit
 	}
+	return false
+}
+
+// handoff moves every bucket event into the overflow heap and makes
+// that heap the engine's queue for the rest of the run.
+func (c *calQueue) handoff() {
+	for i := range c.buckets {
+		for ev := c.buckets[i].head; ev != nil; {
+			next := ev.next
+			ev.next = nil
+			c.overflow.push(ev)
+			ev = next
+		}
+		c.buckets[i] = calBucket{}
+	}
+	c.count = 0
+	*c.serve = &c.overflow
 }
 
 // pop removes and returns the (at, seq)-minimum event, or nil when the
@@ -176,10 +179,6 @@ func (c *calQueue) pop() *event {
 			}
 			ev.next = nil
 			c.count--
-			c.lastAt = ev.at
-			if c.count+c.overflow.len() < len(c.buckets)/4 && len(c.buckets) > calMinBuckets {
-				c.rebuild(len(c.buckets) / 2)
-			}
 			return ev
 		}
 		// Empty slice: slide the window one slice forward. If the scan
@@ -187,7 +186,7 @@ func (c *calQueue) pop() *event {
 		// empty gap — long-jump straight to it instead of creeping
 		// (amortized: the jump's O(buckets) search is paid for by the
 		// O(buckets) of skipping we just avoided).
-		if steps++; steps > len(c.buckets)/2 {
+		if steps++; steps > calBuckets/2 {
 			// Jump to the true minimum across both tiers: after a rewind
 			// (see push) the bucket tier may hold de-windowed events that
 			// sort after the overflow minimum, and anchoring past it would
@@ -211,14 +210,14 @@ func (c *calQueue) peek() *event {
 	var cand *event
 	if c.count > 0 {
 		cur, top := c.cur, c.bucketTop
-		for i := 0; i <= len(c.buckets); i++ {
+		for i := 0; i <= calBuckets; i++ {
 			b := &c.buckets[cur]
 			if ev := b.head; ev != nil && ev.at < top {
 				cand = ev
 				break
 			}
-			top += c.width
-			if cur++; cur == len(c.buckets) {
+			top += calWidth
+			if cur++; cur == calBuckets {
 				cur = 0
 			}
 		}
@@ -237,16 +236,17 @@ func (c *calQueue) peek() *event {
 // advance moves the scan to the next slice, sliding the window forward
 // and migrating overflow events that just became near-future.
 func (c *calQueue) advance() {
-	if c.cur++; c.cur == len(c.buckets) {
+	if c.cur++; c.cur == calBuckets {
 		c.cur = 0
 	}
-	c.bucketTop += c.width
-	c.winEnd += c.width
+	c.bucketTop += calWidth
+	c.winEnd += calWidth
 	c.migrate()
 }
 
 // migrate pulls overflow events that now fall inside the window into
-// their buckets.
+// their buckets. A crowded migration does not hand off mid-pop; the
+// next crowded push does.
 func (c *calQueue) migrate() {
 	for {
 		o := c.overflow.peek()
@@ -270,121 +270,4 @@ func (c *calQueue) directMin() *event {
 		}
 	}
 	return min
-}
-
-// rebuild resizes to nb buckets, recomputing the slice width from the
-// live events (both tiers) so the common case spreads across the window
-// with O(1) expected chain length and only genuine outliers return to
-// overflow. Runs in O(len); triggered only when the population crosses
-// a power-of-two threshold, so the cost amortizes to O(1) per operation.
-func (c *calQueue) rebuild(nb int) {
-	evs := c.collect()
-	for {
-		if nb > len(c.buckets) {
-			c.grows++
-		} else if nb < len(c.buckets) {
-			c.shrinks++
-		}
-		c.layout(nb, evs)
-		if c.count+c.overflow.len() <= 2*nb {
-			return
-		}
-		// The window left more of the population in overflow than the
-		// target chain length budgets for; grow again.
-		evs = c.collect()
-		nb *= 2
-	}
-}
-
-// collect drains every bucket chain and the overflow tier into the
-// scratch slice.
-func (c *calQueue) collect() []*event {
-	evs := c.scratch[:0]
-	for i := range c.buckets {
-		for ev := c.buckets[i].head; ev != nil; {
-			next := ev.next
-			ev.next = nil
-			evs = append(evs, ev)
-			ev = next
-		}
-		c.buckets[i] = calBucket{}
-	}
-	// The heap's internal layout is irrelevant here — layout reinserts
-	// by timestamp — so take its slice verbatim instead of popping in
-	// order.
-	o := c.overflow.events
-	for i, ev := range o {
-		evs = append(evs, ev)
-		o[i] = nil
-	}
-	c.overflow.events = o[:0]
-	c.scratch = evs
-	return evs
-}
-
-// layout applies a new geometry and reinserts evs (events now beyond
-// the window spill back to overflow).
-func (c *calQueue) layout(nb int, evs []*event) {
-	c.shift = chooseShift(c.shift, nb, evs)
-	c.width = 1 << c.shift
-	if len(c.buckets) != nb {
-		c.buckets = make([]calBucket, nb)
-	}
-	c.anchor(c.lastAt)
-	c.count = 0
-	for _, ev := range evs {
-		if ev.at >= c.winEnd {
-			c.overflow.push(ev)
-		} else {
-			c.insertBucket(ev)
-			c.count++
-		}
-	}
-	c.migrate()
-}
-
-// chooseShift picks the slice width exponent (width = 2^shift ns) for
-// nb buckets from an *effective* span: four times the events' mean
-// offset past their minimum, capped at the true span. For a uniform
-// spread that is ~2x the span, so the window covers every event at
-// ~0.5 per bucket; for a skewed population (a dense near-future cluster
-// plus a few far tickers or RTOs) the mean keeps the window sized for
-// the cluster while the outliers return to the overflow tier — using
-// the raw span there would stretch the slices until the whole cluster
-// crowded into one chain. The width rounds up to a power of two so the
-// at->bucket hash stays a shift. Degenerate spans (fewer than two
-// events, or all at one instant) keep the previous width: any width
-// drains a point cluster in O(1) per pop once the scan reaches it. The
-// choice depends only on queue content, never on wall-clock state, so
-// identical runs resize identically (determinism).
-func chooseShift(old uint, nb int, evs []*event) uint {
-	if len(evs) < 2 {
-		return old
-	}
-	lo, hi := evs[0].at, evs[0].at
-	for _, ev := range evs[1:] {
-		if ev.at < lo {
-			lo = ev.at
-		}
-		if ev.at > hi {
-			hi = ev.at
-		}
-	}
-	if hi == lo {
-		return old
-	}
-	var sum time.Duration
-	for _, ev := range evs {
-		sum += ev.at - lo
-	}
-	span := 4 * (sum / time.Duration(len(evs)))
-	if span > hi-lo || span <= 0 {
-		span = hi - lo
-	}
-	width := span/time.Duration(nb) + 1
-	var shift uint
-	for time.Duration(1)<<shift < width {
-		shift++
-	}
-	return shift
 }

@@ -17,14 +17,35 @@ func forEachQueue(t *testing.T, fn func(t *testing.T, kind QueueKind)) {
 	}
 }
 
+// script shapes one traceWorkload run: how wide the near-future spread
+// is, how many events each near step plants, and how hard the run drains
+// as it goes.
+type script struct {
+	name       string
+	nearSpread time.Duration // near-future delays fall in [0, nearSpread)
+	burst      int           // events per same-instant burst
+	drainEvery int           // steps between drains
+	drainN     int           // events executed per drain
+	wantKind   string        // the queue a calendar engine must end on
+}
+
+// sparse keeps a few dozen near events pending, spread over the window:
+// bucket walks, overflow migration and the long-jump all run, and the
+// calendar never hands off. dense plants a thousand-event near future
+// that crowds the slices, so the calendar hands off to its heap mid-run.
+var (
+	sparse = script{"sparse", 20 * time.Microsecond, 2, 5, 8, "calendar"}
+	dense  = script{"dense", 50 * time.Microsecond, 3, 50, 20, "heap"}
+)
+
 // traceWorkload drives one engine through a scripted random workload —
 // bursts of near and far timers, cancellations, and nested scheduling
 // from inside callbacks — and returns the execution trace as
-// (time, id) pairs.
-func traceWorkload(kind QueueKind, seed int64) []struct {
+// (time, id) pairs plus the queue the engine ended on.
+func traceWorkload(kind QueueKind, sc script, seed int64) ([]struct {
 	at time.Duration
 	id int
-} {
+}, string) {
 	type rec = struct {
 		at time.Duration
 		id int
@@ -53,10 +74,10 @@ func traceWorkload(kind QueueKind, seed int64) []struct {
 	for i := 0; i < 2000; i++ {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // near future: sub-window packet-scale delays
-			schedule(time.Duration(rng.Int63n(int64(50 * time.Microsecond))))
+			schedule(time.Duration(rng.Int63n(int64(sc.nearSpread))))
 		case 5, 6: // same-instant bursts
-			d := time.Duration(rng.Int63n(int64(10 * time.Microsecond)))
-			for j := 0; j < 3; j++ {
+			d := time.Duration(rng.Int63n(int64(sc.nearSpread / 5)))
+			for j := 0; j < sc.burst; j++ {
 				schedule(d)
 			}
 		case 7, 8: // far future: overflow-tier residents (RTO/ticker scale)
@@ -66,62 +87,70 @@ func traceWorkload(kind QueueKind, seed int64) []struct {
 				timers[rng.Intn(len(timers))].Cancel()
 			}
 		}
-		// Drain a little as we go, so inserts interleave with pops and
-		// the calendar's window slides mid-workload.
-		if i%50 == 49 {
-			for j := 0; j < 20; j++ {
+		// Drain as we go, so inserts interleave with pops and the
+		// calendar's window slides mid-workload.
+		if i%sc.drainEvery == sc.drainEvery-1 {
+			for j := 0; j < sc.drainN; j++ {
 				e.Step()
 			}
 		}
 	}
 	e.Run()
-	return trace
+	return trace, e.Stats().Queue.Kind
 }
 
 // TestDifferentialQueues is the white-box determinism proof: the exact
 // execution trace of a randomized workload must be identical under the
-// calendar queue and the reference heap, across several seeds.
+// calendar queue and the reference heap, across several seeds. The
+// sparse script keeps the calendar serving to the end; the dense one
+// must hand off, so both the bucket tier and the handoff stay under
+// test.
 func TestDifferentialQueues(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		heap := traceWorkload(QueueHeap, seed)
-		cal := traceWorkload(QueueCalendar, seed)
-		if len(heap) != len(cal) {
-			t.Fatalf("seed %d: trace lengths differ: heap %d, calendar %d", seed, len(heap), len(cal))
-		}
-		for i := range heap {
-			if heap[i] != cal[i] {
-				t.Fatalf("seed %d: traces diverge at %d: heap %v, calendar %v",
-					seed, i, heap[i], cal[i])
+	for _, sc := range []script{sparse, dense} {
+		for seed := int64(1); seed <= 5; seed++ {
+			heap, _ := traceWorkload(QueueHeap, sc, seed)
+			cal, kind := traceWorkload(QueueCalendar, sc, seed)
+			if kind != sc.wantKind {
+				t.Fatalf("%s seed %d: calendar engine ended on %q, want %q", sc.name, seed, kind, sc.wantKind)
 			}
-		}
-		// The trace itself must be (time, schedule-order) sorted.
-		for i := 1; i < len(cal); i++ {
-			if cal[i].at < cal[i-1].at {
-				t.Fatalf("seed %d: time went backwards at %d", seed, i)
+			if len(heap) != len(cal) {
+				t.Fatalf("%s seed %d: trace lengths differ: heap %d, calendar %d", sc.name, seed, len(heap), len(cal))
+			}
+			for i := range heap {
+				if heap[i] != cal[i] {
+					t.Fatalf("%s seed %d: traces diverge at %d: heap %v, calendar %v",
+						sc.name, seed, i, heap[i], cal[i])
+				}
+			}
+			// The trace itself must be (time, schedule-order) sorted.
+			for i := 1; i < len(cal); i++ {
+				if cal[i].at < cal[i-1].at {
+					t.Fatalf("%s seed %d: time went backwards at %d", sc.name, seed, i)
+				}
 			}
 		}
 	}
 }
 
 // TestSameTimestampFIFO plants many events at one instant, interleaved
-// with enough spread-out events to force calendar rebuilds, and checks
-// the same-instant run fires in schedule (seq) order — including after
-// rebuilds reinserted the chain.
+// with events scattered inside one calendar slice, and checks the
+// same-instant run fires in schedule (seq) order. The scatter crowds the
+// slice, so on the calendar the handoff moves the run's first part into
+// the heap while the rest is still being scheduled.
 func TestSameTimestampFIFO(t *testing.T) {
 	forEachQueue(t, func(t *testing.T, kind QueueKind) {
 		e := NewEngineWithQueue(kind)
-		const at = 500 * time.Microsecond
+		rng := rand.New(rand.NewSource(3))
+		const at = 30 * time.Microsecond
 		var got []int
-		n := 0
-		for i := 0; i < 100; i++ {
-			id := n
-			n++
+		for id := 0; id < 100; id++ {
 			e.ScheduleCall(at, func(arg any) { got = append(got, arg.(int)) }, id)
-			// Pressure the geometry: events on both sides of the instant,
-			// enough to cross the grow threshold repeatedly.
 			for j := 0; j < 5; j++ {
-				e.ScheduleCall(time.Duration(i*7+j)*time.Microsecond, func(any) {}, nil)
+				e.ScheduleCall(time.Duration(rng.Int63n(int64(calWidth))), func(any) {}, nil)
 			}
+		}
+		if kind == QueueCalendar && e.Stats().Queue.Kind != "heap" {
+			t.Fatal("crowded slice did not hand the calendar off")
 		}
 		e.Run()
 		if len(got) != 100 {
@@ -242,34 +271,102 @@ func TestRunUntilDeadline(t *testing.T) {
 	})
 }
 
-// TestCalendarResizeCycle drives the population up past several grow
-// thresholds and back down to force shrinks, checking order the whole
-// way — the rebuild path (collect, width choice, reinsert) is the most
-// delicate part of the calendar queue.
-func TestCalendarResizeCycle(t *testing.T) {
-	e := NewEngineWithQueue(QueueCalendar)
-	cq := e.q.(*calQueue)
-	rng := rand.New(rand.NewSource(7))
-
-	for i := 0; i < 5000; i++ {
-		e.ScheduleCall(time.Duration(rng.Int63n(int64(time.Millisecond))), func(any) {}, nil)
-	}
-	if len(cq.buckets) <= calMinBuckets {
-		t.Fatalf("grow never triggered: %d buckets for 5000 events", len(cq.buckets))
-	}
-	var last time.Duration
-	for e.Pending() > 0 {
-		if !e.Step() {
-			break
+// TestCalendarHandoff pins the one adaptive rule the calendar has. A
+// population that crowds one slice hands off mid-run, with events in
+// both tiers, and still pops in the heap's exact order; a dumbbell-sized
+// population with far timers parked in overflow never hands off.
+func TestCalendarHandoff(t *testing.T) {
+	t.Run("crowded", func(t *testing.T) {
+		// check runs before the crowd arrives and again 100 inserts into
+		// it.
+		run := func(kind QueueKind, check func(e *Engine, crowd int)) []int {
+			e := NewEngineWithQueue(kind)
+			rng := rand.New(rand.NewSource(11))
+			var got []int
+			note := func(arg any) { got = append(got, arg.(int)) }
+			id := 0
+			plant := func(at time.Duration) {
+				e.ScheduleCallAt(at, note, id)
+				id++
+			}
+			// Far timers in overflow, a sparse near future in buckets, and
+			// a few pops so the window has slid before the crowd arrives.
+			for i := 0; i < 20; i++ {
+				plant(10*time.Millisecond + time.Duration(i)*time.Millisecond)
+				plant(time.Duration(i) * 3 * time.Microsecond)
+			}
+			for i := 0; i < 5; i++ {
+				e.Step()
+			}
+			// Scatter events inside the slice at 40us until the handoff.
+			for i := 0; i < 200; i++ {
+				if check != nil && i%100 == 0 {
+					check(e, i)
+				}
+				plant(40*time.Microsecond + time.Duration(rng.Int63n(int64(calWidth))))
+			}
+			e.Run()
+			return got
 		}
-		if e.Now() < last {
-			t.Fatalf("time went backwards: %v after %v", e.Now(), last)
+		want := run(QueueHeap, nil)
+		got := run(QueueCalendar, func(e *Engine, crowd int) {
+			cq := e.cal
+			if crowd == 0 {
+				if e.q != eventQueue(cq) || cq.count == 0 || cq.overflow.len() == 0 {
+					t.Fatalf("before the crowd: want the calendar serving with both tiers occupied, got %d in buckets, %d in overflow",
+						cq.count, cq.overflow.len())
+				}
+				return
+			}
+			if e.q == eventQueue(cq) {
+				t.Fatal("100 scattered inserts into one slice did not hand off")
+			}
+			if e.Stats().Queue.Kind != "heap" {
+				t.Fatalf("Stats reports %q after the handoff", e.Stats().Queue.Kind)
+			}
+			if cq.count != 0 || cq.overflow.len() != e.Pending() {
+				t.Fatalf("after the handoff: %d events left in buckets, %d of %d in the heap",
+					cq.count, cq.overflow.len(), e.Pending())
+			}
+		})
+		if len(got) != len(want) {
+			t.Fatalf("calendar fired %d events, heap %d", len(got), len(want))
 		}
-		last = e.Now()
-	}
-	if len(cq.buckets) != calMinBuckets {
-		t.Fatalf("shrink did not return to the floor: %d buckets", len(cq.buckets))
-	}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("order diverges at %d: calendar id %d, heap id %d", i, got[i], want[i])
+			}
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		// A closed-loop dumbbell shape: ~64 pending packet-scale events
+		// plus per-flow far timers; each fired event schedules its
+		// successor a few hundred ns to a few us out.
+		e := NewEngineWithQueue(QueueCalendar)
+		rng := rand.New(rand.NewSource(5))
+		fired := 0
+		var hop func(any)
+		hop = func(any) {
+			if fired++; fired < 20000 {
+				e.ScheduleCall(time.Duration(200+rng.Intn(4000)), hop, nil)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			e.ScheduleCall(time.Duration(rng.Intn(50000)), hop, nil)
+			e.ScheduleCall(time.Duration(i+1)*time.Millisecond, func(any) {}, nil)
+		}
+		if e.cal.overflow.len() == 0 {
+			t.Fatal("far timers did not land in the overflow tier")
+		}
+		e.Run()
+		st := e.Stats()
+		if st.Queue.Kind != "calendar" || st.Queue.Buckets != calBuckets || st.Queue.Width != calWidth {
+			t.Fatalf("sparse run left the calendar: %+v", st.Queue)
+		}
+		if st.Queue.Migrations == 0 {
+			t.Fatal("far timers never migrated into the window")
+		}
+	})
 }
 
 // TestFreeListAdaptiveBound checks the engine's record pool tracks the

@@ -6,10 +6,12 @@
 // always executes events in the same order, which makes every
 // experiment in this repository reproducible bit-for-bit. Two
 // schedulers implement that contract behind the eventQueue interface: a
-// lazy calendar queue (the default — O(1) amortized insert/pop, with an
-// overflow heap tier for far-future timers) and the original 4-ary heap
-// (O(log n), kept as the reference for differential determinism tests
-// and selectable via NewEngineWithQueue).
+// fixed-geometry calendar queue (the default — O(1) insert/pop while the
+// near future is sparse, with an overflow heap tier for far-future
+// timers) and a 4-ary heap (O(log n)). A calendar engine whose near
+// future crowds one slice hands its events to that heap and serves from
+// it for the rest of the run; NewEngineWithQueue selects the heap from
+// the start, the reference for differential determinism tests.
 //
 // Two scheduling forms exist. Schedule/ScheduleAt take a plain func()
 // closure — convenient, but every call site that captures state
@@ -34,15 +36,17 @@ type eventQueue interface {
 	len() int
 }
 
-// QueueKind selects the engine's scheduler implementation.
+// QueueKind selects the scheduler an engine starts on.
 type QueueKind int
 
 const (
-	// QueueCalendar is the default: a lazy calendar queue with O(1)
-	// amortized insert/pop and a heap overflow tier for far timers.
+	// QueueCalendar is the default: a fixed-geometry calendar queue with
+	// a heap overflow tier for far timers, which hands off to that heap
+	// for good once a chain insert finds its slice crowded.
 	QueueCalendar QueueKind = iota
-	// QueueHeap is the 4-ary min-heap: O(log n) insert/pop. Kept as the
-	// reference implementation for differential determinism tests.
+	// QueueHeap is the 4-ary min-heap from the first event: O(log n)
+	// insert/pop. The reference implementation for differential
+	// determinism tests.
 	QueueHeap
 )
 
@@ -71,6 +75,9 @@ type Engine struct {
 	mon      *MonitorShard
 	monOwner *Monitor
 	monCount int
+	// cal is the calendar the engine started on (nil for QueueHeap);
+	// after a handoff q is its overflow heap.
+	cal *calQueue
 }
 
 // NewEngine returns an engine with virtual time zero and no events,
@@ -79,14 +86,17 @@ func NewEngine() *Engine {
 	return NewEngineWithQueue(QueueCalendar)
 }
 
-// NewEngineWithQueue returns an engine using the given scheduler
+// NewEngineWithQueue returns an engine starting on the given scheduler
 // implementation. Both kinds execute identical workloads in identical
 // order; QueueHeap exists for differential tests and A/B benchmarks.
 func NewEngineWithQueue(kind QueueKind) *Engine {
+	e := &Engine{}
 	if kind == QueueHeap {
-		return &Engine{q: &heapQueue{}}
+		e.q = &heapQueue{}
+	} else {
+		e.cal = newCalQueue(&e.q)
 	}
-	return &Engine{q: newCalQueue()}
+	return e
 }
 
 // Now returns the current virtual time.

@@ -1,14 +1,15 @@
 package sim
 
-// heapQueue is a 4-ary min-heap on (at, seq): the engine's original
-// scheduler, kept both as the overflow tier of the calendar queue and as
-// a reference implementation for the differential determinism tests.
-// Compared to container/heap this removes the interface round trip
-// (method dispatch and the any boxing in Push/Pop) and, with four
-// children per node, roughly halves the tree depth — fewer swaps per
-// operation on the deep heaps a large fabric builds up. Push and pop
-// remain O(log n), which is why the calendar queue (calqueue.go) is the
-// engine's default.
+// heapQueue is a 4-ary min-heap on (at, seq). It has three roles: the
+// calendar queue's overflow tier, the queue a crowded calendar hands
+// off to (a fabric run's packet cluster, served for the rest of the
+// run), and the reference implementation for the differential
+// determinism tests. Compared to container/heap this removes the
+// interface round trip (method dispatch and the any boxing in
+// Push/Pop) and, with four children per node, roughly halves the tree
+// depth — fewer swaps per operation on the deep heaps a large fabric
+// builds up. Push and pop remain O(log n), which is why a sparse near
+// future stays on the calendar (calqueue.go).
 type heapQueue struct {
 	events []*event
 }

@@ -13,7 +13,7 @@ import (
 //     Engine.Stats): counters and wall-time accounting answering "what
 //     did the parallel protocol actually do" — window grants,
 //     null-advance relaxations, per-worker busy/blocked/idle time,
-//     calendar-queue churn.
+//     which event queue each engine ended on.
 //   - A live progress surface (Monitor): per-shard event counts and
 //     clocks published through atomics, so a sampler goroutine can
 //     stream progress without ever touching an engine.
@@ -326,20 +326,22 @@ func (e *Engine) SetMonitor(m *Monitor) {
 // frequent enough for a sub-second sampler to see motion.
 const monPublishEvery = 4096
 
-// QueueStats is the scheduler's self-profile: the calendar queue's
-// geometry and churn counters (zero Kind "heap" rows for the reference
-// heap, which has no adaptive state to report).
+// QueueStats is the scheduler's self-profile.
 type QueueStats struct {
-	// Kind is "calendar" or "heap".
+	// Kind names the queue serving at snapshot time: "calendar", or
+	// "heap" for a QueueHeap engine and for a calendar engine that
+	// handed off.
 	Kind string `json:"kind"`
-	// Buckets and Width are the calendar's current geometry.
+	// Buckets and Width are the calendar's geometry, which is constant
+	// (64 slices of 2^10 ns); zero when the heap serves.
 	Buckets int           `json:"buckets,omitempty"`
 	Width   time.Duration `json:"width,omitempty"`
-	// Grows / Shrinks count resize rebuilds in each direction.
+	// Grows and Shrinks are always zero: the calendar no longer
+	// resizes. The fields stay because benchmark/ reads them.
 	Grows   uint64 `json:"grows,omitempty"`
 	Shrinks uint64 `json:"shrinks,omitempty"`
 	// Migrations counts events pulled from the overflow heap tier into
-	// the bucket window.
+	// the bucket window, including those before a handoff.
 	Migrations uint64 `json:"migrations,omitempty"`
 }
 
@@ -355,10 +357,9 @@ type EngineStats struct {
 	Queue    QueueStats `json:"queue"`
 }
 
-// Stats snapshots the engine's self-profile. The churn counters are
-// maintained unconditionally: they increment on resize and
-// overflow-migration paths, which are rare next to the pops they
-// amortize against.
+// Stats snapshots the engine's self-profile. The migration counter is
+// maintained unconditionally: it increments on the overflow-migration
+// path, which is rare next to the pops it amortizes against.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Now:       e.now,
@@ -366,19 +367,15 @@ func (e *Engine) Stats() EngineStats {
 		Pending:   e.q.len(),
 		HiWater:   e.hiwater,
 		FreeList:  len(e.free),
+		Queue:     QueueStats{Kind: "heap"},
 	}
-	switch q := e.q.(type) {
-	case *calQueue:
-		st.Queue = QueueStats{
-			Kind:       "calendar",
-			Buckets:    len(q.buckets),
-			Width:      q.width,
-			Grows:      q.grows,
-			Shrinks:    q.shrinks,
-			Migrations: q.migrations,
+	if c := e.cal; c != nil {
+		st.Queue.Migrations = c.migrations
+		if e.q == eventQueue(c) {
+			st.Queue.Kind = "calendar"
+			st.Queue.Buckets = calBuckets
+			st.Queue.Width = calWidth
 		}
-	case *heapQueue:
-		st.Queue = QueueStats{Kind: "heap"}
 	}
 	return st
 }

@@ -13,8 +13,8 @@ import (
 // FatTreeConfig parametrizes a k-ary fat-tree (Al-Fares et al.): k pods,
 // each with k/2 edge and k/2 aggregation switches, (k/2)^2 cores, and
 // k^3/4 hosts. All links share one rate, so the fabric is full
-// bisection; it is the scale topology the calendar-queue scheduler is
-// benchmarked on (BenchmarkFatTree).
+// bisection; it is the scale topology the event engine is benchmarked
+// on (BenchmarkFatTree).
 type FatTreeConfig struct {
 	// K is the switch radix; must be even (default 4). k=8 yields 128
 	// hosts, 32 edge, 32 aggregation, and 16 core switches; k=32 yields
