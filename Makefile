@@ -26,8 +26,10 @@ ci:
 	# child go test, so it gets its own step below instead.
 	$(GO) test -race -timeout 30m -skip '^TestEveryMechanismReached$$' ./...
 	# Mechanism reach: every constructor and plug-in type of the model
-	# packages is executed by a golden-pinned experiment.
-	$(GO) test -count=1 -run '^TestEveryMechanismReached$$' ./internal/experiment/
+	# packages is executed by a golden-pinned experiment; surface reach:
+	# every exported name and *Config field in internal/ has a non-test
+	# caller or an exportedForTests row.
+	$(GO) test -count=1 -run '^TestEvery(MechanismReached|ExportReferenced)$$' ./internal/experiment/
 	# The repository benchmark is its own module, so ./... above skips
 	# its contract, replay and non-perturbation tests.
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -133,7 +133,7 @@ func BenchmarkPMSBDecision(b *testing.B) {
 	eng := sim.NewEngine()
 	s := sched.NewDWRR([]float64{1, 1, 1, 1}, units.MTU, sched.WithClock(eng.Now))
 	link := netsim.NewLink(eng, 10*units.Gbps, time.Microsecond, nullNode{})
-	port := netsim.NewPort(eng, link, netsim.PortConfig{Sched: s})
+	port := netsim.NewPort(link, netsim.PortConfig{Sched: s})
 	m := &core.PMSB{PortK: units.Packets(12)}
 	p := &pkt.Packet{ECT: true, Size: units.MTU}
 	b.ReportAllocs()
@@ -150,7 +150,7 @@ func BenchmarkMQECNDecision(b *testing.B) {
 	eng := sim.NewEngine()
 	s := sched.NewDWRR([]float64{1, 1, 1, 1}, units.MTU, sched.WithClock(eng.Now))
 	link := netsim.NewLink(eng, 10*units.Gbps, time.Microsecond, nullNode{})
-	port := netsim.NewPort(eng, link, netsim.PortConfig{Sched: s})
+	port := netsim.NewPort(link, netsim.PortConfig{Sched: s})
 	m := &ecn.MQECN{RTT: 80 * time.Microsecond, Lambda: 1}
 	p := &pkt.Packet{ECT: true, Size: units.MTU}
 	b.ReportAllocs()
@@ -168,7 +168,7 @@ func BenchmarkPacketForwarding(b *testing.B) {
 	eng := sim.NewEngine()
 	sink := nullNode{}
 	link := netsim.NewLink(eng, 100*units.Gbps, 0, sink)
-	port := netsim.NewPort(eng, link, netsim.PortConfig{Sched: sched.NewFIFO()})
+	port := netsim.NewPort(link, netsim.PortConfig{Sched: sched.NewFIFO()})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

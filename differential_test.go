@@ -67,9 +67,9 @@ func runDumbbellWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 	}
 
 	res := workloadResult{processed: eng.Processed()}
-	for _, f := range flows {
+	for i, f := range flows {
 		if !f.Sender.Finished() {
-			t.Fatalf("dumbbell flow %d did not finish", f.Sender.Flow())
+			t.Fatalf("dumbbell flow #%d did not finish", i)
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
@@ -111,9 +111,9 @@ func runLeafSpineWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 	eng.RunUntil(200 * time.Millisecond)
 
 	res := workloadResult{processed: eng.Processed()}
-	for _, f := range flows {
+	for i, f := range flows {
 		if !f.Sender.Finished() {
-			t.Fatalf("leafspine flow %d did not finish", f.Sender.Flow())
+			t.Fatalf("leafspine flow #%d did not finish", i)
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
@@ -205,9 +205,9 @@ func runShardedDumbbell(t *testing.T, shards int) workloadResult {
 	}
 	d.Run(100 * time.Millisecond)
 	res := workloadResult{processed: d.Processed()}
-	for _, f := range flows {
+	for i, f := range flows {
 		if !f.Sender.Finished() {
-			t.Fatalf("dumbbell flow %d did not finish", f.Sender.Flow())
+			t.Fatalf("dumbbell flow #%d did not finish", i)
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
@@ -257,9 +257,9 @@ func runShardedLeafSpine(t *testing.T, shards int) workloadResult {
 	}
 	ls.Run(200 * time.Millisecond)
 	res := workloadResult{processed: ls.Processed()}
-	for _, f := range flows {
+	for i, f := range flows {
 		if !f.Sender.Finished() {
-			t.Fatalf("leafspine flow %d did not finish", f.Sender.Flow())
+			t.Fatalf("leafspine flow #%d did not finish", i)
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
@@ -388,9 +388,9 @@ func driveShardedFatTree(t *testing.T, shards int,
 	}
 	ft.Run(until)
 	res := workloadResult{processed: ft.Processed()}
-	for _, f := range flows {
+	for i, f := range flows {
 		if !f.Sender.Finished() {
-			t.Fatalf("fattree flow %d did not finish", f.Sender.Flow())
+			t.Fatalf("fattree flow #%d did not finish", i)
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}
@@ -688,9 +688,9 @@ func runFatTree32(t *testing.T, shards int) workloadResult {
 	}
 	ft.Run(2 * time.Millisecond)
 	res := workloadResult{processed: ft.Processed()}
-	for _, f := range flows {
+	for i, f := range flows {
 		if !f.Sender.Finished() {
-			t.Fatalf("fattree32 flow %d did not finish inside the horizon", f.Sender.Flow())
+			t.Fatalf("fattree32 flow #%d did not finish inside the horizon", i)
 		}
 		res.fcts = append(res.fcts, f.Sender.FCT())
 	}

@@ -195,18 +195,9 @@ func TestPMSBeZeroValueIsDCTCP(t *testing.T) {
 func TestPortThreshold(t *testing.T) {
 	// 10G x 9.6us x 1 = 12000 B = 8 pkts; paper's 12-pkt example uses a
 	// slightly larger RTT.
-	got := PortThreshold(10*units.Gbps, 14400*time.Nanosecond, 1)
+	got := ecn.StandardThreshold(10*units.Gbps, 14400*time.Nanosecond, 1)
 	if got != units.Packets(12) {
-		t.Fatalf("PortThreshold = %d, want %d", got, units.Packets(12))
-	}
-}
-
-func TestRTTThresholdFor(t *testing.T) {
-	base := 40 * time.Microsecond
-	got := RTTThresholdFor(base, units.Packets(12), 10*units.Gbps)
-	want := base + 14400*time.Nanosecond
-	if got != want {
-		t.Fatalf("RTTThresholdFor = %v, want %v", got, want)
+		t.Fatalf("port threshold = %d, want %d", got, units.Packets(12))
 	}
 }
 

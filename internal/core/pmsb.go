@@ -17,12 +17,9 @@
 package core
 
 import (
-	"time"
-
 	"pmsb/internal/ecn"
 	"pmsb/internal/obs"
 	"pmsb/internal/pkt"
-	"pmsb/internal/units"
 )
 
 // PMSB is the switch marker of Algorithm 1. A packet headed to (or
@@ -92,10 +89,4 @@ func (m *PMSB) QueueThreshold(w, weightSum float64) float64 {
 		scale = 1
 	}
 	return float64(m.PortK) * w / weightSum * scale
-}
-
-// PortThreshold computes the recommended per-port threshold (Eq. 5):
-// K = C x RTT x lambda, in bytes.
-func PortThreshold(c units.Rate, rtt time.Duration, lambda float64) int {
-	return ecn.StandardThreshold(c, rtt, lambda)
 }

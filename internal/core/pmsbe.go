@@ -2,8 +2,6 @@ package core
 
 import (
 	"time"
-
-	"pmsb/internal/units"
 )
 
 // PMSBe is the end-host heuristic of Algorithm 2 ("PMSB(e)"). It runs at
@@ -42,13 +40,4 @@ func (f *PMSBe) Accept(curRTT time.Duration, marked bool) bool {
 // ignore_mark flag given the inputs of Table II.
 func (f *PMSBe) IgnoreMark(curRTT time.Duration, isMark bool) bool {
 	return !f.Accept(curRTT, isMark)
-}
-
-// RTTThresholdFor derives a reasonable RTT threshold from the base RTT
-// and the port threshold: base RTT plus the time the bottleneck link
-// needs to drain a port's worth of threshold buffer. A flow whose queue
-// holds less than its share of the threshold observes an RTT below this
-// value.
-func RTTThresholdFor(baseRTT time.Duration, portK int, c units.Rate) time.Duration {
-	return baseRTT + units.Serialization(portK, c)
 }

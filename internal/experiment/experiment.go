@@ -189,7 +189,7 @@ func (r *Result) AddNote(format string, args ...any) {
 }
 
 // TSV renders the result as a tab-separated table, including any plot
-// series. Use TableTSV to omit the series.
+// series.
 func (r *Result) TSV() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s: %s\n", r.ID, r.Title)
@@ -209,13 +209,6 @@ func (r *Result) TSV() string {
 		}
 	}
 	return b.String()
-}
-
-// TableTSV renders only the table and notes (no plot series).
-func (r *Result) TableTSV() string {
-	table := *r
-	table.Series = nil
-	return table.TSV()
 }
 
 // Spec is a registered experiment.

@@ -1,8 +1,14 @@
 package experiment
 
 import (
+	"bytes"
+	"io"
+	"math"
 	"strings"
 	"testing"
+
+	"pmsb/internal/obs"
+	"pmsb/internal/pkt"
 )
 
 var quick = Options{Quick: true, Seed: 1}
@@ -411,5 +417,67 @@ func TestPFCDCQCNRescuesVictim(t *testing.T) {
 	if get("pfc+dcqcn(ecn)", "victim_gbps") <= 2*get("pfc-only", "victim_gbps") {
 		t.Fatalf("DCQCN should rescue the head-of-line-blocked victim: %.2f vs %.2f Gbps",
 			get("pfc+dcqcn(ecn)", "victim_gbps"), get("pfc-only", "victim_gbps"))
+	}
+}
+
+// A traced pfc run records the PFC controller and the DCQCN senders,
+// not only the ports: one pfc_pause event per pause the table counts,
+// and flow-start and rate events from the senders.
+func TestPFCTraceRecordsPausesAndRates(t *testing.T) {
+	var file bytes.Buffer
+	bus := obs.NewTraceBus(1 << 12)
+	spill := obs.NewSpillWriter(&file, obs.FormatBinary)
+	bus.Ring().SetSpill(spill)
+	opt := quick
+	opt.Obs = bus
+	spec, err := Lookup("pfc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spec.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Ring().FlushSpill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := spill.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pauses := 0
+	for _, scheme := range []string{"pfc-only", "pfc+dcqcn(ecn)"} {
+		pauses += int(atof(cell(t, res, func(r []string) bool { return r[0] == scheme }, "pauses")))
+	}
+
+	var tracedPauses int
+	starts, rates := map[pkt.FlowID]int{}, map[pkt.FlowID]int{}
+	err = obs.MergeTraces([]io.Reader{&file}, 0, math.MaxInt64, func(ev *obs.Event) error {
+		switch ev.Kind {
+		case obs.KindPFCPause:
+			tracedPauses++
+		case obs.KindFlowStart:
+			starts[ev.Flow]++
+		case obs.KindRate:
+			rates[ev.Flow]++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pauses == 0 || tracedPauses != pauses {
+		t.Fatalf("trace holds %d pfc_pause events, table counts %d pauses", tracedPauses, pauses)
+	}
+	// Both schemes start the four hot senders (flows 1-4) and the
+	// victim (flow 100); under DCQCN every hot sender is cut by CNPs.
+	for _, f := range []pkt.FlowID{1, 2, 3, 4, 100} {
+		if starts[f] != 2 {
+			t.Errorf("flow %d: %d flow_start events, want one per scheme", f, starts[f])
+		}
+	}
+	for _, f := range []pkt.FlowID{1, 2, 3, 4} {
+		if rates[f] == 0 {
+			t.Errorf("hot flow %d: no rate events", f)
+		}
 	}
 }

@@ -56,14 +56,13 @@ func poolWiring(perPool bool) wiring {
 		}
 		hosts := []*netsim.Host{mkHost(1), mkHost(2)}
 		for _, recv := range hosts {
-			sw.AddPort(netsim.NewPort(eng, netsim.NewLink(eng, motiveRate, motiveDelay, recv),
+			sw.AddPort(netsim.NewPort(netsim.NewLink(eng, motiveRate, motiveDelay, recv),
 				netsim.PortConfig{Sched: sched.NewFIFO(), Marker: mkMarker(), Pool: pool}))
 		}
 		ports := map[pkt.NodeID]int{1: 0, 2: 1}
 		for i := 0; i < 9; i++ {
 			h := mkHost(pkt.NodeID(10 + i))
-			ports[h.NodeID()] = sw.AddPort(netsim.NewPort(eng,
-				netsim.NewLink(eng, motiveRate, motiveDelay, h),
+			ports[h.NodeID()] = sw.AddPort(netsim.NewPort(netsim.NewLink(eng, motiveRate, motiveDelay, h),
 				netsim.PortConfig{Sched: sched.NewFIFO()}))
 			hosts = append(hosts, h)
 		}

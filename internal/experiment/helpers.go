@@ -104,7 +104,7 @@ func runStatic(cfg staticConfig) (*staticRun, error) {
 				if g.recordRTT {
 					f.Sender.RecordRTT()
 				}
-				eng.ScheduleAt(g.start, f.Sender.Start)
+				f.Sender.StartAt(g.start)
 				flows = append(flows, f)
 				host++
 			}

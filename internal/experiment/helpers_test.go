@@ -125,9 +125,6 @@ func TestResultJSONAndSeries(t *testing.T) {
 	if !strings.Contains(tsv, "## series s (pkts vs ms)") {
 		t.Fatalf("TSV series header missing:\n%s", tsv)
 	}
-	if strings.Contains(res.TableTSV(), "## series") {
-		t.Fatal("TableTSV must omit series")
-	}
 }
 
 // TestExperimentDeterminism: the same seed must produce byte-identical

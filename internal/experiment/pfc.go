@@ -47,7 +47,7 @@ func pfcWiring(ecnMarking bool) wiring {
 		}
 		fifo := func(rate units.Rate, to netsim.Node, cfg netsim.PortConfig) *netsim.Port {
 			cfg.Sched = sched.NewFIFO()
-			return netsim.NewPort(eng, netsim.NewLink(eng, rate, motiveDelay, to), cfg)
+			return netsim.NewPort(netsim.NewLink(eng, rate, motiveDelay, to), cfg)
 		}
 		s2.AddPort(fifo(1*units.Gbps, hotSink, netsim.PortConfig{BufferBytes: units.Packets(100), Marker: marker}))
 		s2.AddPort(fifo(10*units.Gbps, fastSink, netsim.PortConfig{}))
@@ -112,6 +112,7 @@ func runPFC(opt Options) (*Result, error) {
 		fab, err := opt.runPacket(pfcWiring(withDCQCN), 1, func(fab *topo.Fabric) time.Duration {
 			eng, hotSink, fastSink, senders := fab.Eng, fab.Host(0), fab.Host(1), fab.Hosts[2:]
 			fc = netsim.NewPFC(eng, units.Packets(40), units.Packets(20))
+			fc.Observe(opt.busFor(fab, fab.Switches[1]), fab.Switches[1].NodeID())
 			fc.Guard(fab.Switches[1])
 			fc.Upstream(fab.Switches[0].Port(0))
 
@@ -121,14 +122,17 @@ func runPFC(opt Options) (*Result, error) {
 				// CNP cuts have no effect (and no marking happens anyway).
 				cfg.MinRate = 10 * units.Gbps
 			}
-			for j := 0; j < 4; j++ {
-				s := transport.NewDCQCNSender(eng, senders[j], pkt.FlowID(j+1), hotSink.NodeID(), 0, cfg)
-				transport.NewDCQCNReceiver(eng, hotSink, pkt.FlowID(j+1), senders[j].NodeID(), 0, 0)
+			send := func(src *netsim.Host, f pkt.FlowID, dst *netsim.Host) *transport.DCQCNReceiver {
+				cfg.Obs = opt.busFor(fab, src)
+				s := transport.NewDCQCNSender(eng, src, f, dst.NodeID(), 0, cfg)
+				r := transport.NewDCQCNReceiver(eng, dst, f, src.NodeID(), 0)
 				s.Start()
+				return r
 			}
-			victim := transport.NewDCQCNSender(eng, senders[4], 100, fastSink.NodeID(), 0, cfg)
-			victimRx = transport.NewDCQCNReceiver(eng, fastSink, 100, senders[4].NodeID(), 0, 0)
-			victim.Start()
+			for j := 0; j < 4; j++ {
+				send(senders[j], pkt.FlowID(j+1), hotSink)
+			}
+			victimRx = send(senders[4], 100, fastSink)
 			return dur
 		})
 		if err != nil {

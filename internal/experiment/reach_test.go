@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -328,4 +331,302 @@ func coveredIn(fset *token.FileSet, fn *ast.FuncDecl, blocks []coverBlock) int {
 		n += b.stmts
 	}
 	return n
+}
+
+// The surface gate: an exported name with no caller outside the tests
+// is code kept for a caller that never came, and a *Config field that no
+// other package sets is an option stuck at its default. The gate
+// type-checks the module and benchmark/ from source, test files left
+// out, and fails on
+//   - an exported package-level func, type, var or const of internal/,
+//     or an exported method declared there, that no non-test file
+//     refers to (a method that satisfies an interface declared in the
+//     module, or one of surfaceStdInterfaces, counts as referred to);
+//   - an exported field of an internal/ *Config struct that no non-test
+//     file outside its own package refers to.
+// The only escape is a row in exportedForTests.
+
+// testSeam names the test file that needs an exported name, and why.
+type testSeam struct{ file, why string }
+
+// exportedForTests are the exported names kept for tests alone, keyed
+// "pkg.Name", "pkg.Type.Method" or "pkg.Config.Field". The file is
+// relative to the module root and must refer to the name; a row whose
+// name is gone, or has since gained a non-test referrer, fails the gate.
+var exportedForTests = map[string]testSeam{
+	// §IV-D's equations and Algorithm 2 as written: tested against the
+	// paper, to be reached by the analysis-validation check (ROADMAP
+	// item 10).
+	"core.Analysis.MinPortThreshold":   {"internal/core/core_test.go", "Theorem IV.1 summed per port; ROADMAP item 10"},
+	"core.Analysis.QueueLength":        {"internal/core/core_test.go", "Eq. 7; ROADMAP item 10"},
+	"core.Analysis.QueueMin":           {"internal/core/core_test.go", "Q_i^min of §IV-D; ROADMAP item 10"},
+	"core.Analysis.QueueMinLowerBound": {"internal/core/core_test.go", "Eq. 10; ROADMAP item 10"},
+	"core.PMSBe.IgnoreMark":            {"internal/core/core_test.go", "Algorithm 2 as one literal predicate; ROADMAP item 10"},
+
+	// Knobs that isolate behaviour a test needs.
+	"flowsim.Config.NoSlowStart":       {"internal/flowsim/flowsim_test.go", "closed-form max-min solver tests"},
+	"netsim.PortConfig.DropFn":         {"internal/transport/loss_test.go", "loss injection for the recovery tests"},
+	"topo.LeafSpineConfig.FabricDelay": {"differential_test.go", "the skewed sharded differential"},
+
+	// Read-outs and drivers other test packages use.
+	"flowsim.Sim.Completed":    {"internal/flowsim/flowsim_test.go", "solver state read-out"},
+	"flowsim.Sim.FlowRate":     {"internal/flowsim/flowsim_test.go", "solver state read-out"},
+	"flowsim.Sim.PortDepth":    {"internal/flowsim/flowsim_test.go", "solver state read-out"},
+	"flowsim.Sim.Quantum":      {"internal/flowsim/flowsim_test.go", "solver state read-out"},
+	"flowsim.Sim.ServiceDepth": {"internal/flowsim/flowsim_test.go", "solver state read-out"},
+	"netsim.Host.RxPackets":    {"internal/topo/topo_test.go", "delivery counts across a fabric"},
+	"obs.ReadBinary":           {"differential_test.go", "decodes a trace to compare it event by event"},
+	"obs.Ring.WriteBinary":     {"cmd/pmsbstat/main_test.go", "writes a recorded ring as a trace file"},
+	"pkt.SetPoolDebug":         {"pooldebug_test.go", "packet-pool poisoning end to end"},
+	"sim.Engine.Schedule":      {"internal/experiment/runner_test.go", "closure events in engine-driving tests"},
+	"topo.FIFOBlocks":          {"bench_test.go", "slab-carved FIFO fabric benchmark"},
+}
+
+// surfaceStdInterfaces are the standard interfaces, besides error, a
+// method may satisfy to count as referred to: the standard library
+// calls them.
+var surfaceStdInterfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"io", "WriterTo"},
+	{"flag", "Value"},
+	{"encoding/json", "Marshaler"},
+}
+
+func TestEveryExportReferenced(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := loadSurface(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gaps, err := s.gaps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(gaps))
+	for name := range gaps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if _, ok := exportedForTests[name]; !ok && gaps[name] != "" {
+			t.Errorf("%s: %s (delete it, or give it an exportedForTests row)", name, gaps[name])
+		}
+	}
+	for name, seam := range exportedForTests {
+		switch gap, ok := gaps[name]; {
+		case !ok:
+			t.Errorf("exportedForTests row %s names nothing declared", name)
+		case gap == "":
+			t.Errorf("exportedForTests row %s is stale: the name has a non-test referrer", name)
+		}
+		if !strings.HasSuffix(seam.file, "_test.go") {
+			t.Errorf("exportedForTests row %s: %s is not a test file", name, seam.file)
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(root, seam.file))
+		if err != nil {
+			t.Errorf("exportedForTests row %s: %v", name, err)
+			continue
+		}
+		last := name[strings.LastIndexByte(name, '.')+1:]
+		if !regexp.MustCompile(`\b` + last + `\b`).Match(src) {
+			t.Errorf("exportedForTests row %s: %s does not refer to %s", name, seam.file, last)
+		}
+	}
+}
+
+// surface is the module and benchmark/, type-checked without tests.
+type surface struct {
+	fset  *token.FileSet
+	dirs  map[string]string // import path -> directory
+	pkgs  map[string]*types.Package
+	infos map[string]*types.Info
+	std   types.Importer
+}
+
+func loadSurface(root string) (*surface, error) {
+	s := &surface{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		infos: map[string]*types.Info{},
+	}
+	s.std = importer.ForCompiler(s.fset, "source", nil)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if srcs, _ := filepath.Glob(filepath.Join(path, "*.go")); len(srcs) > 0 {
+			s.dirs[filepath.ToSlash(filepath.Join("pmsb", rel))] = path
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for path := range s.dirs {
+		if _, err := s.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// Import type-checks a module package from source, once; anything else
+// goes to the standard library's source importer.
+func (s *surface) Import(path string) (*types.Package, error) {
+	if p, ok := s.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, ok := s.dirs[path]
+	if !ok {
+		return s.std.Import(path)
+	}
+	parsed, err := parser.ParseDir(s.fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, p := range parsed {
+		for _, f := range p.Files {
+			files = append(files, f)
+		}
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: s}
+	p, err := conf.Check(path, s.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %v", path, err)
+	}
+	s.pkgs[path], s.infos[path] = p, info
+	return p, nil
+}
+
+// gaps maps every name the gate checks to why it breaks a gate rule,
+// or to "" when it has the referrer it needs.
+func (s *surface) gaps() (map[string]string, error) {
+	// Who refers to what: the packages of every non-test use.
+	users := map[types.Object]map[string]bool{}
+	for path, info := range s.infos {
+		for _, obj := range info.Uses {
+			obj = origin(obj)
+			if users[obj] == nil {
+				users[obj] = map[string]bool{}
+			}
+			users[obj][path] = true
+		}
+	}
+	// A method that a module type needs to satisfy an interface is
+	// referred to through that interface.
+	var ifaces []*types.Interface
+	var named []*types.Named
+	for _, p := range s.pkgs {
+		for _, n := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			} else if nt, ok := tn.Type().(*types.Named); ok {
+				named = append(named, nt)
+			}
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, si := range surfaceStdInterfaces {
+		p, err := s.std.Import(si[0])
+		if err != nil {
+			return nil, err
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(si[1]).Type().Underlying().(*types.Interface))
+	}
+	viaInterface := map[types.Object]bool{}
+	for _, nt := range named {
+		ptr := types.NewPointer(nt)
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name()); obj != nil {
+					viaInterface[obj] = true
+				}
+			}
+		}
+	}
+
+	gaps := map[string]string{}
+	for path, p := range s.pkgs {
+		if !strings.HasPrefix(path, "pmsb/internal/") {
+			continue
+		}
+		// check records name's gap: no referrer at all, or (outside) none
+		// beyond its own package.
+		check := func(name string, obj types.Object, outside bool) {
+			gaps[name] = ""
+			for user := range users[obj] {
+				if !outside || user != path {
+					return
+				}
+			}
+			if outside {
+				gaps[name] = "no non-test file outside its package sets or reads it"
+			} else {
+				gaps[name] = "no non-test file refers to it"
+			}
+		}
+		for _, n := range p.Scope().Names() {
+			obj := p.Scope().Lookup(n)
+			if obj.Exported() {
+				check(p.Name()+"."+n, obj, false)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if nt, ok := tn.Type().(*types.Named); ok {
+				if _, isIface := nt.Underlying().(*types.Interface); !isIface {
+					for i := 0; i < nt.NumMethods(); i++ {
+						m := nt.Method(i)
+						if m.Exported() && !viaInterface[m] {
+							check(p.Name()+"."+n+"."+m.Name(), m, false)
+						}
+					}
+				}
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok && strings.HasSuffix(n, "Config") {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						check(p.Name()+"."+n+"."+f.Name(), f, true)
+					}
+				}
+			}
+		}
+	}
+	return gaps, nil
+}
+
+// origin maps an instantiated generic member back to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }

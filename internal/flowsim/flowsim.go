@@ -60,6 +60,9 @@ const (
 	// rampExpMax clamps the slow-start doubling exponent so the ramp cap
 	// stays a finite float long after it stopped binding.
 	rampExpMax = 40
+	// relaxRTTs is the fluid queue relaxation time constant in units of
+	// the graph's BaseRTT (the DCTCP sawtooth period scale).
+	relaxRTTs = 2
 )
 
 // Config tunes a flow-level simulation.
@@ -75,13 +78,6 @@ type Config struct {
 	// NoSlowStart disables the ramp cap: flows jump straight to their
 	// max-min share. Used by the closed-form solver tests.
 	NoSlowStart bool
-	// Quantum is the solver coalescing interval (default BaseRTT/8,
-	// clamped to [1us, 100us]). Rates are piecewise constant per
-	// quantum, so it bounds both the solve count and the FCT error.
-	Quantum time.Duration
-	// RelaxRTTs is the fluid queue relaxation time constant in units of
-	// the graph's BaseRTT (default 2, the DCTCP sawtooth period scale).
-	RelaxRTTs float64
 	// OnFinish, when non-nil, receives every completed flow.
 	OnFinish func(FlowResult)
 }
@@ -198,21 +194,18 @@ func New(eng *sim.Engine, g *topo.PathGraph, cfg Config) *Sim {
 	if cfg.InitWindow <= 0 {
 		cfg.InitWindow = 16
 	}
-	if cfg.RelaxRTTs <= 0 {
-		cfg.RelaxRTTs = 2
+	// The solver coalescing interval is BaseRTT/2, clamped to
+	// [1us, 100us]. Rates are piecewise constant per quantum, so it
+	// bounds both the solve count and the FCT error; half an RTT keeps
+	// roughly two solves per slow-start doubling round (the ramp is the
+	// fastest-moving rate input) while bounding FCT error by a fraction
+	// of the base RTT.
+	q := g.BaseRTT / 2
+	if q < time.Microsecond {
+		q = time.Microsecond
 	}
-	q := cfg.Quantum
-	if q <= 0 {
-		// Half an RTT keeps roughly two solves per slow-start doubling
-		// round (the ramp is the fastest-moving rate input) while
-		// bounding FCT error by a fraction of the base RTT.
-		q = g.BaseRTT / 2
-		if q < time.Microsecond {
-			q = time.Microsecond
-		}
-		if q > 100*time.Microsecond {
-			q = 100 * time.Microsecond
-		}
+	if q > 100*time.Microsecond {
+		q = 100 * time.Microsecond
 	}
 	s := &Sim{
 		eng:     eng,
@@ -220,7 +213,7 @@ func New(eng *sim.Engine, g *topo.PathGraph, cfg Config) *Sim {
 		g:       g,
 		quantum: q,
 		baseRTT: g.BaseRTT.Seconds(),
-		relax:   cfg.RelaxRTTs * g.BaseRTT.Seconds(),
+		relax:   relaxRTTs * g.BaseRTT.Seconds(),
 		nsvc:    len(cfg.Weights),
 		links:   make([]linkState, len(g.Links)),
 		svcCnt:  make([]int32, len(g.Links)*len(cfg.Weights)),

@@ -25,7 +25,7 @@ func (releaseSink) Receive(p *pkt.Packet) { pkt.Release(p) }
 func TestPortSendZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	link := NewLink(eng, 100*units.Gbps, 0, releaseSink{})
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(link, PortConfig{Sched: sched.NewFIFO()})
 
 	// Warm up: grow the FIFO ring, the event heap, the engine free list
 	// and the packet pool.
@@ -58,7 +58,7 @@ func TestPortSendZeroAlloc(t *testing.T) {
 func TestPortDropZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	link := NewLink(eng, 100*units.Gbps, 0, releaseSink{})
-	port := NewPort(eng, link, PortConfig{
+	port := NewPort(link, PortConfig{
 		Sched:  sched.NewFIFO(),
 		DropFn: func(*pkt.Packet) bool { return true },
 	})
@@ -84,7 +84,7 @@ func TestPortDropZeroAlloc(t *testing.T) {
 func TestPortSendZeroAllocObserved(t *testing.T) {
 	eng := sim.NewEngine()
 	link := NewLink(eng, 100*units.Gbps, 0, releaseSink{})
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(link, PortConfig{Sched: sched.NewFIFO()})
 	bus := obs.NewBus(1 << 12)
 	port.Observe(bus, 1000, 0)
 
@@ -122,7 +122,7 @@ func TestPortSendZeroAllocObserved(t *testing.T) {
 func TestPortSendZeroAllocUnobserved(t *testing.T) {
 	eng := sim.NewEngine()
 	link := NewLink(eng, 100*units.Gbps, 0, releaseSink{})
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(link, PortConfig{Sched: sched.NewFIFO()})
 	if port.ext != nil {
 		t.Fatal("new port must start unobserved (no extension block)")
 	}

@@ -105,30 +105,3 @@ func (a *Arena) NewSwitch(eng *sim.Engine, id pkt.NodeID, portCap int) *Switch {
 // Overflow reports how many objects were requested beyond the reserved
 // capacities (0 for a correctly sized spec).
 func (a *Arena) Overflow() int { return a.overflow }
-
-// Live reports how many objects of each kind have been carved.
-func (a *Arena) Live() ArenaSpec {
-	return ArenaSpec{
-		Ports:    len(a.ports),
-		Hosts:    len(a.hosts),
-		Switches: len(a.switches),
-		PortRefs: len(a.portRefs),
-	}
-}
-
-// Reset zeroes the carved prefix of every slab and makes the full
-// capacity available again. Only valid once nothing references the
-// previous fabric; the zeroing drops the old object graph (schedulers,
-// queued packets, handlers) so it can be collected even while the
-// arena itself stays alive.
-func (a *Arena) Reset() {
-	clear(a.ports)
-	clear(a.hosts)
-	clear(a.switches)
-	clear(a.portRefs)
-	a.ports = a.ports[:0]
-	a.hosts = a.hosts[:0]
-	a.switches = a.switches[:0]
-	a.portRefs = a.portRefs[:0]
-	a.overflow = 0
-}

@@ -15,8 +15,7 @@ func arenaSpec4() ArenaSpec {
 	return ArenaSpec{Ports: 4, Hosts: 2, Switches: 2, PortRefs: 4}
 }
 
-// An exactly-sized spec carves with zero overflow and Live tracking the
-// carve counts; requests beyond the reservation fall back to the heap,
+// An exactly-sized spec carves with zero overflow; requests beyond the reservation fall back to the heap,
 // are counted, and still return working objects.
 func TestArenaCarveAndOverflow(t *testing.T) {
 	eng := sim.NewEngine()
@@ -34,9 +33,6 @@ func TestArenaCarveAndOverflow(t *testing.T) {
 	sw2 := a.NewSwitch(eng, 101, 2)
 	if got := a.Overflow(); got != 0 {
 		t.Fatalf("overflow = %d after exactly-sized carve, want 0", got)
-	}
-	if live := a.Live(); live != (ArenaSpec{Ports: 4, Hosts: 2, Switches: 2, PortRefs: 4}) {
-		t.Fatalf("Live() = %+v, want the full spec", live)
 	}
 
 	// Over-carve one of each kind: fail-soft heap fallback, counted.
@@ -112,63 +108,10 @@ func TestArenaSwitchPortTableCap(t *testing.T) {
 	}
 }
 
-// Reset must make the whole reservation carvable again with zero
-// overflow, and the zeroing must actually drop the old objects' state.
-func TestArenaResetReuse(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewArena(arenaSpec4())
-	carveAll := func() []*Port {
-		var ports []*Port
-		for i := 0; i < 4; i++ {
-			ports = append(ports, a.NewPort(
-				LocalLink(eng, 100*units.Gbps, 0, releaseSink{}),
-				PortConfig{Sched: sched.NewFIFO()}))
-		}
-		a.NewHost(eng, 1)
-		a.NewHost(eng, 2)
-		a.NewSwitch(eng, 100, 2)
-		a.NewSwitch(eng, 101, 2)
-		return ports
-	}
-	ports := carveAll()
-	a.NewHost(eng, 9) // push into overflow
-	q := pkt.Get()
-	q.Size = units.MTU
-	ports[0].Send(q)
-	eng.Run()
-	if ports[0].TxPackets() != 1 {
-		t.Fatal("warm-up packet not forwarded")
-	}
-
-	a.Reset()
-	if a.Overflow() != 0 {
-		t.Fatalf("overflow = %d after Reset, want 0", a.Overflow())
-	}
-	if live := a.Live(); live != (ArenaSpec{}) {
-		t.Fatalf("Live() = %+v after Reset, want zero", live)
-	}
-	ports = carveAll()
-	if a.Overflow() != 0 {
-		t.Fatalf("overflow = %d on the second generation, want 0", a.Overflow())
-	}
-	// The recarved port starts from zeroed state, not the first
-	// generation's counters.
-	if ports[0].TxPackets() != 0 {
-		t.Fatalf("recarved port inherited TxPackets = %d", ports[0].TxPackets())
-	}
-	q = pkt.Get()
-	q.Size = units.MTU
-	ports[0].Send(q)
-	eng.Run()
-	if ports[0].TxPackets() != 1 {
-		t.Fatal("second-generation port did not forward")
-	}
-}
-
 // Packets are pool state, not arena state: with the pool's poison-debug
-// mode on, traffic through arena-carved ports must release cleanly, and
-// an arena Reset must not disturb the pool's lifecycle (the two are
-// orthogonal by design).
+// mode on, traffic through arena-carved ports must release cleanly and
+// leave the pool's lifecycle undisturbed (the two are orthogonal by
+// design).
 func TestArenaPoolDebugInterplay(t *testing.T) {
 	pkt.SetPoolDebug(true)
 	defer pkt.SetPoolDebug(false)
@@ -188,9 +131,8 @@ func TestArenaPoolDebugInterplay(t *testing.T) {
 		t.Fatalf("forwarded %d packets under pool debug, want 64", port.TxPackets())
 	}
 
-	a.Reset()
-	// The pool survives the arena generation: a fresh Get is clean even
-	// though every record was poison-released through the dead fabric.
+	// A fresh Get is clean even though every record was poison-released
+	// through the arena's ports.
 	q := pkt.Get()
 	if q.Size != 0 || q.ID != 0 {
 		t.Fatalf("pool returned dirty packet after arena reset: %+v", q)

@@ -44,7 +44,7 @@ func NewHost(eng *sim.Engine, id pkt.NodeID) *Host {
 // AttachNIC connects the host's outgoing link through a FIFO NIC port
 // and returns that port (useful for taps).
 func (h *Host) AttachNIC(link *Link) *Port {
-	h.nic = NewPort(h.eng, link, PortConfig{Sched: sched.NewFIFO()})
+	h.nic = NewPort(link, PortConfig{Sched: sched.NewFIFO()})
 	return h.nic
 }
 
@@ -99,11 +99,6 @@ func (h *Host) Attach(flow pkt.FlowID, hd Handler) {
 		h.handlers = make(map[pkt.FlowID]Handler)
 	}
 	h.handlers[flow] = hd
-}
-
-// Detach removes a flow's handler.
-func (h *Host) Detach(flow pkt.FlowID) {
-	delete(h.handlers, flow)
 }
 
 // RxBytes returns the total bytes received by the host.

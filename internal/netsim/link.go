@@ -58,14 +58,8 @@ func NewLink(eng *sim.Engine, rate units.Rate, delay time.Duration, to Node) *Li
 	return &l
 }
 
-// Rate returns the link capacity.
-func (l *Link) Rate() units.Rate { return l.rate }
-
 // Delay returns the one-way propagation delay.
 func (l *Link) Delay() time.Duration { return l.delay }
-
-// To returns the receiving node.
-func (l *Link) To() Node { return l.to }
 
 // linkArrive completes a propagation: the packet carries its link in
 // the hop field, so one package-level trampoline serves every link.

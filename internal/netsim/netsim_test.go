@@ -34,7 +34,7 @@ func TestLinkDeliveryTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 2*time.Microsecond, dst)
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(link, PortConfig{Sched: sched.NewFIFO()})
 
 	port.Send(dataPkt(1, units.MTU))
 	eng.Run()
@@ -49,7 +49,7 @@ func TestPortBackToBackSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(link, PortConfig{Sched: sched.NewFIFO()})
 
 	for i := 0; i < 3; i++ {
 		port.Send(dataPkt(uint64(i), units.MTU))
@@ -68,8 +68,8 @@ func TestPortBackToBackSerialization(t *testing.T) {
 			t.Fatalf("packet %d out of order", i)
 		}
 	}
-	if port.TxPackets() != 3 || port.TxBytes() != 3*units.MTU {
-		t.Fatalf("tx counters = %d pkts / %d bytes", port.TxPackets(), port.TxBytes())
+	if port.TxPackets() != 3 {
+		t.Fatalf("tx counter = %d pkts, want 3", port.TxPackets())
 	}
 }
 
@@ -77,20 +77,17 @@ func TestPortTailDrop(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{
+	port := NewPort(link, PortConfig{
 		Sched:       sched.NewFIFO(),
 		BufferBytes: 2 * units.MTU,
 	})
-	var dropped int
-	port.OnDrop(func(*pkt.Packet, int) { dropped++ })
-
 	// First packet goes straight to the transmitter (leaves the queue),
 	// so two more fit in the buffer; the fourth must be dropped.
 	for i := 0; i < 4; i++ {
 		port.Send(dataPkt(uint64(i), units.MTU))
 	}
-	if port.DropPackets() != 1 || dropped != 1 {
-		t.Fatalf("drops = %d (tap %d), want 1", port.DropPackets(), dropped)
+	if port.DropPackets() != 1 {
+		t.Fatalf("drops = %d, want 1", port.DropPackets())
 	}
 	eng.Run()
 	if len(dst.packets) != 3 {
@@ -103,7 +100,7 @@ func TestPortEnqueueMarking(t *testing.T) {
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 0, dst)
 	// Mark when the queue already holds >= 1 packet at enqueue time.
-	port := NewPort(eng, link, PortConfig{
+	port := NewPort(link, PortConfig{
 		Sched:  sched.NewFIFO(),
 		Marker: &ecn.PerQueueStandard{K: units.MTU},
 	})
@@ -129,7 +126,7 @@ func TestPortDequeueMarkingTCN(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{
+	port := NewPort(link, PortConfig{
 		Sched:  sched.NewFIFO(),
 		Marker: &ecn.TCN{Threshold: 2 * time.Microsecond},
 	})
@@ -152,7 +149,7 @@ func TestNonECTNeverMarked(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{
+	port := NewPort(link, PortConfig{
 		Sched:  sched.NewFIFO(),
 		Marker: &ecn.PerPort{K: 0}, // marks everything ECT
 	})
@@ -169,7 +166,7 @@ func TestPortPMSBIntegration(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 10*units.Gbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{
+	port := NewPort(link, PortConfig{
 		Sched:  sched.NewDWRR([]float64{1, 1}, units.MTU),
 		Marker: &core.PMSB{PortK: 4 * units.MTU},
 	})
@@ -219,11 +216,6 @@ func TestHostDemux(t *testing.T) {
 	if h.RxPackets() != 2 || h.RxBytes() != 200 {
 		t.Fatalf("rx counters wrong: %d/%d", h.RxPackets(), h.RxBytes())
 	}
-	h.Detach(7)
-	h.Receive(&pkt.Packet{Flow: 7})
-	if len(got) != 1 {
-		t.Fatal("detached handler still invoked")
-	}
 }
 
 func TestHostSendWithoutNIC(t *testing.T) {
@@ -240,8 +232,8 @@ func TestSwitchRouting(t *testing.T) {
 	dstA := &sink{id: 10, eng: eng}
 	dstB := &sink{id: 11, eng: eng}
 	sw := NewSwitch(eng, 1)
-	pa := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dstA), PortConfig{Sched: sched.NewFIFO()})
-	pb := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dstB), PortConfig{Sched: sched.NewFIFO()})
+	pa := NewPort(NewLink(eng, 10*units.Gbps, 0, dstA), PortConfig{Sched: sched.NewFIFO()})
+	pb := NewPort(NewLink(eng, 10*units.Gbps, 0, dstB), PortConfig{Sched: sched.NewFIFO()})
 	sw.AddPort(pa)
 	sw.AddPort(pb)
 	sw.SetRoute(func(p *pkt.Packet) int {
@@ -277,7 +269,7 @@ func TestPoolAccounting(t *testing.T) {
 	pool := &ecn.Pool{}
 	// Slow link so packets actually sit in the pool.
 	link := NewLink(eng, 100*units.Mbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewFIFO(), Pool: pool})
+	port := NewPort(link, PortConfig{Sched: sched.NewFIFO(), Pool: pool})
 	for i := 0; i < 5; i++ {
 		port.Send(dataPkt(uint64(i), units.MTU))
 	}

@@ -72,9 +72,6 @@ func (f *PFC) Observe(bus *obs.Bus, node pkt.NodeID) {
 	f.node = node
 }
 
-// Paused reports the current pause state.
-func (f *PFC) Paused() bool { return f.paused }
-
 // Pauses counts Xoff crossings (pause events).
 func (f *PFC) Pauses() int64 { return f.pauses }
 

@@ -13,10 +13,10 @@ import (
 func TestPortPauseResume(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
-	port := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{Sched: sched.NewFIFO()})
 	port.Pause()
-	if !port.IsPaused() {
-		t.Fatal("IsPaused")
+	if !port.paused {
+		t.Fatal("Pause did not pause the port")
 	}
 	port.Send(dataPkt(1, units.MTU))
 	eng.Run()
@@ -40,13 +40,13 @@ func TestPFCPreventsLoss(t *testing.T) {
 
 	s2 := NewSwitch(eng, 2)
 	// Slow egress, tiny buffer: without PFC this drops heavily.
-	egress := NewPort(eng, NewLink(eng, 100*units.Mbps, 0, sinkNode),
+	egress := NewPort(NewLink(eng, 100*units.Mbps, 0, sinkNode),
 		PortConfig{Sched: sched.NewFIFO(), BufferBytes: units.Packets(10)})
 	s2.AddPort(egress)
 	s2.SetRoute(func(*pkt.Packet) int { return 0 })
 
 	s1 := NewSwitch(eng, 1)
-	toS2 := NewPort(eng, NewLink(eng, 10*units.Gbps, time.Microsecond, s2),
+	toS2 := NewPort(NewLink(eng, 10*units.Gbps, time.Microsecond, s2),
 		PortConfig{Sched: sched.NewFIFO()})
 	s1.AddPort(toS2)
 	s1.SetRoute(func(*pkt.Packet) int { return 0 })
@@ -66,7 +66,7 @@ func TestPFCPreventsLoss(t *testing.T) {
 	if fc.Pauses() == 0 {
 		t.Fatal("expected pause events")
 	}
-	if fc.Paused() {
+	if fc.paused {
 		t.Fatal("drained fabric should be unpaused")
 	}
 	if len(sinkNode.packets) != 200 {
@@ -78,12 +78,12 @@ func TestWithoutPFCSameScenarioDrops(t *testing.T) {
 	eng := sim.NewEngine()
 	sinkNode := &sink{id: 9, eng: eng}
 	s2 := NewSwitch(eng, 2)
-	egress := NewPort(eng, NewLink(eng, 100*units.Mbps, 0, sinkNode),
+	egress := NewPort(NewLink(eng, 100*units.Mbps, 0, sinkNode),
 		PortConfig{Sched: sched.NewFIFO(), BufferBytes: units.Packets(10)})
 	s2.AddPort(egress)
 	s2.SetRoute(func(*pkt.Packet) int { return 0 })
 	s1 := NewSwitch(eng, 1)
-	s1.AddPort(NewPort(eng, NewLink(eng, 10*units.Gbps, time.Microsecond, s2),
+	s1.AddPort(NewPort(NewLink(eng, 10*units.Gbps, time.Microsecond, s2),
 		PortConfig{Sched: sched.NewFIFO()}))
 	s1.SetRoute(func(*pkt.Packet) int { return 0 })
 	for i := 0; i < 200; i++ {
@@ -105,9 +105,9 @@ func TestPFCHeadOfLineBlocking(t *testing.T) {
 	fastSink := &sink{id: 9, eng: eng}
 
 	s2 := NewSwitch(eng, 2)
-	slowEgress := NewPort(eng, NewLink(eng, 50*units.Mbps, 0, slowSink),
+	slowEgress := NewPort(NewLink(eng, 50*units.Mbps, 0, slowSink),
 		PortConfig{Sched: sched.NewFIFO(), BufferBytes: units.Packets(50)})
-	fastEgress := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, fastSink),
+	fastEgress := NewPort(NewLink(eng, 10*units.Gbps, 0, fastSink),
 		PortConfig{Sched: sched.NewFIFO()})
 	s2.AddPort(slowEgress)
 	s2.AddPort(fastEgress)
@@ -119,7 +119,7 @@ func TestPFCHeadOfLineBlocking(t *testing.T) {
 	})
 
 	s1 := NewSwitch(eng, 1)
-	toS2 := NewPort(eng, NewLink(eng, 10*units.Gbps, time.Microsecond, s2),
+	toS2 := NewPort(NewLink(eng, 10*units.Gbps, time.Microsecond, s2),
 		PortConfig{Sched: sched.NewFIFO()})
 	s1.AddPort(toS2)
 	s1.SetRoute(func(*pkt.Packet) int { return 0 })

@@ -7,21 +7,19 @@ import (
 	"pmsb/internal/obs"
 	"pmsb/internal/pkt"
 	"pmsb/internal/sched"
-	"pmsb/internal/sim"
 	"pmsb/internal/units"
 )
 
-// Tap observes packets at a port event (enqueue, dequeue, drop). q is
-// the queue the packet was classified into.
+// Tap observes packets at a port event (enqueue, dequeue). q is the
+// queue the packet was classified into.
 type Tap func(p *pkt.Packet, q int)
 
 // tap list indices: the port keeps one slice per event kind and a
-// single shared iteration helper (fire), instead of three copies of the
+// single shared iteration helper (fire), instead of two copies of the
 // loop. The Tap registration API is a thin adapter over this.
 const (
 	tapEnqueue = iota
 	tapDequeue
-	tapDrop
 	numTapKinds
 )
 
@@ -34,9 +32,6 @@ type PortConfig struct {
 	// BufferBytes is the shared per-port buffer capacity; arriving
 	// packets that would exceed it are tail-dropped. 0 means unlimited.
 	BufferBytes int
-	// Classify maps packets to queue indices; the default uses
-	// Service modulo the queue count.
-	Classify func(p *pkt.Packet) int
 	// Pool, when non-nil, tracks this port's occupancy in a shared
 	// service pool (for per-service-pool marking).
 	Pool *ecn.Pool
@@ -47,18 +42,17 @@ type PortConfig struct {
 	DropFn func(p *pkt.Packet) bool
 }
 
-// portExt holds the rarely-used port features — custom classifiers,
-// failure injection, service pools, taps and the observability probe.
-// Most ports in a large fabric use none of them, so they live behind
-// one lazily-allocated pointer instead of widening every port: at
-// fat-tree k=32 scale (~49k ports) the
-// difference is several megabytes of always-resident state.
+// portExt holds the rarely-used port features — failure injection,
+// service pools, taps and the observability probe. Most ports in a
+// large fabric use none of them, so they live behind one
+// lazily-allocated pointer instead of widening every port: at fat-tree
+// k=32 scale (~49k ports) the difference is several megabytes of
+// always-resident state.
 type portExt struct {
-	classify func(p *pkt.Packet) int
-	pool     *ecn.Pool
-	dropFn   func(p *pkt.Packet) bool
-	probe    *obs.PortProbe
-	taps     [numTapKinds][]Tap
+	pool   *ecn.Pool
+	dropFn func(p *pkt.Packet) bool
+	probe  *obs.PortProbe
+	taps   [numTapKinds][]Tap
 }
 
 // Port is an output-queued switch (or NIC) port: classified packets
@@ -66,7 +60,7 @@ type portExt struct {
 // the attached link, and the configured marker applies CE marks at its
 // mark point. Port implements ecn.PortView for its marker.
 //
-// The struct is packed into two cache lines (128 bytes): the port's
+// The struct fits in two cache lines (128 bytes): the port's
 // link is embedded by value (a port owns exactly one link), the
 // engine is reached through it, rare features live behind ext, and the
 // secondary counters are 32-bit. The narrow counters wrap at 4
@@ -87,10 +81,8 @@ type Port struct {
 	ext      *portExt
 
 	// PortStats counters.
-	txBytes       int64
 	txPackets     uint32
 	dropPackets   uint32
-	dropBytes     uint32
 	markedPackets uint32
 	bufferBytes   int32
 	nq            uint16
@@ -119,31 +111,22 @@ func (p *Port) init(link Link, cfg PortConfig) {
 	p.marker = cfg.Marker
 	p.bufferBytes = int32(cfg.BufferBytes)
 	p.nq = uint16(cfg.Sched.NumQueues())
-	if cfg.Classify != nil || cfg.Pool != nil || cfg.DropFn != nil {
-		p.ext = &portExt{
-			classify: cfg.Classify,
-			pool:     cfg.Pool,
-			dropFn:   cfg.DropFn,
-		}
+	if cfg.Pool != nil || cfg.DropFn != nil {
+		p.ext = &portExt{pool: cfg.Pool, dropFn: cfg.DropFn}
 	}
 }
 
 // NewPort creates a port transmitting on link. cfg.Sched must be set.
 // The link is copied into the port (a port owns its link); the passed
 // pointer remains a valid, equivalent link.
-func NewPort(eng *sim.Engine, link *Link, cfg PortConfig) *Port {
-	_ = eng // the engine is reached through the link; kept for API compatibility
+func NewPort(link *Link, cfg PortConfig) *Port {
 	p := &Port{}
 	p.init(*link, cfg)
 	return p
 }
 
-// classify maps a packet to its queue: the configured classifier when
-// present, else Service modulo the queue count.
+// classify maps a packet to its queue: Service modulo the queue count.
 func (p *Port) classify(packet *pkt.Packet) int {
-	if p.ext != nil && p.ext.classify != nil {
-		return p.ext.classify(packet)
-	}
 	q := packet.Service % int(p.nq)
 	if q < 0 {
 		q += int(p.nq)
@@ -194,25 +177,21 @@ func (p *Port) Send(packet *pkt.Packet) {
 	p.kick()
 }
 
-// drop refuses an arriving packet: count it, let the drop taps (and the
-// obs layer) observe it, then release it back to the packet pool — a
-// refused packet has no further consumer. Every admission path (failure
-// injection, per-port buffer) funnels through here so the accounting
-// and the pool release can never diverge.
+// drop refuses an arriving packet: count it, let the obs layer observe
+// it, then release it back to the packet pool — a refused packet has no
+// further consumer. Every admission path (failure injection, per-port
+// buffer) funnels through here so the accounting and the pool release
+// can never diverge.
 func (p *Port) drop(packet *pkt.Packet, q int, reason obs.DropReason) {
 	p.dropPackets++
-	p.dropBytes += uint32(packet.Size)
-	if e := p.ext; e != nil {
-		if e.probe != nil {
-			e.probe.Drop(p.out.eng.Now(), q, packet, reason)
-		}
-		p.fire(tapDrop, packet, q)
+	if e := p.ext; e != nil && e.probe != nil {
+		e.probe.Drop(p.out.eng.Now(), q, packet, reason)
 	}
 	pkt.Release(packet)
 }
 
 // fire invokes the registered taps of one kind — the single iteration
-// point behind the three On* registration methods. Callers check
+// point behind the two On* registration methods. Callers check
 // p.ext != nil first (the common fabric port has no taps).
 func (p *Port) fire(kind int, packet *pkt.Packet, q int) {
 	for _, tap := range p.ext.taps[kind] {
@@ -252,7 +231,6 @@ func (p *Port) kick() {
 	}
 	p.inflight = packet
 	p.txPackets++
-	p.txBytes += int64(packet.Size)
 	ser := units.Serialization(packet.Size, p.out.rate)
 	p.out.eng.ScheduleCall(ser, portTxDone, p)
 }
@@ -283,9 +261,6 @@ func (p *Port) Resume() {
 	p.kick()
 }
 
-// IsPaused reports whether the transmitter is paused.
-func (p *Port) IsPaused() bool { return p.paused }
-
 // extension returns the port's rare-feature block, allocating it on
 // first use.
 func (p *Port) extension() *portExt {
@@ -307,12 +282,6 @@ func (p *Port) OnDequeue(t Tap) {
 	e.taps[tapDequeue] = append(e.taps[tapDequeue], t)
 }
 
-// OnDrop registers a tap invoked when a packet is tail-dropped.
-func (p *Port) OnDrop(t Tap) {
-	e := p.extension()
-	e.taps[tapDrop] = append(e.taps[tapDrop], t)
-}
-
 // Observe attaches the port to an observability bus under the given
 // topology identity (owning node and port index). A nil bus leaves the
 // port unobserved; calling with non-nil replaces any earlier probe.
@@ -324,20 +293,11 @@ func (p *Port) Observe(bus *obs.Bus, node pkt.NodeID, portIndex int) {
 // Link returns the attached link.
 func (p *Port) Link() *Link { return &p.out }
 
-// Scheduler returns the port's scheduler.
-func (p *Port) Scheduler() sched.Scheduler { return p.sched }
-
 // TxPackets returns the number of packets transmitted.
 func (p *Port) TxPackets() int64 { return int64(p.txPackets) }
 
-// TxBytes returns the number of bytes transmitted.
-func (p *Port) TxBytes() int64 { return p.txBytes }
-
 // DropPackets returns the number of packets tail-dropped.
 func (p *Port) DropPackets() int64 { return int64(p.dropPackets) }
-
-// DropBytes returns the number of bytes tail-dropped.
-func (p *Port) DropBytes() int64 { return int64(p.dropBytes) }
 
 // MarkedPackets returns the number of packets CE-marked at this port.
 func (p *Port) MarkedPackets() int64 { return int64(p.markedPackets) }

@@ -11,33 +11,11 @@ import (
 	"pmsb/internal/units"
 )
 
-func TestPortCustomClassifier(t *testing.T) {
-	eng := sim.NewEngine()
-	dst := &sink{id: 2, eng: eng}
-	link := NewLink(eng, 100*units.Mbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{
-		Sched: sched.NewWFQ([]float64{1, 1}),
-		// Classify by packet size instead of Service.
-		Classify: func(p *pkt.Packet) int {
-			if p.Size > 500 {
-				return 1
-			}
-			return 0
-		},
-	})
-	port.Send(dataPkt(1, 1500)) // queue 1, dequeued immediately
-	port.Send(dataPkt(2, 100))  // queue 0
-	port.Send(dataPkt(3, 1500)) // queue 1
-	if port.QueuePackets(0) != 1 || port.QueuePackets(1) != 1 {
-		t.Fatalf("classification wrong: q0=%d q1=%d", port.QueuePackets(0), port.QueuePackets(1))
-	}
-}
-
 func TestPortDefaultClassifierModulo(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	link := NewLink(eng, 100*units.Mbps, 0, dst)
-	port := NewPort(eng, link, PortConfig{Sched: sched.NewWFQ([]float64{1, 1, 1})})
+	port := NewPort(link, PortConfig{Sched: sched.NewWFQ([]float64{1, 1, 1})})
 	for service := 0; service < 6; service++ {
 		p := dataPkt(uint64(service), units.MTU)
 		p.Service = service
@@ -59,7 +37,7 @@ func TestPortViewExposure(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
 	wfq := sched.NewWFQ([]float64{1, 3})
-	port := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{Sched: wfq})
+	port := NewPort(NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{Sched: wfq})
 	if port.NumQueues() != 2 {
 		t.Fatal("NumQueues")
 	}
@@ -73,7 +51,7 @@ func TestPortViewExposure(t *testing.T) {
 		t.Fatal("WFQ port must expose no round info")
 	}
 
-	dwrrPort := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{
+	dwrrPort := NewPort(NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{
 		Sched: sched.NewDWRR([]float64{1}, units.MTU, sched.WithClock(eng.Now)),
 	})
 	if dwrrPort.Round() == nil {
@@ -90,7 +68,7 @@ func TestPortViewExposure(t *testing.T) {
 func TestPortMultipleTaps(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
-	port := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{Sched: sched.NewFIFO()})
 	var order []string
 	port.OnEnqueue(func(*pkt.Packet, int) { order = append(order, "e1") })
 	port.OnEnqueue(func(*pkt.Packet, int) { order = append(order, "e2") })
@@ -113,22 +91,15 @@ func TestPortMultipleTaps(t *testing.T) {
 func TestPortDropFnBeforeBuffer(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
-	port := NewPort(eng, NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{
+	port := NewPort(NewLink(eng, 10*units.Gbps, 0, dst), PortConfig{
 		Sched:  sched.NewFIFO(),
 		DropFn: func(p *pkt.Packet) bool { return p.ID == 7 },
-	})
-	var drops int
-	port.OnDrop(func(p *pkt.Packet, _ int) {
-		drops++
-		if p.ID != 7 {
-			t.Fatalf("wrong packet dropped: %d", p.ID)
-		}
 	})
 	port.Send(dataPkt(7, units.MTU))
 	port.Send(dataPkt(8, units.MTU))
 	eng.Run()
-	if drops != 1 || port.DropPackets() != 1 {
-		t.Fatalf("drops = %d/%d", drops, port.DropPackets())
+	if port.DropPackets() != 1 {
+		t.Fatalf("drops = %d, want 1", port.DropPackets())
 	}
 	if len(dst.packets) != 1 || dst.packets[0].ID != 8 {
 		t.Fatal("surviving packet not delivered")
@@ -142,13 +113,13 @@ func TestPortRequiresScheduler(t *testing.T) {
 		}
 	}()
 	eng := sim.NewEngine()
-	NewPort(eng, NewLink(eng, units.Gbps, 0, &sink{}), PortConfig{})
+	NewPort(NewLink(eng, units.Gbps, 0, &sink{}), PortConfig{})
 }
 
 func TestMarkerNilMeansNoMarking(t *testing.T) {
 	eng := sim.NewEngine()
 	dst := &sink{id: 2, eng: eng}
-	port := NewPort(eng, NewLink(eng, units.Gbps, 0, dst), PortConfig{Sched: sched.NewFIFO()})
+	port := NewPort(NewLink(eng, units.Gbps, 0, dst), PortConfig{Sched: sched.NewFIFO()})
 	for i := 0; i < 20; i++ {
 		port.Send(dataPkt(uint64(i), units.MTU))
 	}

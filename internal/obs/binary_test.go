@@ -267,8 +267,8 @@ func TestBinaryTraceSpillLossless(t *testing.T) {
 			r := NewRing(ringCap)
 			r.SetSpill(sw)
 			for i := 0; i < n; i++ {
-				r.Append(Event{Seq: uint64(i), T: time.Duration(i * 3), Kind: KindEnqueue,
-					Node: 1, Port: int32(i % 4), PortBytes: int64(i)})
+				*r.nextSlot() = Event{Seq: uint64(i), T: time.Duration(i * 3), Kind: KindEnqueue,
+					Node: 1, Port: int32(i % 4), PortBytes: int64(i)}
 			}
 			if r.Dropped() != 0 {
 				t.Fatalf("Dropped() = %d with spill attached", r.Dropped())
@@ -308,11 +308,11 @@ func TestBinaryTraceSpillLossless(t *testing.T) {
 func TestBinaryTraceSpillOverwriteUnchanged(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Append(Event{Seq: uint64(i), Kind: KindEnqueue})
+		*r.nextSlot() = Event{Seq: uint64(i), Kind: KindEnqueue}
 	}
-	if r.Total() != 10 || r.Len() != 4 || r.Dropped() != 6 {
+	if r.Total() != 10 || r.n != 4 || r.Dropped() != 6 {
 		t.Fatalf("Total/Len/Dropped = %d/%d/%d, want 10/4/6",
-			r.Total(), r.Len(), r.Dropped())
+			r.Total(), r.n, r.Dropped())
 	}
 	evs := r.Events()
 	for i, ev := range evs {

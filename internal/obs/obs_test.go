@@ -17,10 +17,10 @@ func testPacket(flow pkt.FlowID, id uint64, size int) *pkt.Packet {
 func TestRingAppendAndOrder(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 5; i++ {
-		r.Append(Event{Seq: uint64(i)})
+		*r.nextSlot() = Event{Seq: uint64(i)}
 	}
-	if r.Len() != 5 || r.Total() != 5 || r.Dropped() != 0 {
-		t.Fatalf("len=%d total=%d dropped=%d", r.Len(), r.Total(), r.Dropped())
+	if r.n != 5 || r.Total() != 5 || r.Dropped() != 0 {
+		t.Fatalf("len=%d total=%d dropped=%d", r.n, r.Total(), r.Dropped())
 	}
 	evs := r.Events()
 	for i, ev := range evs {
@@ -35,10 +35,10 @@ func TestRingAppendAndOrder(t *testing.T) {
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Append(Event{Seq: uint64(i)})
+		*r.nextSlot() = Event{Seq: uint64(i)}
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if r.n != 4 {
+		t.Fatalf("Len = %d, want 4", r.n)
 	}
 	if r.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", r.Total())
@@ -60,12 +60,12 @@ func TestRingWraparound(t *testing.T) {
 
 func TestRingMinimumCapacity(t *testing.T) {
 	r := NewRing(0)
-	if r.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", r.Cap())
+	if len(r.buf) != 1 {
+		t.Fatalf("Cap = %d, want 1", len(r.buf))
 	}
-	r.Append(Event{Seq: 1})
-	r.Append(Event{Seq: 2})
-	if r.Len() != 1 || r.Events()[0].Seq != 2 {
+	*r.nextSlot() = Event{Seq: 1}
+	*r.nextSlot() = Event{Seq: 2}
+	if r.n != 1 || r.Events()[0].Seq != 2 {
 		t.Fatalf("single-slot ring must keep the newest event: %+v", r.Events())
 	}
 }
@@ -224,14 +224,8 @@ func TestRegistryMetrics(t *testing.T) {
 	if r.Counter("test.counter") != c {
 		t.Fatal("counter lookup must be stable")
 	}
-	g := r.Gauge("test.gauge")
-	g.Set(2)
-	g.Add(-0.5)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
 	h := r.Histogram("test.hist")
-	h.Observe(1)
+	h.ObserveDuration(time.Second)
 	h.ObserveDuration(3 * time.Second)
 	if h.Summary().Count() != 2 || h.Summary().Max() != 3 {
 		t.Fatalf("hist count=%d max=%v", h.Summary().Count(), h.Summary().Max())
@@ -241,7 +235,7 @@ func TestRegistryMetrics(t *testing.T) {
 	if _, err := r.WriteTo(&dump); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"test.counter\t5", "test.gauge\t1.5", "test.hist\tcount=2", "flows.started\t0"} {
+	for _, want := range []string{"test.counter\t5", "test.hist\tcount=2", "flows.started\t0"} {
 		if !strings.Contains(dump.String(), want) {
 			t.Errorf("dump missing %q:\n%s", want, dump.String())
 		}
@@ -252,7 +246,7 @@ func TestRegistryMetrics(t *testing.T) {
 			t.Fatal("cross-type re-registration must panic")
 		}
 	}()
-	r.Gauge("test.counter")
+	r.Histogram("test.counter")
 }
 
 // reduceRing encodes a bus's recorded events and reduces them with
@@ -319,8 +313,8 @@ func TestAnalysis(t *testing.T) {
 		t.Fatalf("keys = %v", keys)
 	}
 	q0 := st.Depths[QueueKey{Node: 1000, Port: 0, Queue: 0}]
-	if q0.Count() != 8 || q0.Max() != 2000 || q0.Min() != 500 {
-		t.Fatalf("q0 depth count=%d max=%v min=%v", q0.Count(), q0.Max(), q0.Min())
+	if q0.Count() != 8 || q0.Max() != 2000 || q0.Percentile(0) != 500 {
+		t.Fatalf("q0 depth count=%d max=%v min=%v", q0.Count(), q0.Max(), q0.Percentile(0))
 	}
 	if st.Marks.Value(4) != 1 || st.Dequeues.Value(0) != 1 {
 		t.Fatalf("mark series: marks(4)=%v deqs(0)=%v", st.Marks.Value(4), st.Dequeues.Value(0))

@@ -35,9 +35,6 @@ func (b *Bus) ObservePort(id PortID, numQueues int) *PortProbe {
 	return p
 }
 
-// ID returns the probe's port identity.
-func (p *PortProbe) ID() PortID { return p.id }
-
 // Enqueue records a packet admitted to queue q; portBytes/queueBytes
 // are the occupancy after the enqueue.
 func (p *PortProbe) Enqueue(t time.Duration, q int, packet *pkt.Packet, portBytes, queueBytes int) {

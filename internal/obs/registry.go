@@ -24,28 +24,12 @@ func (c *Counter) Inc() { c.v++ }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 
-// Gauge is a metric that can move in both directions (queue depth,
-// current rate).
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta float64) { g.v += delta }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram accumulates a sample distribution (FCTs, RTTs). It wraps
 // stats.Summary, so its percentiles follow the documented interpolation
 // rule. Observing a sample appends to a slice — amortized allocation —
 // so histograms belong on per-flow or per-interval paths, not per
 // packet.
 type Histogram struct{ s stats.Summary }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) { h.s.Add(v) }
 
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.s.AddDuration(d) }
@@ -61,7 +45,6 @@ func (h *Histogram) Summary() *stats.Summary { return &h.s }
 // panics (it is always a programming error).
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
 	// Well-known simulator-wide metrics, pre-registered so bus emit
@@ -78,7 +61,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 	r.pfcPauses = r.Counter("pfc.pauses")
@@ -93,9 +75,6 @@ func NewRegistry() *Registry {
 func (r *Registry) checkFresh(name, want string) {
 	if _, ok := r.counters[name]; ok && want != "counter" {
 		panic(fmt.Sprintf("obs: metric %q already registered as counter", name))
-	}
-	if _, ok := r.gauges[name]; ok && want != "gauge" {
-		panic(fmt.Sprintf("obs: metric %q already registered as gauge", name))
 	}
 	if _, ok := r.hists[name]; ok && want != "histogram" {
 		panic(fmt.Sprintf("obs: metric %q already registered as histogram", name))
@@ -113,17 +92,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.checkFresh(name, "gauge")
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
@@ -137,11 +105,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Names returns every registered metric name, sorted.
 func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.hists))
 	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
 		names = append(names, n)
 	}
 	for n := range r.hists {
@@ -158,12 +123,9 @@ func (r *Registry) Names() []string {
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
 	for _, name := range r.Names() {
-		switch {
-		case r.counters[name] != nil:
-			fmt.Fprintf(&b, "%s\t%d\n", name, r.counters[name].Value())
-		case r.gauges[name] != nil:
-			fmt.Fprintf(&b, "%s\t%g\n", name, r.gauges[name].Value())
-		default:
+		if c := r.counters[name]; c != nil {
+			fmt.Fprintf(&b, "%s\t%d\n", name, c.Value())
+		} else {
 			s := r.hists[name].Summary()
 			fmt.Fprintf(&b, "%s\tcount=%d mean=%g p50=%g p99=%g max=%g\n",
 				name, s.Count(), s.Mean(), s.Percentile(50), s.Percentile(99), s.Max())

@@ -8,14 +8,14 @@ import (
 // Ring is a preallocated circular buffer of trace events. Appends are
 // O(1), never allocate, and — by default — overwrite the oldest record
 // once the ring is full, so a long simulation keeps its most recent
-// window instead of growing without bound. Total() minus Len() says how
-// many records the wrap discarded.
+// window instead of growing without bound. Dropped() says how many
+// records the wrap discarded.
 //
 // Attaching a SpillWriter (SetSpill) changes the full-ring policy from
 // overwrite to flush: the retained events are streamed into the spill
 // sink oldest-first and the ring empties, so nothing is ever lost and
 // Dropped() stays 0. The spill sink absorbs I/O errors without
-// disturbing the hot Append path; they surface from FlushSpill (or the
+// disturbing the hot append path; they surface from FlushSpill (or the
 // next flush) instead.
 type Ring struct {
 	buf   []Event
@@ -36,7 +36,7 @@ func NewRing(capacity int) *Ring {
 }
 
 // SetSpill attaches a spill sink. Must be called before the first
-// Append: a ring switches between overwrite and spill semantics only
+// event: a ring switches between overwrite and spill semantics only
 // while empty, so a trace is never part-window, part-stream.
 func (r *Ring) SetSpill(s *SpillWriter) {
 	if r.total != 0 {
@@ -45,14 +45,11 @@ func (r *Ring) SetSpill(s *SpillWriter) {
 	r.spill = s
 }
 
-// Append records an event. When full: spill-flush if a sink is
-// attached, otherwise overwrite the oldest.
-func (r *Ring) Append(ev Event) { *r.nextSlot() = ev }
-
 // nextSlot claims the slot the next event will occupy, applying the
-// full-ring policy first. This is the hot emit path: probes build the
-// event directly in the returned slot, so a record never exists
-// anywhere else. The caller must overwrite the slot completely (it
+// full-ring policy first: when full, spill-flush if a sink is
+// attached, otherwise overwrite the oldest. This is the hot emit path:
+// probes build the event directly in the returned slot, so a record
+// never exists anywhere else. The caller must overwrite the slot completely (it
 // still holds a long-evicted event).
 func (r *Ring) nextSlot() *Event {
 	if r.n == len(r.buf) {
@@ -77,7 +74,7 @@ func (r *Ring) nextSlot() *Event {
 
 // flushSpill streams the retained events into the spill sink oldest
 // first (at most two contiguous segments) and empties the ring. Errors
-// are recorded, not returned: Append must stay infallible on the hot
+// are recorded, not returned: appending must stay infallible on the hot
 // path, and a trace-file error should fail the export, not the run.
 func (r *Ring) flushSpill() {
 	for _, seg := range r.segments() {
@@ -118,15 +115,6 @@ func (r *Ring) FlushSpill() error {
 
 // SpillErr returns the first deferred spill error, if any.
 func (r *Ring) SpillErr() error { return r.spillErr }
-
-// Spill returns the attached spill sink (nil if none).
-func (r *Ring) Spill() *SpillWriter { return r.spill }
-
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
-// Len returns the number of retained (in-memory) events.
-func (r *Ring) Len() int { return r.n }
 
 // Total returns the number of events ever appended (retained + spilled
 // + lost to wraparound).

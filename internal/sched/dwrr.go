@@ -23,10 +23,6 @@ type DWRR struct {
 	// now provides virtual time for round-time sampling; nil disables
 	// round timing (RoundTime reports 0).
 	now func() time.Duration
-	// beta is the EWMA history weight for the smoothed round time.
-	beta float64
-	// tIdle resets the round time after the port idles this long.
-	tIdle time.Duration
 
 	roundTime  time.Duration // smoothed
 	roundStart time.Duration
@@ -40,6 +36,13 @@ var (
 	_ RoundInfo = (*DWRR)(nil)
 )
 
+// The paper's round-time constants (Eq. 3): the EWMA history weight
+// beta (shared with WRR), and T_idle, the idle gap after which the
+// smoothed round time resets — one MTU transmission time at 10 Gbps.
+const roundBeta = 0.75
+
+var roundIdle = units.Serialization(units.MTU, 10*units.Gbps)
+
 // DWRROption customizes a DWRR scheduler.
 type DWRROption func(*DWRR)
 
@@ -47,18 +50,6 @@ type DWRROption func(*DWRR)
 // needs it; plain DWRR scheduling does not.
 func WithClock(now func() time.Duration) DWRROption {
 	return func(d *DWRR) { d.now = now }
-}
-
-// WithRoundEWMA sets the smoothing weight beta (history fraction) for the
-// round-time estimate. The paper uses beta = 0.75.
-func WithRoundEWMA(beta float64) DWRROption {
-	return func(d *DWRR) { d.beta = beta }
-}
-
-// WithIdleReset sets the idle interval after which the smoothed round
-// time resets to zero. The paper sets it to one MTU transmission time.
-func WithIdleReset(tIdle time.Duration) DWRROption {
-	return func(d *DWRR) { d.tIdle = tIdle }
 }
 
 // NewDWRR returns a DWRR scheduler. weights determine each queue's share;
@@ -73,8 +64,6 @@ func NewDWRR(weights []float64, quantumBase int, opts ...DWRROption) *DWRR {
 		quantum:   make([]int, len(weights)),
 		deficit:   make([]int, len(weights)),
 		inRing:    make([]bool, len(weights)),
-		beta:      0.75,
-		tIdle:     units.Serialization(units.MTU, 10*units.Gbps),
 		roundHead: -1,
 	}
 	for i, w := range weights {
@@ -167,7 +156,7 @@ func (d *DWRR) dropFromRing(q int) {
 }
 
 // openRound starts timing a new round led by queue q. A round that
-// opens after the port sat idle for more than tIdle first discards the
+// opens after the port sat idle for more than roundIdle first discards the
 // smoothed round time: the estimate describes a load that is gone, and
 // MQ-ECN's dynamic thresholds must fall back to the standard threshold
 // until fresh samples arrive. Shorter gaps keep the estimate — the port
@@ -175,7 +164,7 @@ func (d *DWRR) dropFromRing(q int) {
 func (d *DWRR) openRound(q int) {
 	if d.now != nil {
 		t := d.now()
-		if d.roundHead == -1 && d.everBusy && t-d.emptiedAt > d.tIdle {
+		if d.roundHead == -1 && d.everBusy && t-d.emptiedAt > roundIdle {
 			d.roundTime = 0
 		}
 		d.roundStart = t
@@ -192,7 +181,7 @@ func (d *DWRR) openRound(q int) {
 func (d *DWRR) closeRound() {
 	if d.now != nil {
 		sample := d.now() - d.roundStart
-		d.roundTime = time.Duration(d.beta*float64(d.roundTime) + (1-d.beta)*float64(sample))
+		d.roundTime = time.Duration(roundBeta*float64(d.roundTime) + (1-roundBeta)*float64(sample))
 	}
 	if len(d.active) == 0 {
 		d.roundHead = -1
@@ -207,7 +196,7 @@ func (d *DWRR) markIdle() {
 		d.emptiedAt = d.now()
 		// The reset itself is lazy: openRound (on the next enqueue) or
 		// ObserveIdle (if the port reports the gap first) compares the
-		// gap against tIdle and zeroes the estimate when it is stale.
+		// gap against roundIdle and zeroes the estimate when it is stale.
 	}
 }
 
@@ -215,7 +204,7 @@ func (d *DWRR) markIdle() {
 // scheduler can reset its round estimate after a long idle gap. It is
 // optional: ports call it when the scheduler was empty.
 func (d *DWRR) ObserveIdle(now time.Duration) {
-	if d.everBusy && now-d.emptiedAt > d.tIdle {
+	if d.everBusy && now-d.emptiedAt > roundIdle {
 		d.roundTime = 0
 	}
 }
@@ -294,8 +283,6 @@ func (b *DWRRBlock) Next() *DWRR {
 	d.deficit = b.deficit[off:end:end]
 	d.inRing = b.inRing[off:end:end]
 	d.active = b.active[off:off:end]
-	d.beta = 0.75
-	d.tIdle = units.Serialization(units.MTU, 10*units.Gbps)
 	d.roundHead = -1
 	for _, opt := range b.opts {
 		opt(d)

@@ -8,11 +8,12 @@ import (
 )
 
 // drainDWRR dequeues until empty, advancing the fake clock by perPkt
-// per packet.
+// between packets; on return the clock reads the instant the port
+// emptied.
 func drainDWRR(t *testing.T, s *DWRR, now *time.Duration, perPkt time.Duration) {
 	t.Helper()
 	for {
-		if _, _, ok := s.Dequeue(); !ok {
+		if _, _, ok := s.Dequeue(); !ok || s.TotalPackets() == 0 {
 			return
 		}
 		*now += perPkt
@@ -21,18 +22,17 @@ func drainDWRR(t *testing.T, s *DWRR, now *time.Duration, perPkt time.Duration) 
 
 // Regression for the stale-round guard: the old closeRound condition
 // (`d.now()-d.emptiedAt >= 0`, vacuously true in monotonic virtual
-// time) never compared the idle gap against tIdle, so the smoothed
+// time) never compared the idle gap against T_idle, so the smoothed
 // round time was either reset regardless of gap length or — because
 // draining the port always closes the round first — never reset at all
 // unless the port happened to call ObserveIdle. The scheduler itself
-// must enforce the paper's rule: a gap longer than tIdle invalidates
-// the estimate, a shorter one does not.
+// must enforce the paper's rule: a gap longer than T_idle (roundIdle)
+// invalidates the estimate, a shorter one does not.
 func TestDWRRSubTIdleGapKeepsRoundTime(t *testing.T) {
 	var now time.Duration
-	const tIdle = 10 * time.Microsecond
+	tIdle := roundIdle
 	s := NewDWRR([]float64{1, 1}, units.MTU,
-		WithClock(func() time.Duration { return now }),
-		WithIdleReset(tIdle))
+		WithClock(func() time.Duration { return now }))
 	for i := 0; i < 10; i++ {
 		s.Enqueue(0, mkpkt(units.MTU))
 		s.Enqueue(1, mkpkt(units.MTU))
@@ -59,10 +59,9 @@ func TestDWRRSubTIdleGapKeepsRoundTime(t *testing.T) {
 
 func TestDWRRLongIdleGapResetsRoundTime(t *testing.T) {
 	var now time.Duration
-	const tIdle = 10 * time.Microsecond
+	tIdle := roundIdle
 	s := NewDWRR([]float64{1, 1}, units.MTU,
-		WithClock(func() time.Duration { return now }),
-		WithIdleReset(tIdle))
+		WithClock(func() time.Duration { return now }))
 	for i := 0; i < 10; i++ {
 		s.Enqueue(0, mkpkt(units.MTU))
 		s.Enqueue(1, mkpkt(units.MTU))
@@ -93,18 +92,17 @@ func TestDWRRLongIdleGapResetsRoundTime(t *testing.T) {
 // the port idles *longer* than tIdle.
 func TestDWRRExactTIdleGapKeepsRoundTime(t *testing.T) {
 	var now time.Duration
-	const tIdle = 10 * time.Microsecond
+	tIdle := roundIdle
 	s := NewDWRR([]float64{1}, units.MTU,
-		WithClock(func() time.Duration { return now }),
-		WithIdleReset(tIdle))
+		WithClock(func() time.Duration { return now }))
 	s.Enqueue(0, mkpkt(units.MTU))
 	now += 2 * time.Microsecond
 	drainDWRR(t, s, &now, 2*time.Microsecond)
 	rt := s.RoundTime()
 
-	// The port emptied at the final dequeue, one perPkt step before
-	// now; land the reopening enqueue exactly tIdle after that instant.
-	now += tIdle - 2*time.Microsecond
+	// The port emptied at the final dequeue, at now; land the reopening
+	// enqueue exactly tIdle after that instant.
+	now += tIdle
 	s.Enqueue(0, mkpkt(units.MTU))
 	if got := s.RoundTime(); got != rt {
 		t.Fatalf("RoundTime after exactly tIdle = %v, want %v", got, rt)

@@ -258,8 +258,7 @@ func TestSPWFQHierarchy(t *testing.T) {
 func TestDWRRRoundTime(t *testing.T) {
 	var now time.Duration
 	s := NewDWRR([]float64{1, 1}, units.MTU,
-		WithClock(func() time.Duration { return now }),
-		WithRoundEWMA(0)) // no smoothing: RoundTime = last sample
+		WithClock(func() time.Duration { return now }))
 	if s.RoundTime() != 0 {
 		t.Fatal("initial RoundTime should be 0")
 	}
@@ -274,12 +273,14 @@ func TestDWRRRoundTime(t *testing.T) {
 		}
 		now += 2 * time.Microsecond
 	}
-	// A full round serves one quantum (1 MTU) from each of 2 queues at
-	// 2us per packet => about 4us per round (rotation bookkeeping can
-	// shift sampling by one packet).
+	// A full round serves one quantum (1 MTU) from each of 2 queues;
+	// the round closes at the dequeue that rotates back to its head, one
+	// 2us clock step after it opened, so every sample is 2us. The
+	// beta = 0.75 EWMA starts at zero and, after 15 rounds, sits within
+	// 2% of the sample.
 	rt := s.RoundTime()
-	if rt < 2*time.Microsecond || rt > 8*time.Microsecond {
-		t.Fatalf("RoundTime = %v, want ~4us", rt)
+	if rt < 1960*time.Nanosecond || rt > 2*time.Microsecond {
+		t.Fatalf("RoundTime = %v, want just under 2us", rt)
 	}
 	if got := s.QuantumBytes(0); got != units.MTU {
 		t.Fatalf("QuantumBytes = %d, want %d", got, units.MTU)
@@ -289,9 +290,7 @@ func TestDWRRRoundTime(t *testing.T) {
 func TestDWRRIdleReset(t *testing.T) {
 	var now time.Duration
 	s := NewDWRR([]float64{1, 1}, units.MTU,
-		WithClock(func() time.Duration { return now }),
-		WithRoundEWMA(0),
-		WithIdleReset(time.Microsecond))
+		WithClock(func() time.Duration { return now }))
 	for i := 0; i < 10; i++ {
 		s.Enqueue(0, mkpkt(units.MTU))
 		s.Enqueue(1, mkpkt(units.MTU))
@@ -305,7 +304,7 @@ func TestDWRRIdleReset(t *testing.T) {
 	if s.RoundTime() == 0 {
 		t.Fatal("expected nonzero round time after busy period")
 	}
-	// Idle longer than tIdle, then the port reports the gap.
+	// Idle longer than roundIdle, then the port reports the gap.
 	now += 10 * time.Microsecond
 	s.ObserveIdle(now)
 	if s.RoundTime() != 0 {

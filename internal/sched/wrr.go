@@ -22,7 +22,6 @@ type WRR struct {
 	inRing  []bool
 
 	now        func() time.Duration
-	beta       float64
 	roundTime  time.Duration
 	roundStart time.Duration
 	roundHead  int
@@ -49,7 +48,6 @@ func NewWRR(weights []float64, opts ...WRROption) *WRR {
 		credits:   make([]int, len(weights)),
 		left:      make([]int, len(weights)),
 		inRing:    make([]bool, len(weights)),
-		beta:      0.75,
 		roundHead: -1,
 	}
 	min := math.Inf(1)
@@ -149,7 +147,7 @@ func (w *WRR) openRound(q int) {
 func (w *WRR) closeRound() {
 	if w.now != nil {
 		sample := w.now() - w.roundStart
-		w.roundTime = time.Duration(w.beta*float64(w.roundTime) + (1-w.beta)*float64(sample))
+		w.roundTime = time.Duration(roundBeta*float64(w.roundTime) + (1-roundBeta)*float64(sample))
 	}
 	if len(w.active) == 0 {
 		w.roundHead = -1

@@ -256,8 +256,8 @@ func TestRunUntilDeadline(t *testing.T) {
 		if e.Now() != 2*time.Millisecond {
 			t.Fatalf("clock at %v, want 2ms", e.Now())
 		}
-		if e.Pending() != 2 {
-			t.Fatalf("pending = %d, want 2", e.Pending())
+		if e.q.len() != 2 {
+			t.Fatalf("pending = %d, want 2", e.q.len())
 		}
 		// An idle stretch: the clock still advances to the deadline.
 		e.RunUntil(3 * time.Millisecond)
@@ -324,9 +324,9 @@ func TestCalendarHandoff(t *testing.T) {
 			if e.Stats().Queue.Kind != "heap" {
 				t.Fatalf("Stats reports %q after the handoff", e.Stats().Queue.Kind)
 			}
-			if cq.count != 0 || cq.overflow.len() != e.Pending() {
+			if cq.count != 0 || cq.overflow.len() != e.q.len() {
 				t.Fatalf("after the handoff: %d events left in buckets, %d of %d in the heap",
-					cq.count, cq.overflow.len(), e.Pending())
+					cq.count, cq.overflow.len(), e.q.len())
 			}
 		})
 		if len(got) != len(want) {

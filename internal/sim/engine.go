@@ -13,13 +13,15 @@
 // it for the rest of the run; NewEngineWithQueue selects the heap from
 // the start, the reference for differential determinism tests.
 //
-// Two scheduling forms exist. Schedule/ScheduleAt take a plain func()
-// closure — convenient, but every call site that captures state
-// allocates a closure (and the returned *Timer escapes). The hot paths
-// use ScheduleCall/ScheduleCallAt instead: the callback is a func(any)
-// shared across calls (typically a package-level function or a field
-// bound once at construction) and the per-call state travels in the
-// arg word, so steady-state scheduling performs zero allocations.
+// Every event record holds one callback form: a func(any) and its arg.
+// ScheduleCall/ScheduleCallAt set both directly; the callback is shared
+// across calls (typically a package-level function or a field bound
+// once at construction) and the per-call state travels in the arg word,
+// so steady-state scheduling performs zero allocations.
+// Schedule/ScheduleAt take a plain func() and store it as the arg of
+// one shared trampoline, runFunc — a func value stores into an any
+// without allocating, but a call site that captures state still
+// allocates its closure, and the returned *Timer escapes.
 package sim
 
 import (
@@ -63,7 +65,7 @@ type Engine struct {
 	// millions of events, and reusing the records removes the dominant
 	// allocation from the hot loop. Generation tags keep stale Timer
 	// handles inert after reuse. The list is bounded by the high-water
-	// mark of Pending() (floor 1024), so a large fabric's record
+	// mark of pending events (floor 1024), so a large fabric's record
 	// population survives drain/refill cycles without re-allocating.
 	free    []*event
 	hiwater int
@@ -101,10 +103,6 @@ func NewEngineWithQueue(kind QueueKind) *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Pending returns the number of scheduled, not-yet-executed events
-// (cancelled events count until their time arrives).
-func (e *Engine) Pending() int { return e.q.len() }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -164,10 +162,13 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) *Timer {
 // ScheduleAt runs fn at absolute virtual time at. Times in the past are
 // clamped to the current time.
 func (e *Engine) ScheduleAt(at time.Duration, fn func()) *Timer {
-	ev := e.insert(at)
-	ev.fn = fn
-	return &Timer{ev: ev, gen: ev.gen}
+	t := e.ScheduleCallAt(at, runFunc, fn)
+	return &t
 }
+
+// runFunc is the trampoline behind Schedule/ScheduleAt: the func()
+// rides in the event arg.
+func runFunc(arg any) { arg.(func())() }
 
 // ScheduleCall runs fn(arg) after delay. It is the allocation-free
 // counterpart of Schedule: fn must not be a per-call closure (use a
@@ -259,7 +260,6 @@ func (e *Engine) injectRemote(at, schedAt time.Duration, lane uint32, seq uint64
 // high-water mark so it adapts to the fabric's real event population.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.callFn = nil
 	ev.arg = nil
 	cap := e.hiwater
@@ -292,13 +292,9 @@ func (e *Engine) Step() bool {
 				e.mon.publish(e.processed, e.now)
 			}
 		}
-		fn, callFn, arg := ev.fn, ev.callFn, ev.arg
+		fn, arg := ev.callFn, ev.arg
 		e.recycle(ev)
-		if callFn != nil {
-			callFn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 		return true
 	}
 }
@@ -375,63 +371,45 @@ func (e *Engine) peek() *event {
 	}
 }
 
-// Ticker runs a callback at a fixed virtual-time interval until
-// stopped; experiments use it for periodic sampling (queue occupancy,
-// window traces).
-type Ticker struct {
-	eng      *sim
-	timer    Timer
-	stopped  bool
+// ticker runs a callback at a fixed virtual-time interval for the rest
+// of the run (DCQCN's alpha and rate-recovery timers).
+type ticker struct {
+	eng      *Engine
 	interval time.Duration
 	fn       func()
 }
 
-// internal alias so Ticker can hold its engine without exporting a
-// second name for it.
-type sim = Engine
-
 // Every schedules fn to run every interval, starting one interval from
-// now. Stop the returned Ticker to cancel. A non-positive interval is
-// rejected by returning a stopped ticker.
-func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, interval: interval, fn: fn}
+// now, for the rest of the run. A non-positive interval schedules
+// nothing.
+func (e *Engine) Every(interval time.Duration, fn func()) {
 	if interval <= 0 {
-		t.stopped = true
-		return t
-	}
-	t.schedule()
-	return t
-}
-
-// tickerFire is the shared tick trampoline: ticks carry their Ticker in
-// the event arg, so a ticker schedules forever without allocating.
-func tickerFire(arg any) {
-	t := arg.(*Ticker)
-	if t.stopped {
 		return
 	}
+	t := &ticker{eng: e, interval: interval, fn: fn}
+	t.schedule()
+}
+
+// tickerFire is the shared tick trampoline: ticks carry their ticker in
+// the event arg, so a ticker schedules forever without allocating.
+func tickerFire(arg any) {
+	t := arg.(*ticker)
 	t.fn()
 	t.schedule()
 }
 
-func (t *Ticker) schedule() {
-	t.timer = t.eng.ScheduleCall(t.interval, tickerFire, t)
+func (t *ticker) schedule() {
+	t.eng.ScheduleCall(t.interval, tickerFire, t)
 }
 
-// Stop cancels future ticks. Safe to call repeatedly.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.timer.Cancel()
-}
-
-// event is a pending-event record. Exactly one of fn / callFn is set.
-// next chains events inside a calendar-queue bucket; it is nil whenever
-// the event is not resident in a bucket.
+// event is a pending-event record: callFn runs with arg. next chains
+// events inside a calendar-queue bucket; it is nil whenever the event
+// is not resident in a bucket.
 // event records are pooled and compared in the queue hot paths, so the
 // layout matters: every field the sort key reads (at, schedAt, lane,
-// seq) plus the chain pointer sits in the first 64 bytes, and the only
-// field dispatch alone needs (arg) takes the overflow slot — a
-// comparison or chain walk touches exactly one cache line per record.
+// seq) plus the chain pointer sits in the first 64 bytes, and arg, which
+// only dispatch reads, ends past them — a comparison or chain walk
+// touches exactly one cache line per record.
 type event struct {
 	at time.Duration
 	// schedAt is the virtual time the event was scheduled at (the
@@ -446,7 +424,6 @@ type event struct {
 	seq     uint64
 	gen     uint64
 	next    *event
-	fn      func()
 	callFn  func(any)
 	// lane identifies the event's scheduling domain: 0 for local
 	// schedules, 1+shardID for events injected from another shard. seq

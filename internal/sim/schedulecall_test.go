@@ -137,8 +137,8 @@ func TestHeapChurnOrdering(t *testing.T) {
 			t.Fatalf("fire %d duplicated seq %d", i, fired[i].seq)
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Run, want 0", e.Pending())
+	if e.q.len() != 0 {
+		t.Fatalf("Pending() = %d after Run, want 0", e.q.len())
 	}
 }
 

@@ -43,15 +43,6 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(len(s.samples))
 }
 
-// Min returns the smallest sample (0 with no samples).
-func (s *Summary) Min() float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.samples[0]
-}
-
 // Max returns the largest sample (0 with no samples).
 func (s *Summary) Max() float64 {
 	if len(s.samples) == 0 {

@@ -11,7 +11,7 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Count() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Count() != 0 || s.Mean() != 0 || s.Percentile(50) != 0 || minSample(&s) != 0 || s.Max() != 0 {
 		t.Fatal("zero-value Summary should answer zeros")
 	}
 	for _, v := range []float64{5, 1, 3, 2, 4} {
@@ -23,8 +23,8 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Mean() != 3 {
 		t.Fatalf("Mean = %v", s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if minSample(&s) != 1 || s.Max() != 5 {
+		t.Fatalf("Min/Max = %v/%v", minSample(&s), s.Max())
 	}
 	if got := s.Percentile(50); got != 3 {
 		t.Fatalf("P50 = %v", got)
@@ -95,7 +95,7 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 			a, b = b, a
 		}
 		pa, pb := s.Percentile(a), s.Percentile(b)
-		return pa <= pb && pa >= s.Min() && pb <= s.Max()
+		return pa <= pb && pa >= minSample(&s) && pb <= s.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -389,4 +389,13 @@ func TestTraceAfterHelpers(t *testing.T) {
 	if got := tr.MeanAfter(10 * time.Millisecond); got != 0 {
 		t.Fatalf("MeanAfter past end = %v, want 0", got)
 	}
+}
+
+// minSample is the smallest sample (0 with none).
+func minSample(s *Summary) float64 {
+	if len(s.samples) == 0 {
+		return 0
+	}
+	s.sort()
+	return s.samples[0]
 }

@@ -97,8 +97,7 @@ func wireDumbbell(sb *shardBuilder, cfg DumbbellConfig) *Dumbbell {
 		id := pkt.NodeID(2 + i)
 		h := netsim.NewHost(sb.engine(0), id)
 		h.AttachNIC(sb.link(id, swID, cfg.AccessRate, cfg.Delay, d.Switch))
-		port := netsim.NewPort(sb.engine(swShard),
-			sb.link(swID, id, cfg.AccessRate, cfg.Delay, h),
+		port := netsim.NewPort(sb.link(swID, id, cfg.AccessRate, cfg.Delay, h),
 			netsim.PortConfig{Sched: sched.NewFIFO()})
 		d.Switch.AddPort(port)
 		d.Senders[i] = h

@@ -22,12 +22,11 @@ type FatTreeConfig struct {
 	K int
 	// Rate is the capacity of every link (default 10 Gbps).
 	Rate units.Rate
-	// Delay is the one-way propagation delay per link (default 1us).
-	Delay time.Duration
 	// FabricDelaySkew, when nonzero, gives the agg<->core cable between
-	// pod p and core c the delay Delay + (1+p*nCores+c)*FabricDelaySkew
-	// (both directions) instead of a uniform Delay — every fabric cable
-	// gets a unique length, and none matches the pod-internal delay.
+	// pod p and core c the delay
+	// fatTreeDelay + (1+p*nCores+c)*FabricDelaySkew (both directions)
+	// instead of a uniform fatTreeDelay — every fabric cable gets a
+	// unique length, and none matches the pod-internal delay.
 	// Differential tests use a nanosecond-scale skew so no two
 	// cross-shard arrivals can tie on (at, schedAt) through different
 	// channels, which is the precondition for the sharded tie-break to
@@ -38,6 +37,10 @@ type FatTreeConfig struct {
 	// Ports configures every switch port (required).
 	Ports PortProfile
 }
+
+// fatTreeDelay is the one-way propagation delay of every fat-tree link
+// (before FabricDelaySkew).
+const fatTreeDelay = time.Microsecond
 
 // FatTree is the instantiated fabric.
 type FatTree struct {
@@ -66,9 +69,6 @@ func (cfg *FatTreeConfig) shape() ftShape {
 	}
 	if cfg.Rate == 0 {
 		cfg.Rate = 10 * units.Gbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = time.Microsecond
 	}
 	k := cfg.K
 	half := k / 2
@@ -178,7 +178,7 @@ func NewFatTree(eng *sim.Engine, cfg FatTreeConfig) *FatTree {
 // aggregation switches) lands on shard p*shards/k — and the cores are
 // block-distributed the same way, so the only cross-shard links are
 // agg<->core cables between different blocks (every one with delay
-// cfg.Delay = the lookahead). shards must not exceed the pod count.
+// fatTreeDelay = the lookahead). shards must not exceed the pod count.
 // FatTree.Eng is shard 0's engine; drive with Run. Each shard's node
 // state comes from its own arena, so shard-hot state never false-shares
 // a cache line with a neighbour's.
@@ -221,13 +221,13 @@ func wireFatTree(sb *shardBuilder, cfg FatTreeConfig) *FatTree {
 	}
 
 	link := func(from, to netsim.Node) netsim.Link {
-		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, cfg.Delay, to)
+		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, fatTreeDelay, to)
 	}
 	// One cable-length formula per (pod, core) pair, both directions;
 	// these are the cut links of a sharded build, so a skew here also
 	// diversifies the coordinator's per-channel delays.
 	fabricLink := func(p, c int, from, to netsim.Node) netsim.Link {
-		d := cfg.Delay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
+		d := fatTreeDelay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
 		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, d, to)
 	}
 
@@ -241,7 +241,7 @@ func wireFatTree(sb *shardBuilder, cfg FatTreeConfig) *FatTree {
 		id := pkt.NodeID(i + 1)
 		sb.assign(id, s)
 		// The host does not exist yet, so its NIC link is wired by ID.
-		h := fa.newHost(s, id, sb.linkVal(id, edge.NodeID(), cfg.Rate, cfg.Delay, edge))
+		h := fa.newHost(s, id, sb.linkVal(id, edge.NodeID(), cfg.Rate, fatTreeDelay, edge))
 		edge.AddPort(fa.newPort(s, link(edge, h)))
 		ft.Hosts = append(ft.Hosts, h)
 	}
@@ -363,7 +363,7 @@ func (ft *FatTree) ArenaOverflow() int {
 // threshold derivation at fat-tree scale.
 func (ft *FatTree) BaseRTT() time.Duration {
 	// 6 links each way.
-	prop := 12 * ft.cfg.Delay
+	prop := 12 * fatTreeDelay
 	dataSer := 6 * units.Serialization(units.MTU, ft.cfg.Rate)
 	ackSer := 6 * units.Serialization(units.AckSize, ft.cfg.Rate)
 	return prop + dataSer + ackSer

@@ -10,7 +10,9 @@ import (
 )
 
 // LeafSpineConfig parametrizes the large-scale fabric. The paper's
-// setup: 4 leaves, 4 spines, 12 hosts per leaf, 10 Gbps links, ECMP.
+// setup: 4 leaves, 4 spines, 12 hosts per leaf, 10 Gbps links, ECMP
+// (per flow: all packets of a flow take one spine). Every host<->leaf
+// link has a one-way propagation delay of leafSpineDelay.
 type LeafSpineConfig struct {
 	// Leaves is the number of leaf (ToR) switches (default 4).
 	Leaves int
@@ -20,23 +22,36 @@ type LeafSpineConfig struct {
 	HostsPerLeaf int
 	// Rate is the capacity of every link (default 10 Gbps).
 	Rate units.Rate
-	// Delay is the one-way propagation delay per host<->leaf link
-	// (default 5us).
-	Delay time.Duration
 	// FabricDelay is the one-way propagation delay per leaf<->spine
-	// link (default Delay). Making it differ from Delay breaks the
+	// link (default leafSpineDelay). Making it differ breaks the
 	// uniform delay lattice, which the sharded differential tests use to
 	// rule out same-instant ties between fabric-internal and cross-shard
 	// arrivals (see DESIGN.md section 8).
 	FabricDelay time.Duration
 	// Ports configures every switch port (required).
 	Ports PortProfile
-	// PerPacketECMP sprays individual packets across spines instead of
-	// hashing per flow. It spreads load perfectly but reorders packets;
-	// the DCTCP receiver's cumulative ACKs tolerate it at the cost of
-	// spurious dup-ACK retransmissions. Off by default (the paper, like
-	// production fabrics, uses flow-level ECMP).
-	PerPacketECMP bool
+}
+
+// leafSpineDelay is the one-way propagation delay of a host<->leaf link.
+const leafSpineDelay = 5 * time.Microsecond
+
+// defaults fills the zero fields with the paper's setup.
+func (cfg *LeafSpineConfig) defaults() {
+	if cfg.Leaves == 0 {
+		cfg.Leaves = 4
+	}
+	if cfg.Spines == 0 {
+		cfg.Spines = 4
+	}
+	if cfg.HostsPerLeaf == 0 {
+		cfg.HostsPerLeaf = 12
+	}
+	if cfg.Rate == 0 {
+		cfg.Rate = 10 * units.Gbps
+	}
+	if cfg.FabricDelay == 0 {
+		cfg.FabricDelay = leafSpineDelay
+	}
 }
 
 // LeafSpine is the instantiated fabric.
@@ -58,7 +73,7 @@ func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
 // NewLeafSpineSharded wires the same fabric across a coordinator's
 // shards: all hosts on shard 0, all switches (leaves and spines) on
 // shard 1. The only cross-shard links are the host<->leaf cables, so
-// the lookahead is cfg.Delay regardless of FabricDelay. LeafSpine.Eng
+// the lookahead is leafSpineDelay regardless of FabricDelay. LeafSpine.Eng
 // is shard 0's engine (the hosts' clock); drive the simulation with
 // Run.
 func NewLeafSpineSharded(coord *sim.Coordinator, cfg LeafSpineConfig, shards int) (*LeafSpine, *Partition) {
@@ -70,24 +85,7 @@ func NewLeafSpineSharded(coord *sim.Coordinator, cfg LeafSpineConfig, shards int
 }
 
 func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
-	if cfg.Leaves == 0 {
-		cfg.Leaves = 4
-	}
-	if cfg.Spines == 0 {
-		cfg.Spines = 4
-	}
-	if cfg.HostsPerLeaf == 0 {
-		cfg.HostsPerLeaf = 12
-	}
-	if cfg.Rate == 0 {
-		cfg.Rate = 10 * units.Gbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 5 * time.Microsecond
-	}
-	if cfg.FabricDelay == 0 {
-		cfg.FabricDelay = cfg.Delay
-	}
+	cfg.defaults()
 	fabShard := len(sb.engs) - 1
 	fabEng := sb.engine(fabShard)
 
@@ -112,10 +110,10 @@ func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
 		id := pkt.NodeID(i + 1)
 		sb.assign(id, 0)
 		h := netsim.NewHost(sb.engine(0), id)
-		h.AttachNIC(sb.link(id, leaf.NodeID(), cfg.Rate, cfg.Delay, leaf))
+		h.AttachNIC(sb.link(id, leaf.NodeID(), cfg.Rate, leafSpineDelay, leaf))
 		// Leaf down-port to this host: port index i % HostsPerLeaf.
 		leaf.AddPort(cfg.Ports.newPort(fabEng,
-			sb.link(leaf.NodeID(), id, cfg.Rate, cfg.Delay, h)))
+			sb.link(leaf.NodeID(), id, cfg.Rate, leafSpineDelay, h)))
 		ls.Hosts = append(ls.Hosts, h)
 	}
 
@@ -140,18 +138,12 @@ func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
 	hostDown := func(dst pkt.NodeID) int { return (int(dst) - 1) % cfg.HostsPerLeaf }
 	for l, leaf := range ls.Leaves {
 		l := l
-		var sprayNext int
 		leaf.SetRoute(func(p *pkt.Packet) int {
 			if int(p.Dst) < 1 || int(p.Dst) > nHosts {
 				return -1
 			}
 			if hostLeaf(p.Dst) == l {
 				return hostDown(p.Dst)
-			}
-			if cfg.PerPacketECMP {
-				// Round-robin packet spraying across spines.
-				sprayNext = (sprayNext + 1) % cfg.Spines
-				return cfg.HostsPerLeaf + sprayNext
 			}
 			// ECMP over spines by flow hash: all packets of a flow take
 			// one path (no reordering), different flows spread out.
@@ -174,7 +166,7 @@ func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
 // derivation in the large-scale experiments.
 func (ls *LeafSpine) BaseRTT() time.Duration {
 	// 4 links each way: two host<->leaf edges and two leaf<->spine edges.
-	prop := 4*ls.cfg.Delay + 4*ls.cfg.FabricDelay
+	prop := 4*leafSpineDelay + 4*ls.cfg.FabricDelay
 	dataSer := 4 * units.Serialization(units.MTU, ls.cfg.Rate)
 	ackSer := 4 * units.Serialization(units.AckSize, ls.cfg.Rate)
 	return prop + dataSer + ackSer

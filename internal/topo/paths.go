@@ -95,34 +95,16 @@ func DumbbellPaths(cfg DumbbellConfig) *PathGraph {
 
 // LeafSpinePaths is the engine-free counterpart of NewLeafSpine. Spine
 // selection uses the identical ecmpHash(flow) % Spines decision as the
-// leaf routing closure (per-packet spraying has no flow-level
-// equivalent and is not supported).
+// leaf routing closure.
 func LeafSpinePaths(cfg LeafSpineConfig) *PathGraph {
-	if cfg.Leaves == 0 {
-		cfg.Leaves = 4
-	}
-	if cfg.Spines == 0 {
-		cfg.Spines = 4
-	}
-	if cfg.HostsPerLeaf == 0 {
-		cfg.HostsPerLeaf = 12
-	}
-	if cfg.Rate == 0 {
-		cfg.Rate = 10 * units.Gbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = 5 * time.Microsecond
-	}
-	if cfg.FabricDelay == 0 {
-		cfg.FabricDelay = cfg.Delay
-	}
+	cfg.defaults()
 	nHosts := cfg.Leaves * cfg.HostsPerLeaf
 	// Links: up(i) = i, down(i) = n + i, leafUp(l, s) = 2n + l*Spines + s,
 	// spineDown(s, l) = 2n + Leaves*Spines + s*Leaves + l.
 	nFab := cfg.Leaves * cfg.Spines
 	links := make([]PathLink, 2*nHosts+2*nFab)
 	for i := 0; i < 2*nHosts; i++ {
-		links[i] = PathLink{Rate: cfg.Rate, Delay: cfg.Delay}
+		links[i] = PathLink{Rate: cfg.Rate, Delay: leafSpineDelay}
 	}
 	for i := 2 * nHosts; i < len(links); i++ {
 		links[i] = PathLink{Rate: cfg.Rate, Delay: cfg.FabricDelay}
@@ -158,25 +140,9 @@ func LeafSpinePaths(cfg LeafSpineConfig) *PathGraph {
 // decisions (edge tier hashes the flow ID, the aggregation tier salts
 // it with ecmpAggSalt so the core choice decorrelates).
 func FatTreePaths(cfg FatTreeConfig) *PathGraph {
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
-	if cfg.K%2 != 0 {
-		panic("topo: fat-tree K must be even")
-	}
-	if cfg.Rate == 0 {
-		cfg.Rate = 10 * units.Gbps
-	}
-	if cfg.Delay == 0 {
-		cfg.Delay = time.Microsecond
-	}
-	k := cfg.K
-	half := k / 2
-	pods := k
-	hpp := half * half
-	nHosts := pods * hpp
+	sh := cfg.shape()
+	half, pods, hpp, nHosts, nCores := sh.half, sh.pods, sh.hostsPerPod, sh.nHosts, sh.nCores
 	nEdges := pods * half
-	nCores := half * half
 
 	// Links: up(i) = i, down(i) = n + i,
 	// edgeUp(e, j)  = 2n + e*half + j          (edge e -> agg pod(e)*half+j)
@@ -189,12 +155,12 @@ func FatTreePaths(cfg FatTreeConfig) *PathGraph {
 	coreDown := aggUp + nEdges*half
 	links := make([]PathLink, coreDown+nCores*pods)
 	for i := 0; i < aggUp; i++ {
-		links[i] = PathLink{Rate: cfg.Rate, Delay: cfg.Delay}
+		links[i] = PathLink{Rate: cfg.Rate, Delay: fatTreeDelay}
 	}
 	// Agg<->core cables use the per-(pod, core) length formula of the
 	// packet builder's fabricLink.
 	fabricDelay := func(p, c int) time.Duration {
-		return cfg.Delay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
+		return fatTreeDelay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
 	}
 	for a := 0; a < nEdges; a++ {
 		p, j := a/half, a%half

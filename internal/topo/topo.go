@@ -168,7 +168,7 @@ func (pp *PortProfile) scheduler(eng *sim.Engine) sched.Scheduler {
 
 // newPort instantiates one port from the profile.
 func (pp PortProfile) newPort(eng *sim.Engine, link *netsim.Link) *netsim.Port {
-	return netsim.NewPort(eng, link, netsim.PortConfig{
+	return netsim.NewPort(link, netsim.PortConfig{
 		Sched:       pp.scheduler(eng),
 		Marker:      pp.marker(),
 		BufferBytes: pp.BufferBytes,
@@ -244,16 +244,4 @@ func DWRRBlocks() SchedBlockFactory {
 		b := sched.NewDWRRBlock(n, weights, units.MTU, sched.WithClock(eng.Now))
 		return func() sched.Scheduler { return b.Next() }
 	}
-}
-
-// BaseRTT estimates the unloaded round-trip time of a path with the
-// given number of traversed links (each adding propagation delay), one
-// data serialization per store-and-forward hop at rate, and the ACK
-// return serializations. It is the quantity the paper plugs into
-// K = C x RTT x lambda.
-func BaseRTT(hops int, delay time.Duration, rate units.Rate) time.Duration {
-	prop := time.Duration(2*hops) * delay
-	dataSer := time.Duration(hops) * units.Serialization(units.MTU, rate)
-	ackSer := time.Duration(hops) * units.Serialization(units.AckSize, rate)
-	return prop + dataSer + ackSer
 }

@@ -6,7 +6,6 @@ import (
 
 	"pmsb/internal/pkt"
 	"pmsb/internal/sim"
-	"pmsb/internal/transport"
 	"pmsb/internal/units"
 )
 
@@ -15,7 +14,6 @@ func TestLeafSpineCustomDimensions(t *testing.T) {
 	ls := NewLeafSpine(eng, LeafSpineConfig{
 		Leaves: 2, Spines: 3, HostsPerLeaf: 4,
 		Rate:  40 * units.Gbps,
-		Delay: time.Microsecond,
 		Ports: fifoProfile(),
 	})
 	if ls.NumHosts() != 8 {
@@ -110,50 +108,5 @@ func TestDumbbellAsymmetricRates(t *testing.T) {
 	// Base RTT includes the slower bottleneck serialization (12us).
 	if rtt := d.BaseRTT(); rtt < 33*time.Microsecond {
 		t.Fatalf("asymmetric BaseRTT = %v, want > 33us", rtt)
-	}
-}
-
-func TestPerPacketECMPSpray(t *testing.T) {
-	eng := sim.NewEngine()
-	ls := NewLeafSpine(eng, LeafSpineConfig{Ports: fifoProfile(), PerPacketECMP: true})
-	for i := 0; i < 40; i++ {
-		ls.Host(0).Send(&pkt.Packet{Flow: 42, Src: 1, Dst: 13, Size: 100, ID: uint64(i)})
-	}
-	eng.Run()
-	// One flow's packets must be spread over all four spines.
-	used := 0
-	for _, s := range ls.Spines {
-		for i := 0; i < s.NumPorts(); i++ {
-			if s.Port(i).TxPackets() > 0 {
-				used++
-				if s.Port(i).TxPackets() != 10 {
-					t.Fatalf("uneven spray: %d packets on one spine", s.Port(i).TxPackets())
-				}
-			}
-		}
-	}
-	if used != 4 {
-		t.Fatalf("spray used %d spine ports, want 4", used)
-	}
-	if ls.Host(12).RxPackets() != 40 {
-		t.Fatalf("delivered %d/40", ls.Host(12).RxPackets())
-	}
-}
-
-func TestPerPacketECMPTransportSurvivesReordering(t *testing.T) {
-	// Under packet spraying a DCTCP flow must still deliver exactly its
-	// bytes (cumulative ACKs absorb reordering).
-	eng := sim.NewEngine()
-	ls := NewLeafSpine(eng, LeafSpineConfig{Ports: fifoProfile(), PerPacketECMP: true})
-	done := false
-	f := transport.NewFlow(eng, ls.Host(0), ls.Host(13), 1, 0, 500_000,
-		transport.Config{}, func(*transport.Sender) { done = true })
-	f.Sender.Start()
-	eng.RunUntil(2 * time.Second)
-	if !done {
-		t.Fatal("flow did not complete under per-packet ECMP")
-	}
-	if f.Receiver.Goodput() != 500_000 {
-		t.Fatalf("goodput = %d", f.Receiver.Goodput())
 	}
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -62,9 +63,10 @@ func TestDumbbellBaseRTT(t *testing.T) {
 	d := NewDumbbell(eng, DumbbellConfig{Senders: 1, Bottleneck: fifoProfile()})
 	want := d.BaseRTT()
 	f := transport.NewFlow(eng, d.Senders[0], d.Recv, 1, 0, 10_000, transport.Config{}, nil)
+	f.Sender.RecordRTT()
 	f.Sender.Start()
 	eng.RunUntil(10 * time.Millisecond)
-	got := f.Sender.MinRTT()
+	got := slices.Min(f.Sender.RTTSamples())
 	if got < want-5*time.Microsecond || got > want+5*time.Microsecond {
 		t.Fatalf("measured base RTT %v vs estimate %v", got, want)
 	}
@@ -240,14 +242,5 @@ func TestPortProfileMarker(t *testing.T) {
 	}
 	if d.Bottleneck.NumQueues() != 2 {
 		t.Fatal("profile queue count not applied")
-	}
-}
-
-func TestBaseRTTHelper(t *testing.T) {
-	got := BaseRTT(2, 5*time.Microsecond, 10*units.Gbps)
-	// 4 props (20us) + 2 data ser (2.4us) + 2 ack ser (~0.104us).
-	want := 20*time.Microsecond + 2400*time.Nanosecond + 104*time.Nanosecond
-	if got != want {
-		t.Fatalf("BaseRTT = %v, want %v", got, want)
 	}
 }

@@ -23,31 +23,26 @@ import (
 // The model omits RoCE's NAK-based reliability (DCQCN assumes a
 // near-lossless fabric): it is an open-loop paced source, which is
 // exactly what's needed to show PMSB's marking discipline also steers
-// rate-based transports.
+// rate-based transports. Packets are MTU-sized.
 type DCQCNConfig struct {
 	// StartRate is the initial (line) rate.
 	StartRate units.Rate
 	// MinRate floors the current rate (default 10 Mbps).
 	MinRate units.Rate
-	// G is the alpha gain (default 1/16).
-	G float64
-	// AlphaPeriod is the alpha update interval (default 55us).
-	AlphaPeriod time.Duration
-	// RecoveryPeriod is the rate-increase interval (default 55us, the
-	// DCQCN timer).
-	RecoveryPeriod time.Duration
-	// FastRecoverySteps is the number of hyperbolic recovery steps
-	// before additive increase starts (default 5).
-	FastRecoverySteps int
-	// AI is the additive increase applied to the target rate per
-	// period after fast recovery (default 40 Mbps).
-	AI units.Rate
-	// PacketSize is the wire size of generated packets (default MTU).
-	PacketSize int
 	// Obs, when non-nil, receives flow-start, CNP rate-cut and alpha
 	// events.
 	Obs *obs.Bus
 }
+
+// DCQCN's fixed parameters, the defaults of Zhu et al.
+const (
+	dcqcnG                 = 1.0 / 16.0            // alpha gain
+	dcqcnAlphaPeriod       = 55 * time.Microsecond // alpha update interval
+	dcqcnRecoveryPeriod    = 55 * time.Microsecond // rate-increase interval (the DCQCN timer)
+	dcqcnFastRecoverySteps = 5                     // hyperbolic steps before additive increase
+	dcqcnAI                = 40 * units.Mbps       // target increase per period after fast recovery
+	dcqcnCNPInterval       = 50 * time.Microsecond // receiver's minimum CNP spacing
+)
 
 func (c DCQCNConfig) withDefaults() DCQCNConfig {
 	if c.StartRate <= 0 {
@@ -55,24 +50,6 @@ func (c DCQCNConfig) withDefaults() DCQCNConfig {
 	}
 	if c.MinRate <= 0 {
 		c.MinRate = 10 * units.Mbps
-	}
-	if c.G <= 0 {
-		c.G = 1.0 / 16.0
-	}
-	if c.AlphaPeriod <= 0 {
-		c.AlphaPeriod = 55 * time.Microsecond
-	}
-	if c.RecoveryPeriod <= 0 {
-		c.RecoveryPeriod = 55 * time.Microsecond
-	}
-	if c.FastRecoverySteps <= 0 {
-		c.FastRecoverySteps = 5
-	}
-	if c.AI <= 0 {
-		c.AI = 40 * units.Mbps
-	}
-	if c.PacketSize <= 0 {
-		c.PacketSize = units.MTU
 	}
 	return c
 }
@@ -95,15 +72,12 @@ type DCQCNSender struct {
 	cnpCount int64
 
 	nextPktID uint64
-	sendTimer sim.Timer
-	alphaTick *sim.Ticker
-	recoverT  *sim.Ticker
 
 	probe *obs.FlowProbe
 }
 
 // NewDCQCNSender creates a DCQCN source at src targeting dst. Call
-// Start to begin and Stop to end.
+// Start to begin; it sends until the run ends.
 func NewDCQCNSender(eng *sim.Engine, src *netsim.Host, f pkt.FlowID, dst pkt.NodeID,
 	service int, cfg DCQCNConfig) *DCQCNSender {
 	s := &DCQCNSender{
@@ -130,51 +104,24 @@ func (s *DCQCNSender) Start() {
 	}
 	s.running = true
 	s.probe = s.cfg.Obs.OpenFlow(s.eng.Now(), s.flow, s.service, 0)
-	s.alphaTick = s.eng.Every(s.cfg.AlphaPeriod, s.updateAlpha)
-	s.recoverT = s.eng.Every(s.cfg.RecoveryPeriod, s.increase)
+	s.eng.Every(dcqcnAlphaPeriod, s.updateAlpha)
+	s.eng.Every(dcqcnRecoveryPeriod, s.increase)
 	s.sendNext()
 }
-
-// Stop halts transmission and timers.
-func (s *DCQCNSender) Stop() {
-	if !s.running {
-		return
-	}
-	s.running = false
-	s.sendTimer.Cancel()
-	s.alphaTick.Stop()
-	s.recoverT.Stop()
-	s.host.Detach(s.flow)
-}
-
-// Rate returns the current sending rate.
-func (s *DCQCNSender) Rate() units.Rate { return units.Rate(s.rc) }
-
-// Alpha returns the congestion estimate.
-func (s *DCQCNSender) Alpha() float64 { return s.alpha }
-
-// SentBytes returns the bytes transmitted so far.
-func (s *DCQCNSender) SentBytes() int64 { return s.sent }
-
-// CNPs returns the number of congestion notifications received.
-func (s *DCQCNSender) CNPs() int64 { return s.cnpCount }
 
 // dcqcnSend is the pacing trampoline (the sender rides in the event
 // arg, so per-packet pacing never allocates).
 func dcqcnSend(arg any) { arg.(*DCQCNSender).sendNext() }
 
 func (s *DCQCNSender) sendNext() {
-	if !s.running {
-		return
-	}
 	s.nextPktID++
 	p := pkt.Get()
 	p.ID = s.nextPktID
 	p.Flow = s.flow
 	p.Src = s.host.NodeID()
 	p.Dst = s.dst
-	p.Size = s.cfg.PacketSize
-	p.Payload = s.cfg.PacketSize - units.HeaderSize
+	p.Size = units.MTU
+	p.Payload = units.MTU - units.HeaderSize
 	p.ECT = true
 	p.Service = s.service
 	p.SentAt = s.eng.Now()
@@ -182,7 +129,7 @@ func (s *DCQCNSender) sendNext() {
 	s.host.Send(p)
 	s.sent += int64(size)
 	gap := units.Serialization(size, units.Rate(s.rc))
-	s.sendTimer = s.eng.ScheduleCall(gap, dcqcnSend, s)
+	s.eng.ScheduleCall(gap, dcqcnSend, s)
 }
 
 // handleCNP reacts to a congestion notification: cut the rate using the
@@ -190,7 +137,7 @@ func (s *DCQCNSender) sendNext() {
 // returns to the pool.
 func (s *DCQCNSender) handleCNP(p *pkt.Packet) {
 	defer pkt.Release(p)
-	if !p.IsAck || !p.ECE || !s.running {
+	if !p.IsAck || !p.ECE {
 		return
 	}
 	s.cnpCount++
@@ -209,7 +156,7 @@ func (s *DCQCNSender) updateAlpha() {
 	if s.cnpSeen {
 		seen = 1
 	}
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G*seen
+	s.alpha = (1-dcqcnG)*s.alpha + dcqcnG*seen
 	s.cnpSeen = false
 	s.probe.Alpha(s.eng.Now(), s.alpha, s.sent)
 }
@@ -218,8 +165,8 @@ func (s *DCQCNSender) updateAlpha() {
 // target, then additive growth of the target.
 func (s *DCQCNSender) increase() {
 	s.steps++
-	if s.steps > s.cfg.FastRecoverySteps {
-		s.rt += float64(s.cfg.AI)
+	if s.steps > dcqcnFastRecoverySteps {
+		s.rt += float64(dcqcnAI)
 		if max := float64(s.cfg.StartRate); s.rt > max {
 			s.rt = max
 		}
@@ -228,37 +175,29 @@ func (s *DCQCNSender) increase() {
 }
 
 // DCQCNReceiver terminates a DCQCN flow: it counts delivered bytes and
-// emits at most one CNP per CNPInterval when it sees CE-marked packets.
+// emits at most one CNP per dcqcnCNPInterval (the NIC behaviour DCQCN
+// specifies) when it sees CE-marked packets.
 type DCQCNReceiver struct {
 	eng     *sim.Engine
 	host    *netsim.Host
 	flow    pkt.FlowID
 	src     pkt.NodeID
 	service int
-	// CNPInterval rate-limits notifications (default 50us, the NIC
-	// behaviour DCQCN specifies).
-	interval time.Duration
 
 	lastCNP   time.Duration
 	sentCNP   bool
 	rxBytes   int64
-	ceCount   int64
 	nextPktID uint64
 }
 
 // NewDCQCNReceiver attaches a receiver for flow f at dst.
-func NewDCQCNReceiver(eng *sim.Engine, dst *netsim.Host, f pkt.FlowID, src pkt.NodeID,
-	service int, cnpInterval time.Duration) *DCQCNReceiver {
-	if cnpInterval <= 0 {
-		cnpInterval = 50 * time.Microsecond
-	}
+func NewDCQCNReceiver(eng *sim.Engine, dst *netsim.Host, f pkt.FlowID, src pkt.NodeID, service int) *DCQCNReceiver {
 	r := &DCQCNReceiver{
-		eng:      eng,
-		host:     dst,
-		flow:     f,
-		src:      src,
-		service:  service,
-		interval: cnpInterval,
+		eng:     eng,
+		host:    dst,
+		flow:    f,
+		src:     src,
+		service: service,
 	}
 	dst.Attach(f, netsim.HandlerFunc(r.handleData))
 	return r
@@ -266,12 +205,6 @@ func NewDCQCNReceiver(eng *sim.Engine, dst *netsim.Host, f pkt.FlowID, src pkt.N
 
 // RxBytes returns the delivered bytes.
 func (r *DCQCNReceiver) RxBytes() int64 { return r.rxBytes }
-
-// CEMarked returns the CE-marked packet count.
-func (r *DCQCNReceiver) CEMarked() int64 { return r.ceCount }
-
-// Close detaches the receiver.
-func (r *DCQCNReceiver) Close() { r.host.Detach(r.flow) }
 
 func (r *DCQCNReceiver) handleData(p *pkt.Packet) {
 	defer pkt.Release(p)
@@ -282,9 +215,8 @@ func (r *DCQCNReceiver) handleData(p *pkt.Packet) {
 	if !p.CE {
 		return
 	}
-	r.ceCount++
 	now := r.eng.Now()
-	if r.sentCNP && now-r.lastCNP < r.interval {
+	if r.sentCNP && now-r.lastCNP < dcqcnCNPInterval {
 		return
 	}
 	r.lastCNP = now

@@ -19,12 +19,11 @@ func TestDCQCNConvergesToBottleneck(t *testing.T) {
 	k := units.Packets(16)
 	n := newBottleneckNet(t, &ecn.PerQueueStandard{K: k}, nil, units.Packets(500), 1*units.Gbps)
 	s := NewDCQCNSender(n.eng, n.a, 1, n.b.NodeID(), 0, DCQCNConfig{StartRate: 10 * units.Gbps})
-	r := NewDCQCNReceiver(n.eng, n.b, 1, n.a.NodeID(), 0, 0)
+	r := NewDCQCNReceiver(n.eng, n.b, 1, n.a.NodeID(), 0)
 	s.Start()
 	n.eng.RunUntil(50 * time.Millisecond)
-	s.Stop()
 
-	if s.CNPs() == 0 {
+	if s.cnpCount == 0 {
 		t.Fatal("expected congestion notifications")
 	}
 	// Delivered throughput over the run should be near the bottleneck.
@@ -33,8 +32,8 @@ func TestDCQCNConvergesToBottleneck(t *testing.T) {
 		t.Fatalf("delivered rate %v, want ~1Gbps", rate)
 	}
 	// The instantaneous rate must have come down from 10G.
-	if s.Rate() > 2*units.Gbps {
-		t.Fatalf("final rate %v, want near 1Gbps", s.Rate())
+	if rate := units.Rate(s.rc); rate > 2*units.Gbps {
+		t.Fatalf("final rate %v, want near 1Gbps", rate)
 	}
 }
 
@@ -45,51 +44,17 @@ func TestDCQCNFairShare(t *testing.T) {
 	c := attachExtraSender(n)
 
 	s1 := NewDCQCNSender(n.eng, n.a, 1, n.b.NodeID(), 0, DCQCNConfig{StartRate: 10 * units.Gbps})
-	r1 := NewDCQCNReceiver(n.eng, n.b, 1, n.a.NodeID(), 0, 0)
+	r1 := NewDCQCNReceiver(n.eng, n.b, 1, n.a.NodeID(), 0)
 	s2 := NewDCQCNSender(n.eng, c, 2, n.b.NodeID(), 0, DCQCNConfig{StartRate: 10 * units.Gbps})
-	r2 := NewDCQCNReceiver(n.eng, n.b, 2, c.NodeID(), 0, 0)
+	r2 := NewDCQCNReceiver(n.eng, n.b, 2, c.NodeID(), 0)
 	s1.Start()
 	s2.Start()
 	n.eng.RunUntil(80 * time.Millisecond)
-	s1.Stop()
-	s2.Stop()
 
 	g1, g2 := float64(r1.RxBytes()), float64(r2.RxBytes())
 	share := g1 / (g1 + g2)
 	if share < 0.3 || share > 0.7 {
 		t.Fatalf("flow 1 share = %.3f, want roughly fair", share)
-	}
-}
-
-func TestDCQCNStopHaltsTraffic(t *testing.T) {
-	eng := sim.NewEngine()
-	a := netsim.NewHost(eng, 1)
-	b := netsim.NewHost(eng, 2)
-	sw := netsim.NewSwitch(eng, 100)
-	a.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
-	b.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
-	sw.AddPort(netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, b),
-		netsim.PortConfig{Sched: sched.NewFIFO()}))
-	sw.SetRoute(func(p *pkt.Packet) int {
-		if p.Dst == 2 {
-			return 0
-		}
-		return -1
-	})
-	s := NewDCQCNSender(eng, a, 1, 2, 0, DCQCNConfig{})
-	s.Start()
-	s.Start() // idempotent
-	eng.RunUntil(time.Millisecond)
-	s.Stop()
-	s.Stop() // idempotent
-	sent := s.SentBytes()
-	eng.RunUntil(10 * time.Millisecond)
-	if s.SentBytes() != sent {
-		t.Fatal("sender kept transmitting after Stop")
-	}
-	// No timers may be left: the event queue must drain.
-	if eng.Pending() != 0 {
-		t.Fatalf("pending events after Stop = %d, want 0", eng.Pending())
 	}
 }
 
@@ -100,7 +65,7 @@ func TestDCQCNUnderPMSBFairness(t *testing.T) {
 	recv := netsim.NewHost(eng, 1)
 	sw := netsim.NewSwitch(eng, 100)
 	recv.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
-	bott := netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, recv),
+	bott := netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, recv),
 		netsim.PortConfig{
 			Sched:  sched.NewWFQ([]float64{1, 1}),
 			Marker: &core.PMSB{PortK: units.Packets(12)},
@@ -111,7 +76,7 @@ func TestDCQCNUnderPMSBFairness(t *testing.T) {
 	for i := range hosts {
 		h := netsim.NewHost(eng, pkt.NodeID(10+i))
 		h.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
-		idx := sw.AddPort(netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, h),
+		idx := sw.AddPort(netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, h),
 			netsim.PortConfig{Sched: sched.NewFIFO()}))
 		ports[h.NodeID()] = idx
 		hosts[i] = h
@@ -126,21 +91,16 @@ func TestDCQCNUnderPMSBFairness(t *testing.T) {
 	var bytesPerQueue [2]int64
 	bott.OnDequeue(func(p *pkt.Packet, q int) { bytesPerQueue[q] += int64(p.Size) })
 
-	var senders []*DCQCNSender
 	for i, h := range hosts {
 		service := 1
 		if i == 0 {
 			service = 0
 		}
 		s := NewDCQCNSender(eng, h, pkt.FlowID(i+1), 1, service, DCQCNConfig{})
-		NewDCQCNReceiver(eng, recv, pkt.FlowID(i+1), h.NodeID(), service, 0)
+		NewDCQCNReceiver(eng, recv, pkt.FlowID(i+1), h.NodeID(), service)
 		s.Start()
-		senders = append(senders, s)
 	}
 	eng.RunUntil(60 * time.Millisecond)
-	for _, s := range senders {
-		s.Stop()
-	}
 
 	share := float64(bytesPerQueue[0]) / float64(bytesPerQueue[0]+bytesPerQueue[1])
 	if share < 0.4 || share > 0.6 {

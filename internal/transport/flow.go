@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sync"
-
 	"pmsb/internal/netsim"
 	"pmsb/internal/pkt"
 	"pmsb/internal/sim"
@@ -16,8 +14,6 @@ type Flow struct {
 	Receiver *Receiver
 }
 
-var flowPool = sync.Pool{New: func() any { return new(Flow) }}
-
 // NewFlow wires a sender at src and a receiver at dst for flow id f,
 // sending size bytes (0 = long-lived) in the given service class.
 // onComplete, if non-nil, fires at the sender when the flow finishes.
@@ -26,23 +22,10 @@ var flowPool = sync.Pool{New: func() any { return new(Flow) }}
 // topologies; eng is only a fallback for hosts without one.
 func NewFlow(eng *sim.Engine, src, dst *netsim.Host, f pkt.FlowID, service int,
 	size int64, cfg Config, onComplete func(*Sender)) *Flow {
-	fl := flowPool.Get().(*Flow)
-	fl.Sender = NewSender(eng, src, f, dst.NodeID(), service, size, cfg, onComplete)
-	fl.Receiver = NewReceiver(dst, f, src.NodeID(), service)
-	return fl
-}
-
-// Release detaches both endpoints from their hosts, disarms their
-// timers and recycles the records. Call it only once the flow is
-// finished (or will never be driven again); after Release the Flow and
-// its endpoints must not be used. Cancelled timer events still riding
-// the engine queues are reaped without firing, so recycling is safe
-// even mid-simulation.
-func (fl *Flow) Release() {
-	fl.Sender.release()
-	fl.Receiver.release()
-	fl.Sender, fl.Receiver = nil, nil
-	flowPool.Put(fl)
+	return &Flow{
+		Sender:   NewSender(eng, src, f, dst.NodeID(), service, size, cfg, onComplete),
+		Receiver: NewReceiver(dst, f, src.NodeID(), service),
+	}
 }
 
 // FlowIDGen hands out unique flow IDs.

@@ -23,9 +23,9 @@ func lossyNet(t *testing.T, dropFn func(*pkt.Packet) bool) *testNet {
 	sw := netsim.NewSwitch(eng, 100)
 	a.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
 	b.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
-	toA := netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, a),
+	toA := netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, a),
 		netsim.PortConfig{Sched: sched.NewFIFO()})
-	toB := netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, b),
+	toB := netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, b),
 		netsim.PortConfig{Sched: sched.NewFIFO(), DropFn: dropFn})
 	sw.AddPort(toA)
 	sw.AddPort(toB)
@@ -127,11 +127,11 @@ func TestAckLoss(t *testing.T) {
 	sw := netsim.NewSwitch(eng, 100)
 	a.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
 	b.AttachNIC(netsim.NewLink(eng, testRate, testDelay, sw))
-	toA := netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, a),
+	toA := netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, a),
 		netsim.PortConfig{Sched: sched.NewFIFO(), DropFn: func(p *pkt.Packet) bool {
 			return p.IsAck && r.Float64() < 0.2 // 20% ACK loss
 		}})
-	toB := netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, b),
+	toB := netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, b),
 		netsim.PortConfig{Sched: sched.NewFIFO()})
 	sw.AddPort(toA)
 	sw.AddPort(toB)

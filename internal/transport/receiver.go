@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sync"
 	"time"
 
 	"pmsb/internal/netsim"
@@ -32,22 +31,15 @@ type Receiver struct {
 	nextPktID uint64
 }
 
-// receiverPool recycles Receiver records across flows; see senderPool
-// for the reuse-safety argument.
-var receiverPool = sync.Pool{New: func() any { return new(Receiver) }}
-
 // NewReceiver creates a receiver for flow f at host dst, acknowledging
 // back to src. service classifies the reverse (ACK) path. The receiver
 // keeps no timers: it acts only when dst delivers its flow's data.
 func NewReceiver(dst *netsim.Host, f pkt.FlowID, src pkt.NodeID, service int) *Receiver {
-	r := receiverPool.Get().(*Receiver)
-	ooo := r.ooo[:0]
-	*r = Receiver{
+	r := &Receiver{
 		host:    dst,
 		flow:    f,
 		src:     src,
 		service: service,
-		ooo:     ooo,
 	}
 	dst.Attach(f, r)
 	return r
@@ -57,24 +49,11 @@ func NewReceiver(dst *netsim.Host, f pkt.FlowID, src pkt.NodeID, service int) *R
 // data packets directly, with no adapter closure.
 func (r *Receiver) Handle(p *pkt.Packet) { r.handleData(p) }
 
-// release detaches the receiver and returns the record to the pool.
-// See Flow.Release.
-func (r *Receiver) release() {
-	r.host.Detach(r.flow)
-	receiverPool.Put(r)
-}
-
 // Goodput returns the in-order payload bytes delivered so far.
 func (r *Receiver) Goodput() int64 { return r.rxBytes }
 
 // RxPackets returns the number of data packets received.
 func (r *Receiver) RxPackets() int64 { return r.rxPackets }
-
-// CEMarked returns the number of received data packets carrying CE.
-func (r *Receiver) CEMarked() int64 { return r.ceCount }
-
-// Close detaches the receiver from its host.
-func (r *Receiver) Close() { r.host.Detach(r.flow) }
 
 // handleData consumes a data packet: everything the receiver needs
 // (sequence, payload length, CE, echo timestamp) is copied out, so the

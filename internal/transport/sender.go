@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sync"
 	"time"
 
 	"pmsb/internal/netsim"
@@ -77,13 +76,6 @@ type Sender struct {
 	probe *obs.FlowProbe
 }
 
-// senderPool recycles Sender records across flows: workload sweeps
-// create thousands of short flows, and reusing the records (together
-// with Flow.Release) removes per-flow setup allocations. A released
-// record may still be referenced by cancelled timer events riding the
-// queue; those are reaped without firing, so reuse is safe.
-var senderPool = sync.Pool{New: func() any { return new(Sender) }}
-
 // NewSender creates a DCTCP sender at host src sending size bytes (0 for
 // a long-lived flow) to dst under flow id f, classified into the given
 // service. onComplete (may be nil) fires when the last byte is acked.
@@ -96,8 +88,7 @@ func NewSender(eng *sim.Engine, src *netsim.Host, f pkt.FlowID, dst pkt.NodeID,
 	if he := src.Engine(); he != nil {
 		eng = he
 	}
-	s := senderPool.Get().(*Sender)
-	*s = Sender{
+	s := &Sender{
 		eng:        eng,
 		host:       src,
 		flow:       f,
@@ -108,7 +99,7 @@ func NewSender(eng *sim.Engine, src *netsim.Host, f pkt.FlowID, dst pkt.NodeID,
 		onComplete: onComplete,
 	}
 	s.cwnd = float64(s.cfg.InitWindow)
-	s.ssthresh = float64(s.cfg.MaxWindow)
+	s.ssthresh = maxWindow
 	src.Attach(f, s)
 	return s
 }
@@ -116,19 +107,6 @@ func NewSender(eng *sim.Engine, src *netsim.Host, f pkt.FlowID, dst pkt.NodeID,
 // Handle implements netsim.Handler: the sender consumes its flow's
 // ACKs directly, with no adapter closure.
 func (s *Sender) Handle(p *pkt.Packet) { s.handleAck(p) }
-
-// release detaches the sender from its host, disarms its timers and
-// returns the record to the pool. See Flow.Release.
-func (s *Sender) release() {
-	s.rtoTimer.Cancel()
-	s.paceTimer.Cancel()
-	s.host.Detach(s.flow)
-	s.onComplete = nil
-	s.cfg = Config{}
-	s.probe = nil
-	s.rttSamples = nil
-	senderPool.Put(s)
-}
 
 // Start begins transmission at the current virtual time.
 func (s *Sender) Start() {
@@ -154,9 +132,6 @@ func (s *Sender) StartAt(at time.Duration) {
 	s.eng.ScheduleCallAt(at, senderStart, s)
 }
 
-// Flow returns the sender's flow ID.
-func (s *Sender) Flow() pkt.FlowID { return s.flow }
-
 // Finished reports whether the flow completed (all bytes acked).
 func (s *Sender) Finished() bool { return s.finished }
 
@@ -169,15 +144,6 @@ func (s *Sender) Size() int64 { return s.size }
 // Service returns the flow's service class.
 func (s *Sender) Service() int { return s.service }
 
-// Alpha returns the current DCTCP congestion estimate.
-func (s *Sender) Alpha() float64 { return s.alpha }
-
-// Cwnd returns the congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// MinRTT returns the smallest RTT sample seen.
-func (s *Sender) MinRTT() time.Duration { return s.minRTT }
-
 // Retransmits returns the number of retransmitted segments.
 func (s *Sender) Retransmits() int64 { return s.retransmits }
 
@@ -188,16 +154,9 @@ func (s *Sender) MarksSeen() int64 { return s.marksSeen }
 // MarksAccepted returns the number of marks the sender reacted to.
 func (s *Sender) MarksAccepted() int64 { return s.marksAccepted }
 
-// rttSamplePool recycles sample slices across flows, so the many
-// short flows of a workload sweep record RTTs without growing a fresh
-// slice each (see ReleaseRTTSamples).
-var rttSamplePool = sync.Pool{
-	New: func() any { return make([]time.Duration, 0, 1024) },
-}
-
 // RecordRTT makes the sender keep every RTT sample (for CDF plots).
-// The sample slice comes from a shared pool and is sized up front for
-// bounded flows, so recording adds no per-ACK allocations.
+// The sample slice is sized up front for bounded flows, so recording
+// adds no per-ACK allocations.
 func (s *Sender) RecordRTT() {
 	s.recordRTT = true
 	if s.rttSamples != nil {
@@ -205,30 +164,18 @@ func (s *Sender) RecordRTT() {
 	}
 	if s.size > 0 {
 		// One sample per full segment is the ceiling; reserve exactly
-		// that for mid-size flows. Huge flows fall through to the pool
+		// that for mid-size flows. Huge flows fall through to the default
 		// and grow organically rather than pinning megabyte reservations.
-		if need := int(s.size/int64(s.cfg.MSS)) + 16; need > 1024 && need <= 4096 {
+		if need := int(s.size/units.MSS) + 16; need > 1024 && need <= 4096 {
 			s.rttSamples = make([]time.Duration, 0, need)
 			return
 		}
 	}
-	s.rttSamples = rttSamplePool.Get().([]time.Duration)[:0]
+	s.rttSamples = make([]time.Duration, 0, 1024)
 }
 
 // RTTSamples returns the recorded samples (RecordRTT must be on).
 func (s *Sender) RTTSamples() []time.Duration { return s.rttSamples }
-
-// ReleaseRTTSamples returns the sample slice to the shared pool. Call
-// it once the samples have been consumed; the slice returned by
-// RTTSamples must not be used afterwards.
-func (s *Sender) ReleaseRTTSamples() {
-	if s.rttSamples == nil {
-		return
-	}
-	rttSamplePool.Put(s.rttSamples[:0])
-	s.rttSamples = nil
-	s.recordRTT = false
-}
 
 // AckedBytes returns the cumulative acknowledged bytes.
 func (s *Sender) AckedBytes() int64 { return s.sndUna }
@@ -242,7 +189,7 @@ func (s *Sender) trySend() {
 	if !s.started || s.finished {
 		return
 	}
-	mss := int64(s.cfg.MSS)
+	mss := int64(units.MSS)
 	for {
 		if s.size > 0 && s.sndNxt >= s.size {
 			break
@@ -266,7 +213,7 @@ func (s *Sender) trySend() {
 
 // segmentLen returns the payload length of the segment starting at seq.
 func (s *Sender) segmentLen(seq int64) int64 {
-	mss := int64(s.cfg.MSS)
+	mss := int64(units.MSS)
 	if s.size > 0 && s.size-seq < mss {
 		return s.size - seq
 	}
@@ -286,7 +233,7 @@ func (s *Sender) sendSegment(seq int64, retx bool) {
 	p.Size = int(payload) + units.HeaderSize
 	p.Payload = int(payload)
 	p.Seq = seq
-	p.ECT = !s.cfg.DisableECN
+	p.ECT = true
 	p.Service = s.service
 	p.SentAt = s.eng.Now()
 	if retx {
@@ -384,7 +331,7 @@ func (s *Sender) onNewAck(ackNo int64, accepted bool) {
 	if s.sndUna >= s.alphaSeq {
 		if s.bytesAcked > 0 {
 			f := float64(s.bytesMarked) / float64(s.bytesAcked)
-			s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G*f
+			s.alpha = (1-dctcpG)*s.alpha + dctcpG*f
 		}
 		s.bytesAcked, s.bytesMarked = 0, 0
 		s.alphaSeq = s.sndNxt
@@ -397,14 +344,14 @@ func (s *Sender) onNewAck(ackNo int64, accepted bool) {
 
 	// Window growth: slow start adds one segment per acked segment;
 	// congestion avoidance adds 1/cwnd per acked segment.
-	segs := float64(n) / float64(s.cfg.MSS)
+	segs := float64(n) / units.MSS
 	if s.cwnd < s.ssthresh {
 		s.cwnd += segs
 	} else {
 		s.cwnd += segs / s.cwnd
 	}
-	if s.cwnd > float64(s.cfg.MaxWindow) {
-		s.cwnd = float64(s.cfg.MaxWindow)
+	if s.cwnd > maxWindow {
+		s.cwnd = maxWindow
 	}
 
 	// DCTCP cut: at most once per window of data.

@@ -47,9 +47,9 @@ func newBottleneckNet(t *testing.T, marker ecn.Marker, s sched.Scheduler, bufByt
 	if s == nil {
 		s = sched.NewFIFO()
 	}
-	toA := netsim.NewPort(eng, netsim.NewLink(eng, testRate, testDelay, a),
+	toA := netsim.NewPort(netsim.NewLink(eng, testRate, testDelay, a),
 		netsim.PortConfig{Sched: sched.NewFIFO()})
-	toB := netsim.NewPort(eng, netsim.NewLink(eng, bottleneck, testDelay, b),
+	toB := netsim.NewPort(netsim.NewLink(eng, bottleneck, testDelay, b),
 		netsim.PortConfig{Sched: s, Marker: marker, BufferBytes: bufBytes})
 	sw.AddPort(toA)
 	sw.AddPort(toB)
@@ -119,7 +119,7 @@ func TestLongFlowSaturatesLink(t *testing.T) {
 
 	// Ideal: 1Gbps for 20ms = 2.5MB of wire bytes; goodput slightly
 	// less due to headers. Accept >= 85%.
-	wantMin := int64(float64(units.BytesIn(bottleneck, 20*time.Millisecond)) * 0.85)
+	wantMin := int64(float64(units.BDP(bottleneck, 20*time.Millisecond)) * 0.85)
 	if got := f.Receiver.Goodput(); got < wantMin {
 		t.Fatalf("goodput = %d, want >= %d", got, wantMin)
 	}
@@ -147,7 +147,7 @@ func TestECNKeepsQueueBounded(t *testing.T) {
 		t.Fatalf("steady-state queue peaked at %d bytes (%d pkts), want near %d pkts",
 			maxQ, maxQ/units.MTU, kPkts)
 	}
-	if f.Sender.Alpha() <= 0 {
+	if f.Sender.alpha <= 0 {
 		t.Fatal("alpha should be positive under persistent marking")
 	}
 	if f.Sender.MarksSeen() == 0 {
@@ -199,7 +199,7 @@ func TestRTTMeasurement(t *testing.T) {
 	f.Sender.Start()
 	n.eng.RunUntil(50 * time.Millisecond)
 
-	base := f.Sender.MinRTT()
+	base := f.Sender.minRTT
 	// 4 propagation hops of 5us plus serialization: >20us, <30us.
 	if base < 20*time.Microsecond || base > 30*time.Microsecond {
 		t.Fatalf("base RTT = %v, want 20-30us", base)
@@ -224,8 +224,8 @@ func TestPMSBeFilterIgnoresMarks(t *testing.T) {
 	if f.Sender.MarksAccepted() != 0 {
 		t.Fatalf("filter accepted %d marks, want 0", f.Sender.MarksAccepted())
 	}
-	if f.Sender.Alpha() != 0 {
-		t.Fatalf("alpha = %v, want 0 when every mark is vetoed", f.Sender.Alpha())
+	if f.Sender.alpha != 0 {
+		t.Fatalf("alpha = %v, want 0 when every mark is vetoed", f.Sender.alpha)
 	}
 
 	// Control: without the filter the same marking collapses the window.
@@ -233,8 +233,8 @@ func TestPMSBeFilterIgnoresMarks(t *testing.T) {
 	f2 := NewFlow(n2.eng, n2.a, n2.b, 1, 0, 0, Config{}, nil)
 	f2.Sender.Start()
 	n2.eng.RunUntil(5 * time.Millisecond)
-	if f2.Sender.Alpha() < 0.5 {
-		t.Fatalf("unfiltered alpha = %v, want near 1 under constant marking", f2.Sender.Alpha())
+	if f2.Sender.alpha < 0.5 {
+		t.Fatalf("unfiltered alpha = %v, want near 1 under constant marking", f2.Sender.alpha)
 	}
 	if f2.Receiver.Goodput() >= f.Receiver.Goodput() {
 		t.Fatal("constant accepted marking should throttle goodput below the filtered flow")
@@ -246,7 +246,7 @@ func TestPMSBeFilterIgnoresMarks(t *testing.T) {
 func attachExtraSender(n *testNet) *netsim.Host {
 	c := netsim.NewHost(n.eng, 3)
 	c.AttachNIC(netsim.NewLink(n.eng, testRate, testDelay, n.sw))
-	toC := netsim.NewPort(n.eng, netsim.NewLink(n.eng, testRate, testDelay, c),
+	toC := netsim.NewPort(netsim.NewLink(n.eng, testRate, testDelay, c),
 		netsim.PortConfig{Sched: sched.NewFIFO()})
 	idx := n.sw.AddPort(toC)
 	n.sw.SetRoute(func(p *pkt.Packet) int {
@@ -282,7 +282,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 		t.Fatalf("flow 1 share = %.3f, want roughly fair", share)
 	}
 	// Combined they should still fill the link.
-	wantMin := float64(units.BytesIn(testRate, 50*time.Millisecond)) * 0.85
+	wantMin := float64(units.BDP(testRate, 50*time.Millisecond)) * 0.85
 	if g1+g2 < wantMin {
 		t.Fatalf("aggregate goodput %.0f below %.0f", g1+g2, wantMin)
 	}
@@ -292,7 +292,7 @@ func TestSenderAccessors(t *testing.T) {
 	n := newTestNet(t, nil, nil, 0)
 	f := NewFlow(n.eng, n.a, n.b, 42, 3, 1000, Config{}, nil)
 	s := f.Sender
-	if s.Flow() != 42 || s.Service() != 3 || s.Size() != 1000 {
+	if s.flow != 42 || s.Service() != 3 || s.Size() != 1000 {
 		t.Fatal("accessor mismatch")
 	}
 	if s.Finished() {

@@ -63,14 +63,6 @@ func Serialization(size int, r Rate) time.Duration {
 	return time.Duration(ns)
 }
 
-// BytesIn returns how many bytes a link of rate r drains in d.
-func BytesIn(r Rate, d time.Duration) int64 {
-	if r <= 0 || d <= 0 {
-		return 0
-	}
-	return int64(r) / 8 * int64(d) / int64(time.Second)
-}
-
 // RateOf returns the average rate achieved by moving size bytes in d.
 func RateOf(size int64, d time.Duration) Rate {
 	if d <= 0 {

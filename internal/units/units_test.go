@@ -45,16 +45,6 @@ func TestRateString(t *testing.T) {
 	}
 }
 
-func TestBytesIn(t *testing.T) {
-	// 10 Gbps for 1 ms = 1.25 MB.
-	if got := BytesIn(10*Gbps, time.Millisecond); got != 1250000 {
-		t.Fatalf("BytesIn = %d, want 1250000", got)
-	}
-	if got := BytesIn(10*Gbps, 0); got != 0 {
-		t.Fatalf("BytesIn zero duration = %d, want 0", got)
-	}
-}
-
 func TestRateOf(t *testing.T) {
 	// 1.25 MB in 1 ms = 10 Gbps.
 	if got := RateOf(1250000, time.Millisecond); got != 10*Gbps {
