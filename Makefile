@@ -11,7 +11,8 @@ all: build vet test
 # decoding catches framing bugs early (and holds pmsbstat's streamed
 # decoder to ReadBinary's decisions), but a fuzz-capable toolchain is
 # not required to pass CI; the two text grammars users hand the CLI (the
-# replay trace CSV, flow's -groups list) get the same treatment.
+# replay trace CSV, flow's -groups list) and the calendar queue's pop
+# order against the reference heap get the same treatment.
 ci:
 	# First, and in seconds: benchmark/ is its own module compiled against
 	# internal/*, so a deletion that breaks its compile surface fails here
@@ -38,21 +39,13 @@ ci:
 	-$(GO) test -run '^$$' -fuzz FuzzStreamReduce -fuzztime 10s ./internal/obs/
 	-$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/workload/
 	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbsim/
+	-$(GO) test -run '^$$' -fuzz FuzzCalendarMatchesHeap -fuzztime 10s ./internal/sim/
 	# Runtime-introspection smoke: a sharded run with live progress and a
 	# self-profile dump, rendered back through pmsbstat -runtime.
 	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 \
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats
-	# Queue selection: fig8's dumbbell stays on the calendar queue, the
-	# k=8 fat-tree's packet cluster hands off to the heap.
-	$(GO) run ./cmd/pmsbsim -experiment fig8 -quick -runtimestats ci_fig8.rtstats > /dev/null
-	$(GO) run ./cmd/pmsbsim -experiment fattree -quick -runtimestats ci_ft.rtstats > /dev/null
-	@grep -q 'queue\.kind\.calendar' ci_fig8.rtstats && ! grep -q 'queue\.kind\.heap' ci_fig8.rtstats \
-		|| { echo "fig8 left the calendar queue:"; grep 'queue\.kind' ci_fig8.rtstats; exit 1; }
-	@grep -q 'queue\.kind\.heap' ci_ft.rtstats && ! grep -q 'queue\.kind\.calendar' ci_ft.rtstats \
-		|| { echo "fattree did not hand off to the heap:"; grep 'queue\.kind' ci_ft.rtstats; exit 1; }
-	@rm -f ci_fig8.rtstats ci_ft.rtstats
 	# Ad-hoc smoke: generate a trace, replay it traced, read the trace.
 	$(GO) run ./cmd/pmsbsim replay -gen 50 > ci_replay.csv
 	$(GO) run ./cmd/pmsbsim replay -trace ci_replay.csv -marker pmsb -tracefile ci_replay.trace.bin > /dev/null

@@ -67,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 		since   = fs.Duration("since", 0, "analyze only events at or after this virtual time")
 		until   = fs.Duration("until", 0, "analyze only events at or before this virtual time (0 = end of trace)")
 		export  = fs.Bool("export", false, "print the (merged, -since/-until filtered) events as JSONL on stdout instead of a report")
-		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, null-advance overhead, which event queue each engine ended on)")
+		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, null-advance overhead, the event queue's geometry, longest chain walk and migrations)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: pmsbstat [flags] trace.bin [more traces...]")

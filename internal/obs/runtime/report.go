@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -11,7 +10,7 @@ import (
 
 // Report renders a human explanation of a runtime dump: the per-shard
 // table, then the derived diagnoses — shard imbalance, null-advance
-// overhead, worker utilization, queue selection, pool pressure. vals is a
+// overhead, worker utilization, the event queue, pool pressure. vals is a
 // ParseDump result (from a -runtimestats file).
 func Report(w io.Writer, vals map[string]int64) error {
 	bw := &strings.Builder{}
@@ -35,7 +34,7 @@ func Report(w io.Writer, vals map[string]int64) error {
 	} else {
 		fmt.Fprintf(bw, "# serial run (no coordinator stats)\n")
 	}
-	queueSelection(bw, vals)
+	queueLine(bw, vals)
 	poolPressure(bw, vals)
 
 	_, err := io.WriteString(w, bw.String())
@@ -145,40 +144,33 @@ func workerUtilization(w io.Writer, vals map[string]int64, shards int) {
 		pct(busy, total), pct(blocked, total), pct(idle, total), shards)
 }
 
-// queueSelection counts, per engine, the runs that ended on each event
-// queue, and reports the calendar's overflow migrations across engines,
-// normalized per 1k events.
-func queueSelection(w io.Writer, vals map[string]int64) {
-	kinds := map[int][]string{}
-	var migr, events int64
+// queueLine reports the calendar's geometry, the longest sorted-chain
+// walk any engine's insert took, and overflow migrations across
+// engines, normalized per 1k events.
+func queueLine(w io.Writer, vals map[string]int64) {
+	var buckets, width, walk, migr, events int64
 	for n, v := range vals {
-		var eng int
-		var kind string
+		if !strings.HasPrefix(n, "runtime.engine.") {
+			continue
+		}
 		switch {
+		case strings.HasSuffix(n, ".queue.buckets"):
+			buckets = max(buckets, v)
+		case strings.HasSuffix(n, ".queue.width_ns"):
+			width = max(width, v)
+		case strings.HasSuffix(n, ".queue.walk_max"):
+			walk = max(walk, v)
 		case strings.HasSuffix(n, ".queue.migrations"):
 			migr += v
-		case strings.HasSuffix(n, ".processed") && strings.HasPrefix(n, "runtime.engine."):
+		case strings.HasSuffix(n, ".processed"):
 			events += v
-		default:
-			if k, err := fmt.Sscanf(n, "runtime.engine.%d.queue.kind.%s", &eng, &kind); k == 2 && err == nil {
-				kinds[eng] = append(kinds[eng], fmt.Sprintf("%s %d", kind, v))
-			}
 		}
 	}
-	if len(kinds) == 0 {
+	if buckets == 0 {
 		return
 	}
-	engs := make([]int, 0, len(kinds))
-	for i := range kinds {
-		engs = append(engs, i)
-	}
-	sort.Ints(engs)
-	fmt.Fprint(w, "queue (runs ended on):")
-	for _, i := range engs {
-		sort.Strings(kinds[i])
-		fmt.Fprintf(w, " engine %d %s;", i, strings.Join(kinds[i], ", "))
-	}
-	fmt.Fprintf(w, " %.2f overflow migrations/1k events\n", 1000*ratio(migr, events))
+	fmt.Fprintf(w, "queue: calendar %d x %v slices, walk max %d, %.2f overflow migrations/1k events\n",
+		buckets, dur(width), walk, 1000*ratio(migr, events))
 }
 
 func poolPressure(w io.Writer, vals map[string]int64) {

@@ -2,8 +2,8 @@
 // coordinator/engine/pool counters collected by internal/sim and
 // internal/pkt, assembled into a dump in the obs.Registry text format
 // ("name\tvalue", sorted) and into a human report explaining a run —
-// shard imbalance, null-advance overhead, which event queue each engine
-// ended on.
+// shard imbalance, null-advance overhead, the event queue's geometry,
+// longest chain walk and overflow migrations.
 //
 // It is deliberately separate from the packet-level trace bus
 // (internal/obs): the bus records what the *simulated network* did,
@@ -37,21 +37,14 @@ type Collector struct {
 	coord    sim.CoordinatorStats
 	hasCoord bool
 	engines  map[int]sim.EngineStats
-	// kinds counts, per engine index, the runs that ended on each event
-	// queue ("calendar" or "heap").
-	kinds map[int]map[string]int
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{engines: make(map[int]sim.EngineStats), kinds: make(map[int]map[string]int)}
+	return &Collector{engines: make(map[int]sim.EngineStats)}
 }
 
 func (c *Collector) mergeEngine(shard int, st sim.EngineStats) {
-	if c.kinds[shard] == nil {
-		c.kinds[shard] = make(map[string]int)
-	}
-	c.kinds[shard][st.Queue.Kind]++
 	prev, ok := c.engines[shard]
 	if !ok {
 		c.engines[shard] = st
@@ -76,6 +69,9 @@ func (c *Collector) mergeEngine(shard int, st sim.EngineStats) {
 	}
 	prev.Queue.Width = st.Queue.Width
 	prev.Queue.Migrations += st.Queue.Migrations
+	if st.Queue.WalkMax > prev.Queue.WalkMax {
+		prev.Queue.WalkMax = st.Queue.WalkMax
+	}
 	c.engines[shard] = prev
 }
 
@@ -141,27 +137,16 @@ type Snapshot struct {
 	Runs    int                     `json:"runs"`
 	Coord   *sim.CoordinatorStats   `json:"coord,omitempty"`
 	Engines map[int]sim.EngineStats `json:"engines"`
-	// QueueKinds counts, per engine index, the runs that ended on each
-	// event queue.
-	QueueKinds map[int]map[string]int `json:"queueKinds"`
-	Pool       pkt.PoolStats          `json:"pool"`
+	Pool    pkt.PoolStats           `json:"pool"`
 }
 
 // Snapshot copies the collector's state.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{Runs: c.runs, Engines: make(map[int]sim.EngineStats, len(c.engines)),
-		QueueKinds: make(map[int]map[string]int, len(c.kinds))}
+	s := Snapshot{Runs: c.runs, Engines: make(map[int]sim.EngineStats, len(c.engines))}
 	for k, v := range c.engines {
 		s.Engines[k] = v
-	}
-	for k, v := range c.kinds {
-		m := make(map[string]int, len(v))
-		for kind, n := range v {
-			m[kind] = n
-		}
-		s.QueueKinds[k] = m
 	}
 	if c.hasCoord {
 		cc := c.coord
@@ -175,9 +160,8 @@ func (c *Collector) Snapshot() Snapshot {
 
 // Values flattens the snapshot into named integer metrics, the unit the
 // dump and the report both consume. Durations are nanoseconds under
-// "_ns" names; enum-like values become "<name>.<value>" rows, keeping
-// every value numeric: the coordinator mode an indicator (1), each
-// engine's queue kind the number of runs that ended on it.
+// "_ns" names; the coordinator mode becomes a "<name>.<value>" indicator
+// row (1), keeping every value numeric.
 func (s Snapshot) Values() map[string]int64 {
 	v := map[string]int64{
 		"runtime.runs": int64(s.Runs),
@@ -213,12 +197,10 @@ func (s Snapshot) Values() map[string]int64 {
 		v[p+"pending"] = int64(e.Pending)
 		v[p+"hiwater"] = int64(e.HiWater)
 		v[p+"freelist"] = int64(e.FreeList)
-		for kind, n := range s.QueueKinds[i] {
-			v[p+"queue.kind."+kind] = int64(n)
-		}
 		v[p+"queue.buckets"] = int64(e.Queue.Buckets)
 		v[p+"queue.width_ns"] = int64(e.Queue.Width)
 		v[p+"queue.migrations"] = int64(e.Queue.Migrations)
+		v[p+"queue.walk_max"] = int64(e.Queue.WalkMax)
 	}
 	v["runtime.pool.gets"] = int64(s.Pool.Gets)
 	v["runtime.pool.releases"] = int64(s.Pool.Releases)

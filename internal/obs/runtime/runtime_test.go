@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -141,7 +142,7 @@ func TestReportSections(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"coordinator", "imbalance", "null-advance", "workers", "queue (runs ended on)",
+		"coordinator", "imbalance", "null-advance", "workers", "queue: calendar",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q section:\n%s", want, out)
@@ -162,10 +163,10 @@ func TestReportSections(t *testing.T) {
 	}
 }
 
-// The queue line counts the runs each engine ended on per queue: a
-// sparse serial run stays on the calendar, one that crowds a calendar
-// slice ends on the heap.
-func TestReportQueueSelection(t *testing.T) {
+// The queue line reports the calendar's geometry, the longest chain
+// walk over every observed run, and overflow migrations: a sparse run
+// walks no chain, one that crowds a calendar slice does.
+func TestReportQueueLine(t *testing.T) {
 	coll := NewCollector()
 	sparse := sim.NewEngine()
 	for i := 0; i < 10; i++ {
@@ -173,22 +174,28 @@ func TestReportQueueSelection(t *testing.T) {
 	}
 	sparse.Run()
 	coll.ObserveSerial(sparse)
+	if vals := coll.Snapshot().Values(); vals["runtime.engine.0.queue.walk_max"] != 0 {
+		t.Fatalf("sparse run walked a chain: %v", vals)
+	}
 	crowded := sim.NewEngine()
 	for i := 0; i < 500; i++ {
-		crowded.Schedule(time.Duration(i*7919%1000), func() {})
+		crowded.Schedule(time.Duration(i*7919%1000)/64, func() {})
 	}
 	crowded.Run()
 	coll.ObserveSerial(crowded)
 
 	vals := coll.Snapshot().Values()
-	if vals["runtime.engine.0.queue.kind.calendar"] != 1 || vals["runtime.engine.0.queue.kind.heap"] != 1 {
-		t.Fatalf("queue kind rows: %v", vals)
+	walk := vals["runtime.engine.0.queue.walk_max"]
+	if walk == 0 || int(walk) != crowded.Stats().Queue.WalkMax {
+		t.Fatalf("walk_max row %d, crowded run walked %d", walk, crowded.Stats().Queue.WalkMax)
 	}
 	var buf bytes.Buffer
 	if err := Report(&buf, vals); err != nil {
 		t.Fatalf("Report: %v", err)
 	}
-	if want := "queue (runs ended on): engine 0 calendar 1, heap 1;"; !strings.Contains(buf.String(), want) {
+	want := fmt.Sprintf("queue: calendar %d x %v slices, walk max %d,",
+		vals["runtime.engine.0.queue.buckets"], time.Duration(vals["runtime.engine.0.queue.width_ns"]), walk)
+	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("report missing %q:\n%s", want, buf.String())
 	}
 }

@@ -26,26 +26,25 @@ type script struct {
 	burst      int           // events per same-instant burst
 	drainEvery int           // steps between drains
 	drainN     int           // events executed per drain
-	wantKind   string        // the queue a calendar engine must end on
 }
 
 // sparse keeps a few dozen near events pending, spread over the window:
-// bucket walks, overflow migration and the long-jump all run, and the
-// calendar never hands off. dense plants a thousand-event near future
-// that crowds the slices, so the calendar hands off to its heap mid-run.
+// bitmap jumps across empty slices and overflow migration both run.
+// dense plants a thousand-event near future that crowds the slices, so
+// inserts walk their sorted chains as well.
 var (
-	sparse = script{"sparse", 20 * time.Microsecond, 2, 5, 8, "calendar"}
-	dense  = script{"dense", 50 * time.Microsecond, 3, 50, 20, "heap"}
+	sparse = script{"sparse", 20 * time.Microsecond, 2, 5, 8}
+	dense  = script{"dense", 50 * time.Microsecond, 3, 50, 20}
 )
 
 // traceWorkload drives one engine through a scripted random workload —
 // bursts of near and far timers, cancellations, and nested scheduling
 // from inside callbacks — and returns the execution trace as
-// (time, id) pairs plus the queue the engine ended on.
+// (time, id) pairs plus the engine's queue profile at the end.
 func traceWorkload(kind QueueKind, sc script, seed int64) ([]struct {
 	at time.Duration
 	id int
-}, string) {
+}, QueueStats) {
 	type rec = struct {
 		at time.Duration
 		id int
@@ -96,22 +95,24 @@ func traceWorkload(kind QueueKind, sc script, seed int64) ([]struct {
 		}
 	}
 	e.Run()
-	return trace, e.Stats().Queue.Kind
+	return trace, e.Stats().Queue
 }
 
 // TestDifferentialQueues is the white-box determinism proof: the exact
 // execution trace of a randomized workload must be identical under the
-// calendar queue and the reference heap, across several seeds. The
-// sparse script keeps the calendar serving to the end; the dense one
-// must hand off, so both the bucket tier and the handoff stay under
-// test.
+// calendar queue and the reference heap, across several seeds. Both
+// scripts end on the calendar; the dense one must also have walked its
+// sorted chains, so the mid-chain insert stays under test.
 func TestDifferentialQueues(t *testing.T) {
 	for _, sc := range []script{sparse, dense} {
 		for seed := int64(1); seed <= 5; seed++ {
 			heap, _ := traceWorkload(QueueHeap, sc, seed)
-			cal, kind := traceWorkload(QueueCalendar, sc, seed)
-			if kind != sc.wantKind {
-				t.Fatalf("%s seed %d: calendar engine ended on %q, want %q", sc.name, seed, kind, sc.wantKind)
+			cal, q := traceWorkload(QueueCalendar, sc, seed)
+			if q.Kind != "calendar" {
+				t.Fatalf("%s seed %d: calendar engine ended on %q", sc.name, seed, q.Kind)
+			}
+			if sc.name == "dense" && q.WalkMax == 0 {
+				t.Fatalf("dense seed %d: no insert walked a chain", seed)
 			}
 			if len(heap) != len(cal) {
 				t.Fatalf("%s seed %d: trace lengths differ: heap %d, calendar %d", sc.name, seed, len(heap), len(cal))
@@ -134,9 +135,9 @@ func TestDifferentialQueues(t *testing.T) {
 
 // TestSameTimestampFIFO plants many events at one instant, interleaved
 // with events scattered inside one calendar slice, and checks the
-// same-instant run fires in schedule (seq) order. The scatter crowds the
-// slice, so on the calendar the handoff moves the run's first part into
-// the heap while the rest is still being scheduled.
+// same-instant run fires in schedule (seq) order. The scatter crowds its
+// slice, so on the calendar those inserts walk the sorted chain while
+// the same-instant run is still being appended to its own.
 func TestSameTimestampFIFO(t *testing.T) {
 	forEachQueue(t, func(t *testing.T, kind QueueKind) {
 		e := NewEngineWithQueue(kind)
@@ -148,9 +149,6 @@ func TestSameTimestampFIFO(t *testing.T) {
 			for j := 0; j < 5; j++ {
 				e.ScheduleCall(time.Duration(rng.Int63n(int64(calWidth))), func(any) {}, nil)
 			}
-		}
-		if kind == QueueCalendar && e.Stats().Queue.Kind != "heap" {
-			t.Fatal("crowded slice did not hand the calendar off")
 		}
 		e.Run()
 		if len(got) != 100 {
@@ -271,11 +269,12 @@ func TestRunUntilDeadline(t *testing.T) {
 	})
 }
 
-// TestCalendarHandoff pins the one adaptive rule the calendar has. A
-// population that crowds one slice hands off mid-run, with events in
-// both tiers, and still pops in the heap's exact order; a dumbbell-sized
-// population with far timers parked in overflow never hands off.
-func TestCalendarHandoff(t *testing.T) {
+// TestCalendarCrowding pins the calendar on both population shapes it
+// serves. A population that crowds one slice, with events in both tiers,
+// stays on the calendar, walks its sorted chain and still pops in the
+// heap's exact order; a dumbbell-sized population with far timers parked
+// in overflow migrates them into the window as it slides.
+func TestCalendarCrowding(t *testing.T) {
 	t.Run("crowded", func(t *testing.T) {
 		// check runs before the crowd arrives and again 100 inserts into
 		// it.
@@ -298,7 +297,7 @@ func TestCalendarHandoff(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				e.Step()
 			}
-			// Scatter events inside the slice at 40us until the handoff.
+			// Scatter events inside the slice at 40us.
 			for i := 0; i < 200; i++ {
 				if check != nil && i%100 == 0 {
 					check(e, i)
@@ -310,23 +309,13 @@ func TestCalendarHandoff(t *testing.T) {
 		}
 		want := run(QueueHeap, nil)
 		got := run(QueueCalendar, func(e *Engine, crowd int) {
-			cq := e.cal
-			if crowd == 0 {
-				if e.q != eventQueue(cq) || cq.count == 0 || cq.overflow.len() == 0 {
-					t.Fatalf("before the crowd: want the calendar serving with both tiers occupied, got %d in buckets, %d in overflow",
-						cq.count, cq.overflow.len())
-				}
-				return
+			cq := e.q.(*calQueue)
+			if cq.count == 0 || cq.overflow.len() == 0 {
+				t.Fatalf("%d into the crowd: want both tiers occupied, got %d in buckets, %d in overflow",
+					crowd, cq.count, cq.overflow.len())
 			}
-			if e.q == eventQueue(cq) {
-				t.Fatal("100 scattered inserts into one slice did not hand off")
-			}
-			if e.Stats().Queue.Kind != "heap" {
-				t.Fatalf("Stats reports %q after the handoff", e.Stats().Queue.Kind)
-			}
-			if cq.count != 0 || cq.overflow.len() != e.q.len() {
-				t.Fatalf("after the handoff: %d events left in buckets, %d of %d in the heap",
-					cq.count, cq.overflow.len(), e.q.len())
+			if crowd > 0 && cq.walkMax == 0 {
+				t.Fatal("100 scattered inserts into one slice never walked its chain")
 			}
 		})
 		if len(got) != len(want) {
@@ -355,13 +344,13 @@ func TestCalendarHandoff(t *testing.T) {
 			e.ScheduleCall(time.Duration(rng.Intn(50000)), hop, nil)
 			e.ScheduleCall(time.Duration(i+1)*time.Millisecond, func(any) {}, nil)
 		}
-		if e.cal.overflow.len() == 0 {
+		if e.q.(*calQueue).overflow.len() == 0 {
 			t.Fatal("far timers did not land in the overflow tier")
 		}
 		e.Run()
 		st := e.Stats()
 		if st.Queue.Kind != "calendar" || st.Queue.Buckets != calBuckets || st.Queue.Width != calWidth {
-			t.Fatalf("sparse run left the calendar: %+v", st.Queue)
+			t.Fatalf("sparse run reports the wrong queue: %+v", st.Queue)
 		}
 		if st.Queue.Migrations == 0 {
 			t.Fatal("far timers never migrated into the window")

@@ -6,12 +6,11 @@
 // always executes events in the same order, which makes every
 // experiment in this repository reproducible bit-for-bit. Two
 // schedulers implement that contract behind the eventQueue interface: a
-// fixed-geometry calendar queue (the default — O(1) insert/pop while the
-// near future is sparse, with an overflow heap tier for far-future
-// timers) and a 4-ary heap (O(log n)). A calendar engine whose near
-// future crowds one slice hands its events to that heap and serves from
-// it for the rest of the run; NewEngineWithQueue selects the heap from
-// the start, the reference for differential determinism tests.
+// fixed-geometry calendar queue with an occupancy bitmap (the default
+// for every run — O(1) pop, and O(1) insert for time-ordered arrivals,
+// with an overflow heap tier for far-future timers) and a 4-ary heap
+// (O(log n)), which NewEngineWithQueue selects as the reference for
+// differential determinism tests.
 //
 // Every event record holds one callback form: a func(any) and its arg.
 // ScheduleCall/ScheduleCallAt set both directly; the callback is shared
@@ -38,17 +37,16 @@ type eventQueue interface {
 	len() int
 }
 
-// QueueKind selects the scheduler an engine starts on.
+// QueueKind selects the scheduler an engine runs on.
 type QueueKind int
 
 const (
 	// QueueCalendar is the default: a fixed-geometry calendar queue with
-	// a heap overflow tier for far timers, which hands off to that heap
-	// for good once a chain insert finds its slice crowded.
+	// an occupancy bitmap over its slices and a heap overflow tier for
+	// far timers.
 	QueueCalendar QueueKind = iota
-	// QueueHeap is the 4-ary min-heap from the first event: O(log n)
-	// insert/pop. The reference implementation for differential
-	// determinism tests.
+	// QueueHeap is the 4-ary min-heap: O(log n) insert/pop. The
+	// reference implementation for differential determinism tests.
 	QueueHeap
 )
 
@@ -77,9 +75,6 @@ type Engine struct {
 	mon      *MonitorShard
 	monOwner *Monitor
 	monCount int
-	// cal is the calendar the engine started on (nil for QueueHeap);
-	// after a handoff q is its overflow heap.
-	cal *calQueue
 }
 
 // NewEngine returns an engine with virtual time zero and no events,
@@ -88,17 +83,14 @@ func NewEngine() *Engine {
 	return NewEngineWithQueue(QueueCalendar)
 }
 
-// NewEngineWithQueue returns an engine starting on the given scheduler
+// NewEngineWithQueue returns an engine running on the given scheduler
 // implementation. Both kinds execute identical workloads in identical
 // order; QueueHeap exists for differential tests and A/B benchmarks.
 func NewEngineWithQueue(kind QueueKind) *Engine {
-	e := &Engine{}
 	if kind == QueueHeap {
-		e.q = &heapQueue{}
-	} else {
-		e.cal = newCalQueue(&e.q)
+		return &Engine{q: &heapQueue{}}
 	}
-	return e
+	return &Engine{q: newCalQueue()}
 }
 
 // Now returns the current virtual time.

@@ -1,15 +1,13 @@
 package sim
 
-// heapQueue is a 4-ary min-heap on (at, seq). It has three roles: the
-// calendar queue's overflow tier, the queue a crowded calendar hands
-// off to (a fabric run's packet cluster, served for the rest of the
-// run), and the reference implementation for the differential
-// determinism tests. Compared to container/heap this removes the
-// interface round trip (method dispatch and the any boxing in
-// Push/Pop) and, with four children per node, roughly halves the tree
-// depth — fewer swaps per operation on the deep heaps a large fabric
-// builds up. Push and pop remain O(log n), which is why a sparse near
-// future stays on the calendar (calqueue.go).
+// heapQueue is a 4-ary min-heap on (at, seq). It has two roles: the
+// calendar queue's overflow tier, and the reference implementation for
+// the differential determinism tests. Compared to container/heap this
+// removes the interface round trip (method dispatch and the any boxing
+// in Push/Pop) and, with four children per node, roughly halves the
+// tree depth. Push and pop remain O(log n) with unpredictable compares,
+// which is why every run's near future lives on the calendar
+// (calqueue.go).
 type heapQueue struct {
 	events []*event
 }

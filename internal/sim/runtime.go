@@ -13,7 +13,7 @@ import (
 //     Engine.Stats): counters and wall-time accounting answering "what
 //     did the parallel protocol actually do" — window grants,
 //     null-advance relaxations, per-worker busy/blocked/idle time,
-//     which event queue each engine ended on.
+//     and each engine's event-queue profile.
 //   - A live progress surface (Monitor): per-shard event counts and
 //     clocks published through atomics, so a sampler goroutine can
 //     stream progress without ever touching an engine.
@@ -208,7 +208,7 @@ func (c *Coordinator) runGrant(s *Shard, mark *time.Time) {
 }
 
 // workerBlocked charges the time since mark to worker w's blocked
-// account (the doneCh handoff just completed) and advances mark.
+// account (the send on doneCh just completed) and advances mark.
 func (rt *runStats) workerBlocked(w int, mark *time.Time) {
 	now := time.Now()
 	rt.workers[w].blocked.Add(int64(now.Sub(*mark)))
@@ -328,12 +328,11 @@ const monPublishEvery = 4096
 
 // QueueStats is the scheduler's self-profile.
 type QueueStats struct {
-	// Kind names the queue serving at snapshot time: "calendar", or
-	// "heap" for a QueueHeap engine and for a calendar engine that
-	// handed off.
+	// Kind names the engine's queue: "calendar", or "heap" for a
+	// QueueHeap engine. An engine never changes queue.
 	Kind string `json:"kind"`
 	// Buckets and Width are the calendar's geometry, which is constant
-	// (64 slices of 2^10 ns); zero when the heap serves.
+	// (4,096 slices of 2^4 ns); zero for a heap engine.
 	Buckets int           `json:"buckets,omitempty"`
 	Width   time.Duration `json:"width,omitempty"`
 	// Grows and Shrinks are always zero: the calendar no longer
@@ -341,8 +340,11 @@ type QueueStats struct {
 	Grows   uint64 `json:"grows,omitempty"`
 	Shrinks uint64 `json:"shrinks,omitempty"`
 	// Migrations counts events pulled from the overflow heap tier into
-	// the bucket window, including those before a handoff.
+	// the bucket window.
 	Migrations uint64 `json:"migrations,omitempty"`
+	// WalkMax is the longest sorted-chain walk any calendar insert took
+	// (links passed; appends and head inserts walk none).
+	WalkMax int `json:"walkMax,omitempty"`
 }
 
 // EngineStats is a point-in-time self-profile of one engine.
@@ -357,9 +359,10 @@ type EngineStats struct {
 	Queue    QueueStats `json:"queue"`
 }
 
-// Stats snapshots the engine's self-profile. The migration counter is
-// maintained unconditionally: it increments on the overflow-migration
-// path, which is rare next to the pops it amortizes against.
+// Stats snapshots the engine's self-profile. The migration and walk
+// counters are maintained unconditionally: they update on the overflow
+// migration and mid-chain insert paths, both rare next to the pops they
+// amortize against.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Now:       e.now,
@@ -369,13 +372,9 @@ func (e *Engine) Stats() EngineStats {
 		FreeList:  len(e.free),
 		Queue:     QueueStats{Kind: "heap"},
 	}
-	if c := e.cal; c != nil {
-		st.Queue.Migrations = c.migrations
-		if e.q == eventQueue(c) {
-			st.Queue.Kind = "calendar"
-			st.Queue.Buckets = calBuckets
-			st.Queue.Width = calWidth
-		}
+	if c, ok := e.q.(*calQueue); ok {
+		st.Queue = QueueStats{Kind: "calendar", Buckets: calBuckets, Width: calWidth,
+			Migrations: c.migrations, WalkMax: c.walkMax}
 	}
 	return st
 }

@@ -284,8 +284,8 @@ func TestEngineStats(t *testing.T) {
 	if st.Processed != eng.Processed() || st.Now != time.Millisecond {
 		t.Fatalf("stats disagree with engine: %+v", st)
 	}
-	if st.Queue.Kind != "calendar" && st.Queue.Kind != "heap" {
-		t.Fatalf("unknown queue kind %q", st.Queue.Kind)
+	if st.Queue.Kind != "calendar" || st.Queue.Buckets != calBuckets || st.Queue.Width != calWidth {
+		t.Fatalf("default engine reports queue %+v, want the calendar's geometry", st.Queue)
 	}
 	if st.HiWater <= 0 {
 		t.Fatalf("pending high-water not tracked: %+v", st)

@@ -173,10 +173,10 @@ func TestHeapCancelRecycleExactness(t *testing.T) {
 }
 
 // The engine's scheduling hot path must be allocation-free at steady
-// state: event records come from the free list, the 4-ary heap slice is
-// warm, and the value Timer never escapes. This is the regression guard
-// for the zero-allocation property the simulator's throughput depends
-// on.
+// state: event records come from the free list, the overflow heap's
+// slice is warm, and the value Timer never escapes. This is the
+// regression guard for the zero-allocation property the simulator's
+// throughput depends on.
 func TestScheduleCallZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	nop := func(any) {}
@@ -191,5 +191,20 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ScheduleCall+Step allocates %.2f/op at steady state, want 0", avg)
+	}
+	// The bitmap path: one event a few microseconds out, across hundreds
+	// of empty slices, and one beyond the window, so the second Step
+	// drains the buckets and re-anchors on the overflow tier.
+	avg = testing.AllocsPerRun(1000, func() {
+		e.ScheduleCall(3*time.Microsecond, nop, e)
+		e.ScheduleCall(time.Millisecond, nop, e)
+		e.Step()
+		e.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("gap-crossing and overflow drain allocate %.2f/op, want 0", avg)
+	}
+	if m := e.Stats().Queue.Migrations; m < 1000 {
+		t.Fatalf("%d overflow migrations, want one per iteration", m)
 	}
 }
