@@ -22,7 +22,8 @@ import (
 
 // The flow and replay modes: each parses its own flags into an
 // experiment.Spec for run's pipeline. A flag that cannot apply to a mode
-// (-quick, -repeats, -engine, -shards, -jobs, ...) is not registered.
+// (-quick, -repeats, -engine, -shards, -jobs, ...) is not registered;
+// one that the other flags given make moot is refused.
 
 // schemeFlags are the scheduler and marker flags both subcommands take.
 type schemeFlags struct {
@@ -63,6 +64,27 @@ func (f *schemeFlags) profile(weights []float64, bufferPkts int, mc schemes.Mark
 	}, filter, nil
 }
 
+// refuseMoot refuses a flag given on fs that the others make moot: the
+// threshold or mark point of no marker, a mark point for TCN (dequeue
+// only), an RTT threshold for any marker but PMSB(e), -load and -seed
+// without -gen, and with -gen any flag outside genFlags.
+func (f *schemeFlags) refuseMoot(fs *flag.FlagSet, gen bool) (err error) {
+	m := strings.ToLower(*f.marker)
+	markerMoot := map[string]bool{"portk": m == "none", "dequeue": m == "none" || m == "tcn", "rttthresh": m != "pmsbe"}
+	fs.Visit(func(fl *flag.Flag) {
+		switch name := fl.Name; {
+		case err != nil:
+		case gen && !genFlags[name]:
+			err = fmt.Errorf("-%s does not apply to -gen, which only writes a trace", name)
+		case !gen && (name == "load" || name == "seed"):
+			err = fmt.Errorf("-%s applies only to -gen", name)
+		case markerMoot[name]:
+			err = fmt.Errorf("-%s does not apply to -marker %s", name, *f.marker)
+		}
+	})
+	return err
+}
+
 func (f *schemeFlags) String() string {
 	return fmt.Sprintf("sched=%s marker=%s portK=%dpkt", *f.sched, *f.marker, *f.portK)
 }
@@ -83,6 +105,9 @@ func flowMode(fs *flag.FlagSet) func(io.Writer) (plan, error) {
 	return func(io.Writer) (plan, error) {
 		if *gbps < 1 || *delay <= 0 || *dur <= 0 || *buffer < 0 {
 			return plan{}, fmt.Errorf("-gbps, -delay and -dur must be positive and -buffer non-negative")
+		}
+		if err := sf.refuseMoot(fs, false); err != nil {
+			return plan{}, err
 		}
 		services, err := parseGroups(*groupsArg)
 		if err != nil {
@@ -189,6 +214,9 @@ func replayMode(fs *flag.FlagSet) func(io.Writer) (plan, error) {
 		if *queues < 1 || *queues > maxServices {
 			return plan{}, fmt.Errorf("-queues must be in 1..%d (got %d)", maxServices, *queues)
 		}
+		if err := sf.refuseMoot(fs, *gen > 0); err != nil {
+			return plan{}, err
+		}
 		if *gen > 0 {
 			return plan{}, workload.WriteTrace(w, workload.Poisson(workload.PoissonConfig{
 				Load:     *load,
@@ -241,6 +269,12 @@ func replayMode(fs *flag.FlagSet) func(io.Writer) (plan, error) {
 		}
 		return plan{specs: []experiment.Spec{spec}, jobs: 1}, nil
 	}
+}
+
+// genFlags are the flags replay -gen reads; it refuses the others.
+var genFlags = map[string]bool{
+	"gen": true, "load": true, "seed": true, "queues": true,
+	"out": true, "cpuprofile": true, "memprofile": true,
 }
 
 // writeFlows writes one CSV row per trace flow: the trace's columns,

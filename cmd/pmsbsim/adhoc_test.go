@@ -341,3 +341,15 @@ func FuzzParseGroups(f *testing.F) {
 		}
 	})
 }
+
+// A mark fraction is a fraction. With PMSB(e) vetoing every mark the
+// senders never back off and the unlimited port ends the run holding
+// thousands of packets, most of them marked at enqueue; those are not
+// transmitted, so they count on neither side of the ratio.
+func TestMarkFractionBounded(t *testing.T) {
+	table := tableOf(t, "flow", "-groups", "1x0,8x1", "-marker", "pmsbe", "-rttthresh", "1h", "-dur", "20ms")
+	frac, err := strconv.ParseFloat(table["mark-fraction"], 64)
+	if err != nil || frac < 0.9 || frac > 1 {
+		t.Fatalf("mark-fraction %q, want in [0.9, 1]: every transmitted packet is marked, none twice", table["mark-fraction"])
+	}
+}

@@ -33,16 +33,19 @@
 // engine is deterministic and results are reassembled in registration
 // order. Only the wall times in the summary block vary.
 //
+// -shards and -engine reach only the experiments that declare them
+// (experiment.Spec.Sharded, Fluid). Both are checked before anything is
+// built: a lone experiment that cannot apply one is refused, and a list
+// names on stderr the experiments that will run without it.
+//
 // -tracefile and -metrics enable the observability layer: the run's
 // event trace is written in the compact binary format (pmsbstat
 // analyzes it; pmsbstat -export turns it into JSONL for grep/jq) and
 // the metrics registry as a name<TAB>value dump. The trace ring spills
-// into the file as it fills, so the file is the complete event stream
-// at any -tracebuf. A bus is unsynchronized, so
-// tracing requires a single experiment with -repeats 1; sharded runs
-// are supported by giving every shard its own bus and spill file
-// (trace.shard0.bin, trace.shard1.bin, ...) that pmsbstat merges
-// deterministically.
+// into the file as it fills, so the file is the complete event stream.
+// Tracing requires a single experiment with -repeats 1; a sharded run
+// gives every shard its own bus and spill file (trace.shard0.bin,
+// trace.shard1.bin, ...) that pmsbstat merges deterministically.
 package main
 
 import (
@@ -83,7 +86,23 @@ type plan struct {
 // calls once they are parsed; w is where the tables go.
 type mode func(fs *flag.FlagSet) func(w io.Writer) (plan, error)
 
-func run(args []string, stdout io.Writer) error {
+// traceRing is the capacity, in events, of each spill-backed trace
+// ring: one binary-writer chunk. A full ring drains into its file, so
+// the trace bytes do not depend on the capacity; a chunk-sized ring
+// keeps a traced run's memory near the untraced run's.
+const traceRing = 1 << 13
+
+// outputFlags are the output and observer flags every mode shares.
+type outputFlags struct {
+	series, summary                                            *bool
+	format, out, cpuprof, memprof, tracefile, metrics, rtstats *string
+	progress                                                   progressFlag
+}
+
+// newFlagSet registers the mode args name (the default experiment
+// mode, flow or replay) and the shared output flags on one FlagSet, and
+// returns the arguments left to parse.
+func newFlagSet(args []string) (*flag.FlagSet, func(io.Writer) (plan, error), *outputFlags, []string) {
 	name, mode := "pmsbsim", experimentMode
 	if len(args) > 0 && args[0] == "flow" {
 		name, mode, args = "pmsbsim flow", flowMode, args[1:]
@@ -92,20 +111,23 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	planFor := mode(fs)
-	var (
-		series    = fs.Bool("series", false, "include plot-ready time series in the output")
-		format    = fs.String("format", "tsv", "output format: tsv or json")
-		out       = fs.String("out", "", "write output to this file instead of stdout")
-		summary   = fs.Bool("summary", true, "append the run manifest as a trailing '# summary' block (tsv only)")
-		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')")
-		memprof   = fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
-		tracefile = fs.String("tracefile", "", "write the observability event trace to this file in the binary trace format (single experiment only, one worker per shard; a sharded run writes per-shard spill files name.shardI.ext)")
-		tracebuf  = fs.Int("tracebuf", 1<<20, "trace ring capacity in events; full rings spill to -tracefile, so the trace is lossless at any value")
-		metrics   = fs.String("metrics", "", "write the metrics registry dump to this file (single experiment only, unsharded)")
-		rtstats   = fs.String("runtimestats", "", "write the simulator's runtime self-profile (coordinator/scheduler/pool counters, name<TAB>value dump; read with pmsbstat -runtime) to this file (single experiment only)")
-	)
-	var progress progressFlag
-	fs.Var(&progress, "progress", "stream live progress as JSON lines on stderr; give an interval (-progress=250ms) or use the 1s default (single experiment only; results are unaffected)")
+	o := &outputFlags{
+		series:    fs.Bool("series", false, "include plot-ready time series in the output"),
+		format:    fs.String("format", "tsv", "output format: tsv or json"),
+		out:       fs.String("out", "", "write output to this file instead of stdout"),
+		summary:   fs.Bool("summary", true, "append the run manifest as a trailing '# summary' block (tsv only)"),
+		cpuprof:   fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')"),
+		memprof:   fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file"),
+		tracefile: fs.String("tracefile", "", "write the observability event trace to this file in the binary trace format (single experiment only, one worker per shard; a sharded run writes per-shard spill files name.shardI.ext)"),
+		metrics:   fs.String("metrics", "", "write the metrics registry dump to this file (single experiment only, unsharded)"),
+		rtstats:   fs.String("runtimestats", "", "write the simulator's runtime self-profile (coordinator/scheduler/pool counters, name<TAB>value dump; read with pmsbstat -runtime) to this file (single experiment only)"),
+	}
+	fs.Var(&o.progress, "progress", "stream live progress as JSON lines on stderr; give an interval (-progress=250ms) or use the 1s default (single experiment only; results are unaffected)")
+	return fs, planFor, o, args
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs, planFor, o, args := newFlagSet(args)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			// -h/-help is a successful invocation: the FlagSet already
@@ -117,12 +139,12 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *format != "tsv" && *format != "json" {
-		return fmt.Errorf("unknown format %q (want tsv or json)", *format)
+	if *o.format != "tsv" && *o.format != "json" {
+		return fmt.Errorf("unknown format %q (want tsv or json)", *o.format)
 	}
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
+	if *o.cpuprof != "" {
+		f, err := os.Create(*o.cpuprof)
 		if err != nil {
 			return fmt.Errorf("create cpu profile: %w", err)
 		}
@@ -132,12 +154,12 @@ func run(args []string, stdout io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprof != "" {
+	if *o.memprof != "" {
 		// The heap snapshot is taken on the way out so it reflects the
 		// run's live set, not startup state; a GC first removes dead
 		// objects so the profile shows retained memory.
 		defer func() {
-			f, err := os.Create(*memprof)
+			f, err := os.Create(*o.memprof)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "pmsbsim: create mem profile:", err)
 				return
@@ -151,8 +173,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+	if *o.out != "" {
+		f, err := os.Create(*o.out)
 		if err != nil {
 			return fmt.Errorf("create output: %w", err)
 		}
@@ -165,60 +187,52 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	specs, opt, jobs, shards := p.specs, p.opt, p.jobs, max(p.opt.Shards, 1)
-	// Runtime introspection (-progress, -runtimestats) observes a single
-	// simulation, so it carries the same one-experiment restriction as
-	// tracing. Neither changes a single simulated byte: the monitor is
-	// read-only published state and the runtime counters are side
-	// channels (differential-tested).
-	var stopSampler func()
-	if progress.set || *rtstats != "" {
-		if len(specs) != 1 {
-			return fmt.Errorf("-progress/-runtimestats require exactly one experiment (got %d)", len(specs))
+	// The observers — tracing (-tracefile, -metrics) and runtime
+	// introspection (-progress, -runtimestats) — watch one simulation: a
+	// bus is not synchronized, so each must be fed by one goroutine.
+	// Sharded runs are fine — each shard gets its own bus and spill file,
+	// and the window protocol's happens-before edges keep each bus
+	// single-threaded. No observer changes a simulated byte
+	// (differential-tested).
+	tracing := *o.tracefile != "" || *o.metrics != ""
+	if tracing || o.progress.set || *o.rtstats != "" {
+		if len(specs) != 1 || opt.Repeats > 1 {
+			return fmt.Errorf("-tracefile, -metrics, -progress and -runtimestats require one experiment and -repeats 1 (got %d experiments, -repeats %d)",
+				len(specs), opt.Repeats)
 		}
-		if opt.Repeats > 1 {
-			return fmt.Errorf("-progress/-runtimestats require -repeats 1 (got %d)", opt.Repeats)
-		}
-		jobs = shards
-		if progress.set {
-			mon := sim.NewMonitor()
-			opt.Monitor = mon
-			sampler := obsrt.StartSampler(os.Stderr, mon, progress.interval)
-			stopSampler = sampler.Stop
-			defer sampler.Stop()
-		}
-		if *rtstats != "" {
-			pkt.EnablePoolStats(true)
-			defer pkt.EnablePoolStats(false)
-			opt.Runtime = obsrt.NewCollector()
-		}
+		jobs = shards // exactly the workers the one run needs
 	}
-
-	tracing := *tracefile != "" || *metrics != ""
+	var stopSampler func()
+	if o.progress.set {
+		mon := sim.NewMonitor()
+		opt.Monitor = mon
+		sampler := obsrt.StartSampler(os.Stderr, mon, o.progress.interval)
+		stopSampler = sampler.Stop
+		defer sampler.Stop()
+	}
+	if *o.rtstats != "" {
+		pkt.EnablePoolStats(true)
+		defer pkt.EnablePoolStats(false)
+		opt.Runtime = obsrt.NewCollector()
+	}
 	var trace *traceSession
 	if tracing {
-		// A bus is not synchronized: restrict tracing to one experiment
-		// so every bus is fed by one goroutine. Sharded runs are fine —
-		// each shard gets its own bus and spill file, and the window
-		// protocol's happens-before edges keep each bus
-		// single-threaded.
-		if len(specs) != 1 {
-			return fmt.Errorf("-tracefile/-metrics require exactly one experiment (got %d)", len(specs))
-		}
-		if opt.Repeats > 1 {
-			return fmt.Errorf("-tracefile/-metrics require -repeats 1 (got %d)", opt.Repeats)
-		}
-		if *metrics != "" && shards > 1 {
+		if *o.metrics != "" && shards > 1 {
 			// Each shard bus has its own registry; a merged dump is not
 			// defined yet.
 			return fmt.Errorf("-metrics requires -shards 1 (got %d)", shards)
 		}
-		jobs = shards // exactly the workers the one sharded run needs
-		trace, err = openTraceSession(*tracefile, *tracebuf, shards, *metrics != "")
+		trace, err = openTraceSession(*o.tracefile, shards, *o.metrics != "")
 		if err != nil {
 			return err
 		}
 		defer trace.cleanup()
-		trace.apply(&opt)
+		// The shard-0 bus is the serial run's; a sharded session also
+		// publishes the per-shard list.
+		opt.Obs = trace.buses[0]
+		if len(trace.buses) > 1 {
+			opt.ObsShards = trace.buses
+		}
 	}
 	// On failure results hold the completed prefix (everything before
 	// the earliest failing experiment), which is still printed — the
@@ -229,25 +243,22 @@ func run(args []string, stdout io.Writer) error {
 		// payload is printed.
 		stopSampler()
 	}
-	if runErr == nil {
-		noteUnapplied(os.Stderr, opt.Engine, shards, manifest)
-	}
 	if tracing && runErr == nil {
-		if err := trace.finish(*metrics); err != nil {
+		if err := trace.finish(*o.metrics); err != nil {
 			return err
 		}
 	}
-	if *rtstats != "" && runErr == nil {
-		if err := writeRuntimeStats(*rtstats, opt.Runtime); err != nil {
-			return err
+	if *o.rtstats != "" && runErr == nil {
+		if err := writeDump(*o.rtstats, opt.Runtime.Snapshot()); err != nil {
+			return fmt.Errorf("write runtimestats: %w", err)
 		}
 	}
-	if !*series {
+	if !*o.series {
 		for _, res := range results {
 			res.Series = nil
 		}
 	}
-	switch *format {
+	switch *o.format {
 	case "json":
 		if err := writeJSON(w, results, len(specs) > 1); err != nil {
 			return err
@@ -257,7 +268,7 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprint(w, res.TSV())
 			fmt.Fprintln(w)
 		}
-		if runErr == nil && *summary {
+		if runErr == nil && *o.summary {
 			fmt.Fprint(w, manifest.Summary())
 		}
 	}
@@ -274,11 +285,14 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		seed    = fs.Int64("seed", 1, "random seed")
 		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples")
 		jobs    = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
-		shards  = fs.Int("shards", 1, "shard each large-scale simulation across this many parallel engines (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value; experiments that ran narrower are named on stderr)")
-		engine  = fs.String("engine", "packet", "simulation engine for the scenario and fct experiments: packet (ground truth) or flow (fluid fast path); experiments without a fluid form run packet and are named on stderr")
+		shards  = fs.Int("shards", 1, "shard the leaf-spine and fat-tree simulations across this many parallel engines, as far as each topology partitions (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value); refused for a lone experiment that does not shard")
+		engine  = fs.String("engine", "packet", "simulation engine of the experiments with a fluid form (fct-*, fig16-27, scenario-*, flow-scale): packet (ground truth) or flow (fluid fast path); flow is refused for a lone experiment without one")
 	)
 	return func(w io.Writer) (plan, error) {
 		var specs []experiment.Spec
+		if *list && *all || (*list || *all) && *id != "" {
+			return plan{}, fmt.Errorf("-list, -all and -experiment exclude each other")
+		}
 		switch {
 		case *list:
 			for _, s := range experiment.List() {
@@ -306,6 +320,18 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		if *engine != "packet" && *engine != "flow" {
 			return plan{}, fmt.Errorf("unknown engine %q (want packet or flow)", *engine)
 		}
+		if *shards > 1 {
+			if err := refuseUnreached(specs, fmt.Sprintf("-shards %d", *shards), "does not shard",
+				func(s experiment.Spec) bool { return s.Sharded }); err != nil {
+				return plan{}, err
+			}
+		}
+		if *engine == "flow" {
+			if err := refuseUnreached(specs, "-engine flow", "has no fluid form",
+				func(s experiment.Spec) bool { return s.Fluid }); err != nil {
+				return plan{}, err
+			}
+		}
 		return plan{specs, experiment.Options{
 			Quick: *quick, Seed: *seed, Repeats: *repeats,
 			Shards: *shards, Engine: *engine,
@@ -313,30 +339,25 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 	}
 }
 
-// noteUnapplied says, in one line per option, which experiments did not
-// run the way -engine and -shards asked: the manifest records the
-// engine and shard count each one actually used. Not an error — -all
-// with -shards N is legitimate — but never silent. Experiments that ran
-// no simulation at all (table1) have nothing to apply an option to.
-func noteUnapplied(w io.Writer, engine string, shards int, m *experiment.Manifest) {
-	var offEngine, offShards []string
-	for _, e := range m.Experiments {
-		if e.Engine == "" {
-			continue
-		}
-		if engine == "flow" && !strings.Contains(e.Engine, "flow") {
-			offEngine = append(offEngine, e.ID)
-		}
-		if shards > 1 && e.Shards != shards {
-			offShards = append(offShards, fmt.Sprintf("%s ran %d", e.ID, e.Shards))
+// refuseUnreached checks an option against the experiments asked for,
+// before any is built: a lone experiment the option does not reach is
+// an error, and a list names on stderr, in one line, the experiments
+// that will run without it.
+func refuseUnreached(specs []experiment.Spec, option, why string, reaches func(experiment.Spec) bool) error {
+	var off []string
+	for _, s := range specs {
+		if !reaches(s) {
+			off = append(off, s.ID)
 		}
 	}
-	if len(offEngine) > 0 {
-		fmt.Fprintf(w, "pmsbsim: -engine flow not applied, ran the packet engine: %s\n", strings.Join(offEngine, ", "))
+	switch {
+	case len(off) == 0:
+	case len(specs) == 1:
+		return fmt.Errorf("%s: %s %s", option, off[0], why)
+	default:
+		fmt.Fprintf(os.Stderr, "pmsbsim: %s will not apply to %s\n", option, strings.Join(off, ", "))
 	}
-	if len(offShards) > 0 {
-		fmt.Fprintf(w, "pmsbsim: -shards %d not applied as asked: %s\n", shards, strings.Join(offShards, ", "))
-	}
+	return nil
 }
 
 // progressFlag is the -progress value: an optional-argument boolean
@@ -376,28 +397,23 @@ func (p *progressFlag) Set(s string) error {
 	return nil
 }
 
-// writeRuntimeStats dumps the collected runtime self-profile as sorted
-// name<TAB>value lines (the metrics dump format; pmsbstat -runtime
-// turns it into a report).
-func writeRuntimeStats(path string, coll *obsrt.Collector) error {
+// writeDump writes a name<TAB>value dump — the metrics registry, or
+// the runtime self-profile pmsbstat -runtime reports on — to path.
+func writeDump(path string, dump io.WriterTo) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("create runtimestats file: %w", err)
+		return err
 	}
-	if _, err := coll.Snapshot().WriteTo(f); err != nil {
+	if _, err := dump.WriteTo(f); err != nil {
 		f.Close()
-		return fmt.Errorf("write runtimestats: %w", err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close runtimestats file: %w", err)
-	}
-	return nil
+	return f.Close()
 }
 
 // traceSession owns the tracing plumbing of one run: one bus per shard,
 // each with a ring that spills into its own trace file as it fills, so
-// the exported trace is the complete event stream regardless of
-// -tracebuf. finish drains the rings and closes the files; cleanup
+// the exported trace is the complete event stream. finish drains the rings and closes the files; cleanup
 // releases file handles if the run failed before finish.
 type traceSession struct {
 	buses  []*obs.Bus
@@ -413,15 +429,11 @@ type traceSession struct {
 // ringless bus. When no metrics dump was requested the buses are
 // trace-only (obs.NewTraceBus): nothing will read the per-port
 // counters, so packet events skip them.
-func openTraceSession(tracefile string, tracebuf, shards int, wantMetrics bool) (*traceSession, error) {
+func openTraceSession(tracefile string, shards int, wantMetrics bool) (*traceSession, error) {
 	s := &traceSession{}
 	if tracefile == "" {
 		s.buses = []*obs.Bus{obs.NewBus(0)} // metrics only: no event ring
 		return s, nil
-	}
-	ringCap := tracebuf
-	if ringCap < 1 {
-		ringCap = 1
 	}
 	paths := []string{tracefile}
 	if shards > 1 {
@@ -437,9 +449,9 @@ func openTraceSession(tracefile string, tracebuf, shards int, wantMetrics bool) 
 			return nil, fmt.Errorf("create trace file: %w", err)
 		}
 		sw := obs.NewSpillWriter(f, obs.FormatBinary)
-		bus := obs.NewTraceBus(ringCap)
+		bus := obs.NewTraceBus(traceRing)
 		if wantMetrics {
-			bus = obs.NewBus(ringCap)
+			bus = obs.NewBus(traceRing)
 		}
 		bus.Ring().SetSpill(sw)
 		s.buses = append(s.buses, bus)
@@ -448,16 +460,6 @@ func openTraceSession(tracefile string, tracebuf, shards int, wantMetrics bool) 
 		s.paths = append(s.paths, path)
 	}
 	return s, nil
-}
-
-// apply attaches the session's buses to the run options: the shard-0
-// bus is the serial/fallback bus, and a sharded session also publishes
-// the full per-shard list.
-func (s *traceSession) apply(opt *experiment.Options) {
-	opt.Obs = s.buses[0]
-	if len(s.buses) > 1 {
-		opt.ObsShards = s.buses
-	}
 }
 
 // finish drains every ring into its spill file, closes the files, and
@@ -486,16 +488,8 @@ func (s *traceSession) finish(metrics string) error {
 		}
 	}
 	if metrics != "" {
-		f, err := os.Create(metrics)
-		if err != nil {
-			return fmt.Errorf("create metrics file: %w", err)
-		}
-		if _, err := s.buses[0].Metrics().WriteTo(f); err != nil {
-			f.Close()
+		if err := writeDump(metrics, s.buses[0].Metrics()); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close metrics file: %w", err)
 		}
 	}
 	return nil
@@ -515,15 +509,11 @@ func (s *traceSession) cleanup() {
 		if r == nil {
 			continue
 		}
-		path := "trace"
-		if i < len(s.paths) {
-			path = s.paths[i]
-		}
 		if err := r.SpillErr(); err != nil {
-			fmt.Fprintf(os.Stderr, "pmsbsim: %s: deferred spill error: %v\n", path, err)
+			fmt.Fprintf(os.Stderr, "pmsbsim: %s: deferred spill error: %v\n", s.paths[i], err)
 		}
 		if n := r.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "pmsbsim: %s: %d trace events dropped\n", path, n)
+			fmt.Fprintf(os.Stderr, "pmsbsim: %s: %d trace events dropped\n", s.paths[i], n)
 		}
 	}
 	for _, f := range s.files {

@@ -179,35 +179,47 @@ func TestRunSummaryBlock(t *testing.T) {
 	}
 }
 
-// An option an experiment could not honor is named on stderr, never
-// silently dropped: fig5 has neither a fluid nor a sharded form,
-// fattree-incast shards but has no fluid form, ablation-markpoint's
-// leaf-spine splits in two and its dequeue-marking PMSB has no fluid
-// counterpart, table1 simulates nothing.
-func TestNoteUnapplied(t *testing.T) {
-	var specs []experiment.Spec
-	for _, id := range []string{"fig5", "fattree-incast", "ablation-markpoint", "table1"} {
-		s, err := experiment.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
+// -shards and -engine are checked against what each experiment
+// declares before anything is built: a lone experiment that cannot
+// apply one is refused with no table printed; in a list the ones that
+// will run without it are named on stderr, in one line, before the run.
+func TestOptionReachRefusedBeforeRun(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "fig8", "-quick", "-shards", "2"}, "-shards 2: fig8 does not shard"},
+		{[]string{"-experiment", "fattree32", "-quick", "-engine", "flow"}, "-engine flow: fattree32 has no fluid form"},
+		{[]string{"-experiment", "calibrate", "-quick", "-engine", "flow"}, "-engine flow: calibrate has no fluid form"},
+		{[]string{"-experiment", "table1", "-shards", "4"}, "-shards 4: table1 does not shard"},
+	} {
+		var stderr string
+		var out string
+		var err error
+		stderr = captureStderr(t, func() { out, err = capture(t, tc.args...) })
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
-		specs = append(specs, s)
+		if out != "" || stderr != "" {
+			t.Errorf("%v: a refused run printed %q (stderr %q)", tc.args, out, stderr)
+		}
 	}
-	_, m, err := experiment.RunMany(specs, experiment.Options{Quick: true, Shards: 4, Engine: "flow"}, 4)
+
+	var out string
+	var err error
+	stderr := captureStderr(t, func() {
+		out, err = capture(t, "-experiment", "fig5,fattree-incast,table1", "-quick", "-shards", "2", "-engine", "flow")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	noteUnapplied(&buf, "flow", 4, m)
-	want := "pmsbsim: -engine flow not applied, ran the packet engine: fig5, fattree-incast, ablation-markpoint\n" +
-		"pmsbsim: -shards 4 not applied as asked: fig5 ran 1, ablation-markpoint ran 2\n"
-	if buf.String() != want {
-		t.Fatalf("got:\n%swant:\n%s", buf.String(), want)
+	want := "pmsbsim: -shards 2 will not apply to fig5, table1\n" +
+		"pmsbsim: -engine flow will not apply to fig5, fattree-incast, table1\n"
+	if stderr != want {
+		t.Errorf("stderr:\n%swant:\n%s", stderr, want)
 	}
-	buf.Reset()
-	noteUnapplied(&buf, "packet", 1, m)
-	if buf.Len() != 0 {
-		t.Fatalf("defaults ask for nothing, yet: %s", buf.String())
+	if !strings.Contains(out, "# fattree-incast\t") || !strings.Contains(out, "\tpacket\t2\n") {
+		t.Errorf("fattree-incast's manifest row does not show 2 shards:\n%s", out)
 	}
 }
 
@@ -358,30 +370,38 @@ func TestTraceBinaryExport(t *testing.T) {
 	}
 }
 
-// TestTraceSpillLossless: the exported trace must be identical at any
-// -tracebuf, because a full ring spills instead of overwriting.
+// TestTraceSpillLossless: pmsbsim's trace, spilled to its file each
+// time the ring fills, is byte-identical to the same run captured whole
+// in a ring that never fills.
 func TestTraceSpillLossless(t *testing.T) {
-	dir := t.TempDir()
-	small := filepath.Join(dir, "small.bin")
-	big := filepath.Join(dir, "big.bin")
-	if _, err := capture(t, "-experiment", "fig8", "-quick",
-		"-tracefile", small, "-tracebuf", "64"); err != nil {
-		t.Fatalf("small-ring run: %v", err)
+	spilled := filepath.Join(t.TempDir(), "fig5.bin")
+	if _, err := capture(t, "-experiment", "fig5", "-quick", "-tracefile", spilled); err != nil {
+		t.Fatalf("traced run: %v", err)
 	}
-	if _, err := capture(t, "-experiment", "fig8", "-quick",
-		"-tracefile", big, "-tracebuf", "1048576"); err != nil {
-		t.Fatalf("big-ring run: %v", err)
-	}
-	a, err := os.ReadFile(small)
+	spec, err := experiment.Lookup("fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(big)
+	bus := obs.NewTraceBus(1 << 16)
+	if _, _, err := experiment.RunMany([]experiment.Spec{spec}, experiment.Options{Quick: true, Seed: 1, Obs: bus}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if bus.Ring().Dropped() != 0 {
+		t.Fatal("the reference ring wrapped; grow it")
+	}
+	if bus.Ring().Total() <= traceRing {
+		t.Fatalf("fig5 emits %d events: the pmsbsim ring (%d) never spilled", bus.Ring().Total(), traceRing)
+	}
+	var whole bytes.Buffer
+	if err := bus.Ring().WriteBinary(&whole); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(spilled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("trace depends on ring size: %d vs %d bytes", len(a), len(b))
+	if !bytes.Equal(got, whole.Bytes()) {
+		t.Fatalf("spilled trace (%d bytes) differs from the unspilled one (%d bytes)", len(got), whole.Len())
 	}
 }
 

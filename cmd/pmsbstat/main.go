@@ -56,19 +56,30 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// options are pmsbstat's flags.
+type options struct {
+	bin, since, until                     *time.Duration
+	top                                   *int
+	depth, marks, counts, export, runtime *bool
+}
+
+func newFlagSet() (*flag.FlagSet, options) {
 	fs := flag.NewFlagSet("pmsbstat", flag.ContinueOnError)
-	var (
-		bin     = fs.Duration("bin", time.Millisecond, "bin width of the mark-rate timeline")
-		top     = fs.Int("top", 10, "flows to list in the per-flow table (by bytes; 0 disables)")
-		depth   = fs.Bool("depth", true, "print per-queue occupancy percentiles")
-		marks   = fs.Bool("marks", true, "print the mark-rate timeline")
-		counts  = fs.Bool("counts", true, "print event counts by kind")
-		since   = fs.Duration("since", 0, "analyze only events at or after this virtual time")
-		until   = fs.Duration("until", 0, "analyze only events at or before this virtual time (0 = end of trace)")
-		export  = fs.Bool("export", false, "print the (merged, -since/-until filtered) events as JSONL on stdout instead of a report")
-		runtime = fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, null-advance overhead, the event queue's geometry, longest chain walk and migrations)")
-	)
+	return fs, options{
+		bin:     fs.Duration("bin", time.Millisecond, "bin width of the mark-rate timeline"),
+		top:     fs.Int("top", 10, "flows to list in the per-flow table (by bytes; 0 disables)"),
+		depth:   fs.Bool("depth", true, "print per-queue occupancy percentiles"),
+		marks:   fs.Bool("marks", true, "print the mark-rate timeline"),
+		counts:  fs.Bool("counts", true, "print event counts by kind"),
+		since:   fs.Duration("since", 0, "analyze only events at or after this virtual time"),
+		until:   fs.Duration("until", 0, "analyze only events at or before this virtual time (0 = end of trace)"),
+		export:  fs.Bool("export", false, "print the (merged, -since/-until filtered) events as JSONL on stdout instead of a report"),
+		runtime: fs.Bool("runtime", false, "treat the argument as a pmsbsim -runtimestats dump and explain the run (shard imbalance, null-advance overhead, the event queue's geometry, longest chain walk and migrations)"),
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs, o := newFlagSet()
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: pmsbstat [flags] trace.bin [more traces...]")
 		fmt.Fprintln(fs.Output(), "       pmsbstat -runtime run.rtstats")
@@ -80,43 +91,43 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
-	if *bin <= 0 {
-		return fmt.Errorf("-bin %v: the mark-rate bin width must be positive", *bin)
+	if *o.bin <= 0 {
+		return fmt.Errorf("-bin %v: the mark-rate bin width must be positive", *o.bin)
 	}
 	if fs.NArg() < 1 {
 		fs.Usage()
 		return fmt.Errorf("at least one trace file is required")
 	}
-	if *runtime {
+	if *o.runtime {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("-runtime takes exactly one dump file (got %d)", fs.NArg())
 		}
 		return runtimeReport(stdout, fs.Arg(0))
 	}
 
-	lo, hi := *since, *until
+	lo, hi := *o.since, *o.until
 	if hi == 0 {
 		hi = 1<<63 - 1
 	}
 	if hi < lo {
-		return fmt.Errorf("-until %v precedes -since %v", *until, *since)
+		return fmt.Errorf("-until %v precedes -since %v", *o.until, *o.since)
 	}
 	var n int
 	var err error
-	if *export {
+	if *o.export {
 		n, err = exportTraces(stdout, fs.Args(), lo, hi)
 	} else {
-		opt := obs.StreamOptions{Counts: *counts, Depths: *depth, Flows: *top > 0, Since: lo, Until: hi}
-		if *marks {
-			opt.MarkBin = *bin
+		opt := obs.StreamOptions{Counts: *o.counts, Depths: *o.depth, Flows: *o.top > 0, Since: lo, Until: hi}
+		if *o.marks {
+			opt.MarkBin = *o.bin
 		}
-		n, err = report(stdout, fs.Args(), opt, *top)
+		n, err = report(stdout, fs.Args(), opt, *o.top)
 	}
 	if err != nil || n > 0 {
 		return err
 	}
 	traces := strings.Join(fs.Args(), ", ")
-	if *since != 0 || *until != 0 {
+	if *o.since != 0 || *o.until != 0 {
 		return fmt.Errorf("trace %s holds no events in [%v, %v]", traces, lo, time.Duration(hi))
 	}
 	return fmt.Errorf("trace %s holds no events", traces)

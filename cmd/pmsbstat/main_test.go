@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"pmsb/internal/experiment"
 	"pmsb/internal/obs"
+	obsrt "pmsb/internal/obs/runtime"
 	"pmsb/internal/pkt"
 )
 
@@ -462,6 +465,57 @@ func TestMultiRunShardReport(t *testing.T) {
 		}
 		if head := strings.SplitN(out, "\n", 2)[0]; !strings.Contains(head, ", 3 segments") {
 			t.Errorf("pmsbstat %v header %q: want 3 segments", files, head)
+		}
+	}
+}
+
+// Every pmsbstat flag changes what a run prints: a row per flag proves
+// it against the same trace, a flag without a row fails, and so does a
+// row whose flag is gone.
+func TestEveryFlagBites(t *testing.T) {
+	trace := writeTrace(t)
+	dump := filepath.Join(t.TempDir(), "run.rtstats")
+	f, err := os.Create(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obsrt.NewCollector().Snapshot().WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	bites := []struct {
+		flag       string
+		base, with []string
+	}{
+		{"bin", []string{trace}, []string{"-bin", "500us"}},
+		{"top", []string{trace}, []string{"-top", "0"}},
+		{"depth", []string{trace}, []string{"-depth=false"}},
+		{"marks", []string{trace}, []string{"-marks=false"}},
+		{"counts", []string{trace}, []string{"-counts=false"}},
+		{"since", []string{trace}, []string{"-since", "5ms"}},
+		{"until", []string{trace}, []string{"-until", "5ms"}},
+		{"export", []string{trace}, []string{"-export"}},
+		{"runtime", []string{dump}, []string{"-runtime"}},
+	}
+	fs, _ := newFlagSet()
+	covered := map[string]bool{}
+	for _, b := range bites {
+		covered[b.flag] = true
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !covered[f.Name] {
+			t.Errorf("pmsbstat -%s has no row: show what it changes", f.Name)
+		}
+		delete(covered, f.Name)
+	})
+	for name := range covered {
+		t.Errorf("row for pmsbstat -%s, which is not a flag", name)
+	}
+	for _, b := range bites {
+		out0, err0 := capture(t, b.base...)
+		out1, err1 := capture(t, append(slices.Clone(b.with), b.base...)...)
+		if out0 == out1 && fmt.Sprint(err0) == fmt.Sprint(err1) {
+			t.Errorf("pmsbstat %v: adding %v changed nothing", b.base, b.with)
 		}
 	}
 }

@@ -160,8 +160,8 @@ func assertIdenticalRuns(t *testing.T, name string, heap, cal workloadResult) {
 // buildFabric wires a differential workload's topology through the
 // serial entry point on a plain sim.Engine (shards == 0: the reference
 // every sharded run is compared against) or through the sharded entry
-// point on a coordinator (shards >= 1). The returned coordinator is nil for the serial reference; either way the
-// topology's Fabric runs it.
+// point on a coordinator (shards >= 1). The returned coordinator is nil
+// for the serial reference; either way the topology's Fabric runs it.
 func buildFabric[T any](shards int, serial func(*sim.Engine) T,
 	sharded func(*sim.Coordinator, int) (T, *topo.Partition)) (T, *sim.Coordinator) {
 	if shards == 0 {
@@ -170,48 +170,6 @@ func buildFabric[T any](shards int, serial func(*sim.Engine) T,
 	coord := sim.NewCoordinator()
 	built, _ := sharded(coord, shards)
 	return built, coord
-}
-
-// runShardedDumbbell runs the dumbbell differential workload. shards ==
-// 0 is the serial reference (plain engine, serial entry point); shards
-// >= 1 builds through the coordinator.
-func runShardedDumbbell(t *testing.T, shards int) workloadResult {
-	t.Helper()
-	switchBus := obs.NewBus(1 << 16)
-	hostBus := obs.NewBus(1 << 16)
-	cfg := topo.DumbbellConfig{
-		Senders: 4,
-		Bottleneck: topo.PortProfile{
-			Weights:      topo.EqualWeights(4),
-			NewSchedWith: topo.DWRRSched,
-			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
-		},
-	}
-	d, _ := buildFabric(shards,
-		func(eng *sim.Engine) *topo.Dumbbell { return topo.NewDumbbell(eng, cfg) },
-		func(c *sim.Coordinator, n int) (*topo.Dumbbell, *topo.Partition) {
-			return topo.NewDumbbellSharded(c, cfg, n)
-		})
-	d.Switch.Observe(switchBus)
-
-	var fid transport.FlowIDGen
-	var flows []*transport.Flow
-	for i := 0; i < 4; i++ {
-		f := transport.NewFlow(d.Eng, d.Senders[i], d.Recv, fid.Next(), i%4, 400_000,
-			transport.Config{Obs: hostBus}, nil)
-		f.Sender.StartAt(time.Duration(i) * 20 * time.Microsecond)
-		flows = append(flows, f)
-	}
-	d.Run(100 * time.Millisecond)
-	res := workloadResult{processed: d.Processed()}
-	for i, f := range flows {
-		if !f.Sender.Finished() {
-			t.Fatalf("dumbbell flow #%d did not finish", i)
-		}
-		res.fcts = append(res.fcts, f.Sender.FCT())
-	}
-	res.trace = busTrace(switchBus, hostBus)
-	return res
 }
 
 // runShardedLeafSpine runs the leaf-spine differential workload (same
@@ -276,24 +234,10 @@ func busTrace(buses ...*obs.Bus) []obs.Event {
 	return out
 }
 
-// A dumbbell split hosts-vs-switch must be byte-identical to the serial
-// run: same switch trace, same transport
-// trace, same FCTs, same total event count. The 1-shard build is the
-// degenerate check that the sharded wiring itself changes nothing.
-func TestDifferentialShardedDumbbell(t *testing.T) {
-	serial := runShardedDumbbell(t, 0)
-	if len(serial.trace) == 0 {
-		t.Fatal("empty trace: the workload recorded nothing")
-	}
-	assertIdenticalRuns(t, "dumbbell serial-vs-1shard", serial,
-		runShardedDumbbell(t, 1))
-	assertIdenticalRuns(t, "dumbbell serial-vs-2shard", serial,
-		runShardedDumbbell(t, 2))
-}
-
-// Same gate for the leaf-spine fabric split hosts-vs-fabric. Run under
-// -race in CI, this doubles as the shard coordinator's race check on a
-// real workload.
+// A leaf-spine split hosts-vs-fabric must be byte-identical to the
+// serial run: same switch trace, same transport trace, same FCTs, same
+// total event count. Run under -race in CI, this doubles as the shard
+// coordinator's race check on a real workload.
 func TestDifferentialShardedLeafSpine(t *testing.T) {
 	serial := runShardedLeafSpine(t, 0)
 	if len(serial.trace) == 0 {

@@ -75,7 +75,7 @@ func FlowSpec(cfg FlowConfig) Spec {
 		rtt := r.allRTT()
 		res.AddRow("total-gbps", gbps(r.totalRate()))
 		res.AddRow("weighted-jain", fmt.Sprintf("%.3f", stats.WeightedJainIndex(rates, weights)))
-		res.AddRow("mark-fraction", fmt.Sprintf("%.3f", markFraction(r.bottleneck)))
+		res.AddRow("mark-fraction", fmt.Sprintf("%.3f", r.markFraction()))
 		res.AddRow("rtt-avg-us", usec(rtt.Mean()))
 		res.AddRow("rtt-p99-us", usec(rtt.Percentile(99)))
 		res.AddRow("drops", fmt.Sprintf("%d", r.bottleneck.DropPackets()))
@@ -118,7 +118,7 @@ func ReplaySpec(cfg ReplayConfig) Spec {
 		}
 		// One slot per flow; zero means unfinished at the deadline.
 		fcts := make([]time.Duration, len(cfg.Flows))
-		_, err := opt.runPacket(leafSpineWiring(lsCfg), 1, func(fab *topo.Fabric) time.Duration {
+		_, err := opt.runPacket(leafSpineWiring(lsCfg), func(fab *topo.Fabric) time.Duration {
 			opt.startFlows(fab, cfg.Flows, queues, cfg.Filter, func(i int, s *transport.Sender) { fcts[i] = s.FCT() })
 			return lastStart + tail
 		})

@@ -28,7 +28,6 @@ func analysisSpecs() []Spec {
 // per-queue threshold and compares the simulated steady-state queue
 // maximum with the model's Q_max = k + n (Eq. 8 in packets).
 func runAnalysisValidation(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	const delay = 10 * time.Microsecond
 	kPkts := 16
 	k := units.Packets(kPkts)
@@ -50,13 +49,12 @@ func runAnalysisValidation(opt Options) (*Result, error) {
 			},
 			accessRate: motiveRate, bottleneckRate: motiveRate, delay: delay,
 			groups: []flowGroup{{service: 0, count: n}},
-			dur:    dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
 		}
-		simMax := r.trace.MaxAfter(warmup)
-		simMin := r.trace.MinAfter(warmup)
+		simMax := r.trace.MaxAfter(r.cfg.warmup)
+		simMin := r.trace.MinAfter(r.cfg.warmup)
 		simAmp := (simMax - simMin) / 2
 		modelMax := an.QueueMax(0, n, float64(k)) / units.MTU
 		modelAmp := an.Amplitude(0, n, float64(k)) / units.MTU
@@ -76,7 +74,6 @@ func runAnalysisValidation(opt Options) (*Result, error) {
 // variants in the 4-flow burst scenario: smaller averaging weights
 // react later, so the slow-start peak grows.
 func runAblationAverage(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	rate := 1 * units.Gbps
 	k := units.Packets(16)
 	res := &Result{
@@ -96,8 +93,7 @@ func runAblationAverage(opt Options) (*Result, error) {
 				},
 			},
 			accessRate: rate, bottleneckRate: rate, delay: motiveDelay,
-			groups: []flowGroup{{service: 0, count: 4}},
-			dur:    dur, warmup: warmup,
+			groups:     []flowGroup{{service: 0, count: 4}},
 			initWindow: 16,
 		})
 		if err != nil {
@@ -106,8 +102,8 @@ func runAblationAverage(opt Options) (*Result, error) {
 		res.AddRow(
 			fmt.Sprintf("%.4g", w),
 			ftoa(r.trace.Max()),
-			ftoa(r.trace.MeanAfter(warmup)),
-			fmt.Sprintf("%.3f", markFraction(r.bottleneck)),
+			ftoa(r.trace.MeanAfter(r.cfg.warmup)),
+			fmt.Sprintf("%.3f", r.markFraction()),
 		)
 	}
 	res.AddNote("weight 1.0 is instantaneous marking; heavier averaging delays the congestion signal and inflates the burst peak — why datacenter ECN marks on instantaneous occupancy")

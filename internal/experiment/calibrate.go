@@ -69,13 +69,13 @@ func runCalibrate(opt Options) (*Result, error) {
 		fs := fctSummary(flow.fcts, pkt.fcts)
 		if ps.Count() == 0 || fs.Count() == 0 {
 			return nil, fmt.Errorf("calibrate %s: no flows completed in both engines (pkt %d, flow %d)",
-				def.id, pkt.completed, flow.completed)
+				def.id, pkt.completed(), flow.completed())
 		}
 		row := []string{
 			def.id,
 			fmt.Sprintf("%d", len(net.specs)),
-			fmt.Sprintf("%d", pkt.completed),
-			fmt.Sprintf("%d", flow.completed),
+			fmt.Sprintf("%d", pkt.completed()),
+			fmt.Sprintf("%d", flow.completed()),
 		}
 		for _, p := range []float64{50, 95, 99} {
 			pv, fv := ps.Percentile(p), fs.Percentile(p)
@@ -148,14 +148,16 @@ func runFlowScale(opt Options) (*Result, error) {
 func calibrateSpecs() []Spec {
 	return []Spec{
 		{
-			ID:    "calibrate",
-			Title: "Flow-level engine calibration vs packet-level ground truth",
-			Run:   runCalibrate,
+			ID:      "calibrate",
+			Title:   "Flow-level engine calibration vs packet-level ground truth",
+			Run:     runCalibrate,
+			Sharded: true,
 		},
 		{
 			ID:    "flow-scale",
 			Title: "Flow-level engine at 100k-host scale",
 			Run:   runFlowScale,
+			Fluid: true,
 		},
 	}
 }

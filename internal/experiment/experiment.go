@@ -28,19 +28,14 @@ type Options struct {
 	// with consecutive seeds and reports cross-seed means (default 1).
 	// Deterministic experiments ignore it.
 	Repeats int
-	// Shards splits each large-scale simulation across this many shard
-	// engines driven in parallel by a sim.Coordinator (default 1 =
-	// serial). Experiments whose topology does not partition that far
-	// run narrower, and ExperimentReport.Shards says how wide. Results
-	// are deterministic at any fixed shard count. A sharded run occupies
-	// Shards workers, so RunMany charges it that many tokens — jobs x
-	// shards never oversubscribes the machine.
+	// Shards splits the simulations of a Sharded experiment across this
+	// many engines driven in parallel by a sim.Coordinator (default 1 =
+	// serial), capped at what the topology partitions into. Results are
+	// deterministic at any fixed shard count.
 	Shards int
-	// Engine selects the simulation engine for experiments that support
-	// both: "packet" (default, ground truth) or "flow" (the flow-level
-	// fluid fast path in internal/flowsim). Experiments without a
-	// flow-level formulation run the packet engine, and
-	// ExperimentReport.Engine says so.
+	// Engine selects the simulation engine of a Fluid experiment:
+	// "packet" (default, ground truth) or "flow" (the flow-level fluid
+	// fast path in internal/flowsim). Other experiments ignore it.
 	Engine string
 
 	// Obs, when non-nil, attaches the observability bus to every switch
@@ -48,17 +43,12 @@ type Options struct {
 	// The bus is not synchronized: use it only with serial runs (RunMany
 	// jobs=1, Repeats=1).
 	Obs *obs.Bus
-	// ObsShards, when non-nil, traces a sharded run: entry i is the bus
-	// for shard i, and experiments that honor Shards attach each
-	// switch/transport to the bus of the shard its node lives on. One
-	// bus is fed by exactly one shard engine, which keeps every bus
-	// single-goroutine (windows hand engines between workers with
-	// happens-before edges, so no two workers touch a shard — or its
-	// bus — concurrently) and makes each bus's event stream
-	// byte-identical to the same split traced serially. Entry 0 doubles
-	// as the fallback bus when a run ends up serial (e.g. Shards
-	// clamped to 1); Obs is the fallback when ObsShards is shorter than
-	// the shard count.
+	// ObsShards, when non-nil, traces a sharded run: each switch and
+	// transport is attached to entry i, the bus of the shard its node
+	// lives on. One bus is fed by exactly one shard engine, which keeps
+	// every bus single-goroutine and its event stream byte-identical to
+	// the same split traced serially. Entry 0 is also a serial run's
+	// bus; Obs is the fallback when ObsShards is shorter.
 	ObsShards []*obs.Bus
 
 	// Monitor, when non-nil, is attached to the run's engine or
@@ -219,6 +209,12 @@ type Spec struct {
 	Title string
 	// Run executes the experiment.
 	Run func(opt Options) (*Result, error)
+	// Sharded declares that a packet run of the experiment spreads over
+	// Options.Shards engines; Fluid, that Options.Engine "flow" runs it
+	// on the flow-level engine alone. Other experiments ignore the
+	// option, pmsbsim checks it against these before anything runs, and
+	// the golden gate holds them to what the manifest records.
+	Sharded, Fluid bool
 }
 
 // registry returns all experiments, built lazily so each file

@@ -96,7 +96,7 @@ func runPool(opt Options) (*Result, error) {
 	for i, scheme := range []string{"per-port", "per-pool"} {
 		seriesA := stats.NewTimeSeries(time.Millisecond)
 		seriesB := stats.NewTimeSeries(time.Millisecond)
-		fab, err := opt.runPacket(poolWiring(i == 1), 1, func(fab *topo.Fabric) time.Duration {
+		fab, err := opt.runPacket(poolWiring(i == 1), func(fab *topo.Fabric) time.Duration {
 			eng, sw := fab.Eng, fab.Switches[0]
 			sw.Port(0).OnDequeue(func(p *pkt.Packet, _ int) { seriesA.Add(eng.Now(), float64(p.Size)) })
 			sw.Port(1).OnDequeue(func(p *pkt.Packet, _ int) { seriesB.Add(eng.Now(), float64(p.Size)) })
@@ -134,7 +134,6 @@ func runPool(opt Options) (*Result, error) {
 // and 7: raising the threshold restores fairness (fewer victim marks)
 // but inflates latency.
 func runAblationPortK(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	res := &Result{
 		ID:      "ablation-portk",
 		Title:   "Per-port marking: threshold vs fairness vs latency (1:8 flows)",
@@ -143,14 +142,12 @@ func runAblationPortK(opt Options) (*Result, error) {
 	var firstShare, lastShare float64
 	for i, k := range []int{8, 16, 32, 65, 128} {
 		r, err := runStatic(staticConfig{
-			opt:        opt,
-			profile:    defaultTwoQueueProfile(func() ecn.Marker { return &ecn.PerPort{K: units.Packets(k)} }),
-			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
+			opt:     opt,
+			profile: defaultTwoQueueProfile(func() ecn.Marker { return &ecn.PerPort{K: units.Packets(k)} }),
 			groups: []flowGroup{
 				{service: 0, count: 1, recordRTT: true},
 				{service: 1, count: 8, recordRTT: true},
 			},
-			dur: dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -161,7 +158,7 @@ func runAblationPortK(opt Options) (*Result, error) {
 			firstShare = share
 		}
 		lastShare = share
-		res.AddRow(itoa(k), fmt.Sprintf("%.3f", share), usec(r.allRTT().Mean()), fmt.Sprintf("%.3f", markFraction(r.bottleneck)))
+		res.AddRow(itoa(k), fmt.Sprintf("%.3f", share), usec(r.allRTT().Mean()), fmt.Sprintf("%.3f", r.markFraction()))
 	}
 	res.AddNote("queue-1 share improves from %.2f (K=8) to %.2f (K=128) while RTT grows: the paper's Figure 6/7 trade-off", firstShare, lastShare)
 	return res, nil
@@ -172,7 +169,6 @@ func runAblationPortK(opt Options) (*Result, error) {
 // than expected per the paper's observation), large scales are
 // conservative (false negatives let the congested queue balloon).
 func runAblationFilter(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	res := &Result{
 		ID:      "ablation-filter",
 		Title:   "PMSB filter scale vs fairness vs congested-queue RTT (1:8 flows, port K=16)",
@@ -185,12 +181,10 @@ func runAblationFilter(opt Options) (*Result, error) {
 			profile: defaultTwoQueueProfile(func() ecn.Marker {
 				return &core.PMSB{PortK: units.Packets(16), ThresholdScale: scale}
 			}),
-			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 			groups: []flowGroup{
 				{service: 0, count: 1},
 				{service: 1, count: 8, recordRTT: true},
 			},
-			dur: dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -201,7 +195,7 @@ func runAblationFilter(opt Options) (*Result, error) {
 			fmt.Sprintf("%.2f", scale),
 			fmt.Sprintf("%.3f", share),
 			usec(r.groupRTT(1).Percentile(99)),
-			fmt.Sprintf("%.3f", markFraction(r.bottleneck)),
+			fmt.Sprintf("%.3f", r.markFraction()),
 		)
 	}
 	res.AddNote("the paper's observation: an aggressive filter (small scale) trades a small false-positive probability for eliminating false negatives")

@@ -11,23 +11,20 @@ import (
 	"pmsb/internal/workload"
 )
 
-// Fat-tree experiments: the k=8 (128-host) fabric the sharded
+// Fat-tree experiments: the k=8 (128-host) and k=32 fabrics the sharded
 // coordinator is benchmarked on, registered as first-class experiments
 // so the runtime-introspection surface (-runtimestats, -progress) has a
 // genuinely multi-shard workload to explain. Two traffic shapes:
 //
-//   - "fattree": cross-pod permutation traffic — every pod sends and
-//     receives, so the pod-sharded partition is roughly balanced.
-//   - "fattree-incast": pods 1..7 all send into pod 0 — the skewed
-//     load where one shard's windows dominate and the
-//     shard-imbalance report earns its keep. EXPERIMENTS.md walks
-//     through diagnosing this one.
+//   - "fattree", "fattree32": cross-pod permutation traffic — every pod
+//     sends and receives, so the pod-sharded partition is balanced.
+//   - "fattree-incast": pods 1..7 all send into pod 0 — the skewed load
+//     where one shard's windows dominate and the shard-imbalance report
+//     earns its keep (EXPERIMENTS.md walks through diagnosing it).
 //
-// Both honor Shards/Par (pods block-partition onto up to 8
-// shards) and the tracing/monitor/runtime options, with fixed start
-// times and deadlines so results are deterministic and byte-identical
-// across shard counts (the same workload shape differential_test.go
-// gates).
+// All honor Shards (pods block-partition onto up to k shards) and the
+// tracing/monitor/runtime options, with fixed start times and deadlines
+// so results are deterministic at any shard count.
 
 const (
 	fattreeK        = 8
@@ -98,12 +95,12 @@ func fattreeIncast(k, perPod int) []workload.FlowSpec {
 // starts the fixed workload, and reports completions and FCT
 // percentiles.
 func runFatTree(id, title string, k int, flows []workload.FlowSpec, opt Options) (*Result, error) {
-	shards := min(opt.shards(), k)
+	w := fatTreeWiring(fattreeConfig(k))
 	// One slot per flow: sharded, completions run on every pod's worker
 	// at once, so they share nothing; the summary is built in flow order
 	// once the run is over. Zero means unfinished at the deadline.
 	done := make([]time.Duration, len(flows))
-	fab, err := opt.runPacket(fatTreeWiring(fattreeConfig(k)), shards, func(fab *topo.Fabric) time.Duration {
+	fab, err := opt.runPacket(w, func(fab *topo.Fabric) time.Duration {
 		opt.startFlows(fab, flows, fattreeServices, nil, func(i int, s *transport.Sender) { done[i] = s.FCT() })
 		return fattreeDeadline
 	})
@@ -121,7 +118,7 @@ func runFatTree(id, title string, k int, flows []workload.FlowSpec, opt Options)
 	res.AddRow("flows", fmt.Sprintf("%d", len(flows)))
 	res.AddRow("completed", fmt.Sprintf("%d", completed))
 	res.AddRow("events", fmt.Sprintf("%d", fab.Processed()))
-	res.AddRow("shards", fmt.Sprintf("%d", shards))
+	res.AddRow("shards", fmt.Sprintf("%d", opt.width(w)))
 	if fcts.Count() > 0 {
 		res.AddRow("fct-mean-ms", msec(fcts.Mean()))
 		res.AddRow("fct-p99-ms", msec(fcts.Percentile(99)))
@@ -136,8 +133,9 @@ func runFatTree(id, title string, k int, flows []workload.FlowSpec, opt Options)
 func fattreeSpecs() []Spec {
 	return []Spec{
 		{
-			ID:    "fattree",
-			Title: "k=8 fat-tree, cross-pod permutation traffic (PMSB + DWRR)",
+			ID:      "fattree",
+			Title:   "k=8 fat-tree, cross-pod permutation traffic (PMSB + DWRR)",
+			Sharded: true,
 			Run: func(opt Options) (*Result, error) {
 				n := 64
 				if opt.Quick {
@@ -149,8 +147,9 @@ func fattreeSpecs() []Spec {
 			},
 		},
 		{
-			ID:    "fattree-incast",
-			Title: "k=8 fat-tree, pods 1..7 incast into pod 0 (shard-skew scenario)",
+			ID:      "fattree-incast",
+			Title:   "k=8 fat-tree, pods 1..7 incast into pod 0 (shard-skew scenario)",
+			Sharded: true,
 			Run: func(opt Options) (*Result, error) {
 				perPod := 4
 				if opt.Quick {
@@ -162,8 +161,9 @@ func fattreeSpecs() []Spec {
 			},
 		},
 		{
-			ID:    "fattree32",
-			Title: "k=32 fat-tree (8192 hosts, 49k ports), cross-pod permutation traffic",
+			ID:      "fattree32",
+			Title:   "k=32 fat-tree (8192 hosts, 49k ports), cross-pod permutation traffic",
+			Sharded: true,
 			Run: func(opt Options) (*Result, error) {
 				// The arena-backed builder's headline scale: ~49k ports in a
 				// few slab allocations. The workload is a wider permutation

@@ -174,10 +174,7 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 		})
 		return m, nil
 	}
-	// A leaf-spine partitions into at most 2 shards (hosts, fabric), so
-	// higher -shards values clamp here; RunMany may then hold more
-	// tokens than the run uses, which errs on the undersubscribed side.
-	_, err := opt.runPacket(leafSpineWiring(lsCfg), min(opt.shards(), 2), func(fab *topo.Fabric) time.Duration {
+	_, err := opt.runPacket(leafSpineWiring(lsCfg), func(fab *topo.Fabric) time.Duration {
 		opt.startFlows(fab, specs, fctServiceCnt, sc.filter, func(_ int, s *transport.Sender) { m.add(s.Size(), s.FCT()) })
 		return deadline
 	})
@@ -195,17 +192,11 @@ func mergeFCT(reps []*fctMetrics) *fctMetrics {
 	for _, m := range reps {
 		out.completed += m.completed
 		out.total += m.total
-		for _, v := range m.all.Samples() {
-			out.all.Add(v)
-		}
-		for _, v := range m.small.Samples() {
-			out.small.Add(v)
-		}
-		for _, v := range m.medium.Samples() {
-			out.medium.Add(v)
-		}
-		for _, v := range m.large.Samples() {
-			out.large.Add(v)
+		for _, pool := range [][2]*stats.Summary{{&out.all, &m.all}, {&out.small, &m.small},
+			{&out.medium, &m.medium}, {&out.large, &m.large}} {
+			for _, v := range pool[1].Samples() {
+				pool[0].Add(v)
+			}
 		}
 	}
 	return out
@@ -346,8 +337,9 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 // and schemes (runs the same sweep, reports one column).
 func fctColumn(id, title, schedName, column string) Spec {
 	return Spec{
-		ID:    id,
-		Title: title,
+		ID:      id,
+		Title:   title,
+		Sharded: true, Fluid: true,
 		Run: func(opt Options) (*Result, error) {
 			full, err := runFCTSweep(id, title, schedName, opt)
 			if err != nil {
@@ -413,9 +405,10 @@ func runAblationMarkPoint(opt Options) (*Result, error) {
 func fctSpecs() []Spec {
 	specs := []Spec{
 		{
-			ID:    "ablation-markpoint",
-			Title: "Ablation: PMSB enqueue vs dequeue marking at scale",
-			Run:   runAblationMarkPoint,
+			ID:      "ablation-markpoint",
+			Title:   "Ablation: PMSB enqueue vs dequeue marking at scale",
+			Run:     runAblationMarkPoint,
+			Sharded: true,
 		},
 		{
 			ID:    "fct-dwrr",
@@ -423,6 +416,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-dwrr", "Large-scale FCT, DWRR", "dwrr", opt)
 			},
+			Sharded: true, Fluid: true,
 		},
 		{
 			ID:    "fct-wfq",
@@ -430,6 +424,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-wfq", "Large-scale FCT, WFQ", "wfq", opt)
 			},
+			Sharded: true, Fluid: true,
 		},
 	}
 	dwrrCols := []struct{ id, title, col string }{

@@ -3,6 +3,8 @@ package experiment
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,10 +27,10 @@ func tableDigest(r *Result) string {
 }
 
 var goldenSerial = map[string]string{
-	"ablation-average":     "243cb8110ab0d56977bbc0c8",
-	"ablation-filter":      "a8d52555e0dba5510d927ada",
+	"ablation-average":     "35a08afa643c2876bbef795f",
+	"ablation-filter":      "faf64d61560fa23dd2572f3b",
 	"ablation-markpoint":   "e2363c8b76b61ee0abdacb3e",
-	"ablation-portk":       "5eeff6e5cbf9fac31d481ee8",
+	"ablation-portk":       "5e1defce8e21142fec9b7923",
 	"ablation-rttthresh":   "db3cf92c03893a046de4f5b2",
 	"analysis-validation":  "032daf21233d4de1670d7f2f",
 	"calibrate":            "392081096fc2368c7fae68ef",
@@ -77,37 +79,91 @@ var goldenSerial = map[string]string{
 	"theorem41":            "1db20c60515d9dd05f9da38a",
 }
 
-// goldenShards2 pins the experiments that honor -shards at 2 shards.
+// goldenShards2 pins every Sharded experiment at 2 shards.
 var goldenShards2 = map[string]string{
-	"fattree":        "e8d104297341ca441420a1ca",
-	"fattree-incast": "3d6dd3667593564a9a9a7643",
-	"fct-dwrr":       "c979ec6e4028bc26def2bdd0",
+	"ablation-markpoint":   "5a011afa327774b426e79287",
+	"calibrate":            "392081096fc2368c7fae68ef",
+	"fattree":              "e8d104297341ca441420a1ca",
+	"fattree-incast":       "3d6dd3667593564a9a9a7643",
+	"fattree32":            "8c92527368f3a7075e89c24f",
+	"fct-dwrr":             "c979ec6e4028bc26def2bdd0",
+	"fct-weighted":         "6deddb403a9a7c14e6038b41",
+	"fct-wfq":              "68ca8b4402e02f2e0e1815c9",
+	"fig16":                "c30dd0e8375fd270fffdbc67",
+	"fig17":                "5c2d0552c381099a6cd9af87",
+	"fig18":                "96c092580621286fb8f714cc",
+	"fig19":                "47efaca2607a28055074da5f",
+	"fig20":                "4bcee537b6d8a6b768a54fe3",
+	"fig21":                "66c83855a994c3bb0a0578f8",
+	"fig22":                "001379bf250300c0f184a0bf",
+	"fig23":                "c3e57a5abf220836ec6b665b",
+	"fig24":                "eefa17bdb4efb970185fc82a",
+	"fig25":                "4b8846da230ba0ed38724d45",
+	"fig26":                "891a293614c4bb548e0ed251",
+	"fig27":                "5811ad9495db9ecaf8dfa5b8",
+	"scenario-fattree":     "e5f527ce3714dc5bf8d34b06",
+	"scenario-permutation": "e4dbb54305894016c5aff708",
 }
 
-// goldenFlow pins the experiments with a fluid formulation on the
-// flow engine, the only pinned runs of internal/flowsim's markings.
+// goldenFlow pins every Fluid experiment on the flow engine, the only
+// pinned runs of internal/flowsim's markings.
 var goldenFlow = map[string]string{
 	"fct-dwrr":             "8d86714e289b32bec0285478",
 	"fct-wfq":              "ffa3fabb7d5ef26da4df7e82",
+	"fig16":                "30506da05923e942ec963e2e",
+	"fig17":                "01574261df451da9096f5227",
+	"fig18":                "ccced4006397e64d7ba569e5",
+	"fig19":                "dcc370f7ca7fe43f23fb6092",
+	"fig20":                "753704815a8484180abdbda6",
+	"fig21":                "68794d03d84a538a251a767f",
+	"fig22":                "c2217da669902bb54c521f54",
+	"fig23":                "ca695f4d5d6a8a45f0b9ea5d",
+	"fig24":                "5917960eb966feeb83a944cb",
+	"fig25":                "d7f3b3e353e3b672dda5da16",
+	"fig26":                "1f9524f72b822283b04e13cc",
+	"fig27":                "387b785833ca903809908dd7",
+	"flow-scale":           "6e082f0e57bfab8e5002e5ad",
 	"scenario-fattree":     "caa6ef84066849ea593636c7",
 	"scenario-incast":      "1f931afd61868e9680e08643",
 	"scenario-permutation": "279c9208f50834ffd4a54b83",
 }
 
-func checkGolden(t *testing.T, name string, golden map[string]string, specs []Spec, opt Options) {
+// checkGolden runs every registered experiment through RunMany at opt.
+// An experiment that declares the option (declares(spec)) must match
+// its pin in golden and its manifest row must show the option applied;
+// any other must reproduce its serial table and its row must not show
+// it — so each Sharded/Fluid declaration is held to what the run did.
+// golden pins exactly the declaring experiments. Under -race only the
+// declaring experiments run: the others repeat serial code the serial
+// pass already races, and the full check runs without -race.
+func checkGolden(t *testing.T, name string, golden map[string]string, opt Options,
+	declares func(Spec) bool, applied func(ExperimentReport) bool) {
 	t.Helper()
-	if len(specs) != len(golden) {
-		t.Errorf("%s pins %d experiments, registry has %d", name, len(golden), len(specs))
+	specs := List()
+	if raceDetector {
+		specs = slices.DeleteFunc(specs, func(s Spec) bool { return !declares(s) })
 	}
-	for _, spec := range specs {
-		res, err := spec.Run(opt)
-		if err != nil {
-			t.Errorf("%s: %v", spec.ID, err)
-			continue
+	results, m, err := RunMany(specs, opt, runtime.NumCPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := 0
+	for i, spec := range specs {
+		want, pins := goldenSerial[spec.ID], name+"[serial]"
+		if declares(spec) {
+			want, pins = golden[spec.ID], name
+			pinned++
 		}
-		if got := tableDigest(res); got != golden[spec.ID] {
-			t.Errorf("%s table moved: %s[%q] = %q, pinned %q", spec.ID, name, spec.ID, got, golden[spec.ID])
+		if got := tableDigest(results[i]); got != want {
+			t.Errorf("%s table moved: %s[%q] = %q, pinned %q", spec.ID, pins, spec.ID, got, want)
 		}
+		if row := m.Experiments[i]; applied(row) != declares(spec) {
+			t.Errorf("%s: manifest row engine %q shards %d contradicts its declaration (declared %v)",
+				spec.ID, row.Engine, row.Shards, declares(spec))
+		}
+	}
+	if pinned != len(golden) {
+		t.Errorf("%s pins %d experiments, the registry declares %d", name, len(golden), pinned)
 	}
 }
 
@@ -115,35 +171,25 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	checkGolden(t, "goldenSerial", goldenSerial, List(), Options{Quick: true, Seed: 1})
+	all := func(Spec) bool { return true }
+	checkGolden(t, "goldenSerial", goldenSerial, Options{Quick: true, Seed: 1}, all,
+		func(row ExperimentReport) bool { return row.Shards <= 1 })
 }
 
 func TestGoldenTablesSharded(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the fct-dwrr sweep sharded")
+		t.Skip("runs every experiment at 2 shards")
 	}
-	checkGolden(t, "goldenShards2", goldenShards2, lookupAll(t, "fct-dwrr", "fattree", "fattree-incast"),
-		Options{Quick: true, Seed: 1, Shards: 2})
+	checkGolden(t, "goldenShards2", goldenShards2, Options{Quick: true, Seed: 1, Shards: 2},
+		func(s Spec) bool { return s.Sharded },
+		func(row ExperimentReport) bool { return row.Shards == 2 })
 }
 
 func TestGoldenTablesFlow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the fluid sweeps")
+		t.Skip("runs every experiment on the flow engine")
 	}
-	checkGolden(t, "goldenFlow", goldenFlow,
-		lookupAll(t, "fct-dwrr", "fct-wfq", "scenario-fattree", "scenario-incast", "scenario-permutation"),
-		Options{Quick: true, Seed: 1, Engine: "flow"})
-}
-
-func lookupAll(t *testing.T, ids ...string) []Spec {
-	t.Helper()
-	specs := make([]Spec, len(ids))
-	for i, id := range ids {
-		spec, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = spec
-	}
-	return specs
+	checkGolden(t, "goldenFlow", goldenFlow, Options{Quick: true, Seed: 1, Engine: "flow"},
+		func(s Spec) bool { return s.Fluid },
+		func(row ExperimentReport) bool { return row.Engine == "flow" })
 }

@@ -35,12 +35,14 @@ type flowGroup struct {
 type staticConfig struct {
 	// bottleneck port profile (scheduler/marker/queues).
 	profile topo.PortProfile
-	// accessRate/bottleneckRate/delay as in topo.DumbbellConfig.
+	// accessRate/bottleneckRate/delay as in topo.DumbbellConfig; all
+	// zero means the Section II links (motiveRate, motiveDelay).
 	accessRate, bottleneckRate units.Rate
 	delay                      time.Duration
 	// groups of long-lived flows.
 	groups []flowGroup
 	// dur is the simulated duration; warmup is excluded from averages.
+	// Both zero means staticDur's.
 	dur, warmup time.Duration
 	// initWindow overrides the DCTCP initial window (0 = default).
 	initWindow int
@@ -58,12 +60,19 @@ type staticRun struct {
 	series     []*stats.TimeSeries // per-queue dequeued wire bytes
 	trace      stats.Trace         // port occupancy in packets over time
 	groups     [][]*transport.Flow // flows per group
+	txMarked   int64               // transmitted packets carrying CE
 }
 
 // runStatic runs the flow groups over a dumbbell through runPacket — one
 // sender host per flow, taps on the bottleneck port — to cfg.dur and
 // returns the measurements.
 func runStatic(cfg staticConfig) (*staticRun, error) {
+	if cfg.accessRate == 0 {
+		cfg.accessRate, cfg.bottleneckRate, cfg.delay = motiveRate, motiveRate, motiveDelay
+	}
+	if cfg.dur == 0 {
+		cfg.dur, cfg.warmup = staticDur(cfg.opt)
+	}
 	senders := 0
 	for _, g := range cfg.groups {
 		senders += g.count
@@ -78,10 +87,13 @@ func runStatic(cfg staticConfig) (*staticRun, error) {
 		BottleneckRate: cfg.bottleneckRate,
 		Delay:          cfg.delay,
 		Bottleneck:     cfg.profile,
-	}), 1, func(fab *topo.Fabric) time.Duration {
+	}), func(fab *topo.Fabric) time.Duration {
 		eng, port := fab.Eng, fab.Switches[0].Port(0)
 		r.bottleneck = port
 		port.OnDequeue(func(p *pkt.Packet, q int) {
+			if p.CE {
+				r.txMarked++
+			}
 			r.series[q].Add(eng.Now(), float64(p.Size))
 			r.trace.Record(eng.Now(), float64(port.PortPackets()))
 		})
@@ -132,21 +144,15 @@ func (r *staticRun) totalRate() units.Rate {
 }
 
 // groupRTT aggregates RTT samples of group g.
-func (r *staticRun) groupRTT(g int) *stats.Summary {
-	var s stats.Summary
-	for _, f := range r.groups[g] {
-		for _, rtt := range f.Sender.RTTSamples() {
-			s.Add(rtt.Seconds())
-		}
-	}
-	return &s
-}
+func (r *staticRun) groupRTT(g int) *stats.Summary { return rttOf(r.groups[g : g+1]) }
 
 // allRTT aggregates RTT samples across every group.
-func (r *staticRun) allRTT() *stats.Summary {
+func (r *staticRun) allRTT() *stats.Summary { return rttOf(r.groups) }
+
+func rttOf(groups [][]*transport.Flow) *stats.Summary {
 	var s stats.Summary
-	for g := range r.groups {
-		for _, f := range r.groups[g] {
+	for _, g := range groups {
+		for _, f := range g {
 			for _, rtt := range f.Sender.RTTSamples() {
 				s.Add(rtt.Seconds())
 			}
@@ -245,11 +251,13 @@ func rateSeries(ts *stats.TimeSeries, name string) Series {
 	return s
 }
 
-// markFraction returns the fraction of transmitted packets that carried
-// a CE mark at the port.
-func markFraction(p *netsim.Port) float64 {
-	if p.TxPackets() == 0 {
+// markFraction returns the fraction of the bottleneck's transmitted
+// packets that left it carrying a CE mark: both counts are taken as
+// packets leave (an enqueue-point marker's MarkedPackets also counts
+// marked packets still queued at the end, so it can exceed TxPackets).
+func (r *staticRun) markFraction() float64 {
+	if r.bottleneck.TxPackets() == 0 {
 		return 0
 	}
-	return float64(p.MarkedPackets()) / float64(p.TxPackets())
+	return float64(r.txMarked) / float64(r.bottleneck.TxPackets())
 }

@@ -72,7 +72,7 @@ func runIncast(opt Options) (*Result, error) {
 				NewMarker:   sc.marker,
 				BufferBytes: units.Packets(100),
 			},
-		}), 1, func(fab *topo.Fabric) time.Duration {
+		}), func(fab *topo.Fabric) time.Duration {
 			recv := fab.Host(0)
 			for i := 1; i <= senders; i++ {
 				f := transport.NewFlow(fab.Eng, fab.Host(i), recv, pkt.FlowID(i), 0, responseSize,

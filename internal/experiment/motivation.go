@@ -40,7 +40,6 @@ func staticDur(opt Options) (time.Duration, time.Duration) {
 // threshold of 16 packets each. More active queues => more total buffer
 // => higher RTT.
 func runFig1(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	res := &Result{
 		ID:      "fig1",
 		Title:   "RTT vs active queues (per-queue standard threshold, 16 pkts/queue)",
@@ -63,9 +62,7 @@ func runFig1(opt Options) (*Result, error) {
 				NewSched:  topo.WFQFactory(),
 				NewMarker: func() ecn.Marker { return &ecn.PerQueueStandard{K: units.Packets(16)} },
 			},
-			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 			groups: groups,
-			dur:    dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -93,7 +90,6 @@ func runFig1(opt Options) (*Result, error) {
 // figure is actually about; the claim under test (small thresholds
 // underflow, standard thresholds keep the link full) is unchanged.
 func runFig2(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	res := &Result{
 		ID:      "fig2",
 		Title:   "Single-queue throughput vs per-queue threshold",
@@ -123,7 +119,6 @@ func runFig2(opt Options) (*Result, error) {
 			},
 			accessRate: motiveRate, bottleneckRate: motiveRate, delay: fig2Delay,
 			groups: []flowGroup{{service: 0, count: 2}},
-			dur:    dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -139,7 +134,6 @@ func runFig2(opt Options) (*Result, error) {
 // perPortFairness runs the 2-queue per-port marking experiment with the
 // given port threshold and flow split, reporting per-queue throughput.
 func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	r, err := runStatic(staticConfig{
 		opt: opt,
 		profile: topo.PortProfile{
@@ -147,12 +141,10 @@ func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result
 			NewSched:  topo.WFQFactory(),
 			NewMarker: func() ecn.Marker { return &ecn.PerPort{K: units.Packets(portK)} },
 		},
-		accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 		groups: []flowGroup{
 			{service: 0, count: 1},
 			{service: 1, count: q2Flows},
 		},
-		dur: dur, warmup: warmup,
 	})
 	if err != nil {
 		return nil, err
@@ -167,7 +159,7 @@ func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result
 	res.AddRow("2", itoa(q2Flows), gbps(q2))
 	share := float64(q1) / float64(q1+q2)
 	res.AddNote("queue 1 share = %.2f (weighted fair sharing wants 0.50)", share)
-	res.AddNote("port mark fraction = %.3f", markFraction(r.bottleneck))
+	res.AddNote("port mark fraction = %.3f", r.markFraction())
 	return res, nil
 }
 
@@ -187,7 +179,6 @@ func runFig7(opt Options) (*Result, error) {
 // given markers and reports the slow-start buffer peak and steady-state
 // occupancy for each.
 func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn.Marker, order []string) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	rate := 1 * units.Gbps
 	res := &Result{
 		ID:      id,
@@ -205,8 +196,7 @@ func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn
 				NewMarker: mk,
 			},
 			accessRate: rate, bottleneckRate: rate, delay: motiveDelay,
-			groups: []flowGroup{{service: 0, count: 4}},
-			dur:    dur, warmup: warmup,
+			groups:     []flowGroup{{service: 0, count: 4}},
 			initWindow: 16,
 		})
 		if err != nil {
@@ -214,7 +204,7 @@ func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn
 		}
 		peak := r.trace.Max()
 		peaks[name] = peak
-		res.AddRow(name, ftoa(peak), ftoa(r.trace.MeanAfter(warmup)))
+		res.AddRow(name, ftoa(peak), ftoa(r.trace.MeanAfter(r.cfg.warmup)))
 		res.AddSeries(traceSeries(&r.trace, "occupancy-"+name, 400))
 	}
 	return res, nil

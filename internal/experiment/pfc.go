@@ -109,7 +109,7 @@ func runPFC(opt Options) (*Result, error) {
 			fc       *netsim.PFC
 			victimRx *transport.DCQCNReceiver
 		)
-		fab, err := opt.runPacket(pfcWiring(withDCQCN), 1, func(fab *topo.Fabric) time.Duration {
+		fab, err := opt.runPacket(pfcWiring(withDCQCN), func(fab *topo.Fabric) time.Duration {
 			eng, hotSink, fastSink, senders := fab.Eng, fab.Host(0), fab.Host(1), fab.Hosts[2:]
 			fc = netsim.NewPFC(eng, units.Packets(40), units.Packets(20))
 			fc.Observe(opt.busFor(fab, fab.Switches[1]), fab.Switches[1].NodeID())

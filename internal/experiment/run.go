@@ -19,22 +19,19 @@ import (
 // the sanity check and the manifest's accounting are wired here and
 // nowhere else, so no experiment can forget one of them.
 
-// wiring is a topology's pair of entry points bound to one config. A
-// bespoke fabric that only runs serially (pfc, pool) leaves sharded nil
-// and asks runPacket for one shard.
+// wiring is a topology's pair of entry points bound to one config, and
+// limit, the most shards the topology partitions into: leaf-spine 2
+// (hosts, fabric), a k-ary fat-tree k (one pod per shard at most). A
+// fabric that only builds serially (the dumbbell, pfc, pool) leaves
+// sharded nil and limit 0.
 type wiring struct {
 	serial  func(*sim.Engine) *topo.Fabric
 	sharded func(*sim.Coordinator, int) *topo.Fabric
+	limit   int
 }
 
 func dumbbellWiring(cfg topo.DumbbellConfig) wiring {
-	return wiring{
-		serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewDumbbell(eng, cfg).Fabric },
-		sharded: func(c *sim.Coordinator, n int) *topo.Fabric {
-			d, _ := topo.NewDumbbellSharded(c, cfg, n)
-			return &d.Fabric
-		},
-	}
+	return wiring{serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewDumbbell(eng, cfg).Fabric }}
 }
 
 func leafSpineWiring(cfg topo.LeafSpineConfig) wiring {
@@ -44,6 +41,7 @@ func leafSpineWiring(cfg topo.LeafSpineConfig) wiring {
 			ls, _ := topo.NewLeafSpineSharded(c, cfg, n)
 			return &ls.Fabric
 		},
+		limit: 2,
 	}
 }
 
@@ -54,7 +52,14 @@ func fatTreeWiring(cfg topo.FatTreeConfig) wiring {
 			ft, _ := topo.NewFatTreeSharded(c, cfg, n)
 			return &ft.Fabric
 		},
+		limit: cfg.K,
 	}
+}
+
+// width is how many shards a run of w spreads over: what Shards asks,
+// capped at the topology's partition limit.
+func (o Options) width(w wiring) int {
+	return max(1, min(o.shards(), w.limit))
 }
 
 // busFor returns the bus of the shard a fabric node lives on. Each bus
@@ -66,16 +71,17 @@ func (o Options) busFor(fab *topo.Fabric, n netsim.Node) *obs.Bus {
 	return o.obsFor(fab.ShardOf(n.NodeID()))
 }
 
-// runPacket builds w's fabric on a fresh serial engine (shards <= 1) or
-// across shards of a fresh coordinator (the caller clamps shards to
-// what the topology partitions into) with the monitor and runtime stats
-// attached, observes every switch on its shard's bus, lets start launch
-// the workload and name the deadline, runs, and credits the run to the
-// manifest. The error is the fabric's sanity check.
-func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (deadline time.Duration)) (*topo.Fabric, error) {
+// runPacket builds w's fabric on a fresh serial engine, or across
+// opt.width(w) shards of a fresh coordinator, with the monitor and
+// runtime stats attached, observes every switch on its shard's bus,
+// lets start launch the workload and name the deadline, runs, and
+// credits the run to the manifest. The error is the fabric's sanity
+// check.
+func (o Options) runPacket(w wiring, start func(fab *topo.Fabric) (deadline time.Duration)) (*topo.Fabric, error) {
 	var (
-		fab   *topo.Fabric
-		coord *sim.Coordinator
+		fab    *topo.Fabric
+		coord  *sim.Coordinator
+		shards = o.width(w)
 	)
 	if shards > 1 {
 		coord = sim.NewCoordinator()
@@ -85,7 +91,6 @@ func (o Options) runPacket(w wiring, shards int, start func(fab *topo.Fabric) (d
 		}
 		fab = w.sharded(coord, shards)
 	} else {
-		shards = 1
 		eng := sim.NewEngine()
 		eng.SetMonitor(o.Monitor)
 		fab = w.serial(eng)

@@ -29,12 +29,9 @@ func newWorkerPool(jobs int) *workerPool {
 // acquireN blocks until n tokens are free simultaneously and takes them
 // all atomically. All-or-nothing: a waiter never sits on a partial set,
 // so concurrent multi-token acquisitions cannot deadlock against each
-// other. n is capped at the pool size so one request can always
-// eventually be satisfied.
+// other. Callers ask for at most the pool size (tokenCost caps it), so
+// one request can always eventually be satisfied.
 func (p *workerPool) acquireN(n int) {
-	if n > p.size {
-		n = p.size
-	}
 	p.mu.Lock()
 	for p.idle < n {
 		p.cond.Wait()
@@ -44,9 +41,6 @@ func (p *workerPool) acquireN(n int) {
 }
 
 func (p *workerPool) releaseN(n int) {
-	if n > p.size {
-		n = p.size
-	}
 	p.mu.Lock()
 	p.idle += n
 	p.mu.Unlock()
@@ -57,9 +51,6 @@ func (p *workerPool) releaseN(n int) {
 // Nested fan-out uses it so a goroutine that already holds tokens can
 // never deadlock waiting for more.
 func (p *workerPool) tryAcquireN(n int) bool {
-	if n > p.size {
-		n = p.size
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.idle < n {
@@ -200,13 +191,11 @@ func (m *Manifest) Summary() string {
 }
 
 // RunMany executes specs with at most jobs worker tokens in use at once
-// (jobs < 1 means runtime.NumCPU()). A serial experiment costs one
-// token; an experiment running opt.Shards shard engines costs Shards
-// tokens (capped at jobs), so -jobs x -shards never oversubscribes the
-// machine no matter how the work nests. Each experiment builds its
-// own private sim.Engine and every engine is deterministic, so results
-// are byte-identical to a serial run and come back in the order specs
-// were given. On failure the returned results hold the completed prefix
+// (jobs < 1 means runtime.NumCPU()). An experiment costs one token, a
+// Sharded one opt.Shards tokens (capped at jobs), so -jobs x -shards
+// never oversubscribes the machine however the work nests. Every engine
+// is private and deterministic, so results are byte-identical to a
+// serial run and come back in the order specs were given. On failure the returned results hold the completed prefix
 // (every spec before the earliest failing one, in order) and the error
 // names that spec — exactly what a serial loop would have produced; the
 // manifest is nil in that case.
@@ -233,8 +222,11 @@ func RunMany(specs []Spec, opt Options, jobs int) ([]*Result, *Manifest, error) 
 			o.pool = pool
 			// A sharded experiment runs tokenCost() shard workers at
 			// once, so it must hold that many tokens, atomically (see
-			// acquireN), before simulating.
-			cost := o.tokenCost()
+			// acquireN), before simulating; any other runs on one.
+			cost := 1
+			if specs[i].Sharded {
+				cost = o.tokenCost()
+			}
 			pool.acquireN(cost)
 			defer pool.releaseN(cost)
 			oc := &outcomes[i]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,7 +178,7 @@ func TestRunManyShardsNeverOversubscribe(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				id := fmt.Sprintf("s%d", i)
 				specs = append(specs, Spec{
-					ID: id, Title: id,
+					ID: id, Title: id, Sharded: true,
 					Run: func(opt Options) (*Result, error) {
 						cost := int64(opt.tokenCost())
 						cur := inUse.Add(cost)
@@ -212,6 +213,29 @@ func TestRunManyShardsNeverOversubscribe(t *testing.T) {
 					wantCost, peak.Load())
 			}
 		})
+	}
+}
+
+// An experiment that does not shard costs one token whatever -shards
+// says: two of them run side by side at -jobs 2 -shards 2. Charged two
+// tokens each, the second would wait for the first, which waits for it.
+func TestRunManyChargesUnshardedOneToken(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	met := make(chan struct{})
+	go func() { arrived.Wait(); close(met) }()
+	run := func(opt Options) (*Result, error) {
+		arrived.Done()
+		select {
+		case <-met:
+			return &Result{ID: "x"}, nil
+		case <-time.After(10 * time.Second):
+			return nil, fmt.Errorf("ran alone: an unsharded spec held more than one token")
+		}
+	}
+	specs := []Spec{{ID: "a", Run: run}, {ID: "b", Run: run}}
+	if _, _, err := RunMany(specs, Options{Shards: 2}, 2); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -310,20 +334,25 @@ func TestFabricExperimentsHonorObsAndMonitor(t *testing.T) {
 // what they record must not depend on how the workers interleave. Run
 // under -race this also gates that they share nothing.
 func TestFatTreeShardedCompletionsDeterministic(t *testing.T) {
-	spec, err := Lookup("fattree-incast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first string
-	for i := 0; i < 20; i++ {
-		res, err := spec.Run(Options{Quick: true, Seed: 1, Shards: 4})
+	for _, tc := range []struct {
+		id   string
+		runs int
+	}{{"fattree-incast", 20}, {"scenario-fattree", 3}} {
+		spec, err := Lookup(tc.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.TSV(); i == 0 {
-			first = got
-		} else if got != first {
-			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, got, first)
+		var first string
+		for i := 0; i < tc.runs; i++ {
+			res, err := spec.Run(Options{Quick: true, Seed: 1, Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tableDigest(res); i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s run %d: table %s differs from run 0's %s", tc.id, i, got, first)
+			}
 		}
 	}
 }

@@ -34,6 +34,8 @@ import (
 type scenarioDef struct {
 	id, title string
 	build     func(quick bool, seed int64) *scenarioNet
+	// sharded says the packet fabric partitions (see Spec.Sharded).
+	sharded bool
 }
 
 // scenarioNet is a built scenario: the workload, the flow-level graph,
@@ -49,10 +51,17 @@ type scenarioNet struct {
 // engineRun is one engine's view of a scenario run.
 type engineRun struct {
 	// fcts is indexed by spec order; zero means unfinished at deadline.
-	fcts      []time.Duration
-	completed int
-	events    uint64
-	wall      time.Duration
+	// One slot per flow: on a sharded fabric completions run on every
+	// shard's worker at once, so they share nothing.
+	fcts   []time.Duration
+	events uint64
+	wall   time.Duration
+}
+
+// completed counts the flows that finished before the deadline.
+func (r *engineRun) completed() int {
+	s := fctSummary(r.fcts, nil)
+	return s.Count()
 }
 
 // scenarioProfile is the port profile every scenario fabric uses: DWRR
@@ -69,19 +78,16 @@ func scenarioProfile(services int) topo.PortProfile {
 }
 
 // run executes the scenario on one engine: "packet" drives the packet
-// topology serially, "flow" the path graph with the fluid PMSB marking
-// mirroring the packet profile. Flow IDs follow spec order either way.
+// topology (sharded as far as Shards asks and it partitions), "flow"
+// the path graph with the fluid PMSB marking mirroring the packet
+// profile. Flow IDs follow spec order either way.
 func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) {
 	start := time.Now()
 	run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
-	finish := func(i int, fct time.Duration) {
-		run.fcts[i] = fct
-		run.completed++
-	}
 	switch engine {
 	case "packet":
-		fab, err := opt.runPacket(net.fabric, 1, func(fab *topo.Fabric) time.Duration {
-			opt.startFlows(fab, net.specs, net.services, nil, func(i int, s *transport.Sender) { finish(i, s.FCT()) })
+		fab, err := opt.runPacket(net.fabric, func(fab *topo.Fabric) time.Duration {
+			opt.startFlows(fab, net.specs, net.services, nil, func(i int, s *transport.Sender) { run.fcts[i] = s.FCT() })
 			return net.deadline
 		})
 		if err != nil {
@@ -91,7 +97,7 @@ func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) 
 	case "flow":
 		run.events = opt.runFluid(net.graph, flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
 			net.services, net.specs, net.deadline,
-			func(r flowsim.FlowResult) { finish(r.Index, r.FCT) })
+			func(r flowsim.FlowResult) { run.fcts[r.Index] = r.FCT })
 	default:
 		return nil, fmt.Errorf("%s: unknown engine %q (packet|flow)", id, engine)
 	}
@@ -109,14 +115,16 @@ func scenarioDefs() []scenarioDef {
 			build: buildIncastScenario,
 		},
 		{
-			id:    "scenario-permutation",
-			title: "Calibration scenario: leaf-spine permutation (200KB)",
-			build: buildPermutationScenario,
+			id:      "scenario-permutation",
+			title:   "Calibration scenario: leaf-spine permutation (200KB)",
+			build:   buildPermutationScenario,
+			sharded: true,
 		},
 		{
-			id:    "scenario-fattree",
-			title: "Calibration scenario: k=8 fat-tree, web-search CDF at load 0.3",
-			build: buildFatTreeScenario,
+			id:      "scenario-fattree",
+			title:   "Calibration scenario: k=8 fat-tree, web-search CDF at load 0.3",
+			build:   buildFatTreeScenario,
+			sharded: true,
 		},
 	}
 }
@@ -213,16 +221,17 @@ func runScenario(def scenarioDef, opt Options) (*Result, error) {
 	res := &Result{ID: def.id, Title: def.title, Headers: []string{"metric", "value"}}
 	res.AddRow("engine", engine)
 	res.AddRow("flows", fmt.Sprintf("%d", len(net.specs)))
-	res.AddRow("completed", fmt.Sprintf("%d", run.completed))
-	res.AddRow("events", fmt.Sprintf("%d", run.events))
 	sum := fctSummary(run.fcts, nil)
+	completed := sum.Count()
+	res.AddRow("completed", fmt.Sprintf("%d", completed))
+	res.AddRow("events", fmt.Sprintf("%d", run.events))
 	if sum.Count() > 0 {
 		res.AddRow("fct-p50-ms", msec(sum.Percentile(50)))
 		res.AddRow("fct-p95-ms", msec(sum.Percentile(95)))
 		res.AddRow("fct-p99-ms", msec(sum.Percentile(99)))
 	}
-	if run.completed < len(net.specs) {
-		res.AddNote("%d of %d flows unfinished at %v", len(net.specs)-run.completed, len(net.specs), net.deadline)
+	if completed < len(net.specs) {
+		res.AddNote("%d of %d flows unfinished at %v", len(net.specs)-completed, len(net.specs), net.deadline)
 	}
 	res.AddNote("wall clock: %v", run.wall.Round(time.Millisecond))
 	return res, nil
@@ -234,9 +243,11 @@ func scenarioSpecs() []Spec {
 	for _, def := range scenarioDefs() {
 		def := def
 		specs = append(specs, Spec{
-			ID:    def.id,
-			Title: def.title,
-			Run:   func(opt Options) (*Result, error) { return runScenario(def, opt) },
+			ID:      def.id,
+			Title:   def.title,
+			Run:     func(opt Options) (*Result, error) { return runScenario(def, opt) },
+			Sharded: def.sharded,
+			Fluid:   true,
 		})
 	}
 	return specs

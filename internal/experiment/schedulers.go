@@ -49,7 +49,6 @@ func runStaged(opt Options, sc stagedConfig) (*Result, error) {
 			NewSched:  sc.schedF,
 			NewMarker: func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
 		},
-		accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 		groups: sc.groups(phases),
 		dur:    dur,
 	})

@@ -24,11 +24,10 @@ func staticSpecs() []Spec {
 }
 
 // pmsbFairness runs the paper's Section VI-A.1 weighted-fair-sharing
-// experiment: two equal queues drained by WFQ (or by newSched, as
-// PortProfile.NewSchedWith, when non-nil), PMSB with a 12-packet port
-// threshold, 1 flow in queue 1 vs q2Flows in queue 2.
+// experiment: two equal queues drained by newSched (DWRR in the
+// paper), PMSB with a 12-packet port threshold, 1 flow in queue 1 vs
+// q2Flows in queue 2.
 func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim.Engine, []float64) sched.Scheduler) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	if opt.Quick && q2Flows > 30 {
 		q2Flows = 30 // preserve the heavy-traffic character, cut runtime
 	}
@@ -36,16 +35,13 @@ func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim
 		opt: opt,
 		profile: topo.PortProfile{
 			Weights:      topo.EqualWeights(2),
-			NewSched:     topo.WFQFactory(),
 			NewSchedWith: newSched,
 			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.Obs} },
 		},
-		accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 		groups: []flowGroup{
 			{service: 0, count: 1},
 			{service: 1, count: q2Flows},
 		},
-		dur: dur, warmup: warmup,
 	})
 	if err != nil {
 		return nil, err
@@ -64,7 +60,7 @@ func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim
 }
 
 func runFig8(opt Options) (*Result, error) {
-	return pmsbFairness("fig8", "PMSB fair sharing: DWRR, port K=12 pkts, flows 1:4", opt, 4, nil)
+	return pmsbFairness("fig8", "PMSB fair sharing: DWRR, port K=12 pkts, flows 1:4", opt, 4, topo.DWRRSched)
 }
 
 // runFig8WRR runs fig8 on WRR, which DESIGN.md section 1 lists among
@@ -75,13 +71,12 @@ func runFig8WRR(opt Options) (*Result, error) {
 }
 
 func runFig10(opt Options) (*Result, error) {
-	return pmsbFairness("fig10", "PMSB fair sharing under heavy traffic: flows 1:100", opt, 100, nil)
+	return pmsbFairness("fig10", "PMSB fair sharing under heavy traffic: flows 1:100", opt, 100, topo.DWRRSched)
 }
 
 // fig9 parameters (paper Section VI-A.1): port threshold 12 packets,
 // PMSB(e) RTT threshold 40us, TCN sojourn threshold 39us.
 func runFig9(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	portK := units.Packets(12)
 	res := &Result{
 		ID:      "fig9",
@@ -115,12 +110,10 @@ func runFig9(opt Options) (*Result, error) {
 				NewSchedWith: topo.DWRRSched,
 				NewMarker:    sc.marker,
 			},
-			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 			groups: []flowGroup{
 				{service: 0, count: 1},
 				{service: 1, count: 4, filter: sc.filter, recordRTT: true},
 			},
-			dur: dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -143,7 +136,6 @@ func runFig9(opt Options) (*Result, error) {
 // pmsbPeaks runs the Section VI-A.2 early-notification experiment for
 // one scheme pair (enqueue vs dequeue marking).
 func pmsbPeaks(id, title string, opt Options, mk func(point ecn.Point) ecn.Marker, filter func() transport.Filter) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	res := &Result{
 		ID:      id,
 		Title:   title,
@@ -159,16 +151,14 @@ func pmsbPeaks(id, title string, opt Options, mk func(point ecn.Point) ecn.Marke
 				NewSched:  topo.FIFOFactory(),
 				NewMarker: func() ecn.Marker { return mk(point) },
 			},
-			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
-			groups: []flowGroup{{service: 0, count: 4, filter: filter}},
-			dur:    dur, warmup: warmup,
+			groups:     []flowGroup{{service: 0, count: 4, filter: filter}},
 			initWindow: 16,
 		})
 		if err != nil {
 			return nil, err
 		}
 		peaks[point.String()] = r.trace.Max()
-		res.AddRow(point.String(), ftoa(r.trace.Max()), ftoa(r.trace.MeanAfter(warmup)))
+		res.AddRow(point.String(), ftoa(r.trace.Max()), ftoa(r.trace.MeanAfter(r.cfg.warmup)))
 		res.AddSeries(traceSeries(&r.trace, "occupancy-"+point.String(), 400))
 	}
 	res.AddNote("dequeue peak is %.1f%% below enqueue peak (paper: ~20%%)",

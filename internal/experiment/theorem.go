@@ -25,7 +25,6 @@ func theorem41Spec() Spec {
 // leave the queue underflowing (throughput loss), thresholds above it
 // keep the link full.
 func runTheorem41(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	// Single queue: gamma = 1. Use the dumbbell's own base RTT so the
 	// bound matches the simulated path. The 10us per-link delay keeps
 	// the bandwidth-delay product large enough that the worst-case flow
@@ -65,7 +64,6 @@ func runTheorem41(opt Options) (*Result, error) {
 			},
 			accessRate: motiveRate, bottleneckRate: motiveRate, delay: theoremDelay,
 			groups: []flowGroup{{service: 0, count: n}},
-			dur:    dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err

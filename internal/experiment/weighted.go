@@ -24,7 +24,7 @@ import (
 func weightedSpecs() []Spec {
 	return []Spec{
 		{ID: "ablation-rttthresh", Title: "Ablation: PMSB(e) RTT threshold sensitivity (1:8 flows)", Run: runAblationRTTThresh},
-		{ID: "fct-weighted", Title: "Extension: weighted services at scale — PMSB vs per-port", Run: runFCTWeighted},
+		{ID: "fct-weighted", Title: "Extension: weighted services at scale — PMSB vs per-port", Run: runFCTWeighted, Sharded: true},
 	}
 }
 
@@ -33,7 +33,6 @@ func weightedSpecs() []Spec {
 // too high ignores every mark (fair but the congested queue's latency
 // balloons since nothing backs off).
 func runAblationRTTThresh(opt Options) (*Result, error) {
-	dur, warmup := staticDur(opt)
 	res := &Result{
 		ID:      "ablation-rttthresh",
 		Title:   "PMSB(e) RTT threshold vs fairness vs latency (1:8 flows, per-port K=16)",
@@ -52,12 +51,10 @@ func runAblationRTTThresh(opt Options) (*Result, error) {
 			profile: defaultTwoQueueProfile(func() ecn.Marker {
 				return &ecn.PerPort{K: units.Packets(16)}
 			}),
-			accessRate: motiveRate, bottleneckRate: motiveRate, delay: motiveDelay,
 			groups: []flowGroup{
 				{service: 0, count: 1, filter: pmsbeFilter(thresh)},
 				{service: 1, count: 8, filter: pmsbeFilter(thresh), recordRTT: true},
 			},
-			dur: dur, warmup: warmup,
 		})
 		if err != nil {
 			return nil, err
@@ -146,7 +143,7 @@ func runFCTWeighted(opt Options) (*Result, error) {
 				BufferBytes: units.Packets(fctBufferPkts),
 			},
 		}
-		_, err := opt.runPacket(leafSpineWiring(lsCfg), 1, func(fab *topo.Fabric) time.Duration {
+		_, err := opt.runPacket(leafSpineWiring(lsCfg), func(fab *topo.Fabric) time.Duration {
 			specs := workload.Poisson(workload.PoissonConfig{
 				Load:     load,
 				LinkRate: fctRate,

@@ -43,25 +43,9 @@ type Dumbbell struct {
 	cfg DumbbellConfig
 }
 
-// NewDumbbell wires the topology on one engine.
+// NewDumbbell wires the topology on one engine; the dumbbell has no
+// sharded form.
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	return wireDumbbell(serialBuilder(eng), cfg)
-}
-
-// NewDumbbellSharded wires the same dumbbell across a coordinator's
-// shards: all hosts on shard 0 and the switch on shard 1, so the only
-// cross-shard links are the host<->switch cables (delay = cfg.Delay =
-// the lookahead). Dumbbell.Eng is shard 0's engine (the hosts' clock);
-// drive the simulation with Run.
-func NewDumbbellSharded(coord *sim.Coordinator, cfg DumbbellConfig, shards int) (*Dumbbell, *Partition) {
-	if shards > 2 {
-		panic("topo: a dumbbell partitions into at most 2 shards (hosts, switch)")
-	}
-	sb := newShardBuilder(coord, shards)
-	return wireDumbbell(sb, cfg), sb.part
-}
-
-func wireDumbbell(sb *shardBuilder, cfg DumbbellConfig) *Dumbbell {
 	if cfg.AccessRate == 0 {
 		cfg.AccessRate = 10 * units.Gbps
 	}
@@ -72,21 +56,14 @@ func wireDumbbell(sb *shardBuilder, cfg DumbbellConfig) *Dumbbell {
 		cfg.Delay = 5 * time.Microsecond
 	}
 	const swID = 1000
-	swShard := len(sb.engs) - 1
-	sb.assign(swID, swShard)
-	sb.assign(1, 0)
-	for i := 0; i < cfg.Senders; i++ {
-		sb.assign(pkt.NodeID(2+i), 0)
-	}
 
-	d := &Dumbbell{Fabric: sb.fabric(), cfg: cfg}
-	d.Switch = netsim.NewSwitch(sb.engine(swShard), swID)
-	d.Recv = netsim.NewHost(sb.engine(0), 1)
-	d.Recv.AttachNIC(sb.link(1, swID, cfg.AccessRate, cfg.Delay, d.Switch))
+	d := &Dumbbell{Fabric: Fabric{Eng: eng}, cfg: cfg}
+	d.Switch = netsim.NewSwitch(eng, swID)
+	d.Recv = netsim.NewHost(eng, 1)
+	d.Recv.AttachNIC(netsim.NewLink(eng, cfg.AccessRate, cfg.Delay, d.Switch))
 
 	// Port 0: bottleneck toward the receiver.
-	d.Bottleneck = cfg.Bottleneck.newPort(sb.engine(swShard),
-		sb.link(swID, 1, cfg.BottleneckRate, cfg.Delay, d.Recv))
+	d.Bottleneck = cfg.Bottleneck.newPort(eng, netsim.NewLink(eng, cfg.BottleneckRate, cfg.Delay, d.Recv))
 	d.Switch.AddPort(d.Bottleneck)
 
 	// Ports 1..N: FIFO reverse ports toward each sender.
@@ -95,9 +72,9 @@ func wireDumbbell(sb *shardBuilder, cfg DumbbellConfig) *Dumbbell {
 	d.Senders = d.Hosts[1:]
 	for i := range d.Senders {
 		id := pkt.NodeID(2 + i)
-		h := netsim.NewHost(sb.engine(0), id)
-		h.AttachNIC(sb.link(id, swID, cfg.AccessRate, cfg.Delay, d.Switch))
-		port := netsim.NewPort(sb.link(swID, id, cfg.AccessRate, cfg.Delay, h),
+		h := netsim.NewHost(eng, id)
+		h.AttachNIC(netsim.NewLink(eng, cfg.AccessRate, cfg.Delay, d.Switch))
+		port := netsim.NewPort(netsim.NewLink(eng, cfg.AccessRate, cfg.Delay, h),
 			netsim.PortConfig{Sched: sched.NewFIFO()})
 		d.Switch.AddPort(port)
 		d.Senders[i] = h

@@ -96,6 +96,7 @@ type ftAlloc struct {
 
 func newFTAlloc(pp *PortProfile, engs []*sim.Engine, sh ftShape,
 	podShard, coreShard func(int) int) *ftAlloc {
+	pp.check()
 	shards := len(engs)
 	podsOf := make([]int, shards)
 	coresOf := make([]int, shards)

@@ -19,24 +19,6 @@ func TestPartitionInvariants(t *testing.T) {
 		build     func(coord *sim.Coordinator, shards int) *Partition
 	}{
 		{
-			name: "dumbbell/1", shards: 1,
-			// 4 senders + receiver + switch.
-			wantNodes: 6, wantCuts: 0,
-			build: func(c *sim.Coordinator, n int) *Partition {
-				_, p := NewDumbbellSharded(c, DumbbellConfig{Senders: 4, Bottleneck: fifoProfile()}, n)
-				return p
-			},
-		},
-		{
-			name: "dumbbell/2", shards: 2,
-			// Cut: each host<->switch cable, both directions: 2*(4+1).
-			wantNodes: 6, wantCuts: 10,
-			build: func(c *sim.Coordinator, n int) *Partition {
-				_, p := NewDumbbellSharded(c, DumbbellConfig{Senders: 4, Bottleneck: fifoProfile()}, n)
-				return p
-			},
-		},
-		{
 			name: "leafspine/1", shards: 1,
 			// 48 hosts + 4 leaves + 4 spines.
 			wantNodes: 56, wantCuts: 0,

@@ -9,11 +9,11 @@
 // factories so an experiment configures one marking scheme fabric-wide,
 // as the paper's NS-3 scripts do.
 //
-// Each topology is wired by one routine, parameterised only by the
-// node->shard assignment (shardBuilder): NewX(eng, cfg) is the one-shard
-// case on the caller's engine, NewXSharded(coord, cfg, n) spreads the
-// same wiring over a coordinator's shards. Whatever it was built on,
-// every topology embeds a Fabric — hosts, switches and how to run them.
+// The leaf-spine and the fat-tree are each wired by one routine over a
+// node->shard assignment (shardBuilder): NewX(eng, cfg) is the
+// one-shard case on the caller's engine, NewXSharded(coord, cfg, n)
+// spreads it over a coordinator's shards; the dumbbell builds on one
+// engine. Every topology embeds a Fabric — hosts, switches, how to run.
 package topo
 
 import (
@@ -116,31 +116,42 @@ type SchedBlockFactory func(eng *sim.Engine, weights []float64, n int) func() sc
 type PortProfile struct {
 	// Weights are the queue weights (length = queue count).
 	Weights []float64
-	// NewSched builds each port's scheduler (required unless
-	// NewSchedWith or NewSchedBlock is set).
+	// Exactly one of NewSched, NewSchedWith and NewSchedBlock builds
+	// each port's scheduler; a profile that sets two panics at build
+	// time. NewSched is handed the queue weights.
 	NewSched SchedFactory
-	// NewSchedWith, when non-nil, overrides NewSched and receives the
-	// engine driving the port. Sharded topologies need it: ports live on
-	// different shard engines, so a factory pre-bound to one clock (like
-	// DWRRFactory's) would feed every other shard's schedulers the wrong
-	// time.
+	// NewSchedWith also receives the engine driving the port. Sharded
+	// topologies need it: ports live on different shard engines, so a
+	// factory pre-bound to one clock (like DWRRFactory's) would feed
+	// every other shard's schedulers the wrong time.
 	NewSchedWith func(eng *sim.Engine, weights []float64) sched.Scheduler
-	// NewSchedBlock, when non-nil, takes precedence over both factories
-	// above: builders that know their port count use it to carve every
-	// scheduler of a shard from a few slabs instead of allocating each
-	// one separately (the k=32 memory path).
+	// NewSchedBlock lets builders that know their port count carve
+	// every scheduler of a shard from a few slabs instead of allocating
+	// each one separately (the k=32 memory path).
 	NewSchedBlock SchedBlockFactory
 	// NewMarker builds each port's marker (nil = no marking).
 	NewMarker MarkerFactory
 	// SharedMarker, when non-nil, is installed on every port instead of
-	// calling NewMarker per port. Only markers that keep no per-port
-	// state may be shared — which all schemes in this repository
-	// satisfy (they read the port through ecn.PortView on each
-	// decision) — and sharing collapses tens of thousands of identical
-	// marker objects into one.
+	// a marker per port (setting NewMarker too panics at build time).
+	// Only markers that keep no per-port state may be shared — which all
+	// schemes in this repository satisfy (they read the port through
+	// ecn.PortView on each decision) — and sharing collapses tens of
+	// thousands of identical marker objects into one.
 	SharedMarker ecn.Marker
 	// BufferBytes is the shared per-port buffer (0 = unlimited).
 	BufferBytes int
+}
+
+// check panics, at build time, on a profile that names two ways to
+// build the same part: whichever lost would be silently dropped.
+func (pp *PortProfile) check() {
+	with, block := pp.NewSchedWith != nil, pp.NewSchedBlock != nil
+	if pp.NewSched != nil && (with || block) || with && block {
+		panic("topo: PortProfile sets more than one of NewSched, NewSchedWith and NewSchedBlock")
+	}
+	if pp.NewMarker != nil && pp.SharedMarker != nil {
+		panic("topo: PortProfile sets both NewMarker and SharedMarker")
+	}
 }
 
 // marker picks the profile's marker for one port.
@@ -168,6 +179,7 @@ func (pp *PortProfile) scheduler(eng *sim.Engine) sched.Scheduler {
 
 // newPort instantiates one port from the profile.
 func (pp PortProfile) newPort(eng *sim.Engine, link *netsim.Link) *netsim.Port {
+	pp.check()
 	return netsim.NewPort(link, netsim.PortConfig{
 		Sched:       pp.scheduler(eng),
 		Marker:      pp.marker(),

@@ -244,3 +244,40 @@ func TestPortProfileMarker(t *testing.T) {
 		t.Fatal("profile queue count not applied")
 	}
 }
+
+// A profile naming two ways to build a port's scheduler or marker is
+// refused when a topology is built, whichever topology builds it.
+func TestPortProfileAmbiguousSeams(t *testing.T) {
+	marker := func() ecn.Marker { return &ecn.PerPort{K: units.Packets(10)} }
+	cases := []struct {
+		name string
+		pp   PortProfile
+	}{
+		{"NewSched+NewSchedWith", PortProfile{NewSched: WFQFactory(), NewSchedWith: DWRRSched}},
+		{"NewSched+NewSchedBlock", PortProfile{NewSched: WFQFactory(), NewSchedBlock: DWRRBlocks()}},
+		{"NewSchedWith+NewSchedBlock", PortProfile{NewSchedWith: DWRRSched, NewSchedBlock: DWRRBlocks()}},
+		{"all three schedulers", PortProfile{NewSched: WFQFactory(), NewSchedWith: DWRRSched, NewSchedBlock: DWRRBlocks()}},
+		{"NewMarker+SharedMarker", PortProfile{NewSched: WFQFactory(), NewMarker: marker, SharedMarker: marker()}},
+	}
+	builds := map[string]func(PortProfile){
+		"dumbbell": func(pp PortProfile) {
+			NewDumbbell(sim.NewEngine(), DumbbellConfig{Senders: 1, Bottleneck: pp})
+		},
+		"leafspine": func(pp PortProfile) { NewLeafSpine(sim.NewEngine(), LeafSpineConfig{Ports: pp}) },
+		"fattree":   func(pp PortProfile) { NewFatTree(sim.NewEngine(), FatTreeConfig{K: 4, Ports: pp}) },
+	}
+	for _, tc := range cases {
+		for topoName, build := range builds {
+			t.Run(tc.name+"/"+topoName, func(t *testing.T) {
+				pp := tc.pp
+				pp.Weights = EqualWeights(2)
+				defer func() {
+					if recover() == nil {
+						t.Fatal("ambiguous profile built without a panic")
+					}
+				}()
+				build(pp)
+			})
+		}
+	}
+}
