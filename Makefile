@@ -40,6 +40,7 @@ ci:
 	-$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/workload/
 	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbsim/
 	-$(GO) test -run '^$$' -fuzz FuzzCalendarMatchesHeap -fuzztime 10s ./internal/sim/
+	-$(GO) test -run '^$$' -fuzz FuzzWaterfillMatchesReference -fuzztime 10s ./internal/flowsim/
 	# Runtime-introspection smoke: a sharded run with live progress and a
 	# self-profile dump, rendered back through pmsbstat -runtime.
 	$(GO) run ./cmd/pmsbsim -experiment fattree-incast -quick -shards 4 \

@@ -88,7 +88,7 @@ func TestEveryFlagBites(t *testing.T) {
 		{"", "all", []string{"-experiment", "fig5"}, []string{"-all"}, "exclude each other"},
 		{"", "quick", []string{"-experiment", "fig5", "-summary=false"}, []string{"-quick"}, ""},
 		{"", "seed", []string{"-experiment", "scenario-permutation", "-quick", "-summary=false"}, []string{"-seed", "2"}, ""},
-		{"", "repeats", []string{"-experiment", "fig5", "-quick", "-tracefile", "@t.bin"}, []string{"-repeats", "2"}, "require one experiment and -repeats 1"},
+		{"", "repeats", exp, []string{"-repeats", "2"}, "fig5 is not randomized"},
 		{"", "jobs", []string{"-experiment", "table1"}, []string{"-jobs", "3"}, "jobs=3"},
 		{"", "shards", exp, []string{"-shards", "2"}, "fig5 does not shard"},
 		{"", "shards", []string{"-experiment", "fattree-incast", "-quick"}, []string{"-shards", "2"}, "shards\t2\n"},

@@ -33,10 +33,11 @@
 // engine is deterministic and results are reassembled in registration
 // order. Only the wall times in the summary block vary.
 //
-// -shards and -engine reach only the experiments that declare them
-// (experiment.Spec.Sharded, Fluid). Both are checked before anything is
-// built: a lone experiment that cannot apply one is refused, and a list
-// names on stderr the experiments that will run without it.
+// -shards, -engine and -repeats reach only the experiments that declare
+// them (experiment.Spec.MaxShards, Fluid, Randomized). Each is checked
+// before anything is built: a lone experiment that cannot apply one is
+// refused, and a list names on stderr the experiments that will run
+// without it.
 //
 // -tracefile and -metrics enable the observability layer: the run's
 // event trace is written in the compact binary format (pmsbstat
@@ -44,7 +45,8 @@
 // the metrics registry as a name<TAB>value dump. The trace ring spills
 // into the file as it fills, so the file is the complete event stream.
 // Tracing requires a single experiment with -repeats 1; a sharded run
-// gives every shard its own bus and spill file (trace.shard0.bin,
+// gives every shard it runs on — -shards capped at what the topology
+// partitions into — its own bus and spill file (trace.shard0.bin,
 // trace.shard1.bin, ...) that pmsbstat merges deterministically.
 package main
 
@@ -200,7 +202,9 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("-tracefile, -metrics, -progress and -runtimestats require one experiment and -repeats 1 (got %d experiments, -repeats %d)",
 				len(specs), opt.Repeats)
 		}
-		jobs = shards // exactly the workers the one run needs
+		// Exactly the shards, and so the workers, the one run uses.
+		shards = max(1, min(shards, specs[0].MaxShards))
+		jobs = shards
 	}
 	var stopSampler func()
 	if o.progress.set {
@@ -220,7 +224,7 @@ func run(args []string, stdout io.Writer) error {
 		if *o.metrics != "" && shards > 1 {
 			// Each shard bus has its own registry; a merged dump is not
 			// defined yet.
-			return fmt.Errorf("-metrics requires -shards 1 (got %d)", shards)
+			return fmt.Errorf("-metrics requires -shards 1 (got %d)", opt.Shards)
 		}
 		trace, err = openTraceSession(*o.tracefile, shards, *o.metrics != "")
 		if err != nil {
@@ -283,7 +287,7 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		all     = fs.Bool("all", false, "run every experiment")
 		quick   = fs.Bool("quick", false, "shorter runs (reduced durations and flow counts)")
 		seed    = fs.Int64("seed", 1, "random seed")
-		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples")
+		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples; refused for a lone experiment that is not randomized")
 		jobs    = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
 		shards  = fs.Int("shards", 1, "shard the leaf-spine and fat-tree simulations across this many parallel engines, as far as each topology partitions (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value); refused for a lone experiment that does not shard")
 		engine  = fs.String("engine", "packet", "simulation engine of the experiments with a fluid form (fct-*, fig16-27, scenario-*, flow-scale): packet (ground truth) or flow (fluid fast path); flow is refused for a lone experiment without one")
@@ -322,13 +326,19 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		}
 		if *shards > 1 {
 			if err := refuseUnreached(specs, fmt.Sprintf("-shards %d", *shards), "does not shard",
-				func(s experiment.Spec) bool { return s.Sharded }); err != nil {
+				func(s experiment.Spec) bool { return s.MaxShards > 0 }); err != nil {
 				return plan{}, err
 			}
 		}
 		if *engine == "flow" {
 			if err := refuseUnreached(specs, "-engine flow", "has no fluid form",
 				func(s experiment.Spec) bool { return s.Fluid }); err != nil {
+				return plan{}, err
+			}
+		}
+		if *repeats > 1 {
+			if err := refuseUnreached(specs, fmt.Sprintf("-repeats %d", *repeats), "is not randomized",
+				func(s experiment.Spec) bool { return s.Randomized }); err != nil {
 				return plan{}, err
 			}
 		}

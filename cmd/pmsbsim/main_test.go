@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,7 +180,7 @@ func TestRunSummaryBlock(t *testing.T) {
 	}
 }
 
-// -shards and -engine are checked against what each experiment
+// -shards, -engine and -repeats are checked against what each experiment
 // declares before anything is built: a lone experiment that cannot
 // apply one is refused with no table printed; in a list the ones that
 // will run without it are named on stderr, in one line, before the run.
@@ -192,6 +193,7 @@ func TestOptionReachRefusedBeforeRun(t *testing.T) {
 		{[]string{"-experiment", "fattree32", "-quick", "-engine", "flow"}, "-engine flow: fattree32 has no fluid form"},
 		{[]string{"-experiment", "calibrate", "-quick", "-engine", "flow"}, "-engine flow: calibrate has no fluid form"},
 		{[]string{"-experiment", "table1", "-shards", "4"}, "-shards 4: table1 does not shard"},
+		{[]string{"-experiment", "fig5", "-quick", "-repeats", "3"}, "-repeats 3: fig5 is not randomized"},
 	} {
 		var stderr string
 		var out string
@@ -208,13 +210,14 @@ func TestOptionReachRefusedBeforeRun(t *testing.T) {
 	var out string
 	var err error
 	stderr := captureStderr(t, func() {
-		out, err = capture(t, "-experiment", "fig5,fattree-incast,table1", "-quick", "-shards", "2", "-engine", "flow")
+		out, err = capture(t, "-experiment", "fig5,fattree-incast,table1", "-quick", "-shards", "2", "-engine", "flow", "-repeats", "2")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := "pmsbsim: -shards 2 will not apply to fig5, table1\n" +
-		"pmsbsim: -engine flow will not apply to fig5, fattree-incast, table1\n"
+		"pmsbsim: -engine flow will not apply to fig5, fattree-incast, table1\n" +
+		"pmsbsim: -repeats 2 will not apply to fig5, fattree-incast, table1\n"
 	if stderr != want {
 		t.Errorf("stderr:\n%swant:\n%s", stderr, want)
 	}
@@ -329,8 +332,9 @@ func TestTraceRestrictions(t *testing.T) {
 	if _, err := capture(t, "-experiment", "table1,fig5", "-quick", "-tracefile", trace); err == nil {
 		t.Error("tracing two experiments must fail")
 	}
-	if _, err := capture(t, "-experiment", "fig8", "-quick", "-repeats", "3", "-tracefile", trace); err == nil {
-		t.Error("tracing with -repeats > 1 must fail")
+	if _, err := capture(t, "-experiment", "fig16", "-quick", "-repeats", "3", "-tracefile", trace); err == nil ||
+		!strings.Contains(err.Error(), "-repeats 1") {
+		t.Errorf("tracing with -repeats > 1 must fail, got %v", err)
 	}
 	if _, err := capture(t, "-experiment", "fct-dwrr", "-quick", "-shards", "2",
 		"-metrics", filepath.Join(t.TempDir(), "m")); err == nil {
@@ -418,5 +422,30 @@ func TestTraceShardedExport(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("sharded trace has no %v events", k)
 		}
+	}
+}
+
+// A leaf-spine partitions into two shards, so -shards 4 traces into
+// two spill files, both holding events: no file for a shard the run
+// never had.
+func TestTraceShardFilesMatchWidth(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := capture(t, "-experiment", "scenario-permutation", "-quick",
+		"-shards", "4", "-tracefile", filepath.Join(dir, "sp.bin")); err != nil {
+		t.Fatalf("sharded traced run: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+		if info, err := e.Info(); err != nil || info.Size() <= 8 {
+			t.Errorf("%s holds no events (%v)", e.Name(), err)
+		}
+	}
+	if want := []string{"sp.shard0.bin", "sp.shard1.bin"}; !slices.Equal(names, want) {
+		t.Errorf("trace files %v, want %v", names, want)
 	}
 }

@@ -91,6 +91,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
+	if err := refuseMoot(fs, o); err != nil {
+		return err
+	}
 	if *o.bin <= 0 {
 		return fmt.Errorf("-bin %v: the mark-rate bin width must be positive", *o.bin)
 	}
@@ -131,6 +134,26 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("trace %s holds no events in [%v, %v]", traces, lo, time.Duration(hi))
 	}
 	return fmt.Errorf("trace %s holds no events", traces)
+}
+
+// reportFlags shape the report; -export prints events instead of a
+// report, and -runtime reads a runtime dump, not a trace.
+var reportFlags = map[string]bool{"bin": true, "top": true, "depth": true, "marks": true, "counts": true}
+
+// refuseMoot refuses a flag set next to a mode that would ignore it:
+// the report flags next to -export, and every other flag next to
+// -runtime.
+func refuseMoot(fs *flag.FlagSet, o options) (err error) {
+	fs.Visit(func(fl *flag.Flag) {
+		switch name := fl.Name; {
+		case err != nil:
+		case *o.runtime && name != "runtime":
+			err = fmt.Errorf("-%s does not apply to -runtime, which reads a runtime dump", name)
+		case *o.export && reportFlags[name]:
+			err = fmt.Errorf("-%s does not apply to -export, which prints events, not a report", name)
+		}
+	})
+	return err
 }
 
 // report reduces the traces in one streamed pass and prints the

@@ -483,19 +483,31 @@ func TestEveryFlagBites(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	// A row with want is a refusal: the flagged run must fail saying so.
 	bites := []struct {
 		flag       string
 		base, with []string
+		want       string
 	}{
-		{"bin", []string{trace}, []string{"-bin", "500us"}},
-		{"top", []string{trace}, []string{"-top", "0"}},
-		{"depth", []string{trace}, []string{"-depth=false"}},
-		{"marks", []string{trace}, []string{"-marks=false"}},
-		{"counts", []string{trace}, []string{"-counts=false"}},
-		{"since", []string{trace}, []string{"-since", "5ms"}},
-		{"until", []string{trace}, []string{"-until", "5ms"}},
-		{"export", []string{trace}, []string{"-export"}},
-		{"runtime", []string{dump}, []string{"-runtime"}},
+		{"bin", []string{trace}, []string{"-bin", "500us"}, ""},
+		{"top", []string{trace}, []string{"-top", "0"}, ""},
+		{"depth", []string{trace}, []string{"-depth=false"}, ""},
+		{"marks", []string{trace}, []string{"-marks=false"}, ""},
+		{"counts", []string{trace}, []string{"-counts=false"}, ""},
+		{"since", []string{trace}, []string{"-since", "5ms"}, ""},
+		{"until", []string{trace}, []string{"-until", "5ms"}, ""},
+		{"export", []string{trace}, []string{"-export"}, ""},
+		{"runtime", []string{dump}, []string{"-runtime"}, ""},
+		{"bin", []string{"-export", trace}, []string{"-bin", "2ms"}, "-bin does not apply to -export"},
+		{"top", []string{"-export", trace}, []string{"-top", "1"}, "-top does not apply to -export"},
+		{"depth", []string{"-export", trace}, []string{"-depth=false"}, "-depth does not apply to -export"},
+		{"marks", []string{"-export", trace}, []string{"-marks=false"}, "-marks does not apply to -export"},
+		{"counts", []string{"-export", trace}, []string{"-counts=false"}, "-counts does not apply to -export"},
+		{"bin", []string{"-runtime", dump}, []string{"-bin", "2ms"}, "-bin does not apply to -runtime"},
+		{"top", []string{"-runtime", dump}, []string{"-top", "1"}, "-top does not apply to -runtime"},
+		{"since", []string{"-runtime", dump}, []string{"-since", "5ms"}, "-since does not apply to -runtime"},
+		{"until", []string{"-runtime", dump}, []string{"-until", "5ms"}, "-until does not apply to -runtime"},
+		{"export", []string{"-runtime", dump}, []string{"-export"}, "-export does not apply to -runtime"},
 	}
 	fs, _ := newFlagSet()
 	covered := map[string]bool{}
@@ -514,8 +526,11 @@ func TestEveryFlagBites(t *testing.T) {
 	for _, b := range bites {
 		out0, err0 := capture(t, b.base...)
 		out1, err1 := capture(t, append(slices.Clone(b.with), b.base...)...)
-		if out0 == out1 && fmt.Sprint(err0) == fmt.Sprint(err1) {
+		switch {
+		case out0 == out1 && fmt.Sprint(err0) == fmt.Sprint(err1):
 			t.Errorf("pmsbstat %v: adding %v changed nothing", b.base, b.with)
+		case b.want != "" && (err1 == nil || !strings.Contains(err1.Error(), b.want) || out1 != ""):
+			t.Errorf("pmsbstat %v: adding %v printed %d bytes, err %v; want a refusal %q", b.base, b.with, len(out1), err1, b.want)
 		}
 	}
 }

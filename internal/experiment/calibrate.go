@@ -148,10 +148,10 @@ func runFlowScale(opt Options) (*Result, error) {
 func calibrateSpecs() []Spec {
 	return []Spec{
 		{
-			ID:      "calibrate",
-			Title:   "Flow-level engine calibration vs packet-level ground truth",
-			Run:     runCalibrate,
-			Sharded: true,
+			ID:        "calibrate",
+			Title:     "Flow-level engine calibration vs packet-level ground truth",
+			Run:       runCalibrate,
+			MaxShards: fattreeK, // scenario-fattree's fabric
 		},
 		{
 			ID:    "flow-scale",

@@ -209,12 +209,16 @@ type Spec struct {
 	Title string
 	// Run executes the experiment.
 	Run func(opt Options) (*Result, error)
-	// Sharded declares that a packet run of the experiment spreads over
-	// Options.Shards engines; Fluid, that Options.Engine "flow" runs it
-	// on the flow-level engine alone. Other experiments ignore the
-	// option, pmsbsim checks it against these before anything runs, and
-	// the golden gate holds them to what the manifest records.
-	Sharded, Fluid bool
+	// MaxShards declares that a packet run of the experiment spreads
+	// over Options.Shards engines, up to the most its topology
+	// partitions into (leaf-spine 2, a k-ary fat-tree k); 0 means it
+	// runs serially. Fluid declares that Options.Engine "flow" runs it on
+	// the flow-level engine alone; Randomized, that Options.Repeats
+	// pools its samples over that many seeds. Other experiments ignore
+	// the option, pmsbsim checks it against these before anything runs,
+	// and the golden gate holds them to what the manifest records.
+	MaxShards         int
+	Fluid, Randomized bool
 }
 
 // registry returns all experiments, built lazily so each file

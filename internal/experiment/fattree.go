@@ -133,9 +133,9 @@ func runFatTree(id, title string, k int, flows []workload.FlowSpec, opt Options)
 func fattreeSpecs() []Spec {
 	return []Spec{
 		{
-			ID:      "fattree",
-			Title:   "k=8 fat-tree, cross-pod permutation traffic (PMSB + DWRR)",
-			Sharded: true,
+			ID:        "fattree",
+			Title:     "k=8 fat-tree, cross-pod permutation traffic (PMSB + DWRR)",
+			MaxShards: fattreeK,
 			Run: func(opt Options) (*Result, error) {
 				n := 64
 				if opt.Quick {
@@ -147,9 +147,9 @@ func fattreeSpecs() []Spec {
 			},
 		},
 		{
-			ID:      "fattree-incast",
-			Title:   "k=8 fat-tree, pods 1..7 incast into pod 0 (shard-skew scenario)",
-			Sharded: true,
+			ID:        "fattree-incast",
+			Title:     "k=8 fat-tree, pods 1..7 incast into pod 0 (shard-skew scenario)",
+			MaxShards: fattreeK,
 			Run: func(opt Options) (*Result, error) {
 				perPod := 4
 				if opt.Quick {
@@ -161,9 +161,9 @@ func fattreeSpecs() []Spec {
 			},
 		},
 		{
-			ID:      "fattree32",
-			Title:   "k=32 fat-tree (8192 hosts, 49k ports), cross-pod permutation traffic",
-			Sharded: true,
+			ID:        "fattree32",
+			Title:     "k=32 fat-tree (8192 hosts, 49k ports), cross-pod permutation traffic",
+			MaxShards: 32,
 			Run: func(opt Options) (*Result, error) {
 				// The arena-backed builder's headline scale: ~49k ports in a
 				// few slab allocations. The workload is a wider permutation

@@ -337,9 +337,9 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 // and schemes (runs the same sweep, reports one column).
 func fctColumn(id, title, schedName, column string) Spec {
 	return Spec{
-		ID:      id,
-		Title:   title,
-		Sharded: true, Fluid: true,
+		ID:        id,
+		Title:     title,
+		MaxShards: leafSpineShards, Fluid: true, Randomized: true,
 		Run: func(opt Options) (*Result, error) {
 			full, err := runFCTSweep(id, title, schedName, opt)
 			if err != nil {
@@ -405,10 +405,10 @@ func runAblationMarkPoint(opt Options) (*Result, error) {
 func fctSpecs() []Spec {
 	specs := []Spec{
 		{
-			ID:      "ablation-markpoint",
-			Title:   "Ablation: PMSB enqueue vs dequeue marking at scale",
-			Run:     runAblationMarkPoint,
-			Sharded: true,
+			ID:        "ablation-markpoint",
+			Title:     "Ablation: PMSB enqueue vs dequeue marking at scale",
+			Run:       runAblationMarkPoint,
+			MaxShards: leafSpineShards,
 		},
 		{
 			ID:    "fct-dwrr",
@@ -416,7 +416,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-dwrr", "Large-scale FCT, DWRR", "dwrr", opt)
 			},
-			Sharded: true, Fluid: true,
+			MaxShards: leafSpineShards, Fluid: true, Randomized: true,
 		},
 		{
 			ID:    "fct-wfq",
@@ -424,7 +424,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-wfq", "Large-scale FCT, WFQ", "wfq", opt)
 			},
-			Sharded: true, Fluid: true,
+			MaxShards: leafSpineShards, Fluid: true, Randomized: true,
 		},
 	}
 	dwrrCols := []struct{ id, title, col string }{

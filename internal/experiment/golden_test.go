@@ -79,7 +79,8 @@ var goldenSerial = map[string]string{
 	"theorem41":            "1db20c60515d9dd05f9da38a",
 }
 
-// goldenShards2 pins every Sharded experiment at 2 shards.
+// goldenShards2 pins every experiment that declares MaxShards at 2
+// shards.
 var goldenShards2 = map[string]string{
 	"ablation-markpoint":   "5a011afa327774b426e79287",
 	"calibrate":            "392081096fc2368c7fae68ef",
@@ -132,7 +133,8 @@ var goldenFlow = map[string]string{
 // An experiment that declares the option (declares(spec)) must match
 // its pin in golden and its manifest row must show the option applied;
 // any other must reproduce its serial table and its row must not show
-// it — so each Sharded/Fluid declaration is held to what the run did.
+// it — so each MaxShards/Fluid/Randomized declaration is held to what
+// the run did.
 // golden pins exactly the declaring experiments. Under -race only the
 // declaring experiments run: the others repeat serial code the serial
 // pass already races, and the full check runs without -race.
@@ -181,8 +183,35 @@ func TestGoldenTablesSharded(t *testing.T) {
 		t.Skip("runs every experiment at 2 shards")
 	}
 	checkGolden(t, "goldenShards2", goldenShards2, Options{Quick: true, Seed: 1, Shards: 2},
-		func(s Spec) bool { return s.Sharded },
+		func(s Spec) bool { return s.MaxShards > 0 },
 		func(row ExperimentReport) bool { return row.Shards == 2 })
+}
+
+// goldenRepeats2 pins every Randomized experiment pooled over 2 seeds.
+var goldenRepeats2 = map[string]string{
+	"fct-dwrr": "095b1dc60d6fe339a1f6dd90",
+	"fct-wfq":  "b3fe60ef2cd04135ed6494b1",
+	"fig16":    "5316334d1be79ca380328313",
+	"fig17":    "84e3560497b0a6ce95b2a208",
+	"fig18":    "30a2f5df9613073c8883f92a",
+	"fig19":    "f1dd79395437a477a9ff7cbc",
+	"fig20":    "7bce51cf1d04dc8389dab4d4",
+	"fig21":    "c7b9f4076f31679649d318ee",
+	"fig22":    "32c1f62b5b415b848a91131f",
+	"fig23":    "7f74a00d5746f035eb82dc3c",
+	"fig24":    "806effa672f41d019dccf95b",
+	"fig25":    "8adbd0532a1795467be82e2d",
+	"fig26":    "0f4003a027b76e12b9bc215d",
+	"fig27":    "b32f62984c138fe8ee4905ca",
+}
+
+func TestGoldenTablesRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at 2 repeats")
+	}
+	checkGolden(t, "goldenRepeats2", goldenRepeats2, Options{Quick: true, Seed: 1, Repeats: 2},
+		func(s Spec) bool { return s.Randomized },
+		func(row ExperimentReport) bool { return row.Repeats == 2 })
 }
 
 func TestGoldenTablesFlow(t *testing.T) {

@@ -19,9 +19,13 @@ import (
 // the sanity check and the manifest's accounting are wired here and
 // nowhere else, so no experiment can forget one of them.
 
+// leafSpineShards is the most shards a leaf-spine partitions into:
+// hosts and fabric.
+const leafSpineShards = 2
+
 // wiring is a topology's pair of entry points bound to one config, and
-// limit, the most shards the topology partitions into: leaf-spine 2
-// (hosts, fabric), a k-ary fat-tree k (one pod per shard at most). A
+// limit, the most shards the topology partitions into: leaf-spine
+// leafSpineShards, a k-ary fat-tree k (one pod per shard at most). A
 // fabric that only builds serially (the dumbbell, pfc, pool) leaves
 // sharded nil and limit 0.
 type wiring struct {
@@ -41,7 +45,7 @@ func leafSpineWiring(cfg topo.LeafSpineConfig) wiring {
 			ls, _ := topo.NewLeafSpineSharded(c, cfg, n)
 			return &ls.Fabric
 		},
-		limit: 2,
+		limit: leafSpineShards,
 	}
 }
 

@@ -67,6 +67,7 @@ func (p *workerPool) tryAcquireN(n int) bool {
 // so progress never depends on token availability. Used by the repeat
 // loops of the randomized sweeps to run consecutive seeds in parallel.
 func (o Options) eachRepeat(n int, fn func(r int)) {
+	o.acct.repeated(n)
 	if o.pool == nil || n < 2 {
 		for r := 0; r < n; r++ {
 			fn(r)
@@ -108,6 +109,9 @@ type ExperimentReport struct {
 	// these say what happened, so an option that did not apply shows.
 	Engine string `json:"engine"`
 	Shards int    `json:"shards"`
+	// Repeats is the most seeds a randomized sweep of the experiment
+	// pooled; 0 when it ran none.
+	Repeats int `json:"repeats,omitempty"`
 	// Cached marks a result projected from a sweep an earlier
 	// experiment of this process already simulated; Engine and Shards
 	// then describe that sweep.
@@ -140,6 +144,16 @@ func (l *ledger) credit(engine string, shards int, events uint64) {
 	}
 }
 
+// repeated records a sweep that pooled n seeds.
+func (l *ledger) repeated(n int) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.row.Repeats = max(l.row.Repeats, n)
+}
+
 // absorb folds the account of a shared computation into l. hit says
 // the computation ran for an earlier caller: l then records what it
 // ran on but is not charged its events again.
@@ -152,6 +166,7 @@ func (l *ledger) absorb(from *ledger, hit bool) {
 		events = 0
 	}
 	l.credit(from.row.Engine, from.row.Shards, events)
+	l.repeated(from.row.Repeats)
 	l.mu.Lock()
 	l.row.Cached = l.row.Cached || hit
 	l.mu.Unlock()
@@ -224,7 +239,7 @@ func RunMany(specs []Spec, opt Options, jobs int) ([]*Result, *Manifest, error) 
 			// once, so it must hold that many tokens, atomically (see
 			// acquireN), before simulating; any other runs on one.
 			cost := 1
-			if specs[i].Sharded {
+			if specs[i].MaxShards > 0 {
 				cost = o.tokenCost()
 			}
 			pool.acquireN(cost)

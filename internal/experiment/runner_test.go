@@ -178,7 +178,7 @@ func TestRunManyShardsNeverOversubscribe(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				id := fmt.Sprintf("s%d", i)
 				specs = append(specs, Spec{
-					ID: id, Title: id, Sharded: true,
+					ID: id, Title: id, MaxShards: 16,
 					Run: func(opt Options) (*Result, error) {
 						cost := int64(opt.tokenCost())
 						cur := inUse.Add(cost)

@@ -34,8 +34,9 @@ import (
 type scenarioDef struct {
 	id, title string
 	build     func(quick bool, seed int64) *scenarioNet
-	// sharded says the packet fabric partitions (see Spec.Sharded).
-	sharded bool
+	// maxShards is the most shards the packet fabric partitions into
+	// (see Spec.MaxShards).
+	maxShards int
 }
 
 // scenarioNet is a built scenario: the workload, the flow-level graph,
@@ -115,16 +116,16 @@ func scenarioDefs() []scenarioDef {
 			build: buildIncastScenario,
 		},
 		{
-			id:      "scenario-permutation",
-			title:   "Calibration scenario: leaf-spine permutation (200KB)",
-			build:   buildPermutationScenario,
-			sharded: true,
+			id:        "scenario-permutation",
+			title:     "Calibration scenario: leaf-spine permutation (200KB)",
+			build:     buildPermutationScenario,
+			maxShards: leafSpineShards,
 		},
 		{
-			id:      "scenario-fattree",
-			title:   "Calibration scenario: k=8 fat-tree, web-search CDF at load 0.3",
-			build:   buildFatTreeScenario,
-			sharded: true,
+			id:        "scenario-fattree",
+			title:     "Calibration scenario: k=8 fat-tree, web-search CDF at load 0.3",
+			build:     buildFatTreeScenario,
+			maxShards: fattreeK,
 		},
 	}
 }
@@ -243,11 +244,11 @@ func scenarioSpecs() []Spec {
 	for _, def := range scenarioDefs() {
 		def := def
 		specs = append(specs, Spec{
-			ID:      def.id,
-			Title:   def.title,
-			Run:     func(opt Options) (*Result, error) { return runScenario(def, opt) },
-			Sharded: def.sharded,
-			Fluid:   true,
+			ID:        def.id,
+			Title:     def.title,
+			Run:       func(opt Options) (*Result, error) { return runScenario(def, opt) },
+			MaxShards: def.maxShards,
+			Fluid:     true,
 		})
 	}
 	return specs

@@ -12,11 +12,12 @@
 //   - Rates: a max-min fair water-filling solve over the path graph's
 //     links assigns every active flow its bottleneck share, with a
 //     slow-start ramp cap (the DCTCP window doubling, continuous form)
-//     bounding young flows. Solves are quantum-coalesced: arrivals,
-//     finishes and ramp growth mark the solver dirty, and one solve per
-//     quantum re-prices the fabric — the solve count is bounded by
-//     simulated-time/quantum, not by the event count, which is what
-//     makes 100k-host scenarios tractable.
+//     bounding young flows; only caps at or below the largest link
+//     capacity can bind, so only those flows are ordered by cap. Solves
+//     are quantum-coalesced: arrivals, finishes and ramp growth mark the
+//     solver dirty, and one solve per quantum re-prices the fabric — the
+//     solve count is bounded by simulated-time/quantum, not by the event
+//     count, which is what makes 100k-host scenarios tractable.
 //   - Fluid queues: each saturated link carries a fluid standing queue
 //     relaxing toward the marking scheme's threshold target (the
 //     DCTCP sawtooth mean), and draining at line rate when arrivals
@@ -38,8 +39,9 @@
 package flowsim
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"pmsb/internal/sim"
@@ -105,11 +107,6 @@ type flowRec struct {
 	// rate is the current sending rate in bytes/sec (piecewise constant
 	// between solves; -1 marks "unfrozen" during a solve).
 	rate float64
-	// cap is the slow-start ramp cap for the current solve (scratch).
-	cap float64
-	// rtt is the effective RTT in seconds (base + fluid queue delays),
-	// pacing the ramp.
-	rtt float64
 	// tail is the flow-constant part of the delivery tail: propagation
 	// both ways, store-and-forward MTU serialization downstream, ACK
 	// serialization on the return path.
@@ -126,7 +123,6 @@ type linkState struct {
 	// Fluid state.
 	q      float64       // standing queue depth, bytes
 	alpha  float64       // DCTCP alpha (marking-overshoot EWMA)
-	target float64       // marking target from the last solve
 	arr    float64       // aggregate arrival rate from the last solve
 	qdelay float64       // q/cap seconds, cached per solve
 	seen   time.Duration // last solve that touched this link
@@ -136,7 +132,20 @@ type linkState struct {
 	nFlows int32
 	stamp  uint32
 	csrPos int32
-	busyW  int32
+}
+
+// rampKey orders a flow for the water-filling by its ramp cap, flow
+// index breaking ties.
+type rampKey struct {
+	cap float64
+	idx int32
+}
+
+func cmpRamp(a, b rampKey) int {
+	if c := cmp.Compare(a.cap, b.cap); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // Sim is a flow-level simulation bound to an engine.
@@ -148,20 +157,20 @@ type Sim struct {
 	baseRTT float64 // seconds
 	relax   float64 // fluid relaxation time constant, seconds
 	nsvc    int
-	maxRamp float64 // ramp cap clamp, bytes/sec
+	target  float64 // the marking scheme's standing queue, bytes
+	maxCap  float64 // the largest link capacity, bytes/sec
 
 	flows  []flowRec
 	order  []int32 // arrival order (specs sorted by start, stable)
 	nextA  int     // next arrival cursor into order
 	active []int32
 
-	links  []linkState
-	svcCnt []int32 // [link*nsvc + svc] active-flow counts
+	links []linkState
 
 	touched  []int32
 	csrFlows []int32
 	heap     []heapEnt
-	rampOrd  []int32
+	rampOrd  []rampKey
 
 	finishQ []finishEnt
 	fi      int
@@ -215,18 +224,14 @@ func New(eng *sim.Engine, g *topo.PathGraph, cfg Config) *Sim {
 		baseRTT: g.BaseRTT.Seconds(),
 		relax:   relaxRTTs * g.BaseRTT.Seconds(),
 		nsvc:    len(cfg.Weights),
+		target:  cfg.Marking.PortTarget(),
 		links:   make([]linkState, len(g.Links)),
-		svcCnt:  make([]int32, len(g.Links)*len(cfg.Weights)),
 	}
-	var maxCap float64
 	for i := range g.Links {
 		c := float64(g.Links[i].Rate) / 8
 		s.links[i].cap = c
-		if c > maxCap {
-			maxCap = c
-		}
+		s.maxCap = max(s.maxCap, c)
 	}
-	s.maxRamp = 4 * maxCap
 	return s
 }
 
@@ -250,16 +255,25 @@ func (s *Sim) PortDepth(l int) float64 { return s.links[l].q }
 
 // ServiceDepth returns service svc's weight-proportional share of link
 // l's fluid depth — the per-queue occupancy the packet engine's traces
-// report per (node, port, queue).
+// report per (node, port, queue). The busy services are those with a
+// flow in the link's slice of the last solve's index; nothing in the
+// solve itself depends on the split.
 func (s *Sim) ServiceDepth(l, svc int) float64 {
 	ls := &s.links[l]
-	if ls.busyW <= 0 {
+	busy := make([]bool, s.nsvc)
+	for _, idx := range s.csrFlows[ls.csrPos : ls.csrPos+ls.nFlows] {
+		busy[s.flows[idx].spec.Service%s.nsvc] = true
+	}
+	if !busy[svc%s.nsvc] {
 		return 0
 	}
-	if s.svcCnt[l*s.nsvc+svc%s.nsvc] == 0 {
-		return 0
+	busyW := 0
+	for sv, b := range busy {
+		if b {
+			busyW += s.weight(sv)
+		}
 	}
-	return ls.q * float64(s.weight(svc)) / float64(ls.busyW)
+	return ls.q * float64(s.weight(svc)) / float64(busyW)
 }
 
 func (s *Sim) weight(svc int) int {
@@ -285,7 +299,6 @@ func (s *Sim) Start(specs []workload.FlowSpec) {
 		f.spec = spec
 		f.rate = 0
 		f.remaining = float64(spec.Size)
-		f.rtt = s.baseRTT
 		f.activeIdx = -1
 		path := s.g.PathFor(spec.Src, spec.Dst, uint64(i)+1, f.path[:0])
 		if len(path) == 0 || len(path) > len(f.path) {
@@ -298,8 +311,8 @@ func (s *Sim) Start(specs []workload.FlowSpec) {
 	}
 	// Arrivals fire in start order; the stable sort keeps spec order as
 	// the tiebreak so same-instant arrivals admit deterministically.
-	sort.SliceStable(s.order, func(a, b int) bool {
-		return s.flows[s.order[a]].spec.Start < s.flows[s.order[b]].spec.Start
+	slices.SortStableFunc(s.order, func(a, b int32) int {
+		return cmp.Compare(s.flows[a].spec.Start, s.flows[b].spec.Start)
 	})
 	if len(s.order) > 0 {
 		s.arrTimer = s.eng.ScheduleCallAt(s.flows[s.order[0]].spec.Start, arriveFn, s)
@@ -413,7 +426,6 @@ func (s *Sim) solve(now time.Duration) {
 	}
 	s.advanceFluid(now)
 	s.buildIndex(now)
-	s.prepareRamp(now)
 	s.waterfill()
 	// Aggregate arrivals per link for the next fluid step: capacity not
 	// left over was assigned.
@@ -440,12 +452,12 @@ func (s *Sim) advanceFluid(now time.Duration) {
 	for _, li := range s.touched {
 		l := &s.links[li]
 		if dt > 0 {
-			if l.arr >= utilBusy*l.cap && l.target > 0 {
+			if l.arr >= utilBusy*l.cap && s.target > 0 {
 				k := dt / s.relax
 				if k > 1 {
 					k = 1
 				}
-				l.q += (l.target - l.q) * k
+				l.q += (s.target - l.q) * k
 			} else {
 				l.q -= (l.cap - l.arr) * dt
 				if l.q < 0 {
@@ -455,8 +467,8 @@ func (s *Sim) advanceFluid(now time.Duration) {
 			// Alpha: EWMA of the overshoot fraction past the threshold,
 			// one gain step per RTT.
 			over := 0.0
-			if l.target > 0 && l.q > l.target {
-				over = (l.q - l.target) / l.target
+			if s.target > 0 && l.q > s.target {
+				over = (l.q - s.target) / s.target
 				if over > 1 {
 					over = 1
 				}
@@ -470,18 +482,19 @@ func (s *Sim) advanceFluid(now time.Duration) {
 		l.seen = now
 		l.arr = 0
 		l.nFlows = 0
-		l.busyW = 0
-		base := int(li) * s.nsvc
-		for sv := 0; sv < s.nsvc; sv++ {
-			s.svcCnt[base+sv] = 0
-		}
 	}
 	s.touched = s.touched[:0]
 }
 
 // buildIndex rebuilds the link->flows index (CSR layout) over the
-// active set and refreshes each touched link's per-service census,
-// marking target and cached queue delay.
+// active set and refreshes each touched link's cached queue delay. The
+// fill pass also prices every flow for the water-filling: its effective
+// RTT (base plus the fluid queue delays on its path) paces its
+// slow-start ramp cap, and links whose fluid depth overshot the
+// threshold cut it by the DCTCP alpha rule — the depth-to-rate feedback
+// loop. Only a cap at or below the largest link capacity can ever bind
+// (no fair share exceeds a link's capacity), so only those flows enter
+// rampOrd, sorted by cap.
 func (s *Sim) buildIndex(now time.Duration) {
 	// Count pass.
 	for _, idx := range s.active {
@@ -502,20 +515,12 @@ func (s *Sim) buildIndex(now time.Duration) {
 				l.seen = now
 			}
 			l.nFlows++
-			s.svcCnt[int(li)*s.nsvc+f.spec.Service%s.nsvc]++
 		}
 	}
-	// Census + CSR offsets.
+	// CSR offsets.
 	total := int32(0)
 	for _, li := range s.touched {
 		l := &s.links[li]
-		base := int(li) * s.nsvc
-		for sv := 0; sv < s.nsvc; sv++ {
-			if s.svcCnt[base+sv] > 0 {
-				l.busyW += int32(s.weight(sv))
-			}
-		}
-		l.target = s.cfg.Marking.PortTarget()
 		l.qdelay = l.q / l.cap
 		l.rem = l.cap
 		l.nUn = l.nFlows
@@ -527,71 +532,41 @@ func (s *Sim) buildIndex(now time.Duration) {
 		s.csrFlows = make([]int32, total)
 	}
 	s.csrFlows = s.csrFlows[:total]
-	// Fill pass (csrPos advances; reset below when the solver reads it
-	// via the per-link slice start recomputation).
+	// Fill pass: csrPos advances past each link's slice and is rewound
+	// below; every link state the ramp reads is final by now.
+	s.rampOrd = s.rampOrd[:0]
 	for _, idx := range s.active {
 		f := &s.flows[idx]
+		f.rate = -1
+		rtt := s.baseRTT
+		throttle := 1.0
 		for _, li := range f.path[:f.plen] {
 			l := &s.links[li]
 			s.csrFlows[l.csrPos] = idx
 			l.csrPos++
+			rtt += l.qdelay
+			if l.alpha > 0 && s.target > 0 && l.q > s.target {
+				if t := 1 - l.alpha/2; t < throttle {
+					throttle = t
+				}
+			}
+		}
+		if s.cfg.NoSlowStart {
+			continue
+		}
+		exp := (now - f.spec.Start).Seconds() / rtt
+		if exp > rampExpMax {
+			exp = rampExpMax
+		}
+		if c := float64(s.cfg.InitWindow) * units.MSS / rtt * math.Exp2(exp) * throttle; c <= s.maxCap {
+			s.rampOrd = append(s.rampOrd, rampKey{cap: c, idx: idx})
 		}
 	}
 	for _, li := range s.touched {
 		l := &s.links[li]
 		l.csrPos -= l.nFlows
 	}
-}
-
-// prepareRamp computes each active flow's effective RTT (base plus the
-// fluid queue delays on its path), its slow-start ramp cap, and the
-// marking throttle: links whose fluid depth overshot the threshold cut
-// the flows crossing them by the DCTCP alpha rule — the depth-to-rate
-// feedback loop. Flows are then sorted by cap for the water-filling.
-func (s *Sim) prepareRamp(now time.Duration) {
-	if cap(s.rampOrd) < len(s.active) {
-		s.rampOrd = make([]int32, len(s.active))
-	}
-	s.rampOrd = s.rampOrd[:len(s.active)]
-	copy(s.rampOrd, s.active)
-	for _, idx := range s.active {
-		f := &s.flows[idx]
-		f.rate = -1
-		if s.cfg.NoSlowStart {
-			f.cap = math.Inf(1)
-			continue
-		}
-		rtt := s.baseRTT
-		throttle := 1.0
-		for _, li := range f.path[:f.plen] {
-			l := &s.links[li]
-			rtt += l.qdelay
-			if l.alpha > 0 && l.target > 0 && l.q > l.target {
-				if t := 1 - l.alpha/2; t < throttle {
-					throttle = t
-				}
-			}
-		}
-		f.rtt = rtt
-		exp := (now - f.spec.Start).Seconds() / rtt
-		if exp > rampExpMax {
-			exp = rampExpMax
-		}
-		c := float64(s.cfg.InitWindow) * units.MSS / rtt * math.Exp2(exp) * throttle
-		if c > s.maxRamp {
-			c = s.maxRamp
-		}
-		f.cap = c
-	}
-	if !s.cfg.NoSlowStart {
-		sort.Slice(s.rampOrd, func(a, b int) bool {
-			fa, fb := &s.flows[s.rampOrd[a]], &s.flows[s.rampOrd[b]]
-			if fa.cap != fb.cap {
-				return fa.cap < fb.cap
-			}
-			return s.rampOrd[a] < s.rampOrd[b]
-		})
-	}
+	slices.SortFunc(s.rampOrd, cmpRamp)
 }
 
 // projectFinishes collects the flows that complete before the next
@@ -612,11 +587,11 @@ func (s *Sim) projectFinishes(now time.Duration) {
 			s.finishQ = append(s.finishQ, finishEnt{t: now + dt, idx: idx})
 		}
 	}
-	sort.Slice(s.finishQ, func(a, b int) bool {
-		if s.finishQ[a].t != s.finishQ[b].t {
-			return s.finishQ[a].t < s.finishQ[b].t
+	slices.SortFunc(s.finishQ, func(a, b finishEnt) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		return s.finishQ[a].idx < s.finishQ[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	s.scheduleFinish()
 }

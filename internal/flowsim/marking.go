@@ -8,10 +8,12 @@ package flowsim
 //
 // The fluid per-service depth split is weight-proportional (round-based
 // schedulers drain queues by weight, so standing occupancy settles the
-// same way): service s holds q * w_s / W_busy of the port depth q. With
+// same way): service s holds q * w_s / W_busy of the port depth q
+// (Sim.ServiceDepth works it out on read; no rate depends on it). With
 // that split, PMSB's selective-blindness filter (q_s < K * w_s / W_busy)
 // is exactly q < K, so it never exempts a service of a link whose depth
-// overshot K: in this model PMSB equals plain per-port marking.
+// overshot K: in this model PMSB equals plain per-port marking, and the
+// solve needs only the port target, which is constant for a run.
 type Marking interface {
 	// PortTarget returns the standing fluid queue (bytes) at a
 	// saturated link.

@@ -4,15 +4,17 @@ package flowsim
 // buildIndex. The classic algorithm repeatedly saturates the link with
 // the smallest fair share (remaining capacity / unfrozen flows),
 // freezing its flows at that share; the slow-start ramp caps fold in by
-// processing flows in ascending-cap order and freezing any flow whose
-// cap is below the current minimum link share — a ramp-limited flow is
-// just a flow bottlenecked by its own window instead of a link.
+// walking the flows whose cap can bind (rampOrd, ascending cap) and
+// freezing any flow whose cap is below the current minimum link share —
+// a ramp-limited flow is just a flow bottlenecked by its own window
+// instead of a link.
 //
 // The link heap is lazy: freezing a flow updates every link on its path
 // and pushes a fresh heap entry stamped with the link's new revision;
 // stale entries are discarded on pop. Each freeze does O(pathLen log L)
-// work, so a full solve is O(F * pathLen * log L) — independent of the
-// packet count, which is the whole point.
+// work, so a full solve is O(F * pathLen * log L + R log R) for R
+// ramp-bound flows — independent of the packet count, which is the
+// whole point.
 
 // heapEnt is a lazy min-heap entry: the link's fair share at the time
 // of the push. A stamp mismatch on pop means the link changed since and
@@ -60,18 +62,18 @@ func (s *Sim) heapPop() heapEnt {
 	return top
 }
 
-// peekLink discards stale entries and returns the index of the live
-// minimum-share entry, or -1 when the heap has drained.
-func (s *Sim) peekLink() int {
-	for len(s.heap) > 0 {
+// peekLink discards stale entries and returns the link of the live
+// minimum-share entry. Every link with an unfrozen flow holds a live
+// entry, so the heap cannot drain while a flow is unfrozen.
+func (s *Sim) peekLink() int32 {
+	for {
 		e := &s.heap[0]
 		l := &s.links[e.link]
 		if e.stamp == l.stamp && l.nUn > 0 {
-			return int(e.link)
+			return e.link
 		}
 		s.heapPop()
 	}
-	return -1
 }
 
 // freeze fixes flow idx's rate and removes it from every link on its
@@ -94,7 +96,7 @@ func (s *Sim) freeze(idx int32, rate float64) {
 }
 
 // waterfill assigns every active flow its max-min fair rate subject to
-// the ramp caps computed by prepareRamp. Flows enter with rate == -1
+// the ramp caps buildIndex computed. Flows enter with rate == -1
 // (unfrozen) and leave frozen at either a link's fair share or their
 // own cap, whichever binds first.
 func (s *Sim) waterfill() {
@@ -104,32 +106,16 @@ func (s *Sim) waterfill() {
 		s.heapPush(heapEnt{share: l.rem / float64(l.nUn), link: li, stamp: l.stamp})
 	}
 	oi := 0
-	frozen := 0
-	n := len(s.active)
-	for frozen < n {
+	for frozen, n := 0, len(s.active); frozen < n; {
 		// Next unfrozen ramp candidate (ascending cap).
-		for oi < len(s.rampOrd) && s.flows[s.rampOrd[oi]].rate >= 0 {
+		for oi < len(s.rampOrd) && s.flows[s.rampOrd[oi].idx].rate >= 0 {
 			oi++
 		}
-		li := s.peekLink()
-		if li < 0 {
-			// No link left with unfrozen flows: every remaining flow is
-			// ramp-limited on links with spare capacity.
-			for ; oi < len(s.rampOrd); oi++ {
-				idx := s.rampOrd[oi]
-				if s.flows[idx].rate < 0 {
-					s.freeze(idx, s.flows[idx].cap)
-					frozen++
-				}
-			}
-			return
-		}
-		l := &s.links[li]
+		l := &s.links[s.peekLink()]
 		share := l.rem / float64(l.nUn)
-		if oi < n && s.flows[s.rampOrd[oi]].cap <= share {
+		if oi < len(s.rampOrd) && s.rampOrd[oi].cap <= share {
 			// The smallest ramp cap binds before any link saturates.
-			idx := s.rampOrd[oi]
-			s.freeze(idx, s.flows[idx].cap)
+			s.freeze(s.rampOrd[oi].idx, s.rampOrd[oi].cap)
 			frozen++
 			oi++
 			continue
