@@ -10,9 +10,10 @@ all: build vet test
 # trace-codec fuzz passes are fail-soft: ten seconds of coverage-guided
 # decoding catches framing bugs early (and holds pmsbstat's streamed
 # decoder to ReadBinary's decisions), but a fuzz-capable toolchain is
-# not required to pass CI; the two text grammars users hand the CLI (the
-# replay trace CSV, flow's -groups list) and the calendar queue's pop
-# order against the reference heap get the same treatment.
+# not required to pass CI; the runtime dump pmsbstat -runtime parses,
+# the two text grammars users hand the CLI (the replay trace CSV, flow's
+# -groups list) and the calendar queue's pop order against the reference
+# heap get the same treatment.
 ci:
 	# First, and in seconds: benchmark/ is its own module compiled against
 	# internal/*, so a deletion that breaks its compile surface fails here
@@ -37,6 +38,7 @@ ci:
 	$(GO) test -race -run TestJobsDeterminism -count=1 ./cmd/pmsbsim
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
 	-$(GO) test -run '^$$' -fuzz FuzzStreamReduce -fuzztime 10s ./internal/obs/
+	-$(GO) test -run '^$$' -fuzz FuzzParseDump -fuzztime 10s ./internal/obs/runtime/
 	-$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime 10s ./internal/workload/
 	-$(GO) test -run '^$$' -fuzz FuzzParseGroups -fuzztime 10s ./cmd/pmsbsim/
 	-$(GO) test -run '^$$' -fuzz FuzzCalendarMatchesHeap -fuzztime 10s ./internal/sim/
@@ -61,14 +63,20 @@ ci:
 	$(GO) run ./cmd/pmsbsim replay -trace ci_replay.csv -marker pmsb -tracefile ci_replay.trace.bin > /dev/null
 	$(GO) run ./cmd/pmsbstat ci_replay.trace.bin > /dev/null
 	@rm -f ci_replay.csv ci_replay.trace.bin
-	# Multi-file smoke: a two-shard trace reads back as one trace, and the
-	# merged export prints exactly as many events as the report counts.
+	# Multi-file smoke: a two-shard trace reads back as one trace, the
+	# merged export prints exactly as many events as the report counts,
+	# and the per-queue tx_pkts column sums to the dequeue count.
 	$(GO) run ./cmd/pmsbsim -experiment fattree -quick -shards 2 -tracefile ci_ft.bin > /dev/null
-	@head=$$($(GO) run ./cmd/pmsbstat ci_ft.shard0.bin ci_ft.shard1.bin | sed -n 1p); \
+	$(GO) run ./cmd/pmsbstat ci_ft.shard0.bin ci_ft.shard1.bin > ci_ft.report
+	@head=$$(sed -n 1p ci_ft.report); \
 	n=$$($(GO) run ./cmd/pmsbstat -export ci_ft.shard0.bin ci_ft.shard1.bin | wc -l | tr -d ' '); \
 	echo "$$head; export: $$n lines"; \
 	case "$$head" in "# trace: $$n events,"*) ;; *) echo "pmsbstat: export and report disagree"; exit 1;; esac
-	@rm -f ci_ft.shard0.bin ci_ft.shard1.bin
+	@deq=$$(awk '$$1 == "dequeue" { print $$2 }' ci_ft.report); \
+	tx=$$(awk '/^## queue depth/ { on = 1; getline; next } on && NF == 0 { on = 0 } on { s += $$10 } END { print s + 0 }' ci_ft.report); \
+	echo "dequeue events: $$deq; per-queue tx_pkts: $$tx"; \
+	test -n "$$deq" && test "$$deq" -gt 0 && test "$$tx" = "$$deq" || { echo "pmsbstat: per-queue tx_pkts and dequeue count disagree"; exit 1; }
+	@rm -f ci_ft.shard0.bin ci_ft.shard1.bin ci_ft.report
 	# k=32 smoke: the arena-backed 49k-port fabric builds with zero slab
 	# overflow, wires correctly, and a short sharded horizon stays
 	# byte-identical to the serial run.

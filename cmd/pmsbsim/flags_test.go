@@ -66,7 +66,6 @@ func commonBites(mode string, base []string) []bite {
 		file("cpuprofile", "cpu.prof"),
 		file("memprofile", "mem.prof"),
 		file("tracefile", "t.bin"),
-		file("metrics", "m.txt"),
 		file("runtimestats", "r.txt"),
 	}
 }

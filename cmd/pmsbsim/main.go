@@ -9,7 +9,7 @@
 //	pmsbsim -experiment fct-dwrr -quick -seed 7
 //	pmsbsim -experiment fig11 -series  # include plot-ready time series
 //	pmsbsim -experiment fig9 -format json -out fig9.json
-//	pmsbsim -experiment fig8 -tracefile fig8.bin -metrics fig8.metrics
+//	pmsbsim -experiment fig8 -tracefile fig8.bin   # then: pmsbstat fig8.bin
 //
 // Two subcommands describe the run by flags of their own (-h lists
 // them) and share the output and observer flags above: flow runs flow
@@ -39,11 +39,11 @@
 // refused, and a list names on stderr the experiments that will run
 // without it.
 //
-// -tracefile and -metrics enable the observability layer: the run's
-// event trace is written in the compact binary format (pmsbstat
-// analyzes it; pmsbstat -export turns it into JSONL for grep/jq) and
-// the metrics registry as a name<TAB>value dump. The trace ring spills
-// into the file as it fills, so the file is the complete event stream.
+// -tracefile enables the observability layer: the run's event trace is
+// written in the compact binary format (pmsbstat analyzes it, per-queue
+// tallies included; pmsbstat -export turns it into JSONL for grep/jq).
+// The trace ring spills into the file as it fills, so the file is the
+// complete event stream.
 // Tracing requires a single experiment with -repeats 1; a sharded run
 // gives every shard it runs on — -shards capped at what the topology
 // partitions into — its own bus and spill file (trace.shard0.bin,
@@ -96,9 +96,9 @@ const traceRing = 1 << 13
 
 // outputFlags are the output and observer flags every mode shares.
 type outputFlags struct {
-	series, summary                                            *bool
-	format, out, cpuprof, memprof, tracefile, metrics, rtstats *string
-	progress                                                   progressFlag
+	series, summary                                   *bool
+	format, out, cpuprof, memprof, tracefile, rtstats *string
+	progress                                          progressFlag
 }
 
 // newFlagSet registers the mode args name (the default experiment
@@ -121,7 +121,6 @@ func newFlagSet(args []string) (*flag.FlagSet, func(io.Writer) (plan, error), *o
 		cpuprof:   fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with 'go tool pprof')"),
 		memprof:   fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file"),
 		tracefile: fs.String("tracefile", "", "write the observability event trace to this file in the binary trace format (single experiment only, one worker per shard; a sharded run writes per-shard spill files name.shardI.ext)"),
-		metrics:   fs.String("metrics", "", "write the metrics registry dump to this file (single experiment only, unsharded)"),
 		rtstats:   fs.String("runtimestats", "", "write the simulator's runtime self-profile (coordinator/scheduler/pool counters, name<TAB>value dump; read with pmsbstat -runtime) to this file (single experiment only)"),
 	}
 	fs.Var(&o.progress, "progress", "stream live progress as JSON lines on stderr; give an interval (-progress=250ms) or use the 1s default (single experiment only; results are unaffected)")
@@ -189,17 +188,17 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	specs, opt, jobs, shards := p.specs, p.opt, p.jobs, max(p.opt.Shards, 1)
-	// The observers — tracing (-tracefile, -metrics) and runtime
+	// The observers — tracing (-tracefile) and runtime
 	// introspection (-progress, -runtimestats) — watch one simulation: a
 	// bus is not synchronized, so each must be fed by one goroutine.
 	// Sharded runs are fine — each shard gets its own bus and spill file,
 	// and the window protocol's happens-before edges keep each bus
 	// single-threaded. No observer changes a simulated byte
 	// (differential-tested).
-	tracing := *o.tracefile != "" || *o.metrics != ""
+	tracing := *o.tracefile != ""
 	if tracing || o.progress.set || *o.rtstats != "" {
 		if len(specs) != 1 || opt.Repeats > 1 {
-			return fmt.Errorf("-tracefile, -metrics, -progress and -runtimestats require one experiment and -repeats 1 (got %d experiments, -repeats %d)",
+			return fmt.Errorf("-tracefile, -progress and -runtimestats require one experiment and -repeats 1 (got %d experiments, -repeats %d)",
 				len(specs), opt.Repeats)
 		}
 		// Exactly the shards, and so the workers, the one run uses.
@@ -221,12 +220,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	var trace *traceSession
 	if tracing {
-		if *o.metrics != "" && shards > 1 {
-			// Each shard bus has its own registry; a merged dump is not
-			// defined yet.
-			return fmt.Errorf("-metrics requires -shards 1 (got %d)", opt.Shards)
-		}
-		trace, err = openTraceSession(*o.tracefile, shards, *o.metrics != "")
+		trace, err = openTraceSession(*o.tracefile, shards)
 		if err != nil {
 			return err
 		}
@@ -248,7 +242,7 @@ func run(args []string, stdout io.Writer) error {
 		stopSampler()
 	}
 	if tracing && runErr == nil {
-		if err := trace.finish(*o.metrics); err != nil {
+		if err := trace.finish(); err != nil {
 			return err
 		}
 	}
@@ -407,8 +401,8 @@ func (p *progressFlag) Set(s string) error {
 	return nil
 }
 
-// writeDump writes a name<TAB>value dump — the metrics registry, or
-// the runtime self-profile pmsbstat -runtime reports on — to path.
+// writeDump writes a name<TAB>value dump — the runtime self-profile
+// pmsbstat -runtime reports on — to path.
 func writeDump(path string, dump io.WriterTo) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -435,16 +429,9 @@ type traceSession struct {
 
 // openTraceSession creates the trace files and spill-backed buses.
 // With shards > 1 each shard spills to tracefile's ShardTracePath
-// derivative; a metrics-only session (tracefile == "") carries one
-// ringless bus. When no metrics dump was requested the buses are
-// trace-only (obs.NewTraceBus): nothing will read the per-port
-// counters, so packet events skip them.
-func openTraceSession(tracefile string, shards int, wantMetrics bool) (*traceSession, error) {
+// derivative.
+func openTraceSession(tracefile string, shards int) (*traceSession, error) {
 	s := &traceSession{}
-	if tracefile == "" {
-		s.buses = []*obs.Bus{obs.NewBus(0)} // metrics only: no event ring
-		return s, nil
-	}
 	paths := []string{tracefile}
 	if shards > 1 {
 		paths = nil
@@ -460,9 +447,6 @@ func openTraceSession(tracefile string, shards int, wantMetrics bool) (*traceSes
 		}
 		sw := obs.NewSpillWriter(f, obs.FormatBinary)
 		bus := obs.NewTraceBus(traceRing)
-		if wantMetrics {
-			bus = obs.NewBus(traceRing)
-		}
 		bus.Ring().SetSpill(sw)
 		s.buses = append(s.buses, bus)
 		s.spills = append(s.spills, sw)
@@ -472,14 +456,11 @@ func openTraceSession(tracefile string, shards int, wantMetrics bool) (*traceSes
 	return s, nil
 }
 
-// finish drains every ring into its spill file, closes the files, and
-// writes the metrics dump. After finish, cleanup is a no-op.
-func (s *traceSession) finish(metrics string) error {
+// finish drains every ring into its spill file and closes the files.
+// After finish, cleanup is a no-op.
+func (s *traceSession) finish() error {
 	s.done = true
 	for i, bus := range s.buses {
-		if bus.Ring() == nil {
-			continue
-		}
 		if err := bus.Ring().FlushSpill(); err != nil {
 			return fmt.Errorf("write trace %s: %w", s.paths[i], err)
 		}
@@ -497,11 +478,6 @@ func (s *traceSession) finish(metrics string) error {
 			return fmt.Errorf("trace %s truncated: %d events dropped", s.paths[i], n)
 		}
 	}
-	if metrics != "" {
-		if err := writeDump(metrics, s.buses[0].Metrics()); err != nil {
-			return fmt.Errorf("write metrics: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -516,9 +492,6 @@ func (s *traceSession) cleanup() {
 	s.done = true
 	for i, bus := range s.buses {
 		r := bus.Ring()
-		if r == nil {
-			continue
-		}
 		if err := r.SpillErr(); err != nil {
 			fmt.Fprintf(os.Stderr, "pmsbsim: %s: deferred spill error: %v\n", s.paths[i], err)
 		}

@@ -268,13 +268,10 @@ func TestParBadValue(t *testing.T) {
 
 // TestTraceExport drives the observability path end to end: a traced
 // fig8 run must produce a parseable event trace covering the
-// bottleneck port and a metrics dump naming its per-queue counters.
+// bottleneck port.
 func TestTraceExport(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "fig8.bin")
-	metrics := filepath.Join(dir, "fig8.metrics")
-	if _, err := capture(t, "-experiment", "fig8", "-quick",
-		"-tracefile", trace, "-metrics", metrics); err != nil {
+	trace := filepath.Join(t.TempDir(), "fig8.bin")
+	if _, err := capture(t, "-experiment", "fig8", "-quick", "-tracefile", trace); err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
 
@@ -289,15 +286,8 @@ func TestTraceExport(t *testing.T) {
 	if kinds[obs.KindBlind] == 0 {
 		t.Error("trace has no blind events (PMSB filter never engaged)")
 	}
-
-	m, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatalf("read metrics: %v", err)
-	}
-	for _, want := range []string{"port.1000.0.tx_pkts", "port.1000.0.q1.marks", "pmsb.blind_suppressions", "flows.started\t5"} {
-		if !strings.Contains(string(m), want) {
-			t.Errorf("metrics dump missing %q:\n%s", want, m)
-		}
+	if kinds[obs.KindFlowStart] != 5 {
+		t.Errorf("trace has %d flow starts, want fig8's 5", kinds[obs.KindFlowStart])
 	}
 }
 
@@ -325,8 +315,7 @@ func traceKinds(t *testing.T, paths ...string) map[obs.Kind]int {
 }
 
 // TestTraceRestrictions: tracing an unsynchronized bus must refuse
-// multi-experiment and multi-repeat invocations; the metrics registry
-// is still per-bus, so -metrics refuses sharded runs.
+// multi-experiment and multi-repeat invocations.
 func TestTraceRestrictions(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "t.bin")
 	if _, err := capture(t, "-experiment", "table1,fig5", "-quick", "-tracefile", trace); err == nil {
@@ -336,16 +325,14 @@ func TestTraceRestrictions(t *testing.T) {
 		!strings.Contains(err.Error(), "-repeats 1") {
 		t.Errorf("tracing with -repeats > 1 must fail, got %v", err)
 	}
-	if _, err := capture(t, "-experiment", "fct-dwrr", "-quick", "-shards", "2",
-		"-metrics", filepath.Join(t.TempDir(), "m")); err == nil {
-		t.Error("-metrics with -shards > 1 must fail")
-	}
-	// The encoding is no longer a choice: the retired flag is a usage
-	// error, not a silently ignored option.
-	if _, err := capture(t, "-experiment", "fig8", "-quick",
-		"-tracefile", trace, "-traceformat", "bin"); err == nil ||
-		!strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("retired -traceformat flag: err = %v, want a usage error", err)
+	// The encoding is no longer a choice, and the per-queue tallies come
+	// from the trace (pmsbstat): each retired flag is a usage error, not
+	// a silently ignored option.
+	for _, retired := range [][]string{{"-traceformat", "bin"}, {"-metrics", trace + ".metrics"}} {
+		if _, err := capture(t, append([]string{"-experiment", "fig8", "-quick", "-tracefile", trace}, retired...)...); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("retired %s flag: err = %v, want a usage error", retired[0], err)
+		}
 	}
 }
 

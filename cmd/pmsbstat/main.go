@@ -3,9 +3,12 @@
 // without rerunning the simulation:
 //
 //   - event counts by kind and trace segment count,
-//   - per-queue occupancy percentiles at every observed port,
+//   - per queue at every observed port: occupancy percentiles and the
+//     packets it sent (and their bytes), had marked and dropped — the
+//     port's own counters split by queue, the paper's per-queue share,
 //   - the mark-rate timeline (marks and dequeues per time bin),
-//   - the top flows by bytes with their congestion telemetry.
+//   - the top flows by bytes with their congestion telemetry, and one
+//     flow-completion-time summary line.
 //
 // Traces are in the binary trace format, the only one pmsbsim writes.
 // Several files — e.g. the per-shard spill files of a sharded traced
@@ -14,11 +17,11 @@
 // (obs.StreamStats): memory stays proportional to the topology, the
 // flow count and the timeline's bins, not the trace — except the depth
 // percentiles, which keep every sample to stay exact (-depth=false
-// drops them) — so full-run spill traces analyze in one pass, reading
-// only the columns the requested sections need. -export prints the
-// trace as JSONL (one object per event, kinds by name) on stdout
-// instead of a report, for grep and jq; several files are merged into
-// one deterministic timeline by (time, argument order, sequence
+// drops the per-queue table) — so full-run spill traces analyze in one
+// pass, reading only the columns the requested sections need. -export
+// prints the trace as JSONL (one object per event, kinds by name) on
+// stdout instead of a report, for grep and jq; several files are merged
+// into one deterministic timeline by (time, argument order, sequence
 // number), one chunk per file at a time (obs.MergeTraces). JSONL is an
 // output only.
 //
@@ -47,6 +50,7 @@ import (
 
 	"pmsb/internal/obs"
 	obsrt "pmsb/internal/obs/runtime"
+	"pmsb/internal/stats"
 )
 
 func main() {
@@ -68,7 +72,7 @@ func newFlagSet() (*flag.FlagSet, options) {
 	return fs, options{
 		bin:     fs.Duration("bin", time.Millisecond, "bin width of the mark-rate timeline"),
 		top:     fs.Int("top", 10, "flows to list in the per-flow table (by bytes; 0 disables)"),
-		depth:   fs.Bool("depth", true, "print per-queue occupancy percentiles"),
+		depth:   fs.Bool("depth", true, "print the per-queue table: occupancy percentiles and sent, marked and dropped packets"),
 		marks:   fs.Bool("marks", true, "print the mark-rate timeline"),
 		counts:  fs.Bool("counts", true, "print event counts by kind"),
 		since:   fs.Duration("since", 0, "analyze only events at or after this virtual time"),
@@ -186,13 +190,17 @@ func report(w io.Writer, paths []string, opt obs.StreamOptions, top int) (int, e
 	}
 
 	if st.Depths != nil {
-		fmt.Fprintln(w, "\n## queue depth (bytes sampled at enqueue/dequeue)")
-		fmt.Fprintln(w, "node\tport\tqueue\tsamples\tmean\tp50\tp90\tp99\tmax")
+		fmt.Fprintln(w, "\n## queue depth (bytes sampled at enqueue/dequeue) and packets sent, marked, dropped")
+		fmt.Fprintln(w, "node\tport\tqueue\tsamples\tmean\tp50\tp90\tp99\tmax\ttx_pkts\ttx_bytes\tmarks\tdrops")
 		for _, k := range st.DepthKeys() {
-			s := st.Depths[k]
-			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
-				k.Node, k.Port, k.Queue, s.Count(), s.Mean(),
-				s.Percentile(50), s.Percentile(90), s.Percentile(99), s.Max())
+			q := st.Depths[k]
+			depth := "-\t-\t-\t-\t-" // a queue that only dropped
+			if q.Count() > 0 {
+				depth = fmt.Sprintf("%.0f\t%.0f\t%.0f\t%.0f\t%.0f",
+					q.Mean(), q.Percentile(50), q.Percentile(90), q.Percentile(99), q.Max())
+			}
+			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%s\t%d\t%d\t%d\t%d\n",
+				k.Node, k.Port, k.Queue, q.Count(), depth, q.TxPackets, q.TxBytes, q.Marks, q.Drops)
 		}
 	}
 
@@ -214,15 +222,27 @@ func report(w io.Writer, paths []string, opt obs.StreamOptions, top int) (int, e
 	if st.Flows != nil {
 		fmt.Fprintf(w, "\n## top %d flows by bytes\n", top)
 		fmt.Fprintln(w, "flow\tservice\tbytes\tmarks\tcuts\tretx\trtos\talpha\tfct")
-		for _, r := range st.Flows.TopBytes(top) {
+		all := st.Flows.TopBytes(-1)
+		var fcts stats.Summary
+		for i, r := range all {
 			fct := "-"
 			if r.Finished {
 				fct = r.FCT.String()
+				fcts.Add(float64(r.FCT))
 			}
-			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%s\n",
-				r.Flow, r.Service, r.Bytes, r.MarksSeen,
-				r.CwndCuts, r.Retransmits, r.RTOs, r.LastAlpha, fct)
+			if i < top {
+				fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.4f\t%s\n",
+					r.Flow, r.Service, r.Bytes, r.MarksSeen,
+					r.CwndCuts, r.Retransmits, r.RTOs, r.LastAlpha, fct)
+			}
 		}
+		fmt.Fprintf(w, "# fct: %d of %d flows finished", fcts.Count(), len(all))
+		if fcts.Count() > 0 {
+			ns := func(v float64) time.Duration { return time.Duration(v) }
+			fmt.Fprintf(w, ", mean %v, p50 %v, p99 %v, max %v",
+				ns(fcts.Mean()), ns(fcts.Percentile(50)), ns(fcts.Percentile(99)), ns(fcts.Max()))
+		}
+		fmt.Fprintln(w)
 	}
 	return st.Events, nil
 }

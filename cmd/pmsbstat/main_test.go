@@ -23,10 +23,11 @@ import (
 
 // writeTrace synthesizes a small two-queue trace with a known shape and
 // returns its path: queue 0 oscillates around 3000 bytes, queue 1 around
-// 1500, with one mark and a two-flow lifecycle.
+// 1500, with one mark, one drop on a queue that sees nothing else and a
+// flow lifecycle.
 func writeTrace(t *testing.T) string {
 	t.Helper()
-	bus := obs.NewBus(1024)
+	bus := obs.NewTraceBus(1024)
 	probe := bus.ObservePort(obs.PortID{Node: 1000, Port: 0}, 2)
 	fp := bus.OpenFlow(0, 7, 0, 9000)
 	p := &pkt.Packet{Flow: 7, ID: 1, Size: 1500}
@@ -37,6 +38,7 @@ func writeTrace(t *testing.T) string {
 		probe.Dequeue(at+time.Millisecond/2, 0, p, 3000, 1500)
 	}
 	probe.Mark(5*time.Millisecond, 0, p, 4500, 3000)
+	probe.Drop(6*time.Millisecond, 2, p, obs.DropPortBuffer)
 	fp.Finish(9*time.Millisecond, 9*time.Millisecond, 9000)
 
 	path := filepath.Join(t.TempDir(), "trace.bin")
@@ -74,14 +76,24 @@ func TestReport(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	// Queue 0's depth samples are 3000 (enqueue) and 1500 (dequeue); its
-	// max must be 3000, queue 1's 1500.
-	if !strings.Contains(out, "1000\t0\t0\t") || !strings.Contains(out, "\t3000\n") {
-		t.Errorf("queue-0 depth row wrong:\n%s", out)
+	// Queue 0's depth samples are 3000 (enqueue) and 1500 (dequeue), and
+	// it sent ten 1500-byte packets, one marked; queue 1 only enqueued;
+	// queue 2 only dropped, so it has no depth statistics.
+	for _, row := range []string{
+		"1000\t0\t0\t20\t2250\t2250\t3000\t3000\t3000\t10\t15000\t1\t0\n",
+		"1000\t0\t1\t10\t1500\t1500\t1500\t1500\t1500\t0\t0\t0\t0\n",
+		"1000\t0\t2\t0\t-\t-\t-\t-\t-\t0\t0\t0\t1\n",
+	} {
+		if !strings.Contains(out, row) {
+			t.Errorf("queue table lacks row %q:\n%s", row, out)
+		}
 	}
 	// Flow 7 finished with 9000 bytes and a 9ms FCT.
 	if !strings.Contains(out, "7\t0\t9000\t1\t") || !strings.Contains(out, "9ms") {
 		t.Errorf("flow row wrong:\n%s", out)
+	}
+	if want := "# fct: 1 of 1 flows finished, mean 9ms, p50 9ms, p99 9ms, max 9ms\n"; !strings.Contains(out, want) {
+		t.Errorf("report lacks the FCT summary %q:\n%s", want, out)
 	}
 }
 
@@ -397,7 +409,7 @@ func TestMergedShardReport(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
 	for shard := 0; shard < 2; shard++ {
-		bus := obs.NewBus(64)
+		bus := obs.NewTraceBus(64)
 		probe := bus.ObservePort(obs.PortID{Node: pkt.NodeID(1000 + shard), Port: 0}, 1)
 		p := &pkt.Packet{Flow: pkt.FlowID(shard + 1), ID: 1, Size: 1500}
 		for i := 0; i < 5; i++ {
@@ -423,9 +435,15 @@ func TestMergedShardReport(t *testing.T) {
 	if !strings.Contains(out, "# trace: 20 events") {
 		t.Errorf("merged trace should hold 20 events:\n%s", out)
 	}
+	// Each shard's queue row carries its own five 1500-byte dequeues.
 	for _, node := range []string{"1000\t0\t0\t", "1001\t0\t0\t"} {
-		if !strings.Contains(out, node) {
-			t.Errorf("merged depth table missing node row %q:\n%s", node, out)
+		i := strings.Index(out, "\n"+node)
+		if i < 0 {
+			t.Errorf("merged queue table missing node row %q:\n%s", node, out)
+			continue
+		}
+		if row, _, _ := strings.Cut(out[i+1:], "\n"); !strings.HasSuffix(row, "\t5\t7500\t0\t0") {
+			t.Errorf("row %q: want 5 packets, 7500 bytes sent, no marks or drops", row)
 		}
 	}
 	if strings.Contains(out, "segments") {
@@ -439,7 +457,7 @@ func TestMultiRunShardReport(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
 	for shard := 0; shard < 2; shard++ {
-		bus := obs.NewBus(64)
+		bus := obs.NewTraceBus(64)
 		probe := bus.ObservePort(obs.PortID{Node: pkt.NodeID(1000 + shard), Port: 0}, 1)
 		p := &pkt.Packet{Flow: 1, ID: 1, Size: 1500}
 		for run := 0; run < 3; run++ {

@@ -39,7 +39,7 @@ type workloadResult struct {
 func runDumbbellWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 	t.Helper()
 	eng := sim.NewEngineWithQueue(kind)
-	bus := obs.NewBus(1 << 16)
+	bus := obs.NewTraceBus(1 << 16)
 	d := topo.NewDumbbell(eng, topo.DumbbellConfig{
 		Senders: 4,
 		Bottleneck: topo.PortProfile{
@@ -83,7 +83,7 @@ func runDumbbellWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 func runLeafSpineWorkload(t *testing.T, kind sim.QueueKind) workloadResult {
 	t.Helper()
 	eng := sim.NewEngineWithQueue(kind)
-	bus := obs.NewBus(1 << 16)
+	bus := obs.NewTraceBus(1 << 16)
 	ls := topo.NewLeafSpine(eng, topo.LeafSpineConfig{
 		Ports: topo.PortProfile{
 			Weights:     topo.EqualWeights(8),
@@ -176,8 +176,8 @@ func buildFabric[T any](shards int, serial func(*sim.Engine) T,
 // convention: shards == 0 is the serial reference).
 func runShardedLeafSpine(t *testing.T, shards int) workloadResult {
 	t.Helper()
-	switchBus := obs.NewBus(1 << 16)
-	hostBus := obs.NewBus(1 << 16)
+	switchBus := obs.NewTraceBus(1 << 16)
+	hostBus := obs.NewTraceBus(1 << 16)
 	cfg := topo.LeafSpineConfig{
 		// A fabric delay different from the host-link delay keeps every
 		// same-instant arrival pair at a leaf distinguishable by its send
@@ -270,7 +270,7 @@ func runShardedFatTree(t *testing.T, shards int,
 	t.Helper()
 	podBus := make([]*obs.Bus, 8)
 	for p := range podBus {
-		podBus[p] = obs.NewBus(1 << 14)
+		podBus[p] = obs.NewTraceBus(1 << 14)
 	}
 	res := driveShardedFatTree(t, shards, specs, until, podBus)
 	res.trace = busTrace(podBus...)
@@ -419,7 +419,7 @@ func TestDifferentialShardedSpillMerge(t *testing.T) {
 	// Serial reference: rings big enough to retain the full run.
 	ref := make([]*obs.Bus, pods)
 	for p := range ref {
-		ref[p] = obs.NewBus(1 << 18)
+		ref[p] = obs.NewTraceBus(1 << 18)
 	}
 	driveShardedFatTree(t, 0, specs, until, ref)
 	refStreams := make([][]obs.Event, pods)
@@ -609,7 +609,7 @@ func runFatTree32(t *testing.T, shards int) workloadResult {
 		t.Fatalf("k=32 arena overflowed by %d objects: the spec under-reserves", n)
 	}
 
-	busA, busB := obs.NewBus(1<<14), obs.NewBus(1<<14)
+	busA, busB := obs.NewTraceBus(1<<14), obs.NewTraceBus(1<<14)
 	half := k / 2
 	ft.Edges[0].Observe(busA)
 	ft.Aggs[0].Observe(busA)

@@ -55,6 +55,7 @@ const staticBin = time.Millisecond
 
 // staticRun is the finished experiment with its measurements.
 type staticRun struct {
+	fab        *topo.Fabric // the finished run's fabric
 	bottleneck *netsim.Port // the switch->receiver port under test
 	cfg        staticConfig
 	series     []*stats.TimeSeries // per-queue dequeued wire bytes
@@ -81,7 +82,8 @@ func runStatic(cfg staticConfig) (*staticRun, error) {
 	for q := range r.series {
 		r.series[q] = stats.NewTimeSeries(staticBin)
 	}
-	_, err := cfg.opt.runPacket(dumbbellWiring(topo.DumbbellConfig{
+	var err error
+	r.fab, err = cfg.opt.runPacket(dumbbellWiring(topo.DumbbellConfig{
 		Senders:        senders,
 		AccessRate:     cfg.accessRate,
 		BottleneckRate: cfg.bottleneckRate,

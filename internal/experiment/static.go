@@ -31,18 +31,7 @@ func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim
 	if opt.Quick && q2Flows > 30 {
 		q2Flows = 30 // preserve the heavy-traffic character, cut runtime
 	}
-	r, err := runStatic(staticConfig{
-		opt: opt,
-		profile: topo.PortProfile{
-			Weights:      topo.EqualWeights(2),
-			NewSchedWith: newSched,
-			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.Obs} },
-		},
-		groups: []flowGroup{
-			{service: 0, count: 1},
-			{service: 1, count: q2Flows},
-		},
-	})
+	r, err := runStatic(fairnessConfig(opt, q2Flows, newSched))
 	if err != nil {
 		return nil, err
 	}
@@ -57,6 +46,22 @@ func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim
 	res.AddNote("queue 1 share = %.2f (PMSB preserves the 0.50 weighted fair share)", float64(q1)/float64(q1+q2))
 	res.AddNote("total = %s Gbps (full 10G utilization expected)", gbps(q1+q2))
 	return res, nil
+}
+
+// fairnessConfig is pmsbFairness's dumbbell run.
+func fairnessConfig(opt Options, q2Flows int, newSched func(*sim.Engine, []float64) sched.Scheduler) staticConfig {
+	return staticConfig{
+		opt: opt,
+		profile: topo.PortProfile{
+			Weights:      topo.EqualWeights(2),
+			NewSchedWith: newSched,
+			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.Obs} },
+		},
+		groups: []flowGroup{
+			{service: 0, count: 1},
+			{service: 1, count: q2Flows},
+		},
+	}
 }
 
 func runFig8(opt Options) (*Result, error) {

@@ -23,10 +23,11 @@
 //     DCTCP sawtooth mean), and draining at line rate when arrivals
 //     fall below capacity. Marking schemes — PMSB, per-port, MQ-ECN —
 //     are threshold targets for this depth (marking.go). Depth feeds
-//     back into flow rates twice: queue delay inflates the effective
-//     RTT that paces the slow-start ramp, and overshoot past the
-//     threshold throttles every service crossing the link by the DCTCP
-//     alpha cut.
+//     back into flow rates once: queue delay inflates the effective RTT
+//     that paces the slow-start ramp. The depth never overshoots the
+//     target (it relaxes toward it from below or drains), so there is
+//     no DCTCP alpha cut to model; the max-min share already holds a
+//     saturated link at its capacity.
 //   - FCT accounting: a flow's completion time is its rate-integral
 //     transmission time plus the delivery tail (per-hop propagation,
 //     store-and-forward serialization, fluid queue delay) and the ACK
@@ -51,8 +52,6 @@ import (
 )
 
 const (
-	// alphaGain is the DCTCP alpha EWMA gain g.
-	alphaGain = 1.0 / 16
 	// utilBusy is the utilization above which a link is treated as
 	// saturated (its fluid queue relaxes toward the marking target).
 	utilBusy = 0.99
@@ -122,7 +121,6 @@ type linkState struct {
 	cap float64 // bytes/sec
 	// Fluid state.
 	q      float64       // standing queue depth, bytes
-	alpha  float64       // DCTCP alpha (marking-overshoot EWMA)
 	arr    float64       // aggregate arrival rate from the last solve
 	qdelay float64       // q/cap seconds, cached per solve
 	seen   time.Duration // last solve that touched this link
@@ -443,10 +441,9 @@ func (s *Sim) solve(now time.Duration) {
 
 // advanceFluid moves every previously-busy link's fluid queue across
 // the elapsed interval: saturated links relax toward the marking
-// scheme's threshold target (the DCTCP sawtooth mean), underloaded
-// links drain at the spare rate, and alpha tracks overshoot past the
-// threshold. It then clears the solver's per-link counts for the
-// rebuild that follows.
+// scheme's threshold target (the DCTCP sawtooth mean) and underloaded
+// links drain at the spare rate. It then clears the solver's per-link
+// counts for the rebuild that follows.
 func (s *Sim) advanceFluid(now time.Duration) {
 	dt := (now - s.lastSolve).Seconds()
 	for _, li := range s.touched {
@@ -464,20 +461,6 @@ func (s *Sim) advanceFluid(now time.Duration) {
 					l.q = 0
 				}
 			}
-			// Alpha: EWMA of the overshoot fraction past the threshold,
-			// one gain step per RTT.
-			over := 0.0
-			if s.target > 0 && l.q > s.target {
-				over = (l.q - s.target) / s.target
-				if over > 1 {
-					over = 1
-				}
-			}
-			g := alphaGain * dt / s.baseRTT
-			if g > 1 {
-				g = 1
-			}
-			l.alpha += g * (over - l.alpha)
 		}
 		l.seen = now
 		l.arr = 0
@@ -490,9 +473,8 @@ func (s *Sim) advanceFluid(now time.Duration) {
 // active set and refreshes each touched link's cached queue delay. The
 // fill pass also prices every flow for the water-filling: its effective
 // RTT (base plus the fluid queue delays on its path) paces its
-// slow-start ramp cap, and links whose fluid depth overshot the
-// threshold cut it by the DCTCP alpha rule — the depth-to-rate feedback
-// loop. Only a cap at or below the largest link capacity can ever bind
+// slow-start ramp cap — the depth-to-rate feedback loop. Only a cap at
+// or below the largest link capacity can ever bind
 // (no fair share exceeds a link's capacity), so only those flows enter
 // rampOrd, sorted by cap.
 func (s *Sim) buildIndex(now time.Duration) {
@@ -510,7 +492,6 @@ func (s *Sim) buildIndex(now time.Duration) {
 					if l.q < 0 {
 						l.q = 0
 					}
-					l.alpha = 0
 				}
 				l.seen = now
 			}
@@ -539,17 +520,11 @@ func (s *Sim) buildIndex(now time.Duration) {
 		f := &s.flows[idx]
 		f.rate = -1
 		rtt := s.baseRTT
-		throttle := 1.0
 		for _, li := range f.path[:f.plen] {
 			l := &s.links[li]
 			s.csrFlows[l.csrPos] = idx
 			l.csrPos++
 			rtt += l.qdelay
-			if l.alpha > 0 && s.target > 0 && l.q > s.target {
-				if t := 1 - l.alpha/2; t < throttle {
-					throttle = t
-				}
-			}
 		}
 		if s.cfg.NoSlowStart {
 			continue
@@ -558,7 +533,7 @@ func (s *Sim) buildIndex(now time.Duration) {
 		if exp > rampExpMax {
 			exp = rampExpMax
 		}
-		if c := float64(s.cfg.InitWindow) * units.MSS / rtt * math.Exp2(exp) * throttle; c <= s.maxCap {
+		if c := float64(s.cfg.InitWindow) * units.MSS / rtt * math.Exp2(exp); c <= s.maxCap {
 			s.rampOrd = append(s.rampOrd, rampKey{cap: c, idx: idx})
 		}
 	}

@@ -13,17 +13,24 @@ import (
 	"pmsb/internal/workload"
 )
 
+// refAlphaGain is the reference's DCTCP alpha EWMA gain g.
+const refAlphaGain = 1.0 / 16
+
 // refSolver is the reference solve the production one is held to: every
 // active flow sorted by ramp cap (sort.Slice over flow indices, the cap
 // clamped at four times the largest link capacity), a per-service census
-// refreshed at every solve, and the ramp priced in a pass of its own
-// after the index is built. It drives its own Sim through the same
-// inputs as the production solve.
+// refreshed at every solve, a DCTCP alpha per link that throttles the
+// ramp of the flows crossing a link whose depth overshot its target,
+// and the ramp priced in a pass of its own after the index is built. It
+// drives its own Sim through the same inputs as the production solve,
+// which has no alpha: the fuzz asserts the reference's alpha stays 0,
+// which is what licenses leaving it out.
 type refSolver struct {
 	s       *Sim
 	svcCnt  []int32   // [link*nsvc + svc] active-flow counts
 	busyW   []int32   // per link: summed weight of the busy services
 	target  []float64 // per link: marking target from the last solve
+	alpha   []float64 // per link: DCTCP alpha (marking-overshoot EWMA)
 	caps    []float64 // per flow: ramp cap of the current solve
 	rampOrd []int32
 }
@@ -34,6 +41,7 @@ func newRefSolver(s *Sim) *refSolver {
 		svcCnt: make([]int32, len(s.links)*s.nsvc),
 		busyW:  make([]int32, len(s.links)),
 		target: make([]float64, len(s.links)),
+		alpha:  make([]float64, len(s.links)),
 		caps:   make([]float64, len(s.flows)),
 	}
 }
@@ -90,11 +98,11 @@ func (r *refSolver) advanceFluid(now time.Duration) {
 					over = 1
 				}
 			}
-			g := alphaGain * dt / s.baseRTT
+			g := refAlphaGain * dt / s.baseRTT
 			if g > 1 {
 				g = 1
 			}
-			l.alpha += g * (over - l.alpha)
+			r.alpha[li] += g * (over - r.alpha[li])
 		}
 		l.seen = now
 		l.arr = 0
@@ -121,7 +129,7 @@ func (r *refSolver) buildIndex(now time.Duration) {
 					if l.q < 0 {
 						l.q = 0
 					}
-					l.alpha = 0
+					r.alpha[li] = 0
 				}
 				l.seen = now
 			}
@@ -180,8 +188,8 @@ func (r *refSolver) prepareRamp(now time.Duration) {
 		for _, li := range f.path[:f.plen] {
 			l := &s.links[li]
 			rtt += l.qdelay
-			if l.alpha > 0 && r.target[li] > 0 && l.q > r.target[li] {
-				if t := 1 - l.alpha/2; t < throttle {
+			if r.alpha[li] > 0 && r.target[li] > 0 && l.q > r.target[li] {
+				if t := 1 - r.alpha[li]/2; t < throttle {
 					throttle = t
 				}
 			}
@@ -317,8 +325,8 @@ func fuzzFlows(seed uint64, nLinks, nFlows uint8) (*topo.PathGraph, []flowRec, t
 
 // FuzzWaterfillMatchesReference holds the solve to the reference solve
 // bit for bit: after every quantum solve each flow's rate and remaining
-// bytes, and each link's fluid depth, alpha and per-service depth, must
-// match exactly. Both sims are driven by direct calls at quantum
+// bytes, and each link's fluid depth and per-service depth, must match
+// exactly, and the reference's alpha must stay 0. Both sims are driven by direct calls at quantum
 // boundaries, admitting the flows whose start has come.
 func FuzzWaterfillMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(20), uint8(4), uint8(16), false)
@@ -370,8 +378,8 @@ func FuzzWaterfillMatchesReference(f *testing.F) {
 				}
 			}
 			for l := range g.Links {
-				if math.Float64bits(got.PortDepth(l)) != math.Float64bits(ref.s.PortDepth(l)) || math.Float64bits(got.links[l].alpha) != math.Float64bits(ref.s.links[l].alpha) {
-					t.Fatalf("t=%v link %d: depth %v alpha %v, reference %v %v", now, l, got.PortDepth(l), got.links[l].alpha, ref.s.PortDepth(l), ref.s.links[l].alpha)
+				if math.Float64bits(got.PortDepth(l)) != math.Float64bits(ref.s.PortDepth(l)) || ref.alpha[l] != 0 {
+					t.Fatalf("t=%v link %d: depth %v, reference depth %v alpha %v", now, l, got.PortDepth(l), ref.s.PortDepth(l), ref.alpha[l])
 				}
 				for svc := 0; svc <= len(w); svc++ {
 					if a, b := got.ServiceDepth(l, svc), ref.serviceDepth(l, svc); math.Float64bits(a) != math.Float64bits(b) {

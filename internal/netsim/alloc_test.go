@@ -77,15 +77,14 @@ func TestPortDropZeroAlloc(t *testing.T) {
 	}
 }
 
-// With the observability layer ENABLED (probe bound, ring + counters
-// live), the forwarding path must still be allocation-free: events are
-// value records appended to a preallocated ring and counters are direct
-// increments.
+// With the observability layer ENABLED (probe bound, ring live), the
+// forwarding path must still be allocation-free: events are value
+// records appended to a preallocated ring.
 func TestPortSendZeroAllocObserved(t *testing.T) {
 	eng := sim.NewEngine()
 	link := NewLink(eng, 100*units.Gbps, 0, releaseSink{})
 	port := NewPort(link, PortConfig{Sched: sched.NewFIFO()})
-	bus := obs.NewBus(1 << 12)
+	bus := obs.NewTraceBus(1 << 12)
 	port.Observe(bus, 1000, 0)
 
 	for i := 0; i < 512; i++ {
@@ -109,9 +108,6 @@ func TestPortSendZeroAllocObserved(t *testing.T) {
 	}
 	if bus.Ring().Total() == 0 {
 		t.Fatal("bus saw no events — probe not wired")
-	}
-	if bus.Metrics().Counter("port.1000.0.tx_pkts").Value() == 0 {
-		t.Fatal("tx counter never incremented")
 	}
 }
 

@@ -126,7 +126,6 @@ func (b *Bus) OpenFlow(t time.Duration, f pkt.FlowID, service int, size int64) *
 	if b == nil {
 		return nil
 	}
-	b.reg.flowsStarted.Inc()
 	b.record(&Event{T: t, Kind: KindFlowStart, Node: pkt.NoNode, Port: -1,
 		Queue: int32(service), Flow: f, Size: size})
 	return &FlowProbe{bus: b, flow: f}
@@ -185,8 +184,6 @@ func (p *FlowProbe) Finish(t time.Duration, fct time.Duration, bytes int64) {
 	if p == nil {
 		return
 	}
-	p.bus.reg.flowsFinished.Inc()
-	p.bus.reg.fct.ObserveDuration(fct)
 	p.bus.record(&Event{T: t, Kind: KindFlowFinish, Node: pkt.NoNode, Port: -1,
 		Queue: -1, Flow: p.flow, Size: bytes, V: float64(fct)})
 }

@@ -1,10 +1,11 @@
 // Package obs is the simulator-wide observability layer: a typed trace
-// bus of compact event records, a registry of named metrics, and the
-// streamed reductions that read a stored trace back. Every layer of
-// the simulator — switch ports, PFC controllers, ECN markers, transport
-// senders — emits into one Bus, and experiments, CLIs (`pmsbsim
-// -tracefile`, `cmd/pmsbstat`) and tests read the collected state back
-// instead of hand-rolling accumulators and port taps.
+// bus of compact event records and the streamed reductions that read a
+// stored trace back. Every layer of the simulator — switch ports, PFC
+// controllers, ECN markers, transport senders — emits into one Bus, and
+// experiments, CLIs (`pmsbsim -tracefile`, `cmd/pmsbstat`) and tests
+// read the trace back instead of hand-rolling accumulators and port
+// taps. The trace is the one account of what the simulated network
+// did: every per-queue tally pmsbstat prints is a reduction of it.
 //
 // The contract that keeps the layer usable on the hot path: when
 // observability is disabled (a nil *Bus, the default everywhere), every
@@ -12,15 +13,14 @@
 // and effectively zero time. When enabled, emitting is still
 // allocation-free at steady state: events are fixed-size value records
 // appended to a preallocated ring buffer (no interface boxing of ints),
-// counters are direct pointer increments, and serialization happens
-// only when the ring spills or is exported.
+// and serialization happens only when the ring spills or is exported.
 // internal/netsim/alloc_test.go proves both properties with
 // AllocsPerRun guards.
 //
 // Probes bind an emitter to its identity once, off the hot path: a
-// switch port holds a *PortProbe (its PortID plus pre-registered
-// counters), a transport sender holds a *FlowProbe (its flow ID). Emit
-// calls then carry only per-event state.
+// switch port holds a *PortProbe (its PortID), a transport sender holds
+// a *FlowProbe (its flow ID). Emit calls then carry only per-event
+// state.
 package obs
 
 import (
@@ -193,44 +193,29 @@ type Event struct {
 }
 
 // Bus is the simulator-wide observability hub: it assigns event
-// sequence numbers, appends records to the optional ring buffer, and
-// keeps the metrics registry up to date. A nil *Bus is the disabled
-// layer: every method on a nil receiver returns immediately, so emit
-// points pay only a pointer test.
+// sequence numbers and appends records to its ring buffer. A nil *Bus
+// is the disabled layer: every method on a nil receiver returns
+// immediately, so emit points pay only a pointer test.
 //
 // A Bus (like the engines that feed it) is not safe for concurrent use:
 // attach one bus to one simulation.
 type Bus struct {
 	ring *Ring
-	reg  *Registry
 	seq  uint64
-	lean bool
 }
 
-// NewBus returns a bus with a metrics registry and — when ringCap > 0 —
-// an event ring of that capacity. ringCap == 0 disables event recording
-// but keeps the metrics live.
-func NewBus(ringCap int) *Bus {
-	b := &Bus{reg: NewRegistry()}
-	if ringCap > 0 {
-		b.ring = NewRing(ringCap)
-	}
-	return b
-}
-
-// NewTraceBus returns a bus tuned for full-run event capture: the ring
-// is live, but ObservePort skips the per-port counter
-// blocks, so packet events pay only the ring append. Use it when the
-// trace file is the product and nothing will read Metrics() — the
-// registry stays present (bus-level counters like PFC pauses still
-// land) but has no per-port rows.
+// NewTraceBus returns a bus recording into an event ring of ringCap
+// events; ringCap must be positive. Give the ring a spill sink
+// (Ring.SetSpill) to keep every event of a run, not only the newest
+// ringCap.
 func NewTraceBus(ringCap int) *Bus {
-	b := NewBus(ringCap)
-	b.lean = true
-	return b
+	if ringCap <= 0 {
+		panic(fmt.Sprintf("obs: ring capacity %d, want > 0", ringCap))
+	}
+	return &Bus{ring: NewRing(ringCap)}
 }
 
-// Ring returns the event ring (nil when recording is disabled).
+// Ring returns the event ring (nil on a nil bus).
 func (b *Bus) Ring() *Ring {
 	if b == nil {
 		return nil
@@ -238,36 +223,22 @@ func (b *Bus) Ring() *Ring {
 	return b.ring
 }
 
-// Metrics returns the bus's metrics registry (nil on a nil bus).
-func (b *Bus) Metrics() *Registry {
-	if b == nil {
-		return nil
-	}
-	return b.reg
-}
-
-// record stamps the next sequence number and appends to the ring, when
-// one exists. Emitters build the Event on their stack and pass a
-// pointer; the ring slot assignment is the only full-struct copy. The
-// per-packet probes use slot instead — record stays for the low-rate
-// emit points where a struct literal reads better.
+// record stamps the next sequence number and appends to the ring.
+// Emitters build the Event on their stack and pass a pointer; the ring
+// slot assignment is the only full-struct copy. The per-packet probes
+// use slot instead — record stays for the low-rate emit points where a
+// struct literal reads better.
 func (b *Bus) record(ev *Event) {
-	if b.ring == nil {
-		return
-	}
 	ev.Seq = b.seq
 	b.seq++
 	*b.ring.nextSlot() = *ev
 }
 
 // slot claims the next ring slot pre-stamped with sequence number,
-// time and kind, or returns nil when recording is disabled. The caller
-// fills the remaining fields in place — the event is built where it
-// will live and is never copied. The hot emit path.
+// time and kind. The caller fills the remaining fields in place — the
+// event is built where it will live and is never copied. The hot emit
+// path.
 func (b *Bus) slot(t time.Duration, k Kind) *Event {
-	if b.ring == nil {
-		return nil
-	}
 	ev := b.ring.nextSlot()
 	*ev = Event{Seq: b.seq, T: t, Kind: k}
 	b.seq++
@@ -279,7 +250,6 @@ func (b *Bus) PFCPause(t time.Duration, node pkt.NodeID, buffered int) {
 	if b == nil {
 		return
 	}
-	b.reg.pfcPauses.Add(1)
 	b.record(&Event{T: t, Kind: KindPFCPause, Node: node, Port: -1, Queue: -1,
 		PortBytes: int64(buffered)})
 }
@@ -301,7 +271,6 @@ func (b *Bus) Blind(t time.Duration, q int, portBytes, queueBytes int, threshold
 	if b == nil {
 		return
 	}
-	b.reg.blinds.Add(1)
 	b.record(&Event{T: t, Kind: KindBlind, Node: pkt.NoNode, Port: -1,
 		Queue: int32(q), PortBytes: int64(portBytes), QueueBytes: int64(queueBytes),
 		V: threshold})

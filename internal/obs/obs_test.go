@@ -148,8 +148,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 // and every emit method tolerates a nil receiver — the disabled layer.
 func TestNilBusIsInert(t *testing.T) {
 	var b *Bus
-	if b.Ring() != nil || b.Metrics() != nil {
-		t.Fatal("nil bus accessors must answer nil")
+	if b.Ring() != nil {
+		t.Fatal("nil bus ring must be nil")
 	}
 	pp := b.ObservePort(PortID{Node: 1, Port: 0}, 2)
 	if pp != nil {
@@ -175,11 +175,10 @@ func TestNilBusIsInert(t *testing.T) {
 	b.Blind(0, 1, 100, 10, 50)
 }
 
-// TestBusEmitZeroAlloc: with the layer ENABLED (ring + counters), a
-// port-probe emit must still be allocation-free — the hot-path
+// TestBusEmitZeroAlloc: with the layer ENABLED, a port-probe emit must still be allocation-free — the hot-path
 // guarantee that makes always-on tracing viable.
 func TestBusEmitZeroAlloc(t *testing.T) {
-	bus := NewBus(1 << 12)
+	bus := NewTraceBus(1 << 12)
 	probe := bus.ObservePort(PortID{Node: 1000, Port: 0}, 2)
 	p := testPacket(7, 1, 1500)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -202,7 +201,7 @@ func TestBusEmitZeroAlloc(t *testing.T) {
 }
 
 func TestBusSequencing(t *testing.T) {
-	bus := NewBus(8)
+	bus := NewTraceBus(8)
 	probe := bus.ObservePort(PortID{Node: 1, Port: 0}, 1)
 	p := testPacket(1, 1, 100)
 	probe.Enqueue(0, 0, p, 100, 100)
@@ -213,40 +212,19 @@ func TestBusSequencing(t *testing.T) {
 	}
 }
 
-func TestRegistryMetrics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test.counter")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
+// A bus always has a ring: a capacity that would leave it without one
+// is a programming error.
+func TestTraceBusNeedsRing(t *testing.T) {
+	for _, c := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTraceBus(%d) did not panic", c)
+				}
+			}()
+			NewTraceBus(c)
+		}()
 	}
-	if r.Counter("test.counter") != c {
-		t.Fatal("counter lookup must be stable")
-	}
-	h := r.Histogram("test.hist")
-	h.ObserveDuration(time.Second)
-	h.ObserveDuration(3 * time.Second)
-	if h.Summary().Count() != 2 || h.Summary().Max() != 3 {
-		t.Fatalf("hist count=%d max=%v", h.Summary().Count(), h.Summary().Max())
-	}
-
-	var dump strings.Builder
-	if _, err := r.WriteTo(&dump); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"test.counter\t5", "test.hist\tcount=2", "flows.started\t0"} {
-		if !strings.Contains(dump.String(), want) {
-			t.Errorf("dump missing %q:\n%s", want, dump.String())
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-type re-registration must panic")
-		}
-	}()
-	r.Histogram("test.counter")
 }
 
 // reduceRing encodes a bus's recorded events and reduces them with
@@ -263,10 +241,7 @@ func reduceRing(t *testing.T, bus *Bus) *StreamStats {
 // TestFlowTableTopBytes: flow probes' events rebuild per-flow records
 // from the trace, ranked by bytes with a flow-ID tiebreak.
 func TestFlowTableTopBytes(t *testing.T) {
-	if NewBus(0).Ring() != nil {
-		t.Fatal("ringCap 0 must disable the ring")
-	}
-	bus := NewBus(64)
+	bus := NewTraceBus(64)
 	a := bus.OpenFlow(0, 1, 0, 0)
 	b := bus.OpenFlow(0, 2, 1, 0)
 	c := bus.OpenFlow(0, 3, 1, 0)
@@ -294,7 +269,7 @@ func TestFlowTableTopBytes(t *testing.T) {
 // TestAnalysis drives the trace reductions over a synthetic two-queue
 // trace with a known shape.
 func TestAnalysis(t *testing.T) {
-	bus := NewBus(1 << 10)
+	bus := NewTraceBus(1 << 10)
 	probe := bus.ObservePort(PortID{Node: 1000, Port: 0}, 2)
 	p0 := testPacket(1, 1, 1500)
 	p1 := testPacket(2, 2, 1500)
@@ -306,6 +281,7 @@ func TestAnalysis(t *testing.T) {
 		probe.Dequeue(at+time.Millisecond/2, 0, p0, 1500, 500)
 	}
 	probe.Mark(4*time.Millisecond, 0, p0, 3000, 2000)
+	probe.Drop(4*time.Millisecond, 1, p1, DropPortBuffer)
 	fp.Finish(5*time.Millisecond, 5*time.Millisecond, 3000)
 	st := reduceRing(t, bus)
 
@@ -315,6 +291,12 @@ func TestAnalysis(t *testing.T) {
 	q0 := st.Depths[QueueKey{Node: 1000, Port: 0, Queue: 0}]
 	if q0.Count() != 8 || q0.Max() != 2000 || q0.Percentile(0) != 500 {
 		t.Fatalf("q0 depth count=%d max=%v min=%v", q0.Count(), q0.Max(), q0.Percentile(0))
+	}
+	if q0.TxPackets != 4 || q0.TxBytes != 6000 || q0.Marks != 1 || q0.Drops != 0 {
+		t.Fatalf("q0 tallies: %+v", *q0)
+	}
+	if q1 := st.Depths[QueueKey{Node: 1000, Port: 0, Queue: 1}]; q1.Count() != 4 || q1.TxPackets != 0 || q1.Drops != 1 {
+		t.Fatalf("q1: %d depth samples, %d tx, %d drops", q1.Count(), q1.TxPackets, q1.Drops)
 	}
 	if st.Marks.Value(4) != 1 || st.Dequeues.Value(0) != 1 {
 		t.Fatalf("mark series: marks(4)=%v deqs(0)=%v", st.Marks.Value(4), st.Dequeues.Value(0))

@@ -6,33 +6,28 @@ import (
 	"pmsb/internal/pkt"
 )
 
-// PortProbe binds a switch (or NIC) output port to the bus: its
-// topology identity and its pre-registered counter block. The port
-// holds one pointer; a nil probe is the disabled layer and every method
-// returns after a nil check, so un-observed ports pay nothing.
+// PortProbe binds a switch (or NIC) output port to the bus under its
+// topology identity. The port holds one pointer; a nil probe is the
+// disabled layer and every method returns after a nil check, so
+// un-observed ports pay nothing.
 //
 // Packet-event methods take the occupancy the port already has at hand
 // (scheduler byte counts) so the probe never calls back into the port.
 type PortProbe struct {
 	bus *Bus
 	id  PortID
-	m   *PortMetrics
 }
 
 // ObservePort registers a port with the bus and returns its probe.
-// numQueues sizes the per-queue counter blocks. Returns nil on a nil
-// bus so callers can assign unconditionally. On a trace-only bus
-// (NewTraceBus) the probe carries no counter block and packet events
-// skip the metrics updates entirely.
-func (b *Bus) ObservePort(id PortID, numQueues int) *PortProbe {
+// Returns nil on a nil bus so callers can assign unconditionally. The
+// second argument, the port's queue count, is unused: the probe keeps
+// no per-queue state (per-queue tallies are reductions of the trace,
+// StreamStats.Depths). It stays because benchmark/ calls ObservePort.
+func (b *Bus) ObservePort(id PortID, _ int) *PortProbe {
 	if b == nil {
 		return nil
 	}
-	p := &PortProbe{bus: b, id: id}
-	if !b.lean {
-		p.m = b.reg.portMetrics(id, numQueues)
-	}
-	return p
+	return &PortProbe{bus: b, id: id}
 }
 
 // Enqueue records a packet admitted to queue q; portBytes/queueBytes
@@ -41,11 +36,10 @@ func (p *PortProbe) Enqueue(t time.Duration, q int, packet *pkt.Packet, portByte
 	if p == nil {
 		return
 	}
-	if ev := p.bus.slot(t, KindEnqueue); ev != nil {
-		ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
-		ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
-		ev.PortBytes, ev.QueueBytes = int64(portBytes), int64(queueBytes)
-	}
+	ev := p.bus.slot(t, KindEnqueue)
+	ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
+	ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
+	ev.PortBytes, ev.QueueBytes = int64(portBytes), int64(queueBytes)
 }
 
 // Dequeue records a packet beginning transmission from queue q;
@@ -54,18 +48,10 @@ func (p *PortProbe) Dequeue(t time.Duration, q int, packet *pkt.Packet, portByte
 	if p == nil {
 		return
 	}
-	if m := p.m; m != nil {
-		m.TxPackets.Inc()
-		m.TxBytes.Add(int64(packet.Size))
-		if q >= 0 && q < len(m.QueueTxBytes) {
-			m.QueueTxBytes[q].Add(int64(packet.Size))
-		}
-	}
-	if ev := p.bus.slot(t, KindDequeue); ev != nil {
-		ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
-		ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
-		ev.PortBytes, ev.QueueBytes = int64(portBytes), int64(queueBytes)
-	}
+	ev := p.bus.slot(t, KindDequeue)
+	ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
+	ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
+	ev.PortBytes, ev.QueueBytes = int64(portBytes), int64(queueBytes)
 }
 
 // Drop records a packet refused at admission by the given gate.
@@ -73,15 +59,10 @@ func (p *PortProbe) Drop(t time.Duration, q int, packet *pkt.Packet, reason Drop
 	if p == nil {
 		return
 	}
-	if m := p.m; m != nil {
-		m.DropPackets.Inc()
-		m.DropBytes.Add(int64(packet.Size))
-	}
-	if ev := p.bus.slot(t, KindDrop); ev != nil {
-		ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
-		ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
-		ev.Reason = reason
-	}
+	ev := p.bus.slot(t, KindDrop)
+	ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
+	ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
+	ev.Reason = reason
 }
 
 // Mark records the port's marker CE-marking a packet bound for (or
@@ -91,15 +72,8 @@ func (p *PortProbe) Mark(t time.Duration, q int, packet *pkt.Packet, portBytes, 
 	if p == nil {
 		return
 	}
-	if m := p.m; m != nil {
-		m.Marks.Inc()
-		if q >= 0 && q < len(m.QueueMarks) {
-			m.QueueMarks[q].Inc()
-		}
-	}
-	if ev := p.bus.slot(t, KindMark); ev != nil {
-		ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
-		ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
-		ev.PortBytes, ev.QueueBytes = int64(portBytes), int64(queueBytes)
-	}
+	ev := p.bus.slot(t, KindMark)
+	ev.Node, ev.Port, ev.Queue = p.id.Node, p.id.Port, int32(q)
+	ev.Flow, ev.Pkt, ev.Size = packet.Flow, packet.ID, int64(packet.Size)
+	ev.PortBytes, ev.QueueBytes = int64(portBytes), int64(queueBytes)
 }

@@ -1,14 +1,14 @@
 // Package runtime surfaces the simulator's self-observation: the
 // coordinator/engine/pool counters collected by internal/sim and
-// internal/pkt, assembled into a dump in the obs.Registry text format
-// ("name\tvalue", sorted) and into a human report explaining a run —
+// internal/pkt, assembled into a "name\tvalue" text dump (sorted, one
+// integer per line) and into a human report explaining a run —
 // shard imbalance, null-advance overhead, the event queue's geometry,
 // longest chain walk and overflow migrations.
 //
 // It is deliberately separate from the packet-level trace bus
-// (internal/obs): the bus records what the *simulated network* did,
-// this package records what the *simulator* did. The two meet only in
-// the dump format, so the same tooling can parse both.
+// (internal/obs): the trace records what the *simulated network* did,
+// this package records what the *simulator* did. Nothing in this
+// package reads the trace, and nothing in the trace comes from here.
 package runtime
 
 import (
@@ -209,9 +209,9 @@ func (s Snapshot) Values() map[string]int64 {
 	return v
 }
 
-// WriteTo dumps the snapshot as sorted "name\tvalue" lines — the
-// obs.Registry dump format (and io.WriterTo contract), so the same
-// tooling (and pmsbstat -runtime) parses both.
+// WriteTo dumps the snapshot as sorted "name\tvalue" lines (the
+// io.WriterTo contract); ParseDump, and so pmsbstat -runtime, reads
+// them back.
 func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	vals := s.Values()
 	names := make([]string, 0, len(vals))
@@ -230,26 +230,22 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// ParseDump reads a "name\tvalue" dump (as written by Snapshot.WriteTo
-// or obs.Registry.WriteTo) back into a value map. Histogram rows and
-// other non-integer values are skipped, not errors, so a combined
-// metrics dump parses cleanly.
+// ParseDump reads a "name\tvalue" dump (as written by Snapshot.WriteTo)
+// back into a value map. Every line must be a non-empty name, a tab and
+// a base-10 integer; any other line is an error naming its line number,
+// so a damaged or foreign file is refused rather than half-reported.
 func ParseDump(r io.Reader) (map[string]int64, error) {
 	vals := make(map[string]int64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(line, "\t")
-		if !ok {
-			continue
+	for line := 1; sc.Scan(); line++ {
+		name, val, ok := strings.Cut(sc.Text(), "\t")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("runtime: parse dump: line %d: want name<TAB>integer, got %q", line, sc.Text())
 		}
 		n, err := strconv.ParseInt(val, 10, 64)
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("runtime: parse dump: line %d: %s: value %q is not an integer", line, name, val)
 		}
 		vals[name] = n
 	}

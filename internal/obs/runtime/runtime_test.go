@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -92,17 +93,68 @@ func TestSnapshotDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// ParseDump skips non-integer lines (histogram rows of a combined
-// metrics dump) instead of failing.
-func TestParseDumpSkipsNonInteger(t *testing.T) {
-	in := "a.count\t3\nb.hist\t0.5:2 1:7\nplain line no tab\nc.value\t-9\n"
-	vals, err := ParseDump(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("ParseDump: %v", err)
+// ParseDump refuses any line that is not name<TAB>integer and names the
+// line, so a damaged dump fails instead of reporting what happened to
+// parse.
+func TestParseDumpRefusesMalformed(t *testing.T) {
+	vals, err := ParseDump(strings.NewReader("a.count\t3\nc.value\t-9\n"))
+	if err != nil || len(vals) != 2 || vals["a.count"] != 3 || vals["c.value"] != -9 {
+		t.Fatalf("well-formed dump: %v, %v", vals, err)
 	}
-	if len(vals) != 2 || vals["a.count"] != 3 || vals["c.value"] != -9 {
-		t.Fatalf("parsed %v", vals)
+	for _, tc := range []struct{ in, line string }{
+		{"runtime.shards\t1\nplain line no tab\n", "line 2"},
+		{"runtime.shard.0.events\tNaN\n", "line 1"},
+		{"a\t1\nb.hist\tcount=2 mean=1\n", "line 2"},
+		{"a\t1\n\nb\t2\n", "line 2"},
+		{"\t5\n", "line 1"},
+		{"a\t1\t2\n", "line 1"},
+	} {
+		if _, err := ParseDump(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("ParseDump(%q) err = %v, want one naming %s", tc.in, err, tc.line)
+		}
 	}
+}
+
+// FuzzParseDump: a snapshot built from the fuzzed counters survives
+// WriteTo → ParseDump intact, and arbitrary bytes parse or fail with an
+// error, never a panic; what does parse writes back to the same map.
+func FuzzParseDump(f *testing.F) {
+	f.Add(int64(3), int64(1<<40), int64(-1), []byte("runtime.runs\t1\n"))
+	f.Add(int64(0), int64(0), int64(0), []byte("runtime.shards\t1\ngarbage\nx.events\tNaN\n"))
+	f.Add(int64(1), int64(9), int64(7), []byte("a\t\n\tb\n\n"))
+	f.Fuzz(func(t *testing.T, runs, processed, walk int64, data []byte) {
+		snap := Snapshot{
+			Runs: int(runs),
+			Engines: map[int]sim.EngineStats{0: {
+				Processed: uint64(processed),
+				Queue:     sim.QueueStats{WalkMax: int(walk)},
+			}},
+		}
+		var buf bytes.Buffer
+		if _, err := snap.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		parsed, err := ParseDump(&buf)
+		if err != nil {
+			t.Fatalf("ParseDump of a written dump: %v\n%s", err, buf.String())
+		}
+		if want := snap.Values(); !reflect.DeepEqual(parsed, want) {
+			t.Fatalf("round trip: %v, want %v", parsed, want)
+		}
+
+		vals, err := ParseDump(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again strings.Builder
+		for name, v := range vals {
+			fmt.Fprintf(&again, "%s\t%d\n", name, v)
+		}
+		back, err := ParseDump(strings.NewReader(again.String()))
+		if err != nil || !reflect.DeepEqual(back, vals) {
+			t.Fatalf("parsed %v, rewritten and re-parsed %v (%v)", vals, back, err)
+		}
+	})
 }
 
 // Observations of the same shape merge: counters sum, high-water marks

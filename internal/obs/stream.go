@@ -11,27 +11,27 @@ import (
 
 // This file is how a stored trace is read back for analysis: the
 // reductions that rebuild the figures the paper plots — event counts,
-// queue-depth percentiles, mark-rate timelines, per-flow summaries —
-// computed column by column from the chunk encoding, without ever
-// materializing an []Event, and the time-ordered merge of several
-// files that pmsbstat -export prints. A materialized event costs 80
-// bytes before the first statistic is touched; at fabric scale a
-// full-run trace is gigabytes of events, so the reduction — not the
-// decode — must be the resident state. A StreamStats holds only the
-// aggregates (one Summary per observed queue, one counter per kind, one
-// record per flow) plus per-chunk scratch columns, so analyzing a trace
-// of any length runs in memory proportional to the topology and the
-// flow count, not the run.
+// per-queue depth percentiles and tallies, mark-rate timelines,
+// per-flow summaries — computed column by column from the chunk
+// encoding, without ever materializing an []Event, and the time-ordered
+// merge of several files that pmsbstat -export prints. A materialized
+// event costs 80 bytes before the first statistic is touched; at fabric
+// scale a full-run trace is gigabytes of events, so the reduction — not
+// the decode — must be the resident state. A StreamStats holds only the
+// aggregates (one QueueStats per observed queue, one counter per kind,
+// one record per flow) plus per-chunk scratch columns, so analyzing a
+// trace of any length runs in memory proportional to the topology and
+// the flow count, not the run.
 //
 // Per chunk, the reducer stores exactly the columns its reductions
 // read: Seq and T always (their delta chains run across chunks), Kind
 // (classifies every event), the field bitmap (locates the value
-// columns), Node, Port, Queue and QueueBytes when depth summaries are
-// requested, and Flow, Size, Queue and V when the flow table is. Every
-// other column is parsed, validated and dropped by the one column
-// decoder every reader shares (BinaryReader.readCols). stream_test.go
-// folds the decoded events of the same traces independently and holds
-// the differential proof.
+// columns), Node, Port, Queue, Size and QueueBytes when the per-queue
+// reduction is requested, and Flow, Size, Queue and V when the flow
+// table is. Every other column is parsed, validated and dropped by the
+// one column decoder every reader shares (BinaryReader.readCols).
+// stream_test.go folds the decoded events of the same traces
+// independently and holds the differential proof.
 //
 // Because port events carry absolute occupancy (PortBytes/QueueBytes),
 // every reconstruction survives ring wraparound: losing the oldest
@@ -44,13 +44,31 @@ type QueueKey struct {
 	Queue int32
 }
 
+// QueueStats is the per-queue reduction of a trace: the occupancy the
+// queue's enqueue and dequeue events sampled, and what the queue sent,
+// had marked and dropped. The tallies are the port's own counters split
+// by queue: summed over a port's queues, TxPackets, Marks and Drops
+// equal netsim.Port's TxPackets, MarkedPackets and DropPackets over a
+// trace that covers the whole run.
+type QueueStats struct {
+	// Summary holds QueueBytes sampled at every enqueue and dequeue
+	// (empty for a queue whose only events in range were drops).
+	stats.Summary
+	// TxPackets and TxBytes count the dequeued packets and their wire
+	// bytes.
+	TxPackets, TxBytes int64
+	// Marks counts CE marks; Drops counts packets refused at admission.
+	Marks, Drops int64
+}
+
 // StreamOptions selects the reductions of a streaming pass.
 type StreamOptions struct {
 	// Counts tallies events by kind.
 	Counts bool
-	// Depths summarizes QueueBytes per queue over enqueue/dequeue
-	// events. Enabling it decodes the Node, Port, Queue and QueueBytes
-	// columns; disabled, they are skipped at wire level.
+	// Depths reduces every queue's packet events into a QueueStats:
+	// QueueBytes over enqueue/dequeue events, and the dequeue, mark and
+	// drop tallies. Enabling it decodes the Node, Port, Queue, Size and
+	// QueueBytes columns; disabled, they are skipped at wire level.
 	Depths bool
 	// MarkBin, when non-zero, bins CE marks and dequeues into
 	// MarkBin-wide counts. It reads only the Kind and T columns, which
@@ -80,9 +98,9 @@ type StreamStats struct {
 	Events int
 	// Kinds is the per-kind tally (nil unless Counts was requested).
 	Kinds map[Kind]int
-	// Depths is the per-queue occupancy summary (nil unless Depths was
+	// Depths is the per-queue reduction (nil unless Depths was
 	// requested).
-	Depths map[QueueKey]*stats.Summary
+	Depths map[QueueKey]*QueueStats
 	// Marks and Dequeues are the mark-rate timeline's two series (nil
 	// unless MarkBin was set); their per-bin quotient is the mark
 	// fraction.
@@ -117,8 +135,8 @@ func NewStreamStats(opt StreamOptions) *StreamStats {
 		st.Kinds = make(map[Kind]int)
 	}
 	if opt.Depths {
-		st.Depths = make(map[QueueKey]*stats.Summary)
-		st.keep |= bitNode | bitPort | bitQueue | bitQueueBytes
+		st.Depths = make(map[QueueKey]*QueueStats)
+		st.keep |= bitNode | bitPort | bitQueue | bitSize | bitQueueBytes
 	}
 	if opt.MarkBin > 0 {
 		st.Marks = stats.NewTimeSeries(opt.MarkBin)
@@ -190,14 +208,27 @@ func (st *StreamStats) fold(d *BinaryReader) {
 				st.Dequeues.Add(t, 1)
 			}
 		}
-		if st.Depths != nil && (k == KindEnqueue || k == KindDequeue) {
+		if st.Depths != nil && k <= KindMark {
+			// The four packet kinds (enqueue, dequeue, drop, mark) lead
+			// the enum; each costs one lookup.
 			key := QueueKey{Node: pkt.NodeID(c.node[i]), Port: c.port[i], Queue: c.queue[i]}
-			s := st.Depths[key]
-			if s == nil {
-				s = &stats.Summary{}
-				st.Depths[key] = s
+			q := st.Depths[key]
+			if q == nil {
+				q = &QueueStats{}
+				st.Depths[key] = q
 			}
-			s.Add(float64(c.qb[i]))
+			switch k {
+			case KindEnqueue:
+				q.Add(float64(c.qb[i]))
+			case KindDequeue:
+				q.Add(float64(c.qb[i]))
+				q.TxPackets++
+				q.TxBytes += c.size[i]
+			case KindDrop:
+				q.Drops++
+			case KindMark:
+				q.Marks++
+			}
 		}
 		if st.Flows != nil {
 			st.Flows.add(&Event{T: t, Kind: k, Queue: c.queue[i],

@@ -27,20 +27,49 @@ func countKinds(events []Event) map[Kind]int {
 	return out
 }
 
-func depthSummaries(events []Event) map[QueueKey]*stats.Summary {
-	out := make(map[QueueKey]*stats.Summary)
+func queueStats(events []Event) map[QueueKey]*QueueStats {
+	out := make(map[QueueKey]*QueueStats)
 	for i := range events {
 		ev := &events[i]
-		if ev.Kind != KindEnqueue && ev.Kind != KindDequeue {
+		switch ev.Kind {
+		case KindEnqueue, KindDequeue, KindDrop, KindMark:
+		default:
 			continue
 		}
 		k := QueueKey{Node: ev.Node, Port: ev.Port, Queue: ev.Queue}
 		if out[k] == nil {
-			out[k] = &stats.Summary{}
+			out[k] = &QueueStats{}
 		}
-		out[k].Add(float64(ev.QueueBytes))
+		q := out[k]
+		switch ev.Kind {
+		case KindEnqueue:
+			q.Add(float64(ev.QueueBytes))
+		case KindDequeue:
+			q.Add(float64(ev.QueueBytes))
+			q.TxPackets++
+			q.TxBytes += ev.Size
+		case KindDrop:
+			q.Drops++
+		case KindMark:
+			q.Marks++
+		}
 	}
 	return out
+}
+
+// assertQueueEqual compares one queue's streamed reduction with the
+// oracle's: the tallies, and the depth samples in fold order.
+func assertQueueEqual(t *testing.T, k QueueKey, got, want *QueueStats) {
+	t.Helper()
+	if got.TxPackets != want.TxPackets || got.TxBytes != want.TxBytes ||
+		got.Marks != want.Marks || got.Drops != want.Drops {
+		t.Errorf("queue %v tallies (tx %d pkts %d B, marks %d, drops %d), want (tx %d pkts %d B, marks %d, drops %d)",
+			k, got.TxPackets, got.TxBytes, got.Marks, got.Drops,
+			want.TxPackets, want.TxBytes, want.Marks, want.Drops)
+	}
+	if !reflect.DeepEqual(got.Samples(), want.Samples()) {
+		t.Errorf("queue %v depth samples differ:\n streamed %v\n want     %v", k, got.Samples(), want.Samples())
+	}
 }
 
 func markSeries(events []Event, bin time.Duration) (marks, dequeues *stats.TimeSeries) {
@@ -194,9 +223,9 @@ func assertStreamMatches(t *testing.T, st *StreamStats, files ...[]Event) {
 		t.Errorf("kind counts differ:\n streamed %v\n want     %v", st.Kinds, countKinds(events))
 	}
 	if st.Depths != nil {
-		sums := depthSummaries(events)
-		keys := make([]QueueKey, 0, len(sums))
-		for k := range sums {
+		queues := queueStats(events)
+		keys := make([]QueueKey, 0, len(queues))
+		for k := range queues {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool {
@@ -204,12 +233,10 @@ func assertStreamMatches(t *testing.T, st *StreamStats, files ...[]Event) {
 			return a.Node < b.Node || a.Node == b.Node && (a.Port < b.Port || a.Port == b.Port && a.Queue < b.Queue)
 		})
 		if got := st.DepthKeys(); !reflect.DeepEqual(got, keys) {
-			t.Fatalf("depth key sets differ:\n streamed %v\n want     %v", got, keys)
+			t.Fatalf("queue key sets differ:\n streamed %v\n want     %v", got, keys)
 		}
 		for _, k := range keys {
-			if got, want := st.Depths[k].Samples(), sums[k].Samples(); !reflect.DeepEqual(got, want) {
-				t.Errorf("queue %v depth samples differ:\n streamed %v\n want     %v", k, got, want)
-			}
+			assertQueueEqual(t, k, st.Depths[k], queues[k])
 		}
 	}
 	if st.Marks != nil {
@@ -321,17 +348,20 @@ func TestStreamReduceMultiFile(t *testing.T) {
 	// Runs are counted per stream: the second file starting over at
 	// time zero is not a new run.
 	assertStreamMatches(t, st, ev1, ev2)
-	// Depth summaries are order-insensitive: per-queue sample multisets
-	// match the merged timeline's even though the fold order differs.
-	sums := depthSummaries(mergeTraces(t, 0, 1<<63-1, raw1, raw2))
-	if len(st.Depths) != len(sums) {
-		t.Fatalf("depth key sets differ: %d vs %d queues", len(st.Depths), len(sums))
+	// The per-queue reduction is order-insensitive: tallies and depth
+	// sample multisets match the merged timeline's even though the fold
+	// order differs.
+	queues := queueStats(mergeTraces(t, 0, 1<<63-1, raw1, raw2))
+	if len(st.Depths) != len(queues) {
+		t.Fatalf("queue key sets differ: %d vs %d queues", len(st.Depths), len(queues))
 	}
-	for k, want := range sums {
+	for k, want := range queues {
 		got := st.Depths[k]
 		if got == nil || got.Count() != want.Count() || got.Mean() != want.Mean() ||
-			got.Percentile(99) != want.Percentile(99) {
-			t.Errorf("queue %v summary differs from merged-timeline reduction", k)
+			got.Percentile(99) != want.Percentile(99) ||
+			got.TxPackets != want.TxPackets || got.TxBytes != want.TxBytes ||
+			got.Marks != want.Marks || got.Drops != want.Drops {
+			t.Errorf("queue %v reduction differs from the merged timeline's", k)
 		}
 	}
 }

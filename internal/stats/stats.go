@@ -27,11 +27,6 @@ func (s *Summary) Add(v float64) {
 	s.sum += v
 }
 
-// AddDuration appends a duration sample in seconds.
-func (s *Summary) AddDuration(d time.Duration) {
-	s.Add(d.Seconds())
-}
-
 // Count returns the number of samples.
 func (s *Summary) Count() int { return len(s.samples) }
 

@@ -41,14 +41,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestSummaryAddDuration(t *testing.T) {
-	var s Summary
-	s.AddDuration(1500 * time.Millisecond)
-	if s.Mean() != 1.5 {
-		t.Fatalf("Mean = %v, want 1.5s", s.Mean())
-	}
-}
-
 func TestSummaryAddAfterPercentile(t *testing.T) {
 	var s Summary
 	s.Add(1)

@@ -35,7 +35,7 @@ func TestDifferentialRuntimeIntrospection(t *testing.T) {
 	instrumented := func(shards int) (workloadResult, obsrt.Snapshot) {
 		podBus := make([]*obs.Bus, 8)
 		for p := range podBus {
-			podBus[p] = obs.NewBus(1 << 14)
+			podBus[p] = obs.NewTraceBus(1 << 14)
 		}
 		mon := sim.NewMonitor()
 		// A deliberately fast sampler maximizes concurrent snapshot reads
@@ -116,7 +116,7 @@ func TestDifferentialRuntimeSelfDeterminism(t *testing.T) {
 	run := func() workloadResult {
 		podBus := make([]*obs.Bus, 8)
 		for p := range podBus {
-			podBus[p] = obs.NewBus(1 << 14)
+			podBus[p] = obs.NewTraceBus(1 << 14)
 		}
 		mon := sim.NewMonitor()
 		sampler := obsrt.StartSampler(io.Discard, mon, 200*time.Microsecond)
