@@ -49,11 +49,14 @@ ci:
 		-progress=100ms -runtimestats ci_runtime.rtstats > /dev/null
 	$(GO) run ./cmd/pmsbstat -runtime ci_runtime.rtstats > /dev/null
 	@rm -f ci_runtime.rtstats
-	# Option refusal smoke: a lone fig8 -shards 2 fails with no table
-	# printed; scenario-fattree's fat-tree reports running on 2 shards.
-	@if $(GO) run ./cmd/pmsbsim -experiment fig8 -quick -shards 2 > ci_refused.tsv; then \
-		echo "fig8 -shards 2 was not refused"; exit 1; fi; \
-	test ! -s ci_refused.tsv || { echo "a refused run printed a table"; exit 1; }; \
+	# Option refusal smoke: a lone fig8 (dumbbell) or fct-dwrr
+	# (leaf-spine) -shards 2 fails with no table printed;
+	# scenario-fattree's fat-tree reports running on 2 shards.
+	@for e in fig8 fct-dwrr; do \
+		if $(GO) run ./cmd/pmsbsim -experiment $$e -quick -shards 2 > ci_refused.tsv; then \
+			echo "$$e -shards 2 was not refused"; exit 1; fi; \
+		test ! -s ci_refused.tsv || { echo "a refused $$e run printed a table"; exit 1; }; \
+	done; \
 	rm -f ci_refused.tsv
 	$(GO) run ./cmd/pmsbsim -experiment scenario-fattree -quick -shards 2 > ci_sharded.tsv
 	grep -qE '^# scenario-fattree[[:space:]].*[[:space:]]packet[[:space:]]2$$' ci_sharded.tsv

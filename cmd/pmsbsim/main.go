@@ -283,7 +283,7 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		seed    = fs.Int64("seed", 1, "random seed")
 		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples; refused for a lone experiment that is not randomized")
 		jobs    = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
-		shards  = fs.Int("shards", 1, "shard the leaf-spine and fat-tree simulations across this many parallel engines, as far as each topology partitions (a sharded run costs that many -jobs tokens; output is deterministic at any fixed value); refused for a lone experiment that does not shard")
+		shards  = fs.Int("shards", 1, "shard the fat-tree simulations across this many parallel engines, up to one pod per shard (a sharded run costs that many -jobs tokens; the tables are the serial ones); refused for a lone experiment that does not shard")
 		engine  = fs.String("engine", "packet", "simulation engine of the experiments with a fluid form (fct-*, fig16-27, scenario-*, flow-scale): packet (ground truth) or flow (fluid fast path); flow is refused for a lone experiment without one")
 	)
 	return func(w io.Writer) (plan, error) {

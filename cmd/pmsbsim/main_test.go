@@ -190,6 +190,7 @@ func TestOptionReachRefusedBeforeRun(t *testing.T) {
 		want string
 	}{
 		{[]string{"-experiment", "fig8", "-quick", "-shards", "2"}, "-shards 2: fig8 does not shard"},
+		{[]string{"-experiment", "fct-dwrr", "-quick", "-shards", "2"}, "-shards 2: fct-dwrr does not shard"},
 		{[]string{"-experiment", "fattree32", "-quick", "-engine", "flow"}, "-engine flow: fattree32 has no fluid form"},
 		{[]string{"-experiment", "calibrate", "-quick", "-engine", "flow"}, "-engine flow: calibrate has no fluid form"},
 		{[]string{"-experiment", "table1", "-shards", "4"}, "-shards 4: table1 does not shard"},
@@ -399,8 +400,8 @@ func TestTraceSpillLossless(t *testing.T) {
 // TestTraceShardedExport: -shards 2 writes one spill file per shard;
 // both parse, and together they hold switch and flow events.
 func TestTraceShardedExport(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "fct.bin")
-	if _, err := capture(t, "-experiment", "fct-dwrr", "-quick", "-seed", "3",
+	trace := filepath.Join(t.TempDir(), "ft.bin")
+	if _, err := capture(t, "-experiment", "fattree-incast", "-quick",
 		"-shards", "2", "-tracefile", trace); err != nil {
 		t.Fatalf("sharded traced run: %v", err)
 	}
@@ -412,13 +413,13 @@ func TestTraceShardedExport(t *testing.T) {
 	}
 }
 
-// A leaf-spine partitions into two shards, so -shards 4 traces into
-// two spill files, both holding events: no file for a shard the run
-// never had.
+// A k=8 fat-tree partitions into at most its 8 pods, so -shards 16
+// traces into eight spill files, all holding events: no file for a
+// shard the run never had.
 func TestTraceShardFilesMatchWidth(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := capture(t, "-experiment", "scenario-permutation", "-quick",
-		"-shards", "4", "-tracefile", filepath.Join(dir, "sp.bin")); err != nil {
+	if _, err := capture(t, "-experiment", "fattree", "-quick",
+		"-shards", "16", "-tracefile", filepath.Join(dir, "ft.bin")); err != nil {
 		t.Fatalf("sharded traced run: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -432,7 +433,11 @@ func TestTraceShardFilesMatchWidth(t *testing.T) {
 			t.Errorf("%s holds no events (%v)", e.Name(), err)
 		}
 	}
-	if want := []string{"sp.shard0.bin", "sp.shard1.bin"}; !slices.Equal(names, want) {
+	var want []string
+	for i := 0; i < 8; i++ {
+		want = append(want, filepath.Base(obs.ShardTracePath(filepath.Join(dir, "ft.bin"), i)))
+	}
+	if !slices.Equal(names, want) {
 		t.Errorf("trace files %v, want %v", names, want)
 	}
 }

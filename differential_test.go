@@ -147,82 +147,14 @@ func assertIdenticalRuns(t *testing.T, name string, heap, cal workloadResult) {
 	}
 }
 
-// The sharded differential gate: the same workloads, run once serially
-// and once split across coordinator shards, must be byte-identical —
-// same observability traces, same FCTs, same total processed events.
-// Two buses are used instead of one: obs.Bus assigns sequence numbers
-// in emission order and is unsynchronized, so each bus must only ever
-// be fed from one shard. The switch bus hears the observed switches
-// (fabric shard) and the host bus hears every transport endpoint (host
-// shard); the serial baseline uses the same two-bus split so the traces
+// The sharded differential gate: the same fat-tree workloads, run once
+// serially and once split across coordinator shards, must be
+// byte-identical — same observability traces, same FCTs, same total
+// processed events. obs.Bus assigns sequence numbers in emission order
+// and is unsynchronized, so each bus must only ever be fed from one
+// shard: the fat-tree workloads use one bus per pod (a pod never
+// splits), and the serial baseline uses the same split so the traces
 // are comparable event by event.
-
-// buildFabric wires a differential workload's topology through the
-// serial entry point on a plain sim.Engine (shards == 0: the reference
-// every sharded run is compared against) or through the sharded entry
-// point on a coordinator (shards >= 1). The returned coordinator is nil
-// for the serial reference; either way the topology's Fabric runs it.
-func buildFabric[T any](shards int, serial func(*sim.Engine) T,
-	sharded func(*sim.Coordinator, int) (T, *topo.Partition)) (T, *sim.Coordinator) {
-	if shards == 0 {
-		return serial(sim.NewEngine()), nil
-	}
-	coord := sim.NewCoordinator()
-	built, _ := sharded(coord, shards)
-	return built, coord
-}
-
-// runShardedLeafSpine runs the leaf-spine differential workload (same
-// convention: shards == 0 is the serial reference).
-func runShardedLeafSpine(t *testing.T, shards int) workloadResult {
-	t.Helper()
-	switchBus := obs.NewTraceBus(1 << 16)
-	hostBus := obs.NewTraceBus(1 << 16)
-	cfg := topo.LeafSpineConfig{
-		// A fabric delay different from the host-link delay keeps every
-		// same-instant arrival pair at a leaf distinguishable by its send
-		// time, so the sharded key's schedAt component reproduces the
-		// serial order exactly (see the tie discussion in
-		// internal/sim/parallel.go).
-		FabricDelay: 4 * time.Microsecond,
-		Ports: topo.PortProfile{
-			Weights:      topo.EqualWeights(8),
-			NewSchedWith: topo.DWRRSched,
-			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12)} },
-			BufferBytes:  units.Packets(250),
-		},
-	}
-	ls, _ := buildFabric(shards,
-		func(eng *sim.Engine) *topo.LeafSpine { return topo.NewLeafSpine(eng, cfg) },
-		func(c *sim.Coordinator, n int) (*topo.LeafSpine, *topo.Partition) {
-			return topo.NewLeafSpineSharded(c, cfg, n)
-		})
-	ls.Leaves[0].Observe(switchBus)
-	ls.Spines[0].Observe(switchBus)
-
-	var fid transport.FlowIDGen
-	var flows []*transport.Flow
-	for i := 0; i < 40; i++ {
-		src, dst := i%48, (i*13+5)%48
-		if src == dst {
-			dst = (dst + 1) % 48
-		}
-		f := transport.NewFlow(ls.Eng, ls.Host(src), ls.Host(dst), fid.Next(), i%8, 100_000,
-			transport.Config{InitWindow: 16, Obs: hostBus}, nil)
-		f.Sender.StartAt(time.Duration(i) * 30 * time.Microsecond)
-		flows = append(flows, f)
-	}
-	ls.Run(200 * time.Millisecond)
-	res := workloadResult{processed: ls.Processed()}
-	for i, f := range flows {
-		if !f.Sender.Finished() {
-			t.Fatalf("leafspine flow #%d did not finish", i)
-		}
-		res.fcts = append(res.fcts, f.Sender.FCT())
-	}
-	res.trace = busTrace(switchBus, hostBus)
-	return res
-}
 
 // busTrace concatenates the buses' retained events, bus after bus, so
 // the event-level divergence reporting covers all of them.
@@ -234,27 +166,18 @@ func busTrace(buses ...*obs.Bus) []obs.Event {
 	return out
 }
 
-// A leaf-spine split hosts-vs-fabric must be byte-identical to the
-// serial run: same switch trace, same transport trace, same FCTs, same
-// total event count. Run under -race in CI, this doubles as the shard
-// coordinator's race check on a real workload.
-func TestDifferentialShardedLeafSpine(t *testing.T) {
-	serial := runShardedLeafSpine(t, 0)
-	if len(serial.trace) == 0 {
+// Sharded runs must also be self-deterministic: two identical 2-shard
+// runs may not diverge no matter how goroutines are scheduled. Run
+// under -race in CI, this doubles as the shard coordinator's race check
+// on a real workload.
+func TestDifferentialShardedDeterminism(t *testing.T) {
+	specs := fatTreeCrossPodSpecs()
+	const until = 50 * time.Millisecond
+	a := runShardedFatTree(t, 2, specs, until)
+	if len(a.trace) == 0 {
 		t.Fatal("empty trace: the workload recorded nothing")
 	}
-	assertIdenticalRuns(t, "leafspine serial-vs-1shard", serial,
-		runShardedLeafSpine(t, 1))
-	assertIdenticalRuns(t, "leafspine serial-vs-2shard", serial,
-		runShardedLeafSpine(t, 2))
-}
-
-// Sharded runs must also be self-deterministic: two identical 2-shard
-// runs may not diverge no matter how goroutines are scheduled.
-func TestDifferentialShardedDeterminism(t *testing.T) {
-	a := runShardedLeafSpine(t, 2)
-	b := runShardedLeafSpine(t, 2)
-	assertIdenticalRuns(t, "leafspine 2shard-vs-2shard", a, b)
+	assertIdenticalRuns(t, "fattree 2shard-vs-2shard", a, runShardedFatTree(t, 2, specs, until))
 }
 
 // runShardedFatTree runs a k=8 fat-tree workload with cross-pod
@@ -340,13 +263,18 @@ func driveShardedFatTree(t *testing.T, shards int,
 	return res
 }
 
-// buildFatTree is buildFabric for the two fat-tree workloads.
+// buildFatTree wires a differential workload's fat-tree through
+// NewFatTree on a plain sim.Engine (shards == 0: the reference every
+// sharded run is compared against) or through NewFatTreeSharded on a
+// coordinator (shards >= 1). The returned coordinator is nil for the
+// serial reference; either way the FatTree's Fabric runs it.
 func buildFatTree(shards int, cfg topo.FatTreeConfig) (*topo.FatTree, *sim.Coordinator) {
-	return buildFabric(shards,
-		func(eng *sim.Engine) *topo.FatTree { return topo.NewFatTree(eng, cfg) },
-		func(c *sim.Coordinator, n int) (*topo.FatTree, *topo.Partition) {
-			return topo.NewFatTreeSharded(c, cfg, n)
-		})
+	if shards == 0 {
+		return topo.NewFatTree(sim.NewEngine(), cfg), nil
+	}
+	coord := sim.NewCoordinator()
+	ft, _ := topo.NewFatTreeSharded(coord, cfg, shards)
+	return ft, coord
 }
 
 // fatTreeCrossPodSpecs spreads senders over every pod with cross-pod

@@ -28,10 +28,10 @@ type Options struct {
 	// with consecutive seeds and reports cross-seed means (default 1).
 	// Deterministic experiments ignore it.
 	Repeats int
-	// Shards splits the simulations of a Sharded experiment across this
-	// many engines driven in parallel by a sim.Coordinator (default 1 =
-	// serial), capped at what the topology partitions into. Results are
-	// deterministic at any fixed shard count.
+	// Shards splits the fat-tree simulations of an experiment that
+	// declares MaxShards across this many engines driven in parallel by
+	// a sim.Coordinator (default 1 = serial), capped at what the
+	// topology partitions into. A sharded run prints the serial tables.
 	Shards int
 	// Engine selects the simulation engine of a Fluid experiment:
 	// "packet" (default, ground truth) or "flow" (the flow-level fluid
@@ -209,14 +209,16 @@ type Spec struct {
 	Title string
 	// Run executes the experiment.
 	Run func(opt Options) (*Result, error)
-	// MaxShards declares that a packet run of the experiment spreads
-	// over Options.Shards engines, up to the most its topology
-	// partitions into (leaf-spine 2, a k-ary fat-tree k); 0 means it
-	// runs serially. Fluid declares that Options.Engine "flow" runs it on
-	// the flow-level engine alone; Randomized, that Options.Repeats
-	// pools its samples over that many seeds. Other experiments ignore
-	// the option, pmsbsim checks it against these before anything runs,
-	// and the golden gate holds them to what the manifest records.
+	// MaxShards declares that the experiment's fat-tree packet runs
+	// spread over Options.Shards engines, up to MaxShards (a k-ary
+	// fat-tree partitions into k, one pod per shard), and print the
+	// serial tables at any width; 0 means it runs serially. Only the
+	// fat-tree shards (DESIGN.md section 8). Fluid declares that
+	// Options.Engine "flow" runs it on the flow-level engine alone;
+	// Randomized, that Options.Repeats pools its samples over that many
+	// seeds. Other experiments ignore the option, pmsbsim checks it
+	// against these before anything runs, and the golden gate holds
+	// them to what the manifest records.
 	MaxShards         int
 	Fluid, Randomized bool
 }

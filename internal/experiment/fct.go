@@ -117,13 +117,10 @@ type fctCacheEntry struct {
 }
 
 func fctCacheKey(schedName string, opt Options) string {
-	// Shard count is part of the key: results are deterministic at any
-	// fixed shard count, but a shard boundary can reorder same-instant
-	// independent events, so different counts are distinct cells. The
-	// engine is keyed because the fluid preview and the packet ground
-	// truth are different simulations entirely.
-	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d/shards=%d",
-		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats(), opt.shards())
+	// The engine is keyed because the fluid preview and the packet
+	// ground truth are different simulations entirely.
+	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d",
+		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats())
 }
 
 // runFCTOnce simulates one (scheduler, scheme, load) cell and returns
@@ -337,9 +334,9 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 // and schemes (runs the same sweep, reports one column).
 func fctColumn(id, title, schedName, column string) Spec {
 	return Spec{
-		ID:        id,
-		Title:     title,
-		MaxShards: leafSpineShards, Fluid: true, Randomized: true,
+		ID:    id,
+		Title: title,
+		Fluid: true, Randomized: true,
 		Run: func(opt Options) (*Result, error) {
 			full, err := runFCTSweep(id, title, schedName, opt)
 			if err != nil {
@@ -405,10 +402,9 @@ func runAblationMarkPoint(opt Options) (*Result, error) {
 func fctSpecs() []Spec {
 	specs := []Spec{
 		{
-			ID:        "ablation-markpoint",
-			Title:     "Ablation: PMSB enqueue vs dequeue marking at scale",
-			Run:       runAblationMarkPoint,
-			MaxShards: leafSpineShards,
+			ID:    "ablation-markpoint",
+			Title: "Ablation: PMSB enqueue vs dequeue marking at scale",
+			Run:   runAblationMarkPoint,
 		},
 		{
 			ID:    "fct-dwrr",
@@ -416,7 +412,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-dwrr", "Large-scale FCT, DWRR", "dwrr", opt)
 			},
-			MaxShards: leafSpineShards, Fluid: true, Randomized: true,
+			Fluid: true, Randomized: true,
 		},
 		{
 			ID:    "fct-wfq",
@@ -424,7 +420,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-wfq", "Large-scale FCT, WFQ", "wfq", opt)
 			},
-			MaxShards: leafSpineShards, Fluid: true, Randomized: true,
+			Fluid: true, Randomized: true,
 		},
 	}
 	dwrrCols := []struct{ id, title, col string }{

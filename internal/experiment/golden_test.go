@@ -79,33 +79,6 @@ var goldenSerial = map[string]string{
 	"theorem41":            "1db20c60515d9dd05f9da38a",
 }
 
-// goldenShards2 pins every experiment that declares MaxShards at 2
-// shards.
-var goldenShards2 = map[string]string{
-	"ablation-markpoint":   "5a011afa327774b426e79287",
-	"calibrate":            "392081096fc2368c7fae68ef",
-	"fattree":              "e8d104297341ca441420a1ca",
-	"fattree-incast":       "3d6dd3667593564a9a9a7643",
-	"fattree32":            "8c92527368f3a7075e89c24f",
-	"fct-dwrr":             "c979ec6e4028bc26def2bdd0",
-	"fct-weighted":         "6deddb403a9a7c14e6038b41",
-	"fct-wfq":              "68ca8b4402e02f2e0e1815c9",
-	"fig16":                "c30dd0e8375fd270fffdbc67",
-	"fig17":                "5c2d0552c381099a6cd9af87",
-	"fig18":                "96c092580621286fb8f714cc",
-	"fig19":                "47efaca2607a28055074da5f",
-	"fig20":                "4bcee537b6d8a6b768a54fe3",
-	"fig21":                "66c83855a994c3bb0a0578f8",
-	"fig22":                "001379bf250300c0f184a0bf",
-	"fig23":                "c3e57a5abf220836ec6b665b",
-	"fig24":                "eefa17bdb4efb970185fc82a",
-	"fig25":                "4b8846da230ba0ed38724d45",
-	"fig26":                "891a293614c4bb548e0ed251",
-	"fig27":                "5811ad9495db9ecaf8dfa5b8",
-	"scenario-fattree":     "e5f527ce3714dc5bf8d34b06",
-	"scenario-permutation": "e4dbb54305894016c5aff708",
-}
-
 // goldenFlow pins every Fluid experiment on the flow engine, the only
 // pinned runs of internal/flowsim's markings.
 var goldenFlow = map[string]string{
@@ -133,8 +106,8 @@ var goldenFlow = map[string]string{
 // An experiment that declares the option (declares(spec)) must match
 // its pin in golden and its manifest row must show the option applied;
 // any other must reproduce its serial table and its row must not show
-// it — so each MaxShards/Fluid/Randomized declaration is held to what
-// the run did.
+// it — so each Fluid/Randomized declaration is held to what the run
+// did (MaxShards has its own law, TestGoldenTablesSharded).
 // golden pins exactly the declaring experiments. Under -race only the
 // declaring experiments run: the others repeat serial code the serial
 // pass already races, and the full check runs without -race.
@@ -178,13 +151,65 @@ func TestGoldenTables(t *testing.T) {
 		func(row ExperimentReport) bool { return row.Shards <= 1 })
 }
 
+// TestGoldenTablesSharded holds the sharding law: -shards never changes
+// an answer. Every experiment prints its serial table at 2 and at 4
+// shards — goldenSerial's pin, once the fat-tree's printed `shards` row
+// is read as the serial 1 — and its manifest row shows the width it
+// ran on: min(Shards, MaxShards) for one that declares MaxShards,
+// serial for any other. The whole registry runs at 2 shards; at 4 only
+// the declaring experiments run, as under -race at both widths.
 func TestGoldenTablesSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at 2 shards")
 	}
-	checkGolden(t, "goldenShards2", goldenShards2, Options{Quick: true, Seed: 1, Shards: 2},
-		func(s Spec) bool { return s.MaxShards > 0 },
-		func(row ExperimentReport) bool { return row.Shards == 2 })
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			specs := List()
+			if shards > 2 || raceDetector {
+				specs = slices.DeleteFunc(specs, func(s Spec) bool { return s.MaxShards == 0 })
+			}
+			results, m, err := RunMany(specs, Options{Quick: true, Seed: 1, Shards: shards}, runtime.NumCPU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			declared := 0
+			for i, spec := range specs {
+				width := 1
+				if spec.MaxShards > 0 {
+					width = min(shards, spec.MaxShards)
+					declared++
+				}
+				if got := tableDigest(serialTable(t, results[i], width)); got != goldenSerial[spec.ID] {
+					t.Errorf("%s at %d shards: table moved off its serial pin (%q, pinned %q)",
+						spec.ID, shards, got, goldenSerial[spec.ID])
+				}
+				if row := m.Experiments[i]; max(row.Shards, 1) != width {
+					t.Errorf("%s at %d shards: manifest row shows %d shards, want %d (MaxShards %d)",
+						spec.ID, shards, row.Shards, width, spec.MaxShards)
+				}
+			}
+			if declared == 0 {
+				t.Fatal("no experiment declares MaxShards: the law holds vacuously")
+			}
+		})
+	}
+}
+
+// serialTable returns r as a serial run prints it: a fat-tree table's
+// `shards` row, which must read width, reset to 1.
+func serialTable(t *testing.T, r *Result, width int) *Result {
+	t.Helper()
+	out := *r
+	out.Rows = slices.Clone(r.Rows)
+	for i, row := range out.Rows {
+		if len(row) == 2 && row[0] == "shards" {
+			if row[1] != fmt.Sprint(width) {
+				t.Errorf("%s prints shards %s, ran on %d", r.ID, row[1], width)
+			}
+			out.Rows[i] = []string{"shards", "1"}
+		}
+	}
+	return &out
 }
 
 // goldenRepeats2 pins every Randomized experiment pooled over 2 seeds.

@@ -356,17 +356,16 @@ type testSeam struct{ file, why string }
 var exportedForTests = map[string]testSeam{
 	// §IV-D's equations and Algorithm 2 as written: tested against the
 	// paper, to be reached by the analysis-validation check (ROADMAP
-	// item 10).
-	"core.Analysis.MinPortThreshold":   {"internal/core/core_test.go", "Theorem IV.1 summed per port; ROADMAP item 10"},
-	"core.Analysis.QueueLength":        {"internal/core/core_test.go", "Eq. 7; ROADMAP item 10"},
-	"core.Analysis.QueueMin":           {"internal/core/core_test.go", "Q_i^min of §IV-D; ROADMAP item 10"},
-	"core.Analysis.QueueMinLowerBound": {"internal/core/core_test.go", "Eq. 10; ROADMAP item 10"},
-	"core.PMSBe.IgnoreMark":            {"internal/core/core_test.go", "Algorithm 2 as one literal predicate; ROADMAP item 10"},
+	// item 14).
+	"core.Analysis.MinPortThreshold":   {"internal/core/core_test.go", "Theorem IV.1 summed per port; ROADMAP item 14"},
+	"core.Analysis.QueueLength":        {"internal/core/core_test.go", "Eq. 7; ROADMAP item 14"},
+	"core.Analysis.QueueMin":           {"internal/core/core_test.go", "Q_i^min of §IV-D; ROADMAP item 14"},
+	"core.Analysis.QueueMinLowerBound": {"internal/core/core_test.go", "Eq. 10; ROADMAP item 14"},
+	"core.PMSBe.IgnoreMark":            {"internal/core/core_test.go", "Algorithm 2 as one literal predicate; ROADMAP item 14"},
 
 	// Knobs that isolate behaviour a test needs.
-	"flowsim.Config.NoSlowStart":       {"internal/flowsim/flowsim_test.go", "closed-form max-min solver tests"},
-	"netsim.PortConfig.DropFn":         {"internal/transport/loss_test.go", "loss injection for the recovery tests"},
-	"topo.LeafSpineConfig.FabricDelay": {"differential_test.go", "the skewed sharded differential"},
+	"flowsim.Config.NoSlowStart": {"internal/flowsim/flowsim_test.go", "closed-form max-min solver tests"},
+	"netsim.PortConfig.DropFn":   {"internal/transport/loss_test.go", "loss injection for the recovery tests"},
 
 	// Read-outs and drivers other test packages use.
 	"flowsim.Sim.Completed":    {"internal/flowsim/flowsim_test.go", "solver state read-out"},

@@ -19,15 +19,11 @@ import (
 // the sanity check and the manifest's accounting are wired here and
 // nowhere else, so no experiment can forget one of them.
 
-// leafSpineShards is the most shards a leaf-spine partitions into:
-// hosts and fabric.
-const leafSpineShards = 2
-
 // wiring is a topology's pair of entry points bound to one config, and
-// limit, the most shards the topology partitions into: leaf-spine
-// leafSpineShards, a k-ary fat-tree k (one pod per shard at most). A
-// fabric that only builds serially (the dumbbell, pfc, pool) leaves
-// sharded nil and limit 0.
+// limit, the most shards the topology partitions into: a k-ary
+// fat-tree k (one pod per shard at most). A fabric that only builds
+// serially (the dumbbell, the leaf-spine, pfc, pool) leaves sharded nil
+// and limit 0.
 type wiring struct {
 	serial  func(*sim.Engine) *topo.Fabric
 	sharded func(*sim.Coordinator, int) *topo.Fabric
@@ -39,14 +35,7 @@ func dumbbellWiring(cfg topo.DumbbellConfig) wiring {
 }
 
 func leafSpineWiring(cfg topo.LeafSpineConfig) wiring {
-	return wiring{
-		serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewLeafSpine(eng, cfg).Fabric },
-		sharded: func(c *sim.Coordinator, n int) *topo.Fabric {
-			ls, _ := topo.NewLeafSpineSharded(c, cfg, n)
-			return &ls.Fabric
-		},
-		limit: leafSpineShards,
-	}
+	return wiring{serial: func(eng *sim.Engine) *topo.Fabric { return &topo.NewLeafSpine(eng, cfg).Fabric }}
 }
 
 func fatTreeWiring(cfg topo.FatTreeConfig) wiring {

@@ -206,11 +206,12 @@ func (m *Manifest) Summary() string {
 }
 
 // RunMany executes specs with at most jobs worker tokens in use at once
-// (jobs < 1 means runtime.NumCPU()). An experiment costs one token, a
-// Sharded one opt.Shards tokens (capped at jobs), so -jobs x -shards
-// never oversubscribes the machine however the work nests. Every engine
-// is private and deterministic, so results are byte-identical to a
-// serial run and come back in the order specs were given. On failure the returned results hold the completed prefix
+// (jobs < 1 means runtime.NumCPU()). An experiment costs one token, one
+// that declares MaxShards the shards it runs on (opt.Shards capped at
+// its MaxShards and at jobs), so -jobs x -shards never oversubscribes
+// the machine however the work nests. Every engine is private and
+// deterministic, so results are byte-identical to a serial run and
+// come back in the order specs were given. On failure the returned results hold the completed prefix
 // (every spec before the earliest failing one, in order) and the error
 // names that spec — exactly what a serial loop would have produced; the
 // manifest is nil in that case.
@@ -235,13 +236,12 @@ func RunMany(specs []Spec, opt Options, jobs int) ([]*Result, *Manifest, error) 
 			defer wg.Done()
 			o := opt
 			o.pool = pool
-			// A sharded experiment runs tokenCost() shard workers at
-			// once, so it must hold that many tokens, atomically (see
-			// acquireN), before simulating; any other runs on one.
-			cost := 1
-			if specs[i].MaxShards > 0 {
-				cost = o.tokenCost()
-			}
+			// A spec runs on at most MaxShards shards, one when it does
+			// not shard, so its simulations — and the per-seed fan-out
+			// of eachRepeat — each hold that many tokens (tokenCost),
+			// taken atomically (see acquireN) before simulating.
+			o.Shards = max(1, min(o.shards(), specs[i].MaxShards))
+			cost := o.tokenCost()
 			pool.acquireN(cost)
 			defer pool.releaseN(cost)
 			oc := &outcomes[i]

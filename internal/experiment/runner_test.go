@@ -168,19 +168,26 @@ func TestRunManyDefaultJobs(t *testing.T) {
 // will spin up, so -jobs x -shards can never oversubscribe the machine:
 // the weighted concurrency across running specs stays within the pool,
 // and a single spec wider than the pool is capped at the pool size
-// instead of deadlocking.
+// instead of deadlocking. A spec whose MaxShards caps it below -shards
+// holds only the shards it runs on: two of them share a 4-token pool.
 func TestRunManyShardsNeverOversubscribe(t *testing.T) {
 	const jobs = 4
-	for _, shards := range []int{1, 2, 3, 4, 9} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, tc := range []struct{ shards, maxShards int }{
+		{1, 16}, {2, 16}, {3, 16}, {4, 16}, {9, 16}, {4, 2},
+	} {
+		name := fmt.Sprintf("shards=%d", tc.shards)
+		if tc.maxShards < tc.shards {
+			name += fmt.Sprintf(",max=%d", tc.maxShards)
+		}
+		t.Run(name, func(t *testing.T) {
 			var inUse, peak atomic.Int64
 			var specs []Spec
 			for i := 0; i < 10; i++ {
 				id := fmt.Sprintf("s%d", i)
 				specs = append(specs, Spec{
-					ID: id, Title: id, MaxShards: 16,
+					ID: id, Title: id, MaxShards: tc.maxShards,
 					Run: func(opt Options) (*Result, error) {
-						cost := int64(opt.tokenCost())
+						cost := int64(min(opt.tokenCost(), tc.maxShards))
 						cur := inUse.Add(cost)
 						for {
 							p := peak.Load()
@@ -194,7 +201,7 @@ func TestRunManyShardsNeverOversubscribe(t *testing.T) {
 					},
 				})
 			}
-			results, _, err := RunMany(specs, Options{Shards: shards}, jobs)
+			results, _, err := RunMany(specs, Options{Shards: tc.shards}, jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,37 +211,56 @@ func TestRunManyShardsNeverOversubscribe(t *testing.T) {
 			if got := peak.Load(); got > jobs {
 				t.Fatalf("peak weighted concurrency %d exceeds %d jobs", got, jobs)
 			}
-			wantCost := shards
-			if wantCost > jobs {
-				wantCost = jobs
-			}
-			if shards >= jobs && peak.Load() != int64(wantCost) {
+			wantCost := int64(min(tc.shards, tc.maxShards, jobs))
+			if tc.shards >= jobs && tc.maxShards >= jobs && peak.Load() != wantCost {
 				t.Fatalf("pool-wide spec should still run alone at cost %d, saw peak %d",
 					wantCost, peak.Load())
+			}
+			if tc.maxShards < tc.shards && peak.Load() != jobs {
+				t.Fatalf("specs capped at %d shards should run two at a time (peak %d), saw peak %d",
+					tc.maxShards, jobs, peak.Load())
 			}
 		})
 	}
 }
 
 // An experiment that does not shard costs one token whatever -shards
-// says: two of them run side by side at -jobs 2 -shards 2. Charged two
-// tokens each, the second would wait for the first, which waits for it.
+// says: two of them run side by side at -jobs 2 -shards 2, and so do
+// two seeds of one randomized sweep fanned out by eachRepeat. Charged
+// two tokens each, the second would wait for the first, which waits
+// for it.
 func TestRunManyChargesUnshardedOneToken(t *testing.T) {
-	var arrived sync.WaitGroup
-	arrived.Add(2)
-	met := make(chan struct{})
-	go func() { arrived.Wait(); close(met) }()
-	run := func(opt Options) (*Result, error) {
-		arrived.Done()
-		select {
-		case <-met:
-			return &Result{ID: "x"}, nil
-		case <-time.After(10 * time.Second):
-			return nil, fmt.Errorf("ran alone: an unsharded spec held more than one token")
+	// meet returns a function that blocks until n callers are in it.
+	meet := func(n int) func() error {
+		var arrived sync.WaitGroup
+		arrived.Add(n)
+		met := make(chan struct{})
+		go func() { arrived.Wait(); close(met) }()
+		return func() error {
+			arrived.Done()
+			select {
+			case <-met:
+				return nil
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("ran alone: an unsharded run held more than one token")
+			}
 		}
 	}
+
+	both := meet(2)
+	run := func(opt Options) (*Result, error) { return &Result{ID: "x"}, both() }
 	specs := []Spec{{ID: "a", Run: run}, {ID: "b", Run: run}}
 	if _, _, err := RunMany(specs, Options{Shards: 2}, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	seeds := meet(2)
+	sweep := func(opt Options) (*Result, error) {
+		errs := make([]error, 2)
+		opt.eachRepeat(2, func(r int) { errs[r] = seeds() })
+		return &Result{ID: "sweep"}, errors.Join(errs...)
+	}
+	if _, _, err := RunMany([]Spec{{ID: "sweep", Run: sweep, Randomized: true}}, Options{Shards: 2}, 2); err != nil {
 		t.Fatal(err)
 	}
 }

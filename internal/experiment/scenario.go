@@ -116,10 +116,9 @@ func scenarioDefs() []scenarioDef {
 			build: buildIncastScenario,
 		},
 		{
-			id:        "scenario-permutation",
-			title:     "Calibration scenario: leaf-spine permutation (200KB)",
-			build:     buildPermutationScenario,
-			maxShards: leafSpineShards,
+			id:    "scenario-permutation",
+			title: "Calibration scenario: leaf-spine permutation (200KB)",
+			build: buildPermutationScenario,
 		},
 		{
 			id:        "scenario-fattree",

@@ -24,7 +24,7 @@ import (
 func weightedSpecs() []Spec {
 	return []Spec{
 		{ID: "ablation-rttthresh", Title: "Ablation: PMSB(e) RTT threshold sensitivity (1:8 flows)", Run: runAblationRTTThresh},
-		{ID: "fct-weighted", Title: "Extension: weighted services at scale — PMSB vs per-port", Run: runFCTWeighted, MaxShards: leafSpineShards},
+		{ID: "fct-weighted", Title: "Extension: weighted services at scale — PMSB vs per-port", Run: runFCTWeighted},
 	}
 }
 

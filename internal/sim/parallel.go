@@ -66,10 +66,11 @@ import (
 // shards) carry the *same* (at, schedAt): two causally independent
 // schedules at the same instant whose serial order depended on global
 // seq interleaving no shard can reconstruct. The key then falls back
-// to lane order (locals first, then by sending shard).
-// differential_test.go proves byte-identity on the dumbbell,
-// leaf-spine and fat-tree workloads, and parallel_test.go on random
-// shard graphs. See DESIGN.md section 8.
+// to lane order (locals first, then by sending shard). The fat-tree,
+// the one sharded topology, skews its cut cables by a nanosecond each
+// so no such tie arises: differential_test.go proves it byte-identical
+// to serial at k=8 and k=32, and parallel_test.go does the same on
+// random shard graphs. See DESIGN.md section 8.
 //
 // Threading. Each shard owns one dedicated worker goroutine that
 // executes all of its windows; engines are only ever touched by that

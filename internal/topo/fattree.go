@@ -222,14 +222,14 @@ func wireFatTree(sb *shardBuilder, cfg FatTreeConfig) *FatTree {
 	}
 
 	link := func(from, to netsim.Node) netsim.Link {
-		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, fatTreeDelay, to)
+		return sb.link(from.NodeID(), to.NodeID(), cfg.Rate, fatTreeDelay, to)
 	}
 	// One cable-length formula per (pod, core) pair, both directions;
 	// these are the cut links of a sharded build, so a skew here also
 	// diversifies the coordinator's per-channel delays.
 	fabricLink := func(p, c int, from, to netsim.Node) netsim.Link {
 		d := fatTreeDelay + time.Duration(1+p*nCores+c)*cfg.FabricDelaySkew
-		return sb.linkVal(from.NodeID(), to.NodeID(), cfg.Rate, d, to)
+		return sb.link(from.NodeID(), to.NodeID(), cfg.Rate, d, to)
 	}
 
 	// Hosts and host<->edge links (pod-local, never cut). Host i lives
@@ -242,7 +242,7 @@ func wireFatTree(sb *shardBuilder, cfg FatTreeConfig) *FatTree {
 		id := pkt.NodeID(i + 1)
 		sb.assign(id, s)
 		// The host does not exist yet, so its NIC link is wired by ID.
-		h := fa.newHost(s, id, sb.linkVal(id, edge.NodeID(), cfg.Rate, fatTreeDelay, edge))
+		h := fa.newHost(s, id, sb.link(id, edge.NodeID(), cfg.Rate, fatTreeDelay, edge))
 		edge.AddPort(fa.newPort(s, link(edge, h)))
 		ft.Hosts = append(ft.Hosts, h)
 	}

@@ -11,8 +11,8 @@ import (
 
 // LeafSpineConfig parametrizes the large-scale fabric. The paper's
 // setup: 4 leaves, 4 spines, 12 hosts per leaf, 10 Gbps links, ECMP
-// (per flow: all packets of a flow take one spine). Every host<->leaf
-// link has a one-way propagation delay of leafSpineDelay.
+// (per flow: all packets of a flow take one spine). Every link has a
+// one-way propagation delay of leafSpineDelay.
 type LeafSpineConfig struct {
 	// Leaves is the number of leaf (ToR) switches (default 4).
 	Leaves int
@@ -22,17 +22,12 @@ type LeafSpineConfig struct {
 	HostsPerLeaf int
 	// Rate is the capacity of every link (default 10 Gbps).
 	Rate units.Rate
-	// FabricDelay is the one-way propagation delay per leaf<->spine
-	// link (default leafSpineDelay). Making it differ breaks the
-	// uniform delay lattice, which the sharded differential tests use to
-	// rule out same-instant ties between fabric-internal and cross-shard
-	// arrivals (see DESIGN.md section 8).
-	FabricDelay time.Duration
 	// Ports configures every switch port (required).
 	Ports PortProfile
 }
 
-// leafSpineDelay is the one-way propagation delay of a host<->leaf link.
+// leafSpineDelay is the one-way propagation delay of every leaf-spine
+// link.
 const leafSpineDelay = 5 * time.Microsecond
 
 // defaults fills the zero fields with the paper's setup.
@@ -49,9 +44,6 @@ func (cfg *LeafSpineConfig) defaults() {
 	if cfg.Rate == 0 {
 		cfg.Rate = 10 * units.Gbps
 	}
-	if cfg.FabricDelay == 0 {
-		cfg.FabricDelay = leafSpineDelay
-	}
 }
 
 // LeafSpine is the instantiated fabric.
@@ -65,71 +57,43 @@ type LeafSpine struct {
 
 // NewLeafSpine wires the fabric on one engine. Every switch port
 // (host-facing and fabric-facing) gets the configured scheduler/marker
-// profile; host NICs are plain FIFOs.
+// profile; host NICs are plain FIFOs. The leaf-spine has no sharded
+// form: split hosts-vs-fabric it ran slower than serial and broke
+// same-instant ties differently (DESIGN.md section 8).
 func NewLeafSpine(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
-	return wireLeafSpine(serialBuilder(eng), cfg)
-}
-
-// NewLeafSpineSharded wires the same fabric across a coordinator's
-// shards: all hosts on shard 0, all switches (leaves and spines) on
-// shard 1. The only cross-shard links are the host<->leaf cables, so
-// the lookahead is leafSpineDelay regardless of FabricDelay. LeafSpine.Eng
-// is shard 0's engine (the hosts' clock); drive the simulation with
-// Run.
-func NewLeafSpineSharded(coord *sim.Coordinator, cfg LeafSpineConfig, shards int) (*LeafSpine, *Partition) {
-	if shards > 2 {
-		panic("topo: a leaf-spine partitions into at most 2 shards (hosts, fabric)")
-	}
-	sb := newShardBuilder(coord, shards)
-	return wireLeafSpine(sb, cfg), sb.part
-}
-
-func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
 	cfg.defaults()
-	fabShard := len(sb.engs) - 1
-	fabEng := sb.engine(fabShard)
-
-	ls := &LeafSpine{Fabric: sb.fabric(), cfg: cfg}
+	ls := &LeafSpine{Fabric: Fabric{Eng: eng}, cfg: cfg}
 	nHosts := cfg.Leaves * cfg.HostsPerLeaf
+	link := func(to netsim.Node) *netsim.Link { return netsim.NewLink(eng, cfg.Rate, leafSpineDelay, to) }
 
 	for l := 0; l < cfg.Leaves; l++ {
-		id := pkt.NodeID(1001 + l)
-		sb.assign(id, fabShard)
-		ls.Switches = append(ls.Switches, netsim.NewSwitch(fabEng, id))
+		ls.Switches = append(ls.Switches, netsim.NewSwitch(eng, pkt.NodeID(1001+l)))
 	}
 	for s := 0; s < cfg.Spines; s++ {
-		id := pkt.NodeID(2001 + s)
-		sb.assign(id, fabShard)
-		ls.Switches = append(ls.Switches, netsim.NewSwitch(fabEng, id))
+		ls.Switches = append(ls.Switches, netsim.NewSwitch(eng, pkt.NodeID(2001+s)))
 	}
 	ls.Leaves, ls.Spines = ls.Switches[:cfg.Leaves:cfg.Leaves], ls.Switches[cfg.Leaves:]
 
-	// Hosts and host<->leaf links (the cut edges of a 2-shard build).
+	// Hosts and host<->leaf links.
 	for i := 0; i < nHosts; i++ {
 		leaf := ls.Leaves[i/cfg.HostsPerLeaf]
-		id := pkt.NodeID(i + 1)
-		sb.assign(id, 0)
-		h := netsim.NewHost(sb.engine(0), id)
-		h.AttachNIC(sb.link(id, leaf.NodeID(), cfg.Rate, leafSpineDelay, leaf))
+		h := netsim.NewHost(eng, pkt.NodeID(i+1))
+		h.AttachNIC(link(leaf))
 		// Leaf down-port to this host: port index i % HostsPerLeaf.
-		leaf.AddPort(cfg.Ports.newPort(fabEng,
-			sb.link(leaf.NodeID(), id, cfg.Rate, leafSpineDelay, h)))
+		leaf.AddPort(cfg.Ports.newPort(eng, link(h)))
 		ls.Hosts = append(ls.Hosts, h)
 	}
 
 	// Leaf up-ports (indices HostsPerLeaf..HostsPerLeaf+Spines-1) and
-	// spine down-ports (index = leaf number); always local to the
-	// fabric shard.
+	// spine down-ports (index = leaf number).
 	for _, leaf := range ls.Leaves {
 		for _, spine := range ls.Spines {
-			leaf.AddPort(cfg.Ports.newPort(fabEng,
-				sb.link(leaf.NodeID(), spine.NodeID(), cfg.Rate, cfg.FabricDelay, spine)))
+			leaf.AddPort(cfg.Ports.newPort(eng, link(spine)))
 		}
 	}
 	for _, spine := range ls.Spines {
 		for _, leaf := range ls.Leaves {
-			spine.AddPort(cfg.Ports.newPort(fabEng,
-				sb.link(spine.NodeID(), leaf.NodeID(), cfg.Rate, cfg.FabricDelay, leaf)))
+			spine.AddPort(cfg.Ports.newPort(eng, link(leaf)))
 		}
 	}
 
@@ -166,7 +130,7 @@ func wireLeafSpine(sb *shardBuilder, cfg LeafSpineConfig) *LeafSpine {
 // derivation in the large-scale experiments.
 func (ls *LeafSpine) BaseRTT() time.Duration {
 	// 4 links each way: two host<->leaf edges and two leaf<->spine edges.
-	prop := 4*leafSpineDelay + 4*ls.cfg.FabricDelay
+	prop := 8 * leafSpineDelay
 	dataSer := 4 * units.Serialization(units.MTU, ls.cfg.Rate)
 	ackSer := 4 * units.Serialization(units.AckSize, ls.cfg.Rate)
 	return prop + dataSer + ackSer

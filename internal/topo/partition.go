@@ -59,7 +59,7 @@ func (p *Partition) mustShardOf(id pkt.NodeID) int {
 	return s
 }
 
-// shardBuilder is what each topology's one wiring routine is
+// shardBuilder is what the fat-tree's one wiring routine is
 // parameterised by: the engines nodes live on, the node->shard
 // assignment, and how a link between two nodes is made — local when
 // their shards match (scheduled directly on the shard engine), boundary
@@ -122,18 +122,11 @@ func (sb *shardBuilder) shardOf(id pkt.NodeID) int {
 	return sb.part.mustShardOf(id)
 }
 
-// link wires the directed link from -> to, delivering to dst. Both
-// endpoints must already be assigned; the link is local or boundary
-// depending on whether their shards match.
+// link wires the directed link from -> to, delivering to dst, by value
+// (the fat-tree embeds links in arena port slots). Both endpoints must
+// already be assigned; the link is local or boundary depending on
+// whether their shards match.
 func (sb *shardBuilder) link(from, to pkt.NodeID, rate units.Rate,
-	delay time.Duration, dst netsim.Node) *netsim.Link {
-	l := sb.linkVal(from, to, rate, delay, dst)
-	return &l
-}
-
-// linkVal is link returning the link by value, for builders that embed
-// links in arena port slots instead of heap-allocating each one.
-func (sb *shardBuilder) linkVal(from, to pkt.NodeID, rate units.Rate,
 	delay time.Duration, dst netsim.Node) netsim.Link {
 	sf, st := sb.shardOf(from), sb.shardOf(to)
 	if sf == st {

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"testing"
-	"time"
 
 	"pmsb/internal/sim"
 )
@@ -18,24 +17,6 @@ func TestPartitionInvariants(t *testing.T) {
 		wantCuts  int
 		build     func(coord *sim.Coordinator, shards int) *Partition
 	}{
-		{
-			name: "leafspine/1", shards: 1,
-			// 48 hosts + 4 leaves + 4 spines.
-			wantNodes: 56, wantCuts: 0,
-			build: func(c *sim.Coordinator, n int) *Partition {
-				_, p := NewLeafSpineSharded(c, LeafSpineConfig{Ports: fifoProfile()}, n)
-				return p
-			},
-		},
-		{
-			name: "leafspine/2", shards: 2,
-			// Cut: every host<->leaf cable, both directions: 2*48.
-			wantNodes: 56, wantCuts: 96,
-			build: func(c *sim.Coordinator, n int) *Partition {
-				_, p := NewLeafSpineSharded(c, LeafSpineConfig{Ports: fifoProfile()}, n)
-				return p
-			},
-		},
 		{
 			name: "fattree/1", shards: 1,
 			// k=4: 16 hosts + 8 edges + 8 aggs + 4 cores.
@@ -119,15 +100,15 @@ func TestPartitionInvariants(t *testing.T) {
 // A degenerate 1-shard partition must reproduce the serial wiring: same
 // node IDs, same port counts, and a single engine driving everything.
 func TestSingleShardEqualsSerialWiring(t *testing.T) {
-	eng := sim.NewEngine()
-	serial := NewLeafSpine(eng, LeafSpineConfig{Ports: fifoProfile()})
+	cfg := FatTreeConfig{K: 4, Ports: fifoProfile()}
+	serial := NewFatTree(sim.NewEngine(), cfg)
 
 	coord := sim.NewCoordinator()
-	sharded, part := NewLeafSpineSharded(coord, LeafSpineConfig{Ports: fifoProfile()}, 1)
+	sharded, part := NewFatTreeSharded(coord, cfg, 1)
 
-	if len(serial.Hosts) != len(sharded.Hosts) ||
-		len(serial.Leaves) != len(sharded.Leaves) ||
-		len(serial.Spines) != len(sharded.Spines) {
+	if len(serial.Hosts) != len(sharded.Hosts) || len(serial.Switches) != len(sharded.Switches) ||
+		len(serial.Edges) != len(sharded.Edges) || len(serial.Aggs) != len(sharded.Aggs) ||
+		len(serial.Cores) != len(sharded.Cores) {
 		t.Fatal("1-shard build has different element counts than serial")
 	}
 	for i := range serial.Hosts {
@@ -138,6 +119,14 @@ func TestSingleShardEqualsSerialWiring(t *testing.T) {
 			t.Fatalf("host %d not on the single shard engine", i)
 		}
 	}
+	for i := range serial.Switches {
+		if serial.Switches[i].NodeID() != sharded.Switches[i].NodeID() {
+			t.Fatalf("switch %d: ID %d != serial %d", i, sharded.Switches[i].NodeID(), serial.Switches[i].NodeID())
+		}
+		if serial.Switches[i].NumPorts() != sharded.Switches[i].NumPorts() {
+			t.Fatalf("switch %d: %d ports != serial %d", i, sharded.Switches[i].NumPorts(), serial.Switches[i].NumPorts())
+		}
+	}
 	if len(part.Cuts) != 0 {
 		t.Fatalf("1-shard partition has %d cuts, want 0", len(part.Cuts))
 	}
@@ -146,35 +135,5 @@ func TestSingleShardEqualsSerialWiring(t *testing.T) {
 	}
 	if serial.BaseRTT() != sharded.BaseRTT() {
 		t.Fatalf("BaseRTT diverged: %v vs %v", serial.BaseRTT(), sharded.BaseRTT())
-	}
-}
-
-// FabricDelay must default to Delay and flow into both RTT estimates
-// and the cut structure (host links keep Delay; fabric links move).
-func TestLeafSpineFabricDelay(t *testing.T) {
-	eng := sim.NewEngine()
-	base := NewLeafSpine(eng, LeafSpineConfig{Ports: fifoProfile()})
-	skew := NewLeafSpine(sim.NewEngine(), LeafSpineConfig{
-		Ports:       fifoProfile(),
-		FabricDelay: 7 * time.Microsecond,
-	})
-	if base.BaseRTT() >= skew.BaseRTT() {
-		t.Fatalf("larger FabricDelay must raise BaseRTT: %v vs %v", base.BaseRTT(), skew.BaseRTT())
-	}
-
-	coord := sim.NewCoordinator()
-	_, part := NewLeafSpineSharded(coord, LeafSpineConfig{
-		Ports:       fifoProfile(),
-		FabricDelay: 7 * time.Microsecond,
-	}, 2)
-	// The cut is host<->leaf only, so every cut link keeps the host-link
-	// delay (5us), untouched by the larger fabric delay.
-	if len(part.Cuts) == 0 {
-		t.Fatal("2-shard leaf-spine has no cut links")
-	}
-	for _, cut := range part.Cuts {
-		if cut.Delay != 5*time.Microsecond {
-			t.Fatalf("cut %d->%d delay %v, want 5us (host-link delay)", cut.From, cut.To, cut.Delay)
-		}
 	}
 }

@@ -103,11 +103,8 @@ func LeafSpinePaths(cfg LeafSpineConfig) *PathGraph {
 	// spineDown(s, l) = 2n + Leaves*Spines + s*Leaves + l.
 	nFab := cfg.Leaves * cfg.Spines
 	links := make([]PathLink, 2*nHosts+2*nFab)
-	for i := 0; i < 2*nHosts; i++ {
+	for i := range links {
 		links[i] = PathLink{Rate: cfg.Rate, Delay: leafSpineDelay}
-	}
-	for i := 2 * nHosts; i < len(links); i++ {
-		links[i] = PathLink{Rate: cfg.Rate, Delay: cfg.FabricDelay}
 	}
 	leafUp := 2 * nHosts
 	spineDown := 2*nHosts + nFab

@@ -3,17 +3,19 @@
 //   - a single-bottleneck dumbbell (N senders, one receiver, one switch)
 //     for the static-flow experiments of Sections II, III and VI-A, and
 //   - the 48-host leaf-spine fabric (4 leaves x 12 hosts, 4 spines,
-//     10 Gbps everywhere, ECMP) of the large-scale runs in Section VI-B.
+//     10 Gbps everywhere, ECMP) of the large-scale runs in Section VI-B,
 //
-// Every switch port is built from the same scheduler and marker
-// factories so an experiment configures one marking scheme fabric-wide,
-// as the paper's NS-3 scripts do.
+// plus the k-ary fat-tree the simulator scales on. Every switch port is
+// built from the same scheduler and marker factories so an experiment
+// configures one marking scheme fabric-wide, as the paper's NS-3
+// scripts do.
 //
-// The leaf-spine and the fat-tree are each wired by one routine over a
-// node->shard assignment (shardBuilder): NewX(eng, cfg) is the
-// one-shard case on the caller's engine, NewXSharded(coord, cfg, n)
-// spreads it over a coordinator's shards; the dumbbell builds on one
-// engine. Every topology embeds a Fabric — hosts, switches, how to run.
+// Only the fat-tree shards: one routine wires it over a node->shard
+// assignment (shardBuilder), NewFatTree(eng, cfg) being the one-shard
+// case on the caller's engine and NewFatTreeSharded(coord, cfg, n)
+// spreading its pods over a coordinator's shards. The dumbbell and the
+// leaf-spine build on one engine. Every topology embeds a Fabric —
+// hosts, switches, how to run.
 package topo
 
 import (
