@@ -225,12 +225,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer trace.cleanup()
-		// The shard-0 bus is the serial run's; a sharded session also
-		// publishes the per-shard list.
-		opt.Obs = trace.buses[0]
-		if len(trace.buses) > 1 {
-			opt.ObsShards = trace.buses
-		}
+		opt.Obs = trace.buses
 	}
 	// On failure results hold the completed prefix (everything before
 	// the earliest failing experiment), which is still printed — the

@@ -375,7 +375,7 @@ func TestTraceSpillLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus := obs.NewTraceBus(1 << 16)
-	if _, _, err := experiment.RunMany([]experiment.Spec{spec}, experiment.Options{Quick: true, Seed: 1, Obs: bus}, 1); err != nil {
+	if _, _, err := experiment.RunMany([]experiment.Spec{spec}, experiment.Options{Quick: true, Seed: 1, Obs: []*obs.Bus{bus}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if bus.Ring().Dropped() != 0 {

@@ -331,7 +331,7 @@ func TestExport(t *testing.T) {
 		paths = append(paths, obs.ShardTracePath(base, shard))
 		buses = append(buses, obs.NewTraceBus(1<<16))
 	}
-	opt := experiment.Options{Quick: true, Seed: 1, Shards: 2, Obs: buses[0], ObsShards: buses}
+	opt := experiment.Options{Quick: true, Seed: 1, Shards: 2, Obs: buses}
 	if _, _, err := experiment.RunMany([]experiment.Spec{spec}, opt, 2); err != nil {
 		t.Fatal(err)
 	}

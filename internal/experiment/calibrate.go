@@ -8,7 +8,6 @@ import (
 	"pmsb/internal/flowsim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
-	"pmsb/internal/units"
 	"pmsb/internal/workload"
 )
 
@@ -114,11 +113,10 @@ func runFlowScale(opt Options) (*Result, error) {
 	start := time.Now()
 	completed := 0
 	var fcts stats.Summary
-	events := opt.runFluid(g, flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
-		fattreeServices, specs, deadline, func(r flowsim.FlowResult) {
-			completed++
-			fcts.Add(r.FCT.Seconds())
-		})
+	events := opt.runFluid(g, fctPortK, specs, deadline, func(r flowsim.FlowResult) {
+		completed++
+		fcts.Add(r.FCT.Seconds())
+	})
 	wall := time.Since(start)
 
 	res := &Result{

@@ -38,18 +38,15 @@ type Options struct {
 	// fast path in internal/flowsim). Other experiments ignore it.
 	Engine string
 
-	// Obs, when non-nil, attaches the observability bus to every switch
-	// port of the experiment's fabric, its markers and its transports.
-	// The bus is not synchronized: use it only with serial runs (RunMany
-	// jobs=1, Repeats=1).
-	Obs *obs.Bus
-	// ObsShards, when non-nil, traces a sharded run: each switch and
+	// Obs, when non-empty, traces the run: each switch port, marker and
 	// transport is attached to entry i, the bus of the shard its node
-	// lives on. One bus is fed by exactly one shard engine, which keeps
-	// every bus single-goroutine and its event stream byte-identical to
-	// the same split traced serially. Entry 0 is also a serial run's
-	// bus; Obs is the fallback when ObsShards is shorter.
-	ObsShards []*obs.Bus
+	// lives on, and entry 0 is a serial run's bus. One bus is fed by
+	// exactly one shard engine, which keeps every bus single-goroutine
+	// and its event stream byte-identical to the same split traced
+	// serially; a traced run wider than len(Obs) is refused. The buses
+	// are not synchronized: trace one simulation at a time (RunMany
+	// jobs=1, Repeats=1).
+	Obs []*obs.Bus
 
 	// Monitor, when non-nil, is attached to the run's engine or
 	// coordinator so a progress sampler can stream live snapshots
@@ -71,18 +68,18 @@ type Options struct {
 	acct *ledger
 }
 
-// obsFor returns the bus for a shard index: ObsShards[shard] when
-// present, otherwise Obs. obsFor(0) is the serial-run bus.
+// obsFor returns the bus for a shard index, nil when the run is not
+// traced. obsFor(0) is the serial-run bus.
 func (o Options) obsFor(shard int) *obs.Bus {
-	if shard >= 0 && shard < len(o.ObsShards) {
-		return o.ObsShards[shard]
+	if shard < len(o.Obs) {
+		return o.Obs[shard]
 	}
-	return o.Obs
+	return nil
 }
 
 // tracing reports whether any observability bus is attached.
 func (o Options) tracing() bool {
-	return o.Obs != nil || len(o.ObsShards) > 0
+	return len(o.Obs) > 0
 }
 
 func (o Options) seed() int64 {

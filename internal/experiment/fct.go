@@ -32,15 +32,15 @@ const (
 )
 
 // fctScheme bundles a marking scheme's fabric-wide configuration.
-// fluid, when non-nil, is the scheme's flow-level (fluid) counterpart,
-// which the -engine flow preview runs instead of the packet fabric;
-// schemes without one (TCN's sojourn-time marking has no fluid
-// equivalent) are skipped there with a note.
+// fluid is the scheme's port threshold in packets on the flow engine
+// (flowsim.PMSB), which the -engine flow preview runs instead of the
+// packet fabric; zero means no fluid form (TCN's sojourn-time marking
+// has none), and the preview skips the scheme with a note.
 type fctScheme struct {
 	name      string
 	marker    topo.MarkerFactory
 	filter    func() transport.Filter
-	fluid     flowsim.Marking
+	fluid     int
 	roundOnly bool // requires a round-based scheduler (MQ-ECN)
 }
 
@@ -49,7 +49,7 @@ func fctSchemes() []fctScheme {
 		{
 			name:   "pmsb",
 			marker: func() ecn.Marker { return &core.PMSB{PortK: units.Packets(fctPortK)} },
-			fluid:  flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
+			fluid:  fctPortK,
 		},
 		{
 			name:   "pmsb(e)",
@@ -57,12 +57,12 @@ func fctSchemes() []fctScheme {
 			filter: func() transport.Filter { return &core.PMSBe{RTTThreshold: fctPMSBeRTT} },
 			// The RTT-threshold filter lives in the transport; the fluid
 			// preview keeps the per-port marking half of the scheme.
-			fluid: flowsim.PerPort{KBytes: float64(units.Packets(fctPortK))},
+			fluid: fctPortK,
 		},
 		{
 			name:      "mq-ecn",
 			marker:    func() ecn.Marker { return mqecnFor(units.Packets(fctMQECNK), fctRate, ecn.AtEnqueue) },
-			fluid:     flowsim.MQECN{KBytes: float64(units.Packets(fctMQECNK))},
+			fluid:     fctMQECNK,
 			roundOnly: true,
 		},
 		{
@@ -131,8 +131,10 @@ func fctCacheKey(schedName string, opt Options) string {
 // collapse in the fluid model (DWRR and WFQ both converge to weighted
 // max-min shares), so both sweeps produce the same preview; the packet
 // engine remains the ground truth and the calibrate experiment
-// quantifies the gap. A scheme with no fluid counterpart runs the packet
-// engine whatever was asked (the manifest says so).
+// quantifies the gap. Only a scheme with a fluid form runs there: the
+// sweep skips one without, and ablation-markpoint, which does not
+// declare Fluid, builds its schemes without one and so stays on the
+// packet engine (its manifest row says so).
 func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed int64, opt Options) (*fctMetrics, error) {
 	lsCfg := topo.LeafSpineConfig{
 		Rate: fctRate,
@@ -165,8 +167,8 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 	// arrival, bounded so pathological retransmission loops cannot hang
 	// the experiment.
 	deadline := specs[len(specs)-1].Start + 2*time.Second
-	if opt.engine() == "flow" && sc.fluid != nil {
-		opt.runFluid(graph, sc.fluid, fctServiceCnt, specs, deadline, func(r flowsim.FlowResult) {
+	if opt.engine() == "flow" && sc.fluid > 0 {
+		opt.runFluid(graph, sc.fluid, specs, deadline, func(r flowsim.FlowResult) {
 			m.add(r.Spec.Size, r.FCT)
 		})
 		return m, nil
@@ -266,15 +268,16 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 	var cells []cell
 	flowPreview := opt.engine() == "flow"
 	if flowPreview {
-		res.AddNote("flow-engine preview: fluid max-min shares with %s fluid marking; packet engine remains the ground truth (see calibrate)", schedName)
-		res.AddNote("fluid pmsb equals per-port marking: the weight-proportional depth split keeps every service above its blindness threshold once the port overshoots K")
+		res.AddNote("flow-engine preview: fluid max-min shares (the %s scheduler collapses to them); packet engine remains the ground truth (see calibrate)", schedName)
+		res.AddNote("fluid marking is one port threshold: pmsb, pmsb(e) and per-port are one fluid run at K=%d packets, and mq-ecn differs only by its K=%d; compare schemes on the packet engine",
+			fctPortK, fctMQECNK)
 	}
 	for _, sc := range schemes {
 		if sc.roundOnly && schedName != "dwrr" {
 			res.AddNote("%s excluded: it only supports round-based schedulers", sc.name)
 			continue
 		}
-		if flowPreview && sc.fluid == nil {
+		if flowPreview && sc.fluid == 0 {
 			res.AddNote("%s excluded from the flow preview: no fluid marking counterpart", sc.name)
 			continue
 		}
@@ -307,7 +310,11 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 		}
 	}
 	// Comparative notes at each load: PMSB vs TCN / MQ-ECN for small
-	// flows (the paper's headline numbers).
+	// flows (the paper's headline numbers). The flow preview prints
+	// none: there the schemes differ only by their threshold constants.
+	if flowPreview {
+		return res, nil
+	}
 	byKey := make(map[string]*fctMetrics, len(cells))
 	for _, c := range cells {
 		byKey[fmt.Sprintf("%s@%.1f", c.scheme, c.load)] = c.m

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"pmsb/internal/ecn"
-	"pmsb/internal/flowsim"
 	"pmsb/internal/sched"
 	"pmsb/internal/transport"
 )
@@ -42,14 +41,12 @@ var reachInterfaces = []reflect.Type{
 	reflect.TypeOf((*sched.Scheduler)(nil)).Elem(),
 	reflect.TypeOf((*ecn.Marker)(nil)).Elem(),
 	reflect.TypeOf((*transport.Filter)(nil)).Elem(),
-	reflect.TypeOf((*flowsim.Marking)(nil)).Elem(),
 }
 
 // mechanismReach names, for every mechanism, a registered experiment
 // whose pinned run reaches it. The gate checks that every mechanism has
 // a row naming a registered experiment and that the golden set as a
-// whole reaches it; the flowsim.PerPort and flowsim.MQECN rows mean the
-// goldenFlow run.
+// whole reaches it.
 var mechanismReach = map[string]string{
 	"core.PMSB":                  "fig8",
 	"core.PMSBe":                 "fig9",
@@ -63,9 +60,6 @@ var mechanismReach = map[string]string{
 	"ecn.PerQueueStandard":       "fig1",
 	"ecn.TCN":                    "fig5",
 	"flowsim.New":                "flow-scale",
-	"flowsim.PMSB":               "flow-scale",
-	"flowsim.PerPort":            "fct-dwrr",
-	"flowsim.MQECN":              "fct-dwrr",
 	"netsim.NewArena":            "fattree",
 	"netsim.NewHost":             "fig1",
 	"netsim.NewLink":             "pfc",

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"pmsb/internal/flowsim"
@@ -9,6 +10,7 @@ import (
 	"pmsb/internal/sim"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
+	"pmsb/internal/units"
 	"pmsb/internal/workload"
 )
 
@@ -68,14 +70,18 @@ func (o Options) busFor(fab *topo.Fabric, n netsim.Node) *obs.Bus {
 // opt.width(w) shards of a fresh coordinator, with the monitor and
 // runtime stats attached, observes every switch on its shard's bus,
 // lets start launch the workload and name the deadline, runs, and
-// credits the run to the manifest. The error is the fabric's sanity
-// check.
+// credits the run to the manifest. The error is a traced run wider
+// than its bus list, refused before any fabric is built, or the
+// fabric's sanity check.
 func (o Options) runPacket(w wiring, start func(fab *topo.Fabric) (deadline time.Duration)) (*topo.Fabric, error) {
 	var (
 		fab    *topo.Fabric
 		coord  *sim.Coordinator
 		shards = o.width(w)
 	)
+	if o.tracing() && shards > len(o.Obs) {
+		return nil, fmt.Errorf("traced run on %d shards has %d buses: a shard would share another's bus", shards, len(o.Obs))
+	}
 	if shards > 1 {
 		coord = sim.NewCoordinator()
 		coord.SetMonitor(o.Monitor)
@@ -126,20 +132,15 @@ func (o Options) startFlows(fab *topo.Fabric, specs []workload.FlowSpec, queues 
 	}
 }
 
-// runFluid runs specs over g on the flow-level engine — one service
-// queue of weight 1 per service, the sweeps' initial window — until
-// deadline, with the same monitor hookup and manifest accounting as
-// runPacket, and returns the events processed.
-func (o Options) runFluid(g *topo.PathGraph, marking flowsim.Marking, services int,
+// runFluid runs specs over g on the flow-level engine — every port
+// marking at kPackets, the sweeps' initial window — until deadline,
+// with the same monitor hookup and manifest accounting as runPacket,
+// and returns the events processed.
+func (o Options) runFluid(g *topo.PathGraph, kPackets int,
 	specs []workload.FlowSpec, deadline time.Duration, onFinish func(flowsim.FlowResult)) uint64 {
-	weights := make([]int, services)
-	for i := range weights {
-		weights[i] = 1
-	}
 	eng := sim.NewEngine()
 	fs := flowsim.New(eng, g, flowsim.Config{
-		Marking:    marking,
-		Weights:    weights,
+		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(kPackets))},
 		InitWindow: fctInitWindow,
 		OnFinish:   onFinish,
 	})

@@ -337,7 +337,7 @@ func TestFabricExperimentsHonorObsAndMonitor(t *testing.T) {
 			}
 			bus := obs.NewTraceBus(1 << 14)
 			mon := sim.NewMonitor()
-			if _, err := spec.Run(Options{Quick: true, Seed: 1, Obs: bus, Monitor: mon}); err != nil {
+			if _, err := spec.Run(Options{Quick: true, Seed: 1, Obs: []*obs.Bus{bus}, Monitor: mon}); err != nil {
 				t.Fatal(err)
 			}
 			dequeues := 0

@@ -96,8 +96,7 @@ func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) 
 		}
 		run.events = fab.Processed()
 	case "flow":
-		run.events = opt.runFluid(net.graph, flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
-			net.services, net.specs, net.deadline,
+		run.events = opt.runFluid(net.graph, fctPortK, net.specs, net.deadline,
 			func(r flowsim.FlowResult) { run.fcts[r.Index] = r.FCT })
 	default:
 		return nil, fmt.Errorf("%s: unknown engine %q (packet|flow)", id, engine)

@@ -55,7 +55,7 @@ func fairnessConfig(opt Options, q2Flows int, newSched func(*sim.Engine, []float
 		profile: topo.PortProfile{
 			Weights:      topo.EqualWeights(2),
 			NewSchedWith: newSched,
-			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.Obs} },
+			NewMarker:    func() ecn.Marker { return &core.PMSB{PortK: units.Packets(12), Obs: opt.obsFor(0)} },
 		},
 		groups: []flowGroup{
 			{service: 0, count: 1},
@@ -95,7 +95,7 @@ func runFig9(opt Options) (*Result, error) {
 		filter func() transport.Filter
 	}
 	schemes := []scheme{
-		{name: "pmsb", marker: func() ecn.Marker { return &core.PMSB{PortK: portK, Obs: opt.Obs} }},
+		{name: "pmsb", marker: func() ecn.Marker { return &core.PMSB{PortK: portK, Obs: opt.obsFor(0)} }},
 		{
 			name:   "pmsb(e)",
 			marker: func() ecn.Marker { return &ecn.PerPort{K: portK} },

@@ -95,7 +95,7 @@ func assertTalliesMatchPorts(t *testing.T, fab *topo.Fabric, st *obs.StreamStats
 func TestTraceTalliesMatchPortsFig8(t *testing.T) {
 	b := newSpillBus()
 	opt := quick
-	opt.Obs = b.bus
+	opt.Obs = []*obs.Bus{b.bus}
 	r, err := runStatic(fairnessConfig(opt, 4, topo.DWRRSched))
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestTraceTalliesMatchPortsShardedFatTree(t *testing.T) {
 	buses := []*spillBus{newSpillBus(), newSpillBus()}
 	opt := quick
 	opt.Shards = len(buses)
-	opt.Obs, opt.ObsShards = buses[0].bus, []*obs.Bus{buses[0].bus, buses[1].bus}
+	opt.Obs = []*obs.Bus{buses[0].bus, buses[1].bus}
 	w := fatTreeWiring(fattreeConfig(fattreeK))
 	fab, err := opt.runPacket(w, func(fab *topo.Fabric) time.Duration {
 		opt.startFlows(fab, fattreeCrossPod(fattreeK, 32), fattreeServices, nil, func(int, *transport.Sender) {})
@@ -134,4 +134,27 @@ func TestTraceTalliesMatchPortsShardedFatTree(t *testing.T) {
 		}
 	}
 	assertTalliesMatchPorts(t, fab, reduceTraces(t, buses))
+}
+
+// A traced run wider than its bus list would feed two shard engines
+// into one unsynchronized bus: runPacket refuses it before building the
+// fabric, and so does RunMany for a fat-tree experiment at -shards 2.
+func TestTracedRunWiderThanBusesRefused(t *testing.T) {
+	opt := quick
+	opt.Shards = 2
+	opt.Obs = []*obs.Bus{obs.NewTraceBus(16)}
+	_, err := opt.runPacket(fatTreeWiring(fattreeConfig(fattreeK)), func(*topo.Fabric) time.Duration {
+		t.Fatal("the fabric was built")
+		return 0
+	})
+	if err == nil {
+		t.Fatal("a 2-shard run traced on 1 bus was not refused")
+	}
+	spec, err := Lookup("fattree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunMany([]Spec{spec}, opt, 2); err == nil {
+		t.Fatal("RunMany ran fattree on 2 shards with 1 bus")
+	}
 }

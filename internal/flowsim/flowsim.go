@@ -19,13 +19,13 @@
 //     solve count is bounded by simulated-time/quantum, not by the event
 //     count, which is what makes 100k-host scenarios tractable.
 //   - Fluid queues: each saturated link carries a fluid standing queue
-//     relaxing toward the marking scheme's threshold target (the
-//     DCTCP sawtooth mean), and draining at line rate when arrivals
-//     fall below capacity. Marking schemes — PMSB, per-port, MQ-ECN —
-//     are threshold targets for this depth (marking.go). Depth feeds
-//     back into flow rates once: queue delay inflates the effective RTT
-//     that paces the slow-start ramp. The depth never overshoots the
-//     target (it relaxes toward it from below or drains), so there is
+//     relaxing toward one port threshold (Config.Marking, the DCTCP
+//     sawtooth mean), and draining at line rate when arrivals fall
+//     below capacity. A marking scheme is nothing more than that
+//     threshold here (see PMSB). Depth feeds back into flow rates
+//     once: queue delay inflates the effective RTT that paces the
+//     slow-start ramp. The depth never overshoots the threshold (it
+//     relaxes toward it from below or drains), so there is
 //     no DCTCP alpha cut to model; the max-min share already holds a
 //     saturated link at its capacity.
 //   - FCT accounting: a flow's completion time is its rate-integral
@@ -53,7 +53,7 @@ import (
 
 const (
 	// utilBusy is the utilization above which a link is treated as
-	// saturated (its fluid queue relaxes toward the marking target).
+	// saturated (its fluid queue relaxes toward the port threshold).
 	utilBusy = 0.99
 	// finishEps is the residual byte count below which a flow counts as
 	// complete (absorbs float integration error).
@@ -66,10 +66,29 @@ const (
 	relaxRTTs = 2
 )
 
+// PMSB is the fluid form of ECN marking: the standing queue the DCTCP
+// sawtooth pins a saturated port at, which is the port threshold K.
+// It is the only form any scheme takes in this model. The fluid
+// per-service depth split is weight-proportional (round-based
+// schedulers drain queues by weight, so standing occupancy settles the
+// same way): service s holds q*w_s/W_busy of the port depth q
+// (Sim.ServiceDepth works it out on read; no rate depends on it). So
+// PMSB's selective-blindness test q_s < K*w_s/W_busy is exactly q < K
+// and never exempts a service of a port whose depth overshot K: PMSB,
+// plain per-port marking and PMSB(e) (whose RTT filter lives in the
+// transport) all map to their port threshold K, and MQ-ECN's
+// per-queue dynamic thresholds aggregate back to its standard
+// threshold K.
+type PMSB struct {
+	// KBytes is the port threshold in bytes (positive).
+	KBytes float64
+}
+
 // Config tunes a flow-level simulation.
 type Config struct {
-	// Marking is the fluid marking scheme (required).
-	Marking Marking
+	// Marking is the port threshold every saturated link's fluid queue
+	// relaxes toward (required).
+	Marking PMSB
 	// Weights are the per-service scheduler weights; services index it
 	// modulo its length (default: one service, weight 1).
 	Weights []int
@@ -155,7 +174,7 @@ type Sim struct {
 	baseRTT float64 // seconds
 	relax   float64 // fluid relaxation time constant, seconds
 	nsvc    int
-	target  float64 // the marking scheme's standing queue, bytes
+	target  float64 // the port threshold's standing queue, bytes
 	maxCap  float64 // the largest link capacity, bytes/sec
 
 	flows  []flowRec
@@ -192,8 +211,8 @@ type finishEnt struct {
 // events (arrivals, quantum solves, finishes) are scheduled on eng's
 // calendar queue; drive the run with eng.RunUntil as usual.
 func New(eng *sim.Engine, g *topo.PathGraph, cfg Config) *Sim {
-	if cfg.Marking == nil {
-		panic("flowsim: Config.Marking is required")
+	if !(cfg.Marking.KBytes > 0) {
+		panic("flowsim: Config.Marking.KBytes must be positive")
 	}
 	if len(cfg.Weights) == 0 {
 		cfg.Weights = []int{1}
@@ -222,7 +241,7 @@ func New(eng *sim.Engine, g *topo.PathGraph, cfg Config) *Sim {
 		baseRTT: g.BaseRTT.Seconds(),
 		relax:   relaxRTTs * g.BaseRTT.Seconds(),
 		nsvc:    len(cfg.Weights),
-		target:  cfg.Marking.PortTarget(),
+		target:  cfg.Marking.KBytes,
 		links:   make([]linkState, len(g.Links)),
 	}
 	for i := range g.Links {
@@ -440,8 +459,8 @@ func (s *Sim) solve(now time.Duration) {
 }
 
 // advanceFluid moves every previously-busy link's fluid queue across
-// the elapsed interval: saturated links relax toward the marking
-// scheme's threshold target (the DCTCP sawtooth mean) and underloaded
+// the elapsed interval: saturated links relax toward the port
+// threshold (the DCTCP sawtooth mean) and underloaded
 // links drain at the spare rate. It then clears the solver's per-link
 // counts for the rebuild that follows.
 func (s *Sim) advanceFluid(now time.Duration) {
@@ -449,7 +468,7 @@ func (s *Sim) advanceFluid(now time.Duration) {
 	for _, li := range s.touched {
 		l := &s.links[li]
 		if dt > 0 {
-			if l.arr >= utilBusy*l.cap && s.target > 0 {
+			if l.arr >= utilBusy*l.cap {
 				k := dt / s.relax
 				if k > 1 {
 					k = 1

@@ -16,8 +16,8 @@ import (
 // first quantum solve lands every flow on its closed-form max-min rate.
 func newSim(t *testing.T, g *topo.PathGraph, cfg flowsim.Config) (*sim.Engine, *flowsim.Sim) {
 	t.Helper()
-	if cfg.Marking == nil {
-		cfg.Marking = flowsim.PMSB{KBytes: 18000}
+	if cfg.Marking.KBytes == 0 {
+		cfg.Marking.KBytes = 18000
 	}
 	eng := sim.NewEngine()
 	return eng, flowsim.New(eng, g, cfg)
@@ -145,20 +145,21 @@ func TestFluidSteadyState(t *testing.T) {
 		{Src: 1, Dst: 0, Size: 1 << 32, Service: 0},
 		{Src: 2, Dst: 0, Size: 1 << 32, Service: 1},
 	}
+	// One case per port threshold: 12 packets (PMSB, PMSB(e) and
+	// per-port marking) and MQ-ECN's standard 65.
 	cases := []struct {
 		name       string
-		marking    flowsim.Marking
+		kBytes     float64
 		wantPort   float64
 		wantPerSvc float64
 	}{
-		{"pmsb", flowsim.PMSB{KBytes: 18000}, 18000, 9000},
-		{"per-port", flowsim.PerPort{KBytes: 18000}, 18000, 9000},
-		{"mq-ecn", flowsim.MQECN{KBytes: 97500}, 97500, 48750},
+		{"pmsb", 18000, 18000, 9000},
+		{"mq-ecn", 97500, 97500, 48750},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, fs := newSim(t, topo.DumbbellPaths(cfg), flowsim.Config{
-				Marking:     tc.marking,
+				Marking:     flowsim.PMSB{KBytes: tc.kBytes},
 				Weights:     []int{1, 1},
 				NoSlowStart: true,
 			})
@@ -177,6 +178,23 @@ func TestFluidSteadyState(t *testing.T) {
 				t.Errorf("sender uplink depth = %.1f B, want 0", got)
 			}
 		})
+	}
+}
+
+// TestNewRefusesThreshold checks that a run needs a positive port
+// threshold: a zero, negative or NaN one is a construction error, not
+// a fluid queue pinned at nothing.
+func TestNewRefusesThreshold(t *testing.T) {
+	g := topo.DumbbellPaths(topo.DumbbellConfig{Senders: 1})
+	for _, k := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with KBytes %v did not panic", k)
+				}
+			}()
+			flowsim.New(sim.NewEngine(), g, flowsim.Config{Marking: flowsim.PMSB{KBytes: k}})
+		}()
 	}
 }
 

@@ -146,7 +146,7 @@ func (r *refSolver) buildIndex(now time.Duration) {
 				r.busyW[li] += int32(s.weight(sv))
 			}
 		}
-		r.target[li] = s.cfg.Marking.PortTarget()
+		r.target[li] = s.cfg.Marking.KBytes
 		l.qdelay = l.q / l.cap
 		l.rem = l.cap
 		l.nUn = l.nFlows
