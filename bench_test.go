@@ -1,6 +1,7 @@
 package pmsb_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -262,6 +263,44 @@ func BenchmarkTraceEncodeBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTraceDecodeBinary / BenchmarkTraceReduce measure the read
+// side on the same 64k-event stream: ReadBinary materializing every
+// event, and the streamed pass pmsbstat's report runs (kind counts,
+// per-queue depths and the mark-rate timeline) with no event slice.
+func BenchmarkTraceDecodeBinary(b *testing.B) {
+	raw := benchTraceBytes(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := obs.ReadBinary(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTraceReduce(b *testing.B) {
+	raw := benchTraceBytes(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := obs.NewStreamStats(obs.StreamOptions{Counts: true, Depths: true, MarkBin: 100 * time.Microsecond})
+		if err := st.Reduce(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchTraceBytes is benchTraceEvents(1 << 16) in the binary format.
+func benchTraceBytes(b *testing.B) []byte {
+	var buf bytes.Buffer
+	if err := obs.WriteBinary(&buf, benchTraceEvents(1<<16)); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // nullNode swallows packets (benchmark sink): as the terminal consumer

@@ -207,8 +207,12 @@ func report(w io.Writer, paths []string, opt obs.StreamOptions, top int) (int, e
 	if bin := opt.MarkBin; bin > 0 {
 		fmt.Fprintf(w, "\n## mark rate per %s bin (marks / dequeued packets)\n", bin)
 		fmt.Fprintln(w, "t_ms\tmarks\tdequeues\tmark_frac")
+		// The timeline spans the analyzed events: it starts at MinT's bin,
+		// so a -since window prints no rows for the time it cut off, and
+		// ends at the last bin holding a mark or dequeue (never past
+		// MaxT's). t_ms stays absolute virtual time.
 		bins := max(st.Marks.Bins(), st.Dequeues.Bins())
-		for i := 0; i < bins; i++ {
+		for i := int(st.MinT / bin); i < bins; i++ {
 			m, d := st.Marks.Value(i), st.Dequeues.Value(i)
 			frac := 0.0
 			if d > 0 {

@@ -226,6 +226,35 @@ func TestBinWidth(t *testing.T) {
 	}
 }
 
+// TestTimelineStartsAtWindow: the mark-rate timeline begins at the bin
+// of the first analyzed event, so a -since window prints no rows for
+// the time before it (they would read as an idle port), and its t_ms
+// stays absolute. Without -since it begins at t = 0.
+func TestTimelineStartsAtWindow(t *testing.T) {
+	trace := writeTrace(t)
+	rows := func(args ...string) []string {
+		t.Helper()
+		out, err := capture(t, append(append([]string{"-top", "0"}, args...), trace)...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		_, timeline, ok := strings.Cut(out, "t_ms\tmarks\tdequeues\tmark_frac\n")
+		if !ok {
+			t.Fatalf("%v: no mark-rate timeline:\n%s", args, out)
+		}
+		return strings.Split(strings.TrimSpace(timeline), "\n")
+	}
+	// Dequeues fall at 0.5, 1.5, ... 9.5 ms, the mark at 5 ms.
+	if got := rows(); len(got) != 10 || !strings.HasPrefix(got[0], "0.000\t0\t1\t") {
+		t.Errorf("full timeline = %q, want 10 rows from 0.000", got)
+	}
+	got := rows("-since", "5ms", "-until", "7ms")
+	want := []string{"5.000\t1\t1\t1.000", "6.000\t0\t1\t0.000"}
+	if !slices.Equal(got, want) {
+		t.Errorf("-since 5ms -until 7ms timeline = %q, want %q", got, want)
+	}
+}
+
 // TestEmptyWindowNamesEveryFile: when no event of several traces falls
 // in the window, the error names all of them.
 func TestEmptyWindowNamesEveryFile(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"pmsb/internal/pkt"
@@ -189,43 +190,53 @@ func TestBinaryTraceCorruptMagic(t *testing.T) {
 	}
 }
 
-// TestBinaryTraceTruncated: every proper prefix of a valid trace either
-// decodes cleanly (chunks are self-contained) or errors — never panics,
-// never fabricates events.
+// TestBinaryTraceTruncated: every prefix of a two-chunk trace gives a
+// header or truncation error, except the prefixes that end on a chunk
+// boundary (chunks are self-contained), which decode to exactly the
+// complete chunks — never a panic, never a silently short result — and
+// corrupt chunks are refused with the error that names the fault. Every
+// reader of the format gives the same result (readEveryWay).
 func TestBinaryTraceTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, traceFixture()); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	full := buf.Bytes()
-	for cut := 0; cut < len(full); cut++ {
-		events, err := ReadBinary(bytes.NewReader(full[:cut]))
-		if err == nil && cut < len(full) && len(events) != 0 {
-			// A prefix that drops bytes of the single chunk must error;
-			// only the bare magic (cut == len(magic)) decodes as empty.
-			t.Fatalf("cut %d: decoded %d events without error", cut, len(events))
+	raw, events, boundary := twoChunks(t)
+	for cut := 0; cut <= len(raw); cut++ {
+		got, err := readEveryWay(t, raw[:cut], nil)
+		var want []Event
+		switch cut {
+		case len(binaryMagic):
+		case boundary:
+			want = events[:130]
+		case len(raw):
+			want = events
+		default:
+			msg := ""
+			if err != nil {
+				msg = err.Error()
+			}
+			if !strings.Contains(msg, "not a binary trace") && !strings.Contains(msg, "truncated trace chunk") &&
+				!strings.Contains(msg, "trace chunk header: unexpected EOF") {
+				t.Fatalf("cut at %d of %d: err = %v, want a header or truncation error", cut, len(raw), err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d (a chunk boundary): %d events, err %v; want %d events", cut, len(got), err, len(want))
 		}
 	}
-	// Corrupt chunk headers: count 0 and count > maxChunkEvents.
-	for _, bad := range [][]byte{
-		append([]byte(binaryMagic), 0x00),
-		append([]byte(binaryMagic), 0x81, 0x80, 0x04), // 1<<16 + 1
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		err  string
+	}{
+		{"count 0", append([]byte(binaryMagic), 0x00), "count 0"},
+		{"count 1<<16 + 1", append([]byte(binaryMagic), 0x81, 0x80, 0x04), "count 65537"},
+		// count=1, seq delta 0, t delta 0, kind 0xEE.
+		{"unknown kind", append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0xEE), "unknown kind 238"},
+		// A valid kind, then a bitmap with bit 10 set.
+		{"stray bitmap bits", append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0x01, 0x80, 0x08), "field bitmap 0x400"},
 	} {
-		if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-			t.Error("corrupt chunk count accepted")
+		if _, err := readEveryWay(t, c.raw, nil); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.err)
 		}
-	}
-	// Unknown kind: count=1, seq delta 0, t delta 0, kind 0xEE.
-	bad := append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0xEE)
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "kind") {
-		t.Errorf("unknown kind: err = %v", err)
-	}
-	// Stray bitmap bits: valid kind, bitmap with bit 10 set.
-	bad = append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0x01, 0x80, 0x08)
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "bitmap") {
-		t.Errorf("stray bitmap bits: err = %v", err)
 	}
 }
 
@@ -410,17 +421,44 @@ func TestBinaryTraceFormatHelpers(t *testing.T) {
 }
 
 // FuzzReadBinary: the decoder must never panic or over-allocate on
-// arbitrary input — errors only. The seed corpus (traceSeeds) is shared
-// with FuzzStreamReduce.
+// arbitrary input — errors only — and every other reader of the format
+// must make the same decision: ReadBinaryRange over [0, max],
+// MergeTraces over the one stream and ReadBinary through a reader that
+// hands over one byte per call accept exactly what ReadBinary accepts,
+// reject it with the same error, and return the same events. The seed
+// corpus (traceSeeds) is shared with FuzzStreamReduce.
 func FuzzReadBinary(f *testing.F) {
-	for _, seed := range traceSeeds() {
+	for _, seed := range traceSeeds(f) {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := ReadBinary(bytes.NewReader(data))
+		const end = 1<<63 - 1
+		ranged, rerr := ReadBinaryRange(bytes.NewReader(data), 0, end)
+		slow, oerr := ReadBinary(iotest.OneByteReader(bytes.NewReader(data)))
+		var merged []Event
+		merr := MergeTraces([]io.Reader{bytes.NewReader(data)}, 0, end, func(ev *Event) error {
+			merged = append(merged, *ev)
+			return nil
+		})
+		for name, e := range map[string]error{"ReadBinaryRange": rerr, "one-byte ReadBinary": oerr, "MergeTraces": merr} {
+			if (err == nil) != (e == nil) || err != nil && err.Error() != e.Error() {
+				t.Fatalf("ReadBinary err = %v, %s err = %v", err, name, e)
+			}
+		}
 		if err != nil {
 			return
+		}
+		inRange := filterEvents(events, 0, end)
+		if !sameEvents(ranged, inRange) {
+			t.Fatalf("ReadBinaryRange: %d events, want %d", len(ranged), len(inRange))
+		}
+		if !sameEvents(merged, inRange) {
+			t.Fatalf("MergeTraces: %d events, want %d", len(merged), len(inRange))
+		}
+		if !sameEvents(slow, events) {
+			t.Fatalf("one-byte ReadBinary: %d events, want %d", len(slow), len(events))
 		}
 		// Whatever decodes must re-encode and decode to the same thing.
 		var buf bytes.Buffer
@@ -435,4 +473,23 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("re-decode: %d events, want %d", len(again), len(events))
 		}
 	})
+}
+
+// sameEvents reports whether a and b hold the same events, comparing V
+// by its bits so that a NaN (possible in arbitrary input) equals itself.
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.V) != math.Float64bits(y.V) {
+			return false
+		}
+		x.V, y.V = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // rangeFixture builds a multi-chunk binary trace: chunkSizes[i] events
-// per BinaryWriter.Write call (each call is one chunk on the wire), at
-// one event per microsecond of virtual time.
+// per chunk (each Write is flushed into a chunk of its own), at one
+// event per microsecond of virtual time.
 func rangeFixture(t *testing.T, chunkSizes ...int) ([]byte, []Event) {
 	t.Helper()
 	var all []Event
@@ -35,10 +35,10 @@ func rangeFixture(t *testing.T, chunkSizes ...int) ([]byte, []Event) {
 		if err := w.Write(all[off : off+n]); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
 		off += n
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
 	}
 	return buf.Bytes(), all
 }
@@ -102,15 +102,14 @@ func TestReadBinaryRangeMixedKinds(t *testing.T) {
 	all := traceFixture()
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)
-	// Two chunks so one is skimmed when the range excludes it.
-	if err := w.Write(all[:4]); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := w.Write(all[4:]); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	// Two chunks (a flush ends the first); the range cuts into both.
+	for _, part := range [][]Event{all[:4], all[4:]} {
+		if err := w.Write(part); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
 	}
 	since := 2 * time.Microsecond
 	until := 4 * time.Millisecond

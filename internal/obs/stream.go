@@ -120,7 +120,8 @@ type StreamStats struct {
 	Segments int
 
 	opt      StreamOptions
-	keep     uint16 // the field columns the reductions read
+	keep     uint16                 // the field columns the reductions read
+	index    map[uint64]*QueueStats // Depths by packed ids (queue)
 	lastT    time.Duration
 	fileSegs int // segments of the stream being reduced
 }
@@ -136,6 +137,7 @@ func NewStreamStats(opt StreamOptions) *StreamStats {
 	}
 	if opt.Depths {
 		st.Depths = make(map[QueueKey]*QueueStats)
+		st.index = make(map[uint64]*QueueStats)
 		st.keep |= bitNode | bitPort | bitQueue | bitSize | bitQueueBytes
 	}
 	if opt.MarkBin > 0 {
@@ -180,6 +182,7 @@ func (st *StreamStats) Reduce(r io.Reader) error {
 // in st.keep) into the aggregates.
 func (st *StreamStats) fold(d *BinaryReader) {
 	c := &d.cols
+	var kinds [numKinds]int
 	for i, t := range d.tBuf {
 		t := time.Duration(t)
 		if t < st.opt.Since || t > st.opt.Until {
@@ -197,9 +200,7 @@ func (st *StreamStats) fold(d *BinaryReader) {
 		st.lastT = t
 		st.Events++
 		k := c.kinds[i]
-		if st.Kinds != nil {
-			st.Kinds[k]++
-		}
+		kinds[k]++
 		if st.Marks != nil {
 			switch k {
 			case KindMark:
@@ -211,12 +212,7 @@ func (st *StreamStats) fold(d *BinaryReader) {
 		if st.Depths != nil && k <= KindMark {
 			// The four packet kinds (enqueue, dequeue, drop, mark) lead
 			// the enum; each costs one lookup.
-			key := QueueKey{Node: pkt.NodeID(c.node[i]), Port: c.port[i], Queue: c.queue[i]}
-			q := st.Depths[key]
-			if q == nil {
-				q = &QueueStats{}
-				st.Depths[key] = q
-			}
+			q := st.queue(c.node[i], c.port[i], c.queue[i])
 			switch k {
 			case KindEnqueue:
 				q.Add(float64(c.qb[i]))
@@ -235,6 +231,38 @@ func (st *StreamStats) fold(d *BinaryReader) {
 				Flow: pkt.FlowID(c.flow[i]), Size: c.size[i], V: c.v[i]})
 		}
 	}
+	if st.Kinds != nil {
+		for k, n := range kinds {
+			if n > 0 {
+				st.Kinds[Kind(k)] += n
+			}
+		}
+	}
+}
+
+// queue returns the QueueStats of (node, port, queue), creating it on
+// first sight. Lookups go through st.index, keyed by the three ids
+// packed into one integer — a real port and queue number fits 16 bits —
+// which hashes far cheaper than the 12-byte QueueKey; an id outside that
+// range goes to Depths directly.
+func (st *StreamStats) queue(node, port, queue int32) *QueueStats {
+	packed := port == int32(int16(port)) && queue == int32(int16(queue))
+	ix := uint64(uint32(node))<<32 | uint64(uint16(port))<<16 | uint64(uint16(queue))
+	if packed {
+		if q := st.index[ix]; q != nil {
+			return q
+		}
+	}
+	key := QueueKey{Node: pkt.NodeID(node), Port: port, Queue: queue}
+	q := st.Depths[key]
+	if q == nil {
+		q = &QueueStats{}
+		st.Depths[key] = q
+	}
+	if packed {
+		st.index[ix] = q
+	}
+	return q
 }
 
 // DepthKeys returns the depth-summary keys sorted by (node, port,
@@ -290,7 +318,7 @@ func MergeTraces(rs []io.Reader, since, until time.Duration, fn func(*Event) err
 	// is exhausted.
 	fill := func(h *head) (bool, error) {
 		for h.pos == len(h.chunk) {
-			chunk, err := h.d.NextRange(since, until)
+			chunk, err := h.d.nextRange(since, until, h.chunk[:0])
 			if err == io.EOF {
 				return false, nil
 			}

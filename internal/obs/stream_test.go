@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -333,6 +335,28 @@ func TestStreamReduceRange(t *testing.T) {
 	}
 }
 
+// Queue ids outside the 16 bits the packed lookup key gives a port and
+// a queue get queues of their own, never another queue's: -1 and 65535,
+// 1 and 65537 share their low 16 bits.
+func TestStreamReduceWideQueueIDs(t *testing.T) {
+	var events []Event
+	for i, id := range [][3]int32{
+		{1, -1, 1}, {1, 65535, 1}, {1, 1, 65537}, {1, 1, 1}, {-1, 1, 1},
+		{math.MaxInt32, math.MinInt32, math.MaxInt32}, {1, 65535, 1}, {1, -1, 1},
+	} {
+		events = append(events, Event{Seq: uint64(i), T: time.Duration(i), Kind: KindDequeue,
+			Node: pkt.NodeID(id[0]), Port: id[1], Queue: id[2], Size: int64(100 * (i + 1)), QueueBytes: int64(i)})
+	}
+	st := NewStreamStats(StreamOptions{Counts: true, Depths: true})
+	if err := st.Reduce(bytes.NewReader(encode(t, events))); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Depths) != 6 {
+		t.Errorf("%d queues, want 6", len(st.Depths))
+	}
+	assertStreamMatches(t, st, events)
+}
+
 // Several Reduce calls accumulate like analyzing the concatenated
 // streams; the order-insensitive reductions also equal the merged
 // timeline's.
@@ -398,12 +422,19 @@ func TestStreamReduceTruncated(t *testing.T) {
 // traceSeeds is the shared seed corpus of the decoder fuzzers: valid
 // traces of increasing complexity plus targeted corruptions, so the
 // fuzzer starts at the format's interesting surfaces rather than
-// rediscovering the magic.
-func traceSeeds() [][]byte {
-	var empty, one, full bytes.Buffer
+// rediscovering the magic. The last three are the committed fixture
+// (every kind and field, three chunks), its first half, which ends
+// inside the first chunk, and an event whose V is NaN.
+func traceSeeds(tb testing.TB) [][]byte {
+	var empty, one, full, nan bytes.Buffer
 	_ = WriteBinary(&empty, nil)
 	_ = WriteBinary(&one, []Event{{Seq: 0, T: 1, Kind: KindEnqueue, Node: 1, Size: 1500}})
+	_ = WriteBinary(&nan, []Event{{Seq: 0, T: 1, Kind: KindAlpha, Flow: 1, V: math.NaN()}})
 	_ = WriteBinary(&full, traceFixture())
+	fixture, err := os.ReadFile(fixtureTrace)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return [][]byte{
 		empty.Bytes(),
 		one.Bytes(),
@@ -412,6 +443,9 @@ func traceSeeds() [][]byte {
 		[]byte("PMSBTRC0"),
 		append([]byte(binaryMagic), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
 		append([]byte(binaryMagic), 0x01, 0x00, 0x00, 0xEE),
+		fixture,
+		fixture[:len(fixture)/2],
+		nan.Bytes(),
 	}
 }
 
@@ -423,7 +457,7 @@ func traceSeeds() [][]byte {
 // default window starts at 0, and keeps the mark timeline's bin count
 // bounded on hostile timestamps.
 func FuzzStreamReduce(f *testing.F) {
-	for _, seed := range traceSeeds() {
+	for _, seed := range traceSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
