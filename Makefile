@@ -61,11 +61,18 @@ ci:
 	$(GO) run ./cmd/pmsbsim -experiment scenario-fattree -quick -shards 2 > ci_sharded.tsv
 	grep -qE '^# scenario-fattree[[:space:]].*[[:space:]]packet[[:space:]]2$$' ci_sharded.tsv
 	@rm -f ci_sharded.tsv
-	# Ad-hoc smoke: generate a trace, replay it traced, read the trace.
+	# Ad-hoc smoke: generate a trace, replay it traced, read the trace. A
+	# negative -since is a usage error: exit 1 with a message, not a Go
+	# panic's exit 2 (read from a built binary: go run folds both into 1).
 	$(GO) run ./cmd/pmsbsim replay -gen 50 > ci_replay.csv
 	$(GO) run ./cmd/pmsbsim replay -trace ci_replay.csv -marker pmsb -tracefile ci_replay.trace.bin > /dev/null
-	$(GO) run ./cmd/pmsbstat ci_replay.trace.bin > /dev/null
-	@rm -f ci_replay.csv ci_replay.trace.bin
+	$(GO) build -o ci_pmsbstat ./cmd/pmsbstat
+	./ci_pmsbstat ci_replay.trace.bin > /dev/null
+	@status=0; ./ci_pmsbstat -since -1ms ci_replay.trace.bin > /dev/null 2> ci_since.err || status=$$?; \
+	cat ci_since.err; \
+	test "$$status" = 1 || { echo "pmsbstat -since -1ms exited $$status, want 1"; exit 1; }; \
+	grep -q '^pmsbstat: -since -1ms: ' ci_since.err || { echo "pmsbstat -since -1ms printed no error message"; exit 1; }
+	@rm -f ci_replay.csv ci_replay.trace.bin ci_pmsbstat ci_since.err
 	# Multi-file smoke: a two-shard trace reads back as one trace, the
 	# merged export prints exactly as many events as the report counts,
 	# and the per-queue tx_pkts column sums to the dequeue count.

@@ -22,7 +22,7 @@ import (
 
 // The flow and replay modes: each parses its own flags into an
 // experiment.Spec for run's pipeline. A flag that cannot apply to a mode
-// (-quick, -repeats, -engine, -shards, -jobs, ...) is not registered;
+// (-quick, -repeats, -shards, -jobs, ...) is not registered;
 // one that the other flags given make moot is refused.
 
 // schemeFlags are the scheduler and marker flags both subcommands take.

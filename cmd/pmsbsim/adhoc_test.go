@@ -231,12 +231,15 @@ func TestSchedulerMarkerPairs(t *testing.T) {
 	}
 }
 
-// A flag that cannot apply to a subcommand is not registered on it.
+// A flag that cannot apply to a subcommand is not registered on it, and
+// no mode has an engine flag: each experiment runs on the engine it
+// names.
 func TestSubcommandsRefuseInapplicableFlags(t *testing.T) {
 	for _, args := range [][]string{
+		{"-experiment", "fct-dwrr", "-quick", "-engine", "flow"},
+		{"flow", "-engine", "flow"},
 		{"flow", "-quick"},
 		{"flow", "-repeats", "2"},
-		{"flow", "-engine", "flow"},
 		{"flow", "-seed", "2"},
 		{"replay", "-shards", "2", "-gen", "5"},
 		{"replay", "-all"},

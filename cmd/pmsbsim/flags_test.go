@@ -91,8 +91,6 @@ func TestEveryFlagBites(t *testing.T) {
 		{"", "jobs", []string{"-experiment", "table1"}, []string{"-jobs", "3"}, "jobs=3"},
 		{"", "shards", exp, []string{"-shards", "2"}, "fig5 does not shard"},
 		{"", "shards", []string{"-experiment", "fattree-incast", "-quick"}, []string{"-shards", "2"}, "shards\t2\n"},
-		{"", "engine", exp, []string{"-engine", "flow"}, "fig5 has no fluid form"},
-		{"", "engine", []string{"-experiment", "scenario-incast", "-quick", "-summary=false"}, []string{"-engine", "flow"}, "engine\tflow\n"},
 
 		{"flow", "groups", flow, []string{"-groups", "1x0,2x1"}, ""},
 		{"flow", "weights", flow, []string{"-weights", "3,1"}, "q1-fair-gbps\t7.50"},

@@ -33,11 +33,13 @@
 // engine is deterministic and results are reassembled in registration
 // order. Only the wall times in the summary block vary.
 //
-// -shards, -engine and -repeats reach only the experiments that declare
-// them (experiment.Spec.MaxShards, Fluid, Randomized). Each is checked
-// before anything is built: a lone experiment that cannot apply one is
+// -shards and -repeats reach only the experiments that declare them
+// (experiment.Spec.MaxShards, Randomized). Each is checked before
+// anything is built: a lone experiment that cannot apply one is
 // refused, and a list names on stderr the experiments that will run
-// without it.
+// without it. Every experiment runs on the one engine it names: the
+// packet engine, except that calibrate runs the flow-level fluid engine
+// beside it and flow-scale runs the fluid engine alone.
 //
 // -tracefile enables the observability layer: the run's event trace is
 // written in the compact binary format (pmsbstat analyzes it, per-queue
@@ -279,7 +281,6 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		repeats = fs.Int("repeats", 1, "repeat randomized sweeps with consecutive seeds and pool the samples; refused for a lone experiment that is not randomized")
 		jobs    = fs.Int("jobs", runtime.NumCPU(), "max experiments simulated in parallel (payload is identical at any value)")
 		shards  = fs.Int("shards", 1, "shard the fat-tree simulations across this many parallel engines, up to one pod per shard (a sharded run costs that many -jobs tokens; the tables are the serial ones); refused for a lone experiment that does not shard")
-		engine  = fs.String("engine", "packet", "simulation engine of the experiments with a fluid form (fct-*, fig16-27, scenario-*, flow-scale): packet (ground truth) or flow (fluid fast path); flow is refused for a lone experiment without one")
 	)
 	return func(w io.Writer) (plan, error) {
 		var specs []experiment.Spec
@@ -310,18 +311,9 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 		if *shards < 1 {
 			return plan{}, fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
 		}
-		if *engine != "packet" && *engine != "flow" {
-			return plan{}, fmt.Errorf("unknown engine %q (want packet or flow)", *engine)
-		}
 		if *shards > 1 {
 			if err := refuseUnreached(specs, fmt.Sprintf("-shards %d", *shards), "does not shard",
 				func(s experiment.Spec) bool { return s.MaxShards > 0 }); err != nil {
-				return plan{}, err
-			}
-		}
-		if *engine == "flow" {
-			if err := refuseUnreached(specs, "-engine flow", "has no fluid form",
-				func(s experiment.Spec) bool { return s.Fluid }); err != nil {
 				return plan{}, err
 			}
 		}
@@ -332,8 +324,7 @@ func experimentMode(fs *flag.FlagSet) func(w io.Writer) (plan, error) {
 			}
 		}
 		return plan{specs, experiment.Options{
-			Quick: *quick, Seed: *seed, Repeats: *repeats,
-			Shards: *shards, Engine: *engine,
+			Quick: *quick, Seed: *seed, Repeats: *repeats, Shards: *shards,
 		}, *jobs}, nil
 	}
 }

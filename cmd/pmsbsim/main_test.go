@@ -180,7 +180,7 @@ func TestRunSummaryBlock(t *testing.T) {
 	}
 }
 
-// -shards, -engine and -repeats are checked against what each experiment
+// -shards and -repeats are checked against what each experiment
 // declares before anything is built: a lone experiment that cannot
 // apply one is refused with no table printed; in a list the ones that
 // will run without it are named on stderr, in one line, before the run.
@@ -191,8 +191,6 @@ func TestOptionReachRefusedBeforeRun(t *testing.T) {
 	}{
 		{[]string{"-experiment", "fig8", "-quick", "-shards", "2"}, "-shards 2: fig8 does not shard"},
 		{[]string{"-experiment", "fct-dwrr", "-quick", "-shards", "2"}, "-shards 2: fct-dwrr does not shard"},
-		{[]string{"-experiment", "fattree32", "-quick", "-engine", "flow"}, "-engine flow: fattree32 has no fluid form"},
-		{[]string{"-experiment", "calibrate", "-quick", "-engine", "flow"}, "-engine flow: calibrate has no fluid form"},
 		{[]string{"-experiment", "table1", "-shards", "4"}, "-shards 4: table1 does not shard"},
 		{[]string{"-experiment", "fig5", "-quick", "-repeats", "3"}, "-repeats 3: fig5 is not randomized"},
 	} {
@@ -211,13 +209,12 @@ func TestOptionReachRefusedBeforeRun(t *testing.T) {
 	var out string
 	var err error
 	stderr := captureStderr(t, func() {
-		out, err = capture(t, "-experiment", "fig5,fattree-incast,table1", "-quick", "-shards", "2", "-engine", "flow", "-repeats", "2")
+		out, err = capture(t, "-experiment", "fig5,fattree-incast,table1", "-quick", "-shards", "2", "-repeats", "2")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := "pmsbsim: -shards 2 will not apply to fig5, table1\n" +
-		"pmsbsim: -engine flow will not apply to fig5, fattree-incast, table1\n" +
 		"pmsbsim: -repeats 2 will not apply to fig5, fattree-incast, table1\n"
 	if stderr != want {
 		t.Errorf("stderr:\n%swant:\n%s", stderr, want)

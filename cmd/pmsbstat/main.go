@@ -101,6 +101,12 @@ func run(args []string, stdout io.Writer) error {
 	if *o.bin <= 0 {
 		return fmt.Errorf("-bin %v: the mark-rate bin width must be positive", *o.bin)
 	}
+	if *o.since < 0 {
+		return fmt.Errorf("-since %v: virtual time starts at 0", *o.since)
+	}
+	if *o.until < 0 {
+		return fmt.Errorf("-until %v: virtual time starts at 0", *o.until)
+	}
 	if fs.NArg() < 1 {
 		fs.Usage()
 		return fmt.Errorf("at least one trace file is required")

@@ -226,6 +226,42 @@ func TestBinWidth(t *testing.T) {
 	}
 }
 
+// TestNegativeWindowRefused: virtual time starts at 0, so a negative
+// -since or -until is a usage error, raised before any file is opened —
+// also for a trace that holds an event before 0, which a negative
+// -since would otherwise file under a negative timeline bin.
+func TestNegativeWindowRefused(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "negative.bin")
+	f, err := os.Create(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := obs.Event{T: -5 * time.Millisecond, Kind: obs.KindDequeue, Node: 1000, Port: 0, Queue: 0,
+		Flow: 7, Size: 1500, PortBytes: 1500, QueueBytes: 1500}
+	if err := obs.WriteBinary(f, []obs.Event{ev}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	for _, args := range [][]string{
+		{"-since", "-10ms", trace},
+		{"-export", "-since", "-10ms", trace},
+		{"-since", "-10ms", missing},
+		{"-until", "-1ms", missing},
+	} {
+		out, err := capture(t, args...)
+		window := args[len(args)-3]
+		if err == nil || !strings.HasPrefix(err.Error(), window+" ") || strings.Contains(err.Error(), "open") {
+			t.Errorf("%v: err = %v, want a %s usage error before any file is opened", args, err, window)
+		}
+		if out != "" {
+			t.Errorf("%v: a refused run printed %q", args, out)
+		}
+	}
+}
+
 // TestTimelineStartsAtWindow: the mark-rate timeline begins at the bin
 // of the first analyzed event, so a -since window prints no rows for
 // the time before it (they would read as an idle port), and its t_ms

@@ -113,7 +113,7 @@ func runFlowScale(opt Options) (*Result, error) {
 	start := time.Now()
 	completed := 0
 	var fcts stats.Summary
-	events := opt.runFluid(g, fctPortK, specs, deadline, func(r flowsim.FlowResult) {
+	events := opt.runFluid(g, specs, deadline, func(r flowsim.FlowResult) {
 		completed++
 		fcts.Add(r.FCT.Seconds())
 	})
@@ -155,7 +155,6 @@ func calibrateSpecs() []Spec {
 			ID:    "flow-scale",
 			Title: "Flow-level engine at 100k-host scale",
 			Run:   runFlowScale,
-			Fluid: true,
 		},
 	}
 }

@@ -33,10 +33,6 @@ type Options struct {
 	// a sim.Coordinator (default 1 = serial), capped at what the
 	// topology partitions into. A sharded run prints the serial tables.
 	Shards int
-	// Engine selects the simulation engine of a Fluid experiment:
-	// "packet" (default, ground truth) or "flow" (the flow-level fluid
-	// fast path in internal/flowsim). Other experiments ignore it.
-	Engine string
 
 	// Obs, when non-empty, traces the run: each switch port, marker and
 	// transport is attached to entry i, the bus of the shard its node
@@ -94,13 +90,6 @@ func (o Options) repeats() int {
 		return 1
 	}
 	return o.Repeats
-}
-
-func (o Options) engine() string {
-	if o.Engine == "" {
-		return "packet"
-	}
-	return o.Engine
 }
 
 func (o Options) shards() int {
@@ -210,14 +199,13 @@ type Spec struct {
 	// spread over Options.Shards engines, up to MaxShards (a k-ary
 	// fat-tree partitions into k, one pod per shard), and print the
 	// serial tables at any width; 0 means it runs serially. Only the
-	// fat-tree shards (DESIGN.md section 8). Fluid declares that
-	// Options.Engine "flow" runs it on the flow-level engine alone;
-	// Randomized, that Options.Repeats pools its samples over that many
-	// seeds. Other experiments ignore the option, pmsbsim checks it
-	// against these before anything runs, and the golden gate holds
-	// them to what the manifest records.
-	MaxShards         int
-	Fluid, Randomized bool
+	// fat-tree shards (DESIGN.md section 8). Randomized declares that
+	// Options.Repeats pools its samples over that many seeds. Other
+	// experiments ignore the option, pmsbsim checks it against these
+	// before anything runs, and the golden gate holds them to what the
+	// manifest records.
+	MaxShards  int
+	Randomized bool
 }
 
 // registry returns all experiments, built lazily so each file

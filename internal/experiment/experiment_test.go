@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -404,48 +403,6 @@ func TestFCTWFQExcludesMQECN(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("exclusion note missing")
-	}
-}
-
-// TestFluidMarkingIsOneThreshold holds the flow engine's reduction law
-// (flowsim.PMSB): a marking scheme is one port threshold there, so
-// pmsb and pmsb(e) (both K=12) give the same rows, the schedulers
-// collapse (WFQ's pmsb rows are DWRR's), and only mq-ecn's K=65 moves
-// a number — which keeps the law from holding for a run that ignores
-// the threshold.
-func TestFluidMarkingIsOneThreshold(t *testing.T) {
-	opt := quick
-	opt.Engine = "flow"
-	rows := map[string][][]string{} // "sched/scheme" -> rows without the scheme column
-	for _, sched := range []string{"dwrr", "wfq"} {
-		spec, err := Lookup("fct-" + sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := spec.Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			rows[sched+"/"+row[0]] = append(rows[sched+"/"+row[0]], row[1:])
-		}
-		for _, n := range res.Notes {
-			if strings.Contains(n, "below") {
-				t.Errorf("fct-%s flow preview prints a scheme comparison: %q", sched, n)
-			}
-		}
-	}
-	pmsb := rows["dwrr/pmsb"]
-	if len(pmsb) == 0 {
-		t.Fatal("fct-dwrr printed no pmsb row")
-	}
-	for _, key := range []string{"dwrr/pmsb(e)", "wfq/pmsb", "wfq/pmsb(e)"} {
-		if !slices.EqualFunc(rows[key], pmsb, slices.Equal) {
-			t.Errorf("%s rows %v, dwrr/pmsb rows %v: one threshold must give one run", key, rows[key], pmsb)
-		}
-	}
-	if mq := rows["dwrr/mq-ecn"]; len(mq) == 0 || slices.EqualFunc(mq, pmsb, slices.Equal) {
-		t.Errorf("dwrr/mq-ecn rows %v must differ from pmsb's %v: its K is 65, not 12", mq, pmsb)
 	}
 }
 

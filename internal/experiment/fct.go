@@ -7,7 +7,6 @@ import (
 
 	"pmsb/internal/core"
 	"pmsb/internal/ecn"
-	"pmsb/internal/flowsim"
 	"pmsb/internal/stats"
 	"pmsb/internal/topo"
 	"pmsb/internal/transport"
@@ -32,15 +31,10 @@ const (
 )
 
 // fctScheme bundles a marking scheme's fabric-wide configuration.
-// fluid is the scheme's port threshold in packets on the flow engine
-// (flowsim.PMSB), which the -engine flow preview runs instead of the
-// packet fabric; zero means no fluid form (TCN's sojourn-time marking
-// has none), and the preview skips the scheme with a note.
 type fctScheme struct {
 	name      string
 	marker    topo.MarkerFactory
 	filter    func() transport.Filter
-	fluid     int
 	roundOnly bool // requires a round-based scheduler (MQ-ECN)
 }
 
@@ -49,20 +43,15 @@ func fctSchemes() []fctScheme {
 		{
 			name:   "pmsb",
 			marker: func() ecn.Marker { return &core.PMSB{PortK: units.Packets(fctPortK)} },
-			fluid:  fctPortK,
 		},
 		{
 			name:   "pmsb(e)",
 			marker: func() ecn.Marker { return &ecn.PerPort{K: units.Packets(fctPortK)} },
 			filter: func() transport.Filter { return &core.PMSBe{RTTThreshold: fctPMSBeRTT} },
-			// The RTT-threshold filter lives in the transport; the fluid
-			// preview keeps the per-port marking half of the scheme.
-			fluid: fctPortK,
 		},
 		{
 			name:      "mq-ecn",
 			marker:    func() ecn.Marker { return mqecnFor(units.Packets(fctMQECNK), fctRate, ecn.AtEnqueue) },
-			fluid:     fctMQECNK,
 			roundOnly: true,
 		},
 		{
@@ -117,24 +106,11 @@ type fctCacheEntry struct {
 }
 
 func fctCacheKey(schedName string, opt Options) string {
-	// The engine is keyed because the fluid preview and the packet
-	// ground truth are different simulations entirely.
-	return fmt.Sprintf("%s/engine=%s/quick=%v/seed=%d/rep=%d",
-		schedName, opt.engine(), opt.Quick, opt.seed(), opt.repeats())
+	return fmt.Sprintf("%s/quick=%v/seed=%d/rep=%d", schedName, opt.Quick, opt.seed(), opt.repeats())
 }
 
 // runFCTOnce simulates one (scheduler, scheme, load) cell and returns
-// the FCT metrics; the cell's randomness comes entirely from seed. With
-// -engine flow the cell runs on the fluid fast path: the identical
-// Poisson workload over the same 48-host leaf-spine with the scheme's
-// fluid marking counterpart, in seconds instead of minutes. Schedulers
-// collapse in the fluid model (DWRR and WFQ both converge to weighted
-// max-min shares), so both sweeps produce the same preview; the packet
-// engine remains the ground truth and the calibrate experiment
-// quantifies the gap. Only a scheme with a fluid form runs there: the
-// sweep skips one without, and ablation-markpoint, which does not
-// declare Fluid, builds its schemes without one and so stays on the
-// packet engine (its manifest row says so).
+// the FCT metrics; the cell's randomness comes entirely from seed.
 func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed int64, opt Options) (*fctMetrics, error) {
 	lsCfg := topo.LeafSpineConfig{
 		Rate: fctRate,
@@ -152,11 +128,10 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 	default:
 		panic(fmt.Sprintf("experiment: unknown scheduler %q", schedName))
 	}
-	graph := topo.LeafSpinePaths(lsCfg)
 	specs := workload.Poisson(workload.PoissonConfig{
 		Load:     load,
 		LinkRate: fctRate,
-		Hosts:    graph.Hosts,
+		Hosts:    topo.LeafSpinePaths(lsCfg).Hosts,
 		Dist:     workload.WebSearch(),
 		Services: fctServiceCnt,
 		NumFlows: numFlows,
@@ -167,12 +142,6 @@ func runFCTOnce(schedName string, sc fctScheme, load float64, numFlows int, seed
 	// arrival, bounded so pathological retransmission loops cannot hang
 	// the experiment.
 	deadline := specs[len(specs)-1].Start + 2*time.Second
-	if opt.engine() == "flow" && sc.fluid > 0 {
-		opt.runFluid(graph, sc.fluid, specs, deadline, func(r flowsim.FlowResult) {
-			m.add(r.Spec.Size, r.FCT)
-		})
-		return m, nil
-	}
 	_, err := opt.runPacket(leafSpineWiring(lsCfg), func(fab *topo.Fabric) time.Duration {
 		opt.startFlows(fab, specs, fctServiceCnt, sc.filter, func(_ int, s *transport.Sender) { m.add(s.Size(), s.FCT()) })
 		return deadline
@@ -266,19 +235,9 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 		m      *fctMetrics
 	}
 	var cells []cell
-	flowPreview := opt.engine() == "flow"
-	if flowPreview {
-		res.AddNote("flow-engine preview: fluid max-min shares (the %s scheduler collapses to them); packet engine remains the ground truth (see calibrate)", schedName)
-		res.AddNote("fluid marking is one port threshold: pmsb, pmsb(e) and per-port are one fluid run at K=%d packets, and mq-ecn differs only by its K=%d; compare schemes on the packet engine",
-			fctPortK, fctMQECNK)
-	}
 	for _, sc := range schemes {
 		if sc.roundOnly && schedName != "dwrr" {
 			res.AddNote("%s excluded: it only supports round-based schedulers", sc.name)
-			continue
-		}
-		if flowPreview && sc.fluid == 0 {
-			res.AddNote("%s excluded from the flow preview: no fluid marking counterpart", sc.name)
 			continue
 		}
 		for _, load := range fctLoads(opt) {
@@ -310,11 +269,7 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 		}
 	}
 	// Comparative notes at each load: PMSB vs TCN / MQ-ECN for small
-	// flows (the paper's headline numbers). The flow preview prints
-	// none: there the schemes differ only by their threshold constants.
-	if flowPreview {
-		return res, nil
-	}
+	// flows (the paper's headline numbers).
 	byKey := make(map[string]*fctMetrics, len(cells))
 	for _, c := range cells {
 		byKey[fmt.Sprintf("%s@%.1f", c.scheme, c.load)] = c.m
@@ -341,9 +296,9 @@ func computeFCTSweep(schedName string, opt Options) (*Result, error) {
 // and schemes (runs the same sweep, reports one column).
 func fctColumn(id, title, schedName, column string) Spec {
 	return Spec{
-		ID:    id,
-		Title: title,
-		Fluid: true, Randomized: true,
+		ID:         id,
+		Title:      title,
+		Randomized: true,
 		Run: func(opt Options) (*Result, error) {
 			full, err := runFCTSweep(id, title, schedName, opt)
 			if err != nil {
@@ -419,7 +374,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-dwrr", "Large-scale FCT, DWRR", "dwrr", opt)
 			},
-			Fluid: true, Randomized: true,
+			Randomized: true,
 		},
 		{
 			ID:    "fct-wfq",
@@ -427,7 +382,7 @@ func fctSpecs() []Spec {
 			Run: func(opt Options) (*Result, error) {
 				return runFCTSweep("fct-wfq", "Large-scale FCT, WFQ", "wfq", opt)
 			},
-			Fluid: true, Randomized: true,
+			Randomized: true,
 		},
 	}
 	dwrrCols := []struct{ id, title, col string }{

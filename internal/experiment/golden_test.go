@@ -79,38 +79,22 @@ var goldenSerial = map[string]string{
 	"theorem41":            "1db20c60515d9dd05f9da38a",
 }
 
-// goldenFlow pins every Fluid experiment on the flow engine, the only
-// pinned runs of internal/flowsim's markings.
-var goldenFlow = map[string]string{
-	"fct-dwrr":             "8d86714e289b32bec0285478",
-	"fct-wfq":              "ffa3fabb7d5ef26da4df7e82",
-	"fig16":                "30506da05923e942ec963e2e",
-	"fig17":                "01574261df451da9096f5227",
-	"fig18":                "ccced4006397e64d7ba569e5",
-	"fig19":                "dcc370f7ca7fe43f23fb6092",
-	"fig20":                "753704815a8484180abdbda6",
-	"fig21":                "68794d03d84a538a251a767f",
-	"fig22":                "c2217da669902bb54c521f54",
-	"fig23":                "ca695f4d5d6a8a45f0b9ea5d",
-	"fig24":                "5917960eb966feeb83a944cb",
-	"fig25":                "d7f3b3e353e3b672dda5da16",
-	"fig26":                "1f9524f72b822283b04e13cc",
-	"fig27":                "387b785833ca903809908dd7",
-	"flow-scale":           "6e082f0e57bfab8e5002e5ad",
-	"scenario-fattree":     "caa6ef84066849ea593636c7",
-	"scenario-incast":      "1f931afd61868e9680e08643",
-	"scenario-permutation": "279c9208f50834ffd4a54b83",
-}
+// fluidEngines names the only experiments whose manifest row may name
+// the flow-level engine, with the engine column each must show:
+// calibrate runs it beside the packet engine, flow-scale alone. Every
+// other experiment's engine is the packet engine or none.
+var fluidEngines = map[string]string{"calibrate": "packet+flow", "flow-scale": "flow"}
 
 // checkGolden runs every registered experiment through RunMany at opt.
 // An experiment that declares the option (declares(spec)) must match
 // its pin in golden and its manifest row must show the option applied;
 // any other must reproduce its serial table and its row must not show
-// it — so each Fluid/Randomized declaration is held to what the run
-// did (MaxShards has its own law, TestGoldenTablesSharded).
-// golden pins exactly the declaring experiments. Under -race only the
-// declaring experiments run: the others repeat serial code the serial
-// pass already races, and the full check runs without -race.
+// it — so the Randomized declaration is held to what the run did
+// (MaxShards has its own law, TestGoldenTablesSharded). Every row must
+// also name the engine fluidEngines allows. golden pins exactly the
+// declaring experiments. Under -race only the declaring experiments
+// run: the others repeat serial code the serial pass already races,
+// and the full check runs without -race.
 func checkGolden(t *testing.T, name string, golden map[string]string, opt Options,
 	declares func(Spec) bool, applied func(ExperimentReport) bool) {
 	t.Helper()
@@ -132,9 +116,14 @@ func checkGolden(t *testing.T, name string, golden map[string]string, opt Option
 		if got := tableDigest(results[i]); got != want {
 			t.Errorf("%s table moved: %s[%q] = %q, pinned %q", spec.ID, pins, spec.ID, got, want)
 		}
-		if row := m.Experiments[i]; applied(row) != declares(spec) {
+		row := m.Experiments[i]
+		if applied(row) != declares(spec) {
 			t.Errorf("%s: manifest row engine %q shards %d contradicts its declaration (declared %v)",
 				spec.ID, row.Engine, row.Shards, declares(spec))
+		}
+		if want, ok := fluidEngines[spec.ID]; ok && row.Engine != want || !ok && strings.Contains(row.Engine, "flow") {
+			t.Errorf("%s: manifest row names engine %q; only calibrate (packet+flow) and flow-scale (flow) run the flow engine",
+				spec.ID, row.Engine)
 		}
 	}
 	if pinned != len(golden) {
@@ -236,13 +225,4 @@ func TestGoldenTablesRepeats(t *testing.T) {
 	checkGolden(t, "goldenRepeats2", goldenRepeats2, Options{Quick: true, Seed: 1, Repeats: 2},
 		func(s Spec) bool { return s.Randomized },
 		func(row ExperimentReport) bool { return row.Repeats == 2 })
-}
-
-func TestGoldenTablesFlow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment on the flow engine")
-	}
-	checkGolden(t, "goldenFlow", goldenFlow, Options{Quick: true, Seed: 1, Engine: "flow"},
-		func(s Spec) bool { return s.Fluid },
-		func(row ExperimentReport) bool { return row.Engine == "flow" })
 }

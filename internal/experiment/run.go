@@ -133,14 +133,14 @@ func (o Options) startFlows(fab *topo.Fabric, specs []workload.FlowSpec, queues 
 }
 
 // runFluid runs specs over g on the flow-level engine — every port
-// marking at kPackets, the sweeps' initial window — until deadline,
-// with the same monitor hookup and manifest accounting as runPacket,
-// and returns the events processed.
-func (o Options) runFluid(g *topo.PathGraph, kPackets int,
-	specs []workload.FlowSpec, deadline time.Duration, onFinish func(flowsim.FlowResult)) uint64 {
+// marking at PMSB's K of fctPortK packets, the sweeps' initial window —
+// until deadline, with the same monitor hookup and manifest accounting
+// as runPacket, and returns the events processed.
+func (o Options) runFluid(g *topo.PathGraph, specs []workload.FlowSpec, deadline time.Duration,
+	onFinish func(flowsim.FlowResult)) uint64 {
 	eng := sim.NewEngine()
 	fs := flowsim.New(eng, g, flowsim.Config{
-		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(kPackets))},
+		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
 		InitWindow: fctInitWindow,
 		OnFinish:   onFinish,
 	})

@@ -105,8 +105,8 @@ type ExperimentReport struct {
 	// Engine names the engine(s) the experiment's simulations actually
 	// ran on — "packet", "flow", "packet+flow", or "" when it ran none
 	// (table1) — and Shards the widest shard count any of them used
-	// (1 = serial). Options.Engine and Options.Shards are requests;
-	// these say what happened, so an option that did not apply shows.
+	// (1 = serial). Options.Shards is a request; these say what
+	// happened, so an option that did not apply shows.
 	Engine string `json:"engine"`
 	Shards int    `json:"shards"`
 	// Repeats is the most seeds a randomized sweep of the experiment

@@ -21,14 +21,16 @@ import (
 // every ECMP decision lands on the same physical path in both engines;
 // what differs is only the fidelity of what happens along that path.
 //
-// The scenarios are exposed three ways:
-//   - `pmsbsim -experiment scenario-* -engine packet|flow` runs one
-//     scenario on one engine (Options.Engine selects it);
+// The scenarios are exposed two ways:
+//   - `pmsbsim -experiment scenario-*` runs one scenario on the packet
+//     engine;
 //   - `pmsbsim -experiment calibrate` runs every scenario on both
 //     engines and reports the FCT percentile relative error — the
-//     number that says how far the fast path can be trusted;
-//   - `pmsbsim -experiment flow-scale` runs a 100k-host fabric on the
-//     flow engine alone, the scale that motivates its existence.
+//     number that says how far the fast path can be trusted.
+//
+// The fluid engine runs nowhere else but `flow-scale`, a 100k-host
+// fabric beyond the packet engine's reach: a fluid number is printed
+// only beside its measured error or where no packet number can exist.
 
 // scenarioDef is one shared scenario.
 type scenarioDef struct {
@@ -96,7 +98,7 @@ func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) 
 		}
 		run.events = fab.Processed()
 	case "flow":
-		run.events = opt.runFluid(net.graph, fctPortK, net.specs, net.deadline,
+		run.events = opt.runFluid(net.graph, net.specs, net.deadline,
 			func(r flowsim.FlowResult) { run.fcts[r.Index] = r.FCT })
 	default:
 		return nil, fmt.Errorf("%s: unknown engine %q (packet|flow)", id, engine)
@@ -208,17 +210,15 @@ func buildFatTreeScenario(quick bool, seed int64) *scenarioNet {
 	}
 }
 
-// runScenario executes one scenario on the engine Options.Engine
-// selects ("packet" by default, "flow" for the fluid fast path).
+// runScenario executes one scenario on the packet engine.
 func runScenario(def scenarioDef, opt Options) (*Result, error) {
 	net := def.build(opt.Quick, opt.seed())
-	engine := opt.engine()
-	run, err := net.run(def.id, engine, opt)
+	run, err := net.run(def.id, "packet", opt)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{ID: def.id, Title: def.title, Headers: []string{"metric", "value"}}
-	res.AddRow("engine", engine)
+	res.AddRow("engine", "packet")
 	res.AddRow("flows", fmt.Sprintf("%d", len(net.specs)))
 	sum := fctSummary(run.fcts, nil)
 	completed := sum.Count()
@@ -246,7 +246,6 @@ func scenarioSpecs() []Spec {
 			Title:     def.title,
 			Run:       func(opt Options) (*Result, error) { return runScenario(def, opt) },
 			MaxShards: def.maxShards,
-			Fluid:     true,
 		})
 	}
 	return specs
