@@ -36,6 +36,13 @@ ci:
 	# its contract, replay and non-perturbation tests.
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -run TestJobsDeterminism -count=1 ./cmd/pmsbsim
+	# Determinism over the whole quick registry: -jobs 1 and -jobs 2
+	# print the same bytes once the summary's wall times are off.
+	$(GO) build -o ci_pmsbsim ./cmd/pmsbsim
+	./ci_pmsbsim -all -quick -summary=false -jobs 1 > ci_jobs1.tsv
+	./ci_pmsbsim -all -quick -summary=false -jobs 2 > ci_jobs2.tsv
+	cmp ci_jobs1.tsv ci_jobs2.tsv
+	@rm -f ci_pmsbsim ci_jobs1.tsv ci_jobs2.tsv
 	-$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime 10s ./internal/obs/
 	-$(GO) test -run '^$$' -fuzz FuzzStreamReduce -fuzztime 10s ./internal/obs/
 	-$(GO) test -run '^$$' -fuzz FuzzParseDump -fuzztime 10s ./internal/obs/runtime/

@@ -23,8 +23,6 @@ type bite struct {
 
 // shows runs pmsbsim with args in a fresh scratch directory and returns
 // what a user sees: stdout, stderr, the error and the files written.
-// Wall-clock notes, the one nondeterministic line in a result, are
-// left out.
 func shows(t *testing.T, args []string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -38,12 +36,7 @@ func shows(t *testing.T, args []string) string {
 	var err error
 	stderr := captureStderr(t, func() { out, err = capture(t, args...) })
 	var b strings.Builder
-	for _, line := range strings.SplitAfter(out, "\n") {
-		if !strings.Contains(line, "wall clock") {
-			b.WriteString(line)
-		}
-	}
-	fmt.Fprintf(&b, "stderr: %s\nerror: %v\n", stderr, err)
+	fmt.Fprintf(&b, "%sstderr: %s\nerror: %v\n", out, stderr, err)
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
 		fmt.Fprintf(&b, "file %s\n", e.Name())

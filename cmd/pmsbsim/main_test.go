@@ -227,13 +227,13 @@ func TestOptionReachRefusedBeforeRun(t *testing.T) {
 // TestJobsDeterminism is the parallel-runner smoke: the output payload
 // must be byte-identical no matter how many workers simulate. The
 // sample spans the static dumbbell (table1, fig5), the queue-buildup
-// ablation (ablation-average), incast and the weighted scheduler
-// figure, so scheduler, marker and transport paths all execute under
-// both job counts. -summary=false removes the only intentionally
-// nondeterministic bytes (wall times).
+// ablation (ablation-average), incast, and both engines (calibrate,
+// flow-scale), so scheduler, marker, transport and fluid paths all
+// execute under both job counts. -summary=false removes the only
+// intentionally nondeterministic bytes (the manifest's wall times).
 func TestJobsDeterminism(t *testing.T) {
 	args := []string{
-		"-experiment", "table1,fig5,fig4,incast,ablation-average",
+		"-experiment", "table1,fig5,fig4,incast,ablation-average,calibrate,flow-scale",
 		"-quick", "-summary=false",
 	}
 	serial, err := capture(t, append(args, "-jobs", "1")...)

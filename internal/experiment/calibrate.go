@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"pmsb/internal/flowsim"
@@ -14,8 +13,9 @@ import (
 // The calibration harness: every shared scenario runs through the
 // packet engine (ground truth) and the flow-level fluid engine, and the
 // FCT distribution percentiles are compared head-to-head. The relative
-// error column is the fast path's accuracy budget; the wall-clock notes
-// are what it buys. EXPERIMENTS.md walks through reading the table.
+// error column is the fast path's accuracy budget; the run manifest's
+// per-engine wall times are what it buys. EXPERIMENTS.md walks through
+// reading the table.
 
 // fctSummary pools the non-zero FCTs (completed flows) into a summary,
 // restricted to indices where both engines completed when both is set.
@@ -56,14 +56,11 @@ func runCalibrate(opt Options) (*Result, error) {
 	}
 	for _, def := range scenarioDefs() {
 		net := def.build(opt.Quick, opt.seed())
-		pkt, err := net.run(def.id, "packet", opt)
+		pkt, err := net.packet(def.id, opt)
 		if err != nil {
 			return nil, err
 		}
-		flow, err := net.run(def.id, "flow", opt)
-		if err != nil {
-			return nil, err
-		}
+		flow := net.fluid(opt)
 		ps := fctSummary(pkt.fcts, flow.fcts)
 		fs := fctSummary(flow.fcts, pkt.fcts)
 		if ps.Count() == 0 || fs.Count() == 0 {
@@ -81,10 +78,7 @@ func runCalibrate(opt Options) (*Result, error) {
 			row = append(row, msec(pv), msec(fv), relErr(fv, pv))
 		}
 		res.AddRow(row...)
-		speedup := float64(pkt.wall) / math.Max(float64(flow.wall), 1)
-		res.AddNote("%s: packet %v / flow %v wall clock (%.0fx), packet %d / flow %d events",
-			def.id, pkt.wall.Round(time.Millisecond), flow.wall.Round(10*time.Microsecond),
-			speedup, pkt.events, flow.events)
+		res.AddNote("%s: packet %d / flow %d events", def.id, pkt.events, flow.events)
 	}
 	res.AddNote("errors computed over flows completed in both engines; seed %d, quick=%v", opt.seed(), opt.Quick)
 	return res, nil
@@ -110,14 +104,12 @@ func runFlowScale(opt Options) (*Result, error) {
 	})
 	deadline := specs[len(specs)-1].Start + 500*time.Millisecond
 
-	start := time.Now()
 	completed := 0
 	var fcts stats.Summary
 	events := opt.runFluid(g, specs, deadline, func(r flowsim.FlowResult) {
 		completed++
 		fcts.Add(r.FCT.Seconds())
 	})
-	wall := time.Since(start)
 
 	res := &Result{
 		ID:      "flow-scale",
@@ -134,7 +126,6 @@ func runFlowScale(opt Options) (*Result, error) {
 		res.AddRow("fct-p50-ms", msec(fcts.Percentile(50)))
 		res.AddRow("fct-p99-ms", msec(fcts.Percentile(99)))
 	}
-	res.AddNote("wall clock: %v", wall.Round(time.Millisecond))
 	if completed < len(specs) {
 		res.AddNote("%d of %d flows unfinished at %v", len(specs)-completed, len(specs), deadline)
 	}

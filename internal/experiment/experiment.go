@@ -111,7 +111,7 @@ func (o Options) tokenCost() int {
 }
 
 // Result is an experiment's output table: the rows/series the paper
-// plots, plus free-form notes (observations the paper states in prose).
+// plots, the paper's claims checked against them, and free-form notes.
 type Result struct {
 	// ID is the experiment ID (e.g. "fig9").
 	ID string `json:"id"`
@@ -121,8 +121,12 @@ type Result struct {
 	Headers []string `json:"headers"`
 	// Rows are the data rows.
 	Rows [][]string `json:"rows"`
-	// Notes carry derived observations (e.g. "queue1/queue2 = 0.98").
+	// Notes describe or explain the run (e.g. "port mark fraction =
+	// 0.735"); they assert no paper claim.
 	Notes []string `json:"notes,omitempty"`
+	// Verdicts are the paper's claims, each computed once from the
+	// experiment's own numbers.
+	Verdicts []Verdict `json:"verdicts,omitempty"`
 	// Series are plot-ready (x, y) traces for time-series figures
 	// (buffer occupancy, throughput vs time).
 	Series []Series `json:"series,omitempty"`
@@ -138,6 +142,28 @@ type Series struct {
 	// X and Y are the coordinates (equal length).
 	X []float64 `json:"x"`
 	Y []float64 `json:"y"`
+}
+
+// Verdict is one paper claim checked against a run: what the paper
+// says, what the run measured, the band or predicate the measurement
+// must satisfy, and whether it does. Holds is computed from unrounded
+// numbers; the other fields are display text.
+type Verdict struct {
+	Claim    string `json:"claim"`
+	Paper    string `json:"paper"`
+	Measured string `json:"measured"`
+	Band     string `json:"band"`
+	Holds    bool   `json:"holds"`
+}
+
+// String renders the verdict as TSV prints it, led by "holds" or
+// "FAILS".
+func (v Verdict) String() string {
+	status := "FAILS"
+	if v.Holds {
+		status = "holds"
+	}
+	return fmt.Sprintf("%s: %s: measured %s, want %s (paper: %s)", status, v.Claim, v.Measured, v.Band, v.Paper)
 }
 
 // JSON renders the result as indented JSON.
@@ -164,8 +190,34 @@ func (r *Result) AddNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// TSV renders the result as a tab-separated table, including any plot
-// series.
+// verdict records a claim whose measurement holds or not.
+func (r *Result) verdict(claim, paper, measured, band string, holds bool) {
+	r.Verdicts = append(r.Verdicts, Verdict{Claim: claim, Paper: paper, Measured: measured, Band: band, Holds: holds})
+}
+
+// within records a claim that v lies in [lo, hi], each printed with
+// format.
+func (r *Result) within(claim, paper, format string, v, lo, hi float64) {
+	r.verdict(claim, paper, fmt.Sprintf(format, v), fmt.Sprintf("["+format+", "+format+"]", lo, hi), v >= lo && v <= hi)
+}
+
+// atLeast records a claim that v >= lo, atMost one that v <= hi.
+func (r *Result) atLeast(claim, paper, format string, v, lo float64) {
+	r.verdict(claim, paper, fmt.Sprintf(format, v), fmt.Sprintf(">= "+format, lo), v >= lo)
+}
+
+func (r *Result) atMost(claim, paper, format string, v, hi float64) {
+	r.verdict(claim, paper, fmt.Sprintf(format, v), fmt.Sprintf("<= "+format, hi), v <= hi)
+}
+
+// below records a claim that got is smaller than base, measured as the
+// relative gap the paper quotes ("PMSB's RTT is 63.2% below ...").
+func (r *Result) below(claim, paper string, got, base float64) {
+	r.verdict(claim, paper, fmt.Sprintf("%.1f%% below", (1-got/base)*100), "> 0% below", got < base)
+}
+
+// TSV renders the result as a tab-separated table, its notes and
+// verdicts as '#' lines, and any plot series.
 func (r *Result) TSV() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s: %s\n", r.ID, r.Title)
@@ -177,6 +229,9 @@ func (r *Result) TSV() string {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "# %s\n", n)
+	}
+	for _, v := range r.Verdicts {
+		fmt.Fprintf(&b, "# %s\n", v)
 	}
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "## series %s (%s vs %s)\n", s.Name, s.YUnit, s.XUnit)

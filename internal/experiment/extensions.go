@@ -123,9 +123,11 @@ func runPool(opt Options) (*Result, error) {
 		res.AddRow(scheme, fmt.Sprintf("%.2f", portA[i]),
 			fmt.Sprintf("%.2f", float64(seriesB.MeanRate(from, to))/float64(units.Gbps)), fmt.Sprintf("%d", marks[i]))
 	}
-	res.AddNote("per-pool marks %d packets on the un-congested port A (per-port: %d): cross-port interference",
-		marks[1], marks[0])
-	res.AddNote("port A throughput %.2f -> %.2f Gbps when pool marking is enabled", portA[0], portA[1])
+	res.atLeast("per-port marking leaves the un-congested port A at line rate", "10 Gbps", "%.2f Gbps", portA[0], 9)
+	res.verdict("per-port marking never marks port A", "0", fmt.Sprintf("%d", marks[0]), "= 0", marks[0] == 0)
+	res.verdict("per-pool marking throttles port A: queues of different ports interfere", "violates fair sharing",
+		fmt.Sprintf("%.2f Gbps (%d marks)", portA[1], marks[1]), fmt.Sprintf("< %.2f Gbps (0.8x per-port's)", 0.8*portA[0]),
+		portA[1] < 0.8*portA[0])
 	return res, nil
 }
 
@@ -139,7 +141,7 @@ func runAblationPortK(opt Options) (*Result, error) {
 		Title:   "Per-port marking: threshold vs fairness vs latency (1:8 flows)",
 		Headers: []string{"portK_pkts", "q1_share", "avg_rtt_us", "mark_fraction"},
 	}
-	var firstShare, lastShare float64
+	var share, rtt []float64
 	for i, k := range []int{8, 16, 32, 65, 128} {
 		r, err := runStatic(staticConfig{
 			opt:     opt,
@@ -153,14 +155,14 @@ func runAblationPortK(opt Options) (*Result, error) {
 			return nil, err
 		}
 		q1, q2 := r.queueRate(0), r.queueRate(1)
-		share := float64(q1) / float64(q1+q2)
-		if i == 0 {
-			firstShare = share
-		}
-		lastShare = share
-		res.AddRow(itoa(k), fmt.Sprintf("%.3f", share), usec(r.allRTT().Mean()), fmt.Sprintf("%.3f", r.markFraction()))
+		share = append(share, float64(q1)/float64(q1+q2))
+		rtt = append(rtt, r.allRTT().Mean())
+		res.AddRow(itoa(k), fmt.Sprintf("%.3f", share[i]), usec(rtt[i]), fmt.Sprintf("%.3f", r.markFraction()))
 	}
-	res.AddNote("queue-1 share improves from %.2f (K=8) to %.2f (K=128) while RTT grows: the paper's Figure 6/7 trade-off", firstShare, lastShare)
+	// The paper's Figure 6/7 trade-off: a larger K buys fairness with latency.
+	last := len(share) - 1
+	res.below("queue 1's share at K=8 is below its share at K=128", "fairness improves with K", share[0], share[last])
+	res.below("avg RTT at K=8 is below avg RTT at K=128", "latency grows with K", rtt[0], rtt[last])
 	return res, nil
 }
 
@@ -174,6 +176,7 @@ func runAblationFilter(opt Options) (*Result, error) {
 		Title:   "PMSB filter scale vs fairness vs congested-queue RTT (1:8 flows, port K=16)",
 		Headers: []string{"filter_scale", "q1_share", "q2_p99_rtt_us", "mark_fraction"},
 	}
+	p99 := map[float64]float64{} // the congested queue's p99 RTT by scale
 	for _, scale := range []float64{0.25, 0.5, 1.0, 2.0, 4.0} {
 		scale := scale
 		r, err := runStatic(staticConfig{
@@ -191,14 +194,22 @@ func runAblationFilter(opt Options) (*Result, error) {
 		}
 		q1, q2 := r.queueRate(0), r.queueRate(1)
 		share := float64(q1) / float64(q1+q2)
+		p99[scale] = r.groupRTT(1).Percentile(99)
 		res.AddRow(
 			fmt.Sprintf("%.2f", scale),
 			fmt.Sprintf("%.3f", share),
-			usec(r.groupRTT(1).Percentile(99)),
+			usec(p99[scale]),
 			fmt.Sprintf("%.3f", r.markFraction()),
 		)
+		if scale <= 1 {
+			res.within(fmt.Sprintf("an aggressive filter (scale %.2f) keeps queue 1's fair share", scale), "0.50", "%.3f", share, 0.42, 0.58)
+		}
 	}
-	res.AddNote("the paper's observation: an aggressive filter (small scale) trades a small false-positive probability for eliminating false negatives")
+	// The paper's observation: an aggressive filter trades a small
+	// false-positive probability for eliminating false negatives, which
+	// a conservative one lets through.
+	res.below("Eq. 6's filter (scale 1) keeps the congested queue's p99 RTT below a conservative filter's (scale 4), whose false negatives let it grow",
+		"-", p99[1], p99[4])
 	return res, nil
 }
 

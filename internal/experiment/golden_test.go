@@ -12,9 +12,12 @@ import (
 // The golden gate: every registered experiment's quick table at seed 1
 // is pinned by digest, so a refactor of how experiments build and drive
 // their fabrics cannot move a number unnoticed. A digest covers the
-// result's ID, headers and rows; notes are left out because several
-// carry wall-clock times. When a change is meant to move a table, rerun
-// the test and paste the digests its failure messages print.
+// result's ID, headers and rows. Notes and verdicts, which TSV prints
+// as '#' lines under the rows, are left out: TestPaperClaims checks
+// the verdicts. No table byte depends on the wall clock; the wall times
+// of the manifest's # summary block are the only bytes that vary from
+// run to run. When a change is meant to move a table, rerun the test
+// and paste the digests its failure messages print.
 
 func tableDigest(r *Result) string {
 	h := sha256.New()
@@ -91,10 +94,11 @@ var fluidEngines = map[string]string{"calibrate": "packet+flow", "flow-scale": "
 // any other must reproduce its serial table and its row must not show
 // it — so the Randomized declaration is held to what the run did
 // (MaxShards has its own law, TestGoldenTablesSharded). Every row must
-// also name the engine fluidEngines allows. golden pins exactly the
-// declaring experiments. Under -race only the declaring experiments
-// run: the others repeat serial code the serial pass already races,
-// and the full check runs without -race.
+// also name the engine fluidEngines allows, and every result must state
+// as many verdicts as claimVerdicts pins (none if unlisted). golden
+// pins exactly the declaring experiments. Under -race only the
+// declaring experiments run: the others repeat serial code the serial
+// pass already races, and the full check runs without -race.
 func checkGolden(t *testing.T, name string, golden map[string]string, opt Options,
 	declares func(Spec) bool, applied func(ExperimentReport) bool) {
 	t.Helper()
@@ -115,6 +119,9 @@ func checkGolden(t *testing.T, name string, golden map[string]string, opt Option
 		}
 		if got := tableDigest(results[i]); got != want {
 			t.Errorf("%s table moved: %s[%q] = %q, pinned %q", spec.ID, pins, spec.ID, got, want)
+		}
+		if got, want := len(results[i].Verdicts), claimVerdicts[spec.ID]; got != want {
+			t.Errorf("%s states %d verdicts, claimVerdicts pins %d", spec.ID, got, want)
 		}
 		row := m.Experiments[i]
 		if applied(row) != declares(spec) {

@@ -163,18 +163,10 @@ func rttOf(groups [][]*transport.Flow) *stats.Summary {
 	return &s
 }
 
-// itoa/ftoa/atof are terse numeric formatting helpers for result rows.
+// itoa/ftoa are terse numeric formatting helpers for result rows.
 func itoa(v int) string { return strconv.Itoa(v) }
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
-
-func atof(s string) float64 {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
 
 // gbps formats a rate with two decimals in Gbps.
 func gbps(r units.Rate) string {

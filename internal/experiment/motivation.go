@@ -74,7 +74,7 @@ func runFig1(opt Options) (*Result, error) {
 		}
 		lastAvg = s.Mean()
 	}
-	res.AddNote("avg RTT grows %.1fx from 1 queue to 8 queues (paper: RTT increases rapidly with queues)", lastAvg/firstAvg)
+	res.atLeast("avg RTT grows rapidly from 1 to 8 active queues", "grows rapidly", "%.1fx", lastAvg/firstAvg, 2)
 	return res, nil
 }
 
@@ -126,14 +126,16 @@ func runFig2(opt Options) (*Result, error) {
 		rates[k] = r.totalRate()
 		res.AddRow(itoa(k), gbps(rates[k]))
 	}
-	loss := 1 - float64(rates[2])/float64(rates[16])
-	res.AddNote("fractional threshold (2 pkts) loses %.1f%% throughput vs standard (paper: ~6%%)", loss*100)
+	res.atLeast("the standard threshold (16 pkts) keeps the link full", "10 Gbps", "%.2f Gbps", float64(rates[16])/float64(units.Gbps), 9)
+	res.below("the fractional threshold (2 pkts) loses throughput against the standard one", "~6% below", float64(rates[2]), float64(rates[16]))
 	return res, nil
 }
 
 // perPortFairness runs the 2-queue per-port marking experiment with the
 // given port threshold and flow split, reporting per-queue throughput.
-func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result, error) {
+// fair says whether the paper finds queue 1's weighted fair share of
+// 0.50 kept (a share in [0.40, 0.60]) or violated (at most 0.42).
+func perPortFairness(id, title string, opt Options, portK, q2Flows int, fair bool) (*Result, error) {
 	r, err := runStatic(staticConfig{
 		opt: opt,
 		profile: topo.PortProfile{
@@ -158,36 +160,40 @@ func perPortFairness(id, title string, opt Options, portK, q2Flows int) (*Result
 	res.AddRow("1", "1", gbps(q1))
 	res.AddRow("2", itoa(q2Flows), gbps(q2))
 	share := float64(q1) / float64(q1+q2)
-	res.AddNote("queue 1 share = %.2f (weighted fair sharing wants 0.50)", share)
+	if fair {
+		res.within("per-port marking keeps queue 1's weighted fair share", "about 0.50", "%.2f", share, 0.40, 0.60)
+	} else {
+		res.atMost("per-port marking squeezes queue 1 below its weighted fair share", "well below 0.50", "%.2f", share, 0.42)
+	}
 	res.AddNote("port mark fraction = %.3f", r.markFraction())
 	return res, nil
 }
 
 func runFig3(opt Options) (*Result, error) {
-	return perPortFairness("fig3", "Per-port marking, K=16 pkts, queues 1:1, flows 1:8", opt, 16, 8)
+	return perPortFairness("fig3", "Per-port marking, K=16 pkts, queues 1:1, flows 1:8", opt, 16, 8, false)
 }
 
 func runFig6(opt Options) (*Result, error) {
-	return perPortFairness("fig6", "Per-port marking, K=65 pkts, flows 1:8 (fairness restored)", opt, 65, 8)
+	return perPortFairness("fig6", "Per-port marking, K=65 pkts, flows 1:8 (fairness restored)", opt, 65, 8, true)
 }
 
 func runFig7(opt Options) (*Result, error) {
-	return perPortFairness("fig7", "Per-port marking, K=65 pkts, flows 1:40 (fairness violated again)", opt, 65, 40)
+	return perPortFairness("fig7", "Per-port marking, K=65 pkts, flows 1:40 (fairness violated again)", opt, 65, 40, false)
 }
 
-// markPointPeaks runs the 4-flow single-queue 1 Gbps experiment with the
-// given markers and reports the slow-start buffer peak and steady-state
-// occupancy for each.
-func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn.Marker, order []string) (*Result, error) {
+// markPointPeaks runs the 4-flow single-queue 1 Gbps experiment with
+// each marker, rows named by names, and reports the slow-start buffer
+// peak and steady-state occupancy for each; it returns the peaks in
+// marker order.
+func markPointPeaks(id, title string, opt Options, names []string, markers ...func() ecn.Marker) (*Result, []float64, error) {
 	rate := 1 * units.Gbps
 	res := &Result{
 		ID:      id,
 		Title:   title,
 		Headers: []string{"scheme", "peak_pkts", "steady_mean_pkts"},
 	}
-	peaks := make(map[string]float64)
-	for _, name := range order {
-		mk := markers[name]
+	peaks := make([]float64, len(markers))
+	for i, mk := range markers {
 		r, err := runStatic(staticConfig{
 			opt: opt,
 			profile: topo.PortProfile{
@@ -200,14 +206,13 @@ func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn
 			initWindow: 16,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		peak := r.trace.Max()
-		peaks[name] = peak
-		res.AddRow(name, ftoa(peak), ftoa(r.trace.MeanAfter(r.cfg.warmup)))
-		res.AddSeries(traceSeries(&r.trace, "occupancy-"+name, 400))
+		peaks[i] = r.trace.Max()
+		res.AddRow(names[i], ftoa(peaks[i]), ftoa(r.trace.MeanAfter(r.cfg.warmup)))
+		res.AddSeries(traceSeries(&r.trace, "occupancy-"+names[i], 400))
 	}
-	return res, nil
+	return res, peaks, nil
 }
 
 // runFig4: DCTCP (per-queue threshold 16 pkts) marking at enqueue vs
@@ -215,18 +220,15 @@ func markPointPeaks(id, title string, opt Options, markers map[string]func() ecn
 // peak by ~25% in the paper.
 func runFig4(opt Options) (*Result, error) {
 	k := units.Packets(16)
-	res, err := markPointPeaks("fig4",
+	res, peaks, err := markPointPeaks("fig4",
 		"DCTCP buffer peak: enqueue vs dequeue marking (4 flows, 1 Gbps, K=16 pkts)",
-		opt,
-		map[string]func() ecn.Marker{
-			"dctcp-enqueue": func() ecn.Marker { return &ecn.PerQueueStandard{K: k, MarkPoint: ecn.AtEnqueue} },
-			"dctcp-dequeue": func() ecn.Marker { return &ecn.PerQueueStandard{K: k, MarkPoint: ecn.AtDequeue} },
-		},
-		[]string{"dctcp-enqueue", "dctcp-dequeue"})
+		opt, []string{"dctcp-enqueue", "dctcp-dequeue"},
+		func() ecn.Marker { return &ecn.PerQueueStandard{K: k, MarkPoint: ecn.AtEnqueue} },
+		func() ecn.Marker { return &ecn.PerQueueStandard{K: k, MarkPoint: ecn.AtDequeue} })
 	if err != nil {
 		return nil, err
 	}
-	addPeakReduction(res, "dctcp-enqueue", "dctcp-dequeue", "paper: dequeue marking cuts the peak ~25%")
+	res.below("dequeue marking lowers DCTCP's slow-start peak below enqueue marking's", "~25% below", peaks[1], peaks[0])
 	return res, nil
 }
 
@@ -235,33 +237,14 @@ func runFig4(opt Options) (*Result, error) {
 func runFig5(opt Options) (*Result, error) {
 	rate := 1 * units.Gbps
 	tcnT := ecn.TCNThreshold(units.Packets(16), rate)
-	res, err := markPointPeaks("fig5",
+	res, _, err := markPointPeaks("fig5",
 		"TCN buffer peak (4 flows, 1 Gbps, sojourn threshold = drain of 16 pkts)",
-		opt,
-		map[string]func() ecn.Marker{
-			"tcn": func() ecn.Marker { return &ecn.TCN{Threshold: tcnT} },
-		},
-		[]string{"tcn"})
+		opt, []string{"tcn"},
+		func() ecn.Marker { return &ecn.TCN{Threshold: tcnT} })
 	if err != nil {
 		return nil, err
 	}
 	res.AddNote("TCN threshold = %v (drain time of 16 pkts at 1 Gbps)", tcnT)
-	res.AddNote("paper: TCN's peak stays high — no early congestion notification")
+	res.AddNote("the paper's claim that TCN's peak stays high (no early congestion notification) compares this peak with fig4's dctcp-dequeue peak")
 	return res, nil
-}
-
-// addPeakReduction appends a note comparing two schemes' peaks.
-func addPeakReduction(res *Result, base, improved, paperNote string) {
-	var basePeak, impPeak float64
-	for _, row := range res.Rows {
-		if row[0] == base {
-			basePeak = atof(row[1])
-		}
-		if row[0] == improved {
-			impPeak = atof(row[1])
-		}
-	}
-	if basePeak > 0 {
-		res.AddNote("%s peak is %.1f%% below %s (%s)", improved, (1-impPeak/basePeak)*100, base, paperNote)
-	}
 }

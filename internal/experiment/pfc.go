@@ -103,7 +103,10 @@ func runPFC(opt Options) (*Result, error) {
 		},
 	}
 
-	var victims [2]float64
+	var (
+		victims [2]units.Rate
+		drops   [2]int64
+	)
 	for i, scheme := range []string{"pfc-only", "pfc+dcqcn(ecn)"} {
 		withDCQCN := i == 1
 		var (
@@ -140,12 +143,17 @@ func runPFC(opt Options) (*Result, error) {
 			return nil, fmt.Errorf("%s: %w", scheme, err)
 		}
 		s1, s2 := fab.Switches[0], fab.Switches[1]
-		victims[i] = float64(units.RateOf(victimRx.RxBytes(), dur)) / float64(units.Gbps)
+		victims[i] = units.RateOf(victimRx.RxBytes(), dur)
+		drops[i] = s2.Port(0).DropPackets() + s2.Port(1).DropPackets() + s1.Port(0).DropPackets()
 		res.AddRow(scheme, fmt.Sprintf("%d", fc.Pauses()),
-			fmt.Sprintf("%.2f", victims[i]),
+			gbps(victims[i]),
 			fmt.Sprintf("%.2f", float64(units.RateOf(fab.Host(0).RxBytes(), dur))/float64(units.Gbps)),
-			fmt.Sprintf("%d", s2.Port(0).DropPackets()+s2.Port(1).DropPackets()+s1.Port(0).DropPackets()))
+			fmt.Sprintf("%d", drops[i]))
 	}
-	res.AddNote("0 fabric drops only because s1's trunk port has no buffer bound (it backs up by hundreds of MB), so neither run shows PFC keeping a fabric lossless; the victim flow to the idle sink gets %.2f Gbps without end-to-end ECN control and %.2f Gbps with DCQCN, but behind that unbounded trunk this is not evidence of pause storms", victims[0], victims[1])
+	res.verdict("0 fabric drops in both runs, only because s1's trunk port has no buffer bound (it backs up by hundreds of MB): no evidence that PFC keeps a fabric lossless",
+		"lossless", fmt.Sprintf("%d / %d drops", drops[0], drops[1]), "0 / 0", drops == [2]int64{})
+	res.verdict("DCQCN rescues the head-of-line-blocked victim flow (behind that unbounded trunk: no evidence about pause storms)", "-",
+		gbps(victims[1])+" Gbps", "> 2x pfc-only's "+gbps(victims[0])+" Gbps",
+		victims[1] > 2*victims[0])
 	return res, nil
 }

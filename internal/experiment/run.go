@@ -78,6 +78,7 @@ func (o Options) runPacket(w wiring, start func(fab *topo.Fabric) (deadline time
 		fab    *topo.Fabric
 		coord  *sim.Coordinator
 		shards = o.width(w)
+		t0     = time.Now()
 	)
 	if o.tracing() && shards > len(o.Obs) {
 		return nil, fmt.Errorf("traced run on %d shards has %d buses: a shard would share another's bus", shards, len(o.Obs))
@@ -101,7 +102,7 @@ func (o Options) runPacket(w wiring, start func(fab *topo.Fabric) (deadline time
 	}
 	fab.Run(start(fab))
 
-	o.acct.credit("packet", shards, fab.Processed())
+	o.acct.credit("packet", shards, fab.Processed(), time.Since(t0))
 	if o.Runtime != nil {
 		if coord != nil {
 			o.Runtime.ObserveCoordinator(coord)
@@ -138,6 +139,7 @@ func (o Options) startFlows(fab *topo.Fabric, specs []workload.FlowSpec, queues 
 // as runPacket, and returns the events processed.
 func (o Options) runFluid(g *topo.PathGraph, specs []workload.FlowSpec, deadline time.Duration,
 	onFinish func(flowsim.FlowResult)) uint64 {
+	t0 := time.Now()
 	eng := sim.NewEngine()
 	fs := flowsim.New(eng, g, flowsim.Config{
 		Marking:    flowsim.PMSB{KBytes: float64(units.Packets(fctPortK))},
@@ -147,7 +149,7 @@ func (o Options) runFluid(g *topo.PathGraph, specs []workload.FlowSpec, deadline
 	eng.SetMonitor(o.Monitor)
 	fs.Start(specs)
 	eng.RunUntil(deadline)
-	o.acct.credit("flow", 1, eng.Processed())
+	o.acct.credit("flow", 1, eng.Processed(), time.Since(t0))
 	if o.Runtime != nil {
 		o.Runtime.ObserveSerial(eng)
 	}

@@ -116,6 +116,10 @@ type ExperimentReport struct {
 	// experiment of this process already simulated; Engine and Shards
 	// then describe that sweep.
 	Cached bool `json:"cached,omitempty"`
+	// EngineMS sums the wall time of the experiment's simulations per
+	// engine ("packet", "flow"), in milliseconds, so calibrate's two
+	// entries are what the fluid engine buys. A cached result adds none.
+	EngineMS map[string]float64 `json:"engine_ms,omitempty"`
 }
 
 // ledger is an ExperimentReport in the making: the two run helpers
@@ -127,13 +131,19 @@ type ledger struct {
 	row ExperimentReport
 }
 
-// credit records one finished simulation.
-func (l *ledger) credit(engine string, shards int, events uint64) {
+// credit records one finished simulation that took wall on engine.
+func (l *ledger) credit(engine string, shards int, events uint64, wall time.Duration) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if wall > 0 {
+		if l.row.EngineMS == nil {
+			l.row.EngineMS = map[string]float64{}
+		}
+		l.row.EngineMS[engine] += float64(wall) / float64(time.Millisecond)
+	}
 	l.row.Events += int64(events)
 	l.row.Shards = max(l.row.Shards, shards)
 	switch {
@@ -156,7 +166,7 @@ func (l *ledger) repeated(n int) {
 
 // absorb folds the account of a shared computation into l. hit says
 // the computation ran for an earlier caller: l then records what it
-// ran on but is not charged its events again.
+// ran on but is not charged its events or wall time again.
 func (l *ledger) absorb(from *ledger, hit bool) {
 	if l == nil {
 		return
@@ -164,8 +174,12 @@ func (l *ledger) absorb(from *ledger, hit bool) {
 	events := uint64(from.row.Events)
 	if hit {
 		events = 0
+	} else {
+		for engine, ms := range from.row.EngineMS {
+			l.credit(engine, 0, 0, time.Duration(ms*float64(time.Millisecond)))
+		}
 	}
-	l.credit(from.row.Engine, from.row.Shards, events)
+	l.credit(from.row.Engine, from.row.Shards, events, 0)
 	l.repeated(from.row.Repeats)
 	l.mu.Lock()
 	l.row.Cached = l.row.Cached || hit
@@ -200,7 +214,11 @@ func (m *Manifest) Summary() string {
 		if e.Cached {
 			cached = "\tcached"
 		}
-		fmt.Fprintf(&b, "# %s\t%.1f\t%d\t%s\t%d%s\n", e.ID, e.WallMS, e.Events, engine, e.Shards, cached)
+		split := ""
+		if len(e.EngineMS) > 1 {
+			split = fmt.Sprintf("\tpacket %.1f ms, flow %.1f ms", e.EngineMS["packet"], e.EngineMS["flow"])
+		}
+		fmt.Fprintf(&b, "# %s\t%.1f\t%d\t%s\t%d%s%s\n", e.ID, e.WallMS, e.Events, engine, e.Shards, split, cached)
 	}
 	return b.String()
 }

@@ -28,7 +28,7 @@ func syntheticSpec(id string, events int) Spec {
 				eng.Schedule(time.Duration(i)*time.Microsecond, func() {})
 			}
 			eng.Run()
-			opt.acct.credit("packet", 1, eng.Processed())
+			opt.acct.credit("packet", 1, eng.Processed(), 0)
 			r := &Result{ID: id, Title: "synthetic " + id, Headers: []string{"seed"}}
 			r.AddRow(fmt.Sprintf("%d", opt.seed()))
 			return r, nil
@@ -77,6 +77,13 @@ func TestRunManyManifestCountsEvents(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
+	// Calibrate's shape: one experiment on both engines, whose row
+	// splits its wall time between them.
+	specs = append(specs, Spec{ID: "both", Title: "both", Run: func(opt Options) (*Result, error) {
+		opt.acct.credit("packet", 1, 3, 3*time.Millisecond)
+		opt.acct.credit("flow", 1, 1, time.Millisecond)
+		return &Result{ID: "both", Title: "both"}, nil
+	}})
 	_, m, err := RunMany(specs, Options{Quick: true, Seed: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -84,30 +91,30 @@ func TestRunManyManifestCountsEvents(t *testing.T) {
 	if m.Jobs != 2 {
 		t.Fatalf("manifest jobs = %d, want 2", m.Jobs)
 	}
-	a, b, fluid, sweep := m.Experiments[0], m.Experiments[1], m.Experiments[2], m.Experiments[3:]
+	a, b, fluid, sweep, both := m.Experiments[0], m.Experiments[1], m.Experiments[2], m.Experiments[3:6], m.Experiments[6]
 	if a.Events != 100 || b.Events != 40 {
 		t.Fatalf("per-experiment events = %d, %d; want 100, 40", a.Events, b.Events)
 	}
 	if a.Engine != "packet" || a.Shards != 1 || a.Cached {
 		t.Fatalf("hand-wired serial run reported as %+v", a)
 	}
-	if fluid.Events == 0 || fluid.Engine != "flow" || fluid.Shards != 1 {
+	if fluid.Events == 0 || fluid.Engine != "flow" || fluid.Shards != 1 || len(fluid.EngineMS) != 1 || fluid.EngineMS["flow"] <= 0 {
 		t.Fatalf("fluid run not credited: %+v", fluid)
 	}
 	// Whichever of the three gets the worker token first simulates the
 	// sweep and is charged for it; the other two are cache hits.
 	var computed int
-	total := a.Events + b.Events + fluid.Events
+	total := a.Events + b.Events + fluid.Events + both.Events
 	for _, e := range sweep {
 		total += e.Events
 		if e.Engine != "packet" || e.Shards != 1 {
 			t.Fatalf("%s: engine %q shards %d, want the sweep's packet/1", e.ID, e.Engine, e.Shards)
 		}
 		switch {
-		case !e.Cached && e.Events > 0:
+		case !e.Cached && e.Events > 0 && e.EngineMS["packet"] > 0:
 			computed++
-		case !e.Cached || e.Events != 0:
-			t.Fatalf("%s: cached=%v with %d events", e.ID, e.Cached, e.Events)
+		case !e.Cached || e.Events != 0 || e.EngineMS != nil:
+			t.Fatalf("%s: cached=%v with %d events, engine wall %v", e.ID, e.Cached, e.Events, e.EngineMS)
 		}
 	}
 	if computed != 1 {
@@ -118,8 +125,8 @@ func TestRunManyManifestCountsEvents(t *testing.T) {
 	}
 	sum := m.Summary()
 	for _, want := range []string{
-		"# summary: 6 experiments, jobs=2", "# a\t", "# b\t", fmt.Sprintf("%d events", total),
-		"\tflow\t1\n", "\tpacket\t1\tcached\n",
+		"# summary: 7 experiments, jobs=2", "# a\t", "# b\t", fmt.Sprintf("%d events", total),
+		"\tflow\t1\n", "\tpacket\t1\tcached\n", "\tpacket+flow\t1\tpacket 3.0 ms, flow 1.0 ms\n",
 	} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)

@@ -58,7 +58,6 @@ type engineRun struct {
 	// shard's worker at once, so they share nothing.
 	fcts   []time.Duration
 	events uint64
-	wall   time.Duration
 }
 
 // completed counts the flows that finished before the deadline.
@@ -80,31 +79,29 @@ func scenarioProfile(services int) topo.PortProfile {
 	}
 }
 
-// run executes the scenario on one engine: "packet" drives the packet
-// topology (sharded as far as Shards asks and it partitions), "flow"
-// the path graph with the fluid PMSB marking mirroring the packet
-// profile. Flow IDs follow spec order either way.
-func (net *scenarioNet) run(id, engine string, opt Options) (*engineRun, error) {
-	start := time.Now()
+// packet runs the scenario on the packet topology, sharded as far as
+// Shards asks and it partitions. Flow IDs follow spec order, as in
+// fluid.
+func (net *scenarioNet) packet(id string, opt Options) (*engineRun, error) {
 	run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
-	switch engine {
-	case "packet":
-		fab, err := opt.runPacket(net.fabric, func(fab *topo.Fabric) time.Duration {
-			opt.startFlows(fab, net.specs, net.services, nil, func(i int, s *transport.Sender) { run.fcts[i] = s.FCT() })
-			return net.deadline
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		run.events = fab.Processed()
-	case "flow":
-		run.events = opt.runFluid(net.graph, net.specs, net.deadline,
-			func(r flowsim.FlowResult) { run.fcts[r.Index] = r.FCT })
-	default:
-		return nil, fmt.Errorf("%s: unknown engine %q (packet|flow)", id, engine)
+	fab, err := opt.runPacket(net.fabric, func(fab *topo.Fabric) time.Duration {
+		opt.startFlows(fab, net.specs, net.services, nil, func(i int, s *transport.Sender) { run.fcts[i] = s.FCT() })
+		return net.deadline
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
 	}
-	run.wall = time.Since(start)
+	run.events = fab.Processed()
 	return run, nil
+}
+
+// fluid runs the scenario on the path graph, with the fluid PMSB
+// marking mirroring the packet profile.
+func (net *scenarioNet) fluid(opt Options) *engineRun {
+	run := &engineRun{fcts: make([]time.Duration, len(net.specs))}
+	run.events = opt.runFluid(net.graph, net.specs, net.deadline,
+		func(r flowsim.FlowResult) { run.fcts[r.Index] = r.FCT })
+	return run
 }
 
 // scenarioDefs enumerates the shared scenarios (the three the
@@ -213,7 +210,7 @@ func buildFatTreeScenario(quick bool, seed int64) *scenarioNet {
 // runScenario executes one scenario on the packet engine.
 func runScenario(def scenarioDef, opt Options) (*Result, error) {
 	net := def.build(opt.Quick, opt.seed())
-	run, err := net.run(def.id, "packet", opt)
+	run, err := net.packet(def.id, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +229,6 @@ func runScenario(def scenarioDef, opt Options) (*Result, error) {
 	if completed < len(net.specs) {
 		res.AddNote("%d of %d flows unfinished at %v", len(net.specs)-completed, len(net.specs), net.deadline)
 	}
-	res.AddNote("wall clock: %v", run.wall.Round(time.Millisecond))
 	return res, nil
 }
 

@@ -26,9 +26,13 @@ type stagedConfig struct {
 	schedF    topo.SchedFactory
 	queues    int
 	groups    func(phaseStarts []time.Duration) []flowGroup
-	// finalExpected are the paper's final-phase per-queue rates.
-	finalExpected []float64
+	// final are the paper's final-phase per-queue rates and the band
+	// each measured rate must fall in, in Gbps.
+	final []rateBand
 }
+
+// rateBand is a paper rate and the band a measured rate must fall in.
+type rateBand struct{ paper, lo, hi float64 }
 
 // runStaged executes the experiment and reports per-queue throughput in
 // each phase.
@@ -75,9 +79,10 @@ func runStaged(opt Options, sc stagedConfig) (*Result, error) {
 	// Final-phase check against the paper's expectation.
 	start := phases[len(phases)-1] + (dur-phases[len(phases)-1])*2/5
 	from, to := int(start/bin), int(dur/bin)
-	for q, want := range sc.finalExpected {
+	for q, want := range sc.final {
 		got := float64(r.series[q].MeanRate(from, to)) / float64(units.Gbps)
-		res.AddNote("final phase queue %d: %.2f Gbps (paper: %.1f)", q+1, got, want)
+		res.within(fmt.Sprintf("final phase queue %d gets the scheduler's rate", q+1),
+			fmt.Sprintf("%.1f Gbps", want.paper), "%.2f", got, want.lo, want.hi)
 	}
 	// The paper's figures are throughput-vs-time plots: emit them.
 	for q := 0; q < sc.queues; q++ {
@@ -101,7 +106,7 @@ func runFig13(opt Options) (*Result, error) {
 				{service: 2, count: 4, start: ph[2]},
 			}
 		},
-		finalExpected: []float64{5, 2.5, 2.5},
+		final: []rateBand{{5, 4.2, 5.5}, {2.5, 1.7, 3.3}, {2.5, 1.7, 3.3}},
 	})
 }
 
@@ -120,7 +125,7 @@ func runFig14(opt Options) (*Result, error) {
 				{service: 2, count: 1, start: ph[2]},
 			}
 		},
-		finalExpected: []float64{5, 3, 2},
+		final: []rateBand{{5, 4.2, 5.5}, {3, 2.2, 3.8}, {2, 1.2, 2.8}},
 	})
 }
 
@@ -138,6 +143,6 @@ func runFig15(opt Options) (*Result, error) {
 				{service: 1, count: 4, start: ph[1]},
 			}
 		},
-		finalExpected: []float64{5, 5},
+		final: []rateBand{{5, 4, 6}, {5, 4, 6}},
 	})
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"time"
 
 	"pmsb/internal/core"
@@ -23,6 +24,12 @@ func staticSpecs() []Spec {
 	}
 }
 
+// fairLo and fairHi bound PMSB's weighted fair share in fig8, fig8-wrr
+// and fig10. Quick and full runs read 0.50; PMSB without selective
+// blindness (plain per-port marking at K=12) reads 0.39 on fig8 and
+// 0.45 on fig8-wrr at quick seed 1, so the band must exclude 0.45.
+const fairLo, fairHi = 0.47, 0.53
+
 // pmsbFairness runs the paper's Section VI-A.1 weighted-fair-sharing
 // experiment: two equal queues drained by newSched (DWRR in the
 // paper), PMSB with a 12-packet port threshold, 1 flow in queue 1 vs
@@ -43,8 +50,8 @@ func pmsbFairness(id, title string, opt Options, q2Flows int, newSched func(*sim
 	q1, q2 := r.queueRate(0), r.queueRate(1)
 	res.AddRow("1", "1", gbps(q1))
 	res.AddRow("2", itoa(q2Flows), gbps(q2))
-	res.AddNote("queue 1 share = %.2f (PMSB preserves the 0.50 weighted fair share)", float64(q1)/float64(q1+q2))
-	res.AddNote("total = %s Gbps (full 10G utilization expected)", gbps(q1+q2))
+	res.within("PMSB holds queue 1 at its weighted fair share", "0.50", "%.2f", float64(q1)/float64(q1+q2), fairLo, fairHi)
+	res.atLeast("PMSB keeps the 10 Gbps link full", "10 Gbps", "%.2f Gbps", float64(q1+q2)/float64(units.Gbps), 9)
 	return res, nil
 }
 
@@ -129,17 +136,23 @@ func runFig9(opt Options) (*Result, error) {
 		res.AddSeries(cdfSeries(s, "rtt-cdf-"+sc.name))
 	}
 	std := results["per-queue-std"]
-	pmsbR := results["pmsb"]
-	pmsbeR := results["pmsb(e)"]
-	res.AddNote("PMSB avg/p99 RTT %.1f%%/%.1f%% below per-queue standard (paper: 63.2%%/62.6%%)",
-		(1-pmsbR[0]/std[0])*100, (1-pmsbR[1]/std[1])*100)
-	res.AddNote("PMSB(e) avg/p99 RTT %.1f%%/%.1f%% below per-queue standard (paper: 55.8%%/55.5%%)",
-		(1-pmsbeR[0]/std[0])*100, (1-pmsbeR[1]/std[1])*100)
+	for _, c := range []struct{ scheme, paperAvg, paperP99 string }{
+		{"pmsb", "63.2% below", "62.6% below"},
+		{"pmsb(e)", "55.8% below", "55.5% below"},
+	} {
+		got := results[c.scheme]
+		res.below(c.scheme+" avg RTT is below per-queue standard's", c.paperAvg, got[0], std[0])
+		res.below(c.scheme+" p99 RTT is below per-queue standard's", c.paperP99, got[1], std[1])
+	}
 	return res, nil
 }
 
+// peakPortK is the port threshold of fig11 and fig12, in packets.
+const peakPortK = 12
+
 // pmsbPeaks runs the Section VI-A.2 early-notification experiment for
-// one scheme pair (enqueue vs dequeue marking).
+// one scheme pair (enqueue vs dequeue marking) at port threshold
+// peakPortK.
 func pmsbPeaks(id, title string, opt Options, mk func(point ecn.Point) ecn.Marker, filter func() transport.Filter) (*Result, error) {
 	res := &Result{
 		ID:      id,
@@ -163,16 +176,20 @@ func pmsbPeaks(id, title string, opt Options, mk func(point ecn.Point) ecn.Marke
 			return nil, err
 		}
 		peaks[point.String()] = r.trace.Max()
-		res.AddRow(point.String(), ftoa(r.trace.Max()), ftoa(r.trace.MeanAfter(r.cfg.warmup)))
+		steady := r.trace.MeanAfter(r.cfg.warmup)
+		res.AddRow(point.String(), ftoa(r.trace.Max()), ftoa(steady))
+		// One queue holds the whole port threshold (Eq. 6 with a single
+		// weight), so DCTCP settles its occupancy there.
+		res.within(point.String()+" marking: the lone queue settles at the port threshold", fmt.Sprintf("%d pkts", peakPortK),
+			"%.1f pkts", steady, 0.75*peakPortK, 1.25*peakPortK)
 		res.AddSeries(traceSeries(&r.trace, "occupancy-"+point.String(), 400))
 	}
-	res.AddNote("dequeue peak is %.1f%% below enqueue peak (paper: ~20%%)",
-		(1-peaks["dequeue"]/peaks["enqueue"])*100)
+	res.below("dequeue marking lowers the buffer peak below enqueue marking's", "~20% below", peaks["dequeue"], peaks["enqueue"])
 	return res, nil
 }
 
 func runFig11(opt Options) (*Result, error) {
-	portK := units.Packets(12)
+	portK := units.Packets(peakPortK)
 	return pmsbPeaks("fig11", "PMSB buffer occupancy peak: enqueue vs dequeue (4 flows, port K=12 pkts)",
 		opt,
 		func(point ecn.Point) ecn.Marker { return &core.PMSB{PortK: portK, MarkPoint: point} },
@@ -180,7 +197,7 @@ func runFig11(opt Options) (*Result, error) {
 }
 
 func runFig12(opt Options) (*Result, error) {
-	portK := units.Packets(12)
+	portK := units.Packets(peakPortK)
 	// PMSB(e): per-port switch marking plus the end-host RTT filter.
 	// The paper sets the RTT threshold to 14.4us (the drain time of the
 	// 12-packet port threshold): in this single-queue experiment every

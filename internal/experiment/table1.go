@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"time"
 
 	"pmsb/internal/core"
@@ -62,11 +63,13 @@ func runTable1(Options) (*Result, error) {
 		// endHost marks PMSB(e): its logic runs at the sender, so no
 		// switch modification beyond commodity per-port ECN.
 		endHost bool
+		// paper is the scheme's row of the paper's Table I.
+		paper string
 	}{
-		{"mq-ecn", &ecn.MQECN{RTT: 80 * time.Microsecond, Lambda: 1}, false},
-		{"tcn", &ecn.TCN{Threshold: 78 * time.Microsecond}, false},
-		{"pmsb", &core.PMSB{PortK: k}, false},
-		{"pmsb(e)", &ecn.PerPort{K: k}, true},
+		{"mq-ecn", &ecn.MQECN{RTT: 80 * time.Microsecond, Lambda: 1}, false, "no yes yes no"},
+		{"tcn", &ecn.TCN{Threshold: 78 * time.Microsecond}, false, "yes yes no no"},
+		{"pmsb", &core.PMSB{PortK: k}, false, "yes yes yes no"},
+		{"pmsb(e)", &ecn.PerPort{K: k}, true, "yes yes yes yes"},
 	}
 	mark := func(b bool) string {
 		if b {
@@ -75,16 +78,17 @@ func runTable1(Options) (*Result, error) {
 		return "no"
 	}
 	for _, r := range rows {
-		generic := supportsGenericScheduler(r.marker)
-		res.AddRow(
-			r.name,
-			mark(generic),
+		cells := []string{
+			mark(supportsGenericScheduler(r.marker)),
 			"yes", // every scheme works on round-based schedulers
 			mark(supportsEarlyNotification(r.marker)),
 			mark(r.endHost),
-		)
+		}
+		res.AddRow(append([]string{r.name}, cells...)...)
+		got := strings.Join(cells, " ")
+		res.verdict(r.name+"'s Table I row (generic, round-based, early notification, no switch modification)",
+			r.paper, got, "= paper", got == r.paper)
 	}
-	res.AddNote("paper Table I: MQ-ECN lacks generic schedulers; TCN lacks early notification; only PMSB(e) avoids switch modification")
 	return res, nil
 }
 

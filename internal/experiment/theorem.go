@@ -79,7 +79,7 @@ func runTheorem41(opt Options) (*Result, error) {
 			fmt.Sprintf("%.3f", util),
 		)
 	}
-	res.AddNote("thresholds above the bound keep utilization near 1; far below it, the queue underflows (theorem's claim)")
-	res.AddNote("utilization at 0.25x bound = %.3f vs %.3f at 4x bound", utils[0.25], utils[4.0])
+	res.atLeast("a threshold at 4x the bound keeps utilization near 1", "~1", "%.3f", utils[4.0], 0.9)
+	res.below("a threshold at 0.25x the bound loses utilization against 4x", "queue underflows", utils[0.25], utils[4.0])
 	return res, nil
 }

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"pmsb/internal/core"
@@ -38,6 +40,7 @@ func runAblationRTTThresh(opt Options) (*Result, error) {
 		Title:   "PMSB(e) RTT threshold vs fairness vs latency (1:8 flows, per-port K=16)",
 		Headers: []string{"rtt_thresh_us", "q1_share", "q2_p99_rtt_us", "marks_accepted_frac"},
 	}
+	var shares, fracs []float64
 	for _, thresh := range []time.Duration{
 		0, // accept everything: plain DCTCP over per-port marking
 		20 * time.Microsecond,
@@ -71,14 +74,19 @@ func runAblationRTTThresh(opt Options) (*Result, error) {
 		if seen > 0 {
 			frac = float64(accepted) / float64(seen)
 		}
+		shares = append(shares, float64(q1)/float64(q1+q2))
+		fracs = append(fracs, frac)
 		res.AddRow(
 			fmt.Sprintf("%.1f", thresh.Seconds()*1e6),
-			fmt.Sprintf("%.3f", float64(q1)/float64(q1+q2)),
+			fmt.Sprintf("%.3f", shares[len(shares)-1]),
 			usec(r.groupRTT(1).Percentile(99)),
 			fmt.Sprintf("%.3f", frac),
 		)
 	}
-	res.AddNote("low thresholds accept all marks (per-port unfairness); high thresholds veto them (fair share, rising latency)")
+	res.atMost("threshold 0 accepts every mark: plain per-port marking squeezes queue 1", "well below 0.50", "%.3f", shares[0], 0.42)
+	res.within("a 40us threshold vetoes the false marks and restores the fair share", "0.50", "%.3f", shares[2], 0.42, 0.58)
+	res.verdict("the accepted-mark fraction falls as the threshold rises", "-",
+		fmt.Sprintf("%.3f", fracs), "non-increasing", slices.IsSortedFunc(fracs, func(a, b float64) int { return cmp.Compare(b, a) }))
 	return res, nil
 }
 
@@ -184,9 +192,9 @@ func runFCTWeighted(opt Options) (*Result, error) {
 	}
 	p := summaries[key{"pmsb", "premium(w4)"}]
 	pp := summaries[key{"per-port", "premium(w4)"}]
-	if p != nil && pp != nil && pp.Mean() > 0 {
-		res.AddNote("premium small-flow avg FCT: PMSB %.3fms vs per-port %.3fms (%.1f%% better)",
-			p.Mean()*1e3, pp.Mean()*1e3, (1-p.Mean()/pp.Mean())*100)
+	if p != nil && pp != nil {
+		res.below("PMSB's premium-class small-flow avg FCT is below per-port marking's, which victimizes the premium queue",
+			"-", p.Mean(), pp.Mean())
 	}
 	return res, nil
 }
